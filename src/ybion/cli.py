@@ -102,6 +102,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+class _GridAction(argparse.Action):
+    """--grid START_HZ STOP_HZ POINTS as two finite floats and an integer."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        start, stop, points = values
+        try:
+            grid = (_finite_float(start), _finite_float(stop), int(points))
+        except ValueError:
+            raise argparse.ArgumentError(
+                self,
+                "expected finite START_HZ and STOP_HZ and an integer POINTS, "
+                f"got {start} {stop} {points}",
+            ) from None
+        setattr(namespace, self.dest, grid)
+
+
 def _fmt(value) -> str:
     if value is None:
         return "NA"
@@ -355,11 +378,10 @@ def _cmd_crystal(args) -> int:
 def _cmd_scan(args) -> int:
     path = _resolve_scheme(args.scheme)
     scheme = load_scheme_file(path)
-    start, stop, n = args.grid
-    count = int(n)
+    start, stop, count = args.grid
     if count < 2:
         raise SchemeError("grid needs at least 2 points")
-    detunings = np.linspace(float(start), float(stop), count)
+    detunings = np.linspace(start, stop, count)
     curve = simulate_scan(
         scheme,
         args.upper,
@@ -372,8 +394,8 @@ def _cmd_scan(args) -> int:
         "scheme": str(path),
         "upper": args.upper,
         "lower": args.lower,
-        "grid_start_hz": float(start),
-        "grid_stop_hz": float(stop),
+        "grid_start_hz": start,
+        "grid_stop_hz": stop,
         "grid_points": count,
         "noise_sigma": args.noise_sigma,
         "seed": args.seed,
@@ -694,6 +716,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--grid",
         nargs=3,
+        action=_GridAction,
         required=True,
         metavar=("START_HZ", "STOP_HZ", "POINTS"),
         help="detuning grid in Hz: start, stop, and point count.",

@@ -20,6 +20,17 @@ isolated two-level pair this reproduces the standard saturation behavior:
 upper population S/(2(S+1)) on resonance and a fitted linewidth growing as
 sqrt(1 + S). The detuning is the laser offset from line center in Hz.
 
+Steady states come from the Grassmann-Taksar-Heyman (GTH) state reduction
+(Grassmann, Taksar & Heyman, Operations Research 33, 1985), which reads only
+the off-diagonal rates, never subtracts, and so returns nonnegative
+populations accurate entry by entry even at saturation parameters of 1e8.
+It works on a stack of matrices, so a whole detuning scan is one call. A
+unique steady state exists exactly when the level graph has one closed
+class (a set of mutually reachable levels with no way out); that class is
+found from the nonzero pattern and supplies the level kept to the end of
+the reduction, which keeps every pivot positive even when the ground level
+is transient. Several closed classes raise SolverError naming the groups.
+
 Coherences are deliberately absent: all drives are treated as broadband rate
 couplings, which is the regime the chopped multi-laser experiment operates
 in. Optional ionization is a one-way drain from a chosen level into an
@@ -33,7 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 
 from .constants import CONSTANTS
 from .errors import SchemeError, SolverError
@@ -44,7 +54,9 @@ __all__ = [
     "PopulationVector",
     "build_rate_matrix",
     "saturation_from_power",
+    "drive_rate",
     "steady_state",
+    "steady_state_stack",
     "evolve",
     "initial_population",
     "excitation_probability",
@@ -52,7 +64,9 @@ __all__ = [
 
 SINK_LABEL = "ionized"
 
-# Residual of M p at the steady state, relative to the largest matrix entry.
+# Residual of M p that steady states are tested to, relative to the largest
+# matrix entry. The GTH solve is accurate by construction and does not gate
+# on it.
 STEADY_RESIDUAL_TOL = 1e-10
 
 # Most negative population tolerated before clamping to zero.
@@ -178,17 +192,24 @@ def saturation_from_power(
     return peak / i_sat
 
 
-def _drive_saturation(scheme: LevelScheme, drive) -> float:
-    if drive.saturation is not None:
-        return drive.saturation
+def drive_rate(scheme: LevelScheme, drive, detuning_hz):
+    """Stimulated rate W (1/s) of a drive at the given detuning(s) in Hz.
+
+    W = (S / (2 tau)) / (1 + (2 detuning / width)^2) with tau the upper
+    level lifetime and width its natural FWHM; detuning_hz may be an array.
+    """
     lifetime = scheme.lifetime(drive.upper)
     if lifetime is None:
         raise SchemeError(
             f"drive {drive.upper}<->{drive.lower}: upper level has no lifetime"
         )
-    return saturation_from_power(
-        drive.power_w, drive.waist_m, drive.wavelength_nm, lifetime
-    )
+    s = drive.saturation
+    if s is None:
+        s = saturation_from_power(
+            drive.power_w, drive.waist_m, drive.wavelength_nm, lifetime
+        )
+    width = natural_fwhm_hz(lifetime)
+    return (s / (2.0 * lifetime)) / (1.0 + (2.0 * detuning_hz / width) ** 2)
 
 
 def build_rate_matrix(
@@ -243,14 +264,7 @@ def build_rate_matrix(
                 m[index[ground], index[lv.label]] += (1.0 - total) / lv.lifetime_s
 
     for drive in scheme.drives:
-        lifetime = scheme.lifetime(drive.upper)
-        if lifetime is None:
-            raise SchemeError(
-                f"drive {drive.upper}<->{drive.lower}: upper level has no lifetime"
-            )
-        s = _drive_saturation(scheme, drive)
-        width = natural_fwhm_hz(lifetime)
-        w = (s / (2.0 * lifetime)) / (1.0 + (2.0 * drive.detuning_hz / width) ** 2)
+        w = drive_rate(scheme, drive, drive.detuning_hz)
         up, lo = index[drive.upper], index[drive.lower]
         m[up, lo] += w
         m[lo, up] += w
@@ -273,58 +287,104 @@ def _known(scheme: LevelScheme, label: str) -> str:
     return label
 
 
-def _connected_groups(m: np.ndarray, labels: tuple[str, ...]) -> list[list[str]]:
-    adj = (m != 0) | (m != 0).T
-    np.fill_diagonal(adj, False)
-    count, assign = connected_components(adj.astype(int), directed=False)
-    return [
-        [lab for lab, c in zip(labels, assign) if c == k] for k in range(count)
-    ]
+def _closed_classes(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed classes of the level graph and the reachability behind them.
+
+    pattern[i, j] is True where population flows j -> i. Returns (reach,
+    classes): reach[j, i] says level j can reach level i (every level
+    reaches itself), and each row of the boolean array classes marks one
+    closed class, a set of mutually reachable levels with no way out.
+    """
+    n = pattern.shape[0]
+    reach = pattern.T | np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall transitive closure
+        reach |= reach[:, k, None] & reach[None, k, :]
+    closed = (reach <= reach.T).all(axis=1)
+    # a closed level's reach is its class; keep the class's first level
+    first = closed & (reach.argmax(axis=1) == np.arange(n))
+    return reach, reach[first]
+
+
+def _gth(rates: np.ndarray) -> np.ndarray:
+    """Grassmann-Taksar-Heyman state reduction on a stack of rate matrices.
+
+    rates[..., i, j] is the rate j -> i; the diagonal is never read. Levels
+    are eliminated in index order, each folded into the levels after it as
+    in a censored chain, so the last level is kept to the end. The pivots
+    are out-rates and the updates add products of nonnegative numbers, so
+    no subtraction occurs and every population is accurate to a few
+    rounding errors relative to itself (O'Cinneide, Numer. Math. 65, 1993).
+    A pivot is positive when every level can reach the last one.
+    """
+    a = rates.copy()
+    n = a.shape[-1]
+    for k in range(n - 1):
+        pivot = a[..., k + 1:, k].sum(axis=-1)
+        if not (pivot > 0).all():
+            raise SolverError(
+                "steady-state pivot is zero or NaN: a NaN rate, or a level "
+                "that cannot reach the level kept last"
+            )
+        a[..., k, k + 1:] /= pivot[..., None]
+        a[..., k + 1:, k + 1:] += a[..., k + 1:, k, None] * a[..., k, None, k + 1:]
+    p = np.zeros(a.shape[:-1])
+    p[..., n - 1] = 1.0
+    for k in range(n - 2, -1, -1):
+        p[..., k] = (a[..., k, k + 1:] * p[..., k + 1:]).sum(axis=-1)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def steady_state_stack(matrices: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+    """Stationary populations of a stack of rate matrices, shape (..., n, n).
+
+    Only the off-diagonal rates are read. The matrices must share one
+    unique closed class (checked on their combined nonzero pattern): the
+    level kept to the end of the GTH reduction is taken from it, which
+    keeps every pivot positive even when the ground level is transient.
+    Levels outside the class come out exactly zero. With several closed
+    classes the null space is degenerate and the error names, for each
+    class, the levels that can only end up in it.
+    """
+    matrices = np.asarray(matrices, dtype=float)
+    n = matrices.shape[-1]
+    pattern = (matrices != 0).reshape(-1, n, n).any(axis=0)
+    reach, classes = _closed_classes(pattern)
+    if len(classes) > 1:
+        recurrent = classes.any(axis=0)
+        groups = [~(reach & recurrent & ~c).any(axis=1) for c in classes]
+        named = "; ".join(
+            "{" + ", ".join(labels[i] for i in np.flatnonzero(g)) + "}"
+            for g in groups
+        )
+        raise SolverError(
+            f"null space dimension {len(classes)}: no population flows "
+            f"between level groups {named}"
+        )
+    last = np.flatnonzero(classes[0])[-1]
+    order = np.r_[np.delete(np.arange(n), last), last]
+    p = _gth(matrices[..., order[:, None], order])
+    out = np.empty_like(p)
+    out[..., order] = p
+    return out
 
 
 def steady_state(m: RateMatrix) -> PopulationVector:
     """Stationary populations: the normalized null vector of the matrix.
 
     Requires a sink-free matrix (use drop_sink() first); a drain would make
-    the only stationary state the fully ionized one. The level graph must
-    be connected, otherwise the null space is degenerate and no unique
-    steady state exists; the error lists the disconnected groups.
+    the only stationary state the fully ionized one. The solve is the
+    subtraction-free GTH state reduction of steady_state_stack on a stack
+    of one, so populations are nonnegative and entrywise accurate even when
+    stimulated rates dwarf the slow spontaneous channels by many orders of
+    magnitude; there is no residual gate. A unique steady state needs a
+    unique closed class of levels (levels outside it end up empty);
+    otherwise the error names the separate level groups.
     """
     if m.sink_index is not None:
         raise SolverError(
             "steady_state needs a sink-free matrix; call drop_sink() first"
         )
-    groups = _connected_groups(m.matrix, m.labels)
-    if len(groups) > 1:
-        named = "; ".join("{" + ", ".join(g) + "}" for g in groups)
-        raise SolverError(
-            f"null space dimension {len(groups)}: disconnected level groups {named}"
-        )
-
-    # Replace one balance equation by the normalization constraint and
-    # solve; row equilibration plus iterative refinement keeps the residual
-    # near machine precision even when stimulated rates dwarf the slow
-    # spontaneous channels by many orders of magnitude.
-    a = m.matrix.copy()
-    a[0, :] = 1.0
-    b = np.zeros(m.n)
-    b[0] = 1.0
-    scale = np.abs(a).max(axis=1)
-    scaled = a / scale[:, None]
-    try:
-        p = np.linalg.solve(scaled, b / scale)
-        for _ in range(3):
-            p += np.linalg.solve(scaled, (b - a @ p) / scale)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"steady-state solve failed: {exc}") from None
-
-    residual = np.abs(m.matrix @ p).max()
-    allowed = STEADY_RESIDUAL_TOL * np.abs(m.matrix).max()
-    if residual > allowed:
-        raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds {allowed:.3e}"
-        )
-    p /= p.sum()
+    p = steady_state_stack(m.matrix[None], m.labels)[0]
     return PopulationVector(populations=p, labels=m.labels, time_s=None)
 
 

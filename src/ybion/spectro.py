@@ -37,7 +37,14 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import SchemeError, SolverError
-from .rates import build_rate_matrix, steady_state
+# bench/tracing.py wraps spectro.steady_state, so the name stays importable
+# here although scans solve through steady_state_stack.
+from .rates import (  # noqa: F401
+    build_rate_matrix,
+    drive_rate,
+    steady_state,
+    steady_state_stack,
+)
 from .scheme import LevelScheme
 
 __all__ = [
@@ -135,7 +142,11 @@ def simulate_scan(
 ) -> ScanCurve:
     """Steady-state fluorescence at each detuning of the (upper, lower) drive.
 
-    The monitored signal is p(monitor_upper) * A(monitor_upper ->
+    The rate matrix is built once; the scanned drive's rate W(detuning)
+    enters its two entries in a (points, n, n) stack, which one batched GTH
+    solve (rates.steady_state_stack) turns into all the populations. The
+    result equals a per-detuning steady_state of the rebuilt scheme. The
+    monitored signal is p(monitor_upper) * A(monitor_upper ->
     monitor_lower) in photons/s per ion. Preconditions: the scanned drive
     exists, no other drive shares its lower level (a repump on the same
     level would distort the line, so it must be switched off first), and
@@ -144,7 +155,7 @@ def simulate_scan(
     detunings = [float(d) for d in detunings_hz]
     if not detunings:
         raise SchemeError("detuning grid is empty")
-    scheme.drive(upper, lower)
+    scanned = scheme.drive(upper, lower)
     for dr in scheme.drives:
         if dr.lower == lower and dr.upper != upper:
             raise SchemeError(
@@ -163,12 +174,19 @@ def simulate_scan(
         raise SchemeError(f"monitor level {mon_upper} has no lifetime")
     einstein_a = mon_branch / mon_lifetime
 
-    signal = np.empty(len(detunings))
-    for i, delta in enumerate(detunings):
-        shifted = scheme.with_drive(upper, lower, detuning_hz=delta)
-        matrix = build_rate_matrix(shifted)
-        pops = steady_state(matrix)
-        signal[i] = pops[mon_upper] * einstein_a
+    # Build the matrix once with the scanned drive switched off (W = 0 adds
+    # nothing, so every entry matches a per-detuning build), add W(delta)
+    # to its two entries in a stack and solve the stack in one call.
+    dark = build_rate_matrix(
+        scheme.with_drive(upper, lower, saturation=0.0, power_w=None, waist_m=None)
+    )
+    w = drive_rate(scheme, scanned, np.asarray(detunings))
+    up, lo = dark.index(upper), dark.index(lower)
+    stack = np.repeat(dark.matrix[None], len(detunings), axis=0)
+    stack[:, up, lo] += w
+    stack[:, lo, up] += w
+    pops = steady_state_stack(stack, dark.labels)
+    signal = pops[:, dark.index(mon_upper)] * einstein_a
 
     if noise_sigma is not None and noise_sigma > 0:
         rng = np.random.default_rng(seed)

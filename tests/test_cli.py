@@ -264,6 +264,19 @@ def test_scan_grid_accepts_scientific_negatives(capsys):
     assert rows[0][1] == rows[-1][1]
 
 
+@pytest.mark.parametrize("grid", [
+    ["-1e6", "1e6", "2.5"],
+    ["a", "1", "5"],
+    ["0", "inf", "5"],
+    ["nan", "1e6", "5"],
+])
+def test_scan_grid_rejects_malformed_values(grid, capsys):
+    assert main(["scan", "--scheme", "linewidth_reference", "--grid", *grid]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower()
+    assert "argument --grid" in err and "Traceback" not in err
+
+
 def test_scan_then_fit_recovers_pinned_linewidth(curve_file, capsys):
     assert main(["fit-scan", "--data", str(curve_file),
                  "--saturation", "0.02"]) == 0

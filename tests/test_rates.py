@@ -8,6 +8,7 @@ import pytest
 
 from ybion.errors import SchemeError, SolverError
 from ybion.rates import (
+    STEADY_RESIDUAL_TOL,
     PopulationVector,
     RateMatrix,
     build_rate_matrix,
@@ -189,6 +190,51 @@ def test_disconnected_groups_named():
         steady_state(m)
     msg = str(err.value)
     assert "e1" in msg and "e2" in msg and "x" in msg
+
+
+def test_transient_ground_empties_into_metastable_level():
+    # g <-> e is driven and e decays only into x, which has no lifetime, so
+    # the ground level is transient and everything ends in x. Keeping the
+    # ground level to the end of the reduction would hit a zero pivot.
+    scheme = LevelScheme(
+        levels=(
+            Level("g", "c", 0.5, 0.0, None),
+            Level("x", "c", 1.5, 10000.0, None),
+            Level("e", "c", 0.5, 20000.0, 1e-8),
+        ),
+        decays=(DecayChannel("e", "x", 1.0),),
+        drives=(LaserDrive("e", "g", wavelength_nm=500.0, saturation=1.0),),
+    )
+    p = steady_state(build_rate_matrix(scheme))
+    assert p["x"] == 1.0
+    assert p["g"] == 0.0 and p["e"] == 0.0
+
+
+def test_two_closed_classes_from_one_level_named():
+    # e feeds both g and x, which never exchange population: two closed
+    # classes in one connected graph.
+    scheme = LevelScheme(
+        levels=(
+            Level("g", "c", 0.5, 0.0, None),
+            Level("x", "c", 1.5, 10000.0, None),
+            Level("e", "c", 0.5, 20000.0, 1e-8),
+        ),
+        decays=(DecayChannel("e", "g", 0.6), DecayChannel("e", "x", 0.4)),
+        drives=(),
+    )
+    with pytest.raises(SolverError, match="null space dimension 2") as err:
+        steady_state(build_rate_matrix(scheme))
+    msg = str(err.value)
+    assert "{g}" in msg and "{x}" in msg
+
+
+def test_steady_state_at_extreme_saturation(yb_scheme):
+    m = build_rate_matrix(yb_scheme.with_all_drives_saturated(1e8))
+    p = steady_state(m).populations
+    assert (p >= 0.0).all()
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    residual = np.abs(np.asarray(m.matrix) @ p).max()
+    assert residual <= STEADY_RESIDUAL_TOL * np.abs(m.matrix).max()
 
 
 # -- evolution ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ybion.errors import SchemeError, SolverError
-from ybion.rates import natural_fwhm_hz
+from ybion.rates import build_rate_matrix, natural_fwhm_hz, steady_state
 from ybion.scheme import load_bundled_scheme
 from ybion.spectro import (
     LorentzianFit,
@@ -105,6 +105,21 @@ def test_scan_noise_is_seeded_and_clamped(reference_scheme):
     assert a.fluorescence != c.fluorescence
     assert min(a.fluorescence) >= 0.0
     assert a.noise_sigma == 0.05
+
+
+@pytest.mark.parametrize("name", ["linewidth_reference", "yb174_plus"])
+def test_batched_scan_equals_per_point_solves(name):
+    scheme = load_bundled_scheme(name)
+    grid = np.linspace(-80e6, 80e6, 33)
+    curve = simulate_scan(scheme, *PROBE, grid)
+    branch = next(c for c in scheme.decays_from("6p12") if c.lower == "6s12")
+    einstein_a = branch.branching_ratio / scheme.lifetime("6p12")
+    expected = [
+        steady_state(build_rate_matrix(
+            scheme.with_drive(*PROBE, detuning_hz=float(d))))["6p12"] * einstein_a
+        for d in grid
+    ]
+    np.testing.assert_allclose(curve.fluorescence, expected, rtol=1e-13, atol=0.0)
 
 
 def test_scan_preconditions(reference_scheme):
