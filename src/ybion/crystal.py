@@ -29,10 +29,10 @@ q2 from the normalized displacement of the bright ion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import CONSTANTS, YB174_MASS_KG
 from .errors import SchemeError, SolverError
@@ -65,12 +65,10 @@ class TrapAxis:
     ion_mass_kg: float = YB174_MASS_KG
 
     def __post_init__(self):
-        if self.nu1_hz <= 0:
-            raise SchemeError("nu1 must be positive")
-        if self.ion_mass_kg <= 0:
-            raise SchemeError("ion mass must be positive")
-        if self.eta <= 0:
-            raise SchemeError("eta must be positive")
+        for name in ("nu1_hz", "ion_mass_kg", "eta"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise SchemeError(f"{name} must be positive and finite, got {value}")
 
     @property
     def omega1(self) -> float:
@@ -88,8 +86,8 @@ class ChargePair:
     def __post_init__(self):
         if self.q1 != 1.0:
             raise SchemeError("ion 1 is the singly charged reference; q1 must be 1")
-        if self.q2 <= 0:
-            raise SchemeError("q2 must be positive")
+        if not 0.0 < self.q2 < math.inf:
+            raise SchemeError(f"q2 must be positive and finite, got {self.q2}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +106,12 @@ class CrystalState:
             raise SchemeError("mode frequencies must satisfy nu_bre > nu_com > 0")
 
 
+def _inv_square(value: float) -> float:
+    """1 / value^2 that saturates to inf or 0 instead of raising."""
+    inv = 1.0 / value
+    return inv * inv
+
+
 def _coulomb_q(charges: ChargePair) -> float:
     e = CONSTANTS.elementary_charge
     return (
@@ -119,9 +123,10 @@ def _coulomb_q(charges: ChargePair) -> float:
 def equilibrium_positions(trap: TrapAxis, charges: ChargePair) -> tuple[float, float]:
     """Equilibrium positions (X1, X2) in meters, X1 > 0 > X2."""
     q = _coulomb_q(charges)
-    inv_eta2 = 1.0 / trap.eta**2
+    inv_eta2 = _inv_square(trap.eta)
+    scale = 1.0 + inv_eta2
     x1 = (
-        q / ((1.0 + inv_eta2) ** 2 * trap.ion_mass_kg * trap.omega1**2)
+        q / (scale * scale * trap.ion_mass_kg * trap.omega1 * trap.omega1)
     ) ** (1.0 / 3.0)
     x2 = -inv_eta2 * x1
     return float(x1), float(x2)
@@ -134,18 +139,25 @@ def displacement_ratio(eta: float, q2: float) -> float:
     weak function of q2, which is why inverting it amplifies measurement
     noise threefold (see infer_charge).
     """
-    if eta <= 0 or q2 <= 0:
-        raise SchemeError("eta and q2 must be positive")
-    inv_eta2 = 1.0 / eta**2
-    return float((4.0 * q2 / (1.0 + inv_eta2) ** 2) ** (1.0 / 3.0))
+    if not (0.0 < eta < math.inf and 0.0 < q2 < math.inf):
+        raise SchemeError("eta and q2 must be positive and finite")
+    scale = 1.0 + _inv_square(eta)
+    return float((4.0 * q2 / (scale * scale)) ** (1.0 / 3.0))
 
 
 def _mode_eigenvalues(eta: float) -> tuple[float, float]:
-    """(u_minus, u_plus): squared mode frequencies in units of omega1^2."""
-    root = np.sqrt(eta**8 + 14.0 * eta**4 + 1.0)
-    base = eta**4 + 6.0 * eta**2 + 1.0
-    denom = 2.0 * eta**2 + 2.0
-    return float((base - root) / denom), float((base + root) / denom)
+    """(u_minus, u_plus): squared mode frequencies in units of omega1^2.
+
+    The closed form above, rearranged with x = eta^2: u_plus + u_minus =
+    x + 5 - 4/(x + 1), u_plus - u_minus = hypot(x - 1, 4 x/(x + 1)) and
+    u_plus u_minus = 3x. Taking u_minus = 3x / u_plus avoids the
+    cancellation of base - root, and no intermediate overflows before
+    u_plus itself does.
+    """
+    x = eta * eta
+    w = x / (x + 1.0)
+    u_plus = 0.5 * (x + 5.0 - 4.0 / (x + 1.0) + math.hypot(x - 1.0, 4.0 * w))
+    return 3.0 * x / u_plus, u_plus
 
 
 def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
@@ -158,46 +170,51 @@ def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
 
 
 def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
-    """Invert one measured mode frequency to eta on the bracket [1, 10].
+    """Invert one measured mode frequency to eta on the range [1, 10].
 
-    Both mode eigenvalues are strictly increasing in eta on the bracket, so
-    the root is unique when it exists. Measurements below the eta = 1
-    endpoint (nu1 for "com", sqrt(3) nu1 for "bre") or beyond the eta = 10
-    endpoint are rejected.
+    With x = eta^2, the mode eigenvalues satisfy u_plus u_minus = 3 x and
+    u_plus + u_minus = (x^2 + 6 x + 1) / (x + 1), so one measured
+    u = (nu / nu1)^2 of either mode solves
+
+        (3 - u) x^2 + (u^2 - 6 u + 3) x + u (u - 1) = 0,
+
+    whose discriminant is ((u - 1)(u - 3))^2 + (2 u)^2. Both eigenvalues
+    are strictly increasing in eta, so exactly one root has x >= 1: the
+    larger root for "com" (u < 3) and the positive one for "bre" (u >= 3).
+    It is taken from the cancellation-free pair q / a, c / q. Measurements
+    below the eta = 1 endpoint (nu1 for "com", sqrt(3) nu1 for "bre") or
+    beyond the eta = 10 endpoint are rejected. A u within 4 ulps of an
+    endpoint eigenvalue returns that endpoint, so endpoint inputs that
+    land a rounding error off still give exactly 1 or 10.
     """
     if mode not in ("com", "bre"):
         raise SolverError(f"mode must be 'com' or 'bre', got {mode!r}")
-    if nu_measured_hz <= 0 or nu1_hz <= 0:
-        raise SolverError("frequencies must be positive")
+    if not (0.0 < nu_measured_hz < math.inf and 0.0 < nu1_hz < math.inf):
+        raise SolverError("frequencies must be positive and finite")
     pick = 0 if mode == "com" else 1
-    target = (nu_measured_hz / nu1_hz) ** 2
-
-    def objective(eta: float) -> float:
-        return _mode_eigenvalues(eta)[pick] - target
-
+    ratio = nu_measured_hz / nu1_hz
+    u = ratio * ratio
     lo, hi = ETA_BRACKET
-    f_lo, f_hi = objective(lo), objective(hi)
-    # Measurements exactly at an endpoint land a few ulps outside the
-    # bracket; absorb that instead of rejecting the eta = 1 trivial case.
-    edge = 1e-9 * max(1.0, abs(target))
-    if f_lo > 0:
-        if f_lo <= edge:
-            return lo
-        floor_hz = nu1_hz * np.sqrt(_mode_eigenvalues(lo)[pick])
+    u_lo, u_hi = _mode_eigenvalues(lo)[pick], _mode_eigenvalues(hi)[pick]
+    for end, u_end in ((lo, u_lo), (hi, u_hi)):
+        if abs(u - u_end) <= 4.0 * math.ulp(u_end):
+            return end
+    if u < u_lo:
         raise SolverError(
             f"measured {mode} frequency {nu_measured_hz:.1f} Hz lies below the "
-            f"eta = 1 value {floor_hz:.1f} Hz"
+            f"eta = 1 value {nu1_hz * math.sqrt(u_lo):.1f} Hz"
         )
-    if f_hi < 0:
-        if -f_hi <= edge:
-            return hi
-        ceil_hz = nu1_hz * np.sqrt(_mode_eigenvalues(hi)[pick])
+    if u > u_hi:
         raise SolverError(
             f"measured {mode} frequency {nu_measured_hz:.1f} Hz exceeds the "
-            f"eta = {hi:.0f} value {ceil_hz:.1f} Hz"
+            f"eta = {hi:.0f} value {nu1_hz * math.sqrt(u_hi):.1f} Hz"
         )
-    eta = brentq(objective, lo, hi, xtol=1e-6)
-    return float(eta)
+    a = 3.0 - u
+    b = u * u - 6.0 * u + 3.0
+    c = u * (u - 1.0)
+    q = -0.5 * (b + math.copysign(math.hypot((u - 1.0) * (u - 3.0), 2.0 * u), b))
+    # a = 3 - u is nonzero here: u = 3 is the "bre" eta = 1 endpoint.
+    return math.sqrt(max(c / q, q / a))
 
 
 def infer_charge(ratio: float, eta: float) -> float:
@@ -206,10 +223,10 @@ def infer_charge(ratio: float, eta: float) -> float:
     Exact inverse of displacement_ratio: q2 = ratio^3 (1 + eta^-2)^2 / 4.
     The cube propagates a relative error in the ratio threefold into q2.
     """
-    if ratio <= 0 or eta <= 0:
-        raise SchemeError("ratio and eta must be positive")
-    inv_eta2 = 1.0 / eta**2
-    return float(ratio**3 * (1.0 + inv_eta2) ** 2 / 4.0)
+    if not (0.0 < ratio < math.inf and 0.0 < eta < math.inf):
+        raise SchemeError("ratio and eta must be positive and finite")
+    scale = 1.0 + _inv_square(eta)
+    return float(ratio * ratio * ratio * scale * scale / 4.0)
 
 
 def crystal_state(trap: TrapAxis, charges: ChargePair) -> CrystalState:

@@ -14,14 +14,22 @@ Each trial starts at a uniformly random phase of the chop cycle. A
 phase-locked start would make the wall-clock mean depend on the lock
 point; averaging over the phase gives the stationary mean 1/(R*duty).
 
-Reproducibility: per-trial generators are numpy default_rng (PCG64)
-seeded as SeedSequence([rng_seed, trial_index]), so results are identical
-however trials are chunked across workers. rng_description() reports the
-algorithm and numpy version for run manifests.
+Reproducibility: trials are drawn in fixed blocks of BLOCK_TRIALS = 4096.
+Block b (trials b*4096 .. b*4096 + 4095) has its own numpy default_rng
+(PCG64) seeded as SeedSequence([rng_seed, b]), and every block is drawn
+in full and in a fixed order: 4096 standard exponentials (exposure times
+in units of 1/rate), then 4096 uniform phases on [0, T), then, only when
+failure_prob > 0, 4096 Geometric(failure_prob) window indices. A longer
+run therefore extends a shorter one and never reshuffles it, across block
+boundaries too. rng_description() reports this layout, the algorithm and
+the numpy version for run manifests.
 
 The dark-state failure channel seen at high ionizing power is not
 modeled; failure_prob is a constant per-window abort knob (default 0)
-standing in for any such loss process.
+standing in for any such loss process. Aborting each entered ON window
+with probability p is the same as drawing the first aborting window K ~
+Geometric(p): a trial fails iff K is at most the number of windows it
+enters before its event or the horizon, and then records K windows.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -50,6 +59,7 @@ __all__ = [
     "VerificationRecord",
     "ChargeInference",
     "REPORTED_NOISE",
+    "BLOCK_TRIALS",
     "simulate_ionization_times",
     "summarize_times",
     "exposure_to_wall",
@@ -80,16 +90,29 @@ class SequenceConfig:
     failure_prob: float = 0.0
 
     def __post_init__(self):
-        if self.rate_per_s < 0:
-            raise SchemeError("ionization rate must be >= 0")
+        if not 0.0 <= self.rate_per_s < math.inf:
+            raise SchemeError(
+                f"ionization rate must be >= 0 and finite, got {self.rate_per_s}")
         if not 0.0 < self.ionization_duty <= 1.0:
-            raise SchemeError("ionization duty must lie in (0, 1]")
-        if self.chop_rate_hz <= 0:
-            raise SchemeError("chop rate must be positive")
-        if self.max_time_s <= 0:
-            raise SchemeError("max time must be positive")
+            raise SchemeError(
+                f"ionization duty must lie in (0, 1], got {self.ionization_duty}")
+        if not 0.0 < self.chop_rate_hz < math.inf:
+            raise SchemeError(
+                f"chop rate must be positive and finite, got {self.chop_rate_hz}")
+        if not 0.0 < self.max_time_s < math.inf:
+            raise SchemeError(
+                f"max time must be positive and finite, got {self.max_time_s}")
         if not 0.0 <= self.failure_prob <= 1.0:
-            raise SchemeError("failure probability must lie in [0, 1]")
+            raise SchemeError(
+                f"failure probability must lie in [0, 1], got {self.failure_prob}")
+        if self.rng_seed < 0:
+            raise SchemeError(f"rng seed must be >= 0, got {self.rng_seed}")
+        # Window counts are int64 and the chop phase must stay resolvable,
+        # so the horizon may span at most 2**53 chop cycles of nonzero ON time.
+        if not (self.on_time_s > 0.0 and self.period_s < math.inf):
+            raise SchemeError("chop period and ON time must be positive and finite")
+        if self.max_time_s * self.chop_rate_hz > 2.0**53:
+            raise SchemeError("max time spans more than 2**53 chop cycles")
 
     @property
     def period_s(self) -> float:
@@ -100,7 +123,7 @@ class SequenceConfig:
         return self.ionization_duty * self.period_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IonizationRun:
     """Outcome of one trial.
 
@@ -150,8 +173,9 @@ class VerificationNoise:
     freq_rel: float
 
     def __post_init__(self):
-        if self.ratio_rel < 0 or self.freq_rel < 0:
-            raise SchemeError("noise sigmas must be >= 0")
+        for sigma in (self.ratio_rel, self.freq_rel):
+            if not 0.0 <= sigma < math.inf:
+                raise SchemeError(f"noise sigmas must be >= 0 and finite, got {sigma}")
 
 
 # Measurement scale of the published verification: about 2% on the
@@ -177,8 +201,9 @@ class VerificationRecord:
             "nu_com_measured_hz",
             "nu_bre_measured_hz",
         ):
-            if getattr(self, name) <= 0:
-                raise SchemeError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise SchemeError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -191,116 +216,86 @@ class ChargeInference:
     q2: float
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+BLOCK_TRIALS = 4096
 
 
 def rng_description() -> str:
-    """Algorithm pin for run manifests."""
+    """Algorithm pin and stream layout for run manifests."""
     return (
         f"numpy default_rng (PCG64), numpy {np.__version__}, "
-        "per-trial stream SeedSequence([rng_seed, trial_index])"
+        f"blocks of {BLOCK_TRIALS} trials, block b seeded "
+        "SeedSequence([rng_seed, b]), drawn in full as exposures, "
+        "then phases, then Geometric(failure_prob) only if failure_prob > 0"
     )
 
 
-def exposure_to_wall(
-    exposure_s: float, phase_s: float, chop_rate_hz: float, duty: float
-) -> tuple[float, int]:
+def _check_phase(phase: np.ndarray, period: float) -> None:
+    if not ((phase >= 0.0) & (phase < period)).all():
+        raise SolverError("phase must lie in [0, period)")
+
+
+def _scalar_or_array(value: np.ndarray, kind: type):
+    return kind(value) if value.ndim == 0 else value
+
+
+def exposure_to_wall(exposure_s, phase_s, chop_rate_hz: float, duty: float):
     """Map accumulated ON-time to wall-clock time from a given start phase.
 
     Returns (wall_time_s, on_windows_touched). phase_s is the position in
     the chop cycle at wall time zero, in [0, T). The ON window occupies
-    the first duty*T of each cycle.
+    the first duty*T of each cycle. exposure_s and phase_s may be scalars
+    (giving a float and an int) or arrays that broadcast together (giving
+    a float array and an int64 array).
     """
     period = 1.0 / chop_rate_hz
     t_on = duty * period
-    if not 0.0 <= phase_s < period:
-        raise SolverError("phase must lie in [0, period)")
-    if exposure_s < 0:
-        raise SolverError("exposure must be >= 0")
-    if exposure_s == 0:
-        return 0.0, 0
-    first_avail = max(t_on - phase_s, 0.0)
-    if 0.0 < exposure_s <= first_avail:
-        return exposure_s, 1
-    remaining = exposure_s - first_avail
-    full = int(remaining // t_on)
+    exposure, phase = np.broadcast_arrays(
+        np.asarray(exposure_s, dtype=float), np.asarray(phase_s, dtype=float)
+    )
+    _check_phase(phase, period)
+    if not ((exposure >= 0.0) & (exposure < math.inf)).all():
+        raise SolverError("exposure must be >= 0 and finite")
+    first_avail = np.maximum(t_on - phase, 0.0)
+    remaining = exposure - first_avail
+    full = np.floor_divide(remaining, t_on)
     rem = remaining - full * t_on
-    if rem == 0.0:
-        full -= 1
-        rem = t_on
-    chop_clock = (full + 1) * period + rem
-    windows = (1 if first_avail > 0 else 0) + full + 1
-    return chop_clock - phase_s, windows
+    # Exposure that exactly fills a window ends at that window's closing
+    # edge, not at the opening of the next.
+    exact = rem == 0.0
+    full -= exact
+    rem += exact * t_on
+    wall = (full + 1.0) * period + rem - phase
+    windows = (first_avail > 0.0) + full + 1.0
+    # Exposure used up in the window open at the start touches that window
+    # only, or none when it is zero.
+    in_first = exposure <= first_avail
+    wall = np.where(in_first, exposure, wall)
+    windows = np.where(in_first, exposure > 0.0, windows)
+    return (
+        _scalar_or_array(wall, float),
+        _scalar_or_array(windows.astype(np.int64), int),
+    )
 
 
-def wall_to_exposure(
-    wall_s: float, phase_s: float, chop_rate_hz: float, duty: float
-) -> float:
-    """Accumulated ON-time between wall time 0 and wall_s (inverse map)."""
+def wall_to_exposure(wall_s, phase_s, chop_rate_hz: float, duty: float):
+    """Accumulated ON-time between wall time 0 and wall_s (inverse map).
+
+    Scalars give a float; arrays broadcast together and give an array.
+    """
     period = 1.0 / chop_rate_hz
     t_on = duty * period
-    if not 0.0 <= phase_s < period:
-        raise SolverError("phase must lie in [0, period)")
-    if wall_s < 0:
-        raise SolverError("wall time must be >= 0")
-    start = phase_s
-    end = phase_s + wall_s
+    wall = np.asarray(wall_s, dtype=float)
+    phase = np.asarray(phase_s, dtype=float)
+    _check_phase(phase, period)
+    if not ((wall >= 0.0) & (wall < math.inf)).all():
+        raise SolverError("wall time must be >= 0 and finite")
 
-    def on_time_up_to(c: float) -> float:
-        cycles = math.floor(c / period)
-        frac = c - cycles * period
-        return cycles * t_on + min(frac, t_on)
+    def on_time_up_to(c: np.ndarray) -> np.ndarray:
+        cycles = np.floor(c / period)
+        return cycles * t_on + np.minimum(c - cycles * period, t_on)
 
-    return on_time_up_to(end) - on_time_up_to(start)
-
-
-def _windows_started(phase_s: float, horizon_s: float, period: float, t_on: float) -> int:
-    """ON windows entered before the horizon (pure window-start count)."""
-    inside_first = 1 if phase_s < t_on else 0
-    later = int((phase_s + horizon_s) // period)
-    return inside_first + later
-
-
-def _run_with_failures(
-    config: SequenceConfig, trial: int, rng: np.random.Generator,
-    exposure: float, phase: float,
-) -> IonizationRun:
-    """Window-by-window walk, drawing one abort uniform per ON window."""
-    period = config.period_s
-    t_on = config.on_time_s
-    horizon = phase + config.max_time_s
-    remaining = exposure
-    windows = 0
-    n = 0 if phase < t_on else 1
-    while True:
-        start_c = n * period
-        if max(start_c, phase) >= horizon:
-            return IonizationRun(
-                trial=trial, seed=config.rng_seed, initial_phase_s=phase,
-                attempt_windows=windows,
-            )
-        windows += 1
-        if rng.uniform() < config.failure_prob:
-            return IonizationRun(
-                trial=trial, seed=config.rng_seed, initial_phase_s=phase,
-                attempt_windows=windows, failed=True,
-            )
-        avail = t_on - max(0.0, phase - start_c) if n * period <= phase else t_on
-        if remaining <= avail:
-            event_c = max(start_c, phase) + remaining
-            wall = event_c - phase
-            if wall <= config.max_time_s:
-                return IonizationRun(
-                    trial=trial, seed=config.rng_seed, initial_phase_s=phase,
-                    attempt_windows=windows, event_time_s=wall,
-                )
-            return IonizationRun(
-                trial=trial, seed=config.rng_seed, initial_phase_s=phase,
-                attempt_windows=windows,
-            )
-        remaining -= avail
-        n += 1
+    exposure = on_time_up_to(phase + wall) - on_time_up_to(phase)
+    return _scalar_or_array(exposure, float)
 
 
 def simulate_ionization_times(
@@ -308,45 +303,43 @@ def simulate_ionization_times(
 ) -> list[IonizationRun]:
     """Simulate trials of the chopped sequence; deterministic given config.
 
-    Per trial: draw the exposure time ~ Exp(rate), draw a uniform initial
-    chop phase, map exposure to wall clock through the ON windows, and
-    record an event only if it lands before max_time_s.
+    Per trial: an exposure time ~ Exp(rate) and a uniform initial chop
+    phase, mapped to wall clock through the ON windows; an event is
+    recorded only if it lands before max_time_s. Trials are drawn and
+    mapped a block at a time (see the module docstring for the layout).
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
+    chop, duty = config.chop_rate_hz, config.ionization_duty
     runs: list[IonizationRun] = []
-    period = config.period_s
-    t_on = config.on_time_s
-    for trial in range(trials):
-        rng = _trial_rng(config.rng_seed, trial)
-        draw = rng.standard_exponential()
-        exposure = draw / config.rate_per_s if config.rate_per_s > 0 else math.inf
-        phase = rng.uniform(0.0, period)
-        if config.failure_prob > 0.0:
-            runs.append(_run_with_failures(config, trial, rng, exposure, phase))
-            continue
-        max_exposure = wall_to_exposure(
-            config.max_time_s, phase, config.chop_rate_hz, config.ionization_duty
+    for first in range(0, trials, BLOCK_TRIALS):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([config.rng_seed, first // BLOCK_TRIALS])
         )
-        if exposure <= max_exposure:
-            wall, windows = exposure_to_wall(
-                exposure, phase, config.chop_rate_hz, config.ionization_duty
-            )
-            runs.append(
-                IonizationRun(
-                    trial=trial, seed=config.rng_seed, initial_phase_s=phase,
-                    attempt_windows=windows, event_time_s=wall,
-                )
-            )
-        else:
-            runs.append(
-                IonizationRun(
-                    trial=trial, seed=config.rng_seed, initial_phase_s=phase,
-                    attempt_windows=_windows_started(
-                        phase, config.max_time_s, period, t_on
-                    ),
-                )
-            )
+        n = min(BLOCK_TRIALS, trials - first)
+        draws = rng.standard_exponential(BLOCK_TRIALS)[:n]
+        phase = rng.uniform(0.0, config.period_s, BLOCK_TRIALS)[:n]
+        # A zero rate gives infinite exposures: no event before the horizon.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            exposure = draws / config.rate_per_s
+        # A trial without an event spends its whole exposure budget, so
+        # mapping the budget counts the windows it entered before the horizon.
+        budget = wall_to_exposure(config.max_time_s, phase, chop, duty)
+        event = exposure <= budget
+        wall, windows = exposure_to_wall(
+            np.where(event, exposure, budget), phase, chop, duty
+        )
+        failed = np.zeros(n, dtype=bool)
+        if config.failure_prob > 0.0:
+            abort_window = rng.geometric(config.failure_prob, BLOCK_TRIALS)[:n]
+            failed = abort_window <= windows
+            windows = np.where(failed, abort_window, windows)
+            event &= ~failed
+        times = [t if hit else None for t, hit in zip(wall.tolist(), event.tolist())]
+        runs.extend(map(
+            IonizationRun, range(first, first + n), repeat(config.rng_seed, n),
+            phase.tolist(), windows.tolist(), times, failed.tolist(),
+        ))
     return runs
 
 
@@ -392,7 +385,7 @@ def synthesize_verification(
     ratio_true = displacement_ratio(trap.eta, charges.q2)
     nu_com_true, nu_bre_true = normal_mode_frequencies(trap)
     rng = np.random.default_rng(seed)
-    draws = rng.normal(size=4)
+    draws = rng.normal(size=4).tolist()
     ratio = ratio_true * (1.0 + noise.ratio_rel * draws[0])
     nu1 = trap.nu1_hz * (1.0 + noise.freq_rel * draws[1])
     nu_com = nu_com_true * (1.0 + noise.freq_rel * draws[2])

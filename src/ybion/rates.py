@@ -94,6 +94,8 @@ class RateMatrix:
             raise SolverError("rate matrix must be square")
         if m.shape[0] != len(self.labels):
             raise SolverError("rate matrix size does not match label count")
+        if not np.isfinite(m).all():
+            raise SolverError("non-finite rate in rate matrix")
         off = m - np.diag(np.diag(m))
         if (off < 0).any():
             raise SolverError("negative transfer rate in rate matrix")

@@ -31,6 +31,7 @@ energy gap to 0.1 percent.
 from __future__ import annotations
 
 import dataclasses
+import math
 import shlex
 from dataclasses import dataclass
 from importlib import resources
@@ -122,6 +123,13 @@ class LaserDrive:
     def __post_init__(self):
         if self.upper == self.lower:
             raise SchemeError(f"drive {self.upper}<->{self.lower}: levels must differ")
+        for name in ("wavelength_nm", "power_w", "waist_m", "saturation", "detuning_hz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SchemeError(
+                    f"drive {self.upper}<->{self.lower}: {name} must be finite, "
+                    f"got {value}"
+                )
         if self.wavelength_nm <= 0:
             raise SchemeError(
                 f"drive {self.upper}<->{self.lower}: wavelength must be positive"

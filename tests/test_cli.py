@@ -312,6 +312,34 @@ def test_simulate_zero_rate_gives_eventless_rows(capsys):
     assert "mean_s\tNA" in err
 
 
+@pytest.mark.parametrize("argv,names", [
+    (["simulate", "--rate", "nan", "--trials", "5", "--seed", "1"],
+     "ionization rate"),
+    (["simulate", "--rate", "4.1", "--max-time-s", "nan", "--trials", "5",
+      "--seed", "1"], "max time"),
+    (["verify-roundtrip", "--eta", "nan", "--q2", "2.0"], "eta"),
+])
+def test_non_finite_values_are_domain_errors(argv, names, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--rate", "4.1", "--trials", "5", "--seed", "-1"], "--seed"),
+    (["verify-roundtrip", "--eta", "2.1", "--q2", "2.0", "--seed-base", "-5"],
+     "--seed-base"),
+    (["verify-roundtrip", "--eta", "2.1", "--q2", "2.0", "--seeds", "0"],
+     "--seeds"),
+    (["scan", "--grid", "0", "1", "3", "--seed", "-2"], "--seed"),
+])
+def test_seed_flags_reject_bad_integers(argv, flag, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
 def test_simulate_out_file_sends_summary_to_stdout(capsys, tmp_path):
     out = tmp_path / "runs.tsv"
     assert main([

@@ -243,6 +243,24 @@ def test_eta_round_trip_both_modes(eta):
     assert infer_eta(nu_bre, NU1_HZ, "bre") == pytest.approx(eta, abs=1e-6)
 
 
+def test_eta_round_trip_to_1e12():
+    # closed-form inverse: both modes over [1, 10), with points close to
+    # both ends of the range
+    etas_grid = np.concatenate([np.linspace(1.0, 10.0, 2000, endpoint=False),
+                                1.0 + np.logspace(-12, -1, 50),
+                                10.0 - np.logspace(-10, -1, 50)])
+    for eta in etas_grid.tolist():
+        nu_com, nu_bre = normal_mode_frequencies(TrapAxis(nu1_hz=NU1_HZ, eta=eta))
+        assert infer_eta(nu_com, NU1_HZ, "com") == pytest.approx(eta, rel=1e-12)
+        assert infer_eta(nu_bre, NU1_HZ, "bre") == pytest.approx(eta, rel=1e-12)
+
+
+def test_infer_eta_upper_endpoint():
+    nu_com, nu_bre = normal_mode_frequencies(TrapAxis(nu1_hz=NU1_HZ, eta=10.0))
+    assert infer_eta(nu_com, NU1_HZ, "com") == 10.0
+    assert infer_eta(nu_bre, NU1_HZ, "bre") == 10.0
+
+
 def test_infer_eta_out_of_range():
     with pytest.raises(SolverError, match="below the eta = 1 value"):
         infer_eta(0.5 * NU1_HZ, NU1_HZ, "com")
@@ -252,6 +270,14 @@ def test_infer_eta_out_of_range():
         infer_eta(NU1_HZ, NU1_HZ, "stretch")
     with pytest.raises(SolverError, match="positive"):
         infer_eta(-NU1_HZ, NU1_HZ, "com")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_infer_eta_rejects_non_finite(bad):
+    with pytest.raises(SolverError, match="finite"):
+        infer_eta(bad, NU1_HZ, "bre")
+    with pytest.raises(SolverError, match="finite"):
+        infer_eta(NU1_HZ, bad, "com")
 
 
 # -- bundled state and type invariants ----------------------------------------------
@@ -280,6 +306,30 @@ def test_type_invariants():
         CrystalState(x1_m=-1e-6, x2_m=-2e-6, nu_com_hz=1e5, nu_bre_hz=2e5)
     with pytest.raises(SchemeError):
         CrystalState(x1_m=1e-6, x2_m=-2e-6, nu_com_hz=2e5, nu_bre_hz=1e5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_types_reject_non_finite(bad):
+    with pytest.raises(SchemeError, match="finite"):
+        TrapAxis(nu1_hz=bad, eta=1.0)
+    with pytest.raises(SchemeError, match="finite"):
+        TrapAxis(nu1_hz=NU1_HZ, eta=bad)
+    with pytest.raises(SchemeError, match="finite"):
+        TrapAxis(nu1_hz=NU1_HZ, eta=1.0, ion_mass_kg=bad)
+    with pytest.raises(SchemeError, match="finite"):
+        ChargePair(q2=bad)
+
+
+def test_extreme_inputs_do_not_raise_arithmetic_errors():
+    # far outside any real trap, the forward forms saturate instead of
+    # raising OverflowError or ZeroDivisionError
+    for eta in (1e-200, 1e100):
+        nu_com, nu_bre = normal_mode_frequencies(TrapAxis(nu1_hz=NU1_HZ, eta=eta))
+        assert 0.0 <= nu_com < nu_bre < math.inf
+    assert displacement_ratio(1e-200, 2.0) == 0.0
+    assert infer_charge(1.7, 1e200) == pytest.approx(1.7**3 / 4.0)
+    x1, _ = equilibrium_positions(TrapAxis(nu1_hz=1e300, eta=2.0), ChargePair(q2=2.0))
+    assert x1 == 0.0
 
 
 def test_ratio_and_charge_preconditions():

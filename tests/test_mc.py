@@ -1,5 +1,7 @@
 """Chopped-sequence Monte Carlo and synthetic verification tests."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from ybion.cli import main
 from ybion.crystal import (
     ChargePair,
     TrapAxis,
@@ -16,6 +19,7 @@ from ybion.crystal import (
 )
 from ybion.errors import SchemeError, SolverError
 from ybion.mc import (
+    BLOCK_TRIALS,
     REPORTED_NOISE,
     IonizationRun,
     SequenceConfig,
@@ -156,7 +160,7 @@ def test_mean_event_time_matches_gated_rate(duty, max_time):
 def test_reference_run_frozen_mean():
     runs = simulate_ionization_times(config(), 100_000)
     summary = summarize_times(runs)
-    assert summary.mean_s == pytest.approx(0.48532705614984006, rel=1e-12)
+    assert summary.mean_s == pytest.approx(0.4879991776255968, rel=1e-12)
     # consistent with the published one-second upper bound
     assert summary.mean_s < 1.0
 
@@ -195,6 +199,36 @@ def test_failure_knob():
     assert n_events < sum(r.event_time_s is not None for r in clean)
     again = simulate_ionization_times(config(failure_prob=0.7), 400)
     assert again == sometimes
+
+
+@pytest.mark.parametrize("failure_prob", [0.0, 0.01])
+def test_runs_extend_across_block_boundaries(failure_prob):
+    b = BLOCK_TRIALS
+    full = simulate_ionization_times(config(failure_prob=failure_prob), 3 * b)
+    for trials in (b - 1, b, b + 1, 2 * b + 3):
+        assert simulate_ionization_times(
+            config(failure_prob=failure_prob), trials) == full[:trials]
+
+
+def test_failure_draws_leave_clean_trials_untouched():
+    # the geometric window indices come after the exposures and phases in
+    # each block, so switching the failure channel on only removes events
+    trials = BLOCK_TRIALS + 100
+    lossy = simulate_ionization_times(config(failure_prob=0.02), trials)
+    clean = simulate_ionization_times(config(), trials)
+    assert [r.initial_phase_s for r in lossy] == [r.initial_phase_s for r in clean]
+    assert any(r.failed for r in lossy)
+    for a, b in zip(lossy, clean):
+        if not a.failed:
+            assert a == b
+        else:
+            assert a.event_time_s is None
+            assert 1 <= a.attempt_windows <= b.attempt_windows
+
+
+def test_certain_failure_aborts_in_the_first_window():
+    runs = simulate_ionization_times(config(failure_prob=1.0), BLOCK_TRIALS + 7)
+    assert all(r.failed and r.attempt_windows == 1 for r in runs)
 
 
 def test_simulation_preconditions():
@@ -325,6 +359,30 @@ def test_config_invariants():
     assert full_duty.on_time_s == full_duty.period_s
 
 
+@pytest.mark.parametrize("field", [
+    "rate_per_s", "max_time_s", "chop_rate_hz", "ionization_duty", "failure_prob",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(SchemeError, match="got"):
+        config(**{field: value})
+
+
+def test_config_rejects_unresolvable_horizons():
+    with pytest.raises(SchemeError, match="rng seed"):
+        config(rng_seed=-1)
+    with pytest.raises(SchemeError, match="2\\*\\*53 chop cycles"):
+        config(max_time_s=1e300)
+    with pytest.raises(SchemeError, match="ON time"):
+        config(ionization_duty=5e-324)
+
+
+@pytest.mark.parametrize("sigmas", [(math.nan, 0.005), (0.02, math.inf)])
+def test_noise_rejects_non_finite(sigmas):
+    with pytest.raises(SchemeError, match="finite"):
+        VerificationNoise(*sigmas)
+
+
 def test_run_invariants():
     with pytest.raises(SchemeError):
         IonizationRun(trial=0, seed=1, initial_phase_s=0.0,
@@ -354,3 +412,49 @@ def test_rng_is_documented():
     description = rng_description()
     assert "PCG64" in description
     assert np.__version__ in description
+
+
+# -- command-line boundary ----------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10, max_value=10),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", "x"]),
+).map(str)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(rate=NUMBERS, duty=NUMBERS, chop=NUMBERS, max_time=NUMBERS,
+       failure=NUMBERS, trials=st.integers(min_value=-2, max_value=40),
+       seed=st.one_of(st.integers(min_value=-3, max_value=2**70), NUMBERS))
+@settings(max_examples=150, deadline=None)
+def test_simulate_cli_exits_cleanly(rate, duty, chop, max_time, failure,
+                                    trials, seed):
+    code, err = run_cli([
+        "simulate", "--rate", rate, "--duty", duty, "--chop-hz", chop,
+        "--max-time-s", max_time, "--failure-prob", failure,
+        "--trials", str(trials), "--seed", str(seed),
+    ])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@given(eta=NUMBERS, q2=NUMBERS, nu1=NUMBERS, noise=st.tuples(NUMBERS, NUMBERS),
+       seeds=st.integers(min_value=-2, max_value=20),
+       seed_base=st.integers(min_value=-3, max_value=2**40), tolerance=NUMBERS)
+@settings(max_examples=150, deadline=None)
+def test_verify_roundtrip_cli_exits_cleanly(eta, q2, nu1, noise, seeds,
+                                            seed_base, tolerance):
+    code, err = run_cli([
+        "verify-roundtrip", "--eta", eta, "--q2", q2, "--nu1", nu1,
+        "--noise", *noise, "--seeds", str(seeds),
+        "--seed-base", str(seed_base), "--tolerance", tolerance,
+    ])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -137,6 +137,14 @@ def test_rate_matrix_rejects_unbalanced_columns():
         RateMatrix(matrix=bad, labels=("a", "b"), sink_index=None)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rate_matrix_rejects_non_finite_rates(bad):
+    # NaN slips past both the sign and the column-sum checks
+    m = np.array([[-bad, 1.0], [bad, -1.0]])
+    with pytest.raises(SolverError, match="non-finite"):
+        RateMatrix(matrix=m, labels=("a", "b"), sink_index=None)
+
+
 def test_drive_without_lifetime_rejected():
     scheme = two_level()
     scheme = dataclasses.replace(

@@ -124,6 +124,14 @@ def test_drive_needs_exactly_one_strength_spec():
         LaserDrive(upper="e", lower="g", wavelength_nm=500.0)
 
 
+@pytest.mark.parametrize("field", ["saturation", "detuning_hz", "wavelength_nm"])
+def test_drive_rejects_nan(field):
+    fields = dict(upper="e", lower="g", wavelength_nm=500.0, saturation=1.0)
+    fields[field] = math.nan
+    with pytest.raises(SchemeError, match=f"{field} must be finite"):
+        LaserDrive(**fields)
+
+
 def test_drive_wavelength_must_match_gap():
     bad = MINIMAL.replace("e g 500.0", "e g 503.0")  # 0.6% off
     with pytest.raises(SchemeError, match="wavelength"):
