@@ -13,165 +13,10 @@ it happened:
   * cli       -- `ybion` command-line front end
 
 Everything numerical is deterministic given explicit seeds.
+
+Import what you need from the submodules (``from ybion.rates import
+steady_state``); the package root holds only ``__version__``, so that
+``import ybion.cli`` loads numpy but not scipy.
 """
 
-from .constants import (
-    CONSTANTS,
-    MEGABARN_M2,
-    RYDBERG_EV,
-    RYDBERG_YB174_CM1,
-    YB174_MASS_KG,
-    photon_energy_ev,
-    photon_energy_j,
-    vacuum_wavelength_nm,
-    wavenumber_to_ev,
-)
-from .crystal import (
-    ChargePair,
-    CrystalState,
-    TrapAxis,
-    crystal_state,
-    displacement_ratio,
-    equilibrium_positions,
-    infer_charge,
-    infer_eta,
-    normal_mode_frequencies,
-)
-from .errors import SchemeError, SolverError, YbionError
-from .mc import (
-    REPORTED_NOISE,
-    ChargeInference,
-    IonizationRun,
-    SequenceConfig,
-    SequenceSummary,
-    VerificationNoise,
-    VerificationRecord,
-    infer_from_verification,
-    simulate_ionization_times,
-    summarize_times,
-    synthesize_verification,
-)
-from .photoion import (
-    CrossSection,
-    GaussianBeam,
-    RydbergSeries,
-    cross_section,
-    effective_quantum_number,
-    fit_quantum_defect,
-    ionization_rate,
-    photon_flux,
-    rate_coefficient,
-)
-from .rates import (
-    PopulationVector,
-    RateMatrix,
-    build_rate_matrix,
-    evolve,
-    excitation_probability,
-    initial_population,
-    natural_fwhm_hz,
-    saturation_from_power,
-    steady_state,
-)
-from .scheme import (
-    DecayChannel,
-    LaserDrive,
-    Level,
-    LevelScheme,
-    load_bundled_scheme,
-    load_scheme,
-    load_scheme_file,
-    serialize,
-    transition_wavelength_nm,
-    validate_scheme,
-)
-from .spectro import (
-    LorentzianFit,
-    ScanCurve,
-    fit_lorentzian,
-    lifetime_from_linewidth,
-    load_curve,
-    save_curve,
-    simulate_scan,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # constants
-    "CONSTANTS",
-    "MEGABARN_M2",
-    "RYDBERG_EV",
-    "RYDBERG_YB174_CM1",
-    "YB174_MASS_KG",
-    "photon_energy_ev",
-    "photon_energy_j",
-    "vacuum_wavelength_nm",
-    "wavenumber_to_ev",
-    # errors
-    "YbionError",
-    "SchemeError",
-    "SolverError",
-    # scheme
-    "Level",
-    "DecayChannel",
-    "LaserDrive",
-    "LevelScheme",
-    "load_scheme",
-    "load_scheme_file",
-    "load_bundled_scheme",
-    "serialize",
-    "validate_scheme",
-    "transition_wavelength_nm",
-    # rates
-    "RateMatrix",
-    "PopulationVector",
-    "build_rate_matrix",
-    "steady_state",
-    "evolve",
-    "initial_population",
-    "excitation_probability",
-    "natural_fwhm_hz",
-    "saturation_from_power",
-    # photoion
-    "GaussianBeam",
-    "CrossSection",
-    "RydbergSeries",
-    "photon_flux",
-    "ionization_rate",
-    "rate_coefficient",
-    "effective_quantum_number",
-    "fit_quantum_defect",
-    "cross_section",
-    # crystal
-    "TrapAxis",
-    "ChargePair",
-    "CrystalState",
-    "equilibrium_positions",
-    "displacement_ratio",
-    "normal_mode_frequencies",
-    "infer_eta",
-    "infer_charge",
-    "crystal_state",
-    # spectro
-    "ScanCurve",
-    "LorentzianFit",
-    "simulate_scan",
-    "fit_lorentzian",
-    "lifetime_from_linewidth",
-    "save_curve",
-    "load_curve",
-    # mc
-    "SequenceConfig",
-    "IonizationRun",
-    "SequenceSummary",
-    "VerificationNoise",
-    "VerificationRecord",
-    "ChargeInference",
-    "REPORTED_NOISE",
-    "simulate_ionization_times",
-    "summarize_times",
-    "synthesize_verification",
-    "infer_from_verification",
-]

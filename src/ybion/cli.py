@@ -20,7 +20,7 @@ Primary outputs are byte-identical across reruns with equal inputs and
 seeds; the manifest's timestamp line is the only thing that changes.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (the originating
-module's message, verbatim, on stderr).
+module's message, verbatim, on stderr) or unreadable/unwritable file.
 
 Scheme arguments are resolved in order: literal filesystem path, then
 $YBION_SCHEME_PATH directory, then the package's bundled schemes by stem
@@ -142,6 +142,24 @@ class _GridAction(argparse.Action):
                 f"got {start} {stop} {points}",
             ) from None
         setattr(namespace, self.dest, grid)
+
+
+class _ModeAction(argparse.Action):
+    """--invert-from-mode FREQ_HZ MODE as a finite float and com or bre."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        freq, mode = values
+        try:
+            freq_hz = _finite_float(freq)
+        except ValueError:
+            freq_hz = None
+        if freq_hz is None or mode not in ("com", "bre"):
+            raise argparse.ArgumentError(
+                self,
+                "expected a finite FREQ_HZ and MODE com or bre, "
+                f"got {freq} {mode}",
+            )
+        setattr(namespace, self.dest, (freq_hz, mode))
 
 
 def _fmt(value) -> str:
@@ -360,7 +378,7 @@ def _cmd_crystal(args) -> int:
     eta_for_ratio = args.eta
     if args.invert_from_mode:
         freq, mode = args.invert_from_mode
-        eta_inferred = infer_eta(float(freq), args.nu1, mode)
+        eta_inferred = infer_eta(freq, args.nu1, mode)
         rows.append(["eta_inferred", eta_inferred, "dimensionless"])
         eta_for_ratio = eta_inferred
     trap = TrapAxis(nu1_hz=args.nu1, eta=args.eta)
@@ -382,7 +400,9 @@ def _cmd_crystal(args) -> int:
         "eta": args.eta,
         "q2": args.q2,
         "invert_from_mode": (
-            " ".join(args.invert_from_mode) if args.invert_from_mode else None
+            " ".join(map(_fmt, args.invert_from_mode))
+            if args.invert_from_mode
+            else None
         ),
         "invert_from_ratio": args.invert_from_ratio,
     }
@@ -705,6 +725,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--invert-from-mode",
         nargs=2,
+        action=_ModeAction,
         metavar=("FREQ_HZ", "MODE"),
         help="infer eta from a measured mode frequency in Hz; MODE is "
         "'com' or 'bre'.",
@@ -903,7 +924,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except YbionError as exc:
+    except (YbionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,15 +1,15 @@
 """Physical constants and unit helpers shared across the package.
 
-All values are CODATA (as shipped with scipy.constants). Spectroscopic
-level energies are carried in cm^-1 throughout; every conversion to SI
-lives here so the conventions cannot drift between modules.
+The fundamental constants are literal CODATA 2022 values, written out so
+that importing the package does not import scipy; a test pins each one to
+its scipy.constants counterpart bit for bit. Spectroscopic level energies
+are carried in cm^-1 throughout; every conversion to SI lives here so the
+conventions cannot drift between modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import scipy.constants as _const
 
 __all__ = [
     "PhysicalConstants",
@@ -19,7 +19,6 @@ __all__ = [
     "RYDBERG_YB174_CM1",
     "photon_energy_j",
     "photon_energy_ev",
-    "wavenumber_to_ev",
     "vacuum_wavelength_nm",
 ]
 
@@ -32,15 +31,15 @@ class PhysicalConstants:
     ``CONSTANTS`` singleton is what the rest of the package uses.
     """
 
-    elementary_charge: float = _const.e            # C
-    vacuum_permittivity: float = _const.epsilon_0  # F/m
-    planck_constant: float = _const.h              # J s
-    speed_of_light: float = _const.c               # m/s
-    rydberg_energy: float = _const.Rydberg / 100.0  # cm^-1, infinite nuclear mass
-    atomic_mass_unit: float = _const.u             # kg
-    electron_mass: float = _const.m_e              # kg
-    bohr_radius: float = _const.physical_constants["Bohr radius"][0]  # m
-    fine_structure: float = _const.fine_structure
+    elementary_charge: float = 1.602176634e-19      # C
+    vacuum_permittivity: float = 8.8541878188e-12   # F/m
+    planck_constant: float = 6.62607015e-34         # J s
+    speed_of_light: float = 299792458.0             # m/s
+    rydberg_energy: float = 10973731.568157 / 100.0  # cm^-1, infinite nuclear mass
+    atomic_mass_unit: float = 1.66053906892e-27     # kg
+    electron_mass: float = 9.1093837139e-31         # kg
+    bohr_radius: float = 5.29177210544e-11          # m
+    fine_structure: float = 0.0072973525643
 
     def rydberg_for_mass(self, nucleus_mass_kg: float) -> float:
         """Mass-corrected Rydberg constant in cm^-1 for a finite-mass core."""
@@ -76,14 +75,6 @@ def photon_energy_j(wavelength_nm: float) -> float:
 
 def photon_energy_ev(wavelength_nm: float) -> float:
     return photon_energy_j(wavelength_nm) / CONSTANTS.elementary_charge
-
-
-def wavenumber_to_ev(energy_cm1: float) -> float:
-    """Convert a term energy in cm^-1 to eV."""
-    return (
-        energy_cm1 * 100.0 * CONSTANTS.planck_constant * CONSTANTS.speed_of_light
-        / CONSTANTS.elementary_charge
-    )
 
 
 def vacuum_wavelength_nm(delta_energy_cm1: float) -> float:

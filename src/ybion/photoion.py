@@ -27,11 +27,11 @@ charge seen by the escaping electron.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import (
     CONSTANTS,
@@ -76,12 +76,15 @@ class GaussianBeam:
     wavelength_nm: float
 
     def __post_init__(self):
-        if self.power_w < 0:
-            raise SchemeError("beam power must be >= 0")
-        if self.waist_m <= 0:
-            raise SchemeError("beam waist must be positive")
-        if self.wavelength_nm <= 0:
-            raise SchemeError("beam wavelength must be positive")
+        if not 0.0 <= self.power_w < math.inf:
+            raise SchemeError(
+                f"beam power must be >= 0 and finite, got {self.power_w} W")
+        if not 0.0 < self.waist_m < math.inf:
+            raise SchemeError(
+                f"beam waist must be positive and finite, got {self.waist_m} m")
+        if not 0.0 < self.wavelength_nm < math.inf:
+            raise SchemeError(
+                f"beam wavelength must be positive and finite, got {self.wavelength_nm} nm")
 
     @property
     def peak_intensity_w_m2(self) -> float:
@@ -99,8 +102,9 @@ class CrossSection:
     def __post_init__(self):
         # keep a plain float so serialized values round-trip through text
         object.__setattr__(self, "value_m2", float(self.value_m2))
-        if self.value_m2 < 0:
-            raise SchemeError("cross section must be >= 0")
+        if not 0.0 <= self.value_m2 < math.inf:
+            raise SchemeError(
+                f"cross section must be >= 0 and finite, got {self.value_m2} m^2")
         if self.model not in CROSS_SECTION_MODELS:
             raise SchemeError(
                 f"unknown cross-section model {self.model!r}; "
@@ -207,6 +211,8 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     least two members. mu is constrained to [0, n_min); a fit pushing
     against the upper bound is rejected as unphysical.
     """
+    from scipy.optimize import minimize_scalar  # function-local: see rates.evolve
+
     if len(series.members) < 2:
         raise SolverError("quantum-defect fit needs at least two series members")
     ns = np.array([n for n, _ in series.members], dtype=float)

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .constants import CONSTANTS
 from .errors import SchemeError, SolverError
@@ -403,6 +402,8 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     propagator failure instead of being silently projected away. With an
     ionization sink the sink entry accumulates the ionized probability.
     """
+    from scipy.linalg import expm  # function-local: keeps scipy off the CLI import path
+
     if t_s < 0:
         raise SolverError("evolution time must be >= 0")
     if p0.labels != m.labels:

@@ -194,9 +194,6 @@ class LevelScheme:
         self.level(upper)
         return tuple(d for d in self.decays if d.upper == upper)
 
-    def branching_sum(self, upper: str) -> float:
-        return sum(d.branching_ratio for d in self.decays_from(upper))
-
     def drive(self, upper: str, lower: str) -> LaserDrive:
         for dr in self.drives:
             if dr.upper == upper and dr.lower == lower:

@@ -34,7 +34,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import SchemeError, SolverError
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
@@ -240,6 +239,8 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     optimizer failure. Convergence tolerances are 1e-12 relative on
     parameters and cost.
     """
+    from scipy.optimize import least_squares  # function-local: see rates.evolve
+
     nu = np.asarray(curve.detunings_hz, dtype=float)
     y = np.asarray(curve.fluorescence, dtype=float)
     if len(nu) < MIN_FIT_POINTS:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,6 +301,59 @@ def test_fit_scan_rejects_short_curve(capsys, tmp_path):
     assert "8 points" in err
 
 
+@pytest.mark.parametrize("values", [("abc", "com"), ("nan", "bre"), ("821e3", "xyz")])
+def test_crystal_invert_from_mode_rejects_bad_values(values, capsys):
+    assert main(["crystal", "--nu1", "474e3", "--invert-from-mode", *values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument --invert-from-mode: expected a finite FREQ_HZ and MODE com " \
+           f"or bre, got {values[0]} {values[1]}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-scan", "--data", "{missing}"],
+    ["xsec", "--model", "peach", "--limit", "98207.0", "--series", "{missing}"],
+])
+def test_missing_input_file_exits_two_naming_the_path(argv, tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.tsv")
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err
+
+
+# The README example of every subcommand that needs no scipy.
+NUMPY_ONLY = [
+    ["--version"],
+    ["steady-state"],
+    IONIZE,
+    ["crystal", "--nu1", "474e3", "--eta", "2.13", "--q2", "2.0",
+     "--invert-from-ratio", "1.74"],
+    ["scan", "--scheme", "linewidth_reference", "--grid", "-60e6", "60e6", "241"],
+    ["simulate", "--rate", "4.1", "--duty", "0.5", "--trials", "100000", "--seed", "1"],
+    ["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--seeds", "1000"],
+]
+
+
+def test_numpy_only_subcommands_never_import_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import ybion.cli\n"
+        f"for i, argv in enumerate({NUMPY_ONLY!r}):\n"
+        "    out = [] if argv == ['--version'] else ['--out', f'out{i}.tsv']\n"
+        "    assert ybion.cli.main(argv + out) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(sys.modules["ybion"].__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # -- simulate ----------------------------------------------------------------------
 
 
@@ -318,6 +374,8 @@ def test_simulate_zero_rate_gives_eventless_rows(capsys):
     (["simulate", "--rate", "4.1", "--max-time-s", "nan", "--trials", "5",
       "--seed", "1"], "max time"),
     (["verify-roundtrip", "--eta", "nan", "--q2", "2.0"], "eta"),
+    ([a.replace("5.5", "nan") for a in IONIZE], "cross section must be >= 0 and finite, got nan"),
+    ([a.replace("1e-4", "inf") for a in IONIZE], "beam power must be >= 0 and finite, got inf"),
 ])
 def test_non_finite_values_are_domain_errors(argv, names, capsys):
     assert main(argv) == 2

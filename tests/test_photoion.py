@@ -87,6 +87,24 @@ def test_beam_invariants():
         GaussianBeam(power_w=1e-6, waist_m=1e-5, wavelength_nm=-245.426)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("power_w", math.nan), ("power_w", math.inf),
+    ("waist_m", math.nan), ("waist_m", math.inf),
+    ("wavelength_nm", math.nan), ("wavelength_nm", math.inf),
+])
+def test_beam_rejects_non_finite_values(field, value):
+    fields = {"power_w": 1e-4, "waist_m": 1e-5, "wavelength_nm": 245.426}
+    fields[field] = value
+    with pytest.raises(SchemeError, match=f"got {value}"):
+        GaussianBeam(**fields)
+
+
+@pytest.mark.parametrize("value_mb", [math.nan, math.inf, -math.inf])
+def test_cross_section_rejects_non_finite_values(value_mb):
+    with pytest.raises(SchemeError, match="cross section must be >= 0 and finite"):
+        CrossSection.from_megabarn(value_mb)
+
+
 # -- ionization rate and the rate-per-power coefficient ---------------------------
 
 
