@@ -14,8 +14,9 @@ Subcommands (see --help of each for flags, units, defaults):
 Conventions: units are encoded in flag names or stated in the flag help;
 primary output is tab-separated text with a header row, written to --out
 when given, else stdout. Every run also emits a manifest (key: value
-lines: tool version, resolved parameters, input digests, seeds,
-timestamp) to <out>.manifest, or to stderr when printing to stdout.
+lines: tool version, resolved parameters, input digests, seeds, solver
+diagnostics as diag.* lines, timestamp) to <out>.manifest, or to stderr
+when printing to stdout.
 Primary outputs are byte-identical across reruns with equal inputs and
 seeds; the manifest's timestamp line is the only thing that changes.
 
@@ -190,6 +191,7 @@ def _manifest(
     params: dict,
     inputs: list[str | Path] | None = None,
     rng_note: str | None = None,
+    diag: dict | None = None,
 ) -> str:
     lines = [
         "tool: ybion",
@@ -203,6 +205,8 @@ def _manifest(
         lines.append(f"input.{Path(path).name}.sha256: {_sha256(path)}")
     if rng_note:
         lines.append(f"rng: {rng_note}")
+    for key in sorted(diag or {}):
+        lines.append(f"diag.{key}: {_fmt(diag[key])}")
     return "\n".join(lines) + "\n"
 
 
@@ -466,9 +470,10 @@ def _cmd_fit_scan(args) -> int:
         ["message", fit.message or "-", "-"],
     ]
     params = {"data": args.data, "saturation": args.saturation}
+    diag = {"fit_iterations": fit.iterations, "fit_cost": fit.cost}
     _emit(
         _table(["quantity", "value", "unit"], rows),
-        _manifest("fit-scan", params, inputs=[args.data]),
+        _manifest("fit-scan", params, inputs=[args.data], diag=diag),
         args.out,
     )
     return 0

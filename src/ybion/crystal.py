@@ -163,10 +163,9 @@ def _mode_eigenvalues(eta: float) -> tuple[float, float]:
 def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
     """(nu_com, nu_bre) in Hz for the two axial modes."""
     u_minus, u_plus = _mode_eigenvalues(trap.eta)
-    return (
-        float(trap.nu1_hz * np.sqrt(u_minus)),
-        float(trap.nu1_hz * np.sqrt(u_plus)),
-    )
+    # Python floats: an overflowing product is inf, without a numpy warning.
+    nu1 = float(trap.nu1_hz)
+    return nu1 * math.sqrt(u_minus), nu1 * math.sqrt(u_plus)
 
 
 def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:

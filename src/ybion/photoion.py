@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 CROSS_SECTION_MODELS = ("hydrogenic", "burgess", "peach", "user")
+DEFECT_GRID_POINTS = 2048
 
 # Kramers threshold cross section of hydrogen 1s: 64/(3 sqrt(3)) alpha pi a0^2.
 SIGMA_KRAMERS_M2 = (
@@ -85,6 +86,17 @@ class GaussianBeam:
         if not 0.0 < self.wavelength_nm < math.inf:
             raise SchemeError(
                 f"beam wavelength must be positive and finite, got {self.wavelength_nm} nm")
+        # waist_m**2 underflows to 0 below about 1e-162 m and overflows
+        # above about 1e154 m; the quotient can also overflow or underflow.
+        try:
+            intensity = self.peak_intensity_w_m2
+        except (ZeroDivisionError, OverflowError):
+            intensity = math.nan
+        if not intensity < math.inf or intensity == 0.0 < self.power_w:
+            raise SchemeError(
+                f"beam waist_m = {self.waist_m} m with power_w = {self.power_w} W "
+                "puts the peak intensity 2 power_w / (pi waist_m^2) outside "
+                "the floating-point range")
 
     @property
     def peak_intensity_w_m2(self) -> float:
@@ -209,31 +221,29 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     Fits E_n = limit - Z^2 R / (n - mu)^2 over the members with a single
     defect mu and returns (mu, max absolute residual in cm^-1). Needs at
     least two members. mu is constrained to [0, n_min); a fit pushing
-    against the upper bound is rejected as unphysical.
+    against the upper bound is rejected as unphysical. The sum of squares
+    is evaluated at DEFECT_GRID_POINTS values of mu whose distances to n_min
+    run geometrically from n_min (mu = 0) down to 1e-9, so the grid also
+    resolves the steep approach to the bound; Newton steps then polish the
+    best grid point.
     """
-    from scipy.optimize import minimize_scalar  # function-local: see rates.evolve
-
     if len(series.members) < 2:
         raise SolverError("quantum-defect fit needs at least two series members")
     ns = np.array([n for n, _ in series.members], dtype=float)
     energies = np.array([e for _, e in series.members])
     z2r = series.core_charge**2 * RYDBERG_YB174_CM1
     limit = series.ionization_limit_cm1
-    upper = ns.min() - 1e-9
+    n_min = ns.min()
+    upper = n_min - 1e-9
 
     def sum_sq(mu: float) -> float:
         pred = limit - z2r / (ns - mu) ** 2
         return float(((pred - energies) ** 2).sum())
 
-    res = minimize_scalar(
-        sum_sq, bounds=(0.0, upper), method="bounded", options={"xatol": 1e-12}
-    )
-    if not res.success:
-        raise SolverError(f"quantum-defect fit did not converge: {res.message}")
-    mu = float(res.x)
+    grid = n_min - np.geomspace(n_min, 1e-9, DEFECT_GRID_POINTS)
+    grid_misfit = limit - z2r / (ns[:, None] - grid) ** 2 - energies[:, None]
+    mu = float(grid[np.argmin((grid_misfit * grid_misfit).sum(axis=0))])
 
-    # Newton polish: the bracket search stalls around 1e-12 in mu, which
-    # leaves residuals above 1e-8 cm^-1 on noiseless synthetic series.
     def grad_hess(mu_val: float) -> tuple[float, float]:
         d = ns - mu_val
         misfit = (limit - z2r / d**2) - energies

@@ -31,6 +31,7 @@ read back losslessly, so fits can run on stored scans.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ __all__ = [
 
 DEFAULT_MONITOR = ("6p12", "6s12")
 MIN_FIT_POINTS = 8
+MAX_FIT_ITERATIONS = 100
+FTOL = 1e-12  # relative cost change that ends the fit
+XTOL = 1e-12  # scaled step that ends the fit
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ class ScanCurve:
         if len(self.detunings_hz) == 0:
             raise SchemeError("scan curve is empty")
         d = np.asarray(self.detunings_hz)
+        if not (np.isfinite(d).all() and np.isfinite(self.fluorescence).all()):
+            raise SchemeError("detunings and fluorescence must be finite")
         if not np.all(np.diff(d) > 0):
             raise SchemeError("detunings must be strictly increasing")
         if min(self.fluorescence) < 0:
@@ -103,9 +109,11 @@ class LorentzianFit:
 
     Model: offset + amplitude / (1 + (2 (nu - center) / fwhm)^2).
     covariance rows/cols are ordered (center, fwhm, amplitude, offset).
-    When converged is False the parameter fields hold the last iterate (or
-    the initialization) and message says what went wrong; they must not be
-    used for physics.
+    When converged is False the parameter fields hold the initialization
+    and message says what went wrong; they must not be used for physics.
+    When converged is True, message names the stopping rule that fired.
+    iterations counts the trial steps taken and cost is 0.5 * (sum of
+    squared residuals) at the solution (NaN when the fit did not converge).
     """
 
     center_hz: float
@@ -115,6 +123,8 @@ class LorentzianFit:
     covariance: tuple[tuple[float, ...], ...]
     converged: bool
     message: str = ""
+    iterations: int = 0
+    cost: float = math.nan
 
     def __post_init__(self):
         if self.converged:
@@ -231,16 +241,44 @@ def _initial_guess(nu: np.ndarray, y: np.ndarray) -> tuple[float, float, float, 
     return center, abs(fwhm), amplitude, offset
 
 
+def _model_and_jacobian(nu: np.ndarray, params: np.ndarray):
+    """Model values and the transposed analytic Jacobian (4, points) of the
+    Lorentzian at params = (center, fwhm, amplitude, offset). With
+    x = 2 (nu - c) / w and q = 1 / (1 + x^2): d/dc = 4 a x q^2 / w,
+    d/dw = 2 a x^2 q^2 / w, d/da = q and d/do = 1."""
+    c, w, a, o = params.tolist()
+    x = (2.0 / w) * (nu - c)
+    q = 1.0 / (1.0 + x * x)
+    g = (2.0 * a / w) * (q * q)
+    return o + a * q, np.array([2.0 * x * g, x * x * g, q, np.ones_like(q)])
+
+
+# Floating-point overflow in a trial step or in extreme data only produces
+# inf or NaN costs, which the step acceptance and the gates below reject.
+@np.errstate(all="ignore")
 def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     """Nonlinear least-squares Lorentzian fit of a scan curve.
 
-    Needs at least eight points. Returns converged=False (never raises)
-    for degenerate data: flat signal, nonpositive initial amplitude, or
-    optimizer failure. Convergence tolerances are 1e-12 relative on
-    parameters and cost.
-    """
-    from scipy.optimize import least_squares  # function-local: see rates.evolve
+    Levenberg-Marquardt (Marquardt 1963; More 1978) on the analytic
+    Jacobian of offset + amplitude / (1 + x^2), x = 2 (nu - center) / fwhm,
+    started from _initial_guess. Parameters are measured in units of
+    x_scale = (max(|center|, fwhm), fwhm, amplitude, max(amplitude,
+    |offset|)) of the initial guess. Each trial step solves
+    (J^T J + lambda D) dz = -J^T r, with D the running maximum of
+    diag(J^T J) (More's scaling), and is accepted only if it does not
+    raise the cost 0.5 |r|^2; lambda shrinks tenfold after an accepted
+    step and grows tenfold after a rejected one. The fit converges when an
+    accepted step lowers the cost by at most 1e-12 of it, or when a trial
+    step is at most 1e-12 (1e-12 + |z|) in scaled units; message names the
+    rule that fired. After MAX_FIT_ITERATIONS trial steps it stops with
+    converged=False.
 
+    Needs at least eight points. Returns converged=False (never raises)
+    for degenerate data: flat signal, nonpositive initial amplitude, the
+    iteration cap, or a solution with nonpositive width or amplitude.
+    The covariance is the Gauss-Newton (J^T J)^-1 from the analytic J at
+    the solution, scaled by the residual variance 2 cost / (points - 4).
+    """
     nu = np.asarray(curve.detunings_hz, dtype=float)
     y = np.asarray(curve.fluorescence, dtype=float)
     if len(nu) < MIN_FIT_POINTS:
@@ -249,7 +287,7 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
         )
     center0, fwhm0, amp0, off0 = _initial_guess(nu, y)
 
-    def failed(msg: str) -> LorentzianFit:
+    def failed(msg: str, iterations: int = 0) -> LorentzianFit:
         zeros = tuple(tuple(0.0 for _ in range(4)) for _ in range(4))
         return LorentzianFit(
             center_hz=center0,
@@ -259,6 +297,7 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
             covariance=zeros,
             converged=False,
             message=msg,
+            iterations=iterations,
         )
 
     if amp0 <= 0 or np.ptp(y) == 0:
@@ -266,34 +305,58 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     if fwhm0 <= 0:
         return failed("degenerate initialization: zero width estimate")
 
-    def residual(params):
-        c, w, a, o = params
-        return lorentzian(nu, c, w, a, o) - y
-
     scale = np.array([max(abs(center0), fwhm0), fwhm0, amp0, max(amp0, abs(off0))])
-    result = least_squares(
-        residual,
-        x0=[center0, fwhm0, amp0, off0],
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
-        x_scale=scale,
-        max_nfev=2000,
-    )
-    if not result.success:
-        return failed(f"optimizer did not converge: {result.message}")
-    c, w, a, o = result.x
+    params = np.array([center0, fwhm0, amp0, off0])
+    model, jac_t = _model_and_jacobian(nu, params)
+    resid = model - y
+    cost = 0.5 * float(resid @ resid)
+    damping = 1e-3
+    diag = np.zeros(4)
+    for iterations in range(1, MAX_FIT_ITERATIONS + 1):
+        js = jac_t * scale[:, None]
+        jtj = js @ js.T
+        diag = np.maximum(diag, jtj.diagonal())
+        try:
+            step = np.linalg.solve(jtj + np.diag(damping * diag), -(js @ resid))
+        except np.linalg.LinAlgError:
+            damping *= 10.0
+            continue
+        trial = params + step * scale
+        trial_model, trial_jac_t = _model_and_jacobian(nu, trial)
+        trial_resid = trial_model - y
+        trial_cost = 0.5 * float(trial_resid @ trial_resid)
+        small_step = math.sqrt(step @ step) <= XTOL * (
+            XTOL + math.sqrt((params / scale) @ (params / scale)))
+        if trial_cost <= cost:
+            small_change = cost - trial_cost <= FTOL * cost
+            params, jac_t, resid, cost = trial, trial_jac_t, trial_resid, trial_cost
+            damping /= 10.0
+            if small_change:
+                message = f"converged: relative cost change <= {FTOL:g}"
+                break
+        else:
+            damping *= 10.0
+        if small_step:
+            message = f"converged: scaled step <= {XTOL:g}"
+            break
+    else:
+        return failed(
+            f"no convergence within {MAX_FIT_ITERATIONS} iterations", iterations
+        )
+
+    c, w, a, o = params
     w = abs(w)
     if w <= 0 or a <= 0:
-        return failed("optimizer converged to a nonpositive width or amplitude")
+        return failed(
+            "optimizer converged to a nonpositive width or amplitude", iterations
+        )
 
     # Gauss-Newton covariance: (J^T J)^-1 scaled by the residual variance.
     dof = max(len(nu) - 4, 1)
-    jac = result.jac
     try:
-        jtj_inv = np.linalg.inv(jac.T @ jac)
+        jtj_inv = np.linalg.inv(jac_t @ jac_t.T)
         jtj_inv = (jtj_inv + jtj_inv.T) / 2.0
-        cov = jtj_inv * (2.0 * result.cost / dof)
+        cov = jtj_inv * (2.0 * cost / dof)
     except np.linalg.LinAlgError:
         cov = np.full((4, 4), np.nan)
     return LorentzianFit(
@@ -303,7 +366,9 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
         offset=float(o),
         covariance=tuple(tuple(float(v) for v in row) for row in cov),
         converged=True,
-        message=result.message,
+        message=message,
+        iterations=iterations,
+        cost=cost,
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -354,6 +355,47 @@ def test_numpy_only_subcommands_never_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+# The README scan -> fit-scan session and the README xsec call.
+FIT_SESSION = [
+    ["scan", "--scheme", "linewidth_reference", "--grid", "-60e6", "60e6", "241",
+     "--out", "curve.tsv"],
+    ["fit-scan", "--data", "curve.tsv", "--saturation", "0.02", "--out", "fit.tsv"],
+    ["xsec", "--model", "peach", "--limit", "98207.0", "--out", "xsec.tsv"],
+]
+
+
+def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import ybion.cli\n"
+        f"for argv in {FIT_SESSION!r}:\n"
+        "    assert ybion.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(sys.modules["ybion"].__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert value_map((tmp_path / "fit.tsv").read_text())["converged"] == "1"
+
+
+@pytest.mark.parametrize("argv,names", [
+    ([a.replace("1e-5", "1e-200") for a in IONIZE], "waist_m = 1e-200 m"),
+    ([a.replace("1e-5", "1e200") for a in IONIZE], "waist_m = 1e+200 m"),
+    (["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--nu1", "1e308",
+      "--seeds", "3"], "got inf"),
+])
+def test_out_of_range_values_exit_two_without_warning(argv, names, capsys, recwarn):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not [str(w.message) for w in recwarn]
+
+
 # -- simulate ----------------------------------------------------------------------
 
 
@@ -480,6 +522,21 @@ def test_manifest_structure_and_sorted_params(tmp_path):
     params = [line for line in lines if line.startswith("param.")]
     assert params == sorted(params)
     assert "param.p7p: 0.0095" in params
+
+
+def test_fit_scan_manifest_carries_deterministic_fit_diagnostics(curve_file, tmp_path):
+    manifests = []
+    for name in ("first", "second"):
+        out = tmp_path / f"{name}.tsv"
+        assert main(["fit-scan", "--data", str(curve_file), "--out", str(out)]) == 0
+        manifests.append((tmp_path / f"{name}.tsv.manifest").read_text().splitlines())
+    first, second = manifests
+    assert [line for line in first if not line.startswith("timestamp: ")] == [
+        line for line in second if not line.startswith("timestamp: ")]
+    diag = dict(line.split(": ", 1) for line in first if line.startswith("diag."))
+    assert sorted(diag) == ["diag.fit_cost", "diag.fit_iterations"]
+    assert int(diag["diag.fit_iterations"]) >= 1
+    assert 0.0 <= float(diag["diag.fit_cost"]) < math.inf
 
 
 def test_manifest_digests_input_files(tmp_path):

@@ -1,6 +1,7 @@
 """Beam flux, ionization rate, and quantum-defect cross-section tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ def test_beam_rejects_non_finite_values(field, value):
     fields[field] = value
     with pytest.raises(SchemeError, match=f"got {value}"):
         GaussianBeam(**fields)
+
+
+@pytest.mark.parametrize("power,waist", [(1e-4, 1e-200), (0.0, 1e-200),
+                                         (1e-4, 1e200), (1e300, 1e-100)])
+def test_beam_rejects_intensity_outside_float_range(power, waist):
+    with pytest.raises(SchemeError, match=re.escape(f"waist_m = {waist} m")):
+        GaussianBeam(power_w=power, waist_m=waist, wavelength_nm=245.426)
+
+
+@given(power=st.floats(min_value=0.0, max_value=1e308),
+       waist=st.floats(min_value=5e-324, max_value=1e308))
+@settings(max_examples=200)
+def test_beam_intensity_finite_or_rejected(power, waist):
+    try:
+        beam = GaussianBeam(power_w=power, waist_m=waist, wavelength_nm=245.426)
+    except SchemeError as exc:
+        assert "waist_m" in str(exc)
+        return
+    intensity = beam.peak_intensity_w_m2
+    assert 0.0 <= intensity < math.inf
+    assert (intensity > 0.0) == (power > 0.0)
 
 
 @pytest.mark.parametrize("value_mb", [math.nan, math.inf, -math.inf])
@@ -253,6 +275,29 @@ def test_bundled_series_fit_has_documented_large_residual():
     mu, residual = fit_quantum_defect(series)
     assert mu == pytest.approx(3.5067205896659464, rel=1e-6)
     assert 100.0 < residual < 2000.0
+
+
+def test_bundled_series_defect_is_the_least_squares_minimum():
+    series = load_series_file(bundled_series_path(), SERIES_LIMIT_CM1, ell=1,
+                              core_charge=2)
+    mu, _ = fit_quantum_defect(series)
+    ns = np.array([n for n, _ in series.members], dtype=float)
+    energies = np.array([e for _, e in series.members])
+
+    def sum_sq(m):
+        pred = SERIES_LIMIT_CM1 - 4.0 * RYDBERG_YB174_CM1 / (ns - m) ** 2
+        return float(((pred - energies) ** 2).sum())
+
+    assert mu == pytest.approx(3.506720580952538, rel=1e-12)
+    assert sum_sq(mu) < min(sum_sq(mu - 1e-8), sum_sq(mu + 1e-8))
+
+
+def test_fit_rejects_defect_pushed_into_the_n_min_bound():
+    # The n = 2 member is bound so deeply that only mu within 1e-6 of 2 fits it.
+    series = RydbergSeries(members=((2, 80000.0 - 4e17), (3, 80000.0 - 1e5)),
+                           ionization_limit_cm1=80000.0, ell=1)
+    with pytest.raises(SolverError, match="ran into the n_min bound"):
+        fit_quantum_defect(series)
 
 
 # -- cross-section models ----------------------------------------------------------

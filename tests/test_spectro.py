@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ybion import spectro
 from ybion.errors import SchemeError, SolverError
 from ybion.rates import build_rate_matrix, natural_fwhm_hz, steady_state
 from ybion.scheme import load_bundled_scheme
@@ -208,6 +211,93 @@ def test_fit_handles_centered_peak_without_half_crossings():
     assert fit.fwhm_hz == pytest.approx(500e6, rel=1e-3)
 
 
+def test_analytic_jacobian_matches_central_difference():
+    rng = np.random.default_rng(7)
+    nu = np.linspace(-60e6, 60e6, 97)
+    for _ in range(20):
+        params = np.array([rng.uniform(-20e6, 20e6), rng.uniform(2e6, 80e6),
+                           10 ** rng.uniform(-3, 6), rng.uniform(0.0, 5.0)])
+        _, jac_t = spectro._model_and_jacobian(nu, params)
+        for k in range(4):
+            h = 1e-5 * params[k] if params[k] else 1e-5
+            up, down = params.copy(), params.copy()
+            up[k] += h
+            down[k] -= h
+            fd = (lorentzian(nu, *up) - lorentzian(nu, *down)) / (2.0 * h)
+            np.testing.assert_allclose(jac_t[k], fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd).max())
+
+
+@given(
+    points=st.integers(min_value=8, max_value=400),
+    center_frac=st.floats(min_value=-0.45, max_value=0.45),
+    log_fwhm_frac=st.floats(min_value=-2.5, max_value=0.7),
+    log_amplitude=st.floats(min_value=-6.0, max_value=9.0),
+    offset_frac=st.floats(min_value=0.0, max_value=10.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_fit_inverts_any_resolved_noiseless_line(points, center_frac, log_fwhm_frac,
+                                                 log_amplitude, offset_frac):
+    # A line at least two grid steps wide is recovered to 1e-8; center and
+    # offset errors are measured in units of the width and the amplitude.
+    span = 100e6
+    fwhm = span * 10.0 ** log_fwhm_frac
+    assume(fwhm >= 2.0 * span / (points - 1))
+    center, amplitude = center_frac * span, 10.0 ** log_amplitude
+    offset = offset_frac * amplitude
+    grid = np.linspace(-span / 2.0, span / 2.0, points)
+    y = lorentzian(grid, center, fwhm, amplitude, offset)
+    fit = fit_lorentzian(ScanCurve(tuple(grid), tuple(y.tolist())))
+    assert fit.converged, fit.message
+    assert abs(fit.center_hz - center) <= 1e-8 * fwhm
+    assert fit.fwhm_hz == pytest.approx(fwhm, rel=1e-8)
+    assert fit.amplitude == pytest.approx(amplitude, rel=1e-8)
+    assert abs(fit.offset - offset) <= 1e-8 * amplitude
+
+
+def test_fit_cost_never_above_trust_region_oracle():
+    # scipy's trust-region least squares from the same start and scaling is
+    # the reference optimizer; the fit must reach a cost at least as low.
+    from scipy.optimize import least_squares
+
+    for seed in range(100):
+        curve = synthetic_curve(noise_sigma=0.01, seed=seed)
+        nu = np.asarray(curve.detunings_hz)
+        y = np.asarray(curve.fluorescence)
+        c0, w0, a0, o0 = spectro._initial_guess(nu, y)
+        oracle = least_squares(
+            lambda p: lorentzian(nu, *p) - y,
+            x0=[c0, w0, a0, o0],
+            xtol=1e-12, ftol=1e-12, gtol=1e-12,
+            x_scale=[max(abs(c0), w0), w0, a0, max(a0, abs(o0))],
+            max_nfev=2000,
+        )
+        fit = fit_lorentzian(curve)
+        assert fit.converged, f"seed {seed}"
+        assert fit.cost <= oracle.cost * (1.0 + 1e-9), f"seed {seed}"
+        assert fit.fwhm_hz == pytest.approx(abs(oracle.x[1]), rel=1e-6), f"seed {seed}"
+
+
+def test_fit_reports_stopping_rule_iterations_and_cost():
+    curve = synthetic_curve(noise_sigma=0.01, seed=3)
+    fit = fit_lorentzian(curve)
+    assert fit.message in ("converged: relative cost change <= 1e-12",
+                           "converged: scaled step <= 1e-12")
+    assert 1 <= fit.iterations < spectro.MAX_FIT_ITERATIONS
+    resid = lorentzian(np.asarray(curve.detunings_hz), fit.center_hz, fit.fwhm_hz,
+                       fit.amplitude, fit.offset) - np.asarray(curve.fluorescence)
+    assert fit.cost == pytest.approx(0.5 * float(resid @ resid), rel=1e-12)
+
+
+def test_fit_stops_unconverged_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(spectro, "MAX_FIT_ITERATIONS", 2)
+    fit = fit_lorentzian(synthetic_curve(noise_sigma=0.01, seed=3))
+    assert not fit.converged
+    assert fit.iterations == 2
+    assert fit.message == "no convergence within 2 iterations"
+    assert math.isnan(fit.cost)
+
+
 def test_converged_fit_type_invariants():
     with pytest.raises(SolverError):
         LorentzianFit(center_hz=0.0, fwhm_hz=-1.0, amplitude=1.0, offset=0.0,
@@ -316,6 +406,15 @@ def test_load_curve_errors(tmp_path):
     unsorted.write_text("1.0\t1.0\n0.0\t2.0\n", encoding="utf-8")
     with pytest.raises(SchemeError, match="strictly increasing"):
         load_curve(str(unsorted))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_curve_with_non_finite_values_is_rejected(tmp_path, bad):
+    for row in (f"{bad}\t1.0\n", f"2.0\t{bad}\n"):
+        path = tmp_path / "curve.tsv"
+        path.write_text("0.0\t1.0\n1.0\t2.0\n" + row, encoding="utf-8")
+        with pytest.raises(SchemeError, match="must be finite"):
+            load_curve(str(path))
 
 
 def test_scan_curve_invariants():
