@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import re
 import sys
@@ -60,6 +61,7 @@ from .mc import (
     simulate_ionization_times,
     summarize_times,
     synthesize_verification,
+    verification_rng_description,
 )
 from .photoion import (
     CrossSection,
@@ -110,23 +112,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(lowest: int, what: str):
-    """argparse type: an integer >= lowest; failures exit 1 naming the flag."""
+def _int_in_range(lowest: int, highest: float, what: str):
+    """argparse type: an integer in [lowest, highest]; failures exit 1
+    naming the flag."""
 
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < lowest:
+        if value is None or not lowest <= value <= highest:
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
     return convert
 
 
-_nonnegative_int = _int_at_least(0, "an integer >= 0")
-_positive_int = _int_at_least(1, "an integer >= 1")
+# At its peak simulate holds about 220 bytes per trial (the columns, the
+# formatted rows and the TSV text), so about 2 GB at this cap.
+MAX_TRIALS = 10**7
+
+_nonnegative_int = _int_in_range(0, math.inf, "an integer >= 0")
+_positive_int = _int_in_range(1, math.inf, "an integer >= 1")
+_trial_count = _int_in_range(1, MAX_TRIALS, f"an integer from 1 to {MAX_TRIALS}")
 
 
 class _GridAction(argparse.Action):
@@ -561,7 +569,8 @@ def _cmd_verify_roundtrip(args) -> int:
         "seed_base": args.seed_base,
         "tolerance": args.tolerance,
     }
-    manifest = _manifest("verify-roundtrip", params, rng_note=rng_description())
+    manifest = _manifest(
+        "verify-roundtrip", params, rng_note=verification_rng_description())
     _emit(_table(["quantity", "value", "unit"], rows), manifest, args.out)
     return 0
 
@@ -836,9 +845,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--trials",
-        type=int,
+        type=_trial_count,
         required=True,
-        help="number of independent trials (count).",
+        help=f"number of independent trials (count, 1 to {MAX_TRIALS}).",
     )
     p.add_argument(
         "--seed",

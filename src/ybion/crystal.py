@@ -160,6 +160,14 @@ def _mode_eigenvalues(eta: float) -> tuple[float, float]:
     return 3.0 * x / u_plus, u_plus
 
 
+# mode -> (u at eta = ETA_BRACKET[0], u at eta = ETA_BRACKET[1]), computed
+# once for infer_eta's range checks.
+_ENDPOINT_EIGENVALUES = dict(zip(
+    ("com", "bre"),
+    zip(_mode_eigenvalues(ETA_BRACKET[0]), _mode_eigenvalues(ETA_BRACKET[1])),
+))
+
+
 def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
     """(nu_com, nu_bre) in Hz for the two axial modes."""
     u_minus, u_plus = _mode_eigenvalues(trap.eta)
@@ -186,15 +194,14 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
     endpoint eigenvalue returns that endpoint, so endpoint inputs that
     land a rounding error off still give exactly 1 or 10.
     """
-    if mode not in ("com", "bre"):
+    if mode not in _ENDPOINT_EIGENVALUES:
         raise SolverError(f"mode must be 'com' or 'bre', got {mode!r}")
     if not (0.0 < nu_measured_hz < math.inf and 0.0 < nu1_hz < math.inf):
         raise SolverError("frequencies must be positive and finite")
-    pick = 0 if mode == "com" else 1
     ratio = nu_measured_hz / nu1_hz
     u = ratio * ratio
     lo, hi = ETA_BRACKET
-    u_lo, u_hi = _mode_eigenvalues(lo)[pick], _mode_eigenvalues(hi)[pick]
+    u_lo, u_hi = _ENDPOINT_EIGENVALUES[mode]
     for end, u_end in ((lo, u_lo), (hi, u_hi)):
         if abs(u - u_end) <= 4.0 * math.ulp(u_end):
             return end

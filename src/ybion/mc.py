@@ -22,7 +22,9 @@ in units of 1/rate), then 4096 uniform phases on [0, T), then, only when
 failure_prob > 0, 4096 Geometric(failure_prob) window indices. A longer
 run therefore extends a shorter one and never reshuffles it, across block
 boundaries too. rng_description() reports this layout, the algorithm and
-the numpy version for run manifests.
+the numpy version for run manifests. The trials come back as one
+SequenceRuns record of columns, entry i holding trial i; summarize_times
+and runs_to_text read those columns directly.
 
 The dark-state failure channel seen at high ionizing power is not
 modeled; failure_prob is a constant per-window abort knob (default 0)
@@ -34,10 +36,8 @@ enters before its event or the horizon, and then records K windows.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .errors import SchemeError, SolverError
 
 __all__ = [
     "SequenceConfig",
-    "IonizationRun",
+    "SequenceRuns",
     "SequenceSummary",
     "VerificationNoise",
     "VerificationRecord",
@@ -67,8 +67,8 @@ __all__ = [
     "synthesize_verification",
     "infer_from_verification",
     "runs_to_text",
-    "save_runs",
     "rng_description",
+    "verification_rng_description",
 ]
 
 
@@ -123,29 +123,23 @@ class SequenceConfig:
         return self.ionization_duty * self.period_s
 
 
-@dataclass(frozen=True, slots=True)
-class IonizationRun:
-    """Outcome of one trial.
+@dataclass(frozen=True, eq=False)
+class SequenceRuns:
+    """Outcomes of a batch of trials as columns; entry i is trial i.
 
-    event_time_s is the wall-clock ionization time, or None if the trial
-    ran out of max_time (or aborted via the failure knob, then failed is
-    True). attempt_windows counts ON windows the trial entered.
+    event_time_s is the wall-clock ionization time, NaN if the trial ran
+    out of max_time or aborted via the failure knob (then failed is True).
+    attempt_windows (int64) counts ON windows the trial entered.
     initial_phase_s is the chop-cycle phase at t = 0, needed to map the
-    wall clock back to the exposure coordinate.
+    wall clock back to the exposure coordinate. seed is the rng_seed of
+    the configuration that produced the batch.
     """
 
-    trial: int
     seed: int
-    initial_phase_s: float
-    attempt_windows: int
-    event_time_s: float | None = None
-    failed: bool = False
-
-    def __post_init__(self):
-        if self.event_time_s is not None and self.event_time_s < 0:
-            raise SchemeError("event time must be >= 0")
-        if self.attempt_windows < 0:
-            raise SchemeError("attempt window count must be >= 0")
+    event_time_s: np.ndarray
+    attempt_windows: np.ndarray
+    initial_phase_s: np.ndarray
+    failed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -195,15 +189,21 @@ class VerificationRecord:
     freq_rel_sigma: float
 
     def __post_init__(self):
-        for name in (
-            "displacement_ratio_measured",
-            "nu1_measured_hz",
-            "nu_com_measured_hz",
-            "nu_bre_measured_hz",
-        ):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise SchemeError(f"{name} must be positive and finite, got {value}")
+        # One chained test on the hot path; the loop only names the culprit.
+        if not (0.0 < self.displacement_ratio_measured < math.inf
+                and 0.0 < self.nu1_measured_hz < math.inf
+                and 0.0 < self.nu_com_measured_hz < math.inf
+                and 0.0 < self.nu_bre_measured_hz < math.inf):
+            for name in (
+                "displacement_ratio_measured",
+                "nu1_measured_hz",
+                "nu_com_measured_hz",
+                "nu_bre_measured_hz",
+            ):
+                value = getattr(self, name)
+                if not 0.0 < value < math.inf:
+                    raise SchemeError(
+                        f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,15 @@ def rng_description() -> str:
         f"blocks of {BLOCK_TRIALS} trials, block b seeded "
         "SeedSequence([rng_seed, b]), drawn in full as exposures, "
         "then phases, then Geometric(failure_prob) only if failure_prob > 0"
+    )
+
+
+def verification_rng_description() -> str:
+    """Stream layout of synthesize_verification for run manifests."""
+    return (
+        f"numpy default_rng (PCG64), numpy {np.__version__}, "
+        "default_rng(seed_base + i) for record i, drawing 4 standard normals "
+        "applied in the order ratio, nu1, nu_com, nu_bre"
     )
 
 
@@ -298,20 +307,19 @@ def wall_to_exposure(wall_s, phase_s, chop_rate_hz: float, duty: float):
     return _scalar_or_array(exposure, float)
 
 
-def simulate_ionization_times(
-    config: SequenceConfig, trials: int
-) -> list[IonizationRun]:
+def simulate_ionization_times(config: SequenceConfig, trials: int) -> SequenceRuns:
     """Simulate trials of the chopped sequence; deterministic given config.
 
     Per trial: an exposure time ~ Exp(rate) and a uniform initial chop
     phase, mapped to wall clock through the ON windows; an event is
     recorded only if it lands before max_time_s. Trials are drawn and
-    mapped a block at a time (see the module docstring for the layout).
+    mapped a block at a time (see the module docstring for the layout),
+    and the blocks' arrays are joined into the columns of the record.
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
     chop, duty = config.chop_rate_hz, config.ionization_duty
-    runs: list[IonizationRun] = []
+    blocks = []
     for first in range(0, trials, BLOCK_TRIALS):
         rng = np.random.default_rng(
             np.random.SeedSequence([config.rng_seed, first // BLOCK_TRIALS])
@@ -335,40 +343,24 @@ def simulate_ionization_times(
             failed = abort_window <= windows
             windows = np.where(failed, abort_window, windows)
             event &= ~failed
-        times = [t if hit else None for t, hit in zip(wall.tolist(), event.tolist())]
-        runs.extend(map(
-            IonizationRun, range(first, first + n), repeat(config.rng_seed, n),
-            phase.tolist(), windows.tolist(), times, failed.tolist(),
-        ))
-    return runs
+        blocks.append((np.where(event, wall, np.nan), windows, phase, failed))
+    return SequenceRuns(config.rng_seed, *map(np.concatenate, zip(*blocks)))
 
 
-def summarize_times(runs: list[IonizationRun]) -> SequenceSummary:
+def summarize_times(runs: SequenceRuns) -> SequenceSummary:
     """Event-time estimators over a batch; None statistics when eventless."""
-    if not runs:
+    n_runs = len(runs.event_time_s)
+    if n_runs == 0:
         raise SchemeError("no runs to summarize")
-    times = np.array(
-        [r.event_time_s for r in runs if r.event_time_s is not None]
-    )
+    times = runs.event_time_s[~np.isnan(runs.event_time_s)]
     n_events = len(times)
-    if n_events == 0:
-        return SequenceSummary(
-            n_runs=len(runs), n_events=0, success_fraction=0.0,
-            mean_s=None, median_s=None, ci95_s=None,
-        )
-    mean = float(times.mean())
-    ci: tuple[float, float] | None = None
+    mean = median = ci = None
+    if n_events >= 1:
+        mean, median = float(times.mean()), float(np.median(times))
     if n_events >= 2:
         half = 1.96 * float(times.std(ddof=1)) / math.sqrt(n_events)
         ci = (mean - half, mean + half)
-    return SequenceSummary(
-        n_runs=len(runs),
-        n_events=n_events,
-        success_fraction=n_events / len(runs),
-        mean_s=mean,
-        median_s=float(np.median(times)),
-        ci95_s=ci,
-    )
+    return SequenceSummary(n_runs, n_events, n_events / n_runs, mean, median, ci)
 
 
 def synthesize_verification(
@@ -379,13 +371,14 @@ def synthesize_verification(
 ) -> VerificationRecord:
     """Exact crystal observables perturbed by relative Gaussian noise.
 
-    Draw order is fixed (ratio, nu1, nu_com, nu_bre) so records are
-    reproducible for a given seed. Zero noise returns exact values.
+    Four standard normals from default_rng(seed) are applied in a fixed
+    order (ratio, nu1, nu_com, nu_bre), so records are reproducible for a
+    given seed. Zero noise returns exact values.
     """
     ratio_true = displacement_ratio(trap.eta, charges.q2)
     nu_com_true, nu_bre_true = normal_mode_frequencies(trap)
     rng = np.random.default_rng(seed)
-    draws = rng.normal(size=4).tolist()
+    draws = rng.standard_normal(4).tolist()
     ratio = ratio_true * (1.0 + noise.ratio_rel * draws[0])
     nu1 = trap.nu1_hz * (1.0 + noise.freq_rel * draws[1])
     nu_com = nu_com_true * (1.0 + noise.freq_rel * draws[2])
@@ -412,16 +405,12 @@ def infer_from_verification(record: VerificationRecord) -> ChargeInference:
     )
 
 
-def runs_to_text(runs: list[IonizationRun]) -> str:
+def runs_to_text(runs: SequenceRuns) -> str:
     """Tabular export: one row per trial (index, event time or NA, windows)."""
-    buf = io.StringIO()
-    buf.write("trial\tevent_time_s\tattempt_windows\n")
-    for r in runs:
-        t = "NA" if r.event_time_s is None else repr(r.event_time_s)
-        buf.write(f"{r.trial}\t{t}\t{r.attempt_windows}\n")
-    return buf.getvalue()
-
-
-def save_runs(runs: list[IonizationRun], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(runs_to_text(runs))
+    times = list(map(repr, runs.event_time_s.tolist()))
+    for i in np.flatnonzero(np.isnan(runs.event_time_s)).tolist():
+        times[i] = "NA"
+    rows = zip(range(len(times)), times, runs.attempt_windows.tolist())
+    return "trial\tevent_time_s\tattempt_windows\n" + "".join(
+        [f"{i}\t{t}\t{k}\n" for i, t, k in rows]
+    )

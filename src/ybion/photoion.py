@@ -167,16 +167,27 @@ class RydbergSeries:
 
 def photon_flux(beam: GaussianBeam) -> float:
     """Peak on-axis photon flux of the beam in photons / (m^2 s)."""
-    return beam.peak_intensity_w_m2 / photon_energy_j(beam.wavelength_nm)
+    flux = beam.peak_intensity_w_m2 / photon_energy_j(beam.wavelength_nm)
+    if not flux < math.inf:
+        raise SchemeError(
+            f"beam power_w = {beam.power_w} W on waist_m = {beam.waist_m} m at "
+            f"{beam.wavelength_nm} nm puts the photon flux outside the "
+            "floating-point range")
+    return flux
 
 
 def ionization_rate(p_excited: float, sigma: CrossSection, flux_m2s: float) -> float:
     """One-photon ionization rate R = p * sigma * F in 1/s."""
     if not 0.0 <= p_excited <= 1.0:
         raise SchemeError("excited-state population must lie in [0, 1]")
-    if flux_m2s < 0:
-        raise SchemeError("photon flux must be >= 0")
-    return p_excited * sigma.value_m2 * flux_m2s
+    if not 0.0 <= flux_m2s < math.inf:
+        raise SchemeError(f"photon flux must be >= 0 and finite, got {flux_m2s}")
+    rate = p_excited * sigma.value_m2 * flux_m2s
+    if not rate < math.inf:
+        raise SchemeError(
+            f"ionization rate p_excited * sigma * flux overflows: p_excited = "
+            f"{p_excited}, sigma = {sigma.value_m2} m^2, flux = {flux_m2s} m^-2 s^-1")
+    return rate
 
 
 def rate_coefficient(

@@ -85,6 +85,9 @@ class ScanCurve:
             self, "fluorescence", tuple(float(v) for v in self.fluorescence))
         if self.noise_sigma is not None:
             object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+            if not 0.0 <= self.noise_sigma < math.inf:
+                raise SchemeError(
+                    f"noise sigma must be >= 0 and finite, got {self.noise_sigma}")
         if len(self.detunings_hz) != len(self.fluorescence):
             raise SchemeError("detuning and fluorescence lengths differ")
         if len(self.detunings_hz) == 0:
@@ -96,8 +99,6 @@ class ScanCurve:
             raise SchemeError("detunings must be strictly increasing")
         if min(self.fluorescence) < 0:
             raise SchemeError("fluorescence must be >= 0")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
-            raise SchemeError("noise sigma must be >= 0")
 
     def __len__(self) -> int:
         return len(self.detunings_hz)

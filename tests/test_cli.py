@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ybion.cli import SCHEME_ENV_VAR, build_parser, main
+from ybion.cli import MAX_TRIALS, SCHEME_ENV_VAR, build_parser, main
 from ybion.errors import SolverError
 from ybion.crystal import infer_eta
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
@@ -387,6 +387,16 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
     ([a.replace("1e-5", "1e200") for a in IONIZE], "waist_m = 1e+200 m"),
     (["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--nu1", "1e308",
       "--seeds", "3"], "got inf"),
+    # finite peak intensity, but the photon flux overflows
+    ([a.replace("1e-4", "1e300").replace("1e-5", "1e-3") for a in IONIZE],
+     "power_w = 1e+300 W on waist_m = 0.001 m"),
+    ([a.replace("5.5", "1e308").replace("9.5e-3", "1") for a in IONIZE],
+     "ionization rate p_excited * sigma * flux overflows"),
+    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
+      "--noise-sigma", "nan"], "noise sigma must be >= 0 and finite, got nan"),
+    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
+      "--noise-sigma", "inf", "--seed", "1"],
+     "noise sigma must be >= 0 and finite, got inf"),
 ])
 def test_out_of_range_values_exit_two_without_warning(argv, names, capsys, recwarn):
     assert main(argv) == 2
@@ -438,6 +448,21 @@ def test_seed_flags_reject_bad_integers(argv, flag, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_simulate_trial_count_is_capped_at_parse_time(capsys):
+    # parsing only: a count above the cap must never reach the simulation
+    parser = build_parser()
+    base = ["simulate", "--rate", "4.1", "--seed", "1", "--trials"]
+    assert parser.parse_args(base + [str(MAX_TRIALS)]).trials == MAX_TRIALS
+    for text in (str(MAX_TRIALS + 1), "10**12", "1000000000000", "0"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(base + [text])
+        assert exc.value.code == 1
+        assert "argument --trials:" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        parser.parse_args(["simulate", "--help"])
+    assert f"1 to {MAX_TRIALS}" in capsys.readouterr().out
 
 
 def test_simulate_out_file_sends_summary_to_stdout(capsys, tmp_path):

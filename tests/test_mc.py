@@ -1,6 +1,7 @@
 """Chopped-sequence Monte Carlo and synthetic verification tests."""
 
 import contextlib
+import hashlib
 import io
 import math
 
@@ -21,15 +22,14 @@ from ybion.errors import SchemeError, SolverError
 from ybion.mc import (
     BLOCK_TRIALS,
     REPORTED_NOISE,
-    IonizationRun,
     SequenceConfig,
+    SequenceRuns,
     VerificationNoise,
     VerificationRecord,
     exposure_to_wall,
     infer_from_verification,
     rng_description,
     runs_to_text,
-    save_runs,
     simulate_ionization_times,
     summarize_times,
     synthesize_verification,
@@ -49,6 +49,34 @@ def config(**overrides):
                 chop_rate_hz=50.0, ionization_duty=0.5)
     base.update(overrides)
     return SequenceConfig(**base)
+
+
+COLUMNS = ("event_time_s", "attempt_windows", "initial_phase_s", "failed")
+
+
+def assert_same_runs(a, b, trials=None):
+    """a equals the first `trials` entries of b (all of b when None)."""
+    assert a.seed == b.seed
+    for name in COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(a, name), getattr(b, name)[:trials], strict=True)
+
+
+def make_runs(event_times, windows):
+    """A hand-built record; None marks a trial without an event."""
+    n = len(event_times)
+    return SequenceRuns(
+        seed=1,
+        event_time_s=np.array([np.nan if t is None else t for t in event_times]),
+        attempt_windows=np.array(windows, dtype=np.int64),
+        initial_phase_s=np.zeros(n),
+        failed=np.zeros(n, dtype=bool),
+    )
+
+
+def events(runs):
+    """Event times of the trials that ionized, in trial order."""
+    return runs.event_time_s[~np.isnan(runs.event_time_s)]
 
 
 # -- exposure <-> wall clock mapping ------------------------------------------------
@@ -125,19 +153,24 @@ def test_wall_monotone_in_exposure(phase_frac, duty, pair):
 def test_simulation_is_deterministic():
     a = simulate_ionization_times(config(), 200)
     b = simulate_ionization_times(config(), 200)
-    assert a == b
+    assert_same_runs(a, b)
+    assert len(a.event_time_s) == 200
+    assert a.event_time_s.dtype == np.float64
+    assert a.attempt_windows.dtype == np.int64
+    assert a.failed.dtype == bool
+    assert a.seed == SEED
 
 
 def test_trial_streams_are_chunking_invariant():
     # per-trial seeding: a longer batch extends, never reshuffles
     short = simulate_ionization_times(config(), 50)
     long = simulate_ionization_times(config(), 150)
-    assert long[:50] == short
+    assert_same_runs(short, long, 50)
 
 
 def test_zero_rate_never_ionizes():
     runs = simulate_ionization_times(config(rate_per_s=0.0), 50)
-    assert all(r.event_time_s is None for r in runs)
+    assert np.isnan(runs.event_time_s).all()
     summary = summarize_times(runs)
     assert summary.success_fraction == 0.0
     assert summary.mean_s is None
@@ -151,7 +184,7 @@ def test_mean_event_time_matches_gated_rate(duty, max_time):
     runs = simulate_ionization_times(
         config(ionization_duty=duty, max_time_s=max_time), 100_000)
     summary = summarize_times(runs)
-    times = np.array([r.event_time_s for r in runs if r.event_time_s is not None])
+    times = events(runs)
     se = times.std(ddof=1) / math.sqrt(len(times))
     assert summary.success_fraction == 1.0
     assert abs(summary.mean_s - 1.0 / (RATE * duty)) <= 2.0 * se
@@ -169,10 +202,9 @@ def test_exposure_coordinates_are_exponential():
     # undo the gating per trial, then KS-test against Exp(rate) at the 1%
     # critical value
     runs = simulate_ionization_times(config(rng_seed=42), 10_000)
-    exposures = np.array([
-        wall_to_exposure(r.event_time_s, r.initial_phase_s, 50.0, 0.5)
-        for r in runs if r.event_time_s is not None
-    ])
+    hit = ~np.isnan(runs.event_time_s)
+    exposures = wall_to_exposure(
+        runs.event_time_s[hit], runs.initial_phase_s[hit], 50.0, 0.5)
     assert len(exposures) == 10_000
     result = kstest(exposures, "expon", args=(0.0, 1.0 / RATE))
     assert result.statistic < 1.628 / math.sqrt(len(exposures))
@@ -180,25 +212,23 @@ def test_exposure_coordinates_are_exponential():
 
 def test_event_times_respect_max_time():
     runs = simulate_ionization_times(config(rate_per_s=0.3, max_time_s=2.0), 2000)
-    assert any(r.event_time_s is None for r in runs)
-    for r in runs:
-        if r.event_time_s is not None:
-            assert 0.0 <= r.event_time_s <= 2.0
-        assert r.initial_phase_s < config().period_s
+    assert np.isnan(runs.event_time_s).any()
+    times = events(runs)
+    assert ((0.0 <= times) & (times <= 2.0)).all()
+    assert (runs.initial_phase_s < config().period_s).all()
 
 
 def test_failure_knob():
     certain = simulate_ionization_times(config(failure_prob=1.0), 20)
-    assert all(r.failed and r.event_time_s is None for r in certain)
-    assert all(r.attempt_windows == 1 for r in certain)
+    assert certain.failed.all() and np.isnan(certain.event_time_s).all()
+    assert (certain.attempt_windows == 1).all()
     sometimes = simulate_ionization_times(config(failure_prob=0.7), 400)
     clean = simulate_ionization_times(config(), 400)
-    n_fail = sum(r.failed for r in sometimes)
+    n_fail = sometimes.failed.sum()
     assert 0 < n_fail < 400
-    n_events = sum(r.event_time_s is not None for r in sometimes)
-    assert n_events < sum(r.event_time_s is not None for r in clean)
+    assert len(events(sometimes)) < len(events(clean))
     again = simulate_ionization_times(config(failure_prob=0.7), 400)
-    assert again == sometimes
+    assert_same_runs(again, sometimes)
 
 
 @pytest.mark.parametrize("failure_prob", [0.0, 0.01])
@@ -206,8 +236,8 @@ def test_runs_extend_across_block_boundaries(failure_prob):
     b = BLOCK_TRIALS
     full = simulate_ionization_times(config(failure_prob=failure_prob), 3 * b)
     for trials in (b - 1, b, b + 1, 2 * b + 3):
-        assert simulate_ionization_times(
-            config(failure_prob=failure_prob), trials) == full[:trials]
+        assert_same_runs(simulate_ionization_times(
+            config(failure_prob=failure_prob), trials), full, trials)
 
 
 def test_failure_draws_leave_clean_trials_untouched():
@@ -216,19 +246,21 @@ def test_failure_draws_leave_clean_trials_untouched():
     trials = BLOCK_TRIALS + 100
     lossy = simulate_ionization_times(config(failure_prob=0.02), trials)
     clean = simulate_ionization_times(config(), trials)
-    assert [r.initial_phase_s for r in lossy] == [r.initial_phase_s for r in clean]
-    assert any(r.failed for r in lossy)
-    for a, b in zip(lossy, clean):
-        if not a.failed:
-            assert a == b
-        else:
-            assert a.event_time_s is None
-            assert 1 <= a.attempt_windows <= b.attempt_windows
+    np.testing.assert_array_equal(lossy.initial_phase_s, clean.initial_phase_s)
+    assert not clean.failed.any()
+    ok, bad = ~lossy.failed, lossy.failed
+    assert bad.any()
+    np.testing.assert_array_equal(lossy.event_time_s[ok], clean.event_time_s[ok])
+    np.testing.assert_array_equal(
+        lossy.attempt_windows[ok], clean.attempt_windows[ok])
+    assert np.isnan(lossy.event_time_s[bad]).all()
+    assert (1 <= lossy.attempt_windows[bad]).all()
+    assert (lossy.attempt_windows[bad] <= clean.attempt_windows[bad]).all()
 
 
 def test_certain_failure_aborts_in_the_first_window():
     runs = simulate_ionization_times(config(failure_prob=1.0), BLOCK_TRIALS + 7)
-    assert all(r.failed and r.attempt_windows == 1 for r in runs)
+    assert runs.failed.all() and (runs.attempt_windows == 1).all()
 
 
 def test_simulation_preconditions():
@@ -240,9 +272,7 @@ def test_simulation_preconditions():
 
 
 def test_single_event_summary():
-    run = IonizationRun(trial=0, seed=1, initial_phase_s=0.0,
-                        attempt_windows=3, event_time_s=0.7)
-    summary = summarize_times([run])
+    summary = summarize_times(make_runs([0.7], [3]))
     assert summary.mean_s == summary.median_s == 0.7
     assert summary.n_events == 1
     assert summary.success_fraction == 1.0
@@ -250,15 +280,7 @@ def test_single_event_summary():
 
 
 def test_mixed_summary_counts_and_ci():
-    runs = [
-        IonizationRun(trial=0, seed=1, initial_phase_s=0.0,
-                      attempt_windows=1, event_time_s=0.2),
-        IonizationRun(trial=1, seed=1, initial_phase_s=0.0,
-                      attempt_windows=1, event_time_s=0.6),
-        IonizationRun(trial=2, seed=1, initial_phase_s=0.0,
-                      attempt_windows=9),
-    ]
-    summary = summarize_times(runs)
+    summary = summarize_times(make_runs([0.2, 0.6, None], [1, 1, 9]))
     assert summary.n_runs == 3
     assert summary.n_events == 2
     assert summary.success_fraction == pytest.approx(2.0 / 3.0)
@@ -271,7 +293,7 @@ def test_mixed_summary_counts_and_ci():
 
 def test_summary_needs_runs():
     with pytest.raises(SchemeError, match="no runs"):
-        summarize_times([])
+        summarize_times(make_runs([], []))
 
 
 # -- synthetic verification ---------------------------------------------------------
@@ -383,15 +405,7 @@ def test_noise_rejects_non_finite(sigmas):
         VerificationNoise(*sigmas)
 
 
-def test_run_invariants():
-    with pytest.raises(SchemeError):
-        IonizationRun(trial=0, seed=1, initial_phase_s=0.0,
-                      attempt_windows=1, event_time_s=-0.1)
-    with pytest.raises(SchemeError):
-        IonizationRun(trial=0, seed=1, initial_phase_s=0.0, attempt_windows=-1)
-
-
-def test_runs_export_format(tmp_path):
+def test_runs_export_format():
     runs = simulate_ionization_times(config(rate_per_s=0.2, max_time_s=1.0), 6)
     text = runs_to_text(runs)
     lines = text.splitlines()
@@ -403,9 +417,23 @@ def test_runs_export_format(tmp_path):
         assert cols[1] == "NA" or float(cols[1]) >= 0.0
         assert int(cols[2]) >= 0
     assert any(line.split("\t")[1] == "NA" for line in lines[1:])
-    path = tmp_path / "runs.tsv"
-    save_runs(runs, str(path))
-    assert path.read_text(encoding="utf-8") == text
+    for line, t, k in zip(lines[1:], runs.event_time_s, runs.attempt_windows):
+        cols = line.split("\t")
+        assert cols[1] == ("NA" if np.isnan(t) else repr(float(t)))
+        assert cols[2] == str(k)
+
+
+@pytest.mark.parametrize("overrides,trials,digest", [
+    # the README run
+    (dict(rng_seed=1), 100_000,
+     "90c35a3664797671c6e546a63bc0d350335febbc818f55682f783c871cff03da"),
+    # failures and horizon misses across two block boundaries
+    (dict(rate_per_s=0.3, rng_seed=7, failure_prob=0.02), 2 * BLOCK_TRIALS + 5,
+     "3608f0e56adb2f49848cafd2fff98e9c9be9a868c6e0acd31f1f4c90e8007da2"),
+])
+def test_runs_export_bytes_are_pinned(overrides, trials, digest):
+    text = runs_to_text(simulate_ionization_times(config(**overrides), trials))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_rng_is_documented():
@@ -443,6 +471,40 @@ def test_simulate_cli_exits_cleanly(rate, duty, chop, max_time, failure,
     ])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def test_verify_roundtrip_rng_line_regenerates_first_record(tmp_path):
+    out = tmp_path / "vr.tsv"
+    code, _ = run_cli([
+        "verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--seeds", "1",
+        "--seed-base", "17", "--out", str(out),
+    ])
+    assert code == 0
+    manifest = (tmp_path / "vr.tsv.manifest").read_text().splitlines()
+    (rng_line,) = [line for line in manifest if line.startswith("rng: ")]
+    # record i comes from default_rng(seed_base + i): four standard
+    # normals, applied to the quantities in the stated order
+    assert "default_rng(seed_base + i)" in rng_line
+    assert "4 standard normals" in rng_line
+    order = rng_line.split("in the order ")[1].split(", ")
+    assert sorted(order) == ["nu1", "nu_bre", "nu_com", "ratio"]
+    draws = dict(zip(order, np.random.default_rng(17).standard_normal(4).tolist()))
+    trap = TrapAxis(nu1_hz=474e3, eta=2.135)
+    nu_com, nu_bre = normal_mode_frequencies(trap)
+    exact = {"ratio": displacement_ratio(2.135, 2.0), "nu1": 474e3,
+             "nu_com": nu_com, "nu_bre": nu_bre}
+    sigma = {"ratio": 0.02, "nu1": 0.005, "nu_com": 0.005, "nu_bre": 0.005}
+    measured = {k: exact[k] * (1.0 + sigma[k] * draws[k]) for k in exact}
+    inference = infer_from_verification(VerificationRecord(
+        displacement_ratio_measured=measured["ratio"],
+        nu1_measured_hz=measured["nu1"],
+        nu_com_measured_hz=measured["nu_com"],
+        nu_bre_measured_hz=measured["nu_bre"],
+        ratio_rel_sigma=0.02, freq_rel_sigma=0.005,
+    ))
+    rows = dict(line.split("\t")[:2] for line in out.read_text().splitlines())
+    assert rows["q2_mean"] == repr(inference.q2)
+    assert rows["eta_mean"] == repr(inference.eta_mean)
 
 
 @given(eta=NUMBERS, q2=NUMBERS, nu1=NUMBERS, noise=st.tuples(NUMBERS, NUMBERS),
