@@ -14,9 +14,10 @@ Subcommands (see --help of each for flags, units, defaults):
 Conventions: units are encoded in flag names or stated in the flag help;
 primary output is tab-separated text with a header row, written to --out
 when given, else stdout. Every run also emits a manifest (key: value
-lines: tool version, resolved parameters, input digests, seeds, solver
-diagnostics as diag.* lines, timestamp) to <out>.manifest, or to stderr
-when printing to stdout.
+lines: tool version, one param.<dest> line per parsed flag, input
+digests, seeds, solver diagnostics as diag.* lines, timestamp) to
+<out>.manifest, or to stderr when printing to stdout. A flag's argparse
+dest is its manifest key, so each flag is declared once, in build_parser.
 Primary outputs are byte-identical across reruns with equal inputs and
 seeds; the manifest's timestamp line is the only thing that changes.
 
@@ -38,12 +39,14 @@ import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .constants import MEGABARN_M2, photon_energy_ev
 from .crystal import (
+    ETA_BRACKET,
     ChargePair,
     TrapAxis,
     crystal_state,
@@ -132,25 +135,58 @@ def _int_in_range(lowest: int, highest: float, what: str):
 # formatted rows and the TSV text), so about 2 GB at this cap.
 MAX_TRIALS = 10**7
 
+# A scan holds three (points, n, n) float64 stacks, about 1.9 kB per point
+# on the 9-level scheme, so about 190 MB at this cap.
+MAX_SCAN_POINTS = 10**5
+
 _nonnegative_int = _int_in_range(0, math.inf, "an integer >= 0")
 _positive_int = _int_in_range(1, math.inf, "an integer >= 1")
 _trial_count = _int_in_range(1, MAX_TRIALS, f"an integer from 1 to {MAX_TRIALS}")
 
 
-class _GridAction(argparse.Action):
-    """--grid START_HZ STOP_HZ POINTS as two finite floats and an integer."""
+class _FieldsAction(argparse.Action):
+    """A multi-value flag stored as one namespace entry, and so one manifest
+    key, per value: the names in `fields`. The flag's own dest stays unset;
+    defaults go to the subparser's set_defaults."""
+
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for field, value in zip(self.fields, values):
+            setattr(namespace, field, value)
+
+
+class _NoiseAction(_FieldsAction):
+    fields = ("noise_ratio_rel", "noise_freq_rel")
+
+
+class _GridAction(_FieldsAction):
+    """--grid START_HZ STOP_HZ POINTS: finite START_HZ < STOP_HZ with a
+    finite span, and an integer POINTS from 2 to MAX_SCAN_POINTS."""
+
+    fields = ("grid_start_hz", "grid_stop_hz", "grid_points")
 
     def __call__(self, parser, namespace, values, option_string=None):
         start, stop, points = values
         try:
             grid = (_finite_float(start), _finite_float(stop), int(points))
         except ValueError:
+            grid = None
+        if grid is None or not (
+            grid[0] < grid[1]
+            and grid[1] - grid[0] < math.inf
+            and 2 <= grid[2] <= MAX_SCAN_POINTS
+        ):
             raise argparse.ArgumentError(
                 self,
-                "expected finite START_HZ and STOP_HZ and an integer POINTS, "
+                "expected finite START_HZ < STOP_HZ with a finite span and an "
+                f"integer POINTS from 2 to {MAX_SCAN_POINTS}, "
                 f"got {start} {stop} {points}",
-            ) from None
-        setattr(namespace, self.dest, grid)
+            )
+        super().__call__(parser, namespace, grid, option_string)
 
 
 class _ModeAction(argparse.Action):
@@ -180,6 +216,10 @@ def _fmt(value) -> str:
         # numpy scalars subclass float but repr as np.float64(...); collapse
         # them so primary outputs stay parseable plain text
         return repr(float(value))
+    if isinstance(value, list):  # repeated --drive-overrides
+        return ";".join(",".join(item) for item in value)
+    if isinstance(value, tuple):  # --invert-from-mode FREQ_HZ MODE
+        return " ".join(map(_fmt, value))
     return str(value)
 
 
@@ -194,27 +234,32 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(
-    subcommand: str,
-    params: dict,
-    inputs: list[str | Path] | None = None,
-    rng_note: str | None = None,
-    diag: dict | None = None,
-) -> str:
+class _Run(NamedTuple):
+    """A handler's output; summary is simulate's statistics table."""
+
+    primary: str
+    inputs: tuple = ()
+    rng_note: str | None = None
+    diag: dict | None = None
+    summary: str = ""
+
+
+def _manifest(args, run: _Run) -> str:
     lines = [
         "tool: ybion",
         f"version: {__version__}",
-        f"subcommand: {subcommand}",
+        f"subcommand: {args.subcommand}",
         f"timestamp: {datetime.now(timezone.utc).isoformat()}",
     ]
-    for key in sorted(params):
+    params = vars(args)
+    for key in sorted(params.keys() - {"handler", "subcommand", "out"}):
         lines.append(f"param.{key}: {_fmt(params[key])}")
-    for path in inputs or []:
+    for path in run.inputs:
         lines.append(f"input.{Path(path).name}.sha256: {_sha256(path)}")
-    if rng_note:
-        lines.append(f"rng: {rng_note}")
-    for key in sorted(diag or {}):
-        lines.append(f"diag.{key}: {_fmt(diag[key])}")
+    if run.rng_note:
+        lines.append(f"rng: {run.rng_note}")
+    for key in sorted(run.diag or {}):
+        lines.append(f"diag.{key}: {_fmt(run.diag[key])}")
     return "\n".join(lines) + "\n"
 
 
@@ -251,6 +296,10 @@ def _resolve_scheme(arg: str) -> Path:
         ) from None
 
 
+_DRIVE_FIELDS = ("saturation", "power_w", "waist_m", "detuning_hz", "chopped")
+_CHOPPED = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_drive_overrides(scheme, overrides, saturate_all):
     if saturate_all is not None:
         scheme = scheme.with_all_drives_saturated(saturate_all)
@@ -261,22 +310,27 @@ def _apply_drive_overrides(scheme, overrides, saturate_all):
         merged.setdefault((upper, lower), {})[field] = value
     for (upper, lower), fields in merged.items():
         changes: dict = {}
-        for field, value in fields.items():
-            if field == "saturation":
-                changes.update(
-                    saturation=float(value), power_w=None, waist_m=None
-                )
-            elif field in ("power_w", "waist_m"):
-                changes[field] = float(value)
-            elif field == "detuning_hz":
-                changes["detuning_hz"] = float(value)
-            elif field == "chopped":
-                changes["chopped"] = value.strip().lower() in ("1", "true", "yes")
-            else:
+        for field, text in fields.items():
+            if field not in _DRIVE_FIELDS:
                 raise SchemeError(
                     f"unknown drive field {field!r}; expected saturation, "
                     "power_w, waist_m, detuning_hz, or chopped"
                 )
+            try:
+                if field == "chopped":
+                    value = _CHOPPED[text.strip().lower()]
+                else:
+                    value = float(text)
+            except (KeyError, ValueError):
+                raise SchemeError(
+                    f"drive {upper}->{lower} field {field}: expected "
+                    + ("1, 0, true, false, yes or no" if field == "chopped" else "a number")
+                    + f", got {text!r}"
+                ) from None
+            if field == "saturation":
+                changes.update(saturation=value, power_w=None, waist_m=None)
+            else:
+                changes[field] = value
         if ("power_w" in fields) != ("waist_m" in fields):
             raise SchemeError(
                 "power_w and waist_m must be overridden together"
@@ -288,35 +342,24 @@ def _apply_drive_overrides(scheme, overrides, saturate_all):
 
 
 # -- subcommand handlers ---------------------------------------------------
+# Each returns a _Run; main writes the table and the manifest. A handler
+# that resolves a flag's value rebinds it on args, so the manifest records
+# the resolved value.
 
 
-def _cmd_steady_state(args) -> int:
-    path = _resolve_scheme(args.scheme)
-    scheme = load_scheme_file(path)
+def _cmd_steady_state(args) -> _Run:
+    args.scheme = _resolve_scheme(args.scheme)
+    scheme = load_scheme_file(args.scheme)
     scheme = _apply_drive_overrides(
         scheme, args.drive_overrides, args.saturate_all
     )
     matrix = build_rate_matrix(scheme)
     pops = steady_state(matrix)
     rows = [[label, pops[label]] for label in matrix.labels]
-    params = {
-        "scheme": str(path),
-        "saturate_all": args.saturate_all,
-        "drive_overrides": (
-            ";".join(",".join(o) for o in args.drive_overrides)
-            if args.drive_overrides
-            else None
-        ),
-    }
-    _emit(
-        _table(["label", "population"], rows),
-        _manifest("steady-state", params, inputs=[path]),
-        args.out,
-    )
-    return 0
+    return _Run(_table(["label", "population"], rows), inputs=(args.scheme,))
 
 
-def _cmd_ionize_rate(args) -> int:
+def _cmd_ionize_rate(args) -> _Run:
     beam = GaussianBeam(
         power_w=args.power_w,
         waist_m=args.waist_m,
@@ -332,31 +375,19 @@ def _cmd_ionize_rate(args) -> int:
         ["ionization_rate", rate, "s^-1"],
         ["rate_per_power_coefficient", coeff, "m^2 J^-1"],
     ]
-    params = {
-        "p7p": args.p7p,
-        "sigma_mb": args.sigma_mb,
-        "power_w": args.power_w,
-        "waist_m": args.waist_m,
-        "wavelength_nm": args.wavelength_nm,
-    }
-    _emit(
-        _table(["quantity", "value", "unit"], rows),
-        _manifest("ionize-rate", params),
-        args.out,
-    )
-    return 0
+    return _Run(_table(["quantity", "value", "unit"], rows))
 
 
-def _cmd_xsec(args) -> int:
-    series_path = args.series or bundled_series_path()
+def _cmd_xsec(args) -> _Run:
+    args.series = args.series or bundled_series_path()
     series = load_series_file(
-        series_path,
-        ionization_limit_cm1=args.limit,
+        args.series,
+        ionization_limit_cm1=args.limit_cm1,
         ell=args.ell,
         core_charge=args.core_charge,
     )
     top_n, top_energy = series.members[-1]
-    nstar = effective_quantum_number(top_energy, args.limit)
+    nstar = effective_quantum_number(top_energy, args.limit_cm1)
     photon_ev = photon_energy_ev(args.wavelength_nm)
     sigma = cross_section(nstar, args.ell, photon_ev, model=args.model)
     mu, residual = fit_quantum_defect(series)
@@ -369,31 +400,18 @@ def _cmd_xsec(args) -> int:
         ["sigma", sigma.value_m2 / MEGABARN_M2, "Mb"],
         ["model", sigma.model, "-"],
     ]
-    params = {
-        "model": args.model,
-        "series": str(series_path),
-        "limit_cm1": args.limit,
-        "ell": args.ell,
-        "core_charge": args.core_charge,
-        "wavelength_nm": args.wavelength_nm,
-    }
-    _emit(
-        _table(["quantity", "value", "unit"], rows),
-        _manifest("xsec", params, inputs=[series_path]),
-        args.out,
-    )
-    return 0
+    return _Run(_table(["quantity", "value", "unit"], rows), inputs=(args.series,))
 
 
-def _cmd_crystal(args) -> int:
+def _cmd_crystal(args) -> _Run:
     rows: list[list] = []
     eta_for_ratio = args.eta
     if args.invert_from_mode:
         freq, mode = args.invert_from_mode
-        eta_inferred = infer_eta(freq, args.nu1, mode)
+        eta_inferred = infer_eta(freq, args.nu1_hz, mode)
         rows.append(["eta_inferred", eta_inferred, "dimensionless"])
         eta_for_ratio = eta_inferred
-    trap = TrapAxis(nu1_hz=args.nu1, eta=args.eta)
+    trap = TrapAxis(nu1_hz=args.nu1_hz, eta=args.eta)
     charges = ChargePair(q2=args.q2)
     state = crystal_state(trap, charges)
     rows += [
@@ -407,32 +425,13 @@ def _cmd_crystal(args) -> int:
         q2_inferred = infer_charge(args.invert_from_ratio, eta_for_ratio)
         rows.append(["q2_inferred", q2_inferred, "units of e"])
         rows.append(["eta_used_for_inversion", eta_for_ratio, "dimensionless"])
-    params = {
-        "nu1_hz": args.nu1,
-        "eta": args.eta,
-        "q2": args.q2,
-        "invert_from_mode": (
-            " ".join(map(_fmt, args.invert_from_mode))
-            if args.invert_from_mode
-            else None
-        ),
-        "invert_from_ratio": args.invert_from_ratio,
-    }
-    _emit(
-        _table(["quantity", "value", "unit"], rows),
-        _manifest("crystal", params),
-        args.out,
-    )
-    return 0
+    return _Run(_table(["quantity", "value", "unit"], rows))
 
 
-def _cmd_scan(args) -> int:
-    path = _resolve_scheme(args.scheme)
-    scheme = load_scheme_file(path)
-    start, stop, count = args.grid
-    if count < 2:
-        raise SchemeError("grid needs at least 2 points")
-    detunings = np.linspace(start, stop, count)
+def _cmd_scan(args) -> _Run:
+    args.scheme = _resolve_scheme(args.scheme)
+    scheme = load_scheme_file(args.scheme)
+    detunings = np.linspace(args.grid_start_hz, args.grid_stop_hz, args.grid_points)
     curve = simulate_scan(
         scheme,
         args.upper,
@@ -441,25 +440,10 @@ def _cmd_scan(args) -> int:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    params = {
-        "scheme": str(path),
-        "upper": args.upper,
-        "lower": args.lower,
-        "grid_start_hz": start,
-        "grid_stop_hz": stop,
-        "grid_points": count,
-        "noise_sigma": args.noise_sigma,
-        "seed": args.seed,
-    }
-    _emit(
-        curve_to_text(curve),
-        _manifest("scan", params, inputs=[path]),
-        args.out,
-    )
-    return 0
+    return _Run(curve_to_text(curve), inputs=(args.scheme,))
 
 
-def _cmd_fit_scan(args) -> int:
+def _cmd_fit_scan(args) -> _Run:
     curve = load_curve(args.data)
     fit = fit_lorentzian(curve)
     tau = (
@@ -477,19 +461,16 @@ def _cmd_fit_scan(args) -> int:
         ["lifetime", tau, "s"],
         ["message", fit.message or "-", "-"],
     ]
-    params = {"data": args.data, "saturation": args.saturation}
-    diag = {"fit_iterations": fit.iterations, "fit_cost": fit.cost}
-    _emit(
+    return _Run(
         _table(["quantity", "value", "unit"], rows),
-        _manifest("fit-scan", params, inputs=[args.data], diag=diag),
-        args.out,
+        inputs=(args.data,),
+        diag={"fit_iterations": fit.iterations, "fit_cost": fit.cost},
     )
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Run:
     config = SequenceConfig(
-        rate_per_s=args.rate,
+        rate_per_s=args.rate_per_s,
         max_time_s=args.max_time_s,
         rng_seed=args.seed,
         chop_rate_hz=args.chop_hz,
@@ -507,72 +488,69 @@ def _cmd_simulate(args) -> int:
         ["ci95_low_s", summary.ci95_s[0] if summary.ci95_s else None],
         ["ci95_high_s", summary.ci95_s[1] if summary.ci95_s else None],
     ]
-    summary_text = _table(["statistic", "value"], summary_rows)
-    params = {
-        "rate_per_s": args.rate,
-        "duty": args.duty,
-        "chop_hz": args.chop_hz,
-        "trials": args.trials,
-        "seed": args.seed,
-        "max_time_s": args.max_time_s,
-        "failure_prob": args.failure_prob,
-    }
-    manifest = _manifest("simulate", params, rng_note=rng_description())
-    _emit(runs_to_text(runs), manifest, args.out)
-    if args.out:
-        sys.stdout.write(summary_text)
-    else:
-        sys.stderr.write(summary_text)
-    return 0
+    return _Run(
+        runs_to_text(runs),
+        rng_note=rng_description(),
+        summary=_table(["statistic", "value"], summary_rows),
+    )
 
 
-def _cmd_verify_roundtrip(args) -> int:
+def _cmd_verify_roundtrip(args) -> _Run:
+    lo, hi = ETA_BRACKET
+    if not lo <= args.eta <= hi:
+        raise SchemeError(
+            f"eta must lie in the inference range [{lo:g}, {hi:g}], got {args.eta}"
+        )
     if not 0.0 <= args.tolerance < np.inf:
         raise SchemeError(
             f"tolerance must be >= 0 and finite, got {args.tolerance}"
         )
-    ratio_rel, freq_rel = args.noise
-    noise = VerificationNoise(ratio_rel=float(ratio_rel), freq_rel=float(freq_rel))
-    trap = TrapAxis(nu1_hz=args.nu1, eta=args.eta)
+    noise = VerificationNoise(
+        ratio_rel=args.noise_ratio_rel, freq_rel=args.noise_freq_rel
+    )
+    trap = TrapAxis(nu1_hz=args.nu1_hz, eta=args.eta)
     charges = ChargePair(q2=args.q2)
-    q2_values = np.empty(args.seeds)
-    eta_values = np.empty(args.seeds)
+    q2_list: list[float] = []
+    eta_list: list[float] = []
     hits = 0
     for i in range(args.seeds):
         record = synthesize_verification(trap, charges, noise, seed=args.seed_base + i)
-        inference = infer_from_verification(record)
-        q2_values[i] = inference.q2
-        eta_values[i] = inference.eta_mean
+        try:
+            inference = infer_from_verification(record)
+        except YbionError:
+            # a seed whose noisy record cannot be inverted is a miss
+            continue
+        q2_list.append(inference.q2)
+        eta_list.append(inference.eta_mean)
         if abs(inference.q2 - args.q2) <= args.tolerance:
             hits += 1
-    # Statistics about the first value: identical inferences (zero noise)
-    # then give exactly zero spread and their common value as the mean.
-    q2_offsets = q2_values - q2_values[0]
-    q2_mean = float(q2_values[0] + q2_offsets.mean())
+    q2_mean = q2_std = q2_bias = eta_mean = None
+    if q2_list:
+        # Statistics about the first value: identical inferences (zero
+        # noise) then give exactly zero spread and their common value as
+        # the mean.
+        q2_values = np.array(q2_list)
+        q2_offsets = q2_values - q2_values[0]
+        q2_mean = float(q2_values[0] + q2_offsets.mean())
+        q2_bias = q2_mean - args.q2
+        eta_mean = float(np.array(eta_list).mean())
+        if len(q2_list) > 1:
+            q2_std = float(q2_offsets.std(ddof=1))
     rows = [
         ["n_seeds", args.seeds, "count"],
         ["tolerance", args.tolerance, "units of e"],
         ["success_fraction", hits / args.seeds, "dimensionless"],
         ["q2_true", args.q2, "units of e"],
         ["q2_mean", q2_mean, "units of e"],
-        ["q2_std", float(q2_offsets.std(ddof=1)) if args.seeds > 1 else None, "units of e"],
-        ["q2_bias", q2_mean - args.q2, "units of e"],
-        ["eta_mean", float(eta_values.mean()), "dimensionless"],
+        ["q2_std", q2_std, "units of e"],
+        ["q2_bias", q2_bias, "units of e"],
+        ["eta_mean", eta_mean, "dimensionless"],
     ]
-    params = {
-        "eta": args.eta,
-        "q2": args.q2,
-        "nu1_hz": args.nu1,
-        "noise_ratio_rel": float(ratio_rel),
-        "noise_freq_rel": float(freq_rel),
-        "seeds": args.seeds,
-        "seed_base": args.seed_base,
-        "tolerance": args.tolerance,
-    }
-    manifest = _manifest(
-        "verify-roundtrip", params, rng_note=verification_rng_description())
-    _emit(_table(["quantity", "value", "unit"], rows), manifest, args.out)
-    return 0
+    return _Run(
+        _table(["quantity", "value", "unit"], rows),
+        rng_note=verification_rng_description(),
+        diag={"inference_failures": args.seeds - len(q2_list)},
+    )
 
 
 # -- parser ----------------------------------------------------------------
@@ -592,12 +570,14 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
-    def add_out(p):
+    def add_out(p, handler):
+        """Last flag of every subcommand, which then runs handler."""
         p.add_argument(
             "--out",
             help="output file path (tab-separated text); manifest goes to "
             "OUT.manifest. Default: stdout, manifest on stderr.",
         )
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser(
         "steady-state",
@@ -617,7 +597,7 @@ def build_parser() -> _Parser:
         metavar=("UPPER", "LOWER", "FIELD", "VALUE"),
         help="override one field of one drive; FIELD is saturation "
         "(dimensionless; clears power/waist), power_w (W), waist_m (m), "
-        "detuning_hz (Hz), or chopped (1/0). Repeatable.",
+        "detuning_hz (Hz), or chopped (1/0/true/false/yes/no). Repeatable.",
     )
     p.add_argument(
         "--saturate-all",
@@ -625,8 +605,7 @@ def build_parser() -> _Parser:
         help="force every drive to this saturation parameter "
         "(dimensionless) before applying per-drive overrides.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_steady_state)
+    add_out(p, _cmd_steady_state)
 
     p = sub.add_parser(
         "ionize-rate",
@@ -661,8 +640,7 @@ def build_parser() -> _Parser:
         required=True,
         help="ionizing beam vacuum wavelength in nm.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_ionize_rate)
+    add_out(p, _cmd_ionize_rate)
 
     p = sub.add_parser(
         "xsec",
@@ -684,6 +662,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--limit",
+        dest="limit_cm1",
         type=float,
         required=True,
         help="ionization limit of the series in cm^-1.",
@@ -708,8 +687,7 @@ def build_parser() -> _Parser:
         default=245.426,
         help="ionizing photon vacuum wavelength in nm. Default 245.426.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_xsec)
+    add_out(p, _cmd_xsec)
 
     p = sub.add_parser(
         "crystal",
@@ -720,6 +698,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--nu1",
+        dest="nu1_hz",
         type=float,
         required=True,
         help="single-ion secular frequency of the bright ion in Hz.",
@@ -751,8 +730,7 @@ def build_parser() -> _Parser:
         "(dimensionless), using the inferred eta when --invert-from-mode "
         "is also given, else --eta.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_crystal)
+    add_out(p, _cmd_crystal)
 
     p = sub.add_parser(
         "scan",
@@ -781,7 +759,8 @@ def build_parser() -> _Parser:
         action=_GridAction,
         required=True,
         metavar=("START_HZ", "STOP_HZ", "POINTS"),
-        help="detuning grid in Hz: start, stop, and point count.",
+        help="detuning grid in Hz: start < stop, and the point count "
+        f"(2 to {MAX_SCAN_POINTS}).",
     )
     p.add_argument(
         "--noise-sigma",
@@ -794,8 +773,7 @@ def build_parser() -> _Parser:
         type=_nonnegative_int,
         help="RNG seed (integer >= 0) for the noise draws.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_scan)
+    add_out(p, _cmd_scan)
 
     p = sub.add_parser(
         "fit-scan",
@@ -815,8 +793,7 @@ def build_parser() -> _Parser:
         help="saturation parameter S (dimensionless) assumed for the "
         "power-broadening correction sqrt(1+S). Default 0.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_fit_scan)
+    add_out(p, _cmd_fit_scan)
 
     p = sub.add_parser(
         "simulate",
@@ -826,6 +803,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--rate",
+        dest="rate_per_s",
         type=float,
         required=True,
         help="ionization rate during ON windows in s^-1.",
@@ -867,8 +845,7 @@ def build_parser() -> _Parser:
         default=0.0,
         help="per-window abort probability (dimensionless). Default 0.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_simulate)
+    add_out(p, _cmd_simulate)
 
     p = sub.add_parser(
         "verify-roundtrip",
@@ -891,6 +868,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--nu1",
+        dest="nu1_hz",
         type=float,
         default=474e3,
         help="bright-ion secular frequency in Hz. Default 474000.",
@@ -899,11 +877,12 @@ def build_parser() -> _Parser:
         "--noise",
         nargs=2,
         type=float,
-        default=[0.02, 0.005],
+        action=_NoiseAction,
         metavar=("RATIO_REL", "FREQ_REL"),
         help="relative Gaussian sigmas (dimensionless): displacement "
         "ratio, frequencies. Default 0.02 0.005.",
     )
+    p.set_defaults(noise_ratio_rel=0.02, noise_freq_rel=0.005)
     p.add_argument(
         "--seeds",
         type=_positive_int,
@@ -924,8 +903,7 @@ def build_parser() -> _Parser:
         help="success band |q2_inferred - q2_true| in units of e. "
         "Default 0.14.",
     )
-    add_out(p)
-    p.set_defaults(handler=_cmd_verify_roundtrip)
+    add_out(p, _cmd_verify_roundtrip)
 
     return parser
 
@@ -937,10 +915,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        run = args.handler(args)
+        _emit(run.primary, _manifest(args, run), args.out)
     except (YbionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    (sys.stdout if args.out else sys.stderr).write(run.summary)
+    return 0
 
 
 if __name__ == "__main__":

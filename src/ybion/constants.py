@@ -9,7 +9,10 @@ conventions cannot drift between modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import SchemeError
 
 __all__ = [
     "PhysicalConstants",
@@ -68,9 +71,18 @@ RYDBERG_EV = (
 
 def photon_energy_j(wavelength_nm: float) -> float:
     """Photon energy h*c/lambda in joules for a vacuum wavelength in nm."""
-    if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
-    return CONSTANTS.planck_constant * CONSTANTS.speed_of_light / (wavelength_nm * 1e-9)
+    if not 0.0 < wavelength_nm < math.inf:
+        raise SchemeError(f"wavelength must be positive and finite, got {wavelength_nm} nm")
+    wavelength_m = wavelength_nm * 1e-9  # 0.0 for a subnormal wavelength in nm
+    energy = (
+        CONSTANTS.planck_constant * CONSTANTS.speed_of_light / wavelength_m
+        if wavelength_m > 0.0 else math.inf
+    )
+    if not 0.0 < energy < math.inf:
+        raise SchemeError(
+            f"photon energy at wavelength {wavelength_nm} nm lies outside the "
+            "floating-point range")
+    return energy
 
 
 def photon_energy_ev(wavelength_nm: float) -> float:

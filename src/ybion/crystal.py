@@ -125,9 +125,13 @@ def equilibrium_positions(trap: TrapAxis, charges: ChargePair) -> tuple[float, f
     q = _coulomb_q(charges)
     inv_eta2 = _inv_square(trap.eta)
     scale = 1.0 + inv_eta2
-    x1 = (
-        q / (scale * scale * trap.ion_mass_kg * trap.omega1 * trap.omega1)
-    ) ** (1.0 / 3.0)
+    stiffness = scale * scale * trap.ion_mass_kg * trap.omega1 * trap.omega1
+    # stiffness underflows to 0 for nu1 below about 1e-150 Hz
+    x1 = (q / stiffness) ** (1.0 / 3.0) if stiffness > 0.0 else math.inf
+    if not x1 < math.inf:
+        raise SchemeError(
+            f"equilibrium position X1 overflows for nu1_hz = {trap.nu1_hz} Hz, "
+            f"eta = {trap.eta}, q2 = {charges.q2}")
     x2 = -inv_eta2 * x1
     return float(x1), float(x2)
 
@@ -142,7 +146,10 @@ def displacement_ratio(eta: float, q2: float) -> float:
     if not (0.0 < eta < math.inf and 0.0 < q2 < math.inf):
         raise SchemeError("eta and q2 must be positive and finite")
     scale = 1.0 + _inv_square(eta)
-    return float((4.0 * q2 / (scale * scale)) ** (1.0 / 3.0))
+    ratio = float((4.0 * q2 / (scale * scale)) ** (1.0 / 3.0))
+    if not ratio < math.inf:
+        raise SchemeError(f"displacement ratio overflows for eta = {eta}, q2 = {q2}")
+    return ratio
 
 
 def _mode_eigenvalues(eta: float) -> tuple[float, float]:
@@ -232,7 +239,10 @@ def infer_charge(ratio: float, eta: float) -> float:
     if not (0.0 < ratio < math.inf and 0.0 < eta < math.inf):
         raise SchemeError("ratio and eta must be positive and finite")
     scale = 1.0 + _inv_square(eta)
-    return float(ratio * ratio * ratio * scale * scale / 4.0)
+    q2 = float(ratio * ratio * ratio * scale * scale / 4.0)
+    if not q2 < math.inf:
+        raise SchemeError(f"inferred q2 overflows for ratio = {ratio}, eta = {eta}")
+    return q2
 
 
 def crystal_state(trap: TrapAxis, charges: ChargePair) -> CrystalState:

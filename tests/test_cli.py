@@ -17,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from ybion.cli import MAX_TRIALS, SCHEME_ENV_VAR, build_parser, main
-from ybion.errors import SolverError
-from ybion.crystal import infer_eta
+from ybion.cli import MAX_SCAN_POINTS, MAX_TRIALS, SCHEME_ENV_VAR, build_parser, main
+from ybion.errors import SolverError, YbionError
+from ybion.crystal import ChargePair, TrapAxis, infer_eta
+from ybion.mc import VerificationNoise, infer_from_verification, synthesize_verification
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
 from ybion.rates import build_rate_matrix, steady_state
 from ybion.scheme import bundled_scheme_path, load_scheme_file
@@ -168,6 +169,11 @@ def test_drive_override_unknown_field_rejected(capsys):
     assert "unknown drive field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("chopped", "true"), ("chopped", " NO ")])
+def test_drive_override_chopped_accepts_flag_words(field, value, capsys):
+    assert main(["steady-state", "--drive-overrides", "6p12", "6s12", field, value]) == 0
+
+
 def test_drive_override_power_requires_waist(capsys):
     assert main([
         "steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e-4",
@@ -279,6 +285,38 @@ def test_scan_grid_rejects_malformed_values(grid, capsys):
     err = capsys.readouterr().err
     assert "usage" in err.lower()
     assert "argument --grid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", [
+    ["-1.7e308", "1.7e308", "3"],  # span overflows
+    ["1.7e308", "1e300", "2"],  # START > STOP
+    ["5e6", "5e6", "3"],  # START = STOP
+    ["-1e6", "1e6", "1"],  # POINTS < 2, an exit 2 in the handler before
+])
+def test_scan_grid_out_of_range_is_usage_error(grid, capsys, recwarn):
+    assert main(["scan", "--scheme", "linewidth_reference", "--grid", *grid]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "ybion scan: error: argument --grid: expected finite START_HZ < STOP_HZ "
+        f"with a finite span and an integer POINTS from 2 to {MAX_SCAN_POINTS}, "
+        f"got {' '.join(grid)}"]
+    assert "Traceback" not in err
+    assert not [str(w.message) for w in recwarn]
+
+
+def test_scan_grid_points_are_capped_at_parse_time(capsys):
+    # parsing only: a count above the cap must never reach the scan
+    parser = build_parser()
+    base = ["scan", "--grid", "-1e6", "1e6"]
+    assert parser.parse_args(base + [str(MAX_SCAN_POINTS)]).grid_points == MAX_SCAN_POINTS
+    for text in (str(MAX_SCAN_POINTS + 1), "100000000"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(base + [text])
+        assert exc.value.code == 1
+        assert "argument --grid:" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        parser.parse_args(["scan", "--help"])
+    assert f"2 to {MAX_SCAN_POINTS}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_scan_then_fit_recovers_pinned_linewidth(curve_file, capsys):
@@ -397,6 +435,28 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
     (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
       "--noise-sigma", "inf", "--seed", "1"],
      "noise sigma must be >= 0 and finite, got inf"),
+    (["xsec", "--model", "peach", "--limit", "1e300", "--wavelength-nm", "0"],
+     "wavelength must be positive and finite, got 0.0 nm"),
+    (["xsec", "--model", "burgess", "--limit", "nan", "--wavelength-nm", "5e-324"],
+     "photon energy at wavelength 5e-324 nm lies outside the floating-point range"),
+    ([a.replace("245.426", "1.7e308") for a in IONIZE],
+     "photon energy at wavelength 1.7e+308 nm lies outside the floating-point range"),
+    (["crystal", "--nu1", "1e-300", "--eta", "2", "--q2", "1e200",
+      "--invert-from-ratio", "-1"],
+     "equilibrium position X1 overflows for nu1_hz = 1e-300 Hz"),
+    (["crystal", "--nu1", "0.5", "--eta", "2", "--q2", "1e300",
+      "--invert-from-ratio", "1e300"],
+     "inferred q2 overflows for ratio = 1e+300, eta = 2.0"),
+    (["crystal", "--nu1", "474e3", "--q2", "1e308"],
+     "displacement ratio overflows for eta = 1.0, q2 = 1e+308"),
+    (["steady-state", "--drive-overrides", "7p12", "6s12", "waist_m", "abc"],
+     "drive 7p12->6s12 field waist_m: expected a number, got 'abc'"),
+    (["steady-state", "--drive-overrides", "6p12", "6s12", "chopped", "maybe"],
+     "field chopped: expected 1, 0, true, false, yes or no, got 'maybe'"),
+    (["verify-roundtrip", "--eta", "0.5", "--q2", "2.0", "--seeds", "3"],
+     "eta must lie in the inference range [1, 10], got 0.5"),
+    (["verify-roundtrip", "--eta", "10.5", "--q2", "2.0", "--seeds", "3"],
+     "eta must lie in the inference range [1, 10], got 10.5"),
 ])
 def test_out_of_range_values_exit_two_without_warning(argv, names, capsys, recwarn):
     assert main(argv) == 2
@@ -505,6 +565,43 @@ def test_verify_roundtrip_zero_noise_is_exact(capsys):
     assert abs(float(vals["q2_bias"])) < 1e-4
 
 
+def test_verify_roundtrip_counts_failed_inferences_as_misses(tmp_path):
+    # one noisy seed near eta = 1 falls below the eta bracket
+    out = tmp_path / "vr.tsv"
+    assert main(["verify-roundtrip", "--eta", "1.05", "--q2", "2.0",
+                 "--seeds", "1000", "--out", str(out)]) == 0
+    trap, charges = TrapAxis(nu1_hz=474e3, eta=1.05), ChargePair(q2=2.0)
+    noise = VerificationNoise(ratio_rel=0.02, freq_rel=0.005)
+    q2_values = []
+    for seed in range(1000):
+        record = synthesize_verification(trap, charges, noise, seed=seed)
+        try:
+            q2_values.append(infer_from_verification(record).q2)
+        except YbionError:
+            pass
+    failures = 1000 - len(q2_values)
+    assert failures >= 1
+    assert f"diag.inference_failures: {failures}" in manifest_lines(out)
+    vals = value_map(out.read_text())
+    assert vals["n_seeds"] == "1000"
+    hits = sum(abs(q2 - 2.0) <= 0.14 for q2 in q2_values)
+    assert float(vals["success_fraction"]) == hits / 1000
+    mean = sum(q2_values) / len(q2_values)
+    assert float(vals["q2_mean"]) == pytest.approx(mean, rel=1e-12)
+
+
+def test_verify_roundtrip_without_inferences_prints_na(tmp_path):
+    # seed 0 at eta = 10 measures modes above the bracket's upper end
+    out = tmp_path / "vr.tsv"
+    assert main(["verify-roundtrip", "--eta", "10", "--q2", "2.0", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    vals = value_map(out.read_text())
+    assert vals["success_fraction"] == "0.0"
+    for name in ("q2_mean", "q2_std", "q2_bias", "eta_mean"):
+        assert vals[name] == "NA"
+    assert "diag.inference_failures: 1" in manifest_lines(out)
+
+
 # -- reruns and manifests ----------------------------------------------------------
 
 RERUN = {
@@ -534,6 +631,132 @@ def test_rerun_primary_output_is_byte_identical(name, curve_file, tmp_path):
     assert payload
     assert b"\t" in payload.split(b"\n", 1)[0]
     assert payload == second.read_bytes()
+
+
+# Manifest lines of each RERUN argv minus the timestamp, frozen from the
+# release before param.* lines were derived from the parsed flags; the one
+# line added since is verify-roundtrip's diag.inference_failures.
+# {placeholders} stand for what depends on the installation or on tmp_path.
+FROZEN_MANIFESTS = {
+    "steady-state": """\
+subcommand: steady-state
+param.drive_overrides: NA
+param.saturate_all: 100.0
+param.scheme: {data}/yb174_plus.scheme
+input.yb174_plus.scheme.sha256: 85b08c9d40bdd6c0a67f7eaca9d9c197b0e412a36e4cf7b1a077f844ed668432
+""",
+    "ionize-rate": """\
+subcommand: ionize-rate
+param.p7p: 0.0095
+param.power_w: 0.0001
+param.sigma_mb: 5.5
+param.waist_m: 1e-05
+param.wavelength_nm: 245.426
+""",
+    "xsec": """\
+subcommand: xsec
+param.core_charge: 2
+param.ell: 1
+param.limit_cm1: 98207.0
+param.model: burgess
+param.series: {data}/yb2_p_series.tsv
+param.wavelength_nm: 245.426
+input.yb2_p_series.tsv.sha256: 0f03f489ef0a58288454527c80d6dd8dde7f8342c91a804c3b86e82f7dde7c04
+""",
+    "crystal": """\
+subcommand: crystal
+param.eta: 2.13
+param.invert_from_mode: NA
+param.invert_from_ratio: 1.74
+param.nu1_hz: 474000.0
+param.q2: 2.0
+""",
+    "scan": """\
+subcommand: scan
+param.grid_points: 21
+param.grid_start_hz: -30000000.0
+param.grid_stop_hz: 30000000.0
+param.lower: 5d32
+param.noise_sigma: 0.4
+param.scheme: {data}/linewidth_reference.scheme
+param.seed: 7
+param.upper: 7p12
+input.linewidth_reference.scheme.sha256: 3016a053f6f3bbf243dd610c8e6823ebaaaf37467eab7ec90df53a2e7e9686a3
+""",
+    "fit-scan": """\
+subcommand: fit-scan
+param.data: {curve}
+param.saturation: 0.02
+input.curve.tsv.sha256: {curve_sha}
+diag.fit_cost: 1.7654267659535504e-19
+diag.fit_iterations: 4
+""",
+    "simulate": """\
+subcommand: simulate
+param.chop_hz: 50.0
+param.duty: 0.5
+param.failure_prob: 0.0
+param.max_time_s: 10.0
+param.rate_per_s: 4.1
+param.seed: 3
+param.trials: 200
+rng: numpy default_rng (PCG64), numpy {numpy}, blocks of 4096 trials, \
+block b seeded SeedSequence([rng_seed, b]), drawn in full as exposures, \
+then phases, then Geometric(failure_prob) only if failure_prob > 0
+""",
+    "verify-roundtrip": """\
+subcommand: verify-roundtrip
+param.eta: 2.135
+param.noise_freq_rel: 0.005
+param.noise_ratio_rel: 0.02
+param.nu1_hz: 474000.0
+param.q2: 2.0
+param.seed_base: 0
+param.seeds: 25
+param.tolerance: 0.14
+rng: numpy default_rng (PCG64), numpy {numpy}, default_rng(seed_base + i) \
+for record i, drawing 4 standard normals applied in the order ratio, nu1, \
+nu_com, nu_bre
+diag.inference_failures: 0
+""",
+}
+
+
+def manifest_lines(path) -> list[str]:
+    lines = Path(f"{path}.manifest").read_text().splitlines()
+    return [line for line in lines if not line.startswith("timestamp: ")]
+
+
+@pytest.mark.parametrize("name", sorted(RERUN))
+def test_rerun_manifest_matches_frozen_lines(name, curve_file, tmp_path):
+    import numpy
+    from ybion import __version__
+
+    argv = [arg.format(curve=curve_file) for arg in RERUN[name]]
+    out = tmp_path / "run.tsv"
+    assert main(argv + ["--out", str(out)]) == 0
+    frozen = FROZEN_MANIFESTS[name].format(
+        data=bundled_scheme_path("yb174_plus").parent,
+        curve=curve_file,
+        curve_sha=hashlib.sha256(curve_file.read_bytes()).hexdigest(),
+        numpy=numpy.__version__,
+    )
+    expected = ["tool: ybion", f"version: {__version__}", *frozen.splitlines()]
+    assert manifest_lines(out) == expected
+
+
+@pytest.mark.parametrize("name", sorted(RERUN))
+def test_every_flag_dest_is_one_manifest_param(name, curve_file, tmp_path):
+    argv = [arg.format(curve=curve_file) for arg in RERUN[name]]
+    out = tmp_path / "run.tsv"
+    assert main(argv + ["--out", str(out)]) == 0
+    keys = sorted(line.split(": ", 1)[0].removeprefix("param.")
+                  for line in manifest_lines(out) if line.startswith("param."))
+    flags = [a for a in subparsers()[name]._actions if a.dest not in ("help", "out")]
+    dests = sorted(dest for a in flags for dest in getattr(a, "fields", (a.dest,)))
+    assert keys == dests
+    parsed = vars(build_parser().parse_args(argv))
+    assert sorted(parsed.keys() - {"handler", "subcommand", "out"}) == dests
 
 
 def test_manifest_structure_and_sorted_params(tmp_path):

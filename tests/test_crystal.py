@@ -332,6 +332,16 @@ def test_extreme_inputs_do_not_raise_arithmetic_errors():
     assert x1 == 0.0
 
 
+def test_overflowing_results_are_domain_errors():
+    # finite inputs whose result leaves the floating-point range
+    with pytest.raises(SchemeError, match="equilibrium position X1 overflows"):
+        equilibrium_positions(TrapAxis(nu1_hz=1e-300, eta=2.0), ChargePair(q2=1e200))
+    with pytest.raises(SchemeError, match="displacement ratio overflows"):
+        displacement_ratio(1.0, 1e308)
+    with pytest.raises(SchemeError, match="inferred q2 overflows"):
+        infer_charge(1e300, 2.0)
+
+
 def test_ratio_and_charge_preconditions():
     with pytest.raises(SchemeError):
         displacement_ratio(0.0, 1.0)

@@ -52,6 +52,19 @@ def test_zero_power_zero_flux():
     assert photon_flux(beam) == 0.0
 
 
+@pytest.mark.parametrize("wavelength_nm,message", [
+    (0.0, "wavelength must be positive and finite, got 0.0 nm"),
+    (-245.0, "wavelength must be positive and finite, got -245.0 nm"),
+    (math.nan, "wavelength must be positive and finite, got nan nm"),
+    (5e-324, "photon energy at wavelength 5e-324 nm lies outside the floating-point range"),
+    (1.7e308, "photon energy at wavelength 1.7e+308 nm lies outside the floating-point range"),
+])
+def test_photon_energy_refuses_bad_wavelengths(wavelength_nm, message):
+    with pytest.raises(SchemeError) as caught:
+        photon_energy_j(wavelength_nm)
+    assert str(caught.value) == message
+
+
 def test_reference_beam_numbers():
     # 100 uW into a 10 um waist: peak intensity 2P/(pi w0^2).
     assert BEAM.peak_intensity_w_m2 == pytest.approx(6.366e5, rel=1e-4)
