@@ -61,6 +61,7 @@ from .mc import (
     infer_from_verification,
     rng_description,
     runs_to_text,
+    scaled_std,
     simulate_ionization_times,
     summarize_times,
     synthesize_verification,
@@ -85,6 +86,7 @@ from .spectro import (
     fit_lorentzian,
     lifetime_from_linewidth,
     load_curve,
+    noise_rng_description,
     simulate_scan,
 )
 
@@ -135,8 +137,8 @@ def _int_in_range(lowest: int, highest: float, what: str):
 # formatted rows and the TSV text), so about 2 GB at this cap.
 MAX_TRIALS = 10**7
 
-# A scan holds three (points, n, n) float64 stacks, about 1.9 kB per point
-# on the 9-level scheme, so about 190 MB at this cap.
+# A scan holds a few (levels, points) float64 arrays, about 190 bytes per
+# point on the 9-level scheme, so about 19 MB at this cap.
 MAX_SCAN_POINTS = 10**5
 
 _nonnegative_int = _int_in_range(0, math.inf, "an integer >= 0")
@@ -440,7 +442,12 @@ def _cmd_scan(args) -> _Run:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    return _Run(curve_to_text(curve), inputs=(args.scheme,))
+    drawn = args.noise_sigma is not None and args.noise_sigma > 0
+    return _Run(
+        curve_to_text(curve),
+        inputs=(args.scheme,),
+        rng_note=noise_rng_description() if drawn else None,
+    )
 
 
 def _cmd_fit_scan(args) -> _Run:
@@ -535,7 +542,7 @@ def _cmd_verify_roundtrip(args) -> _Run:
         q2_bias = q2_mean - args.q2
         eta_mean = float(np.array(eta_list).mean())
         if len(q2_list) > 1:
-            q2_std = float(q2_offsets.std(ddof=1))
+            q2_std = scaled_std(q2_offsets)
     rows = [
         ["n_seeds", args.seeds, "count"],
         ["tolerance", args.tolerance, "units of e"],

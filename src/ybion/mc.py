@@ -62,6 +62,7 @@ __all__ = [
     "BLOCK_TRIALS",
     "simulate_ionization_times",
     "summarize_times",
+    "scaled_std",
     "exposure_to_wall",
     "wall_to_exposure",
     "synthesize_verification",
@@ -347,6 +348,19 @@ def simulate_ionization_times(config: SequenceConfig, trials: int) -> SequenceRu
     return SequenceRuns(config.rng_seed, *map(np.concatenate, zip(*blocks)))
 
 
+def scaled_std(values: np.ndarray) -> float:
+    """Sample standard deviation (ddof=1) whose squares cannot overflow.
+
+    The values are divided by the power of two just below their largest
+    magnitude before squaring, and the result is scaled back. Scaling by a
+    power of two is exact, so wherever the plain std neither overflows nor
+    underflows this returns the same bits; a finite spread of values near
+    the floating-point limit gives a finite std instead of inf.
+    """
+    scale = np.ldexp(1.0, int(np.frexp(np.abs(values).max())[1]) - 1)
+    return float(scale * (values / scale).std(ddof=1))
+
+
 def summarize_times(runs: SequenceRuns) -> SequenceSummary:
     """Event-time estimators over a batch; None statistics when eventless."""
     n_runs = len(runs.event_time_s)
@@ -358,7 +372,7 @@ def summarize_times(runs: SequenceRuns) -> SequenceSummary:
     if n_events >= 1:
         mean, median = float(times.mean()), float(np.median(times))
     if n_events >= 2:
-        half = 1.96 * float(times.std(ddof=1)) / math.sqrt(n_events)
+        half = 1.96 * scaled_std(times) / math.sqrt(n_events)
         ci = (mean - half, mean + half)
     return SequenceSummary(n_runs, n_events, n_events / n_runs, mean, median, ci)
 

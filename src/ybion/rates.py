@@ -24,12 +24,22 @@ Steady states come from the Grassmann-Taksar-Heyman (GTH) state reduction
 (Grassmann, Taksar & Heyman, Operations Research 33, 1985), which reads only
 the off-diagonal rates, never subtracts, and so returns nonnegative
 populations accurate entry by entry even at saturation parameters of 1e8.
-It works on a stack of matrices, so a whole detuning scan is one call. A
-unique steady state exists exactly when the level graph has one closed
+A unique steady state exists exactly when the level graph has one closed
 class (a set of mutually reachable levels with no way out); that class is
 found from the nonzero pattern and supplies the level kept to the end of
 the reduction, which keeps every pivot positive even when the ground level
 is transient. Several closed classes raise SolverError naming the groups.
+
+One elimination routine serves a single matrix and a whole detuning scan.
+A scan changes only the two rates of the scanned pair, so steady_state_scan
+puts the pair and the level kept last at the end of the elimination order
+and eliminates every other level once, on the one n x n matrix. What is
+left is the stochastic complement on those (at most three) trailing levels
+(Meyer, SIAM Review 31, 1989), identical at every detuning; the scanned
+rate is added to it and only that block is solved per point, as a stack
+of 3 x 3 blocks, before the eliminated levels are back-substituted.
+steady_state is the same routine with no scanned pair, so its elimination
+order, and with it every digit, is that of a plain GTH solve.
 
 Coherences are deliberately absent: all drives are treated as broadband rate
 couplings, which is the regime the chopped multi-laser experiment operates
@@ -55,7 +65,7 @@ __all__ = [
     "saturation_from_power",
     "drive_rate",
     "steady_state",
-    "steady_state_stack",
+    "steady_state_scan",
     "evolve",
     "initial_population",
     "excitation_probability",
@@ -198,6 +208,8 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
 
     W = (S / (2 tau)) / (1 + (2 detuning / width)^2) with tau the upper
     level lifetime and width its natural FWHM; detuning_hz may be an array.
+    A detuning so far off resonance that (2 detuning / width)^2 exceeds the
+    floating-point range gives W = 0.
     """
     lifetime = scheme.lifetime(drive.upper)
     if lifetime is None:
@@ -210,7 +222,20 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
             drive.power_w, drive.waist_m, drive.wavelength_nm, lifetime
         )
     width = natural_fwhm_hz(lifetime)
-    return (s / (2.0 * lifetime)) / (1.0 + (2.0 * detuning_hz / width) ** 2)
+    peak = s / (2.0 * lifetime)
+    # Where (2 detuning / width)^2 overflows, W is 0. A Python float raises
+    # OverflowError there and numpy warns, so each is caught its own way;
+    # the float path also skips numpy's per-call cost in build_rate_matrix.
+    # Finite squares keep their bits: numpy scalars square with C's pow, as
+    # Python floats do, and arrays multiply.
+    if type(detuning_hz) is float:
+        try:
+            return peak / (1.0 + (2.0 * detuning_hz / width) ** 2)
+        except OverflowError:
+            return 0.0
+    with np.errstate(over="ignore"):
+        x = 2.0 * np.asarray(detuning_hz, dtype=float) / width
+        return peak / (1.0 + x**2)
 
 
 def build_rate_matrix(
@@ -298,75 +323,120 @@ def _closed_classes(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = pattern.shape[0]
     reach = pattern.T | np.eye(n, dtype=bool)
-    for k in range(n):  # Warshall transitive closure
-        reach |= reach[:, k, None] & reach[None, k, :]
+    # transitive closure by boolean squaring: after s squarings reach
+    # covers every path of up to 2**s steps, and 2**s > n
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
     closed = (reach <= reach.T).all(axis=1)
     # a closed level's reach is its class; keep the class's first level
     first = closed & (reach.argmax(axis=1) == np.arange(n))
     return reach, reach[first]
 
 
-def _gth(rates: np.ndarray) -> np.ndarray:
-    """Grassmann-Taksar-Heyman state reduction on a stack of rate matrices.
+def _eliminate(a: np.ndarray, count: int) -> None:
+    """Fold the first `count` levels of a[n, n, ...] into the levels after
+    them, in place and in index order; trailing axes of a are a batch.
 
-    rates[..., i, j] is the rate j -> i; the diagonal is never read. Levels
-    are eliminated in index order, each folded into the levels after it as
-    in a censored chain, so the last level is kept to the end. The pivots
-    are out-rates and the updates add products of nonnegative numbers, so
-    no subtraction occurs and every population is accurate to a few
-    rounding errors relative to itself (O'Cinneide, Numer. Math. 65, 1993).
-    A pivot is positive when every level can reach the last one.
+    a[i, j] is the rate j -> i; the diagonal is never read. Level k's
+    pivot is its out-rate to the levels after it; row k is divided by it
+    and the rates between later levels gain the paths through k, as in a
+    censored chain. The updates add products of nonnegative numbers, so no
+    subtraction occurs (O'Cinneide, Numer. Math. 65, 1993). A pivot is
+    positive when every level can reach the last one.
     """
-    a = rates.copy()
-    n = a.shape[-1]
-    for k in range(n - 1):
-        pivot = a[..., k + 1:, k].sum(axis=-1)
+    for k in range(count):
+        pivot = a[k + 1:, k].sum(axis=0)
         if not (pivot > 0).all():
             raise SolverError(
                 "steady-state pivot is zero or NaN: a NaN rate, or a level "
                 "that cannot reach the level kept last"
             )
-        a[..., k, k + 1:] /= pivot[..., None]
-        a[..., k + 1:, k + 1:] += a[..., k + 1:, k, None] * a[..., k, None, k + 1:]
-    p = np.zeros(a.shape[:-1])
-    p[..., n - 1] = 1.0
-    for k in range(n - 2, -1, -1):
-        p[..., k] = (a[..., k, k + 1:] * p[..., k + 1:]).sum(axis=-1)
-    return p / p.sum(axis=-1, keepdims=True)
+        a[k, k + 1:] /= pivot
+        a[k + 1:, k + 1:] += a[k + 1:, k, None] * a[k, None, k + 1:]
 
 
-def steady_state_stack(matrices: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
-    """Stationary populations of a stack of rate matrices, shape (..., n, n).
+def _back_substitute(a: np.ndarray, p: np.ndarray, count: int) -> None:
+    """Fill p[:count] from the levels after them, last level first, in
+    place: eliminated level k holds the populations of the later levels
+    weighted by row k of the reduced rates a[n, n, ...]."""
+    for k in range(count - 1, -1, -1):
+        p[k] = (a[k, k + 1:] * p[k + 1:]).sum(axis=0)
 
-    Only the off-diagonal rates are read. The matrices must share one
-    unique closed class (checked on their combined nonzero pattern): the
-    level kept to the end of the GTH reduction is taken from it, which
-    keeps every pivot positive even when the ground level is transient.
-    Levels outside the class come out exactly zero. With several closed
-    classes the null space is degenerate and the error names, for each
-    class, the levels that can only end up in it.
+
+def _gth(m: RateMatrix, pair: tuple[int, ...], w: np.ndarray) -> np.ndarray:
+    """Stationary populations of m with the rate w[i] added both ways
+    between the two levels of pair, one row per entry of w; pair = ()
+    solves m itself.
+
+    Grassmann-Taksar-Heyman state reduction. The level kept last, L, is the
+    highest-index member of the unique closed class of the combined nonzero
+    pattern, so every pivot stays positive even when the ground level is
+    transient. The pair and L end the elimination order; every other level
+    keeps its index order ahead of them. Since w enters only the rates
+    among those t <= 3 trailing levels, the leading levels are eliminated
+    once, on the n x n matrix with a batch axis of one, leaving their
+    stochastic complement on the trailing levels (Meyer, SIAM Review 31,
+    1989). That block is repeated along the batch axis, w is added, and the
+    same code eliminates it for every point at once. Back-substitution
+    gives the trailing populations per point and, once, each leading level
+    as a fixed combination of the trailing ones, so one (n, t) @ (t,
+    points) product yields every population.
     """
-    matrices = np.asarray(matrices, dtype=float)
-    n = matrices.shape[-1]
-    pattern = (matrices != 0).reshape(-1, n, n).any(axis=0)
+    if m.sink_index is not None:
+        raise SolverError(
+            "steady_state needs a sink-free matrix; call drop_sink() first"
+        )
+    n = m.n
+    pattern = m.matrix != 0
+    if (w != 0).any():
+        pattern[pair, pair[::-1]] = True
     reach, classes = _closed_classes(pattern)
     if len(classes) > 1:
         recurrent = classes.any(axis=0)
         groups = [~(reach & recurrent & ~c).any(axis=1) for c in classes]
         named = "; ".join(
-            "{" + ", ".join(labels[i] for i in np.flatnonzero(g)) + "}"
+            "{" + ", ".join(m.labels[i] for i in np.flatnonzero(g)) + "}"
             for g in groups
         )
         raise SolverError(
             f"null space dimension {len(classes)}: no population flows "
             f"between level groups {named}"
         )
-    last = np.flatnonzero(classes[0])[-1]
-    order = np.r_[np.delete(np.arange(n), last), last]
-    p = _gth(matrices[..., order[:, None], order])
-    out = np.empty_like(p)
-    out[..., order] = p
-    return out
+    last = int(np.flatnonzero(classes[0])[-1])
+    trailing = [i for i in pair if i != last] + [last]
+    order = [i for i in range(n) if i not in trailing] + trailing
+    t = len(trailing)
+    lead = n - t
+    a = m.matrix[np.ix_(order, order)][..., None]
+    _eliminate(a, lead)
+    block = np.repeat(a[lead:, lead:], len(w), axis=-1)
+    for i, j in zip(pair, pair[::-1]):
+        block[trailing.index(i), trailing.index(j)] += w
+    _eliminate(block, t - 1)
+    p_trailing = np.empty((t, len(w)))
+    p_trailing[-1] = 1.0
+    _back_substitute(block, p_trailing, t - 1)
+    basis = np.zeros((n, t))
+    basis[lead:] = np.eye(t)
+    _back_substitute(a, basis, lead)
+    p = basis[np.argsort(order)] @ p_trailing
+    p /= p.sum(axis=0)
+    return p.T
+
+
+def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
+    """Stationary populations of m with the rate w (1/s) added both ways
+    between upper and lower, shape (points, n) for the points of w.
+
+    One GTH solve serves every point: the levels other than the pair and
+    the level kept last are eliminated once, and only the trailing block
+    of at most 3 x 3 rates is solved per point. Row i equals
+    steady_state of m with w[i] added to its two entries, to a few
+    rounding errors; levels outside the closed class come out exactly
+    zero. Needs a sink-free matrix.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1)
+    return _gth(m, (m.index(upper), m.index(lower)), w)
 
 
 def steady_state(m: RateMatrix) -> PopulationVector:
@@ -374,18 +444,14 @@ def steady_state(m: RateMatrix) -> PopulationVector:
 
     Requires a sink-free matrix (use drop_sink() first); a drain would make
     the only stationary state the fully ionized one. The solve is the
-    subtraction-free GTH state reduction of steady_state_stack on a stack
-    of one, so populations are nonnegative and entrywise accurate even when
-    stimulated rates dwarf the slow spontaneous channels by many orders of
-    magnitude; there is no residual gate. A unique steady state needs a
-    unique closed class of levels (levels outside it end up empty);
-    otherwise the error names the separate level groups.
+    subtraction-free GTH state reduction of steady_state_scan with no
+    scanned pair, so populations are nonnegative and entrywise accurate
+    even when stimulated rates dwarf the slow spontaneous channels by many
+    orders of magnitude; there is no residual gate. A unique steady state
+    needs a unique closed class of levels (levels outside it end up
+    empty); otherwise the error names the separate level groups.
     """
-    if m.sink_index is not None:
-        raise SolverError(
-            "steady_state needs a sink-free matrix; call drop_sink() first"
-        )
-    p = steady_state_stack(m.matrix[None], m.labels)[0]
+    p = _gth(m, (), np.zeros(1))[0]
     return PopulationVector(populations=p, labels=m.labels, time_s=None)
 
 

@@ -24,13 +24,19 @@ Caveats the caller owns:
     configuration on which the linewidth -> lifetime pipeline is faithful.
   * Laser linewidth is taken as zero.
 
+A scan is one call into rates.steady_state_scan: the rate matrix is built
+once with the scanned drive dark, the levels the scan never touches are
+eliminated once, and only the block of the scanned pair and the level kept
+last is solved per detuning. The curve comes back as a ScanCurve of two
+read-only float64 columns, validated in whole-array operations; the fit
+reads those columns directly, so no step loops over points in Python.
+
 Curves serialize to tab-separated text (detuning_hz, signal[, sigma]) and
 read back losslessly, so fits can run on stored scans.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -38,12 +44,12 @@ import numpy as np
 
 from .errors import SchemeError, SolverError
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
-# here although scans solve through steady_state_stack.
+# here although scans solve through steady_state_scan.
 from .rates import (  # noqa: F401
     build_rate_matrix,
     drive_rate,
     steady_state,
-    steady_state_stack,
+    steady_state_scan,
 )
 from .scheme import LevelScheme
 
@@ -51,6 +57,7 @@ __all__ = [
     "ScanCurve",
     "LorentzianFit",
     "simulate_scan",
+    "noise_rng_description",
     "fit_lorentzian",
     "lifetime_from_linewidth",
     "save_curve",
@@ -64,41 +71,44 @@ FTOL = 1e-12  # relative cost change that ends the fit
 XTOL = 1e-12  # scaled step that ends the fit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanCurve:
-    """Fluorescence vs detuning of the scanned drive.
+    """Fluorescence vs detuning of the scanned drive, as two read-only
+    float64 columns of equal length.
 
     detunings_hz must be strictly increasing; fluorescence is nonnegative
     (noise draws are clamped at zero). noise_sigma, when present, is the
-    per-point Gaussian sigma in the same units as the signal.
+    per-point Gaussian sigma in the same units as the signal. The columns
+    are copied on construction, so the caller's arrays stay writable.
     """
 
-    detunings_hz: tuple[float, ...]
-    fluorescence: tuple[float, ...]
+    detunings_hz: np.ndarray
+    fluorescence: np.ndarray
     noise_sigma: float | None = None
 
     def __post_init__(self):
-        # coerce numpy scalars so serialization emits plain float reprs
-        object.__setattr__(
-            self, "detunings_hz", tuple(float(v) for v in self.detunings_hz))
-        object.__setattr__(
-            self, "fluorescence", tuple(float(v) for v in self.fluorescence))
         if self.noise_sigma is not None:
             object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
             if not 0.0 <= self.noise_sigma < math.inf:
                 raise SchemeError(
                     f"noise sigma must be >= 0 and finite, got {self.noise_sigma}")
-        if len(self.detunings_hz) != len(self.fluorescence):
+        d = np.array(self.detunings_hz, dtype=float)
+        y = np.array(self.fluorescence, dtype=float)
+        if d.ndim != 1 or y.ndim != 1:
+            raise SchemeError("detunings and fluorescence must be one-dimensional")
+        if len(d) != len(y):
             raise SchemeError("detuning and fluorescence lengths differ")
-        if len(self.detunings_hz) == 0:
+        if len(d) == 0:
             raise SchemeError("scan curve is empty")
-        d = np.asarray(self.detunings_hz)
-        if not (np.isfinite(d).all() and np.isfinite(self.fluorescence).all()):
+        if not (np.isfinite(d).all() and np.isfinite(y).all()):
             raise SchemeError("detunings and fluorescence must be finite")
-        if not np.all(np.diff(d) > 0):
+        if not (d[1:] > d[:-1]).all():
             raise SchemeError("detunings must be strictly increasing")
-        if min(self.fluorescence) < 0:
+        if (y < 0).any():
             raise SchemeError("fluorescence must be >= 0")
+        for name, column in (("detunings_hz", d), ("fluorescence", y)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.detunings_hz)
@@ -152,18 +162,20 @@ def simulate_scan(
 ) -> ScanCurve:
     """Steady-state fluorescence at each detuning of the (upper, lower) drive.
 
-    The rate matrix is built once; the scanned drive's rate W(detuning)
-    enters its two entries in a (points, n, n) stack, which one batched GTH
-    solve (rates.steady_state_stack) turns into all the populations. The
-    result equals a per-detuning steady_state of the rebuilt scheme. The
+    The rate matrix is built once with the scanned drive dark, and
+    rates.steady_state_scan adds W(detuning) to its two entries: the other
+    levels are eliminated once, and only the block of the pair and the
+    level kept last is solved per point. The result equals a per-detuning
+    steady_state of the rebuilt scheme to a few rounding errors. The
     monitored signal is p(monitor_upper) * A(monitor_upper ->
-    monitor_lower) in photons/s per ion. Preconditions: the scanned drive
-    exists, no other drive shares its lower level (a repump on the same
-    level would distort the line, so it must be switched off first), and
-    the monitor transition is a decay channel of the scheme.
+    monitor_lower) in photons/s per ion. With noise_sigma > 0 the noise is
+    drawn as noise_rng_description() states. Preconditions: the scanned
+    drive exists, no other drive shares its lower level (a repump on the
+    same level would distort the line, so it must be switched off first),
+    and the monitor transition is a decay channel of the scheme.
     """
-    detunings = [float(d) for d in detunings_hz]
-    if not detunings:
+    detunings = np.array(detunings_hz, dtype=float)
+    if detunings.size == 0:
         raise SchemeError("detuning grid is empty")
     scanned = scheme.drive(upper, lower)
     for dr in scheme.drives:
@@ -185,28 +197,28 @@ def simulate_scan(
     einstein_a = mon_branch / mon_lifetime
 
     # Build the matrix once with the scanned drive switched off (W = 0 adds
-    # nothing, so every entry matches a per-detuning build), add W(delta)
-    # to its two entries in a stack and solve the stack in one call.
+    # nothing, so every entry matches a per-detuning build).
     dark = build_rate_matrix(
         scheme.with_drive(upper, lower, saturation=0.0, power_w=None, waist_m=None)
     )
-    w = drive_rate(scheme, scanned, np.asarray(detunings))
-    up, lo = dark.index(upper), dark.index(lower)
-    stack = np.repeat(dark.matrix[None], len(detunings), axis=0)
-    stack[:, up, lo] += w
-    stack[:, lo, up] += w
-    pops = steady_state_stack(stack, dark.labels)
+    w = drive_rate(scheme, scanned, detunings)
+    pops = steady_state_scan(dark, upper, lower, w)
     signal = pops[:, dark.index(mon_upper)] * einstein_a
 
     if noise_sigma is not None and noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        signal = signal + rng.normal(0.0, noise_sigma, size=signal.shape)
+        signal += rng.normal(0.0, noise_sigma, size=signal.shape)
         np.clip(signal, 0.0, None, out=signal)
 
-    return ScanCurve(
-        detunings_hz=tuple(detunings),
-        fluorescence=tuple(float(s) for s in signal),
-        noise_sigma=noise_sigma,
+    return ScanCurve(detunings, signal, noise_sigma=noise_sigma)
+
+
+def noise_rng_description() -> str:
+    """Stream layout of simulate_scan's noise draws for run manifests."""
+    return (
+        f"numpy default_rng (PCG64), numpy {np.__version__}, "
+        "default_rng(seed) drawing one normal(0, noise_sigma) per grid point "
+        "in grid order, each added to its point's signal, then clamped at 0"
     )
 
 
@@ -390,16 +402,15 @@ def save_curve(curve: ScanCurve, path: str) -> None:
 
 
 def curve_to_text(curve: ScanCurve) -> str:
-    buf = io.StringIO()
-    has_sigma = curve.noise_sigma is not None
-    header = "detuning_hz\tsignal" + ("\tsigma" if has_sigma else "")
-    buf.write(header + "\n")
-    for d, s in zip(curve.detunings_hz, curve.fluorescence):
-        row = f"{d!r}\t{s!r}"
-        if has_sigma:
-            row += f"\t{curve.noise_sigma!r}"
-        buf.write(row + "\n")
-    return buf.getvalue()
+    """The curve as tab-separated text with a header row; floats are
+    written with repr, so load_curve reads back the same bits."""
+    sigma = "" if curve.noise_sigma is None else f"\t{curve.noise_sigma!r}"
+    header = "detuning_hz\tsignal" + ("\tsigma" if sigma else "")
+    rows = (
+        f"{d!r}\t{y!r}{sigma}"
+        for d, y in zip(curve.detunings_hz.tolist(), curve.fluorescence.tolist())
+    )
+    return "\n".join([header, *rows]) + "\n"
 
 
 def load_curve(path: str) -> ScanCurve:
@@ -429,8 +440,4 @@ def load_curve(path: str) -> ScanCurve:
     if sigmas and len(sigmas) != len(detunings):
         raise SchemeError("sigma column present on only some rows")
     noise_sigma = sigmas[0] if sigmas else None
-    return ScanCurve(
-        detunings_hz=tuple(detunings),
-        fluorescence=tuple(signal),
-        noise_sigma=noise_sigma,
-    )
+    return ScanCurve(detunings, signal, noise_sigma=noise_sigma)

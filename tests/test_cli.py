@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ybion.cli import MAX_SCAN_POINTS, MAX_TRIALS, SCHEME_ENV_VAR, build_parser, main
@@ -393,6 +394,27 @@ def test_numpy_only_subcommands_never_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+README_STEADY_STATE = """\
+label\tpopulation
+7p12\t0.004606149042372484
+7s12\t0.0007786405529464948
+fd52\t1.201796453477362e-10
+fd32\t3.47437920650288e-05
+6p12\t0.2646359723058179
+5d52\t3.475074082344181e-05
+5d32\t0.46522105327962093
+f72\t1.2020368127680576e-10
+6s12\t0.2646886900459704
+"""
+
+
+def test_readme_steady_state_output_bytes_are_pinned(capsys):
+    # frozen from the release that solved scans on a (points, n, n) stack;
+    # the single-matrix solve must not move a digit
+    assert main(["steady-state"]) == 0
+    assert capsys.readouterr().out == README_STEADY_STATE
+
+
 # The README scan -> fit-scan session and the README xsec call.
 FIT_SESSION = [
     ["scan", "--scheme", "linewidth_reference", "--grid", "-60e6", "60e6", "241",
@@ -464,6 +486,30 @@ def test_out_of_range_values_exit_two_without_warning(argv, names, capsys, recwa
     assert err.startswith("error: ") and names in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not [str(w.message) for w in recwarn]
+
+
+# Finite inputs whose intermediate squares overflow: a detuning so far off
+# resonance that the drive rate is 0, and spreads near the floating-point
+# limit, whose standard deviations are taken on scaled values.
+@pytest.mark.parametrize("argv,key", [
+    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e300", "0.5", "5"],
+     "signal"),
+    (["steady-state", "--drive-overrides", "7p12", "5d32", "detuning_hz", "1e300"],
+     "population"),
+    (["verify-roundtrip", "--eta", "2", "--q2", "1e200", "--nu1", "1e200",
+      "--seeds", "3"], "q2_std"),
+    (["simulate", "--rate", "474e3", "--duty", "1e-300", "--chop-hz", "1e-300",
+      "--trials", "3", "--seed", "1", "--max-time-s", "1.7e308",
+      "--failure-prob", "1e-5"], "ci95_high_s"),
+])
+def test_overflowing_intermediates_exit_zero_without_warning(argv, key, capsys,
+                                                             recwarn):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert not [str(w.message) for w in recwarn]
+    tokens = (out + err).split()
+    assert key in tokens
+    assert not {"nan", "inf", "-inf"} & {t.lower() for t in tokens}
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -634,8 +680,9 @@ def test_rerun_primary_output_is_byte_identical(name, curve_file, tmp_path):
 
 
 # Manifest lines of each RERUN argv minus the timestamp, frozen from the
-# release before param.* lines were derived from the parsed flags; the one
-# line added since is verify-roundtrip's diag.inference_failures.
+# release before param.* lines were derived from the parsed flags; the lines
+# added since are verify-roundtrip's diag.inference_failures and the noisy
+# scan's rng line.
 # {placeholders} stand for what depends on the installation or on tmp_path.
 FROZEN_MANIFESTS = {
     "steady-state": """\
@@ -682,6 +729,9 @@ param.scheme: {data}/linewidth_reference.scheme
 param.seed: 7
 param.upper: 7p12
 input.linewidth_reference.scheme.sha256: 3016a053f6f3bbf243dd610c8e6823ebaaaf37467eab7ec90df53a2e7e9686a3
+rng: numpy default_rng (PCG64), numpy {numpy}, default_rng(seed) drawing one \
+normal(0, noise_sigma) per grid point in grid order, each added to its \
+point's signal, then clamped at 0
 """,
     "fit-scan": """\
 subcommand: fit-scan
@@ -757,6 +807,25 @@ def test_every_flag_dest_is_one_manifest_param(name, curve_file, tmp_path):
     assert keys == dests
     parsed = vars(build_parser().parse_args(argv))
     assert sorted(parsed.keys() - {"handler", "subcommand", "out"}) == dests
+
+
+def test_scan_rng_line_regenerates_first_noisy_point(tmp_path):
+    argv = ["scan", "--scheme", "linewidth_reference", "--grid", "-30e6", "30e6", "21"]
+    clean, noisy = tmp_path / "clean.tsv", tmp_path / "noisy.tsv"
+    assert main(argv + ["--out", str(clean)]) == 0
+    assert main(argv + ["--noise-sigma", "0.4", "--seed", "7", "--out", str(noisy)]) == 0
+    assert not [line for line in manifest_lines(clean) if line.startswith("rng: ")]
+    (rng_line,) = [line for line in manifest_lines(noisy) if line.startswith("rng: ")]
+    # the noise comes from default_rng(seed): one normal(0, noise_sigma) per
+    # grid point in grid order, added to the signal, which is clamped at 0
+    assert "default_rng(seed)" in rng_line
+    assert "one normal(0, noise_sigma) per grid point in grid order" in rng_line
+    assert "clamped at 0" in rng_line
+    signal = float(clean.read_text().splitlines()[1].split("\t")[1])
+    draw = np.random.default_rng(7).normal(0.0, 0.4)
+    first = noisy.read_text().splitlines()[1].split("\t")
+    assert first[1] == repr(max(signal + draw, 0.0))
+    assert first[2] == "0.4"
 
 
 def test_manifest_structure_and_sorted_params(tmp_path):

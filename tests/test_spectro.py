@@ -1,6 +1,7 @@
 """Scan simulation, Lorentzian fitting, and linewidth-to-lifetime tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 from ybion import spectro
 from ybion.errors import SchemeError, SolverError
 from ybion.rates import build_rate_matrix, natural_fwhm_hz, steady_state
-from ybion.scheme import load_bundled_scheme
+from ybion.scheme import (
+    DecayChannel,
+    LaserDrive,
+    Level,
+    LevelScheme,
+    load_bundled_scheme,
+)
 from ybion.spectro import (
     LorentzianFit,
     ScanCurve,
@@ -104,25 +111,116 @@ def test_scan_noise_is_seeded_and_clamped(reference_scheme):
     a = simulate_scan(reference_scheme, *PROBE, grid, noise_sigma=0.05, seed=4)
     b = simulate_scan(reference_scheme, *PROBE, grid, noise_sigma=0.05, seed=4)
     c = simulate_scan(reference_scheme, *PROBE, grid, noise_sigma=0.05, seed=5)
-    assert a.fluorescence == b.fluorescence
-    assert a.fluorescence != c.fluorescence
-    assert min(a.fluorescence) >= 0.0
+    np.testing.assert_array_equal(a.fluorescence, b.fluorescence, strict=True)
+    assert not np.array_equal(a.fluorescence, c.fluorescence)
+    assert a.fluorescence.min() >= 0.0
     assert a.noise_sigma == 0.05
+
+
+def per_point_signal(scheme, pair, detuning_hz, monitor=("6p12", "6s12")):
+    """Monitored fluorescence of one detuning from a full steady_state."""
+    branch = next(c for c in scheme.decays_from(monitor[0]) if c.lower == monitor[1])
+    einstein_a = branch.branching_ratio / scheme.lifetime(monitor[0])
+    matrix = build_rate_matrix(scheme.with_drive(*pair, detuning_hz=detuning_hz))
+    return steady_state(matrix)[monitor[0]] * einstein_a
+
+
+# Far enough out, (2 detuning / width)^2 overflows and W is exactly 0; at
+# +-1e150 Hz it is a tiny nonzero rate.
+FAR_DETUNINGS_HZ = [-1.7e308, -1e300, -1e160, -1e150]
 
 
 @pytest.mark.parametrize("name", ["linewidth_reference", "yb174_plus"])
 def test_batched_scan_equals_per_point_solves(name):
     scheme = load_bundled_scheme(name)
-    grid = np.linspace(-80e6, 80e6, 33)
-    curve = simulate_scan(scheme, *PROBE, grid)
-    branch = next(c for c in scheme.decays_from("6p12") if c.lower == "6s12")
-    einstein_a = branch.branching_ratio / scheme.lifetime("6p12")
-    expected = [
-        steady_state(build_rate_matrix(
-            scheme.with_drive(*PROBE, detuning_hz=float(d))))["6p12"] * einstein_a
-        for d in grid
-    ]
-    np.testing.assert_allclose(curve.fluorescence, expected, rtol=1e-13, atol=0.0)
+    far = np.array(FAR_DETUNINGS_HZ)
+    grid = np.concatenate([far, np.linspace(-80e6, 80e6, 33), -far[::-1]])
+    # the probe pair leaves the level kept last (6s12) outside the pair,
+    # the cooling pair contains it
+    for pair in (PROBE, ("6p12", "6s12")):
+        curve = simulate_scan(scheme, *pair, grid)
+        expected = [per_point_signal(scheme, pair, float(d)) for d in grid]
+        np.testing.assert_allclose(curve.fluorescence, expected, rtol=1e-13, atol=0.0)
+
+
+def transient_ground_schemes():
+    """Two schemes whose ground level g ends up empty, each with its
+    scanned pair and monitored decay.
+
+    In the first, g <-> e is driven and e decays only into the stable x,
+    so where the scanned g <-> e rate is 0 both g and x are closed. In the
+    second, g leaks through e into the closed class {y, p, s, u}, whose
+    last level y lies outside the scanned pair s <-> u.
+    """
+    def level(label, energy, lifetime=None):
+        return Level(label, "c", 0.5, energy, lifetime)
+
+    def drive(upper, lower, gap_cm1, saturation):
+        return LaserDrive(upper, lower, wavelength_nm=1e7 / gap_cm1,
+                          saturation=saturation)
+
+    three = LevelScheme(
+        levels=(level("g", 0.0), level("x", 10000.0), level("e", 20000.0, 1e-8)),
+        decays=(DecayChannel("e", "x", 1.0),),
+        drives=(drive("e", "g", 20000.0, 1.0),),
+    )
+    six = LevelScheme(
+        levels=(level("g", 0.0), level("y", 5000.0), level("s", 15000.0, 1e-3),
+                level("p", 25000.0, 1e-8), level("e", 30000.0, 1e-8),
+                level("u", 40000.0, 2e-8)),
+        decays=(DecayChannel("s", "y", 1.0), DecayChannel("p", "y", 0.9),
+                DecayChannel("p", "s", 0.1), DecayChannel("e", "y", 1.0),
+                DecayChannel("u", "y", 1.0)),
+        drives=(drive("e", "g", 30000.0, 1.0), drive("p", "y", 20000.0, 1.0),
+                drive("u", "s", 25000.0, 0.5)),
+    )
+    return [(three, ("e", "g"), ("e", "x")), (six, ("u", "s"), ("p", "y"))]
+
+
+@pytest.mark.parametrize("scheme,pair,monitor", transient_ground_schemes())
+def test_scan_with_transient_ground_fails_exactly_where_steady_state_does(
+        scheme, pair, monitor):
+    grid = np.array(FAR_DETUNINGS_HZ + [-3e7, 0.0, 2e6] + [1e300])
+    outcomes = []
+    for d in grid:
+        try:
+            expected = per_point_signal(scheme, pair, float(d), monitor)
+        except SolverError:
+            with pytest.raises(SolverError):
+                simulate_scan(scheme, *pair, [d], monitor=monitor)
+            outcomes.append(None)
+            continue
+        curve = simulate_scan(scheme, *pair, [d], monitor=monitor)
+        np.testing.assert_allclose(curve.fluorescence, [expected], rtol=1e-13, atol=0.0)
+        outcomes.append(expected)
+    solved = np.array([v is not None for v in outcomes])
+    assert solved[4:7].all()  # the near-resonant points always solve
+    if solved.all():
+        curve = simulate_scan(scheme, *pair, grid, monitor=monitor)
+        np.testing.assert_allclose(curve.fluorescence, outcomes, rtol=1e-13, atol=0.0)
+    else:
+        with pytest.raises(SolverError):
+            simulate_scan(scheme, *pair, grid, monitor=monitor)
+        near = grid[solved]
+        curve = simulate_scan(scheme, *pair, near, monitor=monitor)
+        np.testing.assert_allclose(
+            curve.fluorescence, [v for v in outcomes if v is not None],
+            rtol=1e-13, atol=0.0)
+
+
+def test_full_size_scan_memory_stays_bounded(yb_scheme):
+    # the (points, n, n) stacks of the old solve peaked near 250 MB here
+    from ybion.cli import MAX_SCAN_POINTS
+
+    grid = np.linspace(-1e9, 1e9, MAX_SCAN_POINTS)
+    tracemalloc.start()
+    try:
+        curve = simulate_scan(yb_scheme, *PROBE, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == MAX_SCAN_POINTS
+    assert peak < 64e6
 
 
 def test_scan_preconditions(reference_scheme):
@@ -366,8 +464,8 @@ def test_curve_text_round_trip(tmp_path):
     path = tmp_path / "curve.tsv"
     save_curve(curve, str(path))
     back = load_curve(str(path))
-    assert back.detunings_hz == curve.detunings_hz
-    assert back.fluorescence == curve.fluorescence
+    np.testing.assert_array_equal(back.detunings_hz, curve.detunings_hz, strict=True)
+    np.testing.assert_array_equal(back.fluorescence, curve.fluorescence, strict=True)
     assert back.noise_sigma is None
 
 
@@ -376,8 +474,8 @@ def test_curve_round_trip_with_sigma(tmp_path):
     path = tmp_path / "noisy.tsv"
     save_curve(curve, str(path))
     back = load_curve(str(path))
-    assert back.detunings_hz == curve.detunings_hz
-    assert back.fluorescence == curve.fluorescence
+    np.testing.assert_array_equal(back.detunings_hz, curve.detunings_hz, strict=True)
+    np.testing.assert_array_equal(back.fluorescence, curve.fluorescence, strict=True)
     assert back.noise_sigma == 0.01
 
 
