@@ -79,7 +79,7 @@ from .photoion import (
     photon_flux,
     rate_coefficient,
 )
-from .rates import build_rate_matrix, excitation_probability, steady_state
+from .rates import build_rate_matrix, steady_state
 from .scheme import bundled_scheme_path, load_scheme_file
 from .spectro import (
     curve_to_text,
@@ -298,8 +298,7 @@ def _resolve_scheme(arg: str) -> Path:
         ) from None
 
 
-_DRIVE_FIELDS = ("saturation", "power_w", "waist_m", "detuning_hz", "chopped")
-_CHOPPED = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_DRIVE_FIELDS = ("saturation", "power_w", "waist_m", "detuning_hz")
 
 
 def _apply_drive_overrides(scheme, overrides, saturate_all):
@@ -316,18 +315,14 @@ def _apply_drive_overrides(scheme, overrides, saturate_all):
             if field not in _DRIVE_FIELDS:
                 raise SchemeError(
                     f"unknown drive field {field!r}; expected saturation, "
-                    "power_w, waist_m, detuning_hz, or chopped"
+                    "power_w, waist_m or detuning_hz"
                 )
             try:
-                if field == "chopped":
-                    value = _CHOPPED[text.strip().lower()]
-                else:
-                    value = float(text)
-            except (KeyError, ValueError):
+                value = float(text)
+            except ValueError:
                 raise SchemeError(
-                    f"drive {upper}->{lower} field {field}: expected "
-                    + ("1, 0, true, false, yes or no" if field == "chopped" else "a number")
-                    + f", got {text!r}"
+                    f"drive {upper}->{lower} field {field}: expected a number, "
+                    f"got {text!r}"
                 ) from None
             if field == "saturation":
                 changes.update(saturation=value, power_w=None, waist_m=None)
@@ -382,6 +377,7 @@ def _cmd_ionize_rate(args) -> _Run:
 
 def _cmd_xsec(args) -> _Run:
     args.series = args.series or bundled_series_path()
+    photon_ev = photon_energy_ev(args.wavelength_nm)
     series = load_series_file(
         args.series,
         ionization_limit_cm1=args.limit_cm1,
@@ -390,7 +386,6 @@ def _cmd_xsec(args) -> _Run:
     )
     top_n, top_energy = series.members[-1]
     nstar = effective_quantum_number(top_energy, args.limit_cm1)
-    photon_ev = photon_energy_ev(args.wavelength_nm)
     sigma = cross_section(nstar, args.ell, photon_ev, model=args.model)
     mu, residual = fit_quantum_defect(series)
     rows = [
@@ -603,8 +598,8 @@ def build_parser() -> _Parser:
         action="append",
         metavar=("UPPER", "LOWER", "FIELD", "VALUE"),
         help="override one field of one drive; FIELD is saturation "
-        "(dimensionless; clears power/waist), power_w (W), waist_m (m), "
-        "detuning_hz (Hz), or chopped (1/0/true/false/yes/no). Repeatable.",
+        "(dimensionless; clears power/waist), power_w (W), waist_m (m) or "
+        "detuning_hz (Hz). Repeatable.",
     )
     p.add_argument(
         "--saturate-all",

@@ -44,23 +44,18 @@ class PhysicalConstants:
     bohr_radius: float = 5.29177210544e-11          # m
     fine_structure: float = 0.0072973525643
 
-    def rydberg_for_mass(self, nucleus_mass_kg: float) -> float:
-        """Mass-corrected Rydberg constant in cm^-1 for a finite-mass core."""
-        if nucleus_mass_kg <= 0:
-            raise ValueError("nucleus mass must be positive")
-        return self.rydberg_energy / (1.0 + self.electron_mass / nucleus_mass_kg)
-
 
 CONSTANTS = PhysicalConstants()
 
 # 1 Mb = 1e-18 cm^2; photoionization cross sections are quoted in this unit.
 MEGABARN_M2 = 1e-22  # m^2
 
-# Isotope mass of 174Yb (atomic mass evaluation), used both for the trap
-# dynamics default and for the mass-corrected Rydberg constant.
+# Isotope mass of 174Yb (atomic mass evaluation): the ion mass in the trap
+# and the core mass of the reduced-mass Rydberg constant in cm^-1.
 YB174_MASS_KG = 173.9388664 * CONSTANTS.atomic_mass_unit
-
-RYDBERG_YB174_CM1 = CONSTANTS.rydberg_for_mass(YB174_MASS_KG)
+RYDBERG_YB174_CM1 = CONSTANTS.rydberg_energy / (
+    1.0 + CONSTANTS.electron_mass / YB174_MASS_KG
+)
 
 # Rydberg energy in eV, for threshold arithmetic on effective quantum numbers.
 RYDBERG_EV = (
@@ -86,7 +81,12 @@ def photon_energy_j(wavelength_nm: float) -> float:
 
 
 def photon_energy_ev(wavelength_nm: float) -> float:
-    return photon_energy_j(wavelength_nm) / CONSTANTS.elementary_charge
+    energy = photon_energy_j(wavelength_nm) / CONSTANTS.elementary_charge
+    if not energy < math.inf:  # finite in J, but not in eV
+        raise SchemeError(
+            f"photon energy at wavelength {wavelength_nm} nm lies outside the "
+            "floating-point range in eV")
+    return energy
 
 
 def vacuum_wavelength_nm(delta_energy_cm1: float) -> float:

@@ -1,14 +1,15 @@
 """Two-ion mixed-charge crystal: positions, modes, and inverse problems.
 
 A singly charged bright ion (index 1) shares a linear trap axis with a
-companion of unknown charge q2 (index 2). Both ions have the same mass.
+companion of unknown charge q2 (index 2). Both ions have the 174Yb mass M.
 The trap is characterized not by its voltages but by two measurables: the
 axial secular frequency nu1 a single singly charged ion would have, and the
 ratio eta = nu2/nu1 of the companion's single-particle frequency to it.
 eta is an input, never derived from q2: static stray fields shift it away
 from the pure-RF expectation, and those fields are not modeled here.
 
-Closed forms used throughout (Q = q1 q2 e^2 / (4 pi eps0), w1 = 2 pi nu1):
+Closed forms used throughout (Q = q2 e^2 / (4 pi eps0), the Coulomb
+constant of charges 1 and q2; w1 = 2 pi nu1):
 
     X1^3 = Q / ((1 + eta^-2)^2 M w1^2)        X2 = -eta^-2 X1
 
@@ -56,16 +57,15 @@ ETA_BRACKET = (1.0, 10.0)
 class TrapAxis:
     """Axial trap seen by the ion pair.
 
-    nu1_hz is the secular frequency of a single singly charged ion of mass
-    ion_mass_kg; eta scales it to the companion's single-particle frequency.
+    nu1_hz is the secular frequency of a single singly charged 174Yb ion;
+    eta scales it to the companion's single-particle frequency.
     """
 
     nu1_hz: float
     eta: float
-    ion_mass_kg: float = YB174_MASS_KG
 
     def __post_init__(self):
-        for name in ("nu1_hz", "ion_mass_kg", "eta"):
+        for name in ("nu1_hz", "eta"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise SchemeError(f"{name} must be positive and finite, got {value}")
@@ -77,15 +77,12 @@ class TrapAxis:
 
 @dataclass(frozen=True)
 class ChargePair:
-    """Charges of the two ions in units of e; ion 1 is the bright singly
-    charged reference, so q1 is pinned to 1."""
+    """Charge q2 of the companion in units of e; ion 1 is the bright singly
+    charged reference."""
 
     q2: float
-    q1: float = 1.0
 
     def __post_init__(self):
-        if self.q1 != 1.0:
-            raise SchemeError("ion 1 is the singly charged reference; q1 must be 1")
         if not 0.0 < self.q2 < math.inf:
             raise SchemeError(f"q2 must be positive and finite, got {self.q2}")
 
@@ -115,7 +112,7 @@ def _inv_square(value: float) -> float:
 def _coulomb_q(charges: ChargePair) -> float:
     e = CONSTANTS.elementary_charge
     return (
-        charges.q1 * charges.q2 * e**2
+        charges.q2 * e**2
         / (4.0 * np.pi * CONSTANTS.vacuum_permittivity)
     )
 
@@ -125,7 +122,7 @@ def equilibrium_positions(trap: TrapAxis, charges: ChargePair) -> tuple[float, f
     q = _coulomb_q(charges)
     inv_eta2 = _inv_square(trap.eta)
     scale = 1.0 + inv_eta2
-    stiffness = scale * scale * trap.ion_mass_kg * trap.omega1 * trap.omega1
+    stiffness = scale * scale * YB174_MASS_KG * trap.omega1 * trap.omega1
     # stiffness underflows to 0 for nu1 below about 1e-150 Hz
     x1 = (q / stiffness) ** (1.0 / 3.0) if stiffness > 0.0 else math.inf
     if not x1 < math.inf:

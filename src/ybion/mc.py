@@ -114,6 +114,11 @@ class SequenceConfig:
             raise SchemeError("chop period and ON time must be positive and finite")
         if self.max_time_s * self.chop_rate_hz > 2.0**53:
             raise SchemeError("max time spans more than 2**53 chop cycles")
+        # Wall times reach up to a start phase plus the horizon plus a window.
+        if not self.max_time_s + 2.0 * self.period_s < math.inf:
+            raise SchemeError(
+                f"max time {self.max_time_s} s plus two chop periods of "
+                f"{self.period_s} s lies outside the floating-point range")
 
     @property
     def period_s(self) -> float:
@@ -186,8 +191,6 @@ class VerificationRecord:
     nu1_measured_hz: float
     nu_com_measured_hz: float
     nu_bre_measured_hz: float
-    ratio_rel_sigma: float
-    freq_rel_sigma: float
 
     def __post_init__(self):
         # One chained test on the hot path; the loop only names the culprit.
@@ -211,8 +214,6 @@ class VerificationRecord:
 class ChargeInference:
     """Charge estimate recovered from one VerificationRecord."""
 
-    eta_com: float
-    eta_bre: float
     eta_mean: float
     q2: float
 
@@ -402,8 +403,6 @@ def synthesize_verification(
         nu1_measured_hz=float(nu1),
         nu_com_measured_hz=float(nu_com),
         nu_bre_measured_hz=float(nu_bre),
-        ratio_rel_sigma=noise.ratio_rel,
-        freq_rel_sigma=noise.freq_rel,
     )
 
 
@@ -414,9 +413,7 @@ def infer_from_verification(record: VerificationRecord) -> ChargeInference:
     eta_bre = infer_eta(record.nu_bre_measured_hz, record.nu1_measured_hz, "bre")
     eta_mean = 0.5 * (eta_com + eta_bre)
     q2 = infer_charge(record.displacement_ratio_measured, eta_mean)
-    return ChargeInference(
-        eta_com=eta_com, eta_bre=eta_bre, eta_mean=eta_mean, q2=q2
-    )
+    return ChargeInference(eta_mean=eta_mean, q2=q2)
 
 
 def runs_to_text(runs: SequenceRuns) -> str:

@@ -128,8 +128,9 @@ class CrossSection:
         return self.value_m2 / MEGABARN_M2
 
     @classmethod
-    def from_megabarn(cls, value_mb: float, model: str = "user") -> "CrossSection":
-        return cls(value_m2=value_mb * MEGABARN_M2, model=model)
+    def from_megabarn(cls, value_mb: float) -> "CrossSection":
+        """A directly supplied value in Mb, tagged model "user"."""
+        return cls(value_m2=value_mb * MEGABARN_M2, model="user")
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,19 @@ class RydbergSeries:
     def __post_init__(self):
         if self.ell < 0:
             raise SchemeError("orbital angular momentum must be >= 0")
+        if not math.isfinite(self.ionization_limit_cm1):
+            raise SchemeError(
+                f"ionization_limit_cm1 must be finite, got {self.ionization_limit_cm1}")
         if self.core_charge < 1:
             raise SchemeError("core charge must be >= 1")
+        try:
+            z2r = self.core_charge**2 * RYDBERG_YB174_CM1
+        except OverflowError:  # an int too large to convert to float
+            z2r = math.inf
+        if not z2r < math.inf:
+            raise SchemeError(
+                f"core_charge = {self.core_charge} puts core_charge^2 R outside "
+                "the floating-point range")
         last_n = None
         for n, energy in self.members:
             if n <= self.ell:
@@ -200,20 +212,21 @@ def rate_coefficient(
     """
     if not 0.0 <= p_excited <= 1.0:
         raise SchemeError("excited-state population must lie in [0, 1]")
-    return (
+    coeff = (
         p_excited * sigma.value_m2 * 2.0
         / (np.pi * photon_energy_j(wavelength_nm))
     )
+    if not coeff < math.inf:
+        raise SchemeError(
+            f"rate-per-power coefficient overflows: p_excited = {p_excited}, "
+            f"sigma = {sigma.value_m2} m^2, wavelength = {wavelength_nm} nm")
+    return coeff
 
 
-def effective_quantum_number(
-    energy_cm1: float,
-    ionization_limit_cm1: float,
-    rydberg_cm1: float = RYDBERG_YB174_CM1,
-) -> float:
+def effective_quantum_number(energy_cm1: float, ionization_limit_cm1: float) -> float:
     """n* = sqrt(R / (limit - E)) for a bound level.
 
-    The default Rydberg constant is mass-corrected for 174Yb. The returned
+    R is the Rydberg constant mass-corrected for 174Yb. The returned
     value encodes the binding energy alone; the threshold photon energy for
     ionization out of the level is R / n*^2.
     """
@@ -223,9 +236,12 @@ def effective_quantum_number(
             "level energy must lie below the ionization limit "
             f"(limit - E = {gap!r} cm^-1)"
         )
-    return float(np.sqrt(rydberg_cm1 / gap))
+    return float(np.sqrt(RYDBERG_YB174_CM1 / gap))
 
 
+# Overflow on extreme series only produces inf or NaN sums of squares, which
+# the grid gate and the Newton acceptance below reject.
+@np.errstate(all="ignore")
 def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     """Least-squares quantum defect of a series.
 
@@ -253,7 +269,14 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
 
     grid = n_min - np.geomspace(n_min, 1e-9, DEFECT_GRID_POINTS)
     grid_misfit = limit - z2r / (ns[:, None] - grid) ** 2 - energies[:, None]
-    mu = float(grid[np.argmin((grid_misfit * grid_misfit).sum(axis=0))])
+    grid_sum_sq = (grid_misfit * grid_misfit).sum(axis=0)
+    best = int(np.argmin(grid_sum_sq))
+    if not grid_sum_sq[best] < math.inf:
+        raise SolverError(
+            "quantum-defect fit overflows: the sum of squared residuals is "
+            f"outside the floating-point range for every mu (limit = {limit} "
+            f"cm^-1, core_charge = {series.core_charge})")
+    mu = float(grid[best])
 
     def grad_hess(mu_val: float) -> tuple[float, float]:
         d = ns - mu_val
@@ -266,11 +289,11 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
 
     for _ in range(6):
         g, h = grad_hess(mu)
-        if h <= 0:
+        if not h > 0:
             break
         step = g / h
         candidate = min(max(mu - step, 0.0), upper)
-        if sum_sq(candidate) > sum_sq(mu):
+        if not sum_sq(candidate) <= sum_sq(mu):
             break
         moved = abs(candidate - mu)
         mu = candidate
@@ -351,7 +374,6 @@ def cross_section(
     ell_initial: int,
     photon_energy_ev: float,
     model: str = "hydrogenic",
-    rydberg_ev: float = RYDBERG_EV,
 ) -> CrossSection:
     """One-photon ionization cross section of a level with given n*.
 
@@ -366,7 +388,7 @@ def cross_section(
     """
     if n_star <= 0:
         raise SolverError("effective quantum number must be positive")
-    threshold_ev = rydberg_ev / n_star**2
+    threshold_ev = RYDBERG_EV / n_star**2
     if photon_energy_ev < threshold_ev:
         raise SolverError(
             f"photon energy {photon_energy_ev:.4f} eV below ionization "
@@ -384,11 +406,6 @@ def cross_section(
                 return CrossSection(value_m2=value, model=model)
         raise SolverError(
             f"no {model} coefficient row covers ell={ell_initial}, n*={n_star:.4f}"
-        )
-    if model == "user":
-        raise SolverError(
-            "model 'user' marks directly supplied values; construct a "
-            "CrossSection instead"
         )
     raise SolverError(
         f"unknown cross-section model {model!r}; expected one of "

@@ -43,14 +43,16 @@ order, and with it every digit, is that of a plain GTH solve.
 
 Coherences are deliberately absent: all drives are treated as broadband rate
 couplings, which is the regime the chopped multi-laser experiment operates
-in. Optional ionization is a one-way drain from a chosen level into an
-absorbing sink row, whose population reads out the cumulative ionization
-probability.
+in. Optional ionization is a one-way drain from the ionizing level 7p12
+into an absorbing sink row, whose population reads out the cumulative
+ionization probability. A matrix built without it is the sink-free matrix
+that steady states need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +70,12 @@ __all__ = [
     "steady_state_scan",
     "evolve",
     "initial_population",
-    "excitation_probability",
 ]
 
 SINK_LABEL = "ionized"
+
+# The level the ionizing beam drains into the sink.
+IONIZED_FROM = "7p12"
 
 # Residual of M p that steady states are tested to, relative to the largest
 # matrix entry. The GTH solve is accurate by construction and does not gate
@@ -124,33 +128,6 @@ class RateMatrix:
         except ValueError:
             raise SchemeError(f"unknown level label: {label}") from None
 
-    def drop_sink(self) -> "RateMatrix":
-        """The matrix restricted to real levels, with the drain removed.
-
-        The result conserves population among the levels themselves, which
-        is the quasi-steady-state convention: solve the internal dynamics
-        with ionization off, then apply the loss rate perturbatively.
-        """
-        if self.sink_index is None:
-            return self
-        keep = [i for i in range(self.n) if i != self.sink_index]
-        m = self.matrix[np.ix_(keep, keep)].copy()
-        np.fill_diagonal(m, 0.0)
-        np.fill_diagonal(m, -m.sum(axis=0))
-        return RateMatrix(
-            matrix=m,
-            labels=tuple(self.labels[i] for i in keep),
-            sink_index=None,
-        )
-
-    def to_csv(self) -> str:
-        """Matrix as CSV text with labeled rows/columns, for debugging."""
-        lines = ["," + ",".join(self.labels)]
-        for i, row_label in enumerate(self.labels):
-            row = ",".join(repr(v) for v in self.matrix[i])
-            lines.append(f"{row_label},{row}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class PopulationVector:
@@ -158,7 +135,6 @@ class PopulationVector:
 
     populations: np.ndarray
     labels: tuple[str, ...]
-    time_s: float | None = None
 
     def __post_init__(self):
         p = np.asarray(self.populations, dtype=float)
@@ -192,15 +168,24 @@ def saturation_from_power(
     """Saturation parameter of a Gaussian beam on a two-level transition.
 
     Uses the on-axis peak intensity 2P/(pi w0^2) against the two-level
-    saturation intensity pi h c / (3 lambda^3 lifetime).
+    saturation intensity pi h c / (3 lambda^3 lifetime). A result outside
+    the floating-point range raises SchemeError naming power and waist.
     """
     lam = wavelength_nm * 1e-9
-    peak = 2.0 * power_w / (np.pi * waist_m**2)
-    i_sat = (
-        np.pi * CONSTANTS.planck_constant * CONSTANTS.speed_of_light
-        / (3.0 * lam**3 * lifetime_s)
-    )
-    return peak / i_sat
+    try:
+        peak = 2.0 * power_w / (np.pi * waist_m**2)
+        i_sat = (
+            np.pi * CONSTANTS.planck_constant * CONSTANTS.speed_of_light
+            / (3.0 * lam**3 * lifetime_s)
+        )
+        s = peak / i_sat
+    except (ZeroDivisionError, OverflowError):  # Python floats raise here
+        s = math.nan
+    if not 0.0 <= s < math.inf:
+        raise SchemeError(
+            f"power_w = {power_w} W on waist_m = {waist_m} m puts the saturation "
+            "parameter outside the floating-point range")
+    return s
 
 
 def drive_rate(scheme: LevelScheme, drive, detuning_hz):
@@ -242,7 +227,6 @@ def build_rate_matrix(
     scheme: LevelScheme,
     include_ionization: bool = False,
     ionization_rate: float = 0.0,
-    ionized_from: str = "7p12",
     residual_policy: str = "renormalize",
 ) -> RateMatrix:
     """Assemble the rate matrix for a level scheme.
@@ -258,7 +242,7 @@ def build_rate_matrix(
     of a level equals 1/lifetime exactly.
 
     With include_ionization=True, a one-way drain at ionization_rate (1/s)
-    is added from ionized_from into an absorbing sink row appended after
+    is added from IONIZED_FROM into an absorbing sink row appended after
     the levels.
     """
     if residual_policy not in ("renormalize", "route_to_ground"):
@@ -299,18 +283,14 @@ def build_rate_matrix(
     if include_ionization:
         if ionization_rate < 0:
             raise SchemeError("ionization rate must be >= 0")
+        scheme.level(IONIZED_FROM)
         sink_index = n
         labels.append(SINK_LABEL)
-        m[sink_index, index[_known(scheme, ionized_from)]] += ionization_rate
+        m[sink_index, index[IONIZED_FROM]] += ionization_rate
 
     np.fill_diagonal(m, 0.0)
     np.fill_diagonal(m, -m.sum(axis=0))
     return RateMatrix(matrix=m, labels=tuple(labels), sink_index=sink_index)
-
-
-def _known(scheme: LevelScheme, label: str) -> str:
-    scheme.level(label)
-    return label
 
 
 def _closed_classes(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +364,8 @@ def _gth(m: RateMatrix, pair: tuple[int, ...], w: np.ndarray) -> np.ndarray:
     """
     if m.sink_index is not None:
         raise SolverError(
-            "steady_state needs a sink-free matrix; call drop_sink() first"
+            "steady_state needs a sink-free matrix; build it without "
+            "include_ionization"
         )
     n = m.n
     pattern = m.matrix != 0
@@ -442,7 +423,8 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
 def steady_state(m: RateMatrix) -> PopulationVector:
     """Stationary populations: the normalized null vector of the matrix.
 
-    Requires a sink-free matrix (use drop_sink() first); a drain would make
+    Requires a sink-free matrix (built without include_ionization); a drain
+    would make
     the only stationary state the fully ionized one. The solve is the
     subtraction-free GTH state reduction of steady_state_scan with no
     scanned pair, so populations are nonnegative and entrywise accurate
@@ -452,7 +434,7 @@ def steady_state(m: RateMatrix) -> PopulationVector:
     empty); otherwise the error names the separate level groups.
     """
     p = _gth(m, (), np.zeros(1))[0]
-    return PopulationVector(populations=p, labels=m.labels, time_s=None)
+    return PopulationVector(populations=p, labels=m.labels)
 
 
 def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
@@ -475,7 +457,7 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     if p0.labels != m.labels:
         raise SolverError("population vector labels do not match matrix")
     if t_s == 0.0:
-        return PopulationVector(p0.populations.copy(), m.labels, time_s=0.0)
+        return PopulationVector(p0.populations.copy(), m.labels)
 
     propagator = expm(m.matrix * t_s)
     p = propagator @ p0.populations
@@ -484,16 +466,12 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
         raise SolverError(
             f"propagator lost conservation: populations sum to {total!r}"
         )
-    return PopulationVector(populations=p / total, labels=m.labels, time_s=t_s)
+    return PopulationVector(populations=p / total, labels=m.labels)
 
 
 def initial_population(m: RateMatrix, label: str) -> PopulationVector:
     """Unit population vector with everything in one level of the matrix."""
     p = np.zeros(m.n)
     p[m.index(label)] = 1.0
-    return PopulationVector(populations=p, labels=m.labels, time_s=0.0)
+    return PopulationVector(populations=p, labels=m.labels)
 
-
-def excitation_probability(p: PopulationVector, label: str) -> float:
-    """Population of one level, looked up by label."""
-    return p[label]

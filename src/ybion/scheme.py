@@ -52,7 +52,6 @@ __all__ = [
     "load_bundled_scheme",
     "serialize",
     "validate_scheme",
-    "transition_wavelength_nm",
 ]
 
 # Maximum relative mismatch between a declared drive wavelength and the
@@ -504,12 +503,3 @@ def validate_scheme(scheme: LevelScheme) -> ValidationReport:
             )
     return ValidationReport(entries=tuple(entries))
 
-
-def transition_wavelength_nm(scheme: LevelScheme, upper: str, lower: str) -> float:
-    """Vacuum wavelength of the upper -> lower transition in nm."""
-    gap = scheme.energy(upper) - scheme.energy(lower)
-    if gap == 0:
-        raise SchemeError(f"levels {upper} and {lower} are degenerate")
-    if gap < 0:
-        raise SchemeError(f"level {upper} lies below {lower}")
-    return vacuum_wavelength_nm(gap)

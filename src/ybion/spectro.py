@@ -60,7 +60,7 @@ __all__ = [
     "noise_rng_description",
     "fit_lorentzian",
     "lifetime_from_linewidth",
-    "save_curve",
+    "curve_to_text",
     "load_curve",
 ]
 
@@ -205,10 +205,15 @@ def simulate_scan(
     pops = steady_state_scan(dark, upper, lower, w)
     signal = pops[:, dark.index(mon_upper)] * einstein_a
 
-    if noise_sigma is not None and noise_sigma > 0:
+    # ScanCurve refuses a sigma that is not finite, so only finite ones draw
+    if noise_sigma is not None and 0 < noise_sigma < math.inf:
         rng = np.random.default_rng(seed)
         signal += rng.normal(0.0, noise_sigma, size=signal.shape)
         np.clip(signal, 0.0, None, out=signal)
+        if not np.isfinite(signal).all():
+            raise SchemeError(
+                f"noise_sigma = {noise_sigma} draws noise outside the "
+                "floating-point range")
 
     return ScanCurve(detunings, signal, noise_sigma=noise_sigma)
 
@@ -390,15 +395,9 @@ def lifetime_from_linewidth(fwhm_hz: float, saturation: float) -> float:
     deconvolution: tau = sqrt(1 + S) / (2 pi fwhm)."""
     if fwhm_hz <= 0:
         raise SolverError("fwhm must be positive")
-    if saturation < 0:
-        raise SolverError("saturation must be >= 0")
+    if not 0.0 <= saturation < math.inf:
+        raise SolverError(f"saturation must be >= 0 and finite, got {saturation}")
     return float(np.sqrt(1.0 + saturation) / (2.0 * np.pi * fwhm_hz))
-
-
-def save_curve(curve: ScanCurve, path: str) -> None:
-    """Write a curve as tab-separated text, re-readable by load_curve."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(curve_to_text(curve))
 
 
 def curve_to_text(curve: ScanCurve) -> str:
@@ -414,7 +413,7 @@ def curve_to_text(curve: ScanCurve) -> str:
 
 
 def load_curve(path: str) -> ScanCurve:
-    """Read a tab-separated curve written by save_curve (header optional)."""
+    """Read a tab-separated curve written by curve_to_text (header optional)."""
     detunings: list[float] = []
     signal: list[float] = []
     sigmas: list[float] = []

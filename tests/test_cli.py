@@ -13,10 +13,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_mc import NUMBERS, run_cli
 
 from ybion.cli import MAX_SCAN_POINTS, MAX_TRIALS, SCHEME_ENV_VAR, build_parser, main
 from ybion.errors import SolverError, YbionError
@@ -36,6 +40,9 @@ SUBCOMMANDS = (
     "simulate",
     "verify-roundtrip",
 )
+
+# An integer that parses but converts to no float.
+BIG_INT = "1" + "0" * 200
 
 IONIZE = [
     "ionize-rate",
@@ -170,9 +177,12 @@ def test_drive_override_unknown_field_rejected(capsys):
     assert "unknown drive field" in capsys.readouterr().err
 
 
+# chopped is a scheme-file column that no computation reads, so it is not
+# an override field.
 @pytest.mark.parametrize("field,value", [("chopped", "true"), ("chopped", " NO ")])
-def test_drive_override_chopped_accepts_flag_words(field, value, capsys):
-    assert main(["steady-state", "--drive-overrides", "6p12", "6s12", field, value]) == 0
+def test_drive_override_chopped_is_unknown_field(field, value, capsys):
+    assert main(["steady-state", "--drive-overrides", "6p12", "6s12", field, value]) == 2
+    assert "unknown drive field 'chopped'" in capsys.readouterr().err
 
 
 def test_drive_override_power_requires_waist(capsys):
@@ -474,14 +484,46 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
     (["steady-state", "--drive-overrides", "7p12", "6s12", "waist_m", "abc"],
      "drive 7p12->6s12 field waist_m: expected a number, got 'abc'"),
     (["steady-state", "--drive-overrides", "6p12", "6s12", "chopped", "maybe"],
-     "field chopped: expected 1, 0, true, false, yes or no, got 'maybe'"),
+     "unknown drive field 'chopped'; expected saturation, power_w, waist_m or "
+     "detuning_hz"),
     (["verify-roundtrip", "--eta", "0.5", "--q2", "2.0", "--seeds", "3"],
      "eta must lie in the inference range [1, 10], got 0.5"),
     (["verify-roundtrip", "--eta", "10.5", "--q2", "2.0", "--seeds", "3"],
      "eta must lie in the inference range [1, 10], got 10.5"),
+    (["fit-scan", "--data", "{curve}", "--saturation", "nan"],
+     "saturation must be >= 0 and finite, got nan"),
+    (["fit-scan", "--data", "{curve}", "--saturation", "inf"],
+     "saturation must be >= 0 and finite, got inf"),
+    (["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", BIG_INT],
+     "puts core_charge^2 R outside the floating-point range"),
+    (["xsec", "--model", "peach", "--limit", "nan"],
+     "ionization_limit_cm1 must be finite, got nan"),
+    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "5",
+      "--noise-sigma", "1e308", "--seed", "2"],
+     "noise_sigma = 1e+308 draws noise outside the floating-point range"),
+    (["steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e150",
+      "--drive-overrides", "6p12", "6s12", "waist_m", "1e300"],
+     "power_w = 1e+150 W on waist_m = 1e+300 m puts the saturation parameter"),
+    (["steady-state", "--drive-overrides", "fd32", "5d52", "waist_m", "1e-320",
+      "--drive-overrides", "fd32", "5d52", "power_w", "1"],
+     "power_w = 1.0 W on waist_m = 1e-320 m puts the saturation parameter"),
+    (["simulate", "--rate", "4.1", "--trials", "2", "--seed", "1", "--chop-hz",
+      "1e-300", "--max-time-s", "1.7976931348623157e308"],
+     "max time 1.7976931348623157e+308 s plus two chop periods"),
+    (["ionize-rate", "--p7p", "1e-100", "--sigma-mb", "1e300", "--power-w", "1",
+      "--waist-m", "1e148", "--wavelength-nm", "1e148"],
+     "rate-per-power coefficient overflows: p_excited = 1e-100"),
+    (["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", "1" + "0" * 148],
+     "quantum-defect fit overflows"),
+    (["xsec", "--model", "hydrogenic", "--limit", "1e306", "--wavelength-nm", "1e-300"],
+     "quantum-defect fit overflows: the sum of squared residuals is outside the "
+     "floating-point range for every mu (limit = 1e+306 cm^-1, core_charge = 2)"),
+    (["xsec", "--model", "hydrogenic", "--limit", "1e148", "--wavelength-nm", "1e-308"],
+     "photon energy at wavelength 1e-308 nm lies outside the floating-point range in eV"),
 ])
-def test_out_of_range_values_exit_two_without_warning(argv, names, capsys, recwarn):
-    assert main(argv) == 2
+def test_out_of_range_values_exit_two_without_warning(argv, names, curve_file, capsys,
+                                                      recwarn):
+    assert main([arg.replace("{curve}", str(curve_file)) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -501,6 +543,9 @@ def test_out_of_range_values_exit_two_without_warning(argv, names, capsys, recwa
     (["simulate", "--rate", "474e3", "--duty", "1e-300", "--chop-hz", "1e-300",
       "--trials", "3", "--seed", "1", "--max-time-s", "1.7e308",
       "--failure-prob", "1e-5"], "ci95_high_s"),
+    # the same noise sigma as the seed 2 row above, whose draws stay finite
+    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "5",
+      "--noise-sigma", "1e308", "--seed", "1"], "signal"),
 ])
 def test_overflowing_intermediates_exit_zero_without_warning(argv, key, capsys,
                                                              recwarn):
@@ -510,6 +555,94 @@ def test_overflowing_intermediates_exit_zero_without_warning(argv, key, capsys,
     tokens = (out + err).split()
     assert key in tokens
     assert not {"nan", "inf", "-inf"} & {t.lower() for t in tokens}
+
+
+# -- every numeric flag of every subcommand ---------------------------------------
+
+VALUES = st.one_of(NUMBERS, st.just(BIG_INT))
+# Counts are drawn small so no example runs long: --trials and the grid's
+# POINTS exit 1 above their caps, while --seeds has none.
+COUNTS = st.one_of(st.integers(min_value=-2, max_value=12).map(str), NUMBERS)
+DRIVES = st.sampled_from([("6p12", "6s12"), ("7p12", "5d32"), ("fd32", "5d52")])
+FIELDS = st.sampled_from(["saturation", "power_w", "waist_m", "detuning_hz", "chopped"])
+
+# subcommand -> (fixed argv, required flags, optional flags); a flag maps to
+# the strategies of its values. The flags in FIXED name files or levels.
+WHOLE_CLI = {
+    "steady-state": (["steady-state"], {}, {
+        "--saturate-all": [VALUES], "--drive-overrides": [DRIVES, FIELDS, VALUES]}),
+    "ionize-rate": (["ionize-rate"], {
+        "--p7p": [VALUES], "--sigma-mb": [VALUES], "--power-w": [VALUES],
+        "--waist-m": [VALUES], "--wavelength-nm": [VALUES]}, {}),
+    "xsec": (["xsec"], {
+        "--model": [st.sampled_from(["hydrogenic", "burgess", "peach"])],
+        "--limit": [VALUES]}, {
+        "--ell": [VALUES], "--core-charge": [VALUES], "--wavelength-nm": [VALUES]}),
+    "crystal": (["crystal"], {"--nu1": [VALUES]}, {
+        "--eta": [VALUES], "--q2": [VALUES],
+        "--invert-from-mode": [VALUES, st.sampled_from(["com", "bre"])],
+        "--invert-from-ratio": [VALUES]}),
+    "scan": (["scan", "--scheme", "linewidth_reference"],
+             {"--grid": [VALUES, VALUES, VALUES]},
+             {"--noise-sigma": [VALUES], "--seed": [VALUES]}),
+    "fit-scan": (["fit-scan", "--data", "{curve}"], {}, {"--saturation": [VALUES]}),
+    "simulate": (["simulate"], {
+        "--rate": [VALUES], "--trials": [VALUES], "--seed": [VALUES]}, {
+        "--duty": [VALUES], "--chop-hz": [VALUES], "--max-time-s": [VALUES],
+        "--failure-prob": [VALUES]}),
+    "verify-roundtrip": (["verify-roundtrip"], {"--eta": [VALUES], "--q2": [VALUES]}, {
+        "--nu1": [VALUES], "--noise": [VALUES, VALUES], "--seeds": [COUNTS],
+        "--seed-base": [VALUES], "--tolerance": [VALUES]}),
+}
+
+
+@st.composite
+def cli_argv(draw, name):
+    fixed, required, optional = WHOLE_CLI[name]
+    argv = list(fixed)
+    for flag, values in [*required.items(), *optional.items()]:
+        if flag in required or draw(st.booleans()):
+            argv.append(flag)
+            for value in values:
+                drawn = draw(value)
+                argv += drawn if isinstance(drawn, tuple) else [drawn]
+    return argv
+
+
+FIXED = {"-h", "--out", "--scheme", "--series", "--data", "--upper", "--lower"}
+
+
+def test_whole_cli_draws_every_numeric_flag():
+    for name, sub in subparsers().items():
+        _, required, optional = WHOLE_CLI[name]
+        flags = {a.option_strings[0] for a in sub._actions if a.option_strings}
+        assert flags - FIXED == required.keys() | optional.keys(), name
+
+
+@given(argv=st.one_of([cli_argv(name) for name in sorted(WHOLE_CLI)]))
+@example(argv=["fit-scan", "--data", "{curve}", "--saturation", "nan"])
+@example(argv=["fit-scan", "--data", "{curve}", "--saturation", "inf"])
+@example(argv=["xsec", "--model", "peach", "--limit", "98207.0",
+               "--core-charge", BIG_INT])
+@example(argv=["xsec", "--model", "peach", "--limit", "nan"])
+@example(argv=["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6",
+               "5", "--noise-sigma", "1e308", "--seed", "2"])
+@settings(max_examples=300, deadline=None)
+def test_every_subcommand_exits_cleanly(argv, curve_file):
+    argv = [arg.replace("{curve}", str(curve_file)) for arg in argv]
+    # Warnings are errors inside the run only: under a filterwarnings mark
+    # the filter also covers hypothesis' failure report, whose imports warn
+    # and abort the whole session instead of failing this test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 0:
+        tokens = {token.lower() for token in out.split()}
+        assert not tokens & {"nan", "inf", "-inf"}, out
 
 
 # -- simulate ----------------------------------------------------------------------

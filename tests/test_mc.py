@@ -17,6 +17,7 @@ from ybion.crystal import (
     ChargePair,
     TrapAxis,
     displacement_ratio,
+    infer_eta,
     normal_mode_frequencies,
 )
 from ybion.errors import SchemeError, SolverError
@@ -320,8 +321,6 @@ def test_noisy_record_is_seeded():
     c = synthesize_verification(trap, charges, REPORTED_NOISE, seed=10)
     assert a == b
     assert a != c
-    assert a.ratio_rel_sigma == 0.02
-    assert a.freq_rel_sigma == 0.005
 
 
 def test_zero_noise_inference_round_trip():
@@ -330,8 +329,10 @@ def test_zero_noise_inference_round_trip():
     record = synthesize_verification(trap, charges,
                                      VerificationNoise(0.0, 0.0), seed=0)
     inference = infer_from_verification(record)
-    assert inference.eta_com == pytest.approx(2.135, abs=1e-6)
-    assert inference.eta_bre == pytest.approx(2.135, abs=1e-6)
+    for mode, nu in (("com", record.nu_com_measured_hz),
+                     ("bre", record.nu_bre_measured_hz)):
+        assert infer_eta(nu, record.nu1_measured_hz, mode) == pytest.approx(
+            2.135, abs=1e-6)
     assert inference.eta_mean == pytest.approx(2.135, abs=1e-6)
     assert inference.q2 == pytest.approx(2.0, abs=1e-5)
 
@@ -356,7 +357,6 @@ def test_record_invariants():
         VerificationRecord(
             displacement_ratio_measured=-1.0, nu1_measured_hz=474e3,
             nu_com_measured_hz=6e5, nu_bre_measured_hz=1.2e6,
-            ratio_rel_sigma=0.02, freq_rel_sigma=0.005,
         )
     with pytest.raises(SchemeError, match="noise sigmas"):
         VerificationNoise(-0.1, 0.005)
@@ -501,7 +501,6 @@ def test_verify_roundtrip_rng_line_regenerates_first_record(tmp_path):
         nu1_measured_hz=measured["nu1"],
         nu_com_measured_hz=measured["nu_com"],
         nu_bre_measured_hz=measured["nu_bre"],
-        ratio_rel_sigma=0.02, freq_rel_sigma=0.005,
     ))
     rows = dict(line.split("\t")[:2] for line in out.read_text().splitlines())
     assert rows["q2_mean"] == repr(inference.q2)

@@ -13,7 +13,6 @@ from ybion.rates import (
     RateMatrix,
     build_rate_matrix,
     evolve,
-    excitation_probability,
     initial_population,
     natural_fwhm_hz,
     saturation_from_power,
@@ -119,10 +118,18 @@ def test_bundled_matrix_shape_and_sink(yb_scheme):
     # absorbing sink: nothing leaves it
     col = np.array(ms.matrix)[:, ms.sink_index]
     assert np.all(col == 0.0)
-    # and its removal restores the closed system
-    closed = ms.drop_sink()
-    assert closed.n == 9
-    assert np.allclose(closed.matrix, m.matrix)
+    # the drain leaves 7p12, and every rate between levels is unchanged
+    drain = np.zeros((10, 10))
+    drain[ms.sink_index, ms.index("7p12")] = 432.0
+    off = ~np.eye(10, dtype=bool)
+    closed = np.zeros((10, 10))
+    closed[:9, :9] = m.matrix
+    np.testing.assert_array_equal((ms.matrix - drain)[off], closed[off])
+
+
+def test_ionization_drain_needs_the_7p12_level():
+    with pytest.raises(SchemeError, match="unknown level label: 7p12"):
+        build_rate_matrix(two_level(), include_ionization=True, ionization_rate=1.0)
 
 
 def test_rate_matrix_rejects_negative_offdiagonal():
@@ -154,15 +161,6 @@ def test_drive_without_lifetime_rejected():
     )
     with pytest.raises(SchemeError, match="lifetime"):
         build_rate_matrix(scheme)
-
-
-def test_matrix_csv_export(tmp_path, yb_scheme):
-    m = build_rate_matrix(yb_scheme)
-    out = tmp_path / "m.csv"
-    out.write_text(m.to_csv())
-    rows = out.read_text().strip().splitlines()
-    assert rows[0].split(",")[1:] == list(m.labels)
-    assert len(rows) == m.n + 1
 
 
 # -- steady state -------------------------------------------------------------
@@ -295,7 +293,6 @@ def test_sink_accumulates_ionized_probability(yb_scheme):
     p0 = PopulationVector(
         populations=np.append(ss.populations, 0.0),
         labels=ms.labels,
-        time_s=None,
     )
     t = 0.01
     p = evolve(ms, p0, t)
@@ -379,31 +376,27 @@ def test_population_vector_lookup_and_clamp():
     p = PopulationVector(
         populations=np.array([0.7, 0.3 + 1e-13, -1e-13]),
         labels=("a", "b", "c"),
-        time_s=None,
     )
     assert p["c"] == 0.0  # tiny negative clamped
     with pytest.raises(SolverError):
         PopulationVector(
             populations=np.array([0.5, 0.5, -1e-9]),
             labels=("a", "b", "c"),
-            time_s=None,
         )
     with pytest.raises(SolverError):
         PopulationVector(
-            populations=np.array([0.7, 0.2]), labels=("a", "b"), time_s=None
+            populations=np.array([0.7, 0.2]), labels=("a", "b")
         )
 
 
 def test_excitation_probability_trivial(yb_scheme):
     m = build_rate_matrix(yb_scheme)
     p0 = initial_population(m, "6s12")
-    assert excitation_probability(p0, "6s12") == 1.0
-    uniform = PopulationVector(
-        populations=np.full(9, 1.0 / 9.0), labels=m.labels, time_s=None
-    )
-    assert excitation_probability(uniform, "7s12") == pytest.approx(1.0 / 9.0)
+    assert p0["6s12"] == 1.0
+    uniform = PopulationVector(populations=np.full(9, 1.0 / 9.0), labels=m.labels)
+    assert uniform["7s12"] == pytest.approx(1.0 / 9.0)
     with pytest.raises(SchemeError):
-        excitation_probability(p0, "nope")
+        p0["nope"]
 
 
 # -- helper formulas -------------------------------------------------------------

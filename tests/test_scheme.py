@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybion.constants import CONSTANTS, photon_energy_j
+from ybion.constants import CONSTANTS, photon_energy_j, vacuum_wavelength_nm
 from ybion.errors import SchemeError
 from ybion.scheme import (
     DecayChannel,
@@ -16,7 +16,6 @@ from ybion.scheme import (
     load_bundled_scheme,
     load_scheme,
     serialize,
-    transition_wavelength_nm,
     validate_scheme,
 )
 
@@ -204,36 +203,32 @@ def test_validate_reports_wavelength_mismatch_ppm():
 
 
 def test_transition_wavelength_arithmetic():
+    # loading compares each declared drive wavelength with 1e7 / gap nm
     s = load_scheme(MINIMAL)
-    assert transition_wavelength_nm(s, "e", "g") == pytest.approx(500.0)
+    assert vacuum_wavelength_nm(s.energy("e") - s.energy("g")) == pytest.approx(500.0)
     s2 = load_scheme(
         MINIMAL.replace("0.5 20000.0", "0.5 10000.0").replace(
             "e g 500.0", "e g 1000.0"
         )
     )
-    assert transition_wavelength_nm(s2, "e", "g") == pytest.approx(1000.0)
+    assert vacuum_wavelength_nm(s2.energy("e") - s2.energy("g")) == pytest.approx(1000.0)
 
 
 def test_transition_wavelength_yb_245(yb_scheme):
-    lam = transition_wavelength_nm(yb_scheme, "7p12", "5d32")
+    lam = vacuum_wavelength_nm(yb_scheme.energy("7p12") - yb_scheme.energy("5d32"))
     assert abs(lam - 245.426) < 0.1
 
 
 def test_transition_wavelength_errors():
-    s = load_scheme(MINIMAL)
-    with pytest.raises(SchemeError, match="below"):
-        transition_wavelength_nm(s, "g", "e")
-    s_eq = LevelScheme(
-        levels=(
-            Level("g", "c", 0.5, 0.0),
-            Level("e", "c", 0.5, 0.0 + 0.0),
-        ),
-        decays=(),
-        drives=(),
-    )
-    # both at zero energy fails the ground-uniqueness check instead
-    with pytest.raises(SchemeError):
-        transition_wavelength_nm(s_eq, "e", "g")
+    # a drive whose upper level is below or level with its lower one has no
+    # transition wavelength and is refused at load
+    with pytest.raises(SchemeError, match="drive g<->e: upper level is not above"):
+        load_scheme(MINIMAL.replace("e g 500.0", "g e 500.0"))
+    with pytest.raises(SchemeError, match="drive e<->g: upper level is not above"):
+        LevelScheme(
+            levels=(Level("g", "c", 0.5, 0.0), Level("e", "c", 0.5, 0.0)),
+            drives=(LaserDrive("e", "g", 500.0, saturation=1.0),),
+        )
 
 
 def test_with_all_drives_saturated(yb_scheme):

@@ -26,7 +26,6 @@ from ybion.spectro import (
     lifetime_from_linewidth,
     load_curve,
     lorentzian,
-    save_curve,
     simulate_scan,
 )
 
@@ -432,6 +431,9 @@ def test_lifetime_preconditions():
         lifetime_from_linewidth(0.0, 0.0)
     with pytest.raises(SolverError):
         lifetime_from_linewidth(1e6, -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SolverError, match="saturation"):
+            lifetime_from_linewidth(1e6, bad)
 
 
 @pytest.mark.parametrize("saturation", [0.005, 0.02, 0.05])
@@ -462,7 +464,7 @@ def test_pipeline_reference_numbers(reference_scheme):
 def test_curve_text_round_trip(tmp_path):
     curve = synthetic_curve(n=20)
     path = tmp_path / "curve.tsv"
-    save_curve(curve, str(path))
+    path.write_text(curve_to_text(curve))
     back = load_curve(str(path))
     np.testing.assert_array_equal(back.detunings_hz, curve.detunings_hz, strict=True)
     np.testing.assert_array_equal(back.fluorescence, curve.fluorescence, strict=True)
@@ -472,7 +474,7 @@ def test_curve_text_round_trip(tmp_path):
 def test_curve_round_trip_with_sigma(tmp_path):
     curve = synthetic_curve(n=20, noise_sigma=0.01, seed=1)
     path = tmp_path / "noisy.tsv"
-    save_curve(curve, str(path))
+    path.write_text(curve_to_text(curve))
     back = load_curve(str(path))
     np.testing.assert_array_equal(back.detunings_hz, curve.detunings_hz, strict=True)
     np.testing.assert_array_equal(back.fluorescence, curve.fluorescence, strict=True)
