@@ -68,6 +68,7 @@ from .mc import (
     verification_rng_description,
 )
 from .photoion import (
+    COEFFICIENT_TABLES,
     CrossSection,
     GaussianBeam,
     bundled_series_path,
@@ -141,9 +142,12 @@ MAX_TRIALS = 10**7
 # point on the 9-level scheme, so about 19 MB at this cap.
 MAX_SCAN_POINTS = 10**5
 
+# A seed costs about 26 us and 100 bytes, so about 30 s and 100 MB at this cap.
+MAX_SEEDS = 10**6
+
 _nonnegative_int = _int_in_range(0, math.inf, "an integer >= 0")
-_positive_int = _int_in_range(1, math.inf, "an integer >= 1")
 _trial_count = _int_in_range(1, MAX_TRIALS, f"an integer from 1 to {MAX_TRIALS}")
+_seed_count = _int_in_range(1, MAX_SEEDS, f"an integer from 1 to {MAX_SEEDS}")
 
 
 class _FieldsAction(argparse.Action):
@@ -653,7 +657,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--model",
-        choices=["hydrogenic", "burgess", "peach"],
+        choices=["hydrogenic", *COEFFICIENT_TABLES],
         required=True,
         help="cross-section model (dimensionless tag; result is in Mb).",
     )
@@ -887,9 +891,10 @@ def build_parser() -> _Parser:
     p.set_defaults(noise_ratio_rel=0.02, noise_freq_rel=0.005)
     p.add_argument(
         "--seeds",
-        type=_positive_int,
+        type=_seed_count,
         default=1000,
-        help="number of independent synthetic records (count). Default 1000.",
+        help=f"number of independent synthetic records (count, 1 to {MAX_SEEDS})."
+        " Default 1000.",
     )
     p.add_argument(
         "--seed-base",

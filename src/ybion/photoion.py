@@ -19,7 +19,7 @@ p_excited * sigma * 2 / (pi * E_photon) in m^2/J.
 Cross sections come in three flavors: a parameter-free hydrogenic (Kramers)
 estimate evaluated from the effective quantum number of the ionizing level,
 and two coefficient-table parametrizations (model tags "burgess" and
-"peach") read from data files shipped with the package. Effective quantum
+"peach") kept with their sources in COEFFICIENT_TABLES. Effective quantum
 numbers follow the binding-energy convention n* = sqrt(R / (limit - E)), so
 the ionization threshold from a level is R / n*^2 regardless of the core
 charge seen by the escaping electron.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .constants import (
     photon_energy_j,
 )
 from .errors import SchemeError, SolverError
+from .scheme import data_lines, parse_number
 
 __all__ = [
     "GaussianBeam",
@@ -56,7 +58,6 @@ __all__ = [
     "bundled_series_path",
 ]
 
-CROSS_SECTION_MODELS = ("hydrogenic", "burgess", "peach", "user")
 DEFECT_GRID_POINTS = 2048
 
 # Kramers threshold cross section of hydrogen 1s: 64/(3 sqrt(3)) alpha pi a0^2.
@@ -317,20 +318,13 @@ def load_series_file(
     core_charge: int = 1,
 ) -> RydbergSeries:
     """Read "n  energy_cm1" rows (with # comments) into a RydbergSeries."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     members: list[tuple[int, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for n, line in data_lines(Path(path).read_text(encoding="utf-8")):
         parts = line.split()
         if len(parts) != 2:
-            raise SchemeError(f"line {lineno}: expected 'n energy_cm1', got {raw!r}")
-        try:
-            members.append((int(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise SchemeError(f"line {lineno}: {exc}") from None
+            raise SchemeError(f"expected 'n energy_cm1', got {line!r}", line=n)
+        members.append((parse_number(parts[0], "n", n, kind=int),
+                        parse_number(parts[1], "energy", n)))
     if not members:
         raise SchemeError(f"series file {path!r} has no data rows")
     return RydbergSeries(
@@ -346,27 +340,20 @@ def bundled_series_path() -> str:
     return str(resources.files("ybion").joinpath("data", "yb2_p_series.tsv"))
 
 
-def _load_coefficient_table(model: str) -> list[tuple[int, float, float, float, float]]:
-    res = resources.files("ybion").joinpath("data", f"xsec_{model}.tsv")
-    try:
-        text = res.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise SolverError(f"missing coefficient table for model {model!r}") from None
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise SolverError(f"malformed row in {model} coefficient table: {raw!r}")
-        rows.append(
-            (int(parts[0]), float(parts[1]), float(parts[2]),
-             float(parts[3]), float(parts[4]))
-        )
-    if not rows:
-        raise SolverError(f"coefficient table for model {model!r} is empty")
-    return rows
+# model -> (ell, nstar_min, nstar_max, sigma_threshold_mb, exponent, source):
+# the one cell the package evaluates, the channel-summed Yb II 4f14 7p
+# (j=1/2) -> continuum channel, back-propagated from the model's published
+# value at the 245.426 nm working wavelength (5.5 Mb burgess, 7.2 Mb peach)
+# with the hydrogenic (Kramers) cubic frequency falloff.
+COEFFICIENT_TABLES = {
+    "burgess": (1, 1.55, 2.05, 9.059670, 3.0,
+                "general quantum-defect photoionization formula of Burgess & "
+                "Seaton, Mon. Not. R. Astron. Soc. 120, 121 (1960)"),
+    "peach": (1, 1.55, 2.05, 11.859932, 3.0,
+              "bound-free quantum-defect cross-section tables of Peach, "
+              "Mem. R. Astron. Soc. 71, 13 (1967)"),
+}
+CROSS_SECTION_MODELS = ("hydrogenic", *COEFFICIENT_TABLES, "user")
 
 
 def cross_section(
@@ -383,8 +370,8 @@ def cross_section(
         sigma = sigma_K * n* * (E_threshold / E_photon)^3
 
     with sigma_K the hydrogen threshold constant (7.91e-22 m^2). Models
-    "burgess" and "peach" interpolate shipped coefficient tables keyed by
-    (ell, n* range): threshold value in Mb and a falloff exponent.
+    "burgess" and "peach" read COEFFICIENT_TABLES, keyed by (ell, n*
+    range): threshold value in Mb and a falloff exponent.
     """
     if n_star <= 0:
         raise SolverError("effective quantum number must be positive")
@@ -399,15 +386,15 @@ def cross_section(
     if model == "hydrogenic":
         value = SIGMA_KRAMERS_M2 * n_star * falloff**3
         return CrossSection(value_m2=value, model="hydrogenic")
-    if model in ("burgess", "peach"):
-        for ell, lo, hi, sigma_th_mb, exponent in _load_coefficient_table(model):
-            if ell == ell_initial and lo <= n_star <= hi:
-                value = sigma_th_mb * MEGABARN_M2 * falloff**exponent
-                return CrossSection(value_m2=value, model=model)
+    if model in COEFFICIENT_TABLES:
+        ell, lo, hi, sigma_th_mb, exponent, _ = COEFFICIENT_TABLES[model]
+        if ell == ell_initial and lo <= n_star <= hi:
+            value = sigma_th_mb * MEGABARN_M2 * falloff**exponent
+            return CrossSection(value_m2=value, model=model)
         raise SolverError(
             f"no {model} coefficient row covers ell={ell_initial}, n*={n_star:.4f}"
         )
     raise SolverError(
         f"unknown cross-section model {model!r}; expected one of "
-        f"{CROSS_SECTION_MODELS[:3]}"
+        f"{CROSS_SECTION_MODELS[:-1]}"
     )

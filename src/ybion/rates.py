@@ -208,6 +208,11 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
         )
     width = natural_fwhm_hz(lifetime)
     peak = s / (2.0 * lifetime)
+    if not peak < math.inf or width == 0.0:
+        raise SchemeError(
+            f"drive {drive.upper}<->{drive.lower}: saturation {s} with upper level "
+            f"lifetime {lifetime} s puts the rate W or the natural linewidth "
+            "outside the floating-point range")
     # Where (2 detuning / width)^2 overflows, W is 0. A Python float raises
     # OverflowError there and numpy warns, so each is caught its own way;
     # the float path also skips numpy's per-call cost in build_rate_matrix.

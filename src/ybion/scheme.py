@@ -288,20 +288,34 @@ def _check_consistency(scheme: LevelScheme) -> None:
 _SECTIONS = ("SCHEME", "LEVELS", "DECAYS", "DRIVES")
 
 
-def _opt_float(token: str, what: str, line: int) -> float | None:
-    if token == "-":
-        return None
+def data_lines(text: str):
+    """(one-based line number, stripped text) of each non-blank, non-# line."""
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield n, line
+
+
+def parse_number(token: str, what: str, line: int, kind: type = float):
+    """One field as a finite float (an int with kind=int), else SchemeError."""
     try:
-        return float(token)
-    except ValueError:
-        raise SchemeError(f"bad {what}: {token!r}", line=line) from None
+        value = kind(token)
+        if -math.inf < float(value) < math.inf:
+            return value
+    except (ValueError, OverflowError):  # OverflowError: an int beyond any float
+        pass
+    rule = "an integer in the floating-point range" if kind is int else "finite"
+    raise SchemeError(f"{what} must be {rule}, got {token!r}", line=line)
+
+
+def _opt_float(token: str, what: str, line: int) -> float | None:
+    return None if token == "-" else parse_number(token, what, line)
 
 
 def _req_float(token: str, what: str, line: int) -> float:
-    val = _opt_float(token, what, line)
-    if val is None:
+    if token == "-":
         raise SchemeError(f"{what} is required", line=line)
-    return val
+    return parse_number(token, what, line)
 
 
 def _req_bool(token: str, what: str, line: int) -> bool:
@@ -321,10 +335,7 @@ def load_scheme(text: str) -> LevelScheme:
     drives: list[LaserDrive] = []
     meta: dict[str, float] = {}
 
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for n, line in data_lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().upper()
             if name not in _SECTIONS:
@@ -335,8 +346,6 @@ def load_scheme(text: str) -> LevelScheme:
             fields = shlex.split(line, comments=True)
         except ValueError as exc:
             raise SchemeError(f"unbalanced quoting: {exc}", line=n) from None
-        if not fields:
-            continue
         if section is None:
             raise SchemeError("data before any section header", line=n)
 

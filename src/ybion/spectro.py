@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .rates import (  # noqa: F401
     steady_state,
     steady_state_scan,
 )
-from .scheme import LevelScheme
+from .scheme import LevelScheme, data_lines, parse_number
 
 __all__ = [
     "ScanCurve",
@@ -233,7 +234,9 @@ def _initial_guess(nu: np.ndarray, y: np.ndarray) -> tuple[float, float, float, 
     outermost half-maximum crossings (grid span / 4 if the peak never
     drops below half maximum inside the window)."""
     k = max(2, len(y) // 10)
-    offset = float(np.median(np.concatenate([y[:k], y[-k:]])))
+    # The median of an even count averages the two middle samples, whose sum
+    # overflows near the float limit; halving first keeps the bits otherwise.
+    offset = 2.0 * float(np.median(np.concatenate([y[:k], y[-k:]]) / 2.0))
     peak_idx = int(np.argmax(y))
     amplitude = float(y[peak_idx] - offset)
     center = float(nu[peak_idx])
@@ -413,30 +416,20 @@ def curve_to_text(curve: ScanCurve) -> str:
 
 
 def load_curve(path: str) -> ScanCurve:
-    """Read a tab-separated curve written by curve_to_text (header optional)."""
+    """Read a curve written by curve_to_text; comments and the header are optional."""
     detunings: list[float] = []
     signal: list[float] = []
     sigmas: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if lineno == 1 and parts[0] == "detuning_hz":
-                continue
-            if len(parts) not in (2, 3):
-                raise SchemeError(
-                    f"line {lineno}: expected 2 or 3 tab-separated columns"
-                )
-            try:
-                detunings.append(float(parts[0]))
-                signal.append(float(parts[1]))
-                if len(parts) == 3:
-                    sigmas.append(float(parts[2]))
-            except ValueError as exc:
-                raise SchemeError(f"line {lineno}: {exc}") from None
+    for n, line in data_lines(Path(path).read_text(encoding="utf-8")):
+        parts = line.split("\t")
+        if not detunings and parts[0] == "detuning_hz":
+            continue
+        if len(parts) not in (2, 3):
+            raise SchemeError("expected 2 or 3 tab-separated columns", line=n)
+        detunings.append(parse_number(parts[0], "detuning_hz", n))
+        signal.append(parse_number(parts[1], "signal", n))
+        if len(parts) == 3:
+            sigmas.append(parse_number(parts[2], "sigma", n))
     if sigmas and len(sigmas) != len(detunings):
         raise SchemeError("sigma column present on only some rows")
-    noise_sigma = sigmas[0] if sigmas else None
-    return ScanCurve(detunings, signal, noise_sigma=noise_sigma)
+    return ScanCurve(detunings, signal, noise_sigma=sigmas[0] if sigmas else None)

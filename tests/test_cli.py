@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,9 +21,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_mc import NUMBERS, run_cli
+from test_mc import run_cli
 
-from ybion.cli import MAX_SCAN_POINTS, MAX_TRIALS, SCHEME_ENV_VAR, build_parser, main
+from ybion.cli import (
+    MAX_SCAN_POINTS,
+    MAX_SEEDS,
+    MAX_TRIALS,
+    SCHEME_ENV_VAR,
+    build_parser,
+    main,
+)
 from ybion.errors import SolverError, YbionError
 from ybion.crystal import ChargePair, TrapAxis, infer_eta
 from ybion.mc import VerificationNoise, infer_from_verification, synthesize_verification
@@ -559,15 +567,26 @@ def test_overflowing_intermediates_exit_zero_without_warning(argv, key, capsys,
 
 # -- every numeric flag of every subcommand ---------------------------------------
 
-VALUES = st.one_of(NUMBERS, st.just(BIG_INT))
-# Counts are drawn small so no example runs long: --trials and the grid's
-# POINTS exit 1 above their caps, while --seeds has none.
-COUNTS = st.one_of(st.integers(min_value=-2, max_value=12).map(str), NUMBERS)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10, max_value=10),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", "x"]),
+).map(str)
+# The limits of the float range, so that several flags of one example can sit
+# at them together.
+EXTREMES = st.sampled_from([
+    "0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e148", "-1e148", "1e300",
+    "-1e300", repr(sys.float_info.max), repr(-sys.float_info.max), "nan", "inf",
+    "-inf",
+])
+VALUES = st.one_of(NUMBERS, st.just(BIG_INT), EXTREMES)
 DRIVES = st.sampled_from([("6p12", "6s12"), ("7p12", "5d32"), ("fd32", "5d52")])
 FIELDS = st.sampled_from(["saturation", "power_w", "waist_m", "detuning_hz", "chopped"])
 
 # subcommand -> (fixed argv, required flags, optional flags); a flag maps to
-# the strategies of its values. The flags in FIXED name files or levels.
+# the strategies of its values. The flags in FIXED name files or levels. The
+# counts (--trials, --seeds, the grid's POINTS) parse only as integers, so
+# VALUES keeps them at 10 or below, and exit 1 above their caps.
 WHOLE_CLI = {
     "steady-state": (["steady-state"], {}, {
         "--saturate-all": [VALUES], "--drive-overrides": [DRIVES, FIELDS, VALUES]}),
@@ -591,7 +610,7 @@ WHOLE_CLI = {
         "--duty": [VALUES], "--chop-hz": [VALUES], "--max-time-s": [VALUES],
         "--failure-prob": [VALUES]}),
     "verify-roundtrip": (["verify-roundtrip"], {"--eta": [VALUES], "--q2": [VALUES]}, {
-        "--nu1": [VALUES], "--noise": [VALUES, VALUES], "--seeds": [COUNTS],
+        "--nu1": [VALUES], "--noise": [VALUES, VALUES], "--seeds": [VALUES],
         "--seed-base": [VALUES], "--tolerance": [VALUES]}),
 }
 
@@ -619,6 +638,28 @@ def test_whole_cli_draws_every_numeric_flag():
         assert flags - FIXED == required.keys() | optional.keys(), name
 
 
+def run_without_warnings(argv):
+    """run_cli with warnings as errors inside the run only: under a
+    filterwarnings mark the filter also covers hypothesis' failure report,
+    whose imports warn and abort the whole session instead of failing the
+    test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(argv)
+
+
+def assert_exits_cleanly(code, out, err):
+    """Exit 0, 1 or 2 without a traceback; a domain error is one line, and a
+    success prints no non-finite number."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 0:
+        tokens = {token.lower() for token in out.split()}
+        assert not tokens & {"nan", "inf", "-inf"}, out
+
+
 @given(argv=st.one_of([cli_argv(name) for name in sorted(WHOLE_CLI)]))
 @example(argv=["fit-scan", "--data", "{curve}", "--saturation", "nan"])
 @example(argv=["fit-scan", "--data", "{curve}", "--saturation", "inf"])
@@ -627,22 +668,172 @@ def test_whole_cli_draws_every_numeric_flag():
 @example(argv=["xsec", "--model", "peach", "--limit", "nan"])
 @example(argv=["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6",
                "5", "--noise-sigma", "1e308", "--seed", "2"])
+@example(argv=["scan", "--scheme", "linewidth_reference", "--grid", "-1e300", "0.5",
+               "5"])
+@example(argv=["scan", "--scheme", "linewidth_reference", "--grid", "1e308", "1.7e308",
+               "3", "--noise-sigma", "1e308", "--seed", "3"])
 @settings(max_examples=300, deadline=None)
 def test_every_subcommand_exits_cleanly(argv, curve_file):
     argv = [arg.replace("{curve}", str(curve_file)) for arg in argv]
-    # Warnings are errors inside the run only: under a filterwarnings mark
-    # the filter also covers hypothesis' failure report, whose imports warn
-    # and abort the whole session instead of failing this test.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-    if code == 0:
-        tokens = {token.lower() for token in out.split()}
-        assert not tokens & {"nan", "inf", "-inf"}, out
+    assert_exits_cleanly(*run_without_warnings(argv))
+
+
+# -- every numeric field of the data files ------------------------------------------
+
+# Strings float() and int() refuse; none of them turns its row into a comment.
+JUNK = st.sampled_from(["x", "1e", "0x10", "1,5", "--", "", "1 2", "nan(1)", "1e5e5"])
+# An integer beyond the float range.
+HUGE_INT = "1" + "0" * 400
+
+
+def number_fields(text, columns):
+    """(line number, column, kind) of each number of a data file. columns
+    maps a header line's first cell, or "" for no header, to the (column,
+    kind) pairs of the numbers on the data lines below it."""
+    fields, numbers = [], columns.get("")
+    for n, line in enumerate(text.splitlines(), start=1):
+        cells = line.split()
+        if not cells or cells[0].startswith("#"):
+            continue
+        if cells[0] in columns:
+            numbers = columns[cells[0]]
+        else:
+            fields += [(n, column, kind) for column, kind in numbers]
+    return fields
+
+
+def with_field(text, n, column, value):
+    """text with cell `column` of line n (a quoted string is one cell)
+    replaced by the raw string value; the separators stay as they were."""
+    lines = text.splitlines()
+    parts = re.split(r'("[^"]*"|\S+)', lines[n - 1])
+    parts[2 * column + 1] = value
+    lines[n - 1] = "".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def refused(value, kind):
+    """Whether a reader must refuse value as a number of this kind."""
+    try:
+        return not -math.inf < float(kind(value)) < math.inf
+    except (ValueError, OverflowError):
+        return True
+
+
+# file -> first cell of a header line ("" for none) -> (column, kind) of each
+# number on the data lines below it
+NUMBER_COLUMNS = {
+    "scheme": {
+        "[SCHEME]": [(1, float)],
+        "[LEVELS]": [(2, float), (3, float), (4, float)],
+        "[DECAYS]": [(2, float)],
+        "[DRIVES]": [(column, float) for column in range(2, 7)],
+    },
+    "series": {"": [(0, int), (1, float)]},
+    "curve": {"detuning_hz": [(0, float), (1, float)]},
+}
+
+
+@pytest.fixture(scope="module")
+def data_files(curve_file, tmp_path_factory):
+    """file -> (source path, path of the edited copy, commands reading the
+    copy) for the linewidth reference scheme given an ionization limit, the
+    bundled series and the README scan curve."""
+    root = tmp_path_factory.mktemp("fields")
+    scheme = bundled_scheme_path("linewidth_reference").read_text(encoding="utf-8")
+    (root / "source.scheme").write_text(
+        scheme.replace("[SCHEME]\n", "[SCHEME]\nionization_limit_cm1 98207.0\n"),
+        encoding="utf-8")
+    sources = {"scheme": str(root / "source.scheme"), "series": bundled_series_path(),
+               "curve": str(curve_file)}
+    copies = {name: str(root / f"edited.{name}") for name in sources}
+    commands = {
+        "scheme": [["steady-state", "--scheme", copies["scheme"]],
+                   ["scan", "--scheme", copies["scheme"], "--grid", "-60e6", "60e6",
+                    "21"]],
+        "series": [["xsec", "--model", model, "--limit", "98207.0", "--series",
+                    copies["series"]] for model in ("hydrogenic", "burgess", "peach")],
+        "curve": [["fit-scan", "--data", copies["curve"]]],
+    }
+    return {name: (sources[name], copies[name], commands[name]) for name in sources}
+
+
+def test_data_files_expose_every_number(data_files):
+    counts = {name: len(number_fields(Path(source).read_text(encoding="utf-8"),
+                                      NUMBER_COLUMNS[name]))
+              for name, (source, _, _) in data_files.items()}
+    assert counts == {"scheme": 1 + 4 * 3 + 4 + 2 * 5, "series": 2 * 2, "curve": 241 * 2}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_number_of_the_data_files_exits_cleanly(data, data_files):
+    name = data.draw(st.sampled_from(sorted(data_files)))
+    source, copy, commands = data_files[name]
+    text = Path(source).read_text(encoding="utf-8")
+    n, column, kind = data.draw(st.sampled_from(number_fields(text, NUMBER_COLUMNS[name])))
+    value = data.draw(st.one_of(EXTREMES, NUMBERS, JUNK,
+                                st.sampled_from([BIG_INT, HUGE_INT])))
+    Path(copy).write_text(with_field(text, n, column, value), encoding="utf-8")
+    code, out, err = run_without_warnings(data.draw(st.sampled_from(commands)))
+    assert_exits_cleanly(code, out, err)
+    if refused(value, kind):
+        assert code == 2 and err.startswith(f"error: line {n}: "), err
+
+
+def edited_run(data_files, name, marker, column, value, command=0):
+    """Run a command of data_files[name] on the file with cell `column` of
+    the line holding marker set to value; returns (line number, code, out,
+    err)."""
+    source, copy, commands = data_files[name]
+    text = Path(source).read_text(encoding="utf-8")
+    n = next(n for n, line in enumerate(text.splitlines(), start=1) if marker in line)
+    Path(copy).write_text(with_field(text, n, column, value), encoding="utf-8")
+    return (n, *run_without_warnings(commands[command]))
+
+
+@pytest.mark.parametrize("name,marker,column,value,rule", [
+    ("scheme", '"reference probed"', 3, "nan", "energy must be finite"),
+    ("scheme", '"reference probed"', 4, "nan", "lifetime must be finite"),
+    ("scheme", '"reference probed"', 4, "inf", "lifetime must be finite"),
+    ("scheme", '"reference shelf"', 2, "nan", "J must be finite"),
+    ("scheme", "ionization_limit_cm1", 1, "nan", "ionization_limit_cm1 must be finite"),
+    ("series", "63706.28", 1, "nan", "energy must be finite"),
+    ("series", "63706.28", 0, HUGE_INT,
+     "n must be an integer in the floating-point range"),
+])
+def test_non_finite_file_numbers_exit_two_naming_line_and_field(
+        data_files, name, marker, column, value, rule):
+    n, code, out, err = edited_run(data_files, name, marker, column, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: line {n}: {rule}, got {value!r}\n"
+
+
+# Finite numbers whose drive rate S / (2 lifetime) or natural linewidth
+# 1 / (2 pi lifetime) leaves the floating-point range.
+@pytest.mark.parametrize("marker,column,value,command", [
+    ('"reference relay"', 4, "1e308", 0),
+    ("7p12   5d32", 5, "1e308", 1),
+])
+def test_drive_rates_outside_the_float_range_exit_two(data_files, marker, column,
+                                                      value, command):
+    _, code, _, err = edited_run(data_files, "scheme", marker, column, value, command)
+    assert code == 2 and "outside the floating-point range" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edge,peak", [(1.5e308, 1.7e308), (1e308, 1e308)])
+def test_fit_scan_near_the_float_limit_prints_finite_numbers(edge, peak, tmp_path):
+    # the median of the edge samples averaged two samples whose sum
+    # overflowed, so the table printed offset inf and amplitude -inf
+    signal = [edge] * 21
+    signal[10] = peak
+    path = tmp_path / "curve.tsv"
+    path.write_text("".join(f"{d!r}\t{y!r}\n" for d, y in zip(
+        np.linspace(-1e6, 1e6, 21).tolist(), signal)), encoding="utf-8")
+    code, out, err = run_without_warnings(["fit-scan", "--data", str(path)])
+    assert_exits_cleanly(code, out, err)
+    assert code == 0 and value_map(out)["offset"] == repr(edge)
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -702,6 +893,21 @@ def test_simulate_trial_count_is_capped_at_parse_time(capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(["simulate", "--help"])
     assert f"1 to {MAX_TRIALS}" in capsys.readouterr().out
+
+
+def test_verify_roundtrip_seed_count_is_capped_at_parse_time(capsys):
+    # parsing only: a count above the cap must never reach the seed loop
+    parser = build_parser()
+    base = ["verify-roundtrip", "--eta", "2.1", "--q2", "2.0", "--seeds"]
+    assert parser.parse_args(base + [str(MAX_SEEDS)]).seeds == MAX_SEEDS
+    for text in (str(MAX_SEEDS + 1), "10**12", "1000000000000", BIG_INT):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(base + [text])
+        assert exc.value.code == 1
+        assert "argument --seeds:" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify-roundtrip", "--help"])
+    assert f"1 to {MAX_SEEDS}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_simulate_out_file_sends_summary_to_stdout(capsys, tmp_path):

@@ -17,6 +17,7 @@ from ybion.constants import (
 )
 from ybion.errors import SchemeError, SolverError
 from ybion.photoion import (
+    COEFFICIENT_TABLES,
     SIGMA_KRAMERS_M2,
     CrossSection,
     GaussianBeam,
@@ -356,20 +357,6 @@ def test_table_lookup_requires_covering_row():
         cross_section(1.78, 0, 5.0, model="peach")
 
 
-def test_missing_coefficient_table(monkeypatch):
-    class MissingFile:
-        def joinpath(self, *parts):
-            return self
-
-        def read_text(self, encoding="utf-8"):
-            raise FileNotFoundError
-
-    import ybion.photoion as photoion
-    monkeypatch.setattr(photoion.resources, "files", lambda pkg: MissingFile())
-    with pytest.raises(SolverError, match="missing coefficient table"):
-        cross_section(1.78, 1, 5.1, model="burgess")
-
-
 def test_user_model_is_not_computable():
     with pytest.raises(SolverError, match="user"):
         cross_section(1.78, 1, 5.1, model="user")
@@ -426,12 +413,12 @@ def test_series_file_errors(tmp_path):
 
 
 def test_bundled_table_files_carry_provenance_headers():
-    # Shipped coefficient and series tables must say where their numbers
-    # come from; a bare number table is not reviewable.
+    # The shipped series table and coefficient rows must say where their
+    # numbers come from; a bare number table is not reviewable.
     from importlib import resources
 
-    for name in ("yb2_p_series.tsv", "xsec_burgess.tsv", "xsec_peach.tsv"):
-        text = resources.files("ybion").joinpath("data", name).read_text("utf-8")
-        header = [ln for ln in text.splitlines() if ln.startswith("#")]
-        assert any("source:" in ln or "NIST" in ln or "pinned" in ln
-                   for ln in header), name
+    text = resources.files("ybion").joinpath("data", "yb2_p_series.tsv").read_text("utf-8")
+    header = [ln for ln in text.splitlines() if ln.startswith("#")]
+    assert any("source:" in ln or "NIST" in ln or "pinned" in ln for ln in header)
+    for model, citation in (("burgess", "Burgess & Seaton"), ("peach", "Peach")):
+        assert citation in COEFFICIENT_TABLES[model][-1], model

@@ -471,6 +471,14 @@ def test_curve_text_round_trip(tmp_path):
     assert back.noise_sigma is None
 
 
+def test_curve_header_may_follow_comment_lines(tmp_path):
+    curve = synthetic_curve(n=20)
+    path = tmp_path / "curve.tsv"
+    path.write_text("# a note on the scan\n\n" + curve_to_text(curve))
+    back = load_curve(str(path))
+    np.testing.assert_array_equal(back.fluorescence, curve.fluorescence, strict=True)
+
+
 def test_curve_round_trip_with_sigma(tmp_path):
     curve = synthetic_curve(n=20, noise_sigma=0.01, seed=1)
     path = tmp_path / "noisy.tsv"
