@@ -54,7 +54,7 @@ from .crystal import (
     infer_charge,
     infer_eta,
 )
-from .errors import SchemeError, YbionError
+from .errors import SchemeError, YbionError, check
 from .mc import (
     SequenceConfig,
     VerificationNoise,
@@ -112,10 +112,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
+    return check("value", float(text), "finite", error=ValueError)
 
 
 def _int_in_range(lowest: int, highest: float, what: str):
@@ -507,10 +504,7 @@ def _cmd_verify_roundtrip(args) -> _Run:
         raise SchemeError(
             f"eta must lie in the inference range [{lo:g}, {hi:g}], got {args.eta}"
         )
-    if not 0.0 <= args.tolerance < np.inf:
-        raise SchemeError(
-            f"tolerance must be >= 0 and finite, got {args.tolerance}"
-        )
+    check("tolerance", args.tolerance, "[0, inf)")
     noise = VerificationNoise(
         ratio_rel=args.noise_ratio_rel, freq_rel=args.noise_freq_rel
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SchemeError
+from .errors import SchemeError, check
 
 __all__ = [
     "PhysicalConstants",
@@ -66,9 +66,8 @@ RYDBERG_EV = (
 
 def photon_energy_j(wavelength_nm: float) -> float:
     """Photon energy h*c/lambda in joules for a vacuum wavelength in nm."""
-    if not 0.0 < wavelength_nm < math.inf:
-        raise SchemeError(f"wavelength must be positive and finite, got {wavelength_nm} nm")
-    wavelength_m = wavelength_nm * 1e-9  # 0.0 for a subnormal wavelength in nm
+    # 0.0 for a subnormal wavelength in nm
+    wavelength_m = check("wavelength", wavelength_nm, "(0, inf)", "nm") * 1e-9
     energy = (
         CONSTANTS.planck_constant * CONSTANTS.speed_of_light / wavelength_m
         if wavelength_m > 0.0 else math.inf
@@ -91,6 +90,4 @@ def photon_energy_ev(wavelength_nm: float) -> float:
 
 def vacuum_wavelength_nm(delta_energy_cm1: float) -> float:
     """Vacuum wavelength in nm of a transition with energy gap in cm^-1."""
-    if delta_energy_cm1 <= 0:
-        raise ValueError("energy gap must be positive")
-    return 1e7 / delta_energy_cm1
+    return 1e7 / check("energy gap", delta_energy_cm1, "(0, inf)", "cm^-1", ValueError)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS, YB174_MASS_KG
-from .errors import SchemeError, SolverError
+from .errors import SchemeError, SolverError, check
 
 __all__ = [
     "TrapAxis",
@@ -65,10 +65,8 @@ class TrapAxis:
     eta: float
 
     def __post_init__(self):
-        for name in ("nu1_hz", "eta"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise SchemeError(f"{name} must be positive and finite, got {value}")
+        check("nu1_hz", self.nu1_hz, "(0, inf)")
+        check("eta", self.eta, "(0, inf)")
 
     @property
     def omega1(self) -> float:
@@ -83,8 +81,7 @@ class ChargePair:
     q2: float
 
     def __post_init__(self):
-        if not 0.0 < self.q2 < math.inf:
-            raise SchemeError(f"q2 must be positive and finite, got {self.q2}")
+        check("q2", self.q2, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -140,8 +137,8 @@ def displacement_ratio(eta: float, q2: float) -> float:
     weak function of q2, which is why inverting it amplifies measurement
     noise threefold (see infer_charge).
     """
-    if not (0.0 < eta < math.inf and 0.0 < q2 < math.inf):
-        raise SchemeError("eta and q2 must be positive and finite")
+    check("eta", eta, "(0, inf)")
+    check("q2", q2, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     ratio = float((4.0 * q2 / (scale * scale)) ** (1.0 / 3.0))
     if not ratio < math.inf:
@@ -200,8 +197,8 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
     """
     if mode not in _ENDPOINT_EIGENVALUES:
         raise SolverError(f"mode must be 'com' or 'bre', got {mode!r}")
-    if not (0.0 < nu_measured_hz < math.inf and 0.0 < nu1_hz < math.inf):
-        raise SolverError("frequencies must be positive and finite")
+    check("nu_measured_hz", nu_measured_hz, "(0, inf)", error=SolverError)
+    check("nu1_hz", nu1_hz, "(0, inf)", error=SolverError)
     ratio = nu_measured_hz / nu1_hz
     u = ratio * ratio
     lo, hi = ETA_BRACKET
@@ -233,8 +230,8 @@ def infer_charge(ratio: float, eta: float) -> float:
     Exact inverse of displacement_ratio: q2 = ratio^3 (1 + eta^-2)^2 / 4.
     The cube propagates a relative error in the ratio threefold into q2.
     """
-    if not (0.0 < ratio < math.inf and 0.0 < eta < math.inf):
-        raise SchemeError("ratio and eta must be positive and finite")
+    check("ratio", ratio, "(0, inf)")
+    check("eta", eta, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     q2 = float(ratio * ratio * ratio * scale * scale / 4.0)
     if not q2 < math.inf:

@@ -1,8 +1,14 @@
-"""Exception types raised by the package.
+"""Exception types raised by the package, and check, its one interval test.
 
 The command line maps any YbionError to exit code 2 and prints its message
 verbatim, so messages must be self-contained and name the offending input.
+check(what, value, interval, unit) refuses a value with "WHAT WORDING, got
+VALUE UNIT". Its intervals and their wordings: "(0, inf)" must be positive
+and finite; "[0, inf)" must be >= 0 and finite; "(0, 1]" must lie in (0, 1];
+"[0, 1]" must lie in [0, 1]; "finite" must be finite.
 """
+
+import math
 
 
 class YbionError(Exception):
@@ -24,3 +30,22 @@ class SchemeError(YbionError):
 
 class SolverError(YbionError):
     """A numerical routine could not produce a trustworthy result."""
+
+
+# interval -> (lo, hi, wording); a closed end is stored as the next float
+# outward, so every test is the strict lo < value < hi, which NaN fails.
+_INTERVALS = {
+    "(0, inf)": (0.0, math.inf, "must be positive and finite"),
+    "[0, inf)": (-5e-324, math.inf, "must be >= 0 and finite"),
+    "(0, 1]": (0.0, math.nextafter(1.0, 2.0), "must lie in (0, 1]"),
+    "[0, 1]": (-5e-324, math.nextafter(1.0, 2.0), "must lie in [0, 1]"),
+    "finite": (-math.inf, math.inf, "must be finite"),
+}
+
+
+def check(what: str, value, interval: str, unit: str = "", error=SchemeError):
+    """value if it lies in interval, else error naming what, value and unit."""
+    lo, hi, wording = _INTERVALS[interval]
+    if not lo < value < hi:
+        raise error(f"{what} {wording}, got {value}" + (f" {unit}" if unit else ""))
+    return value

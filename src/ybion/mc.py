@@ -37,7 +37,7 @@ enters before its event or the horizon, and then records K windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .crystal import (
     infer_eta,
     normal_mode_frequencies,
 )
-from .errors import SchemeError, SolverError
+from .errors import SchemeError, SolverError, check
 
 __all__ = [
     "SequenceConfig",
@@ -91,27 +91,16 @@ class SequenceConfig:
     failure_prob: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.rate_per_s < math.inf:
-            raise SchemeError(
-                f"ionization rate must be >= 0 and finite, got {self.rate_per_s}")
-        if not 0.0 < self.ionization_duty <= 1.0:
-            raise SchemeError(
-                f"ionization duty must lie in (0, 1], got {self.ionization_duty}")
-        if not 0.0 < self.chop_rate_hz < math.inf:
-            raise SchemeError(
-                f"chop rate must be positive and finite, got {self.chop_rate_hz}")
-        if not 0.0 < self.max_time_s < math.inf:
-            raise SchemeError(
-                f"max time must be positive and finite, got {self.max_time_s}")
-        if not 0.0 <= self.failure_prob <= 1.0:
-            raise SchemeError(
-                f"failure probability must lie in [0, 1], got {self.failure_prob}")
-        if self.rng_seed < 0:
-            raise SchemeError(f"rng seed must be >= 0, got {self.rng_seed}")
+        check("ionization rate", self.rate_per_s, "[0, inf)")
+        check("ionization duty", self.ionization_duty, "(0, 1]")
+        check("chop rate", self.chop_rate_hz, "(0, inf)")
+        check("max time", self.max_time_s, "(0, inf)")
+        check("failure probability", self.failure_prob, "[0, 1]")
+        check("rng seed", self.rng_seed, "[0, inf)")
         # Window counts are int64 and the chop phase must stay resolvable,
         # so the horizon may span at most 2**53 chop cycles of nonzero ON time.
-        if not (self.on_time_s > 0.0 and self.period_s < math.inf):
-            raise SchemeError("chop period and ON time must be positive and finite")
+        check("chop period", self.period_s, "(0, inf)", "s")
+        check("ON time", self.on_time_s, "(0, inf)", "s")
         if self.max_time_s * self.chop_rate_hz > 2.0**53:
             raise SchemeError("max time spans more than 2**53 chop cycles")
         # Wall times reach up to a start phase plus the horizon plus a window.
@@ -174,8 +163,7 @@ class VerificationNoise:
 
     def __post_init__(self):
         for sigma in (self.ratio_rel, self.freq_rel):
-            if not 0.0 <= sigma < math.inf:
-                raise SchemeError(f"noise sigmas must be >= 0 and finite, got {sigma}")
+            check("noise sigmas", sigma, "[0, inf)")
 
 
 # Measurement scale of the published verification: about 2% on the
@@ -198,16 +186,8 @@ class VerificationRecord:
                 and 0.0 < self.nu1_measured_hz < math.inf
                 and 0.0 < self.nu_com_measured_hz < math.inf
                 and 0.0 < self.nu_bre_measured_hz < math.inf):
-            for name in (
-                "displacement_ratio_measured",
-                "nu1_measured_hz",
-                "nu_com_measured_hz",
-                "nu_bre_measured_hz",
-            ):
-                value = getattr(self, name)
-                if not 0.0 < value < math.inf:
-                    raise SchemeError(
-                        f"{name} must be positive and finite, got {value}")
+            for field in fields(self):
+                check(field.name, getattr(self, field.name), "(0, inf)")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -41,8 +40,8 @@ from .constants import (
     RYDBERG_YB174_CM1,
     photon_energy_j,
 )
-from .errors import SchemeError, SolverError
-from .scheme import data_lines, parse_number
+from .errors import SchemeError, SolverError, check
+from .scheme import data_lines, parse_number, read_text
 
 __all__ = [
     "GaussianBeam",
@@ -78,15 +77,9 @@ class GaussianBeam:
     wavelength_nm: float
 
     def __post_init__(self):
-        if not 0.0 <= self.power_w < math.inf:
-            raise SchemeError(
-                f"beam power must be >= 0 and finite, got {self.power_w} W")
-        if not 0.0 < self.waist_m < math.inf:
-            raise SchemeError(
-                f"beam waist must be positive and finite, got {self.waist_m} m")
-        if not 0.0 < self.wavelength_nm < math.inf:
-            raise SchemeError(
-                f"beam wavelength must be positive and finite, got {self.wavelength_nm} nm")
+        check("beam power", self.power_w, "[0, inf)", "W")
+        check("beam waist", self.waist_m, "(0, inf)", "m")
+        check("beam wavelength", self.wavelength_nm, "(0, inf)", "nm")
         # waist_m**2 underflows to 0 below about 1e-162 m and overflows
         # above about 1e154 m; the quotient can also overflow or underflow.
         try:
@@ -115,9 +108,7 @@ class CrossSection:
     def __post_init__(self):
         # keep a plain float so serialized values round-trip through text
         object.__setattr__(self, "value_m2", float(self.value_m2))
-        if not 0.0 <= self.value_m2 < math.inf:
-            raise SchemeError(
-                f"cross section must be >= 0 and finite, got {self.value_m2} m^2")
+        check("cross section", self.value_m2, "[0, inf)", "m^2")
         if self.model not in CROSS_SECTION_MODELS:
             raise SchemeError(
                 f"unknown cross-section model {self.model!r}; "
@@ -152,9 +143,7 @@ class RydbergSeries:
     def __post_init__(self):
         if self.ell < 0:
             raise SchemeError("orbital angular momentum must be >= 0")
-        if not math.isfinite(self.ionization_limit_cm1):
-            raise SchemeError(
-                f"ionization_limit_cm1 must be finite, got {self.ionization_limit_cm1}")
+        check("ionization_limit_cm1", self.ionization_limit_cm1, "finite")
         if self.core_charge < 1:
             raise SchemeError("core charge must be >= 1")
         try:
@@ -191,10 +180,8 @@ def photon_flux(beam: GaussianBeam) -> float:
 
 def ionization_rate(p_excited: float, sigma: CrossSection, flux_m2s: float) -> float:
     """One-photon ionization rate R = p * sigma * F in 1/s."""
-    if not 0.0 <= p_excited <= 1.0:
-        raise SchemeError("excited-state population must lie in [0, 1]")
-    if not 0.0 <= flux_m2s < math.inf:
-        raise SchemeError(f"photon flux must be >= 0 and finite, got {flux_m2s}")
+    check("excited-state population", p_excited, "[0, 1]")
+    check("photon flux", flux_m2s, "[0, inf)")
     rate = p_excited * sigma.value_m2 * flux_m2s
     if not rate < math.inf:
         raise SchemeError(
@@ -211,8 +198,7 @@ def rate_coefficient(
     Multiply by power in W and divide by waist^2 in m^2 to recover the
     ionization rate for a peak-intensity Gaussian beam geometry.
     """
-    if not 0.0 <= p_excited <= 1.0:
-        raise SchemeError("excited-state population must lie in [0, 1]")
+    check("excited-state population", p_excited, "[0, 1]")
     coeff = (
         p_excited * sigma.value_m2 * 2.0
         / (np.pi * photon_energy_j(wavelength_nm))
@@ -231,12 +217,8 @@ def effective_quantum_number(energy_cm1: float, ionization_limit_cm1: float) -> 
     value encodes the binding energy alone; the threshold photon energy for
     ionization out of the level is R / n*^2.
     """
-    gap = ionization_limit_cm1 - energy_cm1
-    if gap <= 0:
-        raise SolverError(
-            "level energy must lie below the ionization limit "
-            f"(limit - E = {gap!r} cm^-1)"
-        )
+    gap = check("ionization limit minus level energy",
+                ionization_limit_cm1 - energy_cm1, "(0, inf)", "cm^-1", SolverError)
     return float(np.sqrt(RYDBERG_YB174_CM1 / gap))
 
 
@@ -319,7 +301,7 @@ def load_series_file(
 ) -> RydbergSeries:
     """Read "n  energy_cm1" rows (with # comments) into a RydbergSeries."""
     members: list[tuple[int, float]] = []
-    for n, line in data_lines(Path(path).read_text(encoding="utf-8")):
+    for n, line in data_lines(read_text(path)):
         parts = line.split()
         if len(parts) != 2:
             raise SchemeError(f"expected 'n energy_cm1', got {line!r}", line=n)
@@ -373,8 +355,7 @@ def cross_section(
     "burgess" and "peach" read COEFFICIENT_TABLES, keyed by (ell, n*
     range): threshold value in Mb and a falloff exponent.
     """
-    if n_star <= 0:
-        raise SolverError("effective quantum number must be positive")
+    check("effective quantum number", n_star, "(0, inf)", error=SolverError)
     threshold_ev = RYDBERG_EV / n_star**2
     if photon_energy_ev < threshold_ev:
         raise SolverError(

@@ -38,7 +38,7 @@ from importlib import resources
 from pathlib import Path
 
 from .constants import vacuum_wavelength_nm
-from .errors import SchemeError
+from .errors import SchemeError, check
 
 __all__ = [
     "Level",
@@ -75,12 +75,10 @@ class Level:
     def __post_init__(self):
         if not self.label:
             raise SchemeError("level label must be non-empty")
-        if self.j < 0:
-            raise SchemeError(f"level {self.label}: J must be >= 0")
-        if self.energy_cm1 < 0:
-            raise SchemeError(f"level {self.label}: energy must be >= 0")
-        if self.lifetime_s is not None and self.lifetime_s <= 0:
-            raise SchemeError(f"level {self.label}: lifetime must be positive")
+        check(f"level {self.label}: J", self.j, "[0, inf)")
+        check(f"level {self.label}: energy_cm1", self.energy_cm1, "[0, inf)")
+        if self.lifetime_s is not None:
+            check(f"level {self.label}: lifetime_s", self.lifetime_s, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,8 @@ class DecayChannel:
     branching_ratio: float
 
     def __post_init__(self):
-        if not 0.0 < self.branching_ratio <= 1.0:
-            raise SchemeError(
-                f"decay {self.upper}->{self.lower}: branching ratio "
-                f"{self.branching_ratio!r} outside (0, 1]"
-            )
+        check(f"decay {self.upper}->{self.lower}: branching ratio",
+              self.branching_ratio, "(0, 1]")
         if self.upper == self.lower:
             raise SchemeError(f"decay {self.upper}->{self.lower}: levels must differ")
 
@@ -122,17 +117,12 @@ class LaserDrive:
     def __post_init__(self):
         if self.upper == self.lower:
             raise SchemeError(f"drive {self.upper}<->{self.lower}: levels must differ")
-        for name in ("wavelength_nm", "power_w", "waist_m", "saturation", "detuning_hz"):
+        for name, interval in (("wavelength_nm", "(0, inf)"), ("power_w", "[0, inf)"),
+                               ("waist_m", "(0, inf)"), ("saturation", "[0, inf)"),
+                               ("detuning_hz", "finite")):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise SchemeError(
-                    f"drive {self.upper}<->{self.lower}: {name} must be finite, "
-                    f"got {value}"
-                )
-        if self.wavelength_nm <= 0:
-            raise SchemeError(
-                f"drive {self.upper}<->{self.lower}: wavelength must be positive"
-            )
+            if value is not None:
+                check(f"drive {self.upper}<->{self.lower}: {name}", value, interval)
         has_power = self.power_w is not None or self.waist_m is not None
         has_sat = self.saturation is not None
         if has_sat and has_power:
@@ -144,14 +134,6 @@ class LaserDrive:
             raise SchemeError(
                 f"drive {self.upper}<->{self.lower}: needs saturation or a "
                 "complete power/waist pair"
-            )
-        if self.power_w is not None and self.power_w < 0:
-            raise SchemeError(f"drive {self.upper}<->{self.lower}: power must be >= 0")
-        if self.waist_m is not None and self.waist_m <= 0:
-            raise SchemeError(f"drive {self.upper}<->{self.lower}: waist must be > 0")
-        if self.saturation is not None and self.saturation < 0:
-            raise SchemeError(
-                f"drive {self.upper}<->{self.lower}: saturation must be >= 0"
             )
 
 
@@ -296,6 +278,14 @@ def data_lines(text: str):
             yield n, line
 
 
+def read_text(path: str | Path) -> str:
+    """A data file's text; a file that is not UTF-8 raises SchemeError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemeError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def parse_number(token: str, what: str, line: int, kind: type = float):
     """One field as a finite float (an int with kind=int), else SchemeError."""
     try:
@@ -415,7 +405,7 @@ def load_scheme(text: str) -> LevelScheme:
 
 
 def load_scheme_file(path: str | Path) -> LevelScheme:
-    return load_scheme(Path(path).read_text(encoding="utf-8"))
+    return load_scheme(read_text(path))
 
 
 def bundled_scheme_path(name: str) -> Path:

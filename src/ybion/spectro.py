@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemeError, SolverError
+from .errors import SchemeError, SolverError, check
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
 # here although scans solve through steady_state_scan.
 from .rates import (  # noqa: F401
@@ -52,7 +51,7 @@ from .rates import (  # noqa: F401
     steady_state,
     steady_state_scan,
 )
-from .scheme import LevelScheme, data_lines, parse_number
+from .scheme import LevelScheme, data_lines, parse_number, read_text
 
 __all__ = [
     "ScanCurve",
@@ -89,10 +88,8 @@ class ScanCurve:
 
     def __post_init__(self):
         if self.noise_sigma is not None:
-            object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
-            if not 0.0 <= self.noise_sigma < math.inf:
-                raise SchemeError(
-                    f"noise sigma must be >= 0 and finite, got {self.noise_sigma}")
+            sigma = check("noise sigma", float(self.noise_sigma), "[0, inf)")
+            object.__setattr__(self, "noise_sigma", sigma)
         d = np.array(self.detunings_hz, dtype=float)
         y = np.array(self.fluorescence, dtype=float)
         if d.ndim != 1 or y.ndim != 1:
@@ -140,10 +137,8 @@ class LorentzianFit:
 
     def __post_init__(self):
         if self.converged:
-            if self.fwhm_hz <= 0:
-                raise SolverError("converged fit must have positive fwhm")
-            if self.amplitude <= 0:
-                raise SolverError("converged fit must have positive amplitude")
+            check("fit fwhm", self.fwhm_hz, "(0, inf)", "Hz", SolverError)
+            check("fit amplitude", self.amplitude, "(0, inf)", error=SolverError)
 
 
 def lorentzian(nu, center, fwhm, amplitude, offset):
@@ -396,10 +391,8 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
 def lifetime_from_linewidth(fwhm_hz: float, saturation: float) -> float:
     """Upper-level lifetime from a measured FWHM after power-broadening
     deconvolution: tau = sqrt(1 + S) / (2 pi fwhm)."""
-    if fwhm_hz <= 0:
-        raise SolverError("fwhm must be positive")
-    if not 0.0 <= saturation < math.inf:
-        raise SolverError(f"saturation must be >= 0 and finite, got {saturation}")
+    check("fwhm", fwhm_hz, "(0, inf)", "Hz", SolverError)
+    check("saturation", saturation, "[0, inf)", error=SolverError)
     return float(np.sqrt(1.0 + saturation) / (2.0 * np.pi * fwhm_hz))
 
 
@@ -420,7 +413,7 @@ def load_curve(path: str) -> ScanCurve:
     detunings: list[float] = []
     signal: list[float] = []
     sigmas: list[float] = []
-    for n, line in data_lines(Path(path).read_text(encoding="utf-8")):
+    for n, line in data_lines(read_text(path)):
         parts = line.split("\t")
         if not detunings and parts[0] == "detuning_hz":
             continue

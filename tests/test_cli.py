@@ -781,6 +781,17 @@ def test_every_number_of_the_data_files_exits_cleanly(data, data_files):
         assert code == 2 and err.startswith(f"error: line {n}: "), err
 
 
+@pytest.mark.parametrize("name", ["scheme", "series", "curve"])
+def test_data_files_that_are_not_utf8_exit_two(data_files, name):
+    # ff fe is a UTF-16 byte-order mark and no UTF-8 text starts with it
+    source, copy, commands = data_files[name]
+    Path(copy).write_bytes(b"\xff\xfe" + Path(source).read_bytes())
+    code, out, err = run_without_warnings(commands[0])
+    assert_exits_cleanly(code, out, err)
+    assert (code, out) == (2, "")
+    assert err == f"error: {copy}: not UTF-8 text at byte 0\n"
+
+
 def edited_run(data_files, name, marker, column, value, command=0):
     """Run a command of data_files[name] on the file with cell `column` of
     the line holding marker set to value; returns (line number, code, out,

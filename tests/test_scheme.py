@@ -1,6 +1,7 @@
 """Scheme container, file format, and validation diagnostics."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -123,11 +124,18 @@ def test_drive_needs_exactly_one_strength_spec():
         LaserDrive(upper="e", lower="g", wavelength_nm=500.0)
 
 
+DRIVE_NAN_MESSAGES = {
+    "saturation": "drive e<->g: saturation must be >= 0 and finite, got nan",
+    "detuning_hz": "drive e<->g: detuning_hz must be finite, got nan",
+    "wavelength_nm": "drive e<->g: wavelength_nm must be positive and finite, got nan",
+}
+
+
 @pytest.mark.parametrize("field", ["saturation", "detuning_hz", "wavelength_nm"])
 def test_drive_rejects_nan(field):
     fields = dict(upper="e", lower="g", wavelength_nm=500.0, saturation=1.0)
     fields[field] = math.nan
-    with pytest.raises(SchemeError, match=f"{field} must be finite"):
+    with pytest.raises(SchemeError, match=re.escape(DRIVE_NAN_MESSAGES[field])):
         LaserDrive(**fields)
 
 
