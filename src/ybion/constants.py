@@ -9,10 +9,9 @@ conventions cannot drift between modules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import SchemeError, check
+from .errors import check, representable
 
 __all__ = [
     "PhysicalConstants",
@@ -66,26 +65,20 @@ RYDBERG_EV = (
 
 def photon_energy_j(wavelength_nm: float) -> float:
     """Photon energy h*c/lambda in joules for a vacuum wavelength in nm."""
-    # 0.0 for a subnormal wavelength in nm
+    # 0.0 in m for a subnormal wavelength in nm
     wavelength_m = check("wavelength", wavelength_nm, "(0, inf)", "nm") * 1e-9
-    energy = (
-        CONSTANTS.planck_constant * CONSTANTS.speed_of_light / wavelength_m
-        if wavelength_m > 0.0 else math.inf
-    )
-    if not 0.0 < energy < math.inf:
-        raise SchemeError(
-            f"photon energy at wavelength {wavelength_nm} nm lies outside the "
-            "floating-point range")
-    return energy
+    return representable(
+        "photon energy",
+        lambda: CONSTANTS.planck_constant * CONSTANTS.speed_of_light / wavelength_m,
+        "(0, inf)", wavelength_nm=wavelength_nm)
 
 
 def photon_energy_ev(wavelength_nm: float) -> float:
-    energy = photon_energy_j(wavelength_nm) / CONSTANTS.elementary_charge
-    if not energy < math.inf:  # finite in J, but not in eV
-        raise SchemeError(
-            f"photon energy at wavelength {wavelength_nm} nm lies outside the "
-            "floating-point range in eV")
-    return energy
+    # finite in J, but not always in eV
+    return representable(
+        "photon energy in eV",
+        photon_energy_j(wavelength_nm) / CONSTANTS.elementary_charge,
+        "(0, inf)", wavelength_nm=wavelength_nm)
 
 
 def vacuum_wavelength_nm(delta_energy_cm1: float) -> float:

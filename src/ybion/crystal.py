@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS, YB174_MASS_KG
-from .errors import SchemeError, SolverError, check
+from .errors import SchemeError, SolverError, check, representable
 
 __all__ = [
     "TrapAxis",
@@ -120,14 +120,12 @@ def equilibrium_positions(trap: TrapAxis, charges: ChargePair) -> tuple[float, f
     inv_eta2 = _inv_square(trap.eta)
     scale = 1.0 + inv_eta2
     stiffness = scale * scale * YB174_MASS_KG * trap.omega1 * trap.omega1
+    inputs = dict(nu1_hz=trap.nu1_hz, eta=trap.eta, q2=charges.q2)
     # stiffness underflows to 0 for nu1 below about 1e-150 Hz
-    x1 = (q / stiffness) ** (1.0 / 3.0) if stiffness > 0.0 else math.inf
-    if not x1 < math.inf:
-        raise SchemeError(
-            f"equilibrium position X1 overflows for nu1_hz = {trap.nu1_hz} Hz, "
-            f"eta = {trap.eta}, q2 = {charges.q2}")
-    x2 = -inv_eta2 * x1
-    return float(x1), float(x2)
+    x1 = representable("equilibrium position X1",
+                       lambda: (q / stiffness) ** (1.0 / 3.0), "(0, inf)", **inputs)
+    x2 = representable("equilibrium position |X2|", inv_eta2 * x1, "(0, inf)", **inputs)
+    return float(x1), -float(x2)
 
 
 def displacement_ratio(eta: float, q2: float) -> float:
@@ -141,9 +139,7 @@ def displacement_ratio(eta: float, q2: float) -> float:
     check("q2", q2, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     ratio = float((4.0 * q2 / (scale * scale)) ** (1.0 / 3.0))
-    if not ratio < math.inf:
-        raise SchemeError(f"displacement ratio overflows for eta = {eta}, q2 = {q2}")
-    return ratio
+    return representable("displacement ratio", ratio, "(0, inf)", eta=eta, q2=q2)
 
 
 def _mode_eigenvalues(eta: float) -> tuple[float, float]:
@@ -234,9 +230,7 @@ def infer_charge(ratio: float, eta: float) -> float:
     check("eta", eta, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     q2 = float(ratio * ratio * ratio * scale * scale / 4.0)
-    if not q2 < math.inf:
-        raise SchemeError(f"inferred q2 overflows for ratio = {ratio}, eta = {eta}")
-    return q2
+    return representable("inferred q2", q2, "(0, inf)", ratio=ratio, eta=eta)
 
 
 def crystal_state(trap: TrapAxis, charges: ChargePair) -> CrystalState:

@@ -1,11 +1,16 @@
-"""Exception types raised by the package, and check, its one interval test.
+"""Exception types raised by the package, and its two range tests.
 
 The command line maps any YbionError to exit code 2 and prints its message
 verbatim, so messages must be self-contained and name the offending input.
-check(what, value, interval, unit) refuses a value with "WHAT WORDING, got
+check(what, value, interval, unit) refuses an input with "WHAT WORDING, got
 VALUE UNIT". Its intervals and their wordings: "(0, inf)" must be positive
 and finite; "[0, inf)" must be >= 0 and finite; "(0, 1]" must lie in (0, 1];
 "[0, 1]" must lie in [0, 1]; "finite" must be finite.
+
+representable(what, value, interval, error, **inputs) tests a computed
+result against the same intervals and refuses it with "WHAT lies outside
+the floating-point range for NAME = VALUE, NAME = VALUE", naming the inputs
+it was computed from.
 """
 
 import math
@@ -48,4 +53,23 @@ def check(what: str, value, interval: str, unit: str = "", error=SchemeError):
     lo, hi, wording = _INTERVALS[interval]
     if not lo < value < hi:
         raise error(f"{what} {wording}, got {value}" + (f" {unit}" if unit else ""))
+    return value
+
+
+def representable(what: str, value, interval: str = "[0, inf)", error=SchemeError,
+                  **inputs):
+    """value if it lies in interval, else error naming what and inputs.
+
+    value may be a zero-argument callable, whose OverflowError or
+    ZeroDivisionError (Python floats raise these) counts as out of range.
+    """
+    lo, hi, _ = _INTERVALS[interval]
+    if callable(value):
+        try:
+            value = value()
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+    if not lo < value < hi:
+        names = ", ".join(f"{name} = {v}" for name, v in inputs.items())
+        raise error(f"{what} lies outside the floating-point range for {names}")
     return value

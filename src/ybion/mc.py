@@ -49,7 +49,7 @@ from .crystal import (
     infer_eta,
     normal_mode_frequencies,
 )
-from .errors import SchemeError, SolverError, check
+from .errors import SchemeError, SolverError, check, representable
 
 __all__ = [
     "SequenceConfig",
@@ -104,10 +104,9 @@ class SequenceConfig:
         if self.max_time_s * self.chop_rate_hz > 2.0**53:
             raise SchemeError("max time spans more than 2**53 chop cycles")
         # Wall times reach up to a start phase plus the horizon plus a window.
-        if not self.max_time_s + 2.0 * self.period_s < math.inf:
-            raise SchemeError(
-                f"max time {self.max_time_s} s plus two chop periods of "
-                f"{self.period_s} s lies outside the floating-point range")
+        representable("max time plus two chop periods",
+                      self.max_time_s + 2.0 * self.period_s,
+                      max_time_s=self.max_time_s, chop_rate_hz=self.chop_rate_hz)
 
     @property
     def period_s(self) -> float:

@@ -27,7 +27,6 @@ charge seen by the escaping electron.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -40,7 +39,7 @@ from .constants import (
     RYDBERG_YB174_CM1,
     photon_energy_j,
 )
-from .errors import SchemeError, SolverError, check
+from .errors import SchemeError, SolverError, check, representable
 from .scheme import data_lines, parse_number, read_text
 
 __all__ = [
@@ -82,15 +81,10 @@ class GaussianBeam:
         check("beam wavelength", self.wavelength_nm, "(0, inf)", "nm")
         # waist_m**2 underflows to 0 below about 1e-162 m and overflows
         # above about 1e154 m; the quotient can also overflow or underflow.
-        try:
-            intensity = self.peak_intensity_w_m2
-        except (ZeroDivisionError, OverflowError):
-            intensity = math.nan
-        if not intensity < math.inf or intensity == 0.0 < self.power_w:
-            raise SchemeError(
-                f"beam waist_m = {self.waist_m} m with power_w = {self.power_w} W "
-                "puts the peak intensity 2 power_w / (pi waist_m^2) outside "
-                "the floating-point range")
+        representable("peak intensity 2 power_w / (pi waist_m^2)",
+                      lambda: self.peak_intensity_w_m2,
+                      "(0, inf)" if self.power_w else "[0, inf)",
+                      power_w=self.power_w, waist_m=self.waist_m)
 
     @property
     def peak_intensity_w_m2(self) -> float:
@@ -146,14 +140,10 @@ class RydbergSeries:
         check("ionization_limit_cm1", self.ionization_limit_cm1, "finite")
         if self.core_charge < 1:
             raise SchemeError("core charge must be >= 1")
-        try:
-            z2r = self.core_charge**2 * RYDBERG_YB174_CM1
-        except OverflowError:  # an int too large to convert to float
-            z2r = math.inf
-        if not z2r < math.inf:
-            raise SchemeError(
-                f"core_charge = {self.core_charge} puts core_charge^2 R outside "
-                "the floating-point range")
+        # core_charge**2 is an int, which may be too large to convert to float
+        representable("core_charge^2 R",
+                      lambda: self.core_charge**2 * RYDBERG_YB174_CM1,
+                      core_charge=self.core_charge)
         last_n = None
         for n, energy in self.members:
             if n <= self.ell:
@@ -169,25 +159,19 @@ class RydbergSeries:
 
 def photon_flux(beam: GaussianBeam) -> float:
     """Peak on-axis photon flux of the beam in photons / (m^2 s)."""
-    flux = beam.peak_intensity_w_m2 / photon_energy_j(beam.wavelength_nm)
-    if not flux < math.inf:
-        raise SchemeError(
-            f"beam power_w = {beam.power_w} W on waist_m = {beam.waist_m} m at "
-            f"{beam.wavelength_nm} nm puts the photon flux outside the "
-            "floating-point range")
-    return flux
+    return representable(
+        "photon flux", beam.peak_intensity_w_m2 / photon_energy_j(beam.wavelength_nm),
+        power_w=beam.power_w, waist_m=beam.waist_m, wavelength_nm=beam.wavelength_nm)
 
 
 def ionization_rate(p_excited: float, sigma: CrossSection, flux_m2s: float) -> float:
     """One-photon ionization rate R = p * sigma * F in 1/s."""
     check("excited-state population", p_excited, "[0, 1]")
     check("photon flux", flux_m2s, "[0, inf)")
-    rate = p_excited * sigma.value_m2 * flux_m2s
-    if not rate < math.inf:
-        raise SchemeError(
-            f"ionization rate p_excited * sigma * flux overflows: p_excited = "
-            f"{p_excited}, sigma = {sigma.value_m2} m^2, flux = {flux_m2s} m^-2 s^-1")
-    return rate
+    return representable(
+        "ionization rate p_excited * sigma * flux",
+        p_excited * sigma.value_m2 * flux_m2s,
+        p_excited=p_excited, sigma_m2=sigma.value_m2, flux_m2s=flux_m2s)
 
 
 def rate_coefficient(
@@ -199,15 +183,10 @@ def rate_coefficient(
     ionization rate for a peak-intensity Gaussian beam geometry.
     """
     check("excited-state population", p_excited, "[0, 1]")
-    coeff = (
-        p_excited * sigma.value_m2 * 2.0
-        / (np.pi * photon_energy_j(wavelength_nm))
-    )
-    if not coeff < math.inf:
-        raise SchemeError(
-            f"rate-per-power coefficient overflows: p_excited = {p_excited}, "
-            f"sigma = {sigma.value_m2} m^2, wavelength = {wavelength_nm} nm")
-    return coeff
+    return representable(
+        "rate-per-power coefficient",
+        p_excited * sigma.value_m2 * 2.0 / (np.pi * photon_energy_j(wavelength_nm)),
+        p_excited=p_excited, sigma_m2=sigma.value_m2, wavelength_nm=wavelength_nm)
 
 
 def effective_quantum_number(energy_cm1: float, ionization_limit_cm1: float) -> float:
@@ -254,11 +233,9 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     grid_misfit = limit - z2r / (ns[:, None] - grid) ** 2 - energies[:, None]
     grid_sum_sq = (grid_misfit * grid_misfit).sum(axis=0)
     best = int(np.argmin(grid_sum_sq))
-    if not grid_sum_sq[best] < math.inf:
-        raise SolverError(
-            "quantum-defect fit overflows: the sum of squared residuals is "
-            f"outside the floating-point range for every mu (limit = {limit} "
-            f"cm^-1, core_charge = {series.core_charge})")
+    representable("smallest sum of squared residuals of the quantum-defect fit",
+                  grid_sum_sq[best], error=SolverError,
+                  limit_cm1=limit, core_charge=series.core_charge)
     mu = float(grid[best])
 
     def grad_hess(mu_val: float) -> tuple[float, float]:

@@ -51,13 +51,12 @@ that steady states need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import SchemeError, SolverError, check
+from .errors import SchemeError, SolverError, check, representable
 from .scheme import LevelScheme
 
 __all__ = [
@@ -168,24 +167,21 @@ def saturation_from_power(
     """Saturation parameter of a Gaussian beam on a two-level transition.
 
     Uses the on-axis peak intensity 2P/(pi w0^2) against the two-level
-    saturation intensity pi h c / (3 lambda^3 lifetime). A result outside
-    the floating-point range raises SchemeError naming power and waist.
+    saturation intensity pi h c / (3 lambda^3 lifetime). A result no float
+    holds raises SchemeError naming power and waist.
     """
     lam = wavelength_nm * 1e-9
-    try:
+
+    def saturation() -> float:
         peak = 2.0 * power_w / (np.pi * waist_m**2)
         i_sat = (
             np.pi * CONSTANTS.planck_constant * CONSTANTS.speed_of_light
             / (3.0 * lam**3 * lifetime_s)
         )
-        s = peak / i_sat
-    except (ZeroDivisionError, OverflowError):  # Python floats raise here
-        s = math.nan
-    if not 0.0 <= s < math.inf:
-        raise SchemeError(
-            f"power_w = {power_w} W on waist_m = {waist_m} m puts the saturation "
-            "parameter outside the floating-point range")
-    return s
+        return peak / i_sat
+
+    return representable("saturation parameter", saturation,
+                         power_w=power_w, waist_m=waist_m)
 
 
 def drive_rate(scheme: LevelScheme, drive, detuning_hz):
@@ -206,13 +202,11 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
         s = saturation_from_power(
             drive.power_w, drive.waist_m, drive.wavelength_nm, lifetime
         )
-    width = natural_fwhm_hz(lifetime)
-    peak = s / (2.0 * lifetime)
-    if not peak < math.inf or width == 0.0:
-        raise SchemeError(
-            f"drive {drive.upper}<->{drive.lower}: saturation {s} with upper level "
-            f"lifetime {lifetime} s puts the rate W or the natural linewidth "
-            "outside the floating-point range")
+    name = f"drive {drive.upper}<->{drive.lower}"
+    peak = representable(f"{name} peak rate S / (2 lifetime)", s / (2.0 * lifetime),
+                         saturation=s, lifetime_s=lifetime)
+    width = representable(f"{name} natural linewidth", natural_fwhm_hz(lifetime),
+                          "(0, inf)", lifetime_s=lifetime)
     # Where (2 detuning / width)^2 overflows, W is 0. A Python float raises
     # OverflowError there and numpy warns, so each is caught its own way;
     # the float path also skips numpy's per-call cost in build_rate_matrix.
@@ -232,30 +226,23 @@ def build_rate_matrix(
     scheme: LevelScheme,
     include_ionization: bool = False,
     ionization_rate: float = 0.0,
-    residual_policy: str = "renormalize",
 ) -> RateMatrix:
     """Assemble the rate matrix for a level scheme.
 
     Levels are ordered by decreasing energy (ground state last), so a
     decay-only matrix is strictly lower triangular off the diagonal:
     spontaneous emission moves population from a column to a row further
-    down. Branching-ratio sums below 1
-    leave an unmodeled residual; the policy decides where that probability
-    goes. "renormalize" scales the listed channels so the level's full
-    1/lifetime leaves through them; "route_to_ground" adds the residual as
-    an extra channel to the lowest level. Either way the total decay rate
-    of a level equals 1/lifetime exactly.
+    down. Branching-ratio sums below 1 leave an unmodeled residual; the
+    listed channels are scaled so the level's full 1/lifetime leaves
+    through them, and the total decay rate of a level equals 1/lifetime.
 
     With include_ionization=True, a one-way drain at ionization_rate (1/s)
     is added from IONIZED_FROM into an absorbing sink row appended after
     the levels.
     """
-    if residual_policy not in ("renormalize", "route_to_ground"):
-        raise SchemeError(f"unknown residual policy: {residual_policy!r}")
     order = sorted(scheme.levels, key=lambda lv: -lv.energy_cm1)
     labels = [lv.label for lv in order]
     index = {lab: i for i, lab in enumerate(labels)}
-    ground = labels[-1]
     n = len(labels)
     size = n + 1 if include_ionization else n
     m = np.zeros((size, size))
@@ -270,13 +257,8 @@ def build_rate_matrix(
             )
         total = sum(c.branching_ratio for c in channels)
         for ch in channels:
-            ratio = ch.branching_ratio
-            if residual_policy == "renormalize":
-                ratio /= total
-            m[index[ch.lower], index[ch.upper]] += ratio / lv.lifetime_s
-        if residual_policy == "route_to_ground" and total < 1.0:
-            if lv.label != ground:
-                m[index[ground], index[lv.label]] += (1.0 - total) / lv.lifetime_s
+            rate = ch.branching_ratio / total / lv.lifetime_s
+            m[index[ch.lower], index[ch.upper]] += rate
 
     for drive in scheme.drives:
         w = drive_rate(scheme, drive, drive.detuning_hz)

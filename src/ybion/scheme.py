@@ -222,6 +222,7 @@ def _check_consistency(scheme: LevelScheme) -> None:
 
     by_label = {lv.label: lv for lv in scheme.levels}
     sums: dict[str, float] = {}
+    channels: set[tuple[str, str]] = set()
     for d in scheme.decays:
         for end in (d.upper, d.lower):
             if end not in by_label:
@@ -232,9 +233,9 @@ def _check_consistency(scheme: LevelScheme) -> None:
             raise SchemeError(
                 f"decay {d.upper}->{d.lower}: upper level is not above lower"
             )
-        key = (d.upper, d.lower)
-        if sum(1 for x in scheme.decays if (x.upper, x.lower) == key) > 1:
+        if (d.upper, d.lower) in channels:
             raise SchemeError(f"duplicate decay channel {d.upper}->{d.lower}")
+        channels.add((d.upper, d.lower))
         sums[d.upper] = sums.get(d.upper, 0.0) + d.branching_ratio
     for label, total in sums.items():
         if total > 1.0 + BRANCHING_SUM_SLACK:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemeError, SolverError, check
+from .errors import SchemeError, SolverError, check, representable
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
 # here although scans solve through steady_state_scan.
 from .rates import (  # noqa: F401
@@ -206,10 +206,7 @@ def simulate_scan(
         rng = np.random.default_rng(seed)
         signal += rng.normal(0.0, noise_sigma, size=signal.shape)
         np.clip(signal, 0.0, None, out=signal)
-        if not np.isfinite(signal).all():
-            raise SchemeError(
-                f"noise_sigma = {noise_sigma} draws noise outside the "
-                "floating-point range")
+        representable("noisy signal", signal.max(), noise_sigma=noise_sigma)
 
     return ScanCurve(detunings, signal, noise_sigma=noise_sigma)
 

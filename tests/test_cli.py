@@ -461,15 +461,22 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("argv,names", [
-    ([a.replace("1e-5", "1e-200") for a in IONIZE], "waist_m = 1e-200 m"),
-    ([a.replace("1e-5", "1e200") for a in IONIZE], "waist_m = 1e+200 m"),
+    ([a.replace("1e-5", "1e-200") for a in IONIZE],
+     "error: peak intensity 2 power_w / (pi waist_m^2) lies outside the "
+     "floating-point range for power_w = 0.0001, waist_m = 1e-200"),
+    ([a.replace("1e-5", "1e200") for a in IONIZE],
+     "error: peak intensity 2 power_w / (pi waist_m^2) lies outside the "
+     "floating-point range for power_w = 0.0001, waist_m = 1e+200"),
     (["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--nu1", "1e308",
       "--seeds", "3"], "got inf"),
     # finite peak intensity, but the photon flux overflows
     ([a.replace("1e-4", "1e300").replace("1e-5", "1e-3") for a in IONIZE],
-     "power_w = 1e+300 W on waist_m = 0.001 m"),
+     "error: photon flux lies outside the floating-point range for "
+     "power_w = 1e+300, waist_m = 0.001, wavelength_nm = 245.426"),
     ([a.replace("5.5", "1e308").replace("9.5e-3", "1") for a in IONIZE],
-     "ionization rate p_excited * sigma * flux overflows"),
+     "error: ionization rate p_excited * sigma * flux lies outside the "
+     "floating-point range for p_excited = 1.0, sigma_m2 = 1e+286, "
+     "flux_m2s = 7.86545697637769e+23"),
     (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
       "--noise-sigma", "nan"], "noise sigma must be >= 0 and finite, got nan"),
     (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
@@ -478,17 +485,22 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
     (["xsec", "--model", "peach", "--limit", "1e300", "--wavelength-nm", "0"],
      "wavelength must be positive and finite, got 0.0 nm"),
     (["xsec", "--model", "burgess", "--limit", "nan", "--wavelength-nm", "5e-324"],
-     "photon energy at wavelength 5e-324 nm lies outside the floating-point range"),
+     "error: photon energy lies outside the floating-point range for "
+     "wavelength_nm = 5e-324"),
     ([a.replace("245.426", "1.7e308") for a in IONIZE],
-     "photon energy at wavelength 1.7e+308 nm lies outside the floating-point range"),
+     "error: photon energy lies outside the floating-point range for "
+     "wavelength_nm = 1.7e+308"),
     (["crystal", "--nu1", "1e-300", "--eta", "2", "--q2", "1e200",
       "--invert-from-ratio", "-1"],
-     "equilibrium position X1 overflows for nu1_hz = 1e-300 Hz"),
+     "error: equilibrium position X1 lies outside the floating-point range for "
+     "nu1_hz = 1e-300, eta = 2.0, q2 = 1e+200"),
     (["crystal", "--nu1", "0.5", "--eta", "2", "--q2", "1e300",
       "--invert-from-ratio", "1e300"],
-     "inferred q2 overflows for ratio = 1e+300, eta = 2.0"),
+     "error: inferred q2 lies outside the floating-point range for "
+     "ratio = 1e+300, eta = 2.0"),
     (["crystal", "--nu1", "474e3", "--q2", "1e308"],
-     "displacement ratio overflows for eta = 1.0, q2 = 1e+308"),
+     "error: displacement ratio lies outside the floating-point range for "
+     "eta = 1.0, q2 = 1e+308"),
     (["steady-state", "--drive-overrides", "7p12", "6s12", "waist_m", "abc"],
      "drive 7p12->6s12 field waist_m: expected a number, got 'abc'"),
     (["steady-state", "--drive-overrides", "6p12", "6s12", "chopped", "maybe"],
@@ -503,31 +515,56 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
     (["fit-scan", "--data", "{curve}", "--saturation", "inf"],
      "saturation must be >= 0 and finite, got inf"),
     (["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", BIG_INT],
-     "puts core_charge^2 R outside the floating-point range"),
+     "error: core_charge^2 R lies outside the floating-point range for "
+     f"core_charge = {BIG_INT}"),
     (["xsec", "--model", "peach", "--limit", "nan"],
      "ionization_limit_cm1 must be finite, got nan"),
     (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "5",
       "--noise-sigma", "1e308", "--seed", "2"],
-     "noise_sigma = 1e+308 draws noise outside the floating-point range"),
+     "error: noisy signal lies outside the floating-point range for "
+     "noise_sigma = 1e+308"),
     (["steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e150",
       "--drive-overrides", "6p12", "6s12", "waist_m", "1e300"],
-     "power_w = 1e+150 W on waist_m = 1e+300 m puts the saturation parameter"),
+     "error: saturation parameter lies outside the floating-point range for "
+     "power_w = 1e+150, waist_m = 1e+300"),
     (["steady-state", "--drive-overrides", "fd32", "5d52", "waist_m", "1e-320",
       "--drive-overrides", "fd32", "5d52", "power_w", "1"],
-     "power_w = 1.0 W on waist_m = 1e-320 m puts the saturation parameter"),
+     "error: saturation parameter lies outside the floating-point range for "
+     "power_w = 1.0, waist_m = 1e-320"),
     (["simulate", "--rate", "4.1", "--trials", "2", "--seed", "1", "--chop-hz",
       "1e-300", "--max-time-s", "1.7976931348623157e308"],
-     "max time 1.7976931348623157e+308 s plus two chop periods"),
+     "error: max time plus two chop periods lies outside the floating-point range for "
+     "max_time_s = 1.7976931348623157e+308, chop_rate_hz = 1e-300"),
     (["ionize-rate", "--p7p", "1e-100", "--sigma-mb", "1e300", "--power-w", "1",
       "--waist-m", "1e148", "--wavelength-nm", "1e148"],
-     "rate-per-power coefficient overflows: p_excited = 1e-100"),
+     "error: rate-per-power coefficient lies outside the floating-point range for "
+     "p_excited = 1e-100, sigma_m2 = 1.0000000000000001e+278, "
+     "wavelength_nm = 1e+148"),
     (["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", "1" + "0" * 148],
-     "quantum-defect fit overflows"),
+     "error: smallest sum of squared residuals of the quantum-defect fit "
+     "lies outside the floating-point range for limit_cm1 = 98207.0, "
+     f"core_charge = {10**148}"),
     (["xsec", "--model", "hydrogenic", "--limit", "1e306", "--wavelength-nm", "1e-300"],
-     "quantum-defect fit overflows: the sum of squared residuals is outside the "
-     "floating-point range for every mu (limit = 1e+306 cm^-1, core_charge = 2)"),
+     "error: smallest sum of squared residuals of the quantum-defect fit "
+     "lies outside the floating-point range for limit_cm1 = 1e+306, "
+     "core_charge = 2"),
     (["xsec", "--model", "hydrogenic", "--limit", "1e148", "--wavelength-nm", "1e-308"],
-     "photon energy at wavelength 1e-308 nm lies outside the floating-point range in eV"),
+     "error: photon energy in eV lies outside the floating-point range for "
+     "wavelength_nm = 1e-308"),
+    # results that underflow to 0 name their inputs too
+    (["crystal", "--nu1", "474e3", "--eta", "1e-200"],
+     "error: equilibrium position X1 lies outside the floating-point range for "
+     "nu1_hz = 474000.0, eta = 1e-200, q2 = 1.0"),
+    (["crystal", "--nu1", "474e3", "--eta", "1e200"],
+     "error: equilibrium position |X2| lies outside the floating-point range for "
+     "nu1_hz = 474000.0, eta = 1e+200, q2 = 1.0"),
+    (["crystal", "--nu1", "474e3", "--q2", "1e-320"],
+     "error: equilibrium position X1 lies outside the floating-point range for "
+     "nu1_hz = 474000.0, eta = 1.0, q2 = 1e-320"),
+    (["crystal", "--nu1", "474e3", "--eta", "2", "--q2", "2",
+      "--invert-from-ratio", "1e-300"],
+     "error: inferred q2 lies outside the floating-point range for "
+     "ratio = 1e-300, eta = 2.0"),
 ])
 def test_out_of_range_values_exit_two_without_warning(argv, names, curve_file, capsys,
                                                       recwarn):
@@ -535,6 +572,9 @@ def test_out_of_range_values_exit_two_without_warning(argv, names, curve_file, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # a row that gives the whole line, as every unrepresentable result does
+    if names.startswith("error: "):
+        assert err == names + "\n"
     assert not [str(w.message) for w in recwarn]
 
 
@@ -829,8 +869,14 @@ def test_non_finite_file_numbers_exit_two_naming_line_and_field(
 def test_drive_rates_outside_the_float_range_exit_two(data_files, marker, column,
                                                       value, command):
     _, code, _, err = edited_run(data_files, "scheme", marker, column, value, command)
-    assert code == 2 and "outside the floating-point range" in err
-    assert err.count("\n") == 1
+    assert code == 2
+    assert err == {
+        '"reference relay"': "error: drive 6p12<->6s12 natural linewidth lies outside "
+                             "the floating-point range for lifetime_s = 1e+308\n",
+        "7p12   5d32": "error: drive 7p12<->5d32 peak rate S / (2 lifetime) lies "
+                       "outside the floating-point range for saturation = 1e+308, "
+                       "lifetime_s = 1.35e-08\n",
+    }[marker]
 
 
 @pytest.mark.parametrize("edge,peak", [(1.5e308, 1.7e308), (1e308, 1e308)])

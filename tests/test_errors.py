@@ -1,4 +1,4 @@
-"""The one interval check every module calls, and the wording it keeps."""
+"""The two range tests every module calls, and the wordings they keep."""
 
 import ast
 import math
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ybion
-from ybion.errors import SchemeError, SolverError, check
+from ybion.errors import SchemeError, SolverError, check, representable
 from ybion.rates import build_rate_matrix, evolve, initial_population
 from ybion.scheme import Level, load_bundled_scheme
 from ybion.spectro import lifetime_from_linewidth
@@ -84,15 +84,93 @@ def test_non_finite_inputs_of_one_sided_checks_are_refused(call, error, message)
 ARRAY_CHECKS = {"exposure must be >= 0 and finite", "wall time must be >= 0 and finite"}
 
 
-def test_interval_wordings_are_written_only_in_errors_py():
-    phrases = [wording for wording in WORDINGS.values() if wording != "must be finite"]
-    copies = []
-    for path in sorted(Path(ybion.__file__).parent.glob("*.py")):
+def string_literals(root, with_docstrings=True):
+    """(file name, line, text) of each string literal in the .py files under
+    root other than errors.py, f-string pieces included."""
+    for path in sorted(Path(root).glob("*.py")):
         if path.name == "errors.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = set() if with_docstrings else {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and node.value not in ARRAY_CHECKS):
-                copies += [(path.name, node.lineno, phrase)
-                           for phrase in phrases if phrase in node.value]
+                    and id(node) not in docstrings):
+                yield path.name, node.lineno, node.value
+
+
+PACKAGE = Path(ybion.__file__).parent
+
+
+def test_interval_wordings_are_written_only_in_errors_py():
+    phrases = [wording for wording in WORDINGS.values() if wording != "must be finite"]
+    copies = [(name, line, phrase) for name, line, text in string_literals(PACKAGE)
+              if text not in ARRAY_CHECKS for phrase in phrases if phrase in text]
     assert copies == []
+
+
+def range_refusals_outside_errors_py(root):
+    return [(name, line, text) for name, line, text
+            in string_literals(root, with_docstrings=False)
+            if "outside the floating-point range" in text or "overflows" in text]
+
+
+def test_range_refusals_are_worded_only_in_errors_py(tmp_path):
+    assert range_refusals_outside_errors_py(PACKAGE) == []
+    # a hand-written refusal is found; a docstring saying the same is not
+    (tmp_path / "module.py").write_text(
+        '"""A result that overflows is refused."""\n'
+        "def f(x):\n"
+        '    """x * x lies outside the floating-point range near 1e155."""\n'
+        '    raise ValueError(f"x * x overflows for x = {x}")\n', encoding="utf-8")
+    assert range_refusals_outside_errors_py(tmp_path) == [
+        ("module.py", 4, "x * x overflows for x = ")]
+
+
+# the cases of check: each interval's ends, NaN, +-inf and 0 where excluded
+@pytest.mark.parametrize("interval,value,accepted", CASES)
+def test_representable_accepts_its_interval_and_names_the_inputs(
+        interval, value, accepted):
+    if accepted:
+        assert representable("flux", value, interval, power_w=2.0) is value
+        assert representable("flux", lambda: value, interval, power_w=2.0) is value
+        return
+    for given_value in (value, lambda: value):
+        with pytest.raises(SchemeError) as caught:
+            representable("flux", given_value, interval, power_w=2.0)
+        assert str(caught.value) == (
+            "flux lies outside the floating-point range for power_w = 2.0")
+
+
+def test_representable_default_interval_is_nonnegative_and_finite():
+    assert representable("rate", 0.0) == 0.0
+    with pytest.raises(SchemeError):
+        representable("rate", -TINY)
+
+
+@pytest.mark.parametrize("call", [lambda: 1e200 ** 2, lambda: 1.0 / 0.0,
+                                  lambda: 10**400 * 1.0],
+                         ids=["power", "division", "int-to-float"])
+def test_representable_refuses_a_callable_raising_arithmetic_errors(call):
+    with pytest.raises(SchemeError) as caught:
+        representable("power", call, power_w=1e200)
+    assert str(caught.value) == (
+        "power lies outside the floating-point range for power_w = 1e+200")
+
+
+def test_representable_lets_other_exceptions_propagate():
+    with pytest.raises(ValueError, match="math domain error"):
+        representable("root", lambda: math.sqrt(-1.0), x=-1.0)
+
+
+def test_representable_words_three_inputs_and_passes_the_error_type():
+    with pytest.raises(SolverError) as caught:
+        representable("photon flux", math.inf, "(0, inf)", SolverError,
+                      power_w=1e300, waist_m=0.001, wavelength_nm=245.426)
+    assert type(caught.value) is SolverError
+    assert str(caught.value) == (
+        "photon flux lies outside the floating-point range for power_w = 1e+300, "
+        "waist_m = 0.001, wavelength_nm = 245.426")

@@ -1,7 +1,6 @@
 """Beam flux, ionization rate, and quantum-defect cross-section tests."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -57,8 +56,10 @@ def test_zero_power_zero_flux():
     (0.0, "wavelength must be positive and finite, got 0.0 nm"),
     (-245.0, "wavelength must be positive and finite, got -245.0 nm"),
     (math.nan, "wavelength must be positive and finite, got nan nm"),
-    (5e-324, "photon energy at wavelength 5e-324 nm lies outside the floating-point range"),
-    (1.7e308, "photon energy at wavelength 1.7e+308 nm lies outside the floating-point range"),
+    (5e-324, "photon energy lies outside the floating-point range for "
+             "wavelength_nm = 5e-324"),
+    (1.7e308, "photon energy lies outside the floating-point range for "
+              "wavelength_nm = 1.7e+308"),
 ])
 def test_photon_energy_refuses_bad_wavelengths(wavelength_nm, message):
     with pytest.raises(SchemeError) as caught:
@@ -117,8 +118,11 @@ def test_beam_rejects_non_finite_values(field, value):
 @pytest.mark.parametrize("power,waist", [(1e-4, 1e-200), (0.0, 1e-200),
                                          (1e-4, 1e200), (1e300, 1e-100)])
 def test_beam_rejects_intensity_outside_float_range(power, waist):
-    with pytest.raises(SchemeError, match=re.escape(f"waist_m = {waist} m")):
+    with pytest.raises(SchemeError) as caught:
         GaussianBeam(power_w=power, waist_m=waist, wavelength_nm=245.426)
+    assert str(caught.value) == (
+        "peak intensity 2 power_w / (pi waist_m^2) lies outside the floating-point "
+        f"range for power_w = {power}, waist_m = {waist}")
 
 
 @given(power=st.floats(min_value=0.0, max_value=1e308),

@@ -342,13 +342,15 @@ def random_scheme(rng: np.random.Generator) -> LevelScheme:
     )
 
 
-@pytest.mark.parametrize("policy", ["renormalize", "route_to_ground"])
+# build_rate_matrix renormalizes branching sums below 1, its one residual
+# policy; the parameter keeps this case's name.
+@pytest.mark.parametrize("policy", ["renormalize"])
 def test_steady_state_matches_long_evolution(policy):
     rng = np.random.default_rng(174)
     worst = 0.0
     for _ in range(200):
         scheme = random_scheme(rng)
-        m = build_rate_matrix(scheme, residual_policy=policy)
+        m = build_rate_matrix(scheme)
         ss = steady_state(m)
         min_rate = min(
             v for v in np.abs(np.asarray(m.matrix)).ravel() if v > 0
@@ -357,16 +359,6 @@ def test_steady_state_matches_long_evolution(policy):
         p = evolve(m, initial_population(m, "g"), t)
         worst = max(worst, np.abs(p.populations - ss.populations).max())
     assert worst <= 1e-7
-
-
-def test_residual_policies_agree_on_p7p(yb_scheme):
-    saturated = yb_scheme.with_all_drives_saturated(1e4)
-    p_renorm = steady_state(build_rate_matrix(saturated, residual_policy="renormalize"))
-    p_ground = steady_state(
-        build_rate_matrix(saturated, residual_policy="route_to_ground")
-    )
-    a, b = p_renorm["7p12"], p_ground["7p12"]
-    assert abs(a - b) / a < 0.01
 
 
 # -- population vector ----------------------------------------------------------

@@ -96,6 +96,14 @@ def test_duplicate_label_rejected():
         load_scheme(bad)
 
 
+def test_duplicate_decay_channel_rejected():
+    # the two halves sum to 1, so only the repeat is wrong
+    bad = MINIMAL.replace("e g 1.0", "e g 0.5\ne g 0.5")
+    with pytest.raises(SchemeError) as caught:
+        load_scheme(bad)
+    assert str(caught.value) == "duplicate decay channel e->g"
+
+
 def test_ground_energy_must_be_zero():
     bad = MINIMAL.replace('g "ground" 0.5 0.0 -', 'g "ground" 0.5 5.0 -')
     with pytest.raises(SchemeError, match="0"):
