@@ -15,8 +15,8 @@ it happened:
 Everything numerical is deterministic given explicit seeds.
 
 Import what you need from the submodules (``from ybion.rates import
-steady_state``); the package root holds only ``__version__``, so that
-``import ybion.cli`` loads numpy but not scipy.
+steady_state``); the package root holds only ``__version__``. numpy is
+the only runtime dependency; no module imports scipy.
 """
 
 __version__ = "0.1.0"

@@ -430,6 +430,11 @@ def _cmd_scan(args) -> _Run:
     args.scheme = _resolve_scheme(args.scheme)
     scheme = load_scheme_file(args.scheme)
     detunings = np.linspace(args.grid_start_hz, args.grid_stop_hz, args.grid_points)
+    drawn = args.noise_sigma is not None and args.noise_sigma > 0
+    if drawn and args.seed is None:
+        # draw the seed here, so that the manifest records it and
+        # --seed SEED repeats the run
+        args.seed = np.random.SeedSequence().entropy
     curve = simulate_scan(
         scheme,
         args.upper,
@@ -438,7 +443,6 @@ def _cmd_scan(args) -> _Run:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    drawn = args.noise_sigma is not None and args.noise_sigma > 0
     return _Run(
         curve_to_text(curve),
         inputs=(args.scheme,),
@@ -771,7 +775,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--seed",
         type=_nonnegative_int,
-        help="RNG seed (integer >= 0) for the noise draws.",
+        help="RNG seed (integer >= 0) for the noise draws. Default: one "
+        "drawn from OS entropy and written to the manifest.",
     )
     add_out(p, _cmd_scan)
 

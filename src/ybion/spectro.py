@@ -288,7 +288,8 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
 
     Needs at least eight points. Returns converged=False (never raises)
     for degenerate data: flat signal, nonpositive initial amplitude, the
-    iteration cap, or a solution with nonpositive width or amplitude.
+    iteration cap, a solution with nonpositive width or amplitude, or a
+    width larger than the scanned span.
     The covariance is the Gauss-Newton (J^T J)^-1 from the analytic J at
     the solution, scaled by the residual variance 2 cost / (points - 4).
     """
@@ -362,6 +363,15 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     if w <= 0 or a <= 0:
         return failed(
             "optimizer converged to a nonpositive width or amplitude", iterations
+        )
+    # A width is measured only where the scan reaches the half-maximum
+    # points; beyond the span it is extrapolated from the last bit of
+    # curvature (a power-broadened yb174_plus line scanned over +-60 MHz
+    # fits 4.95 GHz).
+    span = float(nu.max() - nu.min())
+    if w > span:
+        return failed(
+            f"fitted fwhm {w:.6g} Hz exceeds the scanned span {span:.6g} Hz", iterations
         )
 
     # Gauss-Newton covariance: (J^T J)^-1 scaled by the residual variance.

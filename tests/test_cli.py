@@ -1224,6 +1224,18 @@ def test_scan_rng_line_regenerates_first_noisy_point(tmp_path):
     assert first[2] == "0.4"
 
 
+def test_scan_noise_without_seed_records_a_seed_that_repeats_it(tmp_path):
+    argv = ["scan", "--scheme", "linewidth_reference", "--grid", "-30e6", "30e6", "21",
+            "--noise-sigma", "0.4"]
+    first, again = tmp_path / "first.tsv", tmp_path / "again.tsv"
+    assert main(argv + ["--out", str(first)]) == 0
+    (seed,) = [line.removeprefix("param.seed: ") for line in manifest_lines(first)
+               if line.startswith("param.seed: ")]
+    assert seed.isdigit()
+    assert main(argv + ["--seed", seed, "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 def test_manifest_structure_and_sorted_params(tmp_path):
     out = tmp_path / "r.tsv"
     assert main(IONIZE + ["--out", str(out)]) == 0

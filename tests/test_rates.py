@@ -1,16 +1,26 @@
 """Rate-matrix assembly, steady states, time evolution, and their oracles."""
 
+import ast
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ybion
 from ybion.errors import SchemeError, SolverError
 from ybion.rates import (
     STEADY_RESIDUAL_TOL,
     PopulationVector,
     RateMatrix,
+    _propagate,
     build_rate_matrix,
     evolve,
     initial_population,
@@ -298,6 +308,135 @@ def test_sink_accumulates_ionized_probability(yb_scheme):
     p = evolve(ms, p0, t)
     expected = 1.0 - math.exp(-p7p * drain * t)
     assert p["ionized"] == pytest.approx(expected, rel=2e-2)
+
+
+def mp_evolve(m, p0, t_s, dps=50):
+    """exp(M t_s) p0 at dps digits for the float off-diagonal rates of m,
+    with the diagonal their exact negative column sums."""
+    with mpmath.workdps(dps):
+        a = mpmath.matrix(m.off.tolist())
+        for j in range(m.n):
+            a[j, j] = -mpmath.fsum(a[i, j] for i in range(m.n))
+        v = mpmath.expm(a * t_s) * mpmath.matrix(p0.populations.tolist())
+        return np.array([float(x) for x in v])
+
+
+# The dynamics benchmark's extremes of saturation, each with a drain out of
+# 7p12; without the sink the same scheme is solved sink-free.
+@pytest.mark.parametrize("t_s", [0.1, 1.0, 10.0], ids=["0.1s", "1s", "10s"])
+@pytest.mark.parametrize("sink", [True, False], ids=["sink", "no-sink"])
+@pytest.mark.parametrize("saturation,drain", [(1e4, 50.0), (1e-2, 1e3)],
+                         ids=["S1e4", "S1e-2"])
+def test_evolve_matches_a_50_digit_exponential(yb_scheme, saturation, drain, sink,
+                                               t_s):
+    m = build_rate_matrix(yb_scheme.with_all_drives_saturated(saturation),
+                          include_ionization=sink, ionization_rate=drain)
+    p0 = initial_population(m, "6s12")
+    exact = mp_evolve(m, p0, t_s)
+    p = evolve(m, p0, t_s).populations
+    assert exact.min() > 0.0
+    assert np.abs(p / exact - 1.0).max() <= 1e-12
+
+
+def log_uniform(lowest, highest):
+    return st.floats(math.log10(lowest), math.log10(highest)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def drawn_schemes(draw):
+    """yb174_plus with every lifetime and every drive's saturation drawn."""
+    yb = load_bundled_scheme("yb174_plus")
+    levels = tuple(
+        lv if lv.lifetime_s is None
+        else dataclasses.replace(lv, lifetime_s=draw(log_uniform(1e-10, 1e9)))
+        for lv in yb.levels)
+    drives = tuple(dataclasses.replace(d, saturation=draw(log_uniform(1e-8, 1e10)))
+                   for d in yb.drives)
+    return dataclasses.replace(yb, levels=levels, drives=drives)
+
+
+def agree(a, b, rtol):
+    """Entrywise |a - b| <= rtol max(a, b), for entries above 1e-290: a
+    number below that lies near the subnormal range, where floats lose
+    significant bits."""
+    return bool((np.abs(a - b) <= rtol * np.maximum(a, b) + 1e-290).all())
+
+
+EPS = np.finfo(float).eps
+
+
+@given(scheme=drawn_schemes(),
+       drain=st.one_of(st.just(0.0), log_uniform(1e-3, 1e9)),
+       t1=st.floats(0.0, 10.0), t2=st.floats(0.0, 10.0))
+@settings(max_examples=150, deadline=None)
+def test_evolve_properties_on_drawn_schemes(scheme, drain, t1, t2):
+    m = build_rate_matrix(scheme, include_ionization=True, ionization_rate=drain)
+    p0 = initial_population(m, "6s12")
+    first = evolve(m, p0, t1)
+    then = evolve(m, first, t2)
+    direct = evolve(m, p0, t1 + t2)
+    for p in (first, then, direct):
+        assert abs(p.populations.sum() - 1.0) <= m.n * EPS
+    # nonnegative before PopulationVector clamps anything
+    assert _propagate(m, p0.populations, t1 + t2).min() >= 0.0
+    # the sink only gains; dividing by the sum may move it by a few ulps
+    sink = m.sink_index
+    assert then.populations[sink] >= first.populations[sink] * (1.0 - m.n * EPS)
+    assert agree(then.populations, direct.populations, 1e-11)
+    # 1e300 s outlasts every relaxation time these rates can make
+    closed = build_rate_matrix(scheme)
+    limit = evolve(closed, initial_population(closed, "6s12"), 1e300)
+    assert agree(limit.populations, steady_state(closed).populations, 1e-11)
+
+
+# -- scipy stays out of the runtime -----------------------------------------------
+
+
+PACKAGE = Path(ybion.__file__).parent
+
+
+def scipy_imports(root):
+    """(file name, line) of each import of scipy in the .py files under root."""
+    found = []
+    for path in sorted(Path(root).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in modules):
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_no_module_imports_scipy(tmp_path):
+    assert scipy_imports(PACKAGE) == []
+    # a function-local import is found, a string naming scipy is not
+    (tmp_path / "module.py").write_text(
+        '"""Once used scipy.linalg."""\n'
+        "def f(a):\n"
+        "    from scipy.linalg import expm\n"
+        "    return expm(a)\n", encoding="utf-8")
+    assert scipy_imports(tmp_path) == [("module.py", 3)]
+
+
+def test_evolve_runs_without_loading_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from ybion import rates, scheme\n"
+        "yb = scheme.load_bundled_scheme('yb174_plus')\n"
+        "m = rates.build_rate_matrix(yb, include_ionization=True, ionization_rate=50.0)\n"
+        "rates.evolve(m, rates.initial_population(m, '6s12'), 1.0)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # -- random-scheme oracle ------------------------------------------------------

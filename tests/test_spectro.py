@@ -300,12 +300,39 @@ def test_fit_needs_eight_points():
         fit_lorentzian(ScanCurve(grid, tuple(range(7))))
 
 
+def fitted_fwhm_past_the_span(fit) -> float:
+    """The width a fit refused for lying past the scanned span."""
+    assert not fit.converged
+    words = fit.message.split()
+    assert words[:2] == ["fitted", "fwhm"]
+    assert " Hz exceeds the scanned span " in fit.message
+    return float(words[2])
+
+
 def test_fit_handles_centered_peak_without_half_crossings():
-    # peak wider than the window: initialization falls back to span / 4
+    # peak wider than the window: initialization falls back to span / 4; the
+    # fit finds the width but refuses it, since it lies past the span
     curve = synthetic_curve(center=0.0, fwhm=500e6, span=50e6, offset=0.0)
     fit = fit_lorentzian(curve)
-    assert fit.converged
-    assert fit.fwhm_hz == pytest.approx(500e6, rel=1e-3)
+    assert fitted_fwhm_past_the_span(fit) == pytest.approx(500e6, rel=1e-3)
+    assert fit.message.endswith("exceeds the scanned span 5e+07 Hz")
+
+
+def test_fit_refuses_the_power_broadened_line_wider_than_the_scan():
+    # the 7p12<->5d32 line at saturation 1e4 is far wider than +-60 MHz; with
+    # the last few ulps of the curve the fit either hits the iteration cap or
+    # extrapolates a width of about 4.95 GHz, 40 spans, and never converges
+    sch = load_bundled_scheme("yb174_plus").with_drive("7p12", "5d32", saturation=1e4)
+    curve = simulate_scan(sch, "7p12", "5d32", np.linspace(-60e6, 60e6, 241))
+    y = np.asarray(curve.fluorescence)
+    rng = np.random.default_rng(0)
+    widths = []
+    for _ in range(8):
+        ulps = rng.integers(-4, 5, y.size) * np.finfo(float).eps
+        fit = fit_lorentzian(ScanCurve(curve.detunings_hz, tuple(y * (1.0 + ulps))))
+        if fit.message != "no convergence within 100 iterations":
+            widths.append(fitted_fwhm_past_the_span(fit))
+    assert widths and all(w == pytest.approx(4.95e9, rel=1e-2) for w in widths)
 
 
 def test_analytic_jacobian_matches_central_difference():
@@ -337,6 +364,7 @@ def test_fit_inverts_any_resolved_noiseless_line(points, center_frac, log_fwhm_f
                                                  log_amplitude, offset_frac):
     # A line at least two grid steps wide is recovered to 1e-8; center and
     # offset errors are measured in units of the width and the amplitude.
+    # Past the span the recovered width is refused.
     span = 100e6
     fwhm = span * 10.0 ** log_fwhm_frac
     assume(fwhm >= 2.0 * span / (points - 1))
@@ -345,6 +373,10 @@ def test_fit_inverts_any_resolved_noiseless_line(points, center_frac, log_fwhm_f
     grid = np.linspace(-span / 2.0, span / 2.0, points)
     y = lorentzian(grid, center, fwhm, amplitude, offset)
     fit = fit_lorentzian(ScanCurve(tuple(grid), tuple(y.tolist())))
+    if fwhm >= span * (1.0 - 1e-8) and not fit.converged:
+        # a line wider than the window is recovered too, and then refused
+        assert fitted_fwhm_past_the_span(fit) == pytest.approx(fwhm, rel=1e-5)
+        return
     assert fit.converged, fit.message
     assert abs(fit.center_hz - center) <= 1e-8 * fwhm
     assert fit.fwhm_hz == pytest.approx(fwhm, rel=1e-8)
