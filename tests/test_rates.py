@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ybion
+from ybion import rates
 from ybion.errors import SchemeError, SolverError
 from ybion.rates import (
     STEADY_RESIDUAL_TOL,
@@ -338,6 +340,35 @@ def test_evolve_matches_a_50_digit_exponential(yb_scheme, saturation, drain, sin
     assert np.abs(p / exact - 1.0).max() <= 1e-12
 
 
+# sha256 of the float64 bytes of evolve's populations at the dynamics
+# benchmark's 16 times, with a 50 1/s drain into the sink, and of the
+# sink-free steady state, per saturation. They pin the rounding of the
+# kernel and the checks around it: a change that moves any population by
+# one ulp fails here. The bytes are those of numpy 2.4 on OpenBLAS 0.3.31
+# (x86-64, little-endian); a BLAS that sums its dot products in another
+# order rounds differently, and the pins then need recording anew.
+PINNED = {
+    1e-2: ("9293c95365a115036b464bfd79dc7eafddc44ccdd94c957f53ea2cbaae897e0e",
+           "4994c88df7be6c9e5c96a5b95e193870415a38bc8b275c99d6127c9c22c0c5d7"),
+    1.0: ("4ee91940733bf46e015ff0faa607ca4359500c3f69c316adf2d6efdd26cc8374",
+          "b3b453291241e6d06034de5793e02669b31f849e13539850e09a8c7f743237ca"),
+    1e4: ("43efd1960259e84fa3c9fb68bfe4c65b67d6c0082a51913605d8222746abf3f8",
+          "09cda1b0b1cc3c90909d53a5b7e2023a04cfe407580fe56e58c639e854355a4c"),
+}
+
+
+@pytest.mark.parametrize("saturation", sorted(PINNED), ids=["S1e-2", "S1", "S1e4"])
+def test_evolve_and_steady_state_bits_are_pinned(yb_scheme, saturation):
+    sat = yb_scheme.with_all_drives_saturated(saturation)
+    m = build_rate_matrix(sat, include_ionization=True, ionization_rate=50.0)
+    p0 = initial_population(m, "6s12")
+    digest = hashlib.sha256()
+    for t in np.logspace(-6, 1, 16):
+        digest.update(evolve(m, p0, float(t)).populations.tobytes())
+    steady = steady_state(build_rate_matrix(sat)).populations.tobytes()
+    assert (digest.hexdigest(), hashlib.sha256(steady).hexdigest()) == PINNED[saturation]
+
+
 def log_uniform(lowest, highest):
     return st.floats(math.log10(lowest), math.log10(highest)).map(lambda e: 10.0**e)
 
@@ -518,6 +549,71 @@ def test_population_vector_lookup_and_clamp():
         PopulationVector(
             populations=np.array([0.7, 0.2]), labels=("a", "b")
         )
+
+
+def test_population_vector_copies_clamps_and_freezes():
+    given_array = np.array([0.5, 0.5 + 1e-13, -1e-13])
+    p = PopulationVector(populations=given_array, labels=("a", "b", "c"))
+    assert math.copysign(1.0, p.populations[2]) == 1.0 and p["c"] == 0.0
+    assert p.populations[:2].tobytes() == given_array[:2].tobytes()
+    # the caller's array is copied, untouched and still writable
+    assert given_array[2] == -1e-13 and given_array.flags.writeable
+    given_array[0] = 0.25
+    assert p["a"] == 0.5
+    assert not p.populations.flags.writeable
+    with pytest.raises(ValueError):
+        p.populations[0] = 0.0
+    # no clamp without a negative entry: -0.0 keeps its sign, as before
+    kept = PopulationVector(populations=np.array([1.0, -0.0]), labels=("a", "b"))
+    assert math.copysign(1.0, kept.populations[1]) == -1.0
+
+
+@pytest.mark.parametrize("values,message", [
+    ([1.0, -1e-9], "population outside [0, 1]: min -1.000e-09, max 1.000e+00"),
+    ([1.5, -0.5], "population outside [0, 1]: min -5.000e-01, max 1.500e+00"),
+    ([0.7, 0.2], f"populations sum to {np.array([0.7, 0.2]).sum()!r}, not 1"),
+    ([[0.5, 0.5]], "population vector size does not match labels"),
+    ([1.0], "population vector size does not match labels"),
+], ids=["negative", "outside-both-ends", "sum", "two-dimensional", "size"])
+def test_population_vector_refusals_keep_their_wording(values, message):
+    with pytest.raises(SolverError) as caught:
+        PopulationVector(populations=np.array(values), labels=("a", "b"))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("values", [
+    [math.nan, 0.5, 0.5], [0.5, math.nan, 0.5], [0.5, 0.5, math.nan],
+    [math.inf, 0.5, 0.5], [0.5, 0.5, -math.inf], [math.nan] * 3,
+], ids=["nan-first", "nan-middle", "nan-last", "inf", "minus-inf", "all-nan"])
+def test_population_vector_refuses_non_finite_entries(values):
+    # every comparison with NaN is False; the range and sum tests must fail
+    # on it wherever it stands
+    with pytest.raises(SolverError):
+        PopulationVector(populations=np.array(values), labels=("a", "b", "c"))
+
+
+def test_evolve_refuses_a_nan_total(yb_scheme, monkeypatch):
+    m = build_rate_matrix(yb_scheme)
+    p0 = initial_population(m, "6s12")
+    monkeypatch.setattr(rates, "_propagate", lambda m, p0, t_s: np.full(m.n, math.nan))
+    with pytest.raises(SolverError,
+                       match=r"^propagator lost conservation: populations sum to .*nan"):
+        evolve(m, p0, 1.0)
+
+
+def test_rate_matrix_keeps_the_shifted_matrix(yb_scheme):
+    m = build_rate_matrix(yb_scheme.with_all_drives_saturated(1e4),
+                          include_ionization=True, ionization_rate=50.0)
+    off = np.array(m.matrix)
+    np.fill_diagonal(off, 0.0)
+    assert np.array_equal(m.off, off)
+    out_rates = off.sum(axis=0)
+    assert m.shift == out_rates.max() and type(m.shift) is float
+    shifted = off.copy()
+    np.fill_diagonal(shifted, m.shift - out_rates)
+    assert np.array_equal(m.shifted, shifted) and (m.shifted >= 0.0).all()
+    for array in (m.matrix, m.off, m.shifted):
+        assert not array.flags.writeable
 
 
 def test_excitation_probability_trivial(yb_scheme):
