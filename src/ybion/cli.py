@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .constants import MEGABARN_M2, photon_energy_ev
+from .constants import photon_energy_ev
 from .crystal import (
     ETA_BRACKET,
     ChargePair,
@@ -395,7 +395,7 @@ def _cmd_xsec(args) -> _Run:
         ["quantum_defect_mu", mu, "dimensionless"],
         ["defect_fit_residual", residual, "cm^-1"],
         ["photon_energy", photon_ev, "eV"],
-        ["sigma", sigma.value_m2 / MEGABARN_M2, "Mb"],
+        ["sigma", sigma.megabarn, "Mb"],
         ["model", sigma.model, "-"],
     ]
     return _Run(_table(["quantity", "value", "unit"], rows), inputs=(args.series,))

@@ -225,13 +225,15 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     n_min = ns.min()
     upper = n_min - 1e-9
 
+    def misfit(mu):
+        """Predicted minus observed energies, one column per value of mu."""
+        return limit - z2r / (ns[:, None] - mu) ** 2 - energies[:, None]
+
     def sum_sq(mu: float) -> float:
-        pred = limit - z2r / (ns - mu) ** 2
-        return float(((pred - energies) ** 2).sum())
+        return float((misfit(mu) ** 2).sum())
 
     grid = n_min - np.geomspace(n_min, 1e-9, DEFECT_GRID_POINTS)
-    grid_misfit = limit - z2r / (ns[:, None] - grid) ** 2 - energies[:, None]
-    grid_sum_sq = (grid_misfit * grid_misfit).sum(axis=0)
+    grid_sum_sq = (misfit(grid) ** 2).sum(axis=0)
     best = int(np.argmin(grid_sum_sq))
     representable("smallest sum of squared residuals of the quantum-defect fit",
                   grid_sum_sq[best], error=SolverError,
@@ -239,12 +241,12 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     mu = float(grid[best])
 
     def grad_hess(mu_val: float) -> tuple[float, float]:
-        d = ns - mu_val
-        misfit = (limit - z2r / d**2) - energies
+        d = ns[:, None] - mu_val
         dpred = -2.0 * z2r / d**3
         d2pred = -6.0 * z2r / d**4
-        g = float((2.0 * misfit * dpred).sum())
-        h = float((2.0 * (dpred**2 + misfit * d2pred)).sum())
+        r = misfit(mu_val)
+        g = float((2.0 * r * dpred).sum())
+        h = float((2.0 * (dpred**2 + r * d2pred)).sum())
         return g, h
 
     for _ in range(6):
@@ -264,9 +266,7 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
             f"quantum defect ran into the n_min bound (mu = {mu:.6f}); "
             "the series is not represented by a single defect"
         )
-    residual = float(
-        np.abs(limit - z2r / (ns - mu) ** 2 - energies).max()
-    )
+    residual = float(np.abs(misfit(mu)).max())
     return mu, residual
 
 

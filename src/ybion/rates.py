@@ -30,15 +30,16 @@ found from the nonzero pattern and supplies the level kept to the end of
 the reduction, which keeps every pivot positive even when the ground level
 is transient. Several closed classes raise SolverError naming the groups.
 
-One elimination routine serves a single matrix and a whole detuning scan.
-steady_state runs it on the n x n matrix alone, every level but the one
-kept last in index order: a plain GTH solve. A scan changes only the two
-rates of the scanned pair, so steady_state_scan puts the pair and the level kept last at the end of the elimination order
-and eliminates every other level once, on the one n x n matrix. What is
-left is the stochastic complement on those (at most three) trailing levels
-(Meyer, SIAM Review 31, 1989), identical at every detuning; the scanned
-rate is added to it and only that block is solved per point, as a stack
-of 3 x 3 blocks, before the eliminated levels are back-substituted.
+steady_state eliminates every level but the one kept last, in index order,
+on the n x n matrix: a plain GTH solve. steady_state_scan is the one scan
+entry point. A scan changes only the two rates of the scanned pair, so it
+puts the pair and the level kept last at the end of the elimination order
+and eliminates every other level once, on the n x n matrix itself, with no
+points axis. What is left is the stochastic complement on those (at most
+three) trailing levels (Meyer, SIAM Review 31, 1989), identical at every
+detuning; the scanned rate is added to it and only that block is solved
+per point, as a stack of 3 x 3 blocks, before the eliminated levels are
+back-substituted.
 
 Time evolution is subtraction-free too: evolve exponentiates the matrix
 shifted by its largest out-rate, which is nonnegative, by a Taylor sum and
@@ -99,21 +100,22 @@ class RateMatrix:
     matrix[i, j] is the rate from level j into level i (1/s) for i != j;
     diagonal entries close each column to zero sum. When an ionization sink
     is present it occupies the last row/column under the label "ionized".
-    off is the matrix with its diagonal zeroed. shift is lam, the largest
-    out-rate (column sum of off), and shifted is the nonnegative B = M +
-    lam I: off with lam minus each level's out-rate on the diagonal. evolve
-    reads shift and shifted, which are computed once, here.
+    matrix is a read-only float copy of the array given, which stays the
+    caller's own. shift is lam, the largest out-rate (the largest column
+    sum of the off-diagonal rates), and shifted is the nonnegative B = M +
+    lam I: the off-diagonal rates with lam minus each level's out-rate on
+    the diagonal. evolve reads shift and shifted, which are computed once,
+    here.
     """
 
     matrix: np.ndarray
     labels: tuple[str, ...]
     sink_index: int | None = None
-    off: np.ndarray = field(init=False, repr=False, compare=False)
     shift: float = field(init=False, repr=False, compare=False)
     shifted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SolverError("rate matrix must be square")
         n = m.shape[0]
@@ -123,17 +125,16 @@ class RateMatrix:
         scale = float(np.abs(m).max())
         if not math.isfinite(scale):
             raise SolverError("non-finite rate in rate matrix")
-        off = m.copy()
-        off.flat[::n + 1] = 0.0
-        if off.min() < 0.0:
+        shifted = m.copy()
+        shifted.flat[::n + 1] = 0.0
+        if shifted.min() < 0.0:
             raise SolverError("negative transfer rate in rate matrix")
-        out_rates = off.sum(axis=0)
+        out_rates = shifted.sum(axis=0)
         if np.abs(out_rates + m.diagonal()).max() > 1e-12 * (scale or 1.0):
             raise SolverError("rate-matrix columns do not sum to zero")
         shift = float(out_rates.max())
-        shifted = off.copy()
         shifted.flat[::n + 1] = shift - out_rates
-        for name, value in (("matrix", m), ("off", off), ("shifted", shifted)):
+        for name, value in (("matrix", m), ("shifted", shifted)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "shift", shift)
@@ -168,7 +169,7 @@ class PopulationVector:
         if not (lo >= -NEGATIVE_POP_TOL and hi <= 1.0 + POPULATION_SUM_TOL):
             raise SolverError(f"population outside [0, 1]: min {lo:.3e}, max {hi:.3e}")
         if not abs(sum(values) - 1.0) <= POPULATION_SUM_TOL:
-            raise SolverError(f"populations sum to {p.sum()!r}, not 1")
+            raise SolverError(f"populations sum to {float(p.sum())}, not 1")
         if lo < 0.0:
             np.maximum(p, 0.0, out=p)
         p.setflags(write=False)
@@ -299,7 +300,6 @@ def build_rate_matrix(
         labels.append(SINK_LABEL)
         m[sink_index, index[IONIZED_FROM]] += ionization_rate
 
-    np.fill_diagonal(m, 0.0)
     np.fill_diagonal(m, -m.sum(axis=0))
     return RateMatrix(matrix=m, labels=tuple(labels), sink_index=sink_index)
 
@@ -379,24 +379,26 @@ def _kept_last(m: RateMatrix, pattern: np.ndarray) -> int:
     return int(np.flatnonzero(classes[0])[-1])
 
 
-def _gth(m: RateMatrix, pair: tuple[int, int], w: np.ndarray) -> np.ndarray:
-    """Stationary populations of m with the rate w[i] added both ways
-    between the two levels of pair, one row per entry of w.
+def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
+    """Stationary populations of m with the rate w (1/s) added both ways
+    between upper and lower, shape (points, n) for the points of w.
 
-    Grassmann-Taksar-Heyman state reduction. The level kept last, L, comes
-    from _kept_last on the combined nonzero pattern, so every pivot stays
+    One GTH solve serves every point. The level kept last, L, comes from
+    _kept_last on the combined nonzero pattern, so every pivot stays
     positive even when the ground level is transient. The pair and L end
-    the elimination order; every other level keeps its index order ahead
-    of them. Since w enters only the rates among those t <= 3 trailing
-    levels, the leading levels are eliminated once, on the n x n matrix
-    with a batch axis of one, leaving their stochastic complement on the
-    trailing levels (Meyer, SIAM Review 31, 1989). That block is repeated
-    along the batch axis, w is added, and the same code eliminates it for
-    every point at once. Back-substitution gives the trailing populations
-    per point and, once, each leading level as a fixed combination of the
-    trailing ones, so one (n, t) @ (t, points) product yields every
-    population.
+    the elimination order, and the leading levels are eliminated once, on
+    the n x n matrix. Their stochastic complement on the t <= 3 trailing
+    levels is repeated along a points axis, w is added, and that block is
+    eliminated for every point at once. Back-substitution gives the
+    trailing populations per point and, once, each leading level as a
+    fixed combination of the trailing ones, so one (n, t) @ (t, points)
+    product yields every population. Row i equals steady_state of m with
+    w[i] added to its two entries, to a few rounding errors; levels
+    outside the closed class come out exactly zero. Needs a sink-free
+    matrix.
     """
+    w = np.asarray(w, dtype=float).reshape(-1)
+    pair = (m.index(upper), m.index(lower))
     n = m.n
     pattern = m.matrix != 0
     if (w != 0).any():
@@ -406,9 +408,9 @@ def _gth(m: RateMatrix, pair: tuple[int, int], w: np.ndarray) -> np.ndarray:
     order = [i for i in range(n) if i not in trailing] + trailing
     t = len(trailing)
     lead = n - t
-    a = m.matrix[np.ix_(order, order)][..., None]
+    a = m.matrix[np.ix_(order, order)]
     _eliminate(a, lead)
-    block = np.repeat(a[lead:, lead:], len(w), axis=-1)
+    block = np.repeat(a[lead:, lead:, None], len(w), axis=-1)
     for i, j in zip(pair, pair[::-1]):
         block[trailing.index(i), trailing.index(j)] += w
     _eliminate(block, t - 1)
@@ -417,25 +419,10 @@ def _gth(m: RateMatrix, pair: tuple[int, int], w: np.ndarray) -> np.ndarray:
     _back_substitute(block, p_trailing, t - 1)
     basis = np.zeros((n, t))
     basis[lead:] = np.eye(t)
-    _back_substitute(a, basis, lead)
+    _back_substitute(a[..., None], basis, lead)
     p = basis[np.argsort(order)] @ p_trailing
     p /= p.sum(axis=0)
     return p.T
-
-
-def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
-    """Stationary populations of m with the rate w (1/s) added both ways
-    between upper and lower, shape (points, n) for the points of w.
-
-    One GTH solve serves every point: the levels other than the pair and
-    the level kept last are eliminated once, and only the trailing block
-    of at most 3 x 3 rates is solved per point. Row i equals
-    steady_state of m with w[i] added to its two entries, to a few
-    rounding errors; levels outside the closed class come out exactly
-    zero. Needs a sink-free matrix.
-    """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    return _gth(m, (m.index(upper), m.index(lower)), w)
 
 
 def steady_state(m: RateMatrix) -> PopulationVector:
@@ -536,10 +523,11 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     of yb174_plus with the sink (S = 1e-2 to 1e4, t_s = 1e-6 to 10 s, so s
     = 9 to 44 and 24 on average) a call took about 64 us: about 25 us fixed
     and 1.2 to 1.3 us per squaring, on one core of a shared x86-64 host
-    with CPython 3.11, numpy 2.4 and OpenBLAS 0.3.31. The flow conserves the sum exactly, so the result is projected
-    back onto the sum = 1 manifold; a drift above 1e-6 is treated as a
-    propagator failure instead of being silently projected away. With an
-    ionization sink the sink entry accumulates the ionized probability.
+    with CPython 3.11, numpy 2.4 and OpenBLAS 0.3.31. The flow conserves
+    the sum exactly, so the result is projected back onto the sum = 1
+    manifold; a drift above 1e-6 is treated as a propagator failure
+    instead of being silently projected away. With an ionization sink the
+    sink entry accumulates the ionized probability.
     """
     check("evolution time", t_s, "[0, inf)", "s", SolverError)
     if p0.labels != m.labels:
@@ -551,7 +539,7 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     total = p.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise SolverError(
-            f"propagator lost conservation: populations sum to {total!r}"
+            f"propagator lost conservation: populations sum to {float(total)}"
         )
     return PopulationVector(populations=p / total, labels=m.labels)
 

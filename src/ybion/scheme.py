@@ -45,7 +45,6 @@ __all__ = [
     "DecayChannel",
     "LaserDrive",
     "LevelScheme",
-    "ValidationReport",
     "load_scheme",
     "load_scheme_file",
     "bundled_scheme_path",
@@ -240,7 +239,7 @@ def _check_consistency(scheme: LevelScheme) -> None:
     for label, total in sums.items():
         if total > 1.0 + BRANCHING_SUM_SLACK:
             raise SchemeError(
-                f"level {label}: branching ratios sum to {total!r} > 1"
+                f"level {label}: branching ratios sum to {float(total)} > 1"
             )
 
     for dr in scheme.drives:
@@ -422,65 +421,53 @@ def load_bundled_scheme(name: str) -> LevelScheme:
     return load_scheme_file(bundled_scheme_path(name))
 
 
-def _fmt_opt(value: float | None) -> str:
-    return "-" if value is None else repr(value)
+def _fmt(value: float | None) -> str:
+    # float() first: a numpy scalar's repr reads np.float64(...)
+    return "-" if value is None else repr(float(value))
 
 
 def serialize(scheme: LevelScheme) -> str:
     """Render a scheme back to its text form.
 
-    Floats are written with repr so that load_scheme(serialize(s)) returns
-    a scheme whose numbers are bit-identical to the original.
+    Floats, numpy scalars among them, are written with the repr of a
+    Python float, so that load_scheme(serialize(s)) returns a scheme whose
+    numbers are bit-identical to the original.
     """
     out: list[str] = []
     if scheme.ionization_limit_cm1 is not None:
-        out += ["[SCHEME]", f"ionization_limit_cm1 {scheme.ionization_limit_cm1!r}", ""]
+        out += ["[SCHEME]", f"ionization_limit_cm1 {_fmt(scheme.ionization_limit_cm1)}", ""]
     out.append("[LEVELS]")
     for lv in scheme.levels:
         config = '"' + lv.configuration.replace('"', "") + '"'
         out.append(
-            f"{lv.label} {config} {lv.j!r} {lv.energy_cm1!r} {_fmt_opt(lv.lifetime_s)}"
+            f"{lv.label} {config} {_fmt(lv.j)} {_fmt(lv.energy_cm1)} {_fmt(lv.lifetime_s)}"
         )
     out += ["", "[DECAYS]"]
     for d in scheme.decays:
-        out.append(f"{d.upper} {d.lower} {d.branching_ratio!r}")
+        out.append(f"{d.upper} {d.lower} {_fmt(d.branching_ratio)}")
     out += ["", "[DRIVES]"]
     for dr in scheme.drives:
         out.append(
-            f"{dr.upper} {dr.lower} {dr.wavelength_nm!r} {_fmt_opt(dr.power_w)} "
-            f"{_fmt_opt(dr.waist_m)} {_fmt_opt(dr.saturation)} "
-            f"{dr.detuning_hz!r} {1 if dr.chopped else 0}"
+            f"{dr.upper} {dr.lower} {_fmt(dr.wavelength_nm)} {_fmt(dr.power_w)} "
+            f"{_fmt(dr.waist_m)} {_fmt(dr.saturation)} "
+            f"{_fmt(dr.detuning_hz)} {1 if dr.chopped else 0}"
         )
     return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# validation report
+# validation findings
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Soft findings about a loadable scheme.
+def validate_scheme(scheme: LevelScheme) -> tuple[str, ...]:
+    """Soft findings about a loadable scheme, one line each.
 
-    Hard inconsistencies already raise at load time; the report collects
-    the quantitative imperfections worth a human look: branching residuals
-    and declared-versus-implied drive wavelength mismatches. The text is
+    Hard inconsistencies already raise at load time; the findings are the
+    quantitative imperfections worth a human look: branching residuals
+    and declared-versus-implied drive wavelength mismatches. The tuple is
     empty exactly when every sum is 1 and every declared wavelength matches
     the energy gap bit for bit.
     """
-
-    entries: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.entries)
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.entries
-
-
-def validate_scheme(scheme: LevelScheme) -> ValidationReport:
     entries: list[str] = []
     for lv in scheme.levels:
         channels = scheme.decays_from(lv.label)
@@ -501,5 +488,5 @@ def validate_scheme(scheme: LevelScheme) -> ValidationReport:
                 f"drive {dr.upper}<->{dr.lower}: declared {dr.wavelength_nm} nm, "
                 f"energy gap implies {implied:.6f} nm ({ppm:.3f} ppm off)"
             )
-    return ValidationReport(entries=tuple(entries))
+    return tuple(entries)
 

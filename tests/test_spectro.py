@@ -1,5 +1,6 @@
 """Scan simulation, Lorentzian fitting, and linewidth-to-lifetime tests."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -205,6 +206,55 @@ def test_scan_with_transient_ground_fails_exactly_where_steady_state_does(
         np.testing.assert_allclose(
             curve.fluorescence, [v for v in outcomes if v is not None],
             rtol=1e-13, atol=0.0)
+
+
+# sha256 of the float64 bytes of simulate_scan's fluorescence on a grid
+# with far detunings at both ends, per scheme, scanned pair and saturation
+# of every drive. They pin the rounding of the scan solve: a change that
+# moves any point by one ulp fails here. The bytes are those of numpy 2.4
+# on OpenBLAS 0.3.31 (x86-64, little-endian); a BLAS that sums its dot
+# products in another order rounds differently, and the pins then need
+# recording anew.
+SCAN_PINS = {
+    "yb174_plus": {
+        ("7p12", "5d32"): (
+            "5a4b1f037710f6149262263ab9063ac95535f479a8c998cfdb77e0a3b36bc64e",
+            "8607baf3dd927bcbe9db9855868730bc7760c125113df51e787d31b7a2941435",
+            "c5d914f957adc67f852a733636453afa6c82067f26f247837d907b617a0e5f6c",
+        ),
+        ("6p12", "6s12"): (
+            "512c811187d0f9bbaedb1069fe1902bf74cd95603f0331007e5d6f49a6062ace",
+            "50da47ffd0cf8592d52cf9d31623c390a833db17f76d1105591eb29c45964b3e",
+            "65d26dcbff1cded6a25873ffb6f237926ccf1ecf9436f1dedbe3b2915bcc880c",
+        ),
+    },
+    "linewidth_reference": {
+        ("7p12", "5d32"): (
+            "5b8452cec944a01e0da90f7e137a63d1837232580b960d24c8ad35ad02e000a8",
+            "5b372ad8d31d37b54f1d2c2b5476ba2c55be472fa259548f14f9d204ba058ac2",
+            "66b6b5056ce9b8804d64fbb4f8005baef70ad3b5fc6a567a1d4f632e9dd36b91",
+        ),
+        ("6p12", "6s12"): (
+            "77464375938a1adaea5f8cae7104703e944facd921bf3d45449f704043cbbef4",
+            "abf1fc494d5ea374565608fa5b0a1df12deaee01ee42c41f6efbebf8cab8bd6d",
+            "9c6a1321641ac52607a31a76e71255867349f8e6213ee0925173d26e60f95644",
+        ),
+    },
+}
+PINNED_SATURATIONS = (1e-2, 1.0, 1e4)
+
+
+@pytest.mark.parametrize("pair", [PROBE, ("6p12", "6s12")], ids=["probe", "cooling"])
+@pytest.mark.parametrize("name", sorted(SCAN_PINS))
+def test_scan_bits_are_pinned(name, pair):
+    grid = np.concatenate([[-1.7e308, -1e150], np.linspace(-80e6, 80e6, 241),
+                           [1e150, 1.7e308]])
+    digests = []
+    for saturation in PINNED_SATURATIONS:
+        scheme = load_bundled_scheme(name).with_all_drives_saturated(saturation)
+        curve = simulate_scan(scheme, *pair, grid)
+        digests.append(hashlib.sha256(curve.fluorescence.tobytes()).hexdigest())
+    assert tuple(digests) == SCAN_PINS[name][pair]
 
 
 def test_full_size_scan_memory_stays_bounded(yb_scheme):
