@@ -354,7 +354,11 @@ def _cmd_steady_state(args) -> _Run:
     matrix = build_rate_matrix(scheme)
     pops = steady_state(matrix)
     rows = [[label, pops[label]] for label in matrix.labels]
-    return _Run(_table(["label", "population"], rows), inputs=(args.scheme,))
+    # max|M p| / max|M|: how far the printed populations are from stationary
+    m = matrix.matrix
+    residual = np.abs(m @ pops.populations).max() / np.abs(m).max()
+    return _Run(_table(["label", "population"], rows), inputs=(args.scheme,),
+                diag={"steady_residual": float(residual)})
 
 
 def _cmd_ionize_rate(args) -> _Run:

@@ -5,7 +5,9 @@ verbatim, so messages must be self-contained and name the offending input.
 check(what, value, interval, unit) refuses an input with "WHAT WORDING, got
 VALUE UNIT". Its intervals and their wordings: "(0, inf)" must be positive
 and finite; "[0, inf)" must be >= 0 and finite; "(0, 1]" must lie in (0, 1];
-"[0, 1]" must lie in [0, 1]; "finite" must be finite.
+"[0, 1]" must lie in [0, 1]; "finite" must be finite. check_array(what,
+values, interval, unit) tests every entry of a numpy array and words its
+refusal as check does, naming the first entry outside.
 
 representable(what, value, interval, error, **inputs) tests a computed
 result against the same intervals and refuses it with "WHAT lies outside
@@ -54,6 +56,16 @@ def check(what: str, value, interval: str, unit: str = "", error=SchemeError):
     if not lo < value < hi:
         raise error(f"{what} {wording}, got {value}" + (f" {unit}" if unit else ""))
     return value
+
+
+def check_array(what: str, values, interval: str, unit: str = "", error=SchemeError):
+    """values, a numpy array, if every entry lies in interval, else error
+    naming what, the first entry outside (in C order) and unit."""
+    lo, hi, _ = _INTERVALS[interval]
+    outside = ~((values > lo) & (values < hi))
+    if outside.any():
+        check(what, float(values[outside].flat[0]), interval, unit, error)
+    return values
 
 
 def representable(what: str, value, interval: str = "[0, inf)", error=SchemeError,

@@ -49,7 +49,7 @@ from .crystal import (
     infer_eta,
     normal_mode_frequencies,
 )
-from .errors import SchemeError, SolverError, check, representable
+from .errors import SchemeError, SolverError, check, check_array, representable
 
 __all__ = [
     "SequenceConfig",
@@ -243,8 +243,7 @@ def exposure_to_wall(exposure_s, phase_s, chop_rate_hz: float, duty: float):
         np.asarray(exposure_s, dtype=float), np.asarray(phase_s, dtype=float)
     )
     _check_phase(phase, period)
-    if not ((exposure >= 0.0) & (exposure < math.inf)).all():
-        raise SolverError("exposure must be >= 0 and finite")
+    check_array("exposure", exposure, "[0, inf)", "s", SolverError)
     first_avail = np.maximum(t_on - phase, 0.0)
     remaining = exposure - first_avail
     full = np.floor_divide(remaining, t_on)
@@ -277,8 +276,7 @@ def wall_to_exposure(wall_s, phase_s, chop_rate_hz: float, duty: float):
     wall = np.asarray(wall_s, dtype=float)
     phase = np.asarray(phase_s, dtype=float)
     _check_phase(phase, period)
-    if not ((wall >= 0.0) & (wall < math.inf)).all():
-        raise SolverError("wall time must be >= 0 and finite")
+    check_array("wall time", wall, "[0, inf)", "s", SolverError)
 
     def on_time_up_to(c: np.ndarray) -> np.ndarray:
         cycles = np.floor(c / period)

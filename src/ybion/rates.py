@@ -41,6 +41,15 @@ detuning; the scanned rate is added to it and only that block is solved
 per point, as a stack of 3 x 3 blocks, before the eliminated levels are
 back-substituted.
 
+The n x n elimination and back-substitution run on Python floats in
+lists: on ten levels or fewer, one numpy call per pivot costs more than
+its arithmetic. The steady-state and scan bits are pinned by sha256 in the
+tests, so the kernel adds in numpy's order: a 1-D sum runs left to right
+from 0.0 below 8 terms and, from 8 terms on, as numpy's pairwise add.reduce
+(_sum); an axis-0 sum of a 2-D array runs row by row. build_rate_matrix
+also accumulates on Python floats and converts to an array once. Only the
+scan's trailing block, batched over points, is eliminated with numpy.
+
 Time evolution is subtraction-free too: evolve exponentiates the matrix
 shifted by its largest out-rate, which is nonnegative, by a Taylor sum and
 repeated squaring (Xue & Ye, Math. Comp. 82, 2013), so small populations
@@ -271,10 +280,13 @@ def build_rate_matrix(
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     size = n + 1 if include_ionization else n
-    m = np.zeros((size, size))
+    m = [[0.0] * size for _ in range(size)]
 
+    decays = {}
+    for ch in scheme.decays:
+        decays.setdefault(ch.upper, []).append(ch)
     for lv in order:
-        channels = scheme.decays_from(lv.label)
+        channels = decays.get(lv.label)
         if not channels:
             continue
         if lv.lifetime_s is None:
@@ -284,13 +296,13 @@ def build_rate_matrix(
         total = sum(c.branching_ratio for c in channels)
         for ch in channels:
             rate = ch.branching_ratio / total / lv.lifetime_s
-            m[index[ch.lower], index[ch.upper]] += rate
+            m[index[ch.lower]][index[ch.upper]] += rate
 
     for drive in scheme.drives:
         w = drive_rate(scheme, drive, drive.detuning_hz)
         up, lo = index[drive.upper], index[drive.lower]
-        m[up, lo] += w
-        m[lo, up] += w
+        m[up][lo] += w
+        m[lo][up] += w
 
     sink_index = None
     if include_ionization:
@@ -298,85 +310,176 @@ def build_rate_matrix(
         scheme.level(IONIZED_FROM)
         sink_index = n
         labels.append(SINK_LABEL)
-        m[sink_index, index[IONIZED_FROM]] += ionization_rate
+        m[sink_index][index[IONIZED_FROM]] += ionization_rate
 
-    np.fill_diagonal(m, -m.sum(axis=0))
+    # Each diagonal entry closes its column. A column sum runs from 0.0 in
+    # row order, the order numpy sums a 2-D array along axis 0 in.
+    for j, column in enumerate(zip(*m)):
+        total = 0.0
+        for rate in column:
+            total += rate
+        m[j][j] = -total
     return RateMatrix(matrix=m, labels=tuple(labels), sink_index=sink_index)
 
 
-def _closed_classes(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed classes of the level graph and the reachability behind them.
+_ZERO_PIVOT = (
+    "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
+    "reach the level kept last"
+)
 
-    pattern[i, j] is True where population flows j -> i. Returns (reach,
-    classes): reach[j, i] says level j can reach level i (every level
-    reaches itself), and each row of the boolean array classes marks one
-    closed class, a set of mutually reachable levels with no way out.
+
+def _sum(values: list) -> float:
+    """values summed in the order of numpy's add.reduce on a 1-D float64
+    array, so that a kernel on Python floats keeps numpy's bits: from 0.0,
+    left to right below 8 terms; from 8 on, in _blocked_sum's order."""
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return 0.0 + _blocked_sum(values)
+
+
+def _blocked_sum(values: list) -> float:
+    """numpy's pairwise_sum for 8 terms or more: eight interleaved partial
+    sums joined as a tree, then the rest left to right; above 128 terms,
+    the two halves (the first a multiple of 8) summed apart and added."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _blocked_sum(values[:half]) + _blocked_sum(values[half:])
+    r = values[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r = [a + b for a, b in zip(r, values[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[stop:]:
+        total += v
+    return total
+
+
+def _eliminate(cols: list, count: int) -> tuple[list, list]:
+    """Fold the first `count` levels into the levels after them, in index
+    order, on the columns of an n x n rate matrix: cols[j][i] is the rate
+    j -> i, and the diagonal is never read.
+
+    Level k's pivot is its out-rate to the levels after it. Its row of
+    rates from those levels is divided by the pivot, and the rates between
+    later levels gain the paths through k, as in a censored chain. The
+    updates add products of nonnegative numbers, so no subtraction occurs
+    (O'Cinneide, Numer. Math. 65, 1993). A pivot is positive when every
+    level can reach the last one. Returns (reduced, rest): reduced[k] is
+    level k's divided row over the levels after it, and rest the columns of
+    the block of levels left. A column whose rate into k is zero is only
+    shortened: adding the finite products times zero would change at most
+    the sign of a zero rate, which no later sum keeps.
     """
-    n = pattern.shape[0]
-    reach = pattern.T | np.eye(n, dtype=bool)
-    # transitive closure by boolean squaring: after s squarings reach
-    # covers every path of up to 2**s steps, and 2**s > n
-    for _ in range(n.bit_length()):
-        reach = reach @ reach
-    closed = (reach <= reach.T).all(axis=1)
-    # a closed level's reach is its class; keep the class's first level
-    first = closed & (reach.argmax(axis=1) == np.arange(n))
-    return reach, reach[first]
+    reduced = []
+    for _ in range(count):
+        first, *cols = cols
+        below = first[1:]
+        pivot = _sum(below)
+        if not pivot > 0.0:
+            raise SolverError(_ZERO_PIVOT)
+        row = [col[0] / pivot for col in cols]
+        reduced.append(row)
+        finite = pivot < math.inf
+        cols = [
+            [x + c * r for x, c in zip(col[1:], below)] if r or not finite else col[1:]
+            for col, r in zip(cols, row)
+        ]
+    return reduced, cols
 
 
-def _eliminate(a: np.ndarray, count: int) -> None:
-    """Fold the first `count` levels of a[n, n, ...] into the levels after
-    them, in place and in index order; trailing axes of a are a batch.
+def _back_substitute(reduced: list, p: list) -> None:
+    """Fill p[:len(reduced)] from the levels after them, last level first,
+    in place: eliminated level k holds the populations of the later levels
+    weighted by reduced[k]. An entry of p is a float, summed as numpy sums a
+    1-D array (_sum), or a list of one value per trailing level, summed as
+    numpy sums a 2-D array along axis 0: from 0.0, row by row."""
+    rows_of_p = isinstance(p[-1], list)
+    for k in range(len(reduced) - 1, -1, -1):
+        later = p[k + 1:]
+        if rows_of_p:
+            total = [0.0] * len(p[-1])
+            for r, q in zip(reduced[k], later):
+                total = [s + r * x for s, x in zip(total, q)]
+            p[k] = total
+        else:
+            p[k] = _sum([r * q for r, q in zip(reduced[k], later)])
 
-    a[i, j] is the rate j -> i; the diagonal is never read. Level k's
-    pivot is its out-rate to the levels after it; row k is divided by it
-    and the rates between later levels gain the paths through k, as in a
-    censored chain. The updates add products of nonnegative numbers, so no
-    subtraction occurs (O'Cinneide, Numer. Math. 65, 1993). A pivot is
-    positive when every level can reach the last one.
-    """
-    for k in range(count):
-        pivot = a[k + 1:, k].sum(axis=0)
+
+def _solve_points(block: np.ndarray) -> np.ndarray:
+    """GTH on a stack of t x t rate blocks, block[i, j, point], in place:
+    every level but the last is eliminated for all points at once. Returns
+    the populations, shape (t, points), with the last level's set to 1."""
+    t = block.shape[0]
+    for k in range(t - 1):
+        pivot = block[k + 1:, k].sum(axis=0)
         if not (pivot > 0).all():
-            raise SolverError(
-                "steady-state pivot is zero or NaN: a NaN rate, or a level "
-                "that cannot reach the level kept last"
-            )
-        a[k, k + 1:] /= pivot
-        a[k + 1:, k + 1:] += a[k + 1:, k, None] * a[k, None, k + 1:]
+            raise SolverError(_ZERO_PIVOT)
+        block[k, k + 1:] /= pivot
+        block[k + 1:, k + 1:] += block[k + 1:, k, None] * block[k, None, k + 1:]
+    p = np.empty((t, block.shape[-1]))
+    p[-1] = 1.0
+    for k in range(t - 2, -1, -1):
+        p[k] = (block[k, k + 1:] * p[k + 1:]).sum(axis=0)
+    return p
 
 
-def _back_substitute(a: np.ndarray, p: np.ndarray, count: int) -> None:
-    """Fill p[:count] from the levels after them, last level first, in
-    place: eliminated level k holds the populations of the later levels
-    weighted by row k of the reduced rates a[n, n, ...]."""
-    for k in range(count - 1, -1, -1):
-        p[k] = (a[k, k + 1:] * p[k + 1:]).sum(axis=0)
-
-
-def _kept_last(m: RateMatrix, pattern: np.ndarray) -> int:
+def _kept_last(m: RateMatrix, cols: list, links=()) -> int:
     """The level GTH keeps to the end of the reduction: the highest-index
-    member of the unique closed class of the nonzero pattern (pattern[i, j]
-    is True where population flows j -> i). Raises SolverError for a matrix
-    with a sink, or for several closed classes, naming the level groups."""
+    member of the unique closed class of the level graph, in which
+    population flows j -> i where cols[j][i] != 0 and for each (i, j) of
+    links. Raises SolverError for a matrix with a sink, or for several
+    closed classes, naming the level groups."""
     if m.sink_index is not None:
         raise SolverError(
             "steady_state needs a sink-free matrix; build it without "
             "include_ionization"
         )
-    reach, classes = _closed_classes(pattern)
+    n = len(cols)
+    # reach[j] has bit i set when level j can reach level i
+    reach = []
+    for j, col in enumerate(cols):
+        bits = 1 << j
+        for i, rate in enumerate(col):
+            if rate != 0.0:
+                bits |= 1 << i
+        reach.append(bits)
+    for i, j in links:
+        reach[j] |= 1 << i
+    # transitive closure (Warshall): after round k, paths through 0..k count
+    for k in range(n):
+        through = reach[k]
+        for j in range(n):
+            if reach[j] >> k & 1:
+                reach[j] |= through
+    # A closed class is the reach of each of its members, which all reach
+    # back; it is listed once, at its first member.
+    classes = [
+        r for j, r in enumerate(reach)
+        if r & -r == 1 << j and all(reach[i] >> j & 1 for i in range(n) if r >> i & 1)
+    ]
     if len(classes) > 1:
-        recurrent = classes.any(axis=0)
-        groups = [~(reach & recurrent & ~c).any(axis=1) for c in classes]
+        recurrent = 0
+        for c in classes:
+            recurrent |= c
         named = "; ".join(
-            "{" + ", ".join(m.labels[i] for i in np.flatnonzero(g)) + "}"
-            for g in groups
+            "{" + ", ".join(m.labels[j] for j in range(n)
+                            if not reach[j] & recurrent & ~c) + "}"
+            for c in classes
         )
         raise SolverError(
             f"null space dimension {len(classes)}: no population flows "
             f"between level groups {named}"
         )
-    return int(np.flatnonzero(classes[0])[-1])
+    return classes[0].bit_length() - 1
+
+
+def _permuted(cols: list, order: list) -> list:
+    """The columns of the matrix with its levels taken in the given order."""
+    return [[col[i] for i in order] for col in (cols[j] for j in order)]
 
 
 def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
@@ -400,27 +503,21 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     w = np.asarray(w, dtype=float).reshape(-1)
     pair = (m.index(upper), m.index(lower))
     n = m.n
-    pattern = m.matrix != 0
-    if (w != 0).any():
-        pattern[pair, pair[::-1]] = True
-    last = _kept_last(m, pattern)
+    cols = m.matrix.T.tolist()
+    last = _kept_last(m, cols, (pair, pair[::-1]) if (w != 0).any() else ())
     trailing = [i for i in pair if i != last] + [last]
     order = [i for i in range(n) if i not in trailing] + trailing
     t = len(trailing)
     lead = n - t
-    a = m.matrix[np.ix_(order, order)]
-    _eliminate(a, lead)
-    block = np.repeat(a[lead:, lead:, None], len(w), axis=-1)
+    reduced, rest = _eliminate(_permuted(cols, order), lead)
+    block = np.repeat(np.array(rest).T[:, :, None], len(w), axis=-1)
     for i, j in zip(pair, pair[::-1]):
         block[trailing.index(i), trailing.index(j)] += w
-    _eliminate(block, t - 1)
-    p_trailing = np.empty((t, len(w)))
-    p_trailing[-1] = 1.0
-    _back_substitute(block, p_trailing, t - 1)
-    basis = np.zeros((n, t))
-    basis[lead:] = np.eye(t)
-    _back_substitute(a[..., None], basis, lead)
-    p = basis[np.argsort(order)] @ p_trailing
+    p_trailing = _solve_points(block)
+    basis = [[0.0] * t for _ in range(lead)]
+    basis += [[float(r == c) for c in range(t)] for r in range(t)]
+    _back_substitute(reduced, basis)
+    p = np.array(basis)[np.argsort(order)] @ p_trailing
     p /= p.sum(axis=0)
     return p.T
 
@@ -439,16 +536,18 @@ def steady_state(m: RateMatrix) -> PopulationVector:
     otherwise the error names the separate level groups.
     """
     n = m.n
-    last = _kept_last(m, m.matrix != 0)
+    cols = m.matrix.T.tolist()
+    last = _kept_last(m, cols)
     order = [i for i in range(n) if i != last] + [last]
-    a = m.matrix[np.ix_(order, order)]
-    _eliminate(a, n - 1)
-    p = np.empty(n)
-    p[-1] = 1.0
-    _back_substitute(a, p, n - 1)
-    p = p[np.argsort(order)]
-    p /= p.sum()
-    return PopulationVector(populations=p, labels=m.labels)
+    reduced, _ = _eliminate(_permuted(cols, order), n - 1)
+    p = [0.0] * (n - 1) + [1.0]
+    _back_substitute(reduced, p)
+    populations = [0.0] * n
+    for position, level in enumerate(order):
+        populations[level] = p[position]
+    total = _sum(populations)
+    return PopulationVector(populations=[x / total for x in populations],
+                            labels=m.labels)
 
 
 # exp(A) to degree 20 in Paterson-Stockmeyer blocks: row i holds the Taylor
@@ -520,10 +619,8 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     sink), and to about 2e-13 on schemes whose rates span 37 decades. The
     cost is one n x n product per squaring, with s <= log2(lam t_s) + 1;
     lam and B are read from m, which computed them once. On the 10 levels
-    of yb174_plus with the sink (S = 1e-2 to 1e4, t_s = 1e-6 to 10 s, so s
-    = 9 to 44 and 24 on average) a call took about 64 us: about 25 us fixed
-    and 1.2 to 1.3 us per squaring, on one core of a shared x86-64 host
-    with CPython 3.11, numpy 2.4 and OpenBLAS 0.3.31. The flow conserves
+    of yb174_plus with the sink (S = 1e-2 to 1e4, t_s = 1e-6 to 10 s), s
+    runs from 9 to 44 and is 24 on average. The flow conserves
     the sum exactly, so the result is projected back onto the sum = 1
     manifold; a drift above 1e-6 is treated as a propagator failure
     instead of being silently projected away. With an ionization sink the

@@ -35,7 +35,7 @@ from ybion.errors import SolverError, YbionError
 from ybion.crystal import ChargePair, TrapAxis, infer_eta
 from ybion.mc import VerificationNoise, infer_from_verification, synthesize_verification
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
-from ybion.rates import build_rate_matrix, steady_state
+from ybion.rates import STEADY_RESIDUAL_TOL, build_rate_matrix, steady_state
 from ybion.scheme import bundled_scheme_path, load_scheme_file
 
 SUBCOMMANDS = (
@@ -1077,8 +1077,8 @@ def test_rerun_primary_output_is_byte_identical(name, curve_file, tmp_path):
 
 # Manifest lines of each RERUN argv minus the timestamp, frozen from the
 # release before param.* lines were derived from the parsed flags; the lines
-# added since are verify-roundtrip's diag.inference_failures and the noisy
-# scan's rng line.
+# added since are verify-roundtrip's diag.inference_failures, the noisy
+# scan's rng line and steady-state's diag.steady_residual.
 # {placeholders} stand for what depends on the installation or on tmp_path.
 FROZEN_MANIFESTS = {
     "steady-state": """\
@@ -1087,6 +1087,7 @@ param.drive_overrides: NA
 param.saturate_all: 100.0
 param.scheme: {data}/yb174_plus.scheme
 input.yb174_plus.scheme.sha256: 85b08c9d40bdd6c0a67f7eaca9d9c197b0e412a36e4cf7b1a077f844ed668432
+diag.steady_residual: 1.8772162769020557e-17
 """,
     "ionize-rate": """\
 subcommand: ionize-rate
@@ -1262,6 +1263,22 @@ def test_fit_scan_manifest_carries_deterministic_fit_diagnostics(curve_file, tmp
     assert sorted(diag) == ["diag.fit_cost", "diag.fit_iterations"]
     assert int(diag["diag.fit_iterations"]) >= 1
     assert 0.0 <= float(diag["diag.fit_cost"]) < math.inf
+
+
+@pytest.mark.parametrize("argv", [[], ["--saturate-all", "1e8"]], ids=["bundled", "S1e8"])
+def test_steady_state_residual_is_recomputed_from_the_printed_populations(argv, tmp_path):
+    out = tmp_path / "pops.tsv"
+    assert main(["steady-state", *argv, "--out", str(out)]) == 0
+    printed = {k: float(v) for k, v in value_map(out.read_text()).items()}
+    scheme = load_scheme_file(bundled_scheme_path("yb174_plus"))
+    if argv:
+        scheme = scheme.with_all_drives_saturated(float(argv[1]))
+    matrix = build_rate_matrix(scheme)
+    p = np.array([printed[label] for label in matrix.labels])
+    residual = np.abs(matrix.matrix @ p).max() / np.abs(matrix.matrix).max()
+    diag = [line for line in manifest_lines(out) if line.startswith("diag.")]
+    assert diag == [f"diag.steady_residual: {float(residual)!r}"]
+    assert residual <= STEADY_RESIDUAL_TOL
 
 
 def test_manifest_digests_input_files(tmp_path):

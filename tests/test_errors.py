@@ -4,10 +4,12 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ybion
-from ybion.errors import SchemeError, SolverError, check, representable
+from ybion.errors import SchemeError, SolverError, check, check_array, representable
+from ybion.mc import exposure_to_wall, wall_to_exposure
 from ybion.rates import build_rate_matrix, evolve, initial_population
 from ybion.scheme import Level, load_bundled_scheme
 from ybion.spectro import lifetime_from_linewidth
@@ -55,6 +57,33 @@ def test_check_accepts_its_interval_and_words_each_refusal(
     assert str(caught.value) == (expected + " m" if unit else expected)
 
 
+# 1.0 lies in every interval, so the refusal names the second entry
+@pytest.mark.parametrize("interval,value,accepted", CASES)
+def test_check_array_words_the_first_entry_outside_as_check_does(
+        interval, value, accepted):
+    values = np.array([1.0, value, value])
+    if accepted:
+        assert check_array("exposure", values, interval) is values
+        return
+    with pytest.raises(SolverError) as caught:
+        check_array("exposure", values, interval, "s", SolverError)
+    assert str(caught.value) == f"exposure {WORDINGS[interval]}, got {value!r} s"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: exposure_to_wall(np.array([1.0, math.nan]), 0.0, 50.0, 0.5),
+     "exposure must be >= 0 and finite, got nan s"),
+    (lambda: exposure_to_wall(-1.0, 0.0, 50.0, 0.5),
+     "exposure must be >= 0 and finite, got -1.0 s"),
+    (lambda: wall_to_exposure(np.array([0.5, math.inf]), 0.0, 50.0, 0.5),
+     "wall time must be >= 0 and finite, got inf s"),
+], ids=["exposure-nan", "exposure-negative", "wall-inf"])
+def test_chop_mappings_refuse_through_check_array(call, message):
+    with pytest.raises(SolverError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def evolve_linewidth_reference(t_s):
     m = build_rate_matrix(load_bundled_scheme("linewidth_reference"))
     return evolve(m, initial_population(m, m.labels[-1]), t_s)
@@ -78,10 +107,6 @@ def test_non_finite_inputs_of_one_sided_checks_are_refused(call, error, message)
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
-
-
-# Whole-array checks name no single value, so they do not go through check.
-ARRAY_CHECKS = {"exposure must be >= 0 and finite", "wall time must be >= 0 and finite"}
 
 
 def string_literals(root, with_docstrings=True):
@@ -108,7 +133,7 @@ PACKAGE = Path(ybion.__file__).parent
 def test_interval_wordings_are_written_only_in_errors_py():
     phrases = [wording for wording in WORDINGS.values() if wording != "must be finite"]
     copies = [(name, line, phrase) for name, line, text in string_literals(PACKAGE)
-              if text not in ARRAY_CHECKS for phrase in phrases if phrase in text]
+              for phrase in phrases if phrase in text]
     assert copies == []
 
 

@@ -246,6 +246,35 @@ def test_two_closed_classes_from_one_level_named():
     assert "{g}" in msg and "{x}" in msg
 
 
+@pytest.mark.parametrize("length", [*range(1, 21), 127, 128, 129, 300, 1000])
+def test_kernel_sum_keeps_numpy_reduce_order(length):
+    # The GTH kernel sums Python floats in numpy's order so that the sha256
+    # pins hold; a numpy release that sums in another order fails here.
+    rng = np.random.default_rng(length)
+    for _ in range(200):
+        # mixed signs and magnitudes, so that another order rounds otherwise
+        v = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 8, length)
+        kind = rng.integers(0, 5, length)
+        v[kind == 1] = -0.0
+        v[kind == 2] = 5e-324 * rng.integers(-1000, 1000, length)[kind == 2]
+        for values in (v, -np.abs(v) * 0.0, np.abs(v)):
+            expected = np.add.reduce(values)
+            assert np.float64(rates._sum(values.tolist())).tobytes() == expected.tobytes()
+
+
+def test_underflowing_pivot_keeps_its_refusal():
+    # b leaves only for a; once a is eliminated, the path b -> a -> c is
+    # 1e-200 * (1e-200 / 1e200), which underflows, so b's pivot is zero
+    a = np.zeros((3, 3))
+    a[1, 0], a[2, 0], a[0, 1], a[0, 2] = 1e200, 1e-200, 1e-200, 1.0
+    a.flat[::4] = -a.sum(axis=0)
+    with pytest.raises(SolverError) as err:
+        steady_state(RateMatrix(matrix=a, labels=("a", "b", "c")))
+    assert str(err.value) == (
+        "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
+        "reach the level kept last")
+
+
 def test_steady_state_at_extreme_saturation(yb_scheme):
     m = build_rate_matrix(yb_scheme.with_all_drives_saturated(1e8))
     p = steady_state(m).populations
@@ -418,6 +447,58 @@ def test_evolve_properties_on_drawn_schemes(scheme, drain, t1, t2):
     closed = build_rate_matrix(scheme)
     limit = evolve(closed, initial_population(closed, "6s12"), 1e300)
     assert agree(limit.populations, steady_state(closed).populations, 1e-11)
+
+
+def mp_null_vector(m, dps=120):
+    """Stationary populations of m from a dps-digit LU solve: the diagonal
+    is recomputed from the off-diagonal rates and the last equation is
+    replaced by sum(p) = 1. The rates of drawn schemes span about 40
+    decades, so the solve carries 120 digits."""
+    n = m.n
+    with mpmath.workdps(dps):
+        a = mpmath.matrix(m.matrix.tolist())
+        for j in range(n):
+            a[j, j] = -mpmath.fsum(a[i, j] for i in range(n) if i != j)
+        for j in range(n):
+            a[n - 1, j] = 1
+        p = mpmath.lu_solve(a, mpmath.matrix([0] * (n - 1) + [1]))
+        return np.array([float(x) for x in p])
+
+
+def with_pair_rate(m, upper, lower, w):
+    """m with the rate w (1/s) added both ways between upper and lower."""
+    a = m.matrix.copy()
+    u, l = m.index(upper), m.index(lower)
+    a[u, l] += w
+    a[l, u] += w
+    a[u, u] -= w
+    a[l, l] -= w
+    return RateMatrix(matrix=a, labels=m.labels)
+
+
+# Worst entrywise relative errors seen over 3000 drawn schemes, with four
+# scanned rates each: 4.0 EPS between steady_state and the 120-digit null
+# vector, 4.2 EPS between a steady_state_scan row and the steady_state of
+# its matrix. The bound leaves a factor of four above both.
+GTH_RTOL = 16 * EPS
+
+
+@given(scheme=drawn_schemes(), drive=st.integers(0, 3),
+       w=st.lists(st.one_of(st.just(0.0), log_uniform(1e-8, 1e20)),
+                  min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_steady_states_match_oracles_on_drawn_schemes(scheme, drive, w):
+    m = build_rate_matrix(scheme)
+    assert agree(steady_state(m).populations, mp_null_vector(m), GTH_RTOL)
+    # each scan row is the steady state with its rate added, as spectro
+    # scans: from the matrix with the scanned drive dark
+    d = scheme.drives[drive]
+    dark = build_rate_matrix(
+        scheme.with_drive(d.upper, d.lower, saturation=0.0, power_w=None, waist_m=None))
+    rows = rates.steady_state_scan(dark, d.upper, d.lower, w)
+    for rate, row in zip(w, rows):
+        expected = steady_state(with_pair_rate(dark, d.upper, d.lower, rate))
+        assert agree(row, expected.populations, GTH_RTOL)
 
 
 # -- scipy stays out of the runtime -----------------------------------------------
