@@ -135,8 +135,8 @@ def _int_in_range(lowest: int, highest: float, what: str):
 # formatted rows and the TSV text), so about 2 GB at this cap.
 MAX_TRIALS = 10**7
 
-# A scan holds a few (levels, points) float64 arrays, about 190 bytes per
-# point on the 9-level scheme, so about 19 MB at this cap.
+# A scan holds a few (levels, points) float64 arrays, about 170 bytes per
+# point on the 9-level scheme, so about 17 MB at this cap.
 MAX_SCAN_POINTS = 10**5
 
 # A seed costs about 26 us and 100 bytes, so about 30 s and 100 MB at this cap.

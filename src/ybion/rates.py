@@ -38,17 +38,18 @@ and eliminates every other level once, on the n x n matrix itself, with no
 points axis. What is left is the stochastic complement on those (at most
 three) trailing levels (Meyer, SIAM Review 31, 1989), identical at every
 detuning; the scanned rate is added to it and only that block is solved
-per point, as a stack of 3 x 3 blocks, before the eliminated levels are
-back-substituted.
+per point, before the eliminated levels are back-substituted.
 
-The n x n elimination and back-substitution run on Python floats in
-lists: on ten levels or fewer, one numpy call per pivot costs more than
-its arithmetic. The steady-state and scan bits are pinned by sha256 in the
-tests, so the kernel adds in numpy's order: a 1-D sum runs left to right
-from 0.0 below 8 terms and, from 8 terms on, as numpy's pairwise add.reduce
-(_sum); an axis-0 sum of a 2-D array runs row by row. build_rate_matrix
-also accumulates on Python floats and converts to an array once. Only the
-scan's trailing block, batched over points, is eliminated with numpy.
+Both solves run through one kernel, _eliminate and _back_substitute, whose
+rates are Python floats in lists: on ten levels or fewer, one numpy call
+per pivot costs more than its arithmetic. In the scan's trailing block a
+rate that depends on the point is a numpy array over the scan points, and
+the kernel does the same operations, in the same order, on it. The
+steady-state and scan bits are pinned by sha256 in the tests, so the
+kernel adds in numpy's order: a 1-D sum runs left to right from 0.0 below
+8 terms and, from 8 terms on, as numpy's pairwise add.reduce (_sum); an
+axis-0 sum of a 2-D array runs row by row. build_rate_matrix also
+accumulates on Python floats and converts to an array once.
 
 Time evolution is subtraction-free too: evolve exponentiates the matrix
 shifted by its largest out-rate, which is nonnegative, by a Taylor sum and
@@ -322,12 +323,6 @@ def build_rate_matrix(
     return RateMatrix(matrix=m, labels=tuple(labels), sink_index=sink_index)
 
 
-_ZERO_PIVOT = (
-    "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
-    "reach the level kept last"
-)
-
-
 def _sum(values: list) -> float:
     """values summed in the order of numpy's add.reduce on a 1-D float64
     array, so that a kernel on Python floats keeps numpy's bits: from 0.0,
@@ -361,31 +356,38 @@ def _blocked_sum(values: list) -> float:
 def _eliminate(cols: list, count: int) -> tuple[list, list]:
     """Fold the first `count` levels into the levels after them, in index
     order, on the columns of an n x n rate matrix: cols[j][i] is the rate
-    j -> i, and the diagonal is never read.
+    j -> i, and the diagonal is never read. A rate is a Python float or,
+    in a scan's trailing block, a numpy array with one entry per scan
+    point, which goes through the same operations entry by entry.
 
     Level k's pivot is its out-rate to the levels after it. Its row of
     rates from those levels is divided by the pivot, and the rates between
     later levels gain the paths through k, as in a censored chain. The
     updates add products of nonnegative numbers, so no subtraction occurs
     (O'Cinneide, Numer. Math. 65, 1993). A pivot is positive when every
-    level can reach the last one. Returns (reduced, rest): reduced[k] is
-    level k's divided row over the levels after it, and rest the columns of
-    the block of levels left. A column whose rate into k is zero is only
-    shortened: adding the finite products times zero would change at most
-    the sign of a zero rate, which no later sum keeps.
+    level can reach the last one; an array pivot must be positive at every
+    point. Returns (reduced, rest): reduced[k] is level k's divided row
+    over the levels after it, and rest the columns of the block of levels
+    left. A column whose rate into k is zero is only shortened when the
+    pivot is a finite float: adding the finite products times zero would
+    change at most the sign of a zero rate, which no later sum keeps.
     """
     reduced = []
     for _ in range(count):
         first, *cols = cols
         below = first[1:]
         pivot = _sum(below)
-        if not pivot > 0.0:
-            raise SolverError(_ZERO_PIVOT)
+        scalar = isinstance(pivot, float)
+        if not (pivot > 0.0 if scalar else (pivot > 0.0).all()):
+            raise SolverError(
+                "steady-state pivot is zero or NaN: a NaN rate, or a level "
+                "that cannot reach the level kept last"
+            )
         row = [col[0] / pivot for col in cols]
         reduced.append(row)
-        finite = pivot < math.inf
+        finite = scalar and pivot < math.inf
         cols = [
-            [x + c * r for x, c in zip(col[1:], below)] if r or not finite else col[1:]
+            [x + c * r for x, c in zip(col[1:], below)] if not finite or r else col[1:]
             for col, r in zip(cols, row)
         ]
     return reduced, cols
@@ -394,9 +396,10 @@ def _eliminate(cols: list, count: int) -> tuple[list, list]:
 def _back_substitute(reduced: list, p: list) -> None:
     """Fill p[:len(reduced)] from the levels after them, last level first,
     in place: eliminated level k holds the populations of the later levels
-    weighted by reduced[k]. An entry of p is a float, summed as numpy sums a
-    1-D array (_sum), or a list of one value per trailing level, summed as
-    numpy sums a 2-D array along axis 0: from 0.0, row by row."""
+    weighted by reduced[k]. An entry of p is a float or an array over scan
+    points, summed as numpy sums a 1-D array (_sum), or a list of one value
+    per trailing level, summed as numpy sums a 2-D array along axis 0: from
+    0.0, row by row."""
     rows_of_p = isinstance(p[-1], list)
     for k in range(len(reduced) - 1, -1, -1):
         later = p[k + 1:]
@@ -407,24 +410,6 @@ def _back_substitute(reduced: list, p: list) -> None:
             p[k] = total
         else:
             p[k] = _sum([r * q for r, q in zip(reduced[k], later)])
-
-
-def _solve_points(block: np.ndarray) -> np.ndarray:
-    """GTH on a stack of t x t rate blocks, block[i, j, point], in place:
-    every level but the last is eliminated for all points at once. Returns
-    the populations, shape (t, points), with the last level's set to 1."""
-    t = block.shape[0]
-    for k in range(t - 1):
-        pivot = block[k + 1:, k].sum(axis=0)
-        if not (pivot > 0).all():
-            raise SolverError(_ZERO_PIVOT)
-        block[k, k + 1:] /= pivot
-        block[k + 1:, k + 1:] += block[k + 1:, k, None] * block[k, None, k + 1:]
-    p = np.empty((t, block.shape[-1]))
-    p[-1] = 1.0
-    for k in range(t - 2, -1, -1):
-        p[k] = (block[k, k + 1:] * p[k + 1:]).sum(axis=0)
-    return p
 
 
 def _kept_last(m: RateMatrix, cols: list, links=()) -> int:
@@ -490,15 +475,15 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     _kept_last on the combined nonzero pattern, so every pivot stays
     positive even when the ground level is transient. The pair and L end
     the elimination order, and the leading levels are eliminated once, on
-    the n x n matrix. Their stochastic complement on the t <= 3 trailing
-    levels is repeated along a points axis, w is added, and that block is
-    eliminated for every point at once. Back-substitution gives the
-    trailing populations per point and, once, each leading level as a
-    fixed combination of the trailing ones, so one (n, t) @ (t, points)
-    product yields every population. Row i equals steady_state of m with
-    w[i] added to its two entries, to a few rounding errors; levels
-    outside the closed class come out exactly zero. Needs a sink-free
-    matrix.
+    the n x n matrix. w is added to the two pair rates of their stochastic
+    complement on the t <= 3 trailing levels, which makes those two rates
+    arrays over the points, and the same kernel eliminates that block for
+    every point at once. Back-substitution gives the trailing populations
+    per point and, once, each leading level as a fixed combination of the
+    trailing ones, so one (n, t) @ (t, points) product yields every
+    population. Row i equals steady_state of m with w[i] added to its two
+    entries, to a few rounding errors; levels outside the closed class come
+    out exactly zero. Needs a sink-free matrix.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     pair = (m.index(upper), m.index(lower))
@@ -510,10 +495,13 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     t = len(trailing)
     lead = n - t
     reduced, rest = _eliminate(_permuted(cols, order), lead)
-    block = np.repeat(np.array(rest).T[:, :, None], len(w), axis=-1)
     for i, j in zip(pair, pair[::-1]):
-        block[trailing.index(i), trailing.index(j)] += w
-    p_trailing = _solve_points(block)
+        rest[trailing.index(j)][trailing.index(i)] += w
+    reduced_trailing, _ = _eliminate(rest, t - 1)
+    p_trailing = [0.0] * (t - 1) + [np.ones(len(w))]
+    _back_substitute(reduced_trailing, p_trailing)
+    # stacked before the product, so the per-point arrays are freed first
+    p_trailing = np.array(p_trailing)
     basis = [[0.0] * t for _ in range(lead)]
     basis += [[float(r == c) for c in range(t)] for r in range(t)]
     _back_substitute(reduced, basis)

@@ -26,8 +26,9 @@ Caveats the caller owns:
 
 A scan is one call into rates.steady_state_scan: the rate matrix is built
 once with the scanned drive dark, the levels the scan never touches are
-eliminated once, and only the block of the scanned pair and the level kept
-last is solved per detuning. The curve comes back as a ScanCurve of two
+eliminated once, and the same GTH kernel then solves the block of the
+scanned pair and the level kept last for every detuning at once, its two
+scanned rates being arrays over the detunings. The curve comes back as a ScanCurve of two
 read-only float64 columns, validated in whole-array operations; the fit
 reads those columns directly, so no step loops over points in Python.
 

@@ -381,6 +381,32 @@ def test_missing_input_file_exits_two_naming_the_path(argv, tmp_path, capsys):
     assert missing in err
 
 
+NO_LIFETIME_SCHEME = """\
+[LEVELS]
+g "ground" 0.5 0.0 -
+e "excited" 0.5 20000.0 -
+
+[DECAYS]
+e g 1.0
+
+[DRIVES]
+e g 500.0 - - 1.0 0.0 0
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["steady-state", "--scheme", "{scheme}"],
+                 "level e has decay channels but no lifetime", id="decay-without-lifetime"),
+    pytest.param(["xsec", "--model", "hydrogenic", "--limit", "98207", "--ell", "-1"],
+                 "orbital angular momentum must be >= 0", id="negative-ell"),
+])
+def test_domain_refusals_exit_two_with_one_line(argv, message, tmp_path, capsys):
+    scheme = tmp_path / "no_lifetime.scheme"
+    scheme.write_text(NO_LIFETIME_SCHEME)
+    assert main([arg.replace("{scheme}", str(scheme)) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # The README example of every subcommand that needs no scipy.
 NUMPY_ONLY = [
     ["--version"],

@@ -156,6 +156,29 @@ def test_rate_matrix_rejects_unbalanced_columns():
         RateMatrix(matrix=bad, labels=("a", "b"), sink_index=None)
 
 
+@pytest.mark.parametrize("matrix, labels, message", [
+    pytest.param(np.zeros((2, 3)), ("a", "b"), "rate matrix must be square",
+                 id="not-square"),
+    pytest.param(np.zeros((2, 2)), ("a",),
+                 "rate matrix size does not match label count", id="label-count"),
+])
+def test_rate_matrix_refuses_a_bad_shape(matrix, labels, message):
+    with pytest.raises(SolverError) as err:
+        RateMatrix(matrix=matrix, labels=labels)
+    assert str(err.value) == message
+
+
+def test_unknown_labels_are_refused():
+    m = build_rate_matrix(two_level())
+    with pytest.raises(SchemeError) as err:
+        m.index("x")
+    assert str(err.value) == "unknown level label: x"
+    p0 = PopulationVector(populations=[1.0, 0.0], labels=("g", "e"))
+    with pytest.raises(SolverError) as err:
+        evolve(m, p0, 1.0)
+    assert str(err.value) == "population vector labels do not match matrix"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_rate_matrix_rejects_non_finite_rates(bad):
     # NaN slips past both the sign and the column-sum checks
@@ -270,6 +293,20 @@ def test_underflowing_pivot_keeps_its_refusal():
     a.flat[::4] = -a.sum(axis=0)
     with pytest.raises(SolverError) as err:
         steady_state(RateMatrix(matrix=a, labels=("a", "b", "c")))
+    assert str(err.value) == (
+        "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
+        "reach the level kept last")
+
+
+def test_scan_refuses_a_zero_pivot_at_one_point():
+    # a leaves only through the scanned rate, so its pivot is w: positive at
+    # the first point and zero at the second, which alone must refuse the scan
+    a = np.zeros((3, 3))
+    a[0, 2], a[1, 2], a[2, 1] = 1.0, 1.0, 1.0
+    a.flat[::4] = -a.sum(axis=0)
+    m = RateMatrix(matrix=a, labels=("a", "b", "c"))
+    with pytest.raises(SolverError) as err:
+        rates.steady_state_scan(m, "a", "b", [1.0, 0.0])
     assert str(err.value) == (
         "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
         "reach the level kept last")

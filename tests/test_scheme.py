@@ -90,11 +90,11 @@ def test_unknown_decay_label_named():
 
 
 def test_duplicate_label_rejected():
-    bad = MINIMAL.replace('e "excited"', 'g "excited"').replace(
-        "e g", "g g"
-    )
-    with pytest.raises(SchemeError):
+    bad = MINIMAL.replace('e "excited" 0.5 20000.0 8e-9',
+                          'e "excited" 0.5 20000.0 8e-9\ne "other" 0.5 30000.0 8e-9')
+    with pytest.raises(SchemeError) as caught:
         load_scheme(bad)
+    assert str(caught.value) == "duplicate level label: e"
 
 
 def test_duplicate_decay_channel_rejected():
@@ -112,15 +112,59 @@ def test_ground_energy_must_be_zero():
 
 
 def test_branching_sum_above_one_rejected():
-    bad = MINIMAL.replace("e g 1.0", "e g 1.5")
-    with pytest.raises(SchemeError):
+    # each ratio lies in (0, 1]; only their sum is wrong
+    bad = MINIMAL.replace('g "ground" 0.5 0.0 -',
+                          'g "ground" 0.5 0.0 -\nx "other" 0.5 10000.0 -')
+    bad = bad.replace("e g 1.0", "e g 0.7\ne x 0.7")
+    with pytest.raises(SchemeError) as caught:
         load_scheme(bad)
+    assert str(caught.value) == "level e: branching ratios sum to 1.4 > 1"
 
 
 def test_parse_error_carries_line_number():
     bad = MINIMAL.replace("e g 1.0", "e g not-a-number")
     with pytest.raises(SchemeError, match=r"line \d+"):
         load_scheme(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(MINIMAL + "[EXTRA]\n", "line 11: unknown section [EXTRA]",
+                 id="unknown-section"),
+    pytest.param(MINIMAL.replace('e "excited"', 'e "excited'),
+                 "line 4: unbalanced quoting: No closing quotation",
+                 id="unbalanced-quoting"),
+    pytest.param("g x\n" + MINIMAL, "line 1: data before any section header",
+                 id="data-before-section"),
+    pytest.param("[SCHEME]\nionization_limit_cm1\n" + MINIMAL,
+                 "line 2: expected: key value", id="scheme-field-count"),
+    pytest.param(MINIMAL.replace('g "ground" 0.5 0.0 -', 'g "ground" 0.5 0.0'),
+                 "line 3: expected: label configuration J energy_cm1 lifetime_s",
+                 id="levels-field-count"),
+    pytest.param(MINIMAL.replace("e g 1.0", "e g"),
+                 "line 7: expected: upper lower branching_ratio",
+                 id="decays-field-count"),
+    pytest.param(MINIMAL.replace("1.0 0.0 0", "1.0 0.0"),
+                 "line 10: expected: upper lower wavelength_nm power_w waist_m "
+                 "saturation detuning_hz chopped", id="drives-field-count"),
+    pytest.param("[SCHEME]\nfoo 1.0\n" + MINIMAL, "unknown scheme keys: ['foo']",
+                 id="unknown-scheme-key"),
+    pytest.param(MINIMAL.replace("1.0 0.0 0", "1.0 0.0 2"),
+                 "line 10: bad chopped flag: '2' (use 0/1)", id="bad-chopped-flag"),
+    pytest.param(MINIMAL.replace('g "ground" 0.5 0.0 -', 'g "ground" 0.5 - -'),
+                 "line 3: energy is required", id="dash-in-required-field"),
+    pytest.param(MINIMAL.replace('g "ground"', '"" "ground"'),
+                 "line 3: level label must be non-empty", id="empty-label"),
+    pytest.param(MINIMAL.replace("e g 1.0", "g e 1.0"),
+                 "decay g->e: upper level is not above lower", id="decay-upward"),
+    pytest.param(MINIMAL.replace("e g 500.0", "e q 500.0"),
+                 "drive e<->q: unknown level label: q", id="drive-to-unknown-level"),
+    pytest.param(MINIMAL.replace("e g 500.0", "e e 500.0"),
+                 "line 10: drive e<->e: levels must differ", id="drive-to-itself"),
+])
+def test_scheme_file_refusals_keep_their_wording(text, message):
+    with pytest.raises(SchemeError) as caught:
+        load_scheme(text)
+    assert str(caught.value) == message
 
 
 def test_drive_needs_exactly_one_strength_spec():
