@@ -56,6 +56,7 @@ from .crystal import (
 )
 from .errors import SchemeError, YbionError, check
 from .mc import (
+    REPORTED_NOISE,
     SequenceConfig,
     VerificationNoise,
     infer_from_verification,
@@ -889,9 +890,11 @@ def build_parser() -> _Parser:
         action=_NoiseAction,
         metavar=("RATIO_REL", "FREQ_REL"),
         help="relative Gaussian sigmas (dimensionless): displacement "
-        "ratio, frequencies. Default 0.02 0.005.",
+        f"ratio, frequencies. Default {REPORTED_NOISE.ratio_rel} "
+        f"{REPORTED_NOISE.freq_rel}.",
     )
-    p.set_defaults(noise_ratio_rel=0.02, noise_freq_rel=0.005)
+    p.set_defaults(noise_ratio_rel=REPORTED_NOISE.ratio_rel,
+                   noise_freq_rel=REPORTED_NOISE.freq_rel)
     p.add_argument(
         "--seeds",
         type=_seed_count,

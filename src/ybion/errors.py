@@ -2,6 +2,8 @@
 
 The command line maps any YbionError to exit code 2 and prints its message
 verbatim, so messages must be self-contained and name the offending input.
+A parser of a data file's line raises SchemeError with no line number;
+scheme.walk_lines, the one walk over those lines, prefixes "line N: ".
 check(what, value, interval, unit) refuses an input with "WHAT WORDING, got
 VALUE UNIT". Its intervals and their wordings: "(0, inf)" must be positive
 and finite; "[0, inf)" must be >= 0 and finite; "(0, 1]" must lie in (0, 1];
@@ -23,16 +25,12 @@ class YbionError(Exception):
 
 
 class SchemeError(YbionError):
-    """Malformed or inconsistent level-scheme data.
+    """Malformed or inconsistent input data: a scheme, series or scan curve,
+    or a parameter outside its range.
 
-    Parse failures carry the one-based line number of the offending line.
+    The message is the whole refusal. A refusal raised while a data file's
+    line is read gains its "line N: " prefix from scheme.walk_lines alone.
     """
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class SolverError(YbionError):

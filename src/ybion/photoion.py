@@ -40,7 +40,7 @@ from .constants import (
     photon_energy_j,
 )
 from .errors import SchemeError, SolverError, check, representable
-from .scheme import data_lines, parse_number, read_text
+from .scheme import parse_number, read_text, walk_lines
 
 __all__ = [
     "GaussianBeam",
@@ -278,12 +278,15 @@ def load_series_file(
 ) -> RydbergSeries:
     """Read "n  energy_cm1" rows (with # comments) into a RydbergSeries."""
     members: list[tuple[int, float]] = []
-    for n, line in data_lines(read_text(path)):
+
+    def parse_line(line: str) -> None:
         parts = line.split()
         if len(parts) != 2:
-            raise SchemeError(f"expected 'n energy_cm1', got {line!r}", line=n)
-        members.append((parse_number(parts[0], "n", n, kind=int),
-                        parse_number(parts[1], "energy", n)))
+            raise SchemeError(f"expected 'n energy_cm1', got {line!r}")
+        members.append((parse_number(parts[0], "n", kind=int),
+                        parse_number(parts[1], "energy")))
+
+    walk_lines(read_text(path), parse_line)
     if not members:
         raise SchemeError(f"series file {path!r} has no data rows")
     return RydbergSeries(

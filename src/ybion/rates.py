@@ -103,13 +103,14 @@ NEGATIVE_POP_TOL = 1e-12
 POPULATION_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Rate matrix with its level ordering.
 
     matrix[i, j] is the rate from level j into level i (1/s) for i != j;
     diagonal entries close each column to zero sum. When an ionization sink
-    is present it occupies the last row/column under the label "ionized".
+    is present it occupies the last row/column under the label "ionized";
+    sink_index, when given, must index a level with no out-rate.
     matrix is a read-only float copy of the array given, which stays the
     caller's own. shift is lam, the largest out-rate (the largest column
     sum of the off-diagonal rates), and shifted is the nonnegative B = M +
@@ -121,8 +122,8 @@ class RateMatrix:
     matrix: np.ndarray
     labels: tuple[str, ...]
     sink_index: int | None = None
-    shift: float = field(init=False, repr=False, compare=False)
-    shifted: np.ndarray = field(init=False, repr=False, compare=False)
+    shift: float = field(init=False, repr=False)
+    shifted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -142,6 +143,11 @@ class RateMatrix:
         out_rates = shifted.sum(axis=0)
         if np.abs(out_rates + m.diagonal()).max() > 1e-12 * (scale or 1.0):
             raise SolverError("rate-matrix columns do not sum to zero")
+        sink = self.sink_index
+        if sink is not None and not (isinstance(sink, int) and 0 <= sink < n
+                                     and out_rates[sink] == 0.0):
+            raise SolverError(f"sink_index must index a level with no out-rate (a sink "
+                              f"absorbs), one of 0 to {n - 1}, got {sink}")
         shift = float(out_rates.max())
         shifted.flat[::n + 1] = shift - out_rates
         for name, value in (("matrix", m), ("shifted", shifted)):
@@ -160,7 +166,7 @@ class RateMatrix:
             raise SchemeError(f"unknown level label: {label}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationVector:
     """Level populations in the ordering of an accompanying RateMatrix."""
 
@@ -483,7 +489,8 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     trailing ones, so one (n, t) @ (t, points) product yields every
     population. Row i equals steady_state of m with w[i] added to its two
     entries, to a few rounding errors; levels outside the closed class come
-    out exactly zero. Needs a sink-free matrix.
+    out exactly zero. Needs a sink-free matrix. A point whose populations
+    overflow to NaN or inf is refused with steady_state's wording.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     pair = (m.index(upper), m.index(lower))
@@ -495,18 +502,23 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     t = len(trailing)
     lead = n - t
     reduced, rest = _eliminate(_permuted(cols, order), lead)
-    for i, j in zip(pair, pair[::-1]):
-        rest[trailing.index(j)][trailing.index(i)] += w
-    reduced_trailing, _ = _eliminate(rest, t - 1)
-    p_trailing = [0.0] * (t - 1) + [np.ones(len(w))]
-    _back_substitute(reduced_trailing, p_trailing)
-    # stacked before the product, so the per-point arrays are freed first
-    p_trailing = np.array(p_trailing)
-    basis = [[0.0] * t for _ in range(lead)]
-    basis += [[float(r == c) for c in range(t)] for r in range(t)]
-    _back_substitute(reduced, basis)
-    p = np.array(basis)[np.argsort(order)] @ p_trailing
-    p /= p.sum(axis=0)
+    # an overflow or 0 * inf ends as a non-finite population, refused below
+    with np.errstate(all="ignore"):
+        for i, j in zip(pair, pair[::-1]):
+            rest[trailing.index(j)][trailing.index(i)] += w
+        reduced_trailing, _ = _eliminate(rest, t - 1)
+        p_trailing = [0.0] * (t - 1) + [np.ones(len(w))]
+        _back_substitute(reduced_trailing, p_trailing)
+        # stacked before the product, so the per-point arrays are freed first
+        p_trailing = np.array(p_trailing)
+        basis = [[0.0] * t for _ in range(lead)]
+        basis += [[float(r == c) for c in range(t)] for r in range(t)]
+        _back_substitute(reduced, basis)
+        p = np.array(basis)[np.argsort(order)] @ p_trailing
+        p /= p.sum(axis=0)
+    finite = np.isfinite(p).all(axis=0)
+    if not finite.all():
+        PopulationVector(p[:, ~finite][:, 0], m.labels)  # refuses as steady_state does
     return p.T
 
 

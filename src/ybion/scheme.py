@@ -23,9 +23,11 @@ value)::
     [DRIVES]
     # upper  lower  wavelength_nm  power_w  waist_m  saturation  detuning_hz  chopped
 
-A drive carries either an explicit saturation parameter or a power/waist
-pair, never both. Declared drive wavelengths must agree with the level
-energy gap to 0.1 percent.
+_SECTIONS lists each section's columns once. A drive carries either an
+explicit saturation parameter or a power/waist pair, never both. Declared
+drive wavelengths must agree with the level energy gap to 0.1 percent.
+Scheme, series and scan-curve files are read by walk_lines, which alone
+prefixes "line N: " to the refusal of a line; no parser takes a line.
 """
 
 from __future__ import annotations
@@ -207,7 +209,10 @@ class LevelScheme:
         return dataclasses.replace(self, drives=drives)
 
 
-def _check_consistency(scheme: LevelScheme) -> None:
+def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
+    """Refuse a scheme that no solver can use; else return the branching
+    sum of each decaying level, in level order, and (drive, wavelength in
+    nm implied by its energy gap) for each drive."""
     if not scheme.levels:
         raise SchemeError("scheme has no levels")
     seen: set[str] = set()
@@ -242,6 +247,7 @@ def _check_consistency(scheme: LevelScheme) -> None:
                 f"level {label}: branching ratios sum to {float(total)} > 1"
             )
 
+    wavelengths: list[tuple[LaserDrive, float]] = []
     for dr in scheme.drives:
         for end in (dr.upper, dr.lower):
             if end not in by_label:
@@ -261,21 +267,27 @@ def _check_consistency(scheme: LevelScheme) -> None:
                 f"{dr.wavelength_nm} nm differs from energy gap "
                 f"({implied:.4f} nm) by {mismatch:.2e} (limit {WAVELENGTH_TOLERANCE})"
             )
+        wavelengths.append((dr, implied))
+    return {label: sums[label] for label in by_label if label in sums}, wavelengths
 
 
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
 
-_SECTIONS = ("SCHEME", "LEVELS", "DECAYS", "DRIVES")
+def walk_lines(text: str, parse_line) -> None:
+    """Call parse_line on the stripped text of each non-blank, non-# line.
 
-
-def data_lines(text: str):
-    """(one-based line number, stripped text) of each non-blank, non-# line."""
+    The walk is the one owner of line numbers: a SchemeError raised while
+    a line is handled leaves as "line N: MESSAGE", N one-based.
+    """
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            yield n, line
+            try:
+                parse_line(line)
+            except SchemeError as exc:
+                raise SchemeError(f"line {n}: {exc}") from None
 
 
 def read_text(path: str | Path) -> str:
@@ -286,7 +298,7 @@ def read_text(path: str | Path) -> str:
         raise SchemeError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
-def parse_number(token: str, what: str, line: int, kind: type = float):
+def parse_number(token: str, what: str, kind: type = float):
     """One field as a finite float (an int with kind=int), else SchemeError."""
     try:
         value = kind(token)
@@ -295,113 +307,83 @@ def parse_number(token: str, what: str, line: int, kind: type = float):
     except (ValueError, OverflowError):  # OverflowError: an int beyond any float
         pass
     rule = "an integer in the floating-point range" if kind is int else "finite"
-    raise SchemeError(f"{what} must be {rule}, got {token!r}", line=line)
+    raise SchemeError(f"{what} must be {rule}, got {token!r}")
 
 
-def _opt_float(token: str, what: str, line: int) -> float | None:
-    return None if token == "-" else parse_number(token, what, line)
+def _opt_float(token: str, what: str) -> float | None:
+    return None if token == "-" else parse_number(token, what)
 
 
-def _req_float(token: str, what: str, line: int) -> float:
+def _req_float(token: str, what: str) -> float:
     if token == "-":
-        raise SchemeError(f"{what} is required", line=line)
-    return parse_number(token, what, line)
+        raise SchemeError(f"{what} is required")
+    return parse_number(token, what)
 
 
-def _req_bool(token: str, what: str, line: int) -> bool:
+def _req_bool(token: str, what: str) -> bool:
     low = token.lower()
     if low in ("1", "true", "yes"):
         return True
     if low in ("0", "false", "no"):
         return False
-    raise SchemeError(f"bad {what}: {token!r} (use 0/1)", line=line)
+    raise SchemeError(f"bad {what}: {token!r} (use 0/1)")
+
+
+# section -> (its columns in file order, the record made from a row's fields)
+_SECTIONS = {
+    "SCHEME": (("key", "value"), lambda f: (f[0], _req_float(f[1], f[0]))),
+    "LEVELS": (
+        ("label", "configuration", "J", "energy_cm1", "lifetime_s"),
+        lambda f: Level(f[0], f[1], _req_float(f[2], "J"), _req_float(f[3], "energy"),
+                        _opt_float(f[4], "lifetime")),
+    ),
+    "DECAYS": (
+        ("upper", "lower", "branching_ratio"),
+        lambda f: DecayChannel(f[0], f[1], _req_float(f[2], "branching ratio")),
+    ),
+    "DRIVES": (
+        ("upper", "lower", "wavelength_nm", "power_w", "waist_m", "saturation",
+         "detuning_hz", "chopped"),
+        lambda f: LaserDrive(f[0], f[1], _req_float(f[2], "wavelength"),
+                             _opt_float(f[3], "power"), _opt_float(f[4], "waist"),
+                             _opt_float(f[5], "saturation"), _req_float(f[6], "detuning"),
+                             _req_bool(f[7], "chopped flag")),
+    ),
+}
 
 
 def load_scheme(text: str) -> LevelScheme:
-    """Parse scheme text. Raises SchemeError with a line number on failure."""
+    """Parse scheme text. A refusal of one line names that line."""
     section: str | None = None
-    levels: list[Level] = []
-    decays: list[DecayChannel] = []
-    drives: list[LaserDrive] = []
-    meta: dict[str, float] = {}
+    rows: dict[str, list] = {name: [] for name in _SECTIONS}
 
-    for n, line in data_lines(text):
+    def parse_line(line: str) -> None:
+        nonlocal section
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().upper()
             if name not in _SECTIONS:
-                raise SchemeError(f"unknown section [{name}]", line=n)
+                raise SchemeError(f"unknown section [{name}]")
             section = name
-            continue
+            return
         try:
             fields = shlex.split(line, comments=True)
         except ValueError as exc:
-            raise SchemeError(f"unbalanced quoting: {exc}", line=n) from None
+            raise SchemeError(f"unbalanced quoting: {exc}") from None
         if section is None:
-            raise SchemeError("data before any section header", line=n)
+            raise SchemeError("data before any section header")
+        columns, record = _SECTIONS[section]
+        if len(fields) != len(columns):
+            raise SchemeError("expected: " + " ".join(columns))
+        rows[section].append(record(fields))
 
-        try:
-            if section == "SCHEME":
-                if len(fields) != 2:
-                    raise SchemeError("expected: key value", line=n)
-                meta[fields[0]] = _req_float(fields[1], fields[0], n)
-            elif section == "LEVELS":
-                if len(fields) != 5:
-                    raise SchemeError(
-                        "expected: label configuration J energy_cm1 lifetime_s",
-                        line=n,
-                    )
-                levels.append(
-                    Level(
-                        label=fields[0],
-                        configuration=fields[1],
-                        j=_req_float(fields[2], "J", n),
-                        energy_cm1=_req_float(fields[3], "energy", n),
-                        lifetime_s=_opt_float(fields[4], "lifetime", n),
-                    )
-                )
-            elif section == "DECAYS":
-                if len(fields) != 3:
-                    raise SchemeError("expected: upper lower branching_ratio", line=n)
-                decays.append(
-                    DecayChannel(
-                        upper=fields[0],
-                        lower=fields[1],
-                        branching_ratio=_req_float(fields[2], "branching ratio", n),
-                    )
-                )
-            elif section == "DRIVES":
-                if len(fields) != 8:
-                    raise SchemeError(
-                        "expected: upper lower wavelength_nm power_w waist_m "
-                        "saturation detuning_hz chopped",
-                        line=n,
-                    )
-                drives.append(
-                    LaserDrive(
-                        upper=fields[0],
-                        lower=fields[1],
-                        wavelength_nm=_req_float(fields[2], "wavelength", n),
-                        power_w=_opt_float(fields[3], "power", n),
-                        waist_m=_opt_float(fields[4], "waist", n),
-                        saturation=_opt_float(fields[5], "saturation", n),
-                        detuning_hz=_req_float(fields[6], "detuning", n),
-                        chopped=_req_bool(fields[7], "chopped flag", n),
-                    )
-                )
-        except SchemeError as exc:
-            if exc.line is None:
-                raise SchemeError(str(exc), line=n) from None
-            raise
-
+    walk_lines(text, parse_line)
+    meta = dict(rows["SCHEME"])
     unknown = set(meta) - {"ionization_limit_cm1"}
     if unknown:
         raise SchemeError(f"unknown scheme keys: {sorted(unknown)}")
-    return LevelScheme(
-        levels=tuple(levels),
-        decays=tuple(decays),
-        drives=tuple(drives),
-        ionization_limit_cm1=meta.get("ionization_limit_cm1"),
-    )
+    return LevelScheme(levels=tuple(rows["LEVELS"]), decays=tuple(rows["DECAYS"]),
+                       drives=tuple(rows["DRIVES"]),
+                       ionization_limit_cm1=meta.get("ionization_limit_cm1"))
 
 
 def load_scheme_file(path: str | Path) -> LevelScheme:
@@ -468,20 +450,13 @@ def validate_scheme(scheme: LevelScheme) -> tuple[str, ...]:
     empty exactly when every sum is 1 and every declared wavelength matches
     the energy gap bit for bit.
     """
-    entries: list[str] = []
-    for lv in scheme.levels:
-        channels = scheme.decays_from(lv.label)
-        if not channels:
-            continue
-        total = sum(c.branching_ratio for c in channels)
-        if total != 1.0:
-            entries.append(
-                f"level {lv.label}: branching sum {total:.6f}, "
-                f"residual {1.0 - total:.6f} unmodeled decay"
-            )
-    for dr in scheme.drives:
-        gap = scheme.energy(dr.upper) - scheme.energy(dr.lower)
-        implied = vacuum_wavelength_nm(gap)
+    sums, wavelengths = _check_consistency(scheme)
+    entries = [
+        f"level {label}: branching sum {total:.6f}, "
+        f"residual {1.0 - total:.6f} unmodeled decay"
+        for label, total in sums.items() if total != 1.0
+    ]
+    for dr, implied in wavelengths:
         if implied != dr.wavelength_nm:
             ppm = abs(implied - dr.wavelength_nm) / dr.wavelength_nm * 1e6
             entries.append(

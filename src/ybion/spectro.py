@@ -52,7 +52,7 @@ from .rates import (  # noqa: F401
     steady_state,
     steady_state_scan,
 )
-from .scheme import LevelScheme, data_lines, parse_number, read_text
+from .scheme import LevelScheme, parse_number, read_text, walk_lines
 
 __all__ = [
     "ScanCurve",
@@ -417,20 +417,29 @@ def curve_to_text(curve: ScanCurve) -> str:
 
 
 def load_curve(path: str) -> ScanCurve:
-    """Read a curve written by curve_to_text; comments and the header are optional."""
+    """Read a curve written by curve_to_text; comments and the header are
+    optional. A sigma column must fill every row with one value."""
     detunings: list[float] = []
     signal: list[float] = []
     sigmas: list[float] = []
-    for n, line in data_lines(read_text(path)):
+
+    def parse_line(line: str) -> None:
         parts = line.split("\t")
         if not detunings and parts[0] == "detuning_hz":
-            continue
+            return
         if len(parts) not in (2, 3):
-            raise SchemeError("expected 2 or 3 tab-separated columns", line=n)
-        detunings.append(parse_number(parts[0], "detuning_hz", n))
-        signal.append(parse_number(parts[1], "signal", n))
+            raise SchemeError("expected 2 or 3 tab-separated columns")
+        detunings.append(parse_number(parts[0], "detuning_hz"))
+        signal.append(parse_number(parts[1], "signal"))
         if len(parts) == 3:
-            sigmas.append(parse_number(parts[2], "sigma", n))
+            sigmas.append(parse_number(parts[2], "sigma"))
+
+    walk_lines(read_text(path), parse_line)
     if sigmas and len(sigmas) != len(detunings):
         raise SchemeError("sigma column present on only some rows")
-    return ScanCurve(detunings, signal, noise_sigma=sigmas[0] if sigmas else None)
+    curve = ScanCurve(detunings, signal, noise_sigma=sigmas[0] if sigmas else None)
+    for sigma in sigmas:
+        if sigma != curve.noise_sigma:
+            raise SchemeError("sigma column must hold one value, got "
+                              f"{curve.noise_sigma!r} and {sigma!r}")
+    return curve

@@ -359,6 +359,15 @@ def test_fit_scan_rejects_short_curve(capsys, tmp_path):
     assert "8 points" in err
 
 
+def test_fit_scan_with_a_varying_sigma_column_exits_two(capsys, tmp_path):
+    bad = tmp_path / "sigma.tsv"
+    bad.write_text("".join(f"{d}.0\t1.0\t{0.1 if d else 0.2}\n" for d in range(9)),
+                   encoding="utf-8")
+    assert main(["fit-scan", "--data", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: sigma column must hold one value, got 0.2 and 0.1\n")
+
+
 @pytest.mark.parametrize("values", [("abc", "com"), ("nan", "bre"), ("821e3", "xyz")])
 def test_crystal_invert_from_mode_rejects_bad_values(values, capsys):
     assert main(["crystal", "--nu1", "474e3", "--invert-from-mode", *values]) == 1

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,43 @@ def test_range_refusals_are_worded_only_in_errors_py(tmp_path):
         '    raise ValueError(f"x * x overflows for x = {x}")\n', encoding="utf-8")
     assert range_refusals_outside_errors_py(tmp_path) == [
         ("module.py", 4, "x * x overflows for x = ")]
+
+
+LINE_PREFIX = re.compile(r"line (\{[^{}]*\}|%d|\d+): ")
+
+
+def line_number_writers(root):
+    """(file name, enclosing function) of each string under root that writes
+    a "line N: " prefix and of each call that passes a line= keyword."""
+    found = []
+
+    def visit(node, name, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        text = (ast.unparse(node) if isinstance(node, ast.JoinedStr) else
+                node.value if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) else "")
+        if LINE_PREFIX.search(text) or (isinstance(node, ast.Call) and any(
+                keyword.arg == "line" for keyword in node.keywords)):
+            found.append((name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, function)
+
+    for path in sorted(Path(root).glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    return found
+
+
+def test_only_the_line_walk_numbers_data_file_refusals(tmp_path):
+    assert line_number_writers(PACKAGE) == [("scheme.py", "walk_lines")]
+    # each way of naming a line outside the walk is found
+    (tmp_path / "module.py").write_text(
+        "def parse(n, text):\n"
+        '    raise ValueError(f"line {n}: bad {text}")\n'
+        "def count(n):\n"
+        '    return "line %d: empty" % n, dict(line=n)\n', encoding="utf-8")
+    assert line_number_writers(tmp_path) == [
+        ("module.py", "parse"), ("module.py", "count"), ("module.py", "count")]
 
 
 # the cases of check: each interval's ends, NaN, +-inf and 0 where excluded

@@ -416,6 +416,21 @@ def test_series_file_errors(tmp_path):
         load_series_file(str(empty), 5000.0, 1)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("5 1000.5\n6 2000.25 extra\n",
+     "line 2: expected 'n energy_cm1', got '6 2000.25 extra'"),
+    ("five 1000.5\n",
+     "line 1: n must be an integer in the floating-point range, got 'five'"),
+    ("# a note\n\n5 1000.5\n6 2000.x\n", "line 4: energy must be finite, got '2000.x'"),
+], ids=["column-count", "n-number", "energy-number"])
+def test_series_file_refusals_keep_their_wording(tmp_path, text, message):
+    path = tmp_path / "series.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemeError) as caught:
+        load_series_file(str(path), 5000.0, 1)
+    assert str(caught.value) == message
+
+
 def test_bundled_table_files_carry_provenance_headers():
     # The shipped series table and coefficient rows must say where their
     # numbers come from; a bare number table is not reviewable.

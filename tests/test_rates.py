@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -310,6 +311,23 @@ def test_scan_refuses_a_zero_pivot_at_one_point():
     assert str(err.value) == (
         "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
         "reach the level kept last")
+
+
+def test_scan_refuses_overflowing_populations_as_steady_state_does():
+    # the back-substitution products overflow, so every population is NaN
+    a = np.array([[-1e-300, 1e300, 1e200], [1e-300, -1e300, 1e-200],
+                  [0.0, 1.0, -1e200]])
+    pumped = a + np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    message = "population outside [0, 1]: min nan, max nan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            steady_state(RateMatrix(matrix=pumped, labels=("a", "b", "c")))
+        assert str(err.value) == message
+        m = RateMatrix(matrix=a, labels=("a", "b", "c"))
+        with pytest.raises(SolverError) as err:
+            rates.steady_state_scan(m, "a", "b", [1.0])
+        assert str(err.value) == message
 
 
 def test_steady_state_at_extreme_saturation(yb_scheme):
@@ -739,6 +757,32 @@ def test_rate_matrix_copies_the_callers_array():
     assert given_array.flags.writeable
     given_array[0, 0] = 5.0
     assert m.matrix[0, 0] == -1.0 and not m.matrix.flags.writeable
+
+
+def test_rate_matrix_and_population_vector_compare_and_hash_by_identity():
+    m = RateMatrix(matrix=np.array([[-1.0, 2.0], [1.0, -2.0]]), labels=("a", "b"))
+    p = PopulationVector(populations=[0.25, 0.75], labels=("a", "b"))
+    for value, twin in ((m, RateMatrix(matrix=m.matrix, labels=m.labels)),
+                        (p, PopulationVector(populations=p.populations,
+                                             labels=p.labels))):
+        assert value == value and value != twin
+        assert hash(value) == hash(value)
+        assert len({value, twin}) == 2
+
+
+@pytest.mark.parametrize("matrix,sink_index", [
+    (np.zeros((2, 2)), 7),
+    (np.zeros((2, 2)), -1),
+    (np.array([[-1.0, 1.0], [1.0, -1.0]]), 0),
+], ids=["beyond", "negative", "leaking"])
+def test_rate_matrix_refuses_a_sink_index_that_is_no_sink(matrix, sink_index):
+    with pytest.raises(SolverError) as err:
+        RateMatrix(matrix=matrix, labels=("a", "b"), sink_index=sink_index)
+    assert str(err.value) == ("sink_index must index a level with no out-rate (a sink "
+                              f"absorbs), one of 0 to 1, got {sink_index}")
+    # b absorbs what leaves a
+    drain = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    assert RateMatrix(matrix=drain, labels=("a", "b"), sink_index=1).sink_index == 1
 
 
 def test_excitation_probability_trivial(yb_scheme):

@@ -598,6 +598,23 @@ def test_load_curve_errors(tmp_path):
         load_curve(str(unsorted))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0.0\t1.0\n1.0\t2.0\t0.1\t9\n",
+     "line 2: expected 2 or 3 tab-separated columns"),
+    ("# a note\n\n0.0\tone\n", "line 3: signal must be finite, got 'one'"),
+    ("0.0\t1.0\t0.1\n1.0\t2.0\tx\n", "line 2: sigma must be finite, got 'x'"),
+    # the fit takes one noise sigma for the whole curve
+    ("0.0\t1.0\t0.1\n1.0\t2.0\t0.5\n2.0\t1.0\t9.0\n",
+     "sigma column must hold one value, got 0.1 and 0.5"),
+], ids=["column-count", "signal-number", "sigma-number", "varying-sigma"])
+def test_load_curve_refusals_keep_their_wording(tmp_path, text, message):
+    path = tmp_path / "curve.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemeError) as caught:
+        load_curve(str(path))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_curve_with_non_finite_values_is_rejected(tmp_path, bad):
     for row in (f"{bad}\t1.0\n", f"2.0\t{bad}\n"):
