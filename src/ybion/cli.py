@@ -37,6 +37,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -55,12 +56,16 @@ from .crystal import (
     infer_eta,
 )
 from .errors import SchemeError, YbionError, check
+# runs_to_text is not called here: simulate writes runs_text_blocks one
+# block at a time, but the benchmark tracer wraps the name cli.runs_to_text.
 from .mc import (
+    BLOCK_TRIALS,
     REPORTED_NOISE,
     SequenceConfig,
     VerificationNoise,
     infer_from_verification,
     rng_description,
+    runs_text_blocks,
     runs_to_text,
     scaled_std,
     simulate_ionization_times,
@@ -132,8 +137,10 @@ def _int_in_range(lowest: int, highest: float, what: str):
     return convert
 
 
-# At its peak simulate holds about 220 bytes per trial (the columns, the
-# formatted rows and the TSV text), so about 2 GB at this cap.
+# simulate writes its table a block at a time, so at its peak it holds the
+# 25-byte-per-trial columns and the summary's working copies of the event
+# times: its peak RSS grows by about 46 bytes per trial, to about 500 MB at
+# this cap (83 MB at 1e6 trials, 495 MB at 1e7).
 MAX_TRIALS = 10**7
 
 # A scan holds a few (levels, points) float64 arrays, about 170 bytes per
@@ -239,9 +246,10 @@ def _sha256(path: str | Path) -> str:
 
 
 class _Run(NamedTuple):
-    """A handler's output; summary is simulate's statistics table."""
+    """A handler's output. primary is the table, as one string or as its
+    successive chunks; summary is simulate's statistics table."""
 
-    primary: str
+    primary: str | Iterable[str]
     inputs: tuple = ()
     rng_note: str | None = None
     diag: dict | None = None
@@ -267,12 +275,15 @@ def _manifest(args, run: _Run) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(primary: str, manifest: str, out: str | None) -> None:
+def _emit(primary: str | Iterable[str], manifest: str, out: str | None) -> None:
+    """Write the primary output chunk by chunk, then the manifest."""
+    chunks = [primary] if isinstance(primary, str) else primary
     if out:
-        Path(out).write_text(primary, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
         Path(out + ".manifest").write_text(manifest, encoding="utf-8")
     else:
-        sys.stdout.write(primary)
+        sys.stdout.writelines(chunks)
         sys.stderr.write(manifest)
 
 
@@ -501,8 +512,10 @@ def _cmd_simulate(args) -> _Run:
         ["ci95_high_s", summary.ci95_s[1] if summary.ci95_s else None],
     ]
     return _Run(
-        runs_to_text(runs),
+        runs_text_blocks(runs),
         rng_note=rng_description(),
+        diag={"blocks": -(-args.trials // BLOCK_TRIALS),
+              "failed_trials": int(runs.failed.sum())},
         summary=_table(["statistic", "value"], summary_rows),
     )
 

@@ -23,8 +23,11 @@ failure_prob > 0, 4096 Geometric(failure_prob) window indices. A longer
 run therefore extends a shorter one and never reshuffles it, across block
 boundaries too. rng_description() reports this layout, the algorithm and
 the numpy version for run manifests. The trials come back as one
-SequenceRuns record of columns, entry i holding trial i; summarize_times
-and runs_to_text read those columns directly.
+SequenceRuns record of columns, entry i holding trial i, and each block
+is written straight into its slice of the columns. summarize_times reads
+the columns directly; runs_text_blocks formats the table a block at a
+time, so the text of a long run never has to exist whole, and
+runs_to_text joins those blocks.
 
 The dark-state failure channel seen at high ionizing power is not
 modeled; failure_prob is a constant per-window abort knob (default 0)
@@ -37,6 +40,7 @@ enters before its event or the horizon, and then records K windows.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,6 +71,7 @@ __all__ = [
     "wall_to_exposure",
     "synthesize_verification",
     "infer_from_verification",
+    "runs_text_blocks",
     "runs_to_text",
     "rng_description",
     "verification_rng_description",
@@ -293,16 +298,23 @@ def simulate_ionization_times(config: SequenceConfig, trials: int) -> SequenceRu
     phase, mapped to wall clock through the ON windows; an event is
     recorded only if it lands before max_time_s. Trials are drawn and
     mapped a block at a time (see the module docstring for the layout),
-    and the blocks' arrays are joined into the columns of the record.
+    and each block is written into its slice of the record's columns.
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
     chop, duty = config.chop_rate_hz, config.ionization_duty
-    blocks = []
+    runs = SequenceRuns(
+        config.rng_seed,
+        event_time_s=np.empty(trials),
+        attempt_windows=np.empty(trials, dtype=np.int64),
+        initial_phase_s=np.empty(trials),
+        failed=np.zeros(trials, dtype=bool),
+    )
     for first in range(0, trials, BLOCK_TRIALS):
         rng = np.random.default_rng(
             np.random.SeedSequence([config.rng_seed, first // BLOCK_TRIALS])
         )
+        block = slice(first, first + BLOCK_TRIALS)
         n = min(BLOCK_TRIALS, trials - first)
         draws = rng.standard_exponential(BLOCK_TRIALS)[:n]
         phase = rng.uniform(0.0, config.period_s, BLOCK_TRIALS)[:n]
@@ -316,14 +328,16 @@ def simulate_ionization_times(config: SequenceConfig, trials: int) -> SequenceRu
         wall, windows = exposure_to_wall(
             np.where(event, exposure, budget), phase, chop, duty
         )
-        failed = np.zeros(n, dtype=bool)
         if config.failure_prob > 0.0:
             abort_window = rng.geometric(config.failure_prob, BLOCK_TRIALS)[:n]
             failed = abort_window <= windows
             windows = np.where(failed, abort_window, windows)
             event &= ~failed
-        blocks.append((np.where(event, wall, np.nan), windows, phase, failed))
-    return SequenceRuns(config.rng_seed, *map(np.concatenate, zip(*blocks)))
+            runs.failed[block] = failed
+        runs.event_time_s[block] = np.where(event, wall, np.nan)
+        runs.attempt_windows[block] = windows
+        runs.initial_phase_s[block] = phase
+    return runs
 
 
 def scaled_std(values: np.ndarray) -> float:
@@ -393,12 +407,25 @@ def infer_from_verification(record: VerificationRecord) -> ChargeInference:
     return ChargeInference(eta_mean=eta_mean, q2=q2)
 
 
+def runs_text_blocks(runs: SequenceRuns) -> Iterator[str]:
+    """Tabular export, one row per trial (index, event time or NA, windows).
+
+    Yields the header line, then the rows of each block of BLOCK_TRIALS
+    trials as one string, so a caller can write a table of any length
+    while holding one block's text at a time.
+    """
+    yield "trial\tevent_time_s\tattempt_windows\n"
+    for first in range(0, len(runs.event_time_s), BLOCK_TRIALS):
+        block = slice(first, first + BLOCK_TRIALS)
+        event_time = runs.event_time_s[block]
+        times = list(map(repr, event_time.tolist()))
+        for i in np.flatnonzero(np.isnan(event_time)).tolist():
+            times[i] = "NA"
+        rows = zip(range(first, first + len(times)), times,
+                   runs.attempt_windows[block].tolist())
+        yield "".join([f"{i}\t{t}\t{k}\n" for i, t, k in rows])
+
+
 def runs_to_text(runs: SequenceRuns) -> str:
-    """Tabular export: one row per trial (index, event time or NA, windows)."""
-    times = list(map(repr, runs.event_time_s.tolist()))
-    for i in np.flatnonzero(np.isnan(runs.event_time_s)).tolist():
-        times[i] = "NA"
-    rows = zip(range(len(times)), times, runs.attempt_windows.tolist())
-    return "trial\tevent_time_s\tattempt_windows\n" + "".join(
-        [f"{i}\t{t}\t{k}\n" for i, t, k in rows]
-    )
+    """The whole table of runs_text_blocks as one string."""
+    return "".join(runs_text_blocks(runs))

@@ -26,6 +26,8 @@ value)::
 _SECTIONS lists each section's columns once. A drive carries either an
 explicit saturation parameter or a power/waist pair, never both. Declared
 drive wavelengths must agree with the level energy gap to 0.1 percent.
+A [SCHEME] key, a level label, a decay channel and a drive pair may each
+appear once.
 Scheme, series and scan-curve files are read by walk_lines, which alone
 prefixes "line N: " to the refusal of a line; no parser takes a line.
 """
@@ -248,6 +250,7 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
             )
 
     wavelengths: list[tuple[LaserDrive, float]] = []
+    pairs: set[tuple[str, str]] = set()
     for dr in scheme.drives:
         for end in (dr.upper, dr.lower):
             if end not in by_label:
@@ -259,6 +262,9 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
             raise SchemeError(
                 f"drive {dr.upper}<->{dr.lower}: upper level is not above lower"
             )
+        if (dr.upper, dr.lower) in pairs:
+            raise SchemeError(f"duplicate drive {dr.upper}<->{dr.lower}")
+        pairs.add((dr.upper, dr.lower))
         implied = vacuum_wavelength_nm(gap)
         mismatch = abs(implied - dr.wavelength_nm) / dr.wavelength_nm
         if mismatch > WAVELENGTH_TOLERANCE:
@@ -374,7 +380,10 @@ def load_scheme(text: str) -> LevelScheme:
         columns, record = _SECTIONS[section]
         if len(fields) != len(columns):
             raise SchemeError("expected: " + " ".join(columns))
-        rows[section].append(record(fields))
+        row = record(fields)
+        if section == "SCHEME" and row[0] in dict(rows["SCHEME"]):
+            raise SchemeError(f"duplicate scheme key: {row[0]}")
+        rows[section].append(row)
 
     walk_lines(text, parse_line)
     meta = dict(rows["SCHEME"])

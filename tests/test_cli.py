@@ -33,7 +33,15 @@ from ybion.cli import (
 )
 from ybion.errors import SolverError, YbionError
 from ybion.crystal import ChargePair, TrapAxis, infer_eta
-from ybion.mc import VerificationNoise, infer_from_verification, synthesize_verification
+from ybion.mc import (
+    BLOCK_TRIALS,
+    SequenceConfig,
+    VerificationNoise,
+    infer_from_verification,
+    runs_to_text,
+    simulate_ionization_times,
+    synthesize_verification,
+)
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
 from ybion.rates import STEADY_RESIDUAL_TOL, build_rate_matrix, steady_state
 from ybion.scheme import bundled_scheme_path, load_scheme_file
@@ -895,6 +903,24 @@ def test_non_finite_file_numbers_exit_two_naming_line_and_field(
     assert err == f"error: line {n}: {rule}, got {value!r}\n"
 
 
+PROBE_DRIVE = "7p12   5d32   245.426   -  -  0.02  0.0  1\n"
+
+
+@pytest.mark.parametrize("old,new,error", [
+    (PROBE_DRIVE, PROBE_DRIVE * 2, "error: duplicate drive 7p12<->5d32\n"),
+    ("[SCHEME]\n", "[SCHEME]\nionization_limit_cm1 1.0\nionization_limit_cm1 98207.0\n",
+     "error: line 21: duplicate scheme key: ionization_limit_cm1\n"),
+], ids=["duplicate-drive", "repeated-scheme-key"])
+def test_repeated_scheme_entries_exit_two_with_one_line(old, new, error, tmp_path):
+    # a second probe row used to load and double the 7p12<-5d32 rate; a
+    # second key used to replace the first silently
+    text = bundled_scheme_path("linewidth_reference").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "repeated.scheme"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert run_without_warnings(["steady-state", "--scheme", str(path)]) == (2, "", error)
+
+
 # Finite numbers whose drive rate S / (2 lifetime) or natural linewidth
 # 1 / (2 pi lifetime) leaves the floating-point range.
 @pytest.mark.parametrize("marker,column,value,command", [
@@ -1016,6 +1042,105 @@ def test_simulate_out_file_sends_summary_to_stdout(capsys, tmp_path):
     assert (tmp_path / "runs.tsv.manifest").exists()
 
 
+def simulate_tables(argv, tmp_path):
+    """simulate's table as written to --out and as written to stdout."""
+    out = tmp_path / "runs.tsv"
+    assert main(argv + ["--out", str(out)]) == 0
+    code, stdout, _ = run_cli(argv)
+    assert code == 0
+    return out.read_bytes(), stdout.encode()
+
+
+@pytest.mark.parametrize("trials", [1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
+                                    123457])
+def test_simulate_writes_the_export_table_a_block_at_a_time(trials, tmp_path):
+    argv = ["simulate", "--rate", "0.3", "--failure-prob", "0.002", "--seed", "11",
+            "--trials", str(trials)]
+    config = SequenceConfig(rate_per_s=0.3, max_time_s=10.0, rng_seed=11,
+                            failure_prob=0.002)
+    expected = runs_to_text(simulate_ionization_times(config, trials)).encode()
+    assert simulate_tables(argv, tmp_path) == (expected, expected)
+    if trials > 1:
+        times = [row[1] for row in rows_of(expected.decode())[1]]
+        assert "NA" in times and times.count("NA") < len(times)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["simulate", "--rate", "4.1", "--duty", "0.5", "--trials", "100000", "--seed", "1"],
+     "90c35a3664797671c6e546a63bc0d350335febbc818f55682f783c871cff03da"),
+    (["simulate", "--rate", "0.3", "--failure-prob", "0.02", "--trials",
+      str(2 * BLOCK_TRIALS + 5), "--seed", "7"],
+     "3608f0e56adb2f49848cafd2fff98e9c9be9a868c6e0acd31f1f4c90e8007da2"),
+    (["simulate", "--rate", "4.1", "--duty", "0.5", "--trials", "123457", "--seed", "1"],
+     "08b5283631afcd71d8d94253142f1c1a89ac4956be943d9620060310e30e4b9b"),
+], ids=["readme", "failures", "partial-block"])
+def test_simulate_table_bytes_are_pinned(argv, digest, tmp_path):
+    # frozen from the release that built the whole table before writing it
+    for table in simulate_tables(argv, tmp_path):
+        assert hashlib.sha256(table).hexdigest() == digest
+
+
+def test_simulate_memory_stays_bounded_at_a_million_trials(tmp_path):
+    # The peak is read from VmHWM in the child itself: getrusage's
+    # ru_maxrss of a child starts from its parent's RSS through fork/exec.
+    # Building the whole table in memory peaked at about 272 MB here, and
+    # joining the blocks into one string before writing grew the peak by
+    # about 72 MB over the import.
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("VmHWM is read from /proc/self/status")
+    script = (
+        "import ybion.cli\n"
+        "def peak_kb():\n"
+        "    status = open('/proc/self/status').read().splitlines()\n"
+        "    return next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+        "imported = peak_kb()\n"
+        "code = ybion.cli.main(['simulate', '--rate', '4.1', '--duty', '0.5', "
+        "'--trials', '1000000', '--seed', '1', '--out', 'runs.tsv'])\n"
+        "print(code, imported, peak_kb())\n"
+    )
+    src = str(Path(sys.modules["ybion"].__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, imported_kb, peak_kb = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert int(peak_kb) < 120 * 1024
+    assert int(peak_kb) - int(imported_kb) < 64 * 1024
+    digest = hashlib.sha256((tmp_path / "runs.tsv").read_bytes()).hexdigest()
+    assert digest == "e3c29e1889ccda08c0eab2d537b7935f370e2189fc71cd2a998da649f15e2af9"
+
+
+def simulate_diag(argv, tmp_path):
+    """The diag.* lines of a simulate run's manifest, and its table."""
+    out = tmp_path / "runs.tsv"
+    assert main(argv + ["--out", str(out)]) == 0
+    diag = dict(line.split(": ", 1) for line in manifest_lines(out)
+                if line.startswith("diag."))
+    assert sorted(diag) == ["diag.blocks", "diag.failed_trials"]
+    return diag, out.read_text()
+
+
+def test_simulate_diag_blocks_counts_the_blocks_drawn(tmp_path):
+    argv = ["simulate", "--rate", "4.1", "--seed", "1", "--trials"]
+    full, _ = simulate_diag(argv + [str(BLOCK_TRIALS)], tmp_path)
+    more, _ = simulate_diag(argv + [str(BLOCK_TRIALS + 1)], tmp_path)
+    assert (full["diag.blocks"], more["diag.blocks"]) == ("1", "2")
+
+
+def test_simulate_diag_failed_trials_counts_the_aborted_trials(tmp_path):
+    argv = ["simulate", "--rate", "4.1", "--seed", "1", "--trials", "1000",
+            "--failure-prob"]
+    clean, _ = simulate_diag(argv + ["0"], tmp_path)
+    assert clean["diag.failed_trials"] == "0"
+    lossy, table = simulate_diag(argv + ["0.5"], tmp_path)
+    # at this rate a trial that does not fail ionizes long before the
+    # 10 s horizon, so the failed trials are the NA rows
+    na_rows = sum(row[1] == "NA" for row in rows_of(table)[1])
+    assert int(lossy["diag.failed_trials"]) == na_rows > 0
+
+
 # -- verify-roundtrip --------------------------------------------------------------
 
 
@@ -1113,7 +1238,8 @@ def test_rerun_primary_output_is_byte_identical(name, curve_file, tmp_path):
 # Manifest lines of each RERUN argv minus the timestamp, frozen from the
 # release before param.* lines were derived from the parsed flags; the lines
 # added since are verify-roundtrip's diag.inference_failures, the noisy
-# scan's rng line and steady-state's diag.steady_residual.
+# scan's rng line, steady-state's diag.steady_residual and simulate's
+# diag.blocks and diag.failed_trials.
 # {placeholders} stand for what depends on the installation or on tmp_path.
 FROZEN_MANIFESTS = {
     "steady-state": """\
@@ -1185,6 +1311,8 @@ param.trials: 200
 rng: numpy default_rng (PCG64), numpy {numpy}, blocks of 4096 trials, \
 block b seeded SeedSequence([rng_seed, b]), drawn in full as exposures, \
 then phases, then Geometric(failure_prob) only if failure_prob > 0
+diag.blocks: 1
+diag.failed_trials: 0
 """,
     "verify-roundtrip": """\
 subcommand: verify-roundtrip

@@ -105,6 +105,14 @@ def test_duplicate_decay_channel_rejected():
     assert str(caught.value) == "duplicate decay channel e->g"
 
 
+def test_duplicate_drive_pair_rejected_when_constructed():
+    scheme = load_scheme(MINIMAL)
+    with pytest.raises(SchemeError) as caught:
+        LevelScheme(levels=scheme.levels, decays=scheme.decays,
+                    drives=scheme.drives + (scheme.drive("e", "g"),))
+    assert str(caught.value) == "duplicate drive e<->g"
+
+
 def test_ground_energy_must_be_zero():
     bad = MINIMAL.replace('g "ground" 0.5 0.0 -', 'g "ground" 0.5 5.0 -')
     with pytest.raises(SchemeError, match="0"):
@@ -160,6 +168,11 @@ def test_parse_error_carries_line_number():
                  "drive e<->q: unknown level label: q", id="drive-to-unknown-level"),
     pytest.param(MINIMAL.replace("e g 500.0", "e e 500.0"),
                  "line 10: drive e<->e: levels must differ", id="drive-to-itself"),
+    pytest.param(MINIMAL + "e g 500.0 - - 2.0 0.0 0\n", "duplicate drive e<->g",
+                 id="duplicate-drive"),
+    pytest.param("[SCHEME]\nionization_limit_cm1 1.0\nionization_limit_cm1 98207.0\n"
+                 + MINIMAL, "line 3: duplicate scheme key: ionization_limit_cm1",
+                 id="repeated-scheme-key"),
 ])
 def test_scheme_file_refusals_keep_their_wording(text, message):
     with pytest.raises(SchemeError) as caught:
