@@ -32,7 +32,6 @@ name (e.g. "yb174_plus").
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import re
@@ -242,6 +241,11 @@ def _table(header: list[str], rows: list[list]) -> str:
 
 
 def _sha256(path: str | Path) -> str:
+    # Imported here so that only runs that hash an input load OpenSSL;
+    # simulate and verify-roundtrip load it anyway, through numpy.random's
+    # import of secrets.
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -469,11 +473,17 @@ def _cmd_scan(args) -> _Run:
 def _cmd_fit_scan(args) -> _Run:
     curve = load_curve(args.data)
     fit = fit_lorentzian(curve)
-    tau = (
-        lifetime_from_linewidth(fit.fwhm_hz, args.saturation)
-        if fit.converged
-        else None
-    )
+    tau = center_se = fwhm_se = tau_se = None
+    if fit.converged:
+        tau = lifetime_from_linewidth(fit.fwhm_hz, args.saturation)
+        # Standard errors from the covariance diagonal, NaN for a variance
+        # that is NaN or negative. tau is proportional to 1 / fwhm, so its
+        # relative error is fwhm's.
+        center_se, fwhm_se = (
+            math.sqrt(v) if v >= 0.0 else math.nan
+            for v in (fit.covariance[0][0], fit.covariance[1][1])
+        )
+        tau_se = tau * (fwhm_se / fit.fwhm_hz)
     rows = [
         ["converged", fit.converged, "-"],
         ["center", fit.center_hz, "Hz"],
@@ -487,7 +497,9 @@ def _cmd_fit_scan(args) -> _Run:
     return _Run(
         _table(["quantity", "value", "unit"], rows),
         inputs=(args.data,),
-        diag={"fit_iterations": fit.iterations, "fit_cost": fit.cost},
+        diag={"fit_iterations": fit.iterations, "fit_cost": fit.cost,
+              "fit_center_se_hz": center_se, "fit_fwhm_se_hz": fwhm_se,
+              "lifetime_se_s": tau_se},
     )
 
 

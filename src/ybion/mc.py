@@ -362,10 +362,19 @@ def summarize_times(runs: SequenceRuns) -> SequenceSummary:
     n_events = len(times)
     mean = median = ci = None
     if n_events >= 1:
-        mean, median = float(times.mean()), float(np.median(times))
-    if n_events >= 2:
-        half = 1.96 * scaled_std(times) / math.sqrt(n_events)
-        ci = (mean - half, mean + half)
+        mean = float(times.mean())
+        if n_events >= 2:
+            half = 1.96 * scaled_std(times) / math.sqrt(n_events)
+            ci = (mean - half, mean + half)
+        # The sums above depend on element order, so the times (a copy this
+        # function owns) are partitioned in place only now. np.median's
+        # bits: its mean of the middle values sums from +0.0.
+        lo, hi = (n_events - 1) // 2, n_events // 2
+        times.partition([lo, hi])
+        if lo == hi:
+            median = 0.0 + float(times[hi])
+        else:
+            median = (0.0 + float(times[lo]) + float(times[hi])) / 2.0
     return SequenceSummary(n_runs, n_events, n_events / n_runs, mean, median, ci)
 
 

@@ -227,9 +227,13 @@ def _initial_guess(nu: np.ndarray, y: np.ndarray) -> tuple[float, float, float, 
     outermost half-maximum crossings (grid span / 4 if the peak never
     drops below half maximum inside the window)."""
     k = max(2, len(y) // 10)
-    # The median of an even count averages the two middle samples, whose sum
-    # overflows near the float limit; halving first keeps the bits otherwise.
-    offset = 2.0 * float(np.median(np.concatenate([y[:k], y[-k:]]) / 2.0))
+    # The median of the 2k edge samples averages the two middle ones, whose
+    # sum overflows near the float limit; halving first keeps the bits
+    # otherwise. Selecting them in place gives np.median's bits: its mean
+    # sums from +0.0, which only turns a -0.0 sum into +0.0.
+    edges = np.concatenate([y[:k], y[-k:]]) / 2.0
+    edges.partition([k - 1, k])
+    offset = 2.0 * ((0.0 + float(edges[k - 1]) + float(edges[k])) / 2.0)
     peak_idx = int(np.argmax(y))
     amplitude = float(y[peak_idx] - offset)
     center = float(nu[peak_idx])

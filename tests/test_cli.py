@@ -8,6 +8,7 @@ broken plumbing rather than broken physics.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import math
 import os
@@ -45,6 +46,7 @@ from ybion.mc import (
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
 from ybion.rates import STEADY_RESIDUAL_TOL, build_rate_matrix, steady_state
 from ybion.scheme import bundled_scheme_path, load_scheme_file
+from ybion.spectro import lorentzian
 
 SUBCOMMANDS = (
     "steady-state",
@@ -437,14 +439,15 @@ NUMPY_ONLY = [
 ]
 
 
-def test_numpy_only_subcommands_never_import_scipy(tmp_path):
+def loaded_modules(runs, tmp_path) -> set[str]:
+    """The modules a fresh interpreter holds after importing ybion.cli and
+    running main(argv) for each argv of runs, in tmp_path."""
     script = (
         "import sys\n"
         "import ybion.cli\n"
-        f"for i, argv in enumerate({NUMPY_ONLY!r}):\n"
-        "    out = [] if argv == ['--version'] else ['--out', f'out{i}.tsv']\n"
-        "    assert ybion.cli.main(argv + out) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"for argv in {runs!r}:\n"
+        "    assert ybion.cli.main(argv) == 0, argv\n"
+        "print(sorted(sys.modules))\n"
     )
     src = str(Path(sys.modules["ybion"].__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -452,7 +455,27 @@ def test_numpy_only_subcommands_never_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def packages(modules: set[str], *names: str) -> list[str]:
+    """The loaded modules that are one of names or lie inside one."""
+    return sorted(m for m in modules
+                  if any(m == n or m.startswith(n + ".") for n in names))
+
+
+def test_numpy_only_subcommands_never_import_scipy(tmp_path):
+    runs = [argv if argv == ["--version"] else argv + ["--out", f"out{i}.tsv"]
+            for i, argv in enumerate(NUMPY_ONLY)]
+    # np.median imports numpy.ma for its NaN check; no run may pay for it
+    assert packages(loaded_modules(runs, tmp_path), "scipy", "numpy.ma") == []
+
+
+def test_runs_that_hash_no_input_never_load_openssl(tmp_path):
+    # OpenSSL (_hashlib) is loaded only to hash an input file; simulate and
+    # verify-roundtrip load it anyway, through numpy.random
+    runs = [["--version"], IONIZE, ["crystal", "--nu1", "474e3", "--eta", "2.13"]]
+    assert "_hashlib" not in loaded_modules(runs, tmp_path)
 
 
 README_STEADY_STATE = """\
@@ -486,20 +509,8 @@ FIT_SESSION = [
 
 
 def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
-    script = (
-        "import sys\n"
-        "import ybion.cli\n"
-        f"for argv in {FIT_SESSION!r}:\n"
-        "    assert ybion.cli.main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = str(Path(sys.modules["ybion"].__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    modules = loaded_modules(FIT_SESSION, tmp_path)
+    assert packages(modules, "scipy", "numpy.ma") == []
     assert value_map((tmp_path / "fit.tsv").read_text())["converged"] == "1"
 
 
@@ -1238,8 +1249,9 @@ def test_rerun_primary_output_is_byte_identical(name, curve_file, tmp_path):
 # Manifest lines of each RERUN argv minus the timestamp, frozen from the
 # release before param.* lines were derived from the parsed flags; the lines
 # added since are verify-roundtrip's diag.inference_failures, the noisy
-# scan's rng line, steady-state's diag.steady_residual and simulate's
-# diag.blocks and diag.failed_trials.
+# scan's rng line, steady-state's diag.steady_residual, simulate's
+# diag.blocks and diag.failed_trials, and fit-scan's diag.fit_center_se_hz,
+# diag.fit_fwhm_se_hz and diag.lifetime_se_s.
 # {placeholders} stand for what depends on the installation or on tmp_path.
 FROZEN_MANIFESTS = {
     "steady-state": """\
@@ -1296,8 +1308,11 @@ subcommand: fit-scan
 param.data: {curve}
 param.saturation: 0.02
 input.curve.tsv.sha256: {curve_sha}
+diag.fit_center_se_hz: 1.049770928264126e-10
 diag.fit_cost: 1.7654267659535504e-19
+diag.fit_fwhm_se_hz: 3.518383301515282e-10
 diag.fit_iterations: 4
+diag.lifetime_se_s: 3.9434178512595326e-25
 """,
     "simulate": """\
 subcommand: simulate
@@ -1413,6 +1428,10 @@ def test_manifest_structure_and_sorted_params(tmp_path):
     assert "param.p7p: 0.0095" in params
 
 
+# fit-scan's standard errors of center and width, and the lifetime's.
+FIT_ERRORS = ("fit_center_se_hz", "fit_fwhm_se_hz", "lifetime_se_s")
+
+
 def test_fit_scan_manifest_carries_deterministic_fit_diagnostics(curve_file, tmp_path):
     manifests = []
     for name in ("first", "second"):
@@ -1423,9 +1442,65 @@ def test_fit_scan_manifest_carries_deterministic_fit_diagnostics(curve_file, tmp
     assert [line for line in first if not line.startswith("timestamp: ")] == [
         line for line in second if not line.startswith("timestamp: ")]
     diag = dict(line.split(": ", 1) for line in first if line.startswith("diag."))
-    assert sorted(diag) == ["diag.fit_cost", "diag.fit_iterations"]
+    assert sorted(diag) == ["diag.fit_center_se_hz", "diag.fit_cost",
+                            "diag.fit_fwhm_se_hz", "diag.fit_iterations",
+                            "diag.lifetime_se_s"]
     assert int(diag["diag.fit_iterations"]) >= 1
     assert 0.0 <= float(diag["diag.fit_cost"]) < math.inf
+    for key in FIT_ERRORS:
+        assert 0.0 <= float(diag[f"diag.{key}"]) < math.inf
+
+
+def fit_scan_report(curve, tmp_path):
+    """fit-scan's table rows and diag.* lines for a stored curve."""
+    out = tmp_path / "fit.tsv"
+    assert main(["fit-scan", "--data", str(curve), "--saturation", "0.02",
+                 "--out", str(out)]) == 0
+    diag = dict(line.removeprefix("diag.").split(": ", 1)
+                for line in manifest_lines(out) if line.startswith("diag."))
+    return value_map(out.read_text()), diag
+
+
+def test_fit_scan_standard_errors_follow_the_noise(curve_file, tmp_path):
+    # 1 % of the peak signal as noise: the errors grow from rounding level
+    # to a few parts in 1e3, and cover the shift of the fitted width
+    noisy = tmp_path / "noisy.tsv"
+    assert main(["scan", "--scheme", "linewidth_reference", "--grid", "-60e6",
+                 "60e6", "241", "--noise-sigma", "7200", "--seed", "5",
+                 "--out", str(noisy)]) == 0
+    (clean_table, clean), (noisy_table, rough) = (
+        fit_scan_report(curve, tmp_path) for curve in (curve_file, noisy))
+    clean_fwhm, noisy_fwhm = (float(t["fwhm"]) for t in (clean_table, noisy_table))
+    assert float(clean["fit_fwhm_se_hz"]) < 1e-12 * clean_fwhm
+    assert 1e-3 * noisy_fwhm < float(rough["fit_fwhm_se_hz"]) < 1e-2 * noisy_fwhm
+    assert abs(noisy_fwhm - clean_fwhm) < 3.0 * float(rough["fit_fwhm_se_hz"])
+    assert float(clean["fit_center_se_hz"]) < 1e-6
+    assert 1e3 < float(rough["fit_center_se_hz"]) < 1e5
+    for table, diag in ((clean_table, clean), (noisy_table, rough)):
+        # tau = sqrt(1 + S) / (2 pi fwhm) carries fwhm's relative error
+        assert float(diag["lifetime_se_s"]) / float(table["lifetime"]) == pytest.approx(
+            float(diag["fit_fwhm_se_hz"]) / float(table["fwhm"]), rel=1e-12)
+
+
+def test_fit_scan_standard_errors_of_a_negative_variance_read_nan(tmp_path):
+    # at detunings of order 1e200 Hz, J^T J overflows and the covariance
+    # diagonal comes out -inf; its square root would raise
+    nu = np.linspace(-1e200, 1e200, 9)
+    y = lorentzian(nu, 1e199, 5e199, 1.0, 0.2) * (1.0 + 1e-3 * np.sin(np.arange(9)))
+    curve = tmp_path / "wide.tsv"
+    curve.write_text("".join(f"{d!r}\t{v!r}\n" for d, v in zip(nu.tolist(), y.tolist())),
+                     encoding="utf-8")
+    table, diag = fit_scan_report(curve, tmp_path)
+    assert table["converged"] == "1"
+    assert [diag[k] for k in FIT_ERRORS] == ["nan", "nan", "nan"]
+
+
+def test_fit_scan_standard_errors_read_na_without_convergence(tmp_path):
+    flat = tmp_path / "flat.tsv"
+    flat.write_text("".join(f"{d}.0\t2.0\n" for d in range(8)), encoding="utf-8")
+    table, diag = fit_scan_report(flat, tmp_path)
+    assert table["converged"] == "0"
+    assert [diag[k] for k in FIT_ERRORS] == ["NA", "NA", "NA"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--saturate-all", "1e8"]], ids=["bundled", "S1e8"])

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -31,6 +31,7 @@ from ybion.mc import (
     infer_from_verification,
     rng_description,
     runs_to_text,
+    scaled_std,
     simulate_ionization_times,
     summarize_times,
     synthesize_verification,
@@ -290,6 +291,53 @@ def test_mixed_summary_counts_and_ci():
     assert lo < 0.4 < hi
     assert hi - lo == pytest.approx(2 * 1.96 * np.std([0.2, 0.6], ddof=1)
                                     / math.sqrt(2))
+
+
+def summary_bits(summary):
+    ci = summary.ci95_s or ()
+    return [v.hex() for v in (summary.mean_s, summary.median_s, *ci)]
+
+
+def reference_bits(runs):
+    """summary_bits of mean, median and ci95 computed with np.median on a copy."""
+    times = events(runs)
+    mean, median = float(times.mean()), float(np.median(times))
+    ci = ()
+    if len(times) >= 2:
+        half = 1.96 * scaled_std(times) / math.sqrt(len(times))
+        ci = (mean - half, mean + half)
+    return [v.hex() for v in (mean, median, *ci)]
+
+
+# Finite times with ties, signed zeros and values near the float maximum;
+# None is a trial without an event.
+SUMMARY_TIMES = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 0.5, 1.7e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(times=st.lists(SUMMARY_TIMES, min_size=1, max_size=40).filter(
+    lambda ts: any(t is not None for t in ts)))
+@example(times=[0.25])
+@example(times=[-0.0, -0.0])
+@example(times=[1.7e308, None, 1.7976931348623157e308])
+@settings(max_examples=500, deadline=None)
+def test_summary_median_has_the_bits_of_the_numpy_median(times):
+    runs = make_runs(times, [1] * len(times))
+    with np.errstate(all="ignore"):
+        assert summary_bits(summarize_times(runs)) == reference_bits(runs)
+
+
+@pytest.mark.parametrize("trials", [4095, 4096, 4097])
+def test_summary_bits_equal_the_numpy_reference_across_a_block_edge(trials):
+    # failures and a short horizon leave NaN gaps in the event times
+    runs = simulate_ionization_times(
+        config(max_time_s=0.4, failure_prob=0.2), trials)
+    assert runs.failed.any()
+    assert 0 < len(events(runs)) < trials
+    assert summary_bits(summarize_times(runs)) == reference_bits(runs)
 
 
 def test_summary_needs_runs():

@@ -20,6 +20,7 @@ from ybion.scheme import (
     load_bundled_scheme,
 )
 from ybion.spectro import (
+    MIN_FIT_POINTS,
     LorentzianFit,
     ScanCurve,
     curve_to_text,
@@ -366,6 +367,27 @@ def test_fit_handles_centered_peak_without_half_crossings():
     fit = fit_lorentzian(curve)
     assert fitted_fwhm_past_the_span(fit) == pytest.approx(500e6, rel=1e-3)
     assert fit.message.endswith("exceeds the scanned span 5e+07 Hz")
+
+
+# Finite samples with ties, signed zeros and values near the float maximum,
+# whose pair sums overflow unless halved first.
+MEDIAN_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(y=st.lists(MEDIAN_SAMPLES, min_size=MIN_FIT_POINTS, max_size=60))
+@settings(max_examples=500, deadline=None)
+def test_initial_offset_has_the_bits_of_the_numpy_median(y):
+    # the offset selects the middle pair in place; np.median of the halved
+    # edge samples is the reference it must match bit for bit
+    y = np.array(y)
+    k = max(2, len(y) // 10)
+    expected = 2.0 * float(np.median(np.concatenate([y[:k], y[-k:]]) / 2.0))
+    with np.errstate(all="ignore"):
+        offset = spectro._initial_guess(np.arange(float(len(y))), y)[3]
+    assert offset.hex() == expected.hex()
 
 
 def test_fit_refuses_the_power_broadened_line_wider_than_the_scan():
