@@ -302,18 +302,17 @@ def bundled_series_path() -> str:
     return str(resources.files("ybion").joinpath("data", "yb2_p_series.tsv"))
 
 
-# model -> (ell, nstar_min, nstar_max, sigma_threshold_mb, exponent, source):
-# the one cell the package evaluates, the channel-summed Yb II 4f14 7p
-# (j=1/2) -> continuum channel, back-propagated from the model's published
-# value at the 245.426 nm working wavelength (5.5 Mb burgess, 7.2 Mb peach)
-# with the hydrogenic (Kramers) cubic frequency falloff.
+# The one cell the package evaluates, (ell, nstar_min, nstar_max): the
+# channel-summed Yb II 4f14 7p (j=1/2) -> continuum channel.
+COEFFICIENT_CELL = (1, 1.55, 2.05)
+# model -> (sigma_threshold_mb, source): the model's published value at the
+# 245.426 nm working wavelength (5.5 Mb burgess, 7.2 Mb peach), carried back
+# to threshold with the hydrogenic (Kramers) cubic frequency falloff.
 COEFFICIENT_TABLES = {
-    "burgess": (1, 1.55, 2.05, 9.059670, 3.0,
-                "general quantum-defect photoionization formula of Burgess & "
-                "Seaton, Mon. Not. R. Astron. Soc. 120, 121 (1960)"),
-    "peach": (1, 1.55, 2.05, 11.859932, 3.0,
-              "bound-free quantum-defect cross-section tables of Peach, "
-              "Mem. R. Astron. Soc. 71, 13 (1967)"),
+    "burgess": (9.059670, "general quantum-defect photoionization formula of "
+                "Burgess & Seaton, Mon. Not. R. Astron. Soc. 120, 121 (1960)"),
+    "peach": (11.859932, "bound-free quantum-defect cross-section tables of "
+              "Peach, Mem. R. Astron. Soc. 71, 13 (1967)"),
 }
 CROSS_SECTION_MODELS = ("hydrogenic", *COEFFICIENT_TABLES, "user")
 
@@ -332,8 +331,8 @@ def cross_section(
         sigma = sigma_K * n* * (E_threshold / E_photon)^3
 
     with sigma_K the hydrogen threshold constant (7.91e-22 m^2). Models
-    "burgess" and "peach" read COEFFICIENT_TABLES, keyed by (ell, n*
-    range): threshold value in Mb and a falloff exponent.
+    "burgess" and "peach" cover the one COEFFICIENT_CELL (ell, n* range)
+    and scale their COEFFICIENT_TABLES threshold value in Mb by falloff^3.
     """
     check("effective quantum number", n_star, "(0, inf)", error=SolverError)
     threshold_ev = RYDBERG_EV / n_star**2
@@ -348,9 +347,9 @@ def cross_section(
         value = SIGMA_KRAMERS_M2 * n_star * falloff**3
         return CrossSection(value_m2=value, model="hydrogenic")
     if model in COEFFICIENT_TABLES:
-        ell, lo, hi, sigma_th_mb, exponent, _ = COEFFICIENT_TABLES[model]
+        ell, lo, hi = COEFFICIENT_CELL
         if ell == ell_initial and lo <= n_star <= hi:
-            value = sigma_th_mb * MEGABARN_M2 * falloff**exponent
+            value = COEFFICIENT_TABLES[model][0] * MEGABARN_M2 * falloff**3
             return CrossSection(value_m2=value, model=model)
         raise SolverError(
             f"no {model} coefficient row covers ell={ell_initial}, n*={n_star:.4f}"

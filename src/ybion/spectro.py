@@ -244,10 +244,9 @@ def _initial_guess(nu: np.ndarray, y: np.ndarray) -> tuple[float, float, float, 
         lo = idx[0]
         hi = idx[-1]
 
+        # y[lo - 1] < half <= y[lo] and y[hi + 1] < half <= y[hi], so y1 != y0
         def crossing(i0: int, i1: int) -> float:
             y0, y1 = y[i0], y[i1]
-            if y1 == y0:
-                return float(nu[i0])
             t = (half - y0) / (y1 - y0)
             return float(nu[i0] + t * (nu[i1] - nu[i0]))
 
@@ -263,16 +262,17 @@ def _model_and_jacobian(nu: np.ndarray, params: np.ndarray):
     """Model values and the transposed analytic Jacobian (4, points) of the
     Lorentzian at params = (center, fwhm, amplitude, offset). With
     x = 2 (nu - c) / w and q = 1 / (1 + x^2): d/dc = 4 a x q^2 / w,
-    d/dw = 2 a x^2 q^2 / w, d/da = q and d/do = 1."""
-    c, w, a, o = params.tolist()
+    d/dw = 2 a x^2 q^2 / w, d/da = q and d/do = 1. On NumPy scalars, under
+    the caller's errstate, a zero width gives inf or NaN and never raises."""
+    c, w, a, o = params
     x = (2.0 / w) * (nu - c)
     q = 1.0 / (1.0 + x * x)
     g = (2.0 * a / w) * (q * q)
     return o + a * q, np.array([2.0 * x * g, x * x * g, q, np.ones_like(q)])
 
 
-# Floating-point overflow in a trial step or in extreme data only produces
-# inf or NaN costs, which the step acceptance and the gates below reject.
+# Floating-point overflow, or a trial width of zero, only produces inf or
+# NaN values, which the step acceptance and the gates below reject.
 @np.errstate(all="ignore")
 def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     """Nonlinear least-squares Lorentzian fit of a scan curve.
@@ -284,7 +284,8 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     |offset|)) of the initial guess. Each trial step solves
     (J^T J + lambda D) dz = -J^T r, with D the running maximum of
     diag(J^T J) (More's scaling), and is accepted only if it does not
-    raise the cost 0.5 |r|^2; lambda shrinks tenfold after an accepted
+    raise the cost 0.5 |r|^2: while the cost is finite, a trial whose cost
+    is not finite is rejected. lambda shrinks tenfold after an accepted
     step and grows tenfold after a rejected one. The fit converges when an
     accepted step lowers the cost by at most 1e-12 of it, or when a trial
     step is at most 1e-12 (1e-12 + |z|) in scaled units; message names the
@@ -292,9 +293,9 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     converged=False.
 
     Needs at least eight points. Returns converged=False (never raises)
-    for degenerate data: flat signal, nonpositive initial amplitude, the
-    iteration cap, a solution with nonpositive width or amplitude, or a
-    width larger than the scanned span.
+    for degenerate data: flat signal, nonpositive initial amplitude, a
+    zero initial width, the iteration cap, a solution with nonpositive
+    width or amplitude, or a width larger than the scanned span.
     The covariance is the Gauss-Newton (J^T J)^-1 from the analytic J at
     the solution, scaled by the residual variance 2 cost / (points - 4).
     """

@@ -46,7 +46,13 @@ from ybion.mc import (
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
 from ybion.rates import STEADY_RESIDUAL_TOL, build_rate_matrix, steady_state
 from ybion.scheme import bundled_scheme_path, load_scheme_file
-from ybion.spectro import lorentzian
+from ybion.spectro import (
+    MIN_FIT_POINTS,
+    ScanCurve,
+    curve_to_text,
+    fit_lorentzian,
+    lorentzian,
+)
 
 SUBCOMMANDS = (
     "steady-state",
@@ -963,6 +969,63 @@ def test_fit_scan_near_the_float_limit_prints_finite_numbers(edge, peak, tmp_pat
     code, out, err = run_without_warnings(["fit-scan", "--data", str(path)])
     assert_exits_cleanly(code, out, err)
     assert code == 0 and value_map(out)["offset"] == repr(edge)
+
+
+MAGNITUDES = st.integers(-300, 300).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def fit_curves(draw):
+    """(detunings, signal) of a loadable curve of 8 to 50 points: flat,
+    near-flat (one or two points raised by at most 1 ppm) or a Lorentzian
+    plus clamped noise, with both axes scaled by 1e-300 to 1e300."""
+    n = draw(st.integers(MIN_FIT_POINTS, 50))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    grid = np.cumsum(gaps) - draw(st.floats(0.0, 1.0)) * sum(gaps)
+    nu, scale = grid * draw(MAGNITUDES), draw(MAGNITUDES)
+    shape = draw(st.sampled_from(["flat", "near-flat", "lorentzian"]))
+    y = np.ones(n)
+    if shape == "near-flat":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            y[i] += draw(st.floats(0.0, 1e-6))
+    elif shape == "lorentzian":
+        fwhm = draw(st.floats(1e-3, 10.0)) * (grid[-1] - grid[0])
+        y = lorentzian(grid, draw(st.floats(grid[0], grid[-1])), fwhm,
+                       draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        y = np.clip(y + rng.normal(0.0, draw(st.floats(0.0, 0.1)), n), 0.0, None)
+    return tuple(nu.tolist()), tuple((y * scale).tolist())
+
+
+# The curve of the ZeroDivisionError once raised by a trial step at width 0.0.
+ZERO_WIDTH_TRIAL = (
+    (-94336.0657709074, -75143.34470008721, -40057.62189252304, -23264.489147623317,
+     -15462.555760468313, 23077.02229625077, 29437.902314850013, 34124.88293872608),
+    (1e-155, 1e-155, 1e-155, 1.0000009808353387e-155, 1e-155, 1e-155, 1e-155,
+     1.0000006855419844e-155),
+)
+
+
+@pytest.fixture(scope="module")
+def drawn_curve_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "curve.tsv"
+
+
+@given(curve=fit_curves())
+@example(curve=ZERO_WIDTH_TRIAL)
+@settings(max_examples=200, deadline=None)
+def test_fit_scan_ends_cleanly_on_any_loadable_curve(curve, drawn_curve_path):
+    scan = ScanCurve(*curve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit_lorentzian(scan)
+        except SolverError:
+            pass
+    drawn_curve_path.write_text(curve_to_text(scan), encoding="utf-8")
+    code, out, err = run_without_warnings(["fit-scan", "--data", str(drawn_curve_path)])
+    assert code in (0, 2)
+    assert_exits_cleanly(code, out, err)
 
 
 # -- simulate ----------------------------------------------------------------------

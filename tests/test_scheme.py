@@ -164,6 +164,8 @@ def test_parse_error_carries_line_number():
                  "line 3: level label must be non-empty", id="empty-label"),
     pytest.param(MINIMAL.replace("e g 1.0", "g e 1.0"),
                  "decay g->e: upper level is not above lower", id="decay-upward"),
+    pytest.param(MINIMAL.replace("e g 1.0", "e e 1.0"),
+                 "line 7: decay e->e: levels must differ", id="decay-to-itself"),
     pytest.param(MINIMAL.replace("e g 500.0", "e q 500.0"),
                  "drive e<->q: unknown level label: q", id="drive-to-unknown-level"),
     pytest.param(MINIMAL.replace("e g 500.0", "e e 500.0"),

@@ -280,6 +280,9 @@ def test_scan_preconditions(reference_scheme):
         simulate_scan(reference_scheme, *PROBE, [])
     with pytest.raises(SchemeError, match="no decay channel"):
         simulate_scan(reference_scheme, *PROBE, [0.0], monitor=("6p12", "5d52"))
+    unmonitored = reference_scheme.with_level("6p12", lifetime_s=None)
+    with pytest.raises(SchemeError, match="^monitor level 6p12 has no lifetime$"):
+        simulate_scan(unmonitored, *PROBE, [0.0])
 
 
 def test_scan_rejects_repump_on_scanned_level():
@@ -343,6 +346,22 @@ def test_flat_curve_does_not_converge():
     fit = fit_lorentzian(flat)
     assert not fit.converged
     assert "degenerate" in fit.message
+
+
+def test_zero_width_estimate_does_not_converge():
+    # One ulp of peak over an offset with an odd last bit: the half maximum
+    # rounds up to the peak, so the two peak samples are the only ones at it
+    # and both crossings sit on them. The left one is interpolated across
+    # nu[2] - nu[1] = 1e10 + 1.5e-6, which rounds to 1e10 + 2**-19, so it
+    # lands on nu[3] = 2**-19, where the right one sits too.
+    offset = 1.0 + 2.0**-52
+    peak = math.nextafter(offset, 2.0)
+    curve = ScanCurve((-2e10, -1e10, 1.5e-6, 2.0**-19, 1e10, 2e10, 3e10, 4e10),
+                      (offset, offset, peak, peak, offset, offset, offset, offset))
+    assert spectro._initial_guess(curve.detunings_hz, curve.fluorescence)[1] == 0.0
+    fit = fit_lorentzian(curve)
+    assert not fit.converged and fit.iterations == 0
+    assert fit.message == "degenerate initialization: zero width estimate"
 
 
 def test_fit_needs_eight_points():
