@@ -120,9 +120,11 @@ def _finite_float(text: str) -> float:
     return check("value", float(text), "finite", error=ValueError)
 
 
-def _int_in_range(lowest: int, highest: float, what: str):
-    """argparse type: an integer in [lowest, highest]; failures exit 1
-    naming the flag."""
+def _int_in_range(lowest: int, highest: float):
+    """argparse type: an integer in [lowest, highest], highest an int or
+    math.inf; failures exit 1 naming the flag and the range."""
+    what = (f"an integer >= {lowest}" if highest == math.inf
+            else f"an integer from {lowest} to {highest}")
 
     def convert(text: str) -> int:
         try:
@@ -149,9 +151,9 @@ MAX_SCAN_POINTS = 10**5
 # A seed costs about 26 us and 100 bytes, so about 30 s and 100 MB at this cap.
 MAX_SEEDS = 10**6
 
-_nonnegative_int = _int_in_range(0, math.inf, "an integer >= 0")
-_trial_count = _int_in_range(1, MAX_TRIALS, f"an integer from 1 to {MAX_TRIALS}")
-_seed_count = _int_in_range(1, MAX_SEEDS, f"an integer from 1 to {MAX_SEEDS}")
+_nonnegative_int = _int_in_range(0, math.inf)
+_trial_count = _int_in_range(1, MAX_TRIALS)
+_seed_count = _int_in_range(1, MAX_SEEDS)
 
 
 class _FieldsAction(argparse.Action):
@@ -307,12 +309,8 @@ def _resolve_scheme(arg: str) -> Path:
         return bundled_scheme_path(stem)
     except SchemeError:
         tried.append(f"bundled scheme {stem!r}")
-        raise SchemeError(
-            "cannot resolve scheme "
-            + repr(arg)
-            + "; tried: "
-            + ", ".join(tried)
-        ) from None
+        raise SchemeError(f"cannot resolve scheme {arg!r}; tried: "
+                          + ", ".join(tried)) from None
 
 
 _DRIVE_FIELDS = ("saturation", "power_w", "waist_m", "detuning_hz")
@@ -449,7 +447,9 @@ def _cmd_crystal(args) -> _Run:
 def _cmd_scan(args) -> _Run:
     args.scheme = _resolve_scheme(args.scheme)
     scheme = load_scheme_file(args.scheme)
-    detunings = np.linspace(args.grid_start_hz, args.grid_stop_hz, args.grid_points)
+    # the last point's offset may overflow; linspace then pins that point to stop
+    with np.errstate(over="ignore"):
+        detunings = np.linspace(args.grid_start_hz, args.grid_stop_hz, args.grid_points)
     drawn = args.noise_sigma is not None and args.noise_sigma > 0
     if drawn and args.seed is None:
         # draw the seed here, so that the manifest records it and

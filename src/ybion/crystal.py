@@ -204,13 +204,13 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
             return end
     if u < u_lo:
         raise SolverError(
-            f"measured {mode} frequency {nu_measured_hz:.1f} Hz lies below the "
-            f"eta = 1 value {nu1_hz * math.sqrt(u_lo):.1f} Hz"
+            f"measured {mode} frequency {nu_measured_hz} Hz lies below the "
+            f"eta = 1 value {nu1_hz * math.sqrt(u_lo)} Hz"
         )
     if u > u_hi:
         raise SolverError(
-            f"measured {mode} frequency {nu_measured_hz:.1f} Hz exceeds the "
-            f"eta = {hi:.0f} value {nu1_hz * math.sqrt(u_hi):.1f} Hz"
+            f"measured {mode} frequency {nu_measured_hz} Hz exceeds the "
+            f"eta = {hi:.0f} value {nu1_hz * math.sqrt(u_hi)} Hz"
         )
     a = 3.0 - u
     b = u * u - 6.0 * u + 3.0

@@ -28,7 +28,6 @@ charge seen by the escaping electron.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .constants import (
     photon_energy_j,
 )
 from .errors import SchemeError, SolverError, check, representable
-from .scheme import parse_number, read_text, walk_lines
+from .scheme import DATA_DIR, parse_number, read_text, walk_lines
 
 __all__ = [
     "GaussianBeam",
@@ -263,7 +262,7 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
             break
     if upper - mu < 1e-6 and sum_sq(mu) > 1e-12:
         raise SolverError(
-            f"quantum defect ran into the n_min bound (mu = {mu:.6f}); "
+            f"quantum defect ran into the n_min bound (mu = {mu:.6g}); "
             "the series is not represented by a single defect"
         )
     residual = float(np.abs(misfit(mu)).max())
@@ -299,7 +298,7 @@ def load_series_file(
 
 def bundled_series_path() -> str:
     """Filesystem path of the packaged Yb II np series table."""
-    return str(resources.files("ybion").joinpath("data", "yb2_p_series.tsv"))
+    return str(DATA_DIR / "yb2_p_series.tsv")
 
 
 # The one cell the package evaluates, (ell, nstar_min, nstar_max): the
@@ -338,8 +337,8 @@ def cross_section(
     threshold_ev = RYDBERG_EV / n_star**2
     if photon_energy_ev < threshold_ev:
         raise SolverError(
-            f"photon energy {photon_energy_ev:.4f} eV below ionization "
-            f"threshold {threshold_ev:.4f} eV"
+            f"photon energy {photon_energy_ev} eV below ionization "
+            f"threshold {threshold_ev} eV"
         )
     falloff = threshold_ev / photon_energy_ev
 
@@ -352,7 +351,7 @@ def cross_section(
             value = COEFFICIENT_TABLES[model][0] * MEGABARN_M2 * falloff**3
             return CrossSection(value_m2=value, model=model)
         raise SolverError(
-            f"no {model} coefficient row covers ell={ell_initial}, n*={n_star:.4f}"
+            f"no {model} coefficient row covers ell={ell_initial}, n*={n_star}"
         )
     raise SolverError(
         f"unknown cross-section model {model!r}; expected one of "

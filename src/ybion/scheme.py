@@ -6,9 +6,8 @@ command line. The bundled ``yb174_plus`` scheme describes the nine-level
 ladder used to drive a trapped Yb+ ion to Yb2+ in three resonant steps; the
 same container also serves reduced test schemes.
 
-File format (``#`` starts a comment, fields are whitespace separated,
-double quotes protect embedded spaces, ``-`` marks an absent optional
-value)::
+File format (``#`` starts a comment, fields are whitespace separated and
+quoted as by a POSIX shell, ``-`` marks an absent optional value)::
 
     [SCHEME]
     ionization_limit_cm1  98207.0
@@ -23,9 +22,10 @@ value)::
     [DRIVES]
     # upper  lower  wavelength_nm  power_w  waist_m  saturation  detuning_hz  chopped
 
-_SECTIONS lists each section's columns once. A drive carries either an
-explicit saturation parameter or a power/waist pair, never both. Declared
-drive wavelengths must agree with the level energy gap to 0.1 percent.
+_SECTIONS lists each section's columns once; load_scheme and serialize
+both read it. A drive carries either an explicit saturation parameter or a
+power/waist pair, never both. Declared drive wavelengths must agree with
+the level energy gap to 0.1 percent.
 A [SCHEME] key, a level label, a decay channel and a drive pair may each
 appear once.
 Scheme, series and scan-curve files are read by walk_lines, which alone
@@ -38,7 +38,6 @@ import dataclasses
 import math
 import shlex
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .constants import vacuum_wavelength_nm
@@ -63,6 +62,8 @@ WAVELENGTH_TOLERANCE = 1e-3
 
 # Allowed slack on a branching-ratio sum before the scheme is rejected.
 BRANCHING_SUM_SLACK = 1e-9
+
+DATA_DIR = Path(__file__).with_name("data")  # bundled schemes and tables
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
             raise SchemeError(
                 f"drive {dr.upper}<->{dr.lower}: declared wavelength "
                 f"{dr.wavelength_nm} nm differs from energy gap "
-                f"({implied:.4f} nm) by {mismatch:.2e} (limit {WAVELENGTH_TOLERANCE})"
+                f"({implied:.6g} nm) by {mismatch:.2e} (limit {WAVELENGTH_TOLERANCE})"
             )
         wavelengths.append((dr, implied))
     return {label: sums[label] for label in by_label if label in sums}, wavelengths
@@ -335,7 +336,8 @@ def _req_bool(token: str, what: str) -> bool:
     raise SchemeError(f"bad {what}: {token!r} (use 0/1)")
 
 
-# section -> (its columns in file order, the record made from a row's fields)
+# section -> (its columns in file order, the record made from a row's fields);
+# serialize writes field column.lower() of each record in LevelScheme.<section.lower()>
 _SECTIONS = {
     "SCHEME": (("key", "value"), lambda f: (f[0], _req_float(f[1], f[0]))),
     "LEVELS": (
@@ -401,49 +403,44 @@ def load_scheme_file(path: str | Path) -> LevelScheme:
 
 def bundled_scheme_path(name: str) -> Path:
     """Filesystem path of a scheme shipped with the package (by stem name)."""
-    res = resources.files("ybion").joinpath("data", f"{name}.scheme")
-    with resources.as_file(res) as p:
-        if not p.is_file():
-            raise SchemeError(f"no bundled scheme named {name!r}")
-        return Path(p)
+    path = DATA_DIR / f"{name}.scheme"
+    if not path.is_file():
+        raise SchemeError(f"no bundled scheme named {name!r}")
+    return path
 
 
 def load_bundled_scheme(name: str) -> LevelScheme:
     return load_scheme_file(bundled_scheme_path(name))
 
 
-def _fmt(value: float | None) -> str:
-    # float() first: a numpy scalar's repr reads np.float64(...)
-    return "-" if value is None else repr(float(value))
+def _encode(value) -> str:
+    """A field as load_scheme reads it: "-" if absent, 0/1, a shlex-quoted
+    string, or a Python float's repr (a numpy scalar's reads np.float64(...))."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, str):
+        return shlex.quote(value)
+    return repr(float(value))
 
 
 def serialize(scheme: LevelScheme) -> str:
-    """Render a scheme back to its text form.
+    """Render a scheme as text, each section's columns in _SECTIONS order.
 
-    Floats, numpy scalars among them, are written with the repr of a
-    Python float, so that load_scheme(serialize(s)) returns a scheme whose
-    numbers are bit-identical to the original.
+    load_scheme(serialize(s)) == s to the bit, unless a string holds a line
+    break, which no line of the format can.
     """
-    out: list[str] = []
-    if scheme.ionization_limit_cm1 is not None:
-        out += ["[SCHEME]", f"ionization_limit_cm1 {_fmt(scheme.ionization_limit_cm1)}", ""]
-    out.append("[LEVELS]")
-    for lv in scheme.levels:
-        config = '"' + lv.configuration.replace('"', "") + '"'
-        out.append(
-            f"{lv.label} {config} {_fmt(lv.j)} {_fmt(lv.energy_cm1)} {_fmt(lv.lifetime_s)}"
-        )
-    out += ["", "[DECAYS]"]
-    for d in scheme.decays:
-        out.append(f"{d.upper} {d.lower} {_fmt(d.branching_ratio)}")
-    out += ["", "[DRIVES]"]
-    for dr in scheme.drives:
-        out.append(
-            f"{dr.upper} {dr.lower} {_fmt(dr.wavelength_nm)} {_fmt(dr.power_w)} "
-            f"{_fmt(dr.waist_m)} {_fmt(dr.saturation)} "
-            f"{_fmt(dr.detuning_hz)} {1 if dr.chopped else 0}"
-        )
-    return "\n".join(out) + "\n"
+    out = []
+    for name, (columns, _) in _SECTIONS.items():
+        if name == "SCHEME":
+            limit = scheme.ionization_limit_cm1
+            rows = [] if limit is None else [("ionization_limit_cm1", limit)]
+        else:
+            rows = [[getattr(record, column.lower()) for column in columns]
+                    for record in getattr(scheme, name.lower())]
+        out += [f"[{name}]", *(" ".join(map(_encode, row)) for row in rows), ""]
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,39 @@ def test_domain_refusals_exit_two_with_one_line(argv, message, tmp_path, capsys)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def gap_scheme(energy_cm1: str) -> str:
+    """A two-level scheme whose 500 nm drive spans a gap of energy_cm1."""
+    return NO_LIFETIME_SCHEME.replace("20000.0", energy_cm1).replace("e g 1.0", "")
+
+
+# A refusal prints an input, and a bound it compares the input with, in full
+# as check does, and other derived numbers with six significant digits: a
+# tiny value never reads 0, a huge one stays short, and a bound never reads on
+# the wrong side of its input.
+@pytest.mark.parametrize("argv, named", [
+    (["crystal", "--nu1", "474e3", "--invert-from-mode", "1e-300", "com"],
+     "com frequency 1e-300 Hz lies below the eta = 1 value 474000.0 Hz"),
+    (["crystal", "--nu1", "474000.5", "--invert-from-mode", "474000.2", "com"],
+     "com frequency 474000.2 Hz lies below the eta = 1 value 474000.5 Hz"),
+    (["xsec", "--model", "hydrogenic", "--limit", "98207.0", "--wavelength-nm", "1e300"],
+     "photon energy 1.2398"),
+    (["steady-state", "--scheme", "{1e300}"], "energy gap (1e-293 nm)"),
+    (["crystal", "--nu1", "1e300", "--invert-from-mode", "1e-300", "com"],
+     "eta = 1 value 1e+300 Hz"),
+    (["steady-state", "--scheme", "{1e-300}"], "energy gap (1e+307 nm)"),
+], ids=["tiny-mode-frequency", "near-bound-mode-frequency", "tiny-photon-energy",
+        "tiny-implied-wavelength", "huge-trap-frequency", "huge-implied-wavelength"])
+def test_refusals_of_extreme_numbers_name_them_in_one_short_line(argv, named, tmp_path):
+    if argv[-1].startswith("{"):
+        scheme = tmp_path / "gap.scheme"
+        scheme.write_text(gap_scheme(argv[-1][1:-1]), encoding="utf-8")
+        argv = [*argv[:-1], str(scheme)]
+    code, out, err = run_without_warnings(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err and len(err) < 200, err
+
+
 # The README example of every subcommand that needs no scipy.
 NUMPY_ONLY = [
     ["--version"],
@@ -772,6 +805,8 @@ def assert_exits_cleanly(code, out, err):
                "5"])
 @example(argv=["scan", "--scheme", "linewidth_reference", "--grid", "1e308", "1.7e308",
                "3", "--noise-sigma", "1e308", "--seed", "3"])
+@example(argv=["scan", "--scheme", "linewidth_reference", "--grid",
+               "-1.7976931348623157e+308", "0.0", "4"])
 @settings(max_examples=300, deadline=None)
 def test_every_subcommand_exits_cleanly(argv, curve_file):
     argv = [arg.replace("{curve}", str(curve_file)) for arg in argv]

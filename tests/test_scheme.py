@@ -246,6 +246,21 @@ def test_round_trip_writes_numpy_scalars_as_plain_floats():
     assert load_scheme(text) == s
 
 
+def test_round_trip_keeps_spaces_hashes_and_quotes_in_strings():
+    # spaces, "#" and both quote characters survive in labels and
+    # configurations, as do an empty configuration and one that reads "-"
+    g, e = "g #1 ground", "e 2"
+    s = LevelScheme(
+        levels=(Level(g, "[Xe] \"6s\" 'x' # y", 0.5, 0.0),
+                Level("#e", "", 0.5, 20000.0, 8e-9), Level(e, "-", 0.5, 30000.0)),
+        decays=(DecayChannel("#e", g, 1.0),),
+        drives=(LaserDrive("#e", g, 500.0, saturation=1.0, chopped=True),
+                LaserDrive(e, g, vacuum_wavelength_nm(30000.0), power_w=1e-3,
+                           waist_m=1e-5)),
+    )
+    assert load_scheme(serialize(s)) == s
+
+
 def test_validate_flags_unmodeled_residual(yb_scheme):
     # bundled file: three published channels plus the 0.005 effective
     # cascade channel leave 0.003 unaccounted

@@ -340,6 +340,28 @@ def test_fit_covariance_shape_and_scale():
     assert 0.001 * 12e6 < sigma_w < 0.05 * 12e6
 
 
+def test_fit_standard_errors_match_the_spread_over_seeds(reference_scheme):
+    # z = (fit - noiseless fit) / standard error over N seeds has unit
+    # spread and zero mean if the errors are calibrated; the bounds are four
+    # sampling standard deviations of std(z) and of mean(z). (At 5% noise the
+    # clamp at 0 lifts the wings and the width's z has mean about -1.1.)
+    n = 400
+    grid = np.linspace(-60e6, 60e6, 241)
+    clean = simulate_scan(reference_scheme, *PROBE, grid)
+    truth = fit_lorentzian(clean)
+    noise = 0.01 * max(clean.fluorescence)
+    z = []
+    for seed in range(n):
+        fit = fit_lorentzian(simulate_scan(reference_scheme, *PROBE, grid,
+                                           noise_sigma=noise, seed=seed))
+        assert fit.converged, seed
+        z.append([(fit.center_hz - truth.center_hz) / math.sqrt(fit.covariance[0][0]),
+                  (fit.fwhm_hz - truth.fwhm_hz) / math.sqrt(fit.covariance[1][1])])
+    z = np.asarray(z)
+    assert np.all(np.abs(z.std(axis=0, ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * (n - 1)))
+    assert np.all(np.abs(z.mean(axis=0)) <= 4.0 / math.sqrt(n))
+
+
 def test_flat_curve_does_not_converge():
     grid = tuple(np.linspace(-1e6, 1e6, 20))
     flat = ScanCurve(grid, tuple([0.4] * 20))
