@@ -399,6 +399,38 @@ def test_round_trip_estimator_is_unbiased_at_reported_noise():
     assert 0.08 < q2s.std(ddof=1) < 0.16
 
 
+@pytest.mark.parametrize("eta,noise,digest", [
+    (2.135, REPORTED_NOISE,
+     "9d7ebd6db218b4fd60bc167b4e42f0260216ca08df8ca323afccb45de29bed6f"),
+    # zero noise lands on the endpoint snaps of infer_eta
+    (1.0, VerificationNoise(0.0, 0.0),
+     "7a1c450b159392711a8fbd4f43c4734a8d9bef75f9b0558dd8c1498e538e8f0c"),
+    (10.0, VerificationNoise(0.0, 0.0),
+     "aba3741dc7386db4b3684fc9fbafff47ef897cfc2ad357f05368b8190de5c93b"),
+], ids=["reported-noise", "eta-1-snap", "eta-10-snap"])
+def test_round_trip_bits_are_pinned(eta, noise, digest):
+    trap = TrapAxis(nu1_hz=474e3, eta=eta)
+    charges = ChargePair(q2=2.0)
+    inferences = [
+        infer_from_verification(synthesize_verification(trap, charges, noise, seed))
+        for seed in range(2000)
+    ]
+    pairs = np.array([(i.eta_mean, i.q2) for i in inferences], dtype=np.float64)
+    assert hashlib.sha256(pairs.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("nu_hz,mode,message", [
+    (400e3, "com", "measured com frequency 400000.0 Hz lies below the eta = 1 "
+                   "value 474000.0 Hz"),
+    (1e7, "bre", "measured bre frequency 10000000.0 Hz exceeds the eta = 10 "
+                 "value 4787629.722749256 Hz"),
+], ids=["below", "above"])
+def test_infer_eta_refusals_are_pinned(nu_hz, mode, message):
+    with pytest.raises(SolverError) as caught:
+        infer_eta(nu_hz, 474e3, mode)
+    assert str(caught.value) == message
+
+
 def test_record_invariants():
     with pytest.raises(SchemeError, match="must be positive"):
         VerificationRecord(
