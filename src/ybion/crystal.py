@@ -135,8 +135,9 @@ def displacement_ratio(eta: float, q2: float) -> float:
     weak function of q2, which is why inverting it amplifies measurement
     noise threefold (see infer_charge).
     """
-    check("eta", eta, "(0, inf)")
-    check("q2", q2, "(0, inf)")
+    if not (0.0 < eta < math.inf and 0.0 < q2 < math.inf):
+        check("eta", eta, "(0, inf)")
+        check("q2", q2, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     ratio = float((4.0 * q2 / (scale * scale)) ** (1.0 / 3.0))
     return representable("displacement ratio", ratio, "(0, inf)", eta=eta, q2=q2)
@@ -157,12 +158,12 @@ def _mode_eigenvalues(eta: float) -> tuple[float, float]:
     return 3.0 * x / u_plus, u_plus
 
 
-# mode -> (u at eta = ETA_BRACKET[0], u at eta = ETA_BRACKET[1]), computed
-# once for infer_eta's range checks.
-_ENDPOINT_EIGENVALUES = dict(zip(
-    ("com", "bre"),
-    zip(_mode_eigenvalues(ETA_BRACKET[0]), _mode_eigenvalues(ETA_BRACKET[1])),
-))
+# mode -> ((eta, u, 4 ulps of u) at ETA_BRACKET[0], the same at ETA_BRACKET[1]),
+# computed once for infer_eta's endpoint snaps and range checks.
+_ENDPOINTS = {
+    mode: tuple((eta, u, 4.0 * math.ulp(u)) for eta, u in zip(ETA_BRACKET, us))
+    for mode, us in zip(("com", "bre"), zip(*map(_mode_eigenvalues, ETA_BRACKET)))
+}
 
 
 def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
@@ -191,17 +192,18 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
     endpoint eigenvalue returns that endpoint, so endpoint inputs that
     land a rounding error off still give exactly 1 or 10.
     """
-    if mode not in _ENDPOINT_EIGENVALUES:
+    if mode not in _ENDPOINTS:
         raise SolverError(f"mode must be 'com' or 'bre', got {mode!r}")
-    check("nu_measured_hz", nu_measured_hz, "(0, inf)", error=SolverError)
-    check("nu1_hz", nu1_hz, "(0, inf)", error=SolverError)
+    if not (0.0 < nu_measured_hz < math.inf and 0.0 < nu1_hz < math.inf):
+        check("nu_measured_hz", nu_measured_hz, "(0, inf)", error=SolverError)
+        check("nu1_hz", nu1_hz, "(0, inf)", error=SolverError)
     ratio = nu_measured_hz / nu1_hz
     u = ratio * ratio
-    lo, hi = ETA_BRACKET
-    u_lo, u_hi = _ENDPOINT_EIGENVALUES[mode]
-    for end, u_end in ((lo, u_lo), (hi, u_hi)):
-        if abs(u - u_end) <= 4.0 * math.ulp(u_end):
-            return end
+    (lo, u_lo, tol_lo), (hi, u_hi, tol_hi) = _ENDPOINTS[mode]
+    if abs(u - u_lo) <= tol_lo:
+        return lo
+    if abs(u - u_hi) <= tol_hi:
+        return hi
     if u < u_lo:
         raise SolverError(
             f"measured {mode} frequency {nu_measured_hz} Hz lies below the "
@@ -226,8 +228,9 @@ def infer_charge(ratio: float, eta: float) -> float:
     Exact inverse of displacement_ratio: q2 = ratio^3 (1 + eta^-2)^2 / 4.
     The cube propagates a relative error in the ratio threefold into q2.
     """
-    check("ratio", ratio, "(0, inf)")
-    check("eta", eta, "(0, inf)")
+    if not (0.0 < ratio < math.inf and 0.0 < eta < math.inf):
+        check("ratio", ratio, "(0, inf)")
+        check("eta", eta, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     q2 = float(ratio * ratio * ratio * scale * scale / 4.0)
     return representable("inferred q2", q2, "(0, inf)", ratio=ratio, eta=eta)

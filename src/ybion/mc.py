@@ -392,28 +392,23 @@ def synthesize_verification(
     """
     ratio_true = displacement_ratio(trap.eta, charges.q2)
     nu_com_true, nu_bre_true = normal_mode_frequencies(trap)
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal(4).tolist()
-    ratio = ratio_true * (1.0 + noise.ratio_rel * draws[0])
-    nu1 = trap.nu1_hz * (1.0 + noise.freq_rel * draws[1])
-    nu_com = nu_com_true * (1.0 + noise.freq_rel * draws[2])
-    nu_bre = nu_bre_true * (1.0 + noise.freq_rel * draws[3])
+    d_ratio, d_nu1, d_com, d_bre = np.random.default_rng(seed).standard_normal(4).tolist()
     return VerificationRecord(
-        displacement_ratio_measured=float(ratio),
-        nu1_measured_hz=float(nu1),
-        nu_com_measured_hz=float(nu_com),
-        nu_bre_measured_hz=float(nu_bre),
+        float(ratio_true * (1.0 + noise.ratio_rel * d_ratio)),
+        float(trap.nu1_hz * (1.0 + noise.freq_rel * d_nu1)),
+        float(nu_com_true * (1.0 + noise.freq_rel * d_com)),
+        float(nu_bre_true * (1.0 + noise.freq_rel * d_bre)),
     )
 
 
 def infer_from_verification(record: VerificationRecord) -> ChargeInference:
     """Published verification recipe: eta from each mode, averaged, then
     charge from the displacement ratio at that eta."""
-    eta_com = infer_eta(record.nu_com_measured_hz, record.nu1_measured_hz, "com")
-    eta_bre = infer_eta(record.nu_bre_measured_hz, record.nu1_measured_hz, "bre")
-    eta_mean = 0.5 * (eta_com + eta_bre)
+    nu1 = record.nu1_measured_hz
+    eta_mean = 0.5 * (infer_eta(record.nu_com_measured_hz, nu1, "com")
+                      + infer_eta(record.nu_bre_measured_hz, nu1, "bre"))
     q2 = infer_charge(record.displacement_ratio_measured, eta_mean)
-    return ChargeInference(eta_mean=eta_mean, q2=q2)
+    return ChargeInference(eta_mean, q2)
 
 
 def runs_text_blocks(runs: SequenceRuns) -> Iterator[str]:
