@@ -167,11 +167,19 @@ _ENDPOINTS = {
 
 
 def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
-    """(nu_com, nu_bre) in Hz for the two axial modes."""
+    """(nu_com, nu_bre) in Hz for the two axial modes.
+
+    A frequency that overflows is refused; nu_com underflows to 0 for eta
+    below about 1e-154, which CrystalState refuses.
+    """
     u_minus, u_plus = _mode_eigenvalues(trap.eta)
     # Python floats: an overflowing product is inf, without a numpy warning.
     nu1 = float(trap.nu1_hz)
-    return nu1 * math.sqrt(u_minus), nu1 * math.sqrt(u_plus)
+    nu_com, nu_bre = nu1 * math.sqrt(u_minus), nu1 * math.sqrt(u_plus)
+    if not (0.0 <= nu_com < math.inf and 0.0 <= nu_bre < math.inf):
+        for what, nu in (("nu_com", nu_com), ("nu_bre", nu_bre)):
+            representable(f"mode frequency {what}", nu, nu1_hz=trap.nu1_hz, eta=trap.eta)
+    return nu_com, nu_bre
 
 
 def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:

@@ -560,8 +560,11 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
     ([a.replace("1e-5", "1e200") for a in IONIZE],
      "error: peak intensity 2 power_w / (pi waist_m^2) lies outside the "
      "floating-point range for power_w = 0.0001, waist_m = 1e+200"),
-    (["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--nu1", "1e308",
-      "--seeds", "3"], "got inf"),
+    pytest.param(
+        ["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--nu1", "1e308",
+         "--seeds", "3"],
+        "error: mode frequency nu_bre lies outside the floating-point range for "
+        "nu1_hz = 1e+308, eta = 2.135", id="verify-roundtrip-nu1-1e308"),
     # finite peak intensity, but the photon flux overflows
     ([a.replace("1e-4", "1e300").replace("1e-5", "1e-3") for a in IONIZE],
      "error: photon flux lies outside the floating-point range for "
@@ -658,6 +661,10 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
       "--invert-from-ratio", "1e-300"],
      "error: inferred q2 lies outside the floating-point range for "
      "ratio = 1e-300, eta = 2.0"),
+    pytest.param(
+        ["crystal", "--nu1", "474e3", "--eta", "1e154"],
+        "error: mode frequency nu_com lies outside the floating-point range for "
+        "nu1_hz = 474000.0, eta = 1e+154", id="crystal-eta-1e154"),
 ])
 def test_out_of_range_values_exit_two_without_warning(argv, names, curve_file, capsys,
                                                       recwarn):
