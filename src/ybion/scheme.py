@@ -79,6 +79,11 @@ class Level:
     def __post_init__(self):
         if not self.label:
             raise SchemeError("level label must be non-empty")
+        # serialize writes a level as one line, so a line break would split it
+        for what, text in (("level label", self.label),
+                           (f"level {self.label}: configuration", self.configuration)):
+            if "".join(text.splitlines()) != text:
+                raise SchemeError(f"{what} must hold no line break, got {text!r}")
         check(f"level {self.label}: J", self.j, "[0, inf)")
         check(f"level {self.label}: energy_cm1", self.energy_cm1, "[0, inf)")
         if self.lifetime_s is not None:
@@ -467,7 +472,7 @@ def validate_scheme(scheme: LevelScheme) -> tuple[str, ...]:
             ppm = abs(implied - dr.wavelength_nm) / dr.wavelength_nm * 1e6
             entries.append(
                 f"drive {dr.upper}<->{dr.lower}: declared {dr.wavelength_nm} nm, "
-                f"energy gap implies {implied:.6f} nm ({ppm:.3f} ppm off)"
+                f"energy gap implies {implied} nm ({ppm:.3f} ppm off)"
             )
     return tuple(entries)
 

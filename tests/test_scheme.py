@@ -261,6 +261,23 @@ def test_round_trip_keeps_spaces_hashes_and_quotes_in_strings():
     assert load_scheme(serialize(s)) == s
 
 
+@pytest.mark.parametrize("separator", [
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+    "\u2029",
+])
+def test_level_strings_refuse_line_breaks(separator):
+    # serialize writes each level as one line, so no string may split it
+    with pytest.raises(SchemeError) as caught:
+        Level("a" + separator + "b", "", 0.5, 0.0)
+    assert str(caught.value) == (
+        f"level label must hold no line break, got {'a' + separator + 'b'!r}")
+    with pytest.raises(SchemeError) as caught:
+        Level("g", "[Xe] 6s" + separator, 0.5, 0.0)
+    assert str(caught.value) == (
+        f"level g: configuration must hold no line break, got {'[Xe] 6s' + separator!r}")
+    assert "\n" not in str(caught.value)
+
+
 def test_validate_flags_unmodeled_residual(yb_scheme):
     # bundled file: three published channels plus the 0.005 effective
     # cascade channel leave 0.003 unaccounted
@@ -299,6 +316,18 @@ def test_validate_reports_wavelength_mismatch_ppm():
     s = load_scheme(MINIMAL)
     s = s.with_drive("e", "g", wavelength_nm=500.1)
     assert any("ppm" in e for e in validate_scheme(s))
+
+
+def test_wavelength_finding_across_a_tiny_gap_is_one_short_line():
+    # a 1e-300 cm^-1 gap implies a wavelength of about 1e307 nm
+    s = LevelScheme(
+        levels=(Level("g", "", 0.5, 0.0), Level("e", "", 0.5, 1e-300)),
+        drives=(LaserDrive("e", "g", 1.0000000000001e307, saturation=1.0),),
+    )
+    (finding,) = validate_scheme(s)
+    assert finding.startswith("drive e<->g: declared 1.0000000000001e+307 nm, "
+                              "energy gap implies ")
+    assert len(finding) < 200
 
 
 def test_transition_wavelength_arithmetic():
