@@ -148,7 +148,7 @@ MAX_TRIALS = 10**7
 # point on the 9-level scheme, so about 17 MB at this cap.
 MAX_SCAN_POINTS = 10**5
 
-# A seed costs about 26 us and 100 bytes, so about 30 s and 100 MB at this cap.
+# A seed costs about 36 us and 100 bytes, so about 36 s and 100 MB at this cap.
 MAX_SEEDS = 10**6
 
 _nonnegative_int = _int_in_range(0, math.inf)
