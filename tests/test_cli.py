@@ -553,114 +553,208 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
     assert value_map((tmp_path / "fit.tsv").read_text())["converged"] == "1"
 
 
+# Each row's id is spelled out as pytest first derived it from the row's
+# values, so rewording a refusal or inserting a row renames no test.
 @pytest.mark.parametrize("argv,names", [
-    ([a.replace("1e-5", "1e-200") for a in IONIZE],
-     "error: peak intensity 2 power_w / (pi waist_m^2) lies outside the "
-     "floating-point range for power_w = 0.0001, waist_m = 1e-200"),
-    ([a.replace("1e-5", "1e200") for a in IONIZE],
-     "error: peak intensity 2 power_w / (pi waist_m^2) lies outside the "
-     "floating-point range for power_w = 0.0001, waist_m = 1e+200"),
+    pytest.param(
+        [a.replace("1e-5", "1e-200") for a in IONIZE],
+        "error: peak intensity 2 power_w / (pi waist_m^2) lies outside the "
+        "floating-point range for power_w = 0.0001, waist_m = 1e-200",
+        id=("argv0-error: peak intensity 2 power_w / (pi waist_m^2) lies outside "
+            "the floating-point range for power_w = 0.0001, waist_m = 1e-200")),
+    pytest.param(
+        [a.replace("1e-5", "1e200") for a in IONIZE],
+        "error: peak intensity 2 power_w / (pi waist_m^2) lies outside the "
+        "floating-point range for power_w = 0.0001, waist_m = 1e+200",
+        id=("argv1-error: peak intensity 2 power_w / (pi waist_m^2) lies outside "
+            "the floating-point range for power_w = 0.0001, waist_m = 1e+200")),
     pytest.param(
         ["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--nu1", "1e308",
          "--seeds", "3"],
         "error: mode frequency nu_bre lies outside the floating-point range for "
         "nu1_hz = 1e+308, eta = 2.135", id="verify-roundtrip-nu1-1e308"),
     # finite peak intensity, but the photon flux overflows
-    ([a.replace("1e-4", "1e300").replace("1e-5", "1e-3") for a in IONIZE],
-     "error: photon flux lies outside the floating-point range for "
-     "power_w = 1e+300, waist_m = 0.001, wavelength_nm = 245.426"),
-    ([a.replace("5.5", "1e308").replace("9.5e-3", "1") for a in IONIZE],
-     "error: ionization rate p_excited * sigma * flux lies outside the "
-     "floating-point range for p_excited = 1.0, sigma_m2 = 1e+286, "
-     "flux_m2s = 7.86545697637769e+23"),
-    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
-      "--noise-sigma", "nan"], "noise sigma must be >= 0 and finite, got nan"),
-    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
-      "--noise-sigma", "inf", "--seed", "1"],
-     "noise sigma must be >= 0 and finite, got inf"),
-    (["xsec", "--model", "peach", "--limit", "1e300", "--wavelength-nm", "0"],
-     "wavelength must be positive and finite, got 0.0 nm"),
-    (["xsec", "--model", "burgess", "--limit", "nan", "--wavelength-nm", "5e-324"],
-     "error: photon energy lies outside the floating-point range for "
-     "wavelength_nm = 5e-324"),
-    ([a.replace("245.426", "1.7e308") for a in IONIZE],
-     "error: photon energy lies outside the floating-point range for "
-     "wavelength_nm = 1.7e+308"),
-    (["crystal", "--nu1", "1e-300", "--eta", "2", "--q2", "1e200",
-      "--invert-from-ratio", "-1"],
-     "error: equilibrium position X1 lies outside the floating-point range for "
-     "nu1_hz = 1e-300, eta = 2.0, q2 = 1e+200"),
-    (["crystal", "--nu1", "0.5", "--eta", "2", "--q2", "1e300",
-      "--invert-from-ratio", "1e300"],
-     "error: inferred q2 lies outside the floating-point range for "
-     "ratio = 1e+300, eta = 2.0"),
-    (["crystal", "--nu1", "474e3", "--q2", "1e308"],
-     "error: displacement ratio lies outside the floating-point range for "
-     "eta = 1.0, q2 = 1e+308"),
-    (["steady-state", "--drive-overrides", "7p12", "6s12", "waist_m", "abc"],
-     "drive 7p12->6s12 field waist_m: expected a number, got 'abc'"),
-    (["steady-state", "--drive-overrides", "6p12", "6s12", "chopped", "maybe"],
-     "unknown drive field 'chopped'; expected saturation, power_w, waist_m or "
-     "detuning_hz"),
-    (["verify-roundtrip", "--eta", "0.5", "--q2", "2.0", "--seeds", "3"],
-     "eta must lie in the inference range [1, 10], got 0.5"),
-    (["verify-roundtrip", "--eta", "10.5", "--q2", "2.0", "--seeds", "3"],
-     "eta must lie in the inference range [1, 10], got 10.5"),
-    (["fit-scan", "--data", "{curve}", "--saturation", "nan"],
-     "saturation must be >= 0 and finite, got nan"),
-    (["fit-scan", "--data", "{curve}", "--saturation", "inf"],
-     "saturation must be >= 0 and finite, got inf"),
-    (["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", BIG_INT],
-     "error: core_charge^2 R lies outside the floating-point range for "
-     f"core_charge = {BIG_INT}"),
-    (["xsec", "--model", "peach", "--limit", "nan"],
-     "ionization_limit_cm1 must be finite, got nan"),
-    (["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "5",
-      "--noise-sigma", "1e308", "--seed", "2"],
-     "error: noisy signal lies outside the floating-point range for "
-     "noise_sigma = 1e+308"),
-    (["steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e150",
-      "--drive-overrides", "6p12", "6s12", "waist_m", "1e300"],
-     "error: saturation parameter lies outside the floating-point range for "
-     "power_w = 1e+150, waist_m = 1e+300"),
-    (["steady-state", "--drive-overrides", "fd32", "5d52", "waist_m", "1e-320",
-      "--drive-overrides", "fd32", "5d52", "power_w", "1"],
-     "error: saturation parameter lies outside the floating-point range for "
-     "power_w = 1.0, waist_m = 1e-320"),
-    (["simulate", "--rate", "4.1", "--trials", "2", "--seed", "1", "--chop-hz",
-      "1e-300", "--max-time-s", "1.7976931348623157e308"],
-     "error: max time plus two chop periods lies outside the floating-point range for "
-     "max_time_s = 1.7976931348623157e+308, chop_rate_hz = 1e-300"),
-    (["ionize-rate", "--p7p", "1e-100", "--sigma-mb", "1e300", "--power-w", "1",
-      "--waist-m", "1e148", "--wavelength-nm", "1e148"],
-     "error: rate-per-power coefficient lies outside the floating-point range for "
-     "p_excited = 1e-100, sigma_m2 = 1.0000000000000001e+278, "
-     "wavelength_nm = 1e+148"),
-    (["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", "1" + "0" * 148],
-     "error: smallest sum of squared residuals of the quantum-defect fit "
-     "lies outside the floating-point range for limit_cm1 = 98207.0, "
-     f"core_charge = {10**148}"),
-    (["xsec", "--model", "hydrogenic", "--limit", "1e306", "--wavelength-nm", "1e-300"],
-     "error: smallest sum of squared residuals of the quantum-defect fit "
-     "lies outside the floating-point range for limit_cm1 = 1e+306, "
-     "core_charge = 2"),
-    (["xsec", "--model", "hydrogenic", "--limit", "1e148", "--wavelength-nm", "1e-308"],
-     "error: photon energy in eV lies outside the floating-point range for "
-     "wavelength_nm = 1e-308"),
+    pytest.param(
+        [a.replace("1e-4", "1e300").replace("1e-5", "1e-3") for a in IONIZE],
+        "error: photon flux lies outside the floating-point range for "
+        "power_w = 1e+300, waist_m = 0.001, wavelength_nm = 245.426",
+        id=("argv3-error: photon flux lies outside the floating-point range for "
+            "power_w = 1e+300, waist_m = 0.001, wavelength_nm = 245.426")),
+    pytest.param(
+        [a.replace("5.5", "1e308").replace("9.5e-3", "1") for a in IONIZE],
+        "error: ionization rate p_excited * sigma * flux lies outside the "
+        "floating-point range for p_excited = 1.0, sigma_m2 = 1e+286, "
+        "flux_m2s = 7.86545697637769e+23",
+        id=("argv4-error: ionization rate p_excited * sigma * flux lies outside the"
+            " floating-point range for p_excited = 1.0, sigma_m2 = 1e+286, flux_m2s"
+            " = 7.86545697637769e+23")),
+    pytest.param(
+        ["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
+         "--noise-sigma", "nan"], "noise sigma must be >= 0 and finite, got nan",
+        id="argv5-noise sigma must be >= 0 and finite, got nan"),
+    pytest.param(
+        ["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "3",
+         "--noise-sigma", "inf", "--seed", "1"],
+        "noise sigma must be >= 0 and finite, got inf",
+        id="argv6-noise sigma must be >= 0 and finite, got inf"),
+    pytest.param(
+        ["xsec", "--model", "peach", "--limit", "1e300", "--wavelength-nm", "0"],
+        "wavelength must be positive and finite, got 0.0 nm",
+        id="argv7-wavelength must be positive and finite, got 0.0 nm"),
+    pytest.param(
+        ["xsec", "--model", "burgess", "--limit", "nan", "--wavelength-nm", "5e-324"],
+        "error: photon energy lies outside the floating-point range for "
+        "wavelength_nm = 5e-324",
+        id=("argv8-error: photon energy lies outside the floating-point range for "
+            "wavelength_nm = 5e-324")),
+    pytest.param(
+        [a.replace("245.426", "1.7e308") for a in IONIZE],
+        "error: photon energy lies outside the floating-point range for "
+        "wavelength_nm = 1.7e+308",
+        id=("argv9-error: photon energy lies outside the floating-point range for "
+            "wavelength_nm = 1.7e+308")),
+    pytest.param(
+        ["crystal", "--nu1", "1e-300", "--eta", "2", "--q2", "1e200",
+         "--invert-from-ratio", "-1"],
+        "error: equilibrium position X1 lies outside the floating-point range for "
+        "nu1_hz = 1e-300, eta = 2.0, q2 = 1e+200",
+        id=("argv10-error: equilibrium position X1 lies outside the floating-point "
+            "range for nu1_hz = 1e-300, eta = 2.0, q2 = 1e+200")),
+    pytest.param(
+        ["crystal", "--nu1", "0.5", "--eta", "2", "--q2", "1e300",
+         "--invert-from-ratio", "1e300"],
+        "error: inferred q2 lies outside the floating-point range for "
+        "ratio = 1e+300, eta = 2.0",
+        id=("argv11-error: inferred q2 lies outside the floating-point range for "
+            "ratio = 1e+300, eta = 2.0")),
+    pytest.param(
+        ["crystal", "--nu1", "474e3", "--q2", "1e308"],
+        "error: displacement ratio lies outside the floating-point range for "
+        "eta = 1.0, q2 = 1e+308",
+        id=("argv12-error: displacement ratio lies outside the floating-point range"
+            " for eta = 1.0, q2 = 1e+308")),
+    pytest.param(
+        ["steady-state", "--drive-overrides", "7p12", "6s12", "waist_m", "abc"],
+        "drive 7p12->6s12 field waist_m: expected a number, got 'abc'",
+        id="argv13-drive 7p12->6s12 field waist_m: expected a number, got 'abc'"),
+    pytest.param(
+        ["steady-state", "--drive-overrides", "6p12", "6s12", "chopped", "maybe"],
+        "unknown drive field 'chopped'; expected saturation, power_w, waist_m or "
+        "detuning_hz",
+        id=("argv14-unknown drive field 'chopped'; expected saturation, power_w, "
+            "waist_m or detuning_hz")),
+    pytest.param(
+        ["verify-roundtrip", "--eta", "0.5", "--q2", "2.0", "--seeds", "3"],
+        "eta must lie in the inference range [1, 10], got 0.5",
+        id="argv15-eta must lie in the inference range [1, 10], got 0.5"),
+    pytest.param(
+        ["verify-roundtrip", "--eta", "10.5", "--q2", "2.0", "--seeds", "3"],
+        "eta must lie in the inference range [1, 10], got 10.5",
+        id="argv16-eta must lie in the inference range [1, 10], got 10.5"),
+    pytest.param(
+        ["fit-scan", "--data", "{curve}", "--saturation", "nan"],
+        "saturation must be >= 0 and finite, got nan",
+        id="argv17-saturation must be >= 0 and finite, got nan"),
+    pytest.param(
+        ["fit-scan", "--data", "{curve}", "--saturation", "inf"],
+        "saturation must be >= 0 and finite, got inf",
+        id="argv18-saturation must be >= 0 and finite, got inf"),
+    pytest.param(
+        ["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", BIG_INT],
+        "error: core_charge^2 R lies outside the floating-point range for "
+        f"core_charge = {BIG_INT}",
+        id=("argv19-error: core_charge^2 R lies outside the floating-point range "
+            f"for core_charge = {BIG_INT}")),
+    pytest.param(
+        ["xsec", "--model", "peach", "--limit", "nan"],
+        "ionization_limit_cm1 must be finite, got nan",
+        id="argv20-ionization_limit_cm1 must be finite, got nan"),
+    pytest.param(
+        ["scan", "--scheme", "linewidth_reference", "--grid", "-1e6", "1e6", "5",
+         "--noise-sigma", "1e308", "--seed", "2"],
+        "error: noisy signal lies outside the floating-point range for "
+        "noise_sigma = 1e+308",
+        id=("argv21-error: noisy signal lies outside the floating-point range for "
+            "noise_sigma = 1e+308")),
+    pytest.param(
+        ["steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e150",
+         "--drive-overrides", "6p12", "6s12", "waist_m", "1e300"],
+        "error: saturation parameter lies outside the floating-point range for "
+        "power_w = 1e+150, waist_m = 1e+300",
+        id=("argv22-error: saturation parameter lies outside the floating-point "
+            "range for power_w = 1e+150, waist_m = 1e+300")),
+    pytest.param(
+        ["steady-state", "--drive-overrides", "fd32", "5d52", "waist_m", "1e-320",
+         "--drive-overrides", "fd32", "5d52", "power_w", "1"],
+        "error: saturation parameter lies outside the floating-point range for "
+        "power_w = 1.0, waist_m = 1e-320",
+        id=("argv23-error: saturation parameter lies outside the floating-point "
+            "range for power_w = 1.0, waist_m = 1e-320")),
+    pytest.param(
+        ["simulate", "--rate", "4.1", "--trials", "2", "--seed", "1", "--chop-hz",
+         "1e-300", "--max-time-s", "1.7976931348623157e308"],
+        "error: max time plus two chop periods lies outside the floating-point range for "
+        "max_time_s = 1.7976931348623157e+308, chop_rate_hz = 1e-300",
+        id=("argv24-error: max time plus two chop periods lies outside the "
+            "floating-point range for max_time_s = 1.7976931348623157e+308, "
+            "chop_rate_hz = 1e-300")),
+    pytest.param(
+        ["ionize-rate", "--p7p", "1e-100", "--sigma-mb", "1e300", "--power-w", "1",
+         "--waist-m", "1e148", "--wavelength-nm", "1e148"],
+        "error: rate-per-power coefficient lies outside the floating-point range for "
+        "p_excited = 1e-100, sigma_m2 = 1.0000000000000001e+278, "
+        "wavelength_nm = 1e+148",
+        id=("argv25-error: rate-per-power coefficient lies outside the "
+            "floating-point range for p_excited = 1e-100, sigma_m2 = "
+            "1.0000000000000001e+278, wavelength_nm = 1e+148")),
+    pytest.param(
+        ["xsec", "--model", "peach", "--limit", "98207.0", "--core-charge", "1" + "0" * 148],
+        "error: smallest sum of squared residuals of the quantum-defect fit "
+        "lies outside the floating-point range for limit_cm1 = 98207.0, "
+        f"core_charge = {10**148}",
+        id=("argv26-error: smallest sum of squared residuals of the quantum-defect "
+            "fit lies outside the floating-point range for limit_cm1 = 98207.0, "
+            f"core_charge = {10**148}")),
+    pytest.param(
+        ["xsec", "--model", "hydrogenic", "--limit", "1e306", "--wavelength-nm", "1e-300"],
+        "error: smallest sum of squared residuals of the quantum-defect fit "
+        "lies outside the floating-point range for limit_cm1 = 1e+306, "
+        "core_charge = 2",
+        id=("argv27-error: smallest sum of squared residuals of the quantum-defect "
+            "fit lies outside the floating-point range for limit_cm1 = 1e+306, "
+            "core_charge = 2")),
+    pytest.param(
+        ["xsec", "--model", "hydrogenic", "--limit", "1e148", "--wavelength-nm", "1e-308"],
+        "error: photon energy in eV lies outside the floating-point range for "
+        "wavelength_nm = 1e-308",
+        id=("argv28-error: photon energy in eV lies outside the floating-point "
+            "range for wavelength_nm = 1e-308")),
     # results that underflow to 0 name their inputs too
-    (["crystal", "--nu1", "474e3", "--eta", "1e-200"],
-     "error: equilibrium position X1 lies outside the floating-point range for "
-     "nu1_hz = 474000.0, eta = 1e-200, q2 = 1.0"),
-    (["crystal", "--nu1", "474e3", "--eta", "1e200"],
-     "error: equilibrium position |X2| lies outside the floating-point range for "
-     "nu1_hz = 474000.0, eta = 1e+200, q2 = 1.0"),
-    (["crystal", "--nu1", "474e3", "--q2", "1e-320"],
-     "error: equilibrium position X1 lies outside the floating-point range for "
-     "nu1_hz = 474000.0, eta = 1.0, q2 = 1e-320"),
-    (["crystal", "--nu1", "474e3", "--eta", "2", "--q2", "2",
-      "--invert-from-ratio", "1e-300"],
-     "error: inferred q2 lies outside the floating-point range for "
-     "ratio = 1e-300, eta = 2.0"),
+    pytest.param(
+        ["crystal", "--nu1", "474e3", "--eta", "1e-200"],
+        "error: equilibrium position X1 lies outside the floating-point range for "
+        "nu1_hz = 474000.0, eta = 1e-200, q2 = 1.0",
+        id=("argv29-error: equilibrium position X1 lies outside the floating-point "
+            "range for nu1_hz = 474000.0, eta = 1e-200, q2 = 1.0")),
+    pytest.param(
+        ["crystal", "--nu1", "474e3", "--eta", "1e200"],
+        "error: equilibrium position |X2| lies outside the floating-point range for "
+        "nu1_hz = 474000.0, eta = 1e+200, q2 = 1.0",
+        id=("argv30-error: equilibrium position |X2| lies outside the "
+            "floating-point range for nu1_hz = 474000.0, eta = 1e+200, q2 = 1.0")),
+    pytest.param(
+        ["crystal", "--nu1", "474e3", "--q2", "1e-320"],
+        "error: equilibrium position X1 lies outside the floating-point range for "
+        "nu1_hz = 474000.0, eta = 1.0, q2 = 1e-320",
+        id=("argv31-error: equilibrium position X1 lies outside the floating-point "
+            "range for nu1_hz = 474000.0, eta = 1.0, q2 = 1e-320")),
+    pytest.param(
+        ["crystal", "--nu1", "474e3", "--eta", "2", "--q2", "2",
+         "--invert-from-ratio", "1e-300"],
+        "error: inferred q2 lies outside the floating-point range for "
+        "ratio = 1e-300, eta = 2.0",
+        id=("argv32-error: inferred q2 lies outside the floating-point range for "
+            "ratio = 1e-300, eta = 2.0")),
     pytest.param(
         ["crystal", "--nu1", "474e3", "--eta", "1e154"],
         "error: mode frequency nu_com lies outside the floating-point range for "

@@ -52,14 +52,28 @@ def test_zero_power_zero_flux():
     assert photon_flux(beam) == 0.0
 
 
+# Each row's id is spelled out as pytest first derived it from the row's
+# values, so rewording a refusal or inserting a row renames no test.
 @pytest.mark.parametrize("wavelength_nm,message", [
-    (0.0, "wavelength must be positive and finite, got 0.0 nm"),
-    (-245.0, "wavelength must be positive and finite, got -245.0 nm"),
-    (math.nan, "wavelength must be positive and finite, got nan nm"),
-    (5e-324, "photon energy lies outside the floating-point range for "
-             "wavelength_nm = 5e-324"),
-    (1.7e308, "photon energy lies outside the floating-point range for "
-              "wavelength_nm = 1.7e+308"),
+    pytest.param(
+        0.0, "wavelength must be positive and finite, got 0.0 nm",
+        id="0.0-wavelength must be positive and finite, got 0.0 nm"),
+    pytest.param(
+        -245.0, "wavelength must be positive and finite, got -245.0 nm",
+        id="-245.0-wavelength must be positive and finite, got -245.0 nm"),
+    pytest.param(
+        math.nan, "wavelength must be positive and finite, got nan nm",
+        id="nan-wavelength must be positive and finite, got nan nm"),
+    pytest.param(
+        5e-324, "photon energy lies outside the floating-point range for "
+                "wavelength_nm = 5e-324",
+        id=("5e-324-photon energy lies outside the floating-point range for "
+            "wavelength_nm = 5e-324")),
+    pytest.param(
+        1.7e308, "photon energy lies outside the floating-point range for "
+                 "wavelength_nm = 1.7e+308",
+        id=("1.7e+308-photon energy lies outside the floating-point range for "
+            "wavelength_nm = 1.7e+308")),
 ])
 def test_photon_energy_refuses_bad_wavelengths(wavelength_nm, message):
     with pytest.raises(SchemeError) as caught:
