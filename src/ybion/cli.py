@@ -333,22 +333,16 @@ def _apply_drive_overrides(scheme, overrides, saturate_all):
                     "power_w, waist_m or detuning_hz"
                 )
             try:
-                value = float(text)
+                changes[field] = float(text)
             except ValueError:
                 raise SchemeError(
                     f"drive {upper}->{lower} field {field}: expected a number, "
                     f"got {text!r}"
                 ) from None
-            if field == "saturation":
-                changes.update(saturation=value, power_w=None, waist_m=None)
-            else:
-                changes[field] = value
         if ("power_w" in fields) != ("waist_m" in fields):
             raise SchemeError(
                 "power_w and waist_m must be overridden together"
             )
-        if "power_w" in fields:
-            changes["saturation"] = None
         scheme = scheme.with_drive(upper, lower, **changes)
     return scheme
 

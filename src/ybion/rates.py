@@ -234,17 +234,15 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
     A detuning so far off resonance that (2 detuning / width)^2 exceeds the
     floating-point range gives W = 0.
     """
+    name = drive.name
     lifetime = scheme.lifetime(drive.upper)
     if lifetime is None:
-        raise SchemeError(
-            f"drive {drive.upper}<->{drive.lower}: upper level has no lifetime"
-        )
+        raise SchemeError(f"{name}: upper level has no lifetime")
     s = drive.saturation
     if s is None:
         s = saturation_from_power(
             drive.power_w, drive.waist_m, drive.wavelength_nm, lifetime
         )
-    name = f"drive {drive.upper}<->{drive.lower}"
     peak = representable(f"{name} peak rate S / (2 lifetime)", s / (2.0 * lifetime),
                          saturation=s, lifetime_s=lifetime)
     width = representable(f"{name} natural linewidth", natural_fwhm_hz(lifetime),

@@ -24,10 +24,12 @@ quoted as by a POSIX shell, ``-`` marks an absent optional value)::
 
 _SECTIONS lists each section's columns once; load_scheme and serialize
 both read it. A drive carries either an explicit saturation parameter or a
-power/waist pair, never both. Declared drive wavelengths must agree with
-the level energy gap to 0.1 percent.
+power/waist pair, never both; LevelScheme.with_drive, which owns that rule,
+clears one when the other is set. Declared drive wavelengths must agree
+with the level energy gap to 0.1 percent.
 A [SCHEME] key, a level label, a decay channel and a drive pair may each
-appear once.
+appear once; decays and drives share one pair check, and a record's name
+("decay U->L", "drive U<->L") prefixes every refusal about it.
 Scheme, series and scan-curve files are read by walk_lines, which alone
 prefixes "line N: " to the refusal of a line; no parser takes a line.
 """
@@ -99,10 +101,13 @@ class DecayChannel:
     branching_ratio: float
 
     def __post_init__(self):
-        check(f"decay {self.upper}->{self.lower}: branching ratio",
-              self.branching_ratio, "(0, 1]")
+        check(f"{self.name}: branching ratio", self.branching_ratio, "(0, 1]")
         if self.upper == self.lower:
-            raise SchemeError(f"decay {self.upper}->{self.lower}: levels must differ")
+            raise SchemeError(f"{self.name}: levels must differ")
+
+    @property
+    def name(self) -> str:
+        return f"decay {self.upper}->{self.lower}"
 
 
 @dataclass(frozen=True)
@@ -124,26 +129,25 @@ class LaserDrive:
     chopped: bool = False
 
     def __post_init__(self):
+        prefix = self.name
         if self.upper == self.lower:
-            raise SchemeError(f"drive {self.upper}<->{self.lower}: levels must differ")
+            raise SchemeError(f"{prefix}: levels must differ")
         for name, interval in (("wavelength_nm", "(0, inf)"), ("power_w", "[0, inf)"),
                                ("waist_m", "(0, inf)"), ("saturation", "[0, inf)"),
                                ("detuning_hz", "finite")):
             value = getattr(self, name)
             if value is not None:
-                check(f"drive {self.upper}<->{self.lower}: {name}", value, interval)
+                check(f"{prefix}: {name}", value, interval)
         has_power = self.power_w is not None or self.waist_m is not None
         has_sat = self.saturation is not None
         if has_sat and has_power:
-            raise SchemeError(
-                f"drive {self.upper}<->{self.lower}: give saturation or "
-                "power/waist, not both"
-            )
+            raise SchemeError(f"{prefix}: give saturation or power/waist, not both")
         if not has_sat and not (self.power_w is not None and self.waist_m is not None):
-            raise SchemeError(
-                f"drive {self.upper}<->{self.lower}: needs saturation or a "
-                "complete power/waist pair"
-            )
+            raise SchemeError(f"{prefix}: needs saturation or a complete power/waist pair")
+
+    @property
+    def name(self) -> str:
+        return f"drive {self.upper}<->{self.lower}"
 
 
 @dataclass(frozen=True)
@@ -193,9 +197,14 @@ class LevelScheme:
     # -- immutable editing -----------------------------------------------
 
     def with_drive(self, upper: str, lower: str, **changes) -> "LevelScheme":
-        """Copy of the scheme with one drive's fields replaced."""
+        """Copy of the scheme with one drive's fields replaced. Setting
+        saturation clears power_w and waist_m, and setting either of those
+        clears saturation; LaserDrive refuses a call that sets both kinds."""
         target = self.drive(upper, lower)
-        new = dataclasses.replace(target, **changes)
+        cleared = {"power_w": None, "waist_m": None} if "saturation" in changes else {}
+        if "power_w" in changes or "waist_m" in changes:
+            cleared["saturation"] = None
+        new = dataclasses.replace(target, **{**cleared, **changes})
         drives = tuple(new if d is target else d for d in self.drives)
         return dataclasses.replace(self, drives=drives)
 
@@ -234,20 +243,7 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
 
     by_label = {lv.label: lv for lv in scheme.levels}
     sums: dict[str, float] = {}
-    channels: set[tuple[str, str]] = set()
-    for d in scheme.decays:
-        for end in (d.upper, d.lower):
-            if end not in by_label:
-                raise SchemeError(
-                    f"decay {d.upper}->{d.lower}: unknown level label: {end}"
-                )
-        if by_label[d.upper].energy_cm1 <= by_label[d.lower].energy_cm1:
-            raise SchemeError(
-                f"decay {d.upper}->{d.lower}: upper level is not above lower"
-            )
-        if (d.upper, d.lower) in channels:
-            raise SchemeError(f"duplicate decay channel {d.upper}->{d.lower}")
-        channels.add((d.upper, d.lower))
+    for d, _ in _checked_pairs(scheme.decays, by_label, "decay channel"):
         sums[d.upper] = sums.get(d.upper, 0.0) + d.branching_ratio
     for label, total in sums.items():
         if total > 1.0 + BRANCHING_SUM_SLACK:
@@ -256,31 +252,35 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
             )
 
     wavelengths: list[tuple[LaserDrive, float]] = []
-    pairs: set[tuple[str, str]] = set()
-    for dr in scheme.drives:
-        for end in (dr.upper, dr.lower):
-            if end not in by_label:
-                raise SchemeError(
-                    f"drive {dr.upper}<->{dr.lower}: unknown level label: {end}"
-                )
-        gap = by_label[dr.upper].energy_cm1 - by_label[dr.lower].energy_cm1
-        if gap <= 0:
-            raise SchemeError(
-                f"drive {dr.upper}<->{dr.lower}: upper level is not above lower"
-            )
-        if (dr.upper, dr.lower) in pairs:
-            raise SchemeError(f"duplicate drive {dr.upper}<->{dr.lower}")
-        pairs.add((dr.upper, dr.lower))
+    for dr, gap in _checked_pairs(scheme.drives, by_label, "drive"):
         implied = vacuum_wavelength_nm(gap)
         mismatch = abs(implied - dr.wavelength_nm) / dr.wavelength_nm
         if mismatch > WAVELENGTH_TOLERANCE:
             raise SchemeError(
-                f"drive {dr.upper}<->{dr.lower}: declared wavelength "
+                f"{dr.name}: declared wavelength "
                 f"{dr.wavelength_nm} nm differs from energy gap "
                 f"({implied:.6g} nm) by {mismatch:.2e} (limit {WAVELENGTH_TOLERANCE})"
             )
         wavelengths.append((dr, implied))
     return {label: sums[label] for label in by_label if label in sums}, wavelengths
+
+
+def _checked_pairs(records, by_label: dict, noun: str):
+    """Yield (record, upper minus lower energy in cm^-1) for each decay or
+    drive, refusing an unknown label, an upper level not above the lower
+    one, and a pair given twice ("duplicate NOUN U->L")."""
+    seen: set[tuple[str, str]] = set()
+    for r in records:
+        for end in (r.upper, r.lower):
+            if end not in by_label:
+                raise SchemeError(f"{r.name}: unknown level label: {end}")
+        gap = by_label[r.upper].energy_cm1 - by_label[r.lower].energy_cm1
+        if gap <= 0:
+            raise SchemeError(f"{r.name}: upper level is not above lower")
+        if (r.upper, r.lower) in seen:
+            raise SchemeError(f"duplicate {noun} {r.name.partition(' ')[2]}")
+        seen.add((r.upper, r.lower))
+        yield r, gap
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ def validate_scheme(scheme: LevelScheme) -> tuple[str, ...]:
         if implied != dr.wavelength_nm:
             ppm = abs(implied - dr.wavelength_nm) / dr.wavelength_nm * 1e6
             entries.append(
-                f"drive {dr.upper}<->{dr.lower}: declared {dr.wavelength_nm} nm, "
+                f"{dr.name}: declared {dr.wavelength_nm} nm, "
                 f"energy gap implies {implied} nm ({ppm:.3f} ppm off)"
             )
     return tuple(entries)

@@ -178,7 +178,7 @@ def simulate_scan(
     for dr in scheme.drives:
         if dr.lower == lower and dr.upper != upper:
             raise SchemeError(
-                f"drive {dr.upper}<->{dr.lower} also addresses the scanned "
+                f"{dr.name} also addresses the scanned "
                 f"lower level {lower}; switch it off before scanning"
             )
     mon_upper, mon_lower = monitor
@@ -196,7 +196,7 @@ def simulate_scan(
     # Build the matrix once with the scanned drive switched off (W = 0 adds
     # nothing, so every entry matches a per-detuning build).
     dark = build_rate_matrix(
-        scheme.with_drive(upper, lower, saturation=0.0, power_w=None, waist_m=None)
+        scheme.with_drive(upper, lower, saturation=0.0)
     )
     w = drive_rate(scheme, scanned, detunings)
     pops = steady_state_scan(dark, upper, lower, w)
