@@ -216,6 +216,35 @@ def test_drive_override_power_requires_waist(capsys):
     assert "overridden together" in capsys.readouterr().err
 
 
+# A saturation and a power/waist pair for one drive contradict each other
+# whatever order they come in: LaserDrive refuses the pair of strengths.
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+def test_drive_override_saturation_with_power_and_waist_exits_two(order, capsys):
+    fields = [("saturation", "5"), ("power_w", "1e-3"), ("waist_m", "1e-5")]
+    argv = ["steady-state"]
+    for i in order:
+        argv += ["--drive-overrides", "6p12", "6s12", *fields[i]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: drive 6p12<->6s12: give saturation or power/waist, not both\n"
+
+
+def test_drive_override_power_and_waist_replace_saturation(capsys):
+    argv = ["steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e-3",
+            "--drive-overrides", "6p12", "6s12", "waist_m", "1e-5"]
+    assert main(argv) == 0
+    pops = {k: float(v) for k, v in value_map(capsys.readouterr().out).items()}
+    scheme = load_scheme_file(bundled_scheme_path("yb174_plus"))
+    powered = scheme.with_drive("6p12", "6s12", power_w=1e-3, waist_m=1e-5)
+    expected = steady_state(build_rate_matrix(powered))
+    for label, value in pops.items():
+        assert value == expected[label]
+    # --saturate-all sets every drive first; the pair then replaces it
+    assert main(argv + ["--saturate-all", "3"]) == 0
+    assert {k: float(v) for k, v in value_map(capsys.readouterr().out).items()} != pops
+
+
 # -- ionize-rate -------------------------------------------------------------------
 
 

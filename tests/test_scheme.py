@@ -366,6 +366,50 @@ def test_with_all_drives_saturated(yb_scheme):
         assert d.power_w is None and d.waist_m is None
 
 
+def test_with_drive_keeps_one_strength():
+    s = load_scheme(MINIMAL)
+    powered = s.with_drive("e", "g", power_w=1e-3, waist_m=1e-5)
+    d = powered.drive("e", "g")
+    assert (d.power_w, d.waist_m, d.saturation) == (1e-3, 1e-5, None)
+    # one of the pair alone clears saturation but leaves the other as it was
+    d = powered.with_drive("e", "g", power_w=2e-3).drive("e", "g")
+    assert (d.power_w, d.waist_m, d.saturation) == (2e-3, 1e-5, None)
+    d = powered.with_drive("e", "g", saturation=0.5).drive("e", "g")
+    assert (d.power_w, d.waist_m, d.saturation) == (None, None, 0.5)
+    # fields other than the strength leave it alone
+    d = powered.with_drive("e", "g", detuning_hz=1e6).drive("e", "g")
+    assert (d.power_w, d.waist_m, d.saturation) == (1e-3, 1e-5, None)
+
+
+@pytest.mark.parametrize("changes,message", [
+    (dict(saturation=0.5, power_w=1e-3, waist_m=1e-5), "give saturation or power/waist, not both"),
+    (dict(saturation=0.5, waist_m=1e-5), "give saturation or power/waist, not both"),
+    (dict(power_w=1e-3), "needs saturation or a complete power/waist pair"),
+    (dict(saturation=None), "needs saturation or a complete power/waist pair"),
+])
+def test_with_drive_refuses_an_incomplete_or_double_strength(changes, message):
+    with pytest.raises(SchemeError) as caught:
+        load_scheme(MINIMAL).with_drive("e", "g", **changes)
+    assert str(caught.value) == f"drive e<->g: {message}"
+
+
+@pytest.mark.parametrize("kind,prefix,make", [
+    ("decays", "decay {}->{}", lambda u, l: DecayChannel(u, l, 1.0)),
+    ("drives", "drive {}<->{}", lambda u, l: LaserDrive(u, l, 1e7, saturation=1.0)),
+])
+def test_decays_and_drives_share_one_pair_check(kind, prefix, make):
+    levels = (Level("g", "c", 0.5, 0.0), Level("e", "c", 0.5, 1.0))
+    assert make("e", "g").name == prefix.format("e", "g")
+    duplicate = {"decays": "duplicate decay channel e->g", "drives": "duplicate drive e<->g"}
+    for records, message in (
+            ((make("g", "e"),), prefix.format("g", "e") + ": upper level is not above lower"),
+            ((make("e", "x"),), prefix.format("e", "x") + ": unknown level label: x"),
+            ((make("e", "g"), make("e", "g")), duplicate[kind])):
+        with pytest.raises(SchemeError) as caught:
+            LevelScheme(levels=levels, **{kind: records})
+        assert str(caught.value) == message
+
+
 label_st = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=6
 )
