@@ -54,7 +54,7 @@ from .crystal import (
     infer_charge,
     infer_eta,
 )
-from .errors import SchemeError, YbionError, check
+from .errors import SchemeError, YbionError, check, representable
 # runs_to_text is not called here: simulate writes runs_text_blocks one
 # block at a time, but the benchmark tracer wraps the name cli.runs_to_text.
 from .mc import (
@@ -517,6 +517,11 @@ def _cmd_simulate(args) -> _Run:
         ["ci95_low_s", summary.ci95_s[0] if summary.ci95_s else None],
         ["ci95_high_s", summary.ci95_s[1] if summary.ci95_s else None],
     ]
+    for name, value in summary_rows[3:]:
+        if value is not None:
+            representable(name, value, "finite", rate_per_s=config.rate_per_s,
+                          ionization_duty=config.ionization_duty,
+                          chop_rate_hz=config.chop_rate_hz, max_time_s=config.max_time_s)
     return _Run(
         runs_text_blocks(runs),
         rng_note=rng_description(),

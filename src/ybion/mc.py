@@ -354,7 +354,11 @@ def scaled_std(values: np.ndarray) -> float:
 
 
 def summarize_times(runs: SequenceRuns) -> SequenceSummary:
-    """Event-time estimators over a batch; None statistics when eventless."""
+    """Event-time estimators over a batch; None statistics when eventless.
+
+    The mean, median and ci95 bounds have numpy's bits, so a statistic
+    whose sum or bound lies beyond the float range is inf.
+    """
     n_runs = len(runs.event_time_s)
     if n_runs == 0:
         raise SchemeError("no runs to summarize")
@@ -362,7 +366,9 @@ def summarize_times(runs: SequenceRuns) -> SequenceSummary:
     n_events = len(times)
     mean = median = ci = None
     if n_events >= 1:
-        mean = float(times.mean())
+        # a sum beyond the float range gives inf, which callers refuse
+        with np.errstate(over="ignore"):
+            mean = float(times.mean())
         if n_events >= 2:
             half = 1.96 * scaled_std(times) / math.sqrt(n_events)
             ci = (mean - half, mean + half)

@@ -1207,6 +1207,23 @@ def test_simulate_zero_rate_gives_eventless_rows(capsys):
     assert "mean_s\tNA" in err
 
 
+def test_simulate_refuses_a_statistic_beyond_the_float_range(tmp_path):
+    # the two event times, about 1.66e308 and 6.25e307, sum past the largest
+    # float, so mean_s has none; numpy's overflow warning must not escape
+    argv = ["simulate", "--rate", "1.2e-308", "--duty", "1", "--chop-hz", "1e-300",
+            "--trials", "2", "--seed", "5", "--max-time-s", "1.7e308"]
+    src = str(Path(sys.modules["ybion"].__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ybion.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: mean_s lies outside the floating-point range for rate_per_s = 1.2e-308, "
+        "ionization_duty = 1.0, chop_rate_hz = 1e-300, max_time_s = 1.7e+308\n")
+
+
 @pytest.mark.parametrize("argv,names", [
     (["simulate", "--rate", "nan", "--trials", "5", "--seed", "1"],
      "ionization rate"),
