@@ -271,10 +271,11 @@ def _checked_pairs(records, by_label: dict, noun: str):
     one, and a pair given twice ("duplicate NOUN U->L")."""
     seen: set[tuple[str, str]] = set()
     for r in records:
-        for end in (r.upper, r.lower):
-            if end not in by_label:
-                raise SchemeError(f"{r.name}: unknown level label: {end}")
-        gap = by_label[r.upper].energy_cm1 - by_label[r.lower].energy_cm1
+        upper, lower = by_label.get(r.upper), by_label.get(r.lower)
+        if upper is None or lower is None:
+            unknown = r.upper if upper is None else r.lower
+            raise SchemeError(f"{r.name}: unknown level label: {unknown}")
+        gap = upper.energy_cm1 - lower.energy_cm1
         if gap <= 0:
             raise SchemeError(f"{r.name}: upper level is not above lower")
         if (r.upper, r.lower) in seen:
