@@ -135,11 +135,12 @@ def displacement_ratio(eta: float, q2: float) -> float:
     weak function of q2, which is why inverting it amplifies measurement
     noise threefold (see infer_charge).
     """
+    eta, q2 = float(eta), float(q2)  # a NumPy scalar acts as its Python float
     if not (0.0 < eta < math.inf and 0.0 < q2 < math.inf):
         check("eta", eta, "(0, inf)")
         check("q2", q2, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
-    ratio = float((4.0 * q2 / (scale * scale)) ** (1.0 / 3.0))
+    ratio = (4.0 * q2 / (scale * scale)) ** (1.0 / 3.0)
     return representable("displacement ratio", ratio, "(0, inf)", eta=eta, q2=q2)
 
 
@@ -202,6 +203,7 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
     """
     if mode not in _ENDPOINTS:
         raise SolverError(f"mode must be 'com' or 'bre', got {mode!r}")
+    nu_measured_hz, nu1_hz = float(nu_measured_hz), float(nu1_hz)  # as in displacement_ratio
     if not (0.0 < nu_measured_hz < math.inf and 0.0 < nu1_hz < math.inf):
         check("nu_measured_hz", nu_measured_hz, "(0, inf)", error=SolverError)
         check("nu1_hz", nu1_hz, "(0, inf)", error=SolverError)
@@ -236,11 +238,12 @@ def infer_charge(ratio: float, eta: float) -> float:
     Exact inverse of displacement_ratio: q2 = ratio^3 (1 + eta^-2)^2 / 4.
     The cube propagates a relative error in the ratio threefold into q2.
     """
+    ratio, eta = float(ratio), float(eta)  # as in displacement_ratio
     if not (0.0 < ratio < math.inf and 0.0 < eta < math.inf):
         check("ratio", ratio, "(0, inf)")
         check("eta", eta, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
-    q2 = float(ratio * ratio * ratio * scale * scale / 4.0)
+    q2 = ratio * ratio * ratio * scale * scale / 4.0
     return representable("inferred q2", q2, "(0, inf)", ratio=ratio, eta=eta)
 
 

@@ -357,3 +357,46 @@ def test_ratio_and_charge_preconditions():
         displacement_ratio(2.0, -1.0)
     with pytest.raises(SchemeError):
         infer_charge(-1.0, 2.0)
+
+
+def test_infer_charge_refuses_a_bad_eta():
+    with pytest.raises(SchemeError) as caught:
+        infer_charge(1.74, -2.0)
+    assert str(caught.value) == "eta must be positive and finite, got -2.0"
+
+
+def outcome(f, *args):
+    """f(*args) with its type, or the type and text of its refusal."""
+    try:
+        value = f(*args)
+        return type(value), value
+    except (SchemeError, SolverError) as exc:
+        return type(exc), str(exc)
+
+
+INVERSE_CALLS = [
+    (infer_charge, (1e300, 2.0)),
+    (infer_charge, (1e-300, 2.0)),
+    (infer_charge, (1.74, 2.135)),
+    (infer_charge, (math.nan, 2.0)),
+    (displacement_ratio, (1e-200, 2.0)),
+    (displacement_ratio, (2.0, 1e308)),
+    (displacement_ratio, (2.135, 2.0)),
+    (displacement_ratio, (math.inf, 2.0)),
+    (infer_eta, (1e300, 1e-300, "com")),
+    (infer_eta, (1e-300, 1e300, "bre")),
+    (infer_eta, (669.7e3, NU1_HZ, "com")),
+    (infer_eta, (0.0, NU1_HZ, "com")),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [np.float64, np.float32])
+@pytest.mark.parametrize("f,args", INVERSE_CALLS)
+def test_crystal_inverses_treat_numpy_scalars_as_python_floats(f, args, kind):
+    # each number as a NumPy scalar (a float32 cast may round to 0 or inf),
+    # and as the Python float that scalar holds
+    with np.errstate(over="ignore"):
+        scalars = [kind(a) if isinstance(a, float) else a for a in args]
+    floats = [float(a) if isinstance(a, kind) else a for a in scalars]
+    assert outcome(f, *scalars) == outcome(f, *floats)
