@@ -696,3 +696,25 @@ def test_scan_curve_invariants():
         ScanCurve((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(SchemeError, match=">= 0"):
         ScanCurve((0.0, 1.0), (1.0, -0.5))
+
+
+@pytest.mark.parametrize("detunings,fluorescence", [
+    ([[0.0, 1.0]], [1.0, 2.0]),
+    ([0.0, 1.0], [[1.0], [2.0]]),
+    (0.0, 1.0),
+])
+def test_scan_curve_refuses_columns_that_are_not_one_dimensional(detunings, fluorescence):
+    with pytest.raises(SchemeError) as caught:
+        ScanCurve(detunings, fluorescence)
+    assert str(caught.value) == "detunings and fluorescence must be one-dimensional"
+
+
+@pytest.mark.parametrize("detunings,fluorescence", [
+    ((0.0, math.nan), (1.0, 2.0)),
+    ((0.0, 1.0), (1.0, math.inf)),
+    ((-math.inf, 1.0), (1.0, 2.0)),
+])
+def test_scan_curve_refuses_values_that_are_not_finite(detunings, fluorescence):
+    with pytest.raises(SchemeError) as caught:
+        ScanCurve(detunings, fluorescence)
+    assert str(caught.value) == "detunings and fluorescence must be finite"
