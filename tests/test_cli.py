@@ -230,19 +230,21 @@ def test_drive_override_saturation_with_power_and_waist_exits_two(order, capsys)
     assert err == "error: drive 6p12<->6s12: give saturation or power/waist, not both\n"
 
 
-def test_drive_override_power_and_waist_replace_saturation(capsys):
+@pytest.mark.parametrize("saturate_all", [None, 3.0])
+def test_drive_override_power_and_waist_replace_saturation(saturate_all, capsys):
+    # --saturate-all sets every drive first; the pair then replaces one
     argv = ["steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e-3",
             "--drive-overrides", "6p12", "6s12", "waist_m", "1e-5"]
+    scheme = load_scheme_file(bundled_scheme_path("yb174_plus"))
+    if saturate_all is not None:
+        argv += ["--saturate-all", str(saturate_all)]
+        scheme = scheme.with_all_drives_saturated(saturate_all)
     assert main(argv) == 0
     pops = {k: float(v) for k, v in value_map(capsys.readouterr().out).items()}
-    scheme = load_scheme_file(bundled_scheme_path("yb174_plus"))
     powered = scheme.with_drive("6p12", "6s12", power_w=1e-3, waist_m=1e-5)
     expected = steady_state(build_rate_matrix(powered))
     for label, value in pops.items():
         assert value == expected[label]
-    # --saturate-all sets every drive first; the pair then replaces it
-    assert main(argv + ["--saturate-all", "3"]) == 0
-    assert {k: float(v) for k, v in value_map(capsys.readouterr().out).items()} != pops
 
 
 # -- ionize-rate -------------------------------------------------------------------
