@@ -517,7 +517,7 @@ def _cmd_simulate(args) -> _Run:
         ["ci95_low_s", summary.ci95_s[0] if summary.ci95_s else None],
         ["ci95_high_s", summary.ci95_s[1] if summary.ci95_s else None],
     ]
-    for name, value in summary_rows[3:]:
+    for name, value in summary_rows[3:]:  # mean_s, median_s and the ci95 bounds
         if value is not None:
             representable(name, value, "finite", rate_per_s=config.rate_per_s,
                           ionization_duty=config.ionization_duty,

@@ -203,7 +203,8 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
     """
     if mode not in _ENDPOINTS:
         raise SolverError(f"mode must be 'com' or 'bre', got {mode!r}")
-    nu_measured_hz, nu1_hz = float(nu_measured_hz), float(nu1_hz)  # as in displacement_ratio
+    # as in displacement_ratio
+    nu_measured_hz, nu1_hz = float(nu_measured_hz), float(nu1_hz)
     if not (0.0 < nu_measured_hz < math.inf and 0.0 < nu1_hz < math.inf):
         check("nu_measured_hz", nu_measured_hz, "(0, inf)", error=SolverError)
         check("nu1_hz", nu1_hz, "(0, inf)", error=SolverError)

@@ -24,9 +24,8 @@ quoted as by a POSIX shell, ``-`` marks an absent optional value)::
 
 _SECTIONS lists each section's columns once; load_scheme and serialize
 both read it. A drive carries either an explicit saturation parameter or a
-power/waist pair, never both; LevelScheme.with_drive, which owns that rule,
-clears one when the other is set. Declared drive wavelengths must agree
-with the level energy gap to 0.1 percent.
+power/waist pair, never both; LevelScheme.with_drive owns that rule. Declared
+drive wavelengths must agree with the level energy gap to 0.1 percent.
 A [SCHEME] key, a level label, a decay channel and a drive pair may each
 appear once; decays and drives share one pair check, and a record's name
 ("decay U->L", "drive U<->L") prefixes every refusal about it.
@@ -143,7 +142,8 @@ class LaserDrive:
         if has_sat and has_power:
             raise SchemeError(f"{prefix}: give saturation or power/waist, not both")
         if not has_sat and not (self.power_w is not None and self.waist_m is not None):
-            raise SchemeError(f"{prefix}: needs saturation or a complete power/waist pair")
+            raise SchemeError(f"{prefix}: needs saturation or a complete "
+                              "power/waist pair")
 
     @property
     def name(self) -> str:
@@ -197,9 +197,8 @@ class LevelScheme:
     # -- immutable editing -----------------------------------------------
 
     def with_drive(self, upper: str, lower: str, **changes) -> "LevelScheme":
-        """Copy of the scheme with one drive's fields replaced. Setting
-        saturation clears power_w and waist_m, and setting either of those
-        clears saturation; LaserDrive refuses a call that sets both kinds."""
+        """Copy with one drive's fields replaced; setting saturation clears
+        power_w and waist_m, and setting either of those clears saturation."""
         target = self.drive(upper, lower)
         cleared = {"power_w": None, "waist_m": None} if "saturation" in changes else {}
         if "power_w" in changes or "waist_m" in changes:
@@ -232,16 +231,15 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
     nm implied by its energy gap) for each drive."""
     if not scheme.levels:
         raise SchemeError("scheme has no levels")
-    seen: set[str] = set()
+    by_label: dict[str, Level] = {}
     for lv in scheme.levels:
-        if lv.label in seen:
+        if lv.label in by_label:
             raise SchemeError(f"duplicate level label: {lv.label}")
-        seen.add(lv.label)
+        by_label[lv.label] = lv
     ground = min(lv.energy_cm1 for lv in scheme.levels)
     if ground != 0.0:
         raise SchemeError("lowest level must sit at energy exactly 0")
 
-    by_label = {lv.label: lv for lv in scheme.levels}
     sums: dict[str, float] = {}
     for d, _ in _checked_pairs(scheme.decays, by_label, "decay channel"):
         sums[d.upper] = sums.get(d.upper, 0.0) + d.branching_ratio
