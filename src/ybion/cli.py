@@ -41,9 +41,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .constants import photon_energy_ev
 from .crystal import (
     ETA_BRACKET,
@@ -379,6 +378,16 @@ def _cmd_ionize_rate(args) -> _Run:
     flux = photon_flux(beam)
     rate = ionization_rate(args.p7p, sigma, flux)
     coeff = rate_coefficient(args.p7p, sigma, args.wavelength_nm)
+    # The library gives 0.0 where either product underflows, so that it stays
+    # linear down to p_excited = 5e-324; with every factor positive, the
+    # command refuses that 0.
+    if args.p7p and sigma.value_m2:
+        inputs = dict(p_excited=args.p7p, sigma_m2=sigma.value_m2)
+        if flux:
+            representable("ionization rate p_excited * sigma * flux", rate,
+                          "(0, inf)", **inputs, flux_m2s=flux)
+        representable("rate-per-power coefficient", coeff, "(0, inf)", **inputs,
+                      wavelength_nm=args.wavelength_nm)
     rows = [
         ["peak_intensity", beam.peak_intensity_w_m2, "W m^-2"],
         ["photon_flux", flux, "m^-2 s^-1"],

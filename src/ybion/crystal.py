@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONSTANTS, YB174_MASS_KG
 from .errors import SchemeError, SolverError, check, representable
 
@@ -70,7 +68,7 @@ class TrapAxis:
 
     @property
     def omega1(self) -> float:
-        return 2.0 * np.pi * self.nu1_hz
+        return 2.0 * math.pi * self.nu1_hz
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ def _coulomb_q(charges: ChargePair) -> float:
     e = CONSTANTS.elementary_charge
     return (
         charges.q2 * e**2
-        / (4.0 * np.pi * CONSTANTS.vacuum_permittivity)
+        / (4.0 * math.pi * CONSTANTS.vacuum_permittivity)
     )
 
 

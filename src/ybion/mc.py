@@ -43,8 +43,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
-import numpy as np
-
+from ._numpy import np
 from .crystal import (
     ChargePair,
     TrapAxis,

@@ -27,10 +27,10 @@ charge seen by the escaping electron.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .constants import (
     CONSTANTS,
     MEGABARN_M2,
@@ -59,9 +59,9 @@ DEFECT_GRID_POINTS = 2048
 
 # Kramers threshold cross section of hydrogen 1s: 64/(3 sqrt(3)) alpha pi a0^2.
 SIGMA_KRAMERS_M2 = (
-    64.0 / (3.0 * np.sqrt(3.0))
+    64.0 / (3.0 * math.sqrt(3.0))
     * CONSTANTS.fine_structure
-    * np.pi
+    * math.pi
     * CONSTANTS.bohr_radius**2
 )
 
@@ -88,7 +88,7 @@ class GaussianBeam:
     @property
     def peak_intensity_w_m2(self) -> float:
         """On-axis intensity 2P/(pi w0^2) at the focus."""
-        return 2.0 * self.power_w / (np.pi * self.waist_m**2)
+        return 2.0 * self.power_w / (math.pi * self.waist_m**2)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,11 @@ class CrossSection:
     @classmethod
     def from_megabarn(cls, value_mb: float) -> "CrossSection":
         """A directly supplied value in Mb, tagged model "user"."""
-        return cls(value_m2=value_mb * MEGABARN_M2, model="user")
+        sigma = cls(value_m2=value_mb * MEGABARN_M2, model="user")
+        if value_mb > 0:  # a positive value in Mb may underflow to 0 m^2
+            representable("cross section in m^2", sigma.value_m2, "(0, inf)",
+                          value_mb=value_mb)
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -160,11 +164,13 @@ def photon_flux(beam: GaussianBeam) -> float:
     """Peak on-axis photon flux of the beam in photons / (m^2 s)."""
     return representable(
         "photon flux", beam.peak_intensity_w_m2 / photon_energy_j(beam.wavelength_nm),
+        "(0, inf)" if beam.power_w else "[0, inf)",
         power_w=beam.power_w, waist_m=beam.waist_m, wavelength_nm=beam.wavelength_nm)
 
 
 def ionization_rate(p_excited: float, sigma: CrossSection, flux_m2s: float) -> float:
-    """One-photon ionization rate R = p * sigma * F in 1/s."""
+    """One-photon ionization rate R = p * sigma * F in 1/s; a product that
+    underflows is 0.0, as linearity in each factor asks."""
     check("excited-state population", p_excited, "[0, 1]")
     check("photon flux", flux_m2s, "[0, inf)")
     return representable(
@@ -179,12 +185,13 @@ def rate_coefficient(
     """Waist-independent rate-per-power coefficient in m^2/J.
 
     Multiply by power in W and divide by waist^2 in m^2 to recover the
-    ionization rate for a peak-intensity Gaussian beam geometry.
+    ionization rate for a peak-intensity Gaussian beam geometry. A product
+    that underflows is 0.0, as in ionization_rate.
     """
     check("excited-state population", p_excited, "[0, 1]")
     return representable(
         "rate-per-power coefficient",
-        p_excited * sigma.value_m2 * 2.0 / (np.pi * photon_energy_j(wavelength_nm)),
+        p_excited * sigma.value_m2 * 2.0 / (math.pi * photon_energy_j(wavelength_nm)),
         p_excited=p_excited, sigma_m2=sigma.value_m2, wavelength_nm=wavelength_nm)
 
 
@@ -197,12 +204,9 @@ def effective_quantum_number(energy_cm1: float, ionization_limit_cm1: float) -> 
     """
     gap = check("ionization limit minus level energy",
                 ionization_limit_cm1 - energy_cm1, "(0, inf)", "cm^-1", SolverError)
-    return float(np.sqrt(RYDBERG_YB174_CM1 / gap))
+    return math.sqrt(RYDBERG_YB174_CM1 / gap)
 
 
-# Overflow on extreme series only produces inf or NaN sums of squares, which
-# the grid gate and the Newton acceptance below reject.
-@np.errstate(all="ignore")
 def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     """Least-squares quantum defect of a series.
 
@@ -215,58 +219,61 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     resolves the steep approach to the bound; Newton steps then polish the
     best grid point.
     """
-    if len(series.members) < 2:
-        raise SolverError("quantum-defect fit needs at least two series members")
-    ns = np.array([n for n, _ in series.members], dtype=float)
-    energies = np.array([e for _, e in series.members])
-    z2r = series.core_charge**2 * RYDBERG_YB174_CM1
-    limit = series.ionization_limit_cm1
-    n_min = ns.min()
-    upper = n_min - 1e-9
+    # Overflow on extreme series only produces inf or NaN sums of squares,
+    # which the grid gate and the Newton acceptance below reject.
+    with np.errstate(all="ignore"):
+        if len(series.members) < 2:
+            raise SolverError("quantum-defect fit needs at least two series members")
+        ns = np.array([n for n, _ in series.members], dtype=float)
+        energies = np.array([e for _, e in series.members])
+        z2r = series.core_charge**2 * RYDBERG_YB174_CM1
+        limit = series.ionization_limit_cm1
+        n_min = ns.min()
+        upper = n_min - 1e-9
 
-    def misfit(mu):
-        """Predicted minus observed energies, one column per value of mu."""
-        return limit - z2r / (ns[:, None] - mu) ** 2 - energies[:, None]
+        def misfit(mu):
+            """Predicted minus observed energies, one column per value of mu."""
+            return limit - z2r / (ns[:, None] - mu) ** 2 - energies[:, None]
 
-    def sum_sq(mu: float) -> float:
-        return float((misfit(mu) ** 2).sum())
+        def sum_sq(mu: float) -> float:
+            return float((misfit(mu) ** 2).sum())
 
-    grid = n_min - np.geomspace(n_min, 1e-9, DEFECT_GRID_POINTS)
-    grid_sum_sq = (misfit(grid) ** 2).sum(axis=0)
-    best = int(np.argmin(grid_sum_sq))
-    representable("smallest sum of squared residuals of the quantum-defect fit",
-                  grid_sum_sq[best], error=SolverError,
-                  limit_cm1=limit, core_charge=series.core_charge)
-    mu = float(grid[best])
+        grid = n_min - np.geomspace(n_min, 1e-9, DEFECT_GRID_POINTS)
+        grid_sum_sq = (misfit(grid) ** 2).sum(axis=0)
+        best = int(np.argmin(grid_sum_sq))
+        representable("smallest sum of squared residuals of the quantum-defect fit",
+                      grid_sum_sq[best], error=SolverError,
+                      limit_cm1=limit, core_charge=series.core_charge)
+        mu = float(grid[best])
 
-    def grad_hess(mu_val: float) -> tuple[float, float]:
-        d = ns[:, None] - mu_val
-        dpred = -2.0 * z2r / d**3
-        d2pred = -6.0 * z2r / d**4
-        r = misfit(mu_val)
-        g = float((2.0 * r * dpred).sum())
-        h = float((2.0 * (dpred**2 + r * d2pred)).sum())
-        return g, h
+        def grad_hess(mu_val: float) -> tuple[float, float]:
+            d = ns[:, None] - mu_val
+            dpred = -2.0 * z2r / d**3
+            d2pred = -6.0 * z2r / d**4
+            r = misfit(mu_val)
+            g = float((2.0 * r * dpred).sum())
+            h = float((2.0 * (dpred**2 + r * d2pred)).sum())
+            return g, h
 
-    for _ in range(6):
-        g, h = grad_hess(mu)
-        if not h > 0:
-            break
-        step = g / h
-        candidate = min(max(mu - step, 0.0), upper)
-        if not sum_sq(candidate) <= sum_sq(mu):
-            break
-        moved = abs(candidate - mu)
-        mu = candidate
-        if moved < 1e-15:
-            break
-    if upper - mu < 1e-6 and sum_sq(mu) > 1e-12:
-        raise SolverError(
-            f"quantum defect ran into the n_min bound (mu = {mu:.6g}); "
-            "the series is not represented by a single defect"
-        )
-    residual = float(np.abs(misfit(mu)).max())
-    return mu, residual
+        for _ in range(6):
+            g, h = grad_hess(mu)
+            if not h > 0:
+                break
+            step = g / h
+            candidate = min(max(mu - step, 0.0), upper)
+            if not sum_sq(candidate) <= sum_sq(mu):
+                break
+            moved = abs(candidate - mu)
+            mu = candidate
+            if moved < 1e-15:
+                break
+        if upper - mu < 1e-6 and sum_sq(mu) > 1e-12:
+            raise SolverError(
+                f"quantum defect ran into the n_min bound (mu = {mu:.6g}); "
+                "the series is not represented by a single defect"
+            )
+        residual = float(np.abs(misfit(mu)).max())
+        return mu, residual
 
 
 def load_series_file(
@@ -332,6 +339,8 @@ def cross_section(
     with sigma_K the hydrogen threshold constant (7.91e-22 m^2). Models
     "burgess" and "peach" cover the one COEFFICIENT_CELL (ell, n* range)
     and scale their COEFFICIENT_TABLES threshold value in Mb by falloff^3.
+    Every factor is positive, so a cross section that underflows to 0 is
+    refused.
     """
     check("effective quantum number", n_star, "(0, inf)", error=SolverError)
     threshold_ev = RYDBERG_EV / n_star**2
@@ -343,17 +352,19 @@ def cross_section(
     falloff = threshold_ev / photon_energy_ev
 
     if model == "hydrogenic":
-        value = SIGMA_KRAMERS_M2 * n_star * falloff**3
-        return CrossSection(value_m2=value, model="hydrogenic")
-    if model in COEFFICIENT_TABLES:
+        at_threshold_m2 = SIGMA_KRAMERS_M2 * n_star
+    elif model in COEFFICIENT_TABLES:
         ell, lo, hi = COEFFICIENT_CELL
-        if ell == ell_initial and lo <= n_star <= hi:
-            value = COEFFICIENT_TABLES[model][0] * MEGABARN_M2 * falloff**3
-            return CrossSection(value_m2=value, model=model)
+        if not (ell == ell_initial and lo <= n_star <= hi):
+            raise SolverError(
+                f"no {model} coefficient row covers ell={ell_initial}, n*={n_star}"
+            )
+        at_threshold_m2 = COEFFICIENT_TABLES[model][0] * MEGABARN_M2
+    else:
         raise SolverError(
-            f"no {model} coefficient row covers ell={ell_initial}, n*={n_star}"
+            f"unknown cross-section model {model!r}; expected one of "
+            f"{CROSS_SECTION_MODELS[:-1]}"
         )
-    raise SolverError(
-        f"unknown cross-section model {model!r}; expected one of "
-        f"{CROSS_SECTION_MODELS[:-1]}"
-    )
+    value = representable("cross section", at_threshold_m2 * falloff**3, "(0, inf)",
+                          SolverError, n_star=n_star, photon_energy_ev=photon_energy_ev)
+    return CrossSection(value_m2=value, model=model)

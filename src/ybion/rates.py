@@ -66,11 +66,11 @@ that steady states need.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .constants import CONSTANTS
 from .errors import SchemeError, SolverError, check, representable
 from .scheme import LevelScheme
@@ -200,7 +200,7 @@ class PopulationVector:
 
 def natural_fwhm_hz(lifetime_s: float) -> float:
     """Natural linewidth (FWHM, Hz) of a level with the given lifetime."""
-    return 1.0 / (2.0 * np.pi * lifetime_s)
+    return 1.0 / (2.0 * math.pi * lifetime_s)
 
 
 def saturation_from_power(
@@ -215,9 +215,9 @@ def saturation_from_power(
     lam = wavelength_nm * 1e-9
 
     def saturation() -> float:
-        peak = 2.0 * power_w / (np.pi * waist_m**2)
+        peak = 2.0 * power_w / (math.pi * waist_m**2)
         i_sat = (
-            np.pi * CONSTANTS.planck_constant * CONSTANTS.speed_of_light
+            math.pi * CONSTANTS.planck_constant * CONSTANTS.speed_of_light
             / (3.0 * lam**3 * lifetime_s)
         )
         return peak / i_sat
@@ -548,13 +548,18 @@ def steady_state(m: RateMatrix) -> PopulationVector:
                             labels=m.labels)
 
 
-# exp(A) to degree 20 in Paterson-Stockmeyer blocks: row i holds the Taylor
-# coefficients 1/k! of I, A, A^2, A^3 (and of A^4 in the last row) that
-# multiply (A^4)^i.
-_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(21)])
-_TAYLOR_BLOCKS = np.zeros((5, 5))
-_TAYLOR_BLOCKS[:, :4] = _TAYLOR[:20].reshape(5, 4)
-_TAYLOR_BLOCKS[4, 4] = _TAYLOR[20]
+@functools.cache
+def _taylor_blocks() -> np.ndarray:
+    """exp(A) to degree 20 in Paterson-Stockmeyer blocks: row i holds the
+    Taylor coefficients 1/k! of I, A, A^2, A^3 (and of A^4 in the last row)
+    that multiply (A^4)^i. Built on first use, as no module touches numpy
+    at import."""
+    taylor = [1.0 / math.factorial(k) for k in range(21)]
+    blocks = np.zeros((5, 5))
+    blocks[:, :4] = np.reshape(taylor[:20], (5, 4))
+    blocks[4, 4] = taylor[20]
+    blocks.flags.writeable = False  # one array serves every call
+    return blocks
 
 
 def _propagate(m: RateMatrix, p0: np.ndarray, t_s: float) -> np.ndarray:
@@ -576,7 +581,7 @@ def _propagate(m: RateMatrix, p0: np.ndarray, t_s: float) -> np.ndarray:
     a.dot(a, out=powers[2])
     powers[2].dot(a, out=powers[3])
     powers[2].dot(powers[2], out=powers[4])
-    _TAYLOR_BLOCKS.dot(powers.reshape(5, n * n), out=blocks.reshape(5, n * n))
+    _taylor_blocks().dot(powers.reshape(5, n * n), out=blocks.reshape(5, n * n))
     e = blocks[4]
     for i in (3, 2, 1, 0):
         powers[4].dot(e, out=tmp)

@@ -41,8 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import SchemeError, SolverError, check, representable
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
 # here although scans solve through steady_state_scan.
@@ -271,9 +270,6 @@ def _model_and_jacobian(nu: np.ndarray, params: np.ndarray):
     return o + a * q, np.array([2.0 * x * g, x * x * g, q, np.ones_like(q)])
 
 
-# Floating-point overflow, or a trial width of zero, only produces inf or
-# NaN values, which the step acceptance and the gates below reject.
-@np.errstate(all="ignore")
 def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     """Nonlinear least-squares Lorentzian fit of a scan curve.
 
@@ -299,106 +295,110 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     The covariance is the Gauss-Newton (J^T J)^-1 from the analytic J at
     the solution, scaled by the residual variance 2 cost / (points - 4).
     """
-    nu = np.asarray(curve.detunings_hz, dtype=float)
-    y = np.asarray(curve.fluorescence, dtype=float)
-    if len(nu) < MIN_FIT_POINTS:
-        raise SolverError(
-            f"need >= {MIN_FIT_POINTS} points for a 4-parameter fit, got {len(nu)}"
-        )
-    center0, fwhm0, amp0, off0 = _initial_guess(nu, y)
+    # Floating-point overflow, or a trial width of zero, only produces inf or
+    # NaN values, which the step acceptance and the gates below reject.
+    with np.errstate(all="ignore"):
+        nu = np.asarray(curve.detunings_hz, dtype=float)
+        y = np.asarray(curve.fluorescence, dtype=float)
+        if len(nu) < MIN_FIT_POINTS:
+            raise SolverError(
+                f"need >= {MIN_FIT_POINTS} points for a 4-parameter fit, got {len(nu)}"
+            )
+        center0, fwhm0, amp0, off0 = _initial_guess(nu, y)
 
-    def failed(msg: str, iterations: int = 0) -> LorentzianFit:
-        zeros = tuple(tuple(0.0 for _ in range(4)) for _ in range(4))
-        return LorentzianFit(
-            center_hz=center0,
-            fwhm_hz=fwhm0,
-            amplitude=amp0,
-            offset=off0,
-            covariance=zeros,
-            converged=False,
-            message=msg,
-            iterations=iterations,
-        )
+        def failed(msg: str, iterations: int = 0) -> LorentzianFit:
+            zeros = tuple(tuple(0.0 for _ in range(4)) for _ in range(4))
+            return LorentzianFit(
+                center_hz=center0,
+                fwhm_hz=fwhm0,
+                amplitude=amp0,
+                offset=off0,
+                covariance=zeros,
+                converged=False,
+                message=msg,
+                iterations=iterations,
+            )
 
-    if amp0 <= 0 or np.ptp(y) == 0:
-        return failed("degenerate initialization: no peak above the baseline")
-    if fwhm0 <= 0:
-        return failed("degenerate initialization: zero width estimate")
+        if amp0 <= 0 or np.ptp(y) == 0:
+            return failed("degenerate initialization: no peak above the baseline")
+        if fwhm0 <= 0:
+            return failed("degenerate initialization: zero width estimate")
 
-    scale = np.array([max(abs(center0), fwhm0), fwhm0, amp0, max(amp0, abs(off0))])
-    params = np.array([center0, fwhm0, amp0, off0])
-    model, jac_t = _model_and_jacobian(nu, params)
-    resid = model - y
-    cost = 0.5 * float(resid @ resid)
-    damping = 1e-3
-    diag = np.zeros(4)
-    for iterations in range(1, MAX_FIT_ITERATIONS + 1):
-        js = jac_t * scale[:, None]
-        jtj = js @ js.T
-        diag = np.maximum(diag, jtj.diagonal())
-        try:
-            step = np.linalg.solve(jtj + np.diag(damping * diag), -(js @ resid))
-        except np.linalg.LinAlgError:
-            damping *= 10.0
-            continue
-        trial = params + step * scale
-        trial_model, trial_jac_t = _model_and_jacobian(nu, trial)
-        trial_resid = trial_model - y
-        trial_cost = 0.5 * float(trial_resid @ trial_resid)
-        small_step = math.sqrt(step @ step) <= XTOL * (
-            XTOL + math.sqrt((params / scale) @ (params / scale)))
-        if trial_cost <= cost:
-            small_change = cost - trial_cost <= FTOL * cost
-            params, jac_t, resid, cost = trial, trial_jac_t, trial_resid, trial_cost
-            damping /= 10.0
-            if small_change:
-                message = f"converged: relative cost change <= {FTOL:g}"
+        scale = np.array([max(abs(center0), fwhm0), fwhm0, amp0, max(amp0, abs(off0))])
+        params = np.array([center0, fwhm0, amp0, off0])
+        model, jac_t = _model_and_jacobian(nu, params)
+        resid = model - y
+        cost = 0.5 * float(resid @ resid)
+        damping = 1e-3
+        diag = np.zeros(4)
+        for iterations in range(1, MAX_FIT_ITERATIONS + 1):
+            js = jac_t * scale[:, None]
+            jtj = js @ js.T
+            diag = np.maximum(diag, jtj.diagonal())
+            try:
+                step = np.linalg.solve(jtj + np.diag(damping * diag), -(js @ resid))
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            trial = params + step * scale
+            trial_model, trial_jac_t = _model_and_jacobian(nu, trial)
+            trial_resid = trial_model - y
+            trial_cost = 0.5 * float(trial_resid @ trial_resid)
+            small_step = math.sqrt(step @ step) <= XTOL * (
+                XTOL + math.sqrt((params / scale) @ (params / scale)))
+            if trial_cost <= cost:
+                small_change = cost - trial_cost <= FTOL * cost
+                params, jac_t, resid, cost = trial, trial_jac_t, trial_resid, trial_cost
+                damping /= 10.0
+                if small_change:
+                    message = f"converged: relative cost change <= {FTOL:g}"
+                    break
+            else:
+                damping *= 10.0
+            if small_step:
+                message = f"converged: scaled step <= {XTOL:g}"
                 break
         else:
-            damping *= 10.0
-        if small_step:
-            message = f"converged: scaled step <= {XTOL:g}"
-            break
-    else:
-        return failed(
-            f"no convergence within {MAX_FIT_ITERATIONS} iterations", iterations
-        )
+            return failed(
+                f"no convergence within {MAX_FIT_ITERATIONS} iterations", iterations
+            )
 
-    c, w, a, o = params
-    w = abs(w)
-    if w <= 0 or a <= 0:
-        return failed(
-            "optimizer converged to a nonpositive width or amplitude", iterations
-        )
-    # A width is measured only where the scan reaches the half-maximum
-    # points; beyond the span it is extrapolated from the last bit of
-    # curvature (a power-broadened yb174_plus line scanned over +-60 MHz
-    # fits 4.95 GHz).
-    span = float(nu.max() - nu.min())
-    if w > span:
-        return failed(
-            f"fitted fwhm {w:.6g} Hz exceeds the scanned span {span:.6g} Hz", iterations
-        )
+        c, w, a, o = params
+        w = abs(w)
+        if w <= 0 or a <= 0:
+            return failed(
+                "optimizer converged to a nonpositive width or amplitude", iterations
+            )
+        # A width is measured only where the scan reaches the half-maximum
+        # points; beyond the span it is extrapolated from the last bit of
+        # curvature (a power-broadened yb174_plus line scanned over +-60 MHz
+        # fits 4.95 GHz).
+        span = float(nu.max() - nu.min())
+        if w > span:
+            return failed(
+                f"fitted fwhm {w:.6g} Hz exceeds the scanned span {span:.6g} Hz",
+                iterations,
+            )
 
-    # Gauss-Newton covariance: (J^T J)^-1 scaled by the residual variance.
-    dof = max(len(nu) - 4, 1)
-    try:
-        jtj_inv = np.linalg.inv(jac_t @ jac_t.T)
-        jtj_inv = (jtj_inv + jtj_inv.T) / 2.0
-        cov = jtj_inv * (2.0 * cost / dof)
-    except np.linalg.LinAlgError:
-        cov = np.full((4, 4), np.nan)
-    return LorentzianFit(
-        center_hz=float(c),
-        fwhm_hz=float(w),
-        amplitude=float(a),
-        offset=float(o),
-        covariance=tuple(tuple(float(v) for v in row) for row in cov),
-        converged=True,
-        message=message,
-        iterations=iterations,
-        cost=cost,
-    )
+        # Gauss-Newton covariance: (J^T J)^-1 scaled by the residual variance.
+        dof = max(len(nu) - 4, 1)
+        try:
+            jtj_inv = np.linalg.inv(jac_t @ jac_t.T)
+            jtj_inv = (jtj_inv + jtj_inv.T) / 2.0
+            cov = jtj_inv * (2.0 * cost / dof)
+        except np.linalg.LinAlgError:
+            cov = np.full((4, 4), np.nan)
+        return LorentzianFit(
+            center_hz=float(c),
+            fwhm_hz=float(w),
+            amplitude=float(a),
+            offset=float(o),
+            covariance=tuple(tuple(float(v) for v in row) for row in cov),
+            converged=True,
+            message=message,
+            iterations=iterations,
+            cost=cost,
+        )
 
 
 def lifetime_from_linewidth(fwhm_hz: float, saturation: float) -> float:
@@ -406,7 +406,7 @@ def lifetime_from_linewidth(fwhm_hz: float, saturation: float) -> float:
     deconvolution: tau = sqrt(1 + S) / (2 pi fwhm)."""
     check("fwhm", fwhm_hz, "(0, inf)", "Hz", SolverError)
     check("saturation", saturation, "[0, inf)", error=SolverError)
-    return float(np.sqrt(1.0 + saturation) / (2.0 * np.pi * fwhm_hz))
+    return float(np.sqrt(1.0 + saturation) / (2.0 * math.pi * fwhm_hz))
 
 
 def curve_to_text(curve: ScanCurve) -> str:

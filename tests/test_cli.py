@@ -519,13 +519,18 @@ def loaded_modules(runs, tmp_path) -> set[str]:
         "    assert ybion.cli.main(argv) == 0, argv\n"
         "print(sorted(sys.modules))\n"
     )
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def run_script(script: str, tmp_path) -> subprocess.CompletedProcess:
+    """script run by a fresh interpreter that imports this ybion, in tmp_path."""
     src = str(Path(sys.modules["ybion"].__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 def packages(modules: set[str], *names: str) -> list[str]:
@@ -546,6 +551,55 @@ def test_runs_that_hash_no_input_never_load_openssl(tmp_path):
     # verify-roundtrip load it anyway, through numpy.random
     runs = [["--version"], IONIZE, ["crystal", "--nu1", "474e3", "--eta", "2.13"]]
     assert "_hashlib" not in loaded_modules(runs, tmp_path)
+
+
+# numpy is executed on first use (ybion._numpy), so runs that compute on
+# Python floats alone never execute it; numpy._core is loaded by executing
+# numpy's __init__.
+def test_light_runs_never_execute_numpy(tmp_path):
+    runs = [["--version"], IONIZE,
+            ["crystal", "--nu1", "474e3", "--eta", "1.0",
+             "--invert-from-mode", "669702.236241193", "com",
+             "--invert-from-ratio", "1.7512911255801311"]]
+    assert packages(loaded_modules(runs, tmp_path), "numpy._core") == []
+
+
+def test_steady_state_executes_numpy(tmp_path):
+    # the check above cannot pass vacuously: a run that computes on arrays
+    # does execute numpy, and under the same module name
+    assert "numpy._core" in loaded_modules([["steady-state"]], tmp_path)
+
+
+def test_only_the_lazy_numpy_module_imports_numpy():
+    # An `import numpy` statement executes numpy at once on CPython 3.11,
+    # even after ybion._numpy has registered the lazy module.
+    package = Path(sys.modules["ybion"].__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert [i for i in importers if not i.startswith("_numpy.py:")] == []
+    assert importers, "ybion._numpy no longer imports numpy"
+
+
+def test_a_missing_numpy_fails_at_import(tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import ybion.cli\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name, 'numpy' in str(exc))\n"
+    )
+    proc = run_script(script, tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "numpy True\n"), proc.stderr
 
 
 README_STEADY_STATE = """\
@@ -790,6 +844,36 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
         ["crystal", "--nu1", "474e3", "--eta", "1e154"],
         "error: mode frequency nu_com lies outside the floating-point range for "
         "nu1_hz = 474000.0, eta = 1e+154", id="crystal-eta-1e154"),
+    # photoion results whose factors are all positive but that underflow to 0
+    pytest.param(
+        ["xsec", "--model", "burgess", "--limit", "98207.0", "--wavelength-nm", "1e-300"],
+        "error: cross section lies outside the floating-point range for "
+        "n_star = 1.7834560120675202, photon_energy_ev = 1.2398419843320004e+303",
+        id="xsec-sigma-underflows"),
+    pytest.param(
+        ["ionize-rate", "--p7p", "1e-300", "--sigma-mb", "1e-300", "--power-w", "1e-300",
+         "--waist-m", "1", "--wavelength-nm", "245"],
+        "error: ionization rate p_excited * sigma * flux lies outside the "
+        "floating-point range for p_excited = 1e-300, sigma_m2 = 1e-322, "
+        "flux_m2s = 7.85180445108723e-283",
+        id="ionize-rate-rate-underflows"),
+    pytest.param(
+        ["ionize-rate", "--p7p", "1e-288", "--sigma-mb", "1", "--power-w", "1e100",
+         "--waist-m", "1e-100", "--wavelength-nm", "1e-30"],
+        "error: rate-per-power coefficient lies outside the floating-point range "
+        "for p_excited = 1e-288, sigma_m2 = 1e-22, wavelength_nm = 1e-30",
+        id="ionize-rate-coefficient-underflows"),
+    pytest.param(
+        ["ionize-rate", "--p7p", "0.5", "--sigma-mb", "5", "--power-w", "1e-300",
+         "--waist-m", "1", "--wavelength-nm", "1e-300"],
+        "error: photon flux lies outside the floating-point range for "
+        "power_w = 1e-300, waist_m = 1.0, wavelength_nm = 1e-300",
+        id="ionize-rate-flux-underflows"),
+    pytest.param(
+        [a.replace("5.5", "1e-310") for a in IONIZE],
+        "error: cross section in m^2 lies outside the floating-point range for "
+        "value_mb = 1e-310",
+        id="ionize-rate-sigma-underflows"),
 ])
 def test_out_of_range_values_exit_two_without_warning(argv, names, curve_file, capsys,
                                                       recwarn):
@@ -1343,11 +1427,14 @@ def test_simulate_memory_stays_bounded_at_a_million_trials(tmp_path):
     # ru_maxrss of a child starts from its parent's RSS through fork/exec.
     # Building the whole table in memory peaked at about 272 MB here, and
     # joining the blocks into one string before writing grew the peak by
-    # about 72 MB over the import.
+    # about 72 MB over the import. ybion loads numpy on first use, so numpy
+    # is executed (by touching numpy.ndarray) before the baseline is read.
     if not Path("/proc/self/status").is_file():
         pytest.skip("VmHWM is read from /proc/self/status")
     script = (
         "import ybion.cli\n"
+        "import numpy\n"
+        "numpy.ndarray\n"
         "def peak_kb():\n"
         "    status = open('/proc/self/status').read().splitlines()\n"
         "    return next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
