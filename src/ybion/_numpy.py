@@ -13,8 +13,8 @@ no module may write ``import numpy`` itself: on CPython 3.11 that statement
 reads the registered module's __spec__ (importlib's _find_and_load checks
 whether the module is still initializing), which executes numpy at once.
 
-A missing numpy still fails at import, with numpy's own
-ModuleNotFoundError.
+A missing numpy still fails at import, with a ModuleNotFoundError that
+names numpy.
 """
 
 import importlib.util
