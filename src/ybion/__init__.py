@@ -17,8 +17,8 @@ Everything numerical is deterministic given explicit seeds.
 Import what you need from the submodules (``from ybion.rates import
 steady_state``); the package root holds only ``__version__``. numpy is
 the only runtime dependency; no module imports scipy. numpy loads on
-first use (see ybion._numpy): ``ybion --version``, ``crystal`` and
-``ionize-rate`` never load it.
+first use (see ybion._numpy): ``ybion --version``, ``crystal``,
+``ionize-rate`` and ``xsec`` never load it.
 """
 
 __version__ = "0.1.0"

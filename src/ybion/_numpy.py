@@ -2,8 +2,9 @@
 
 Every module takes numpy as ``from ._numpy import np`` and touches no numpy
 attribute at import time, so a run that computes on Python floats alone
-(``ybion --version``, ``crystal``, ``ionize-rate``) never executes numpy,
-and a run that computes loads it at its first array operation.
+(``ybion --version``, ``crystal``, ``ionize-rate``, ``xsec``) never
+executes numpy, and a run that computes loads it at its first array
+operation.
 
 If numpy is already imported, np is that module. Otherwise np is built
 with importlib.util.LazyLoader (the lazy-import recipe of the importlib

@@ -85,7 +85,7 @@ from .photoion import (
     rate_coefficient,
 )
 from .rates import build_rate_matrix, steady_state
-from .scheme import bundled_scheme_path, load_scheme_file
+from .scheme import bundled_scheme_path, load_scheme_file, validate_scheme
 from .spectro import (
     curve_to_text,
     fit_lorentzian,
@@ -346,6 +346,14 @@ def _apply_drive_overrides(scheme, overrides, saturate_all):
     return scheme
 
 
+def _scheme_findings(scheme) -> dict:
+    """validate_scheme's findings as diag entries scheme.finding_N, numbered
+    from 1 and zero-padded, so that their keys sort in finding order."""
+    findings = validate_scheme(scheme)
+    width = len(str(len(findings)))
+    return {f"scheme.finding_{i:0{width}d}": text for i, text in enumerate(findings, 1)}
+
+
 # -- subcommand handlers ---------------------------------------------------
 # Each returns a _Run; main writes the table and the manifest. A handler
 # that resolves a flag's value rebinds it on args, so the manifest records
@@ -365,7 +373,7 @@ def _cmd_steady_state(args) -> _Run:
     m = matrix.matrix
     residual = np.abs(m @ pops.populations).max() / np.abs(m).max()
     return _Run(_table(["label", "population"], rows), inputs=(args.scheme,),
-                diag={"steady_residual": float(residual)})
+                diag={"steady_residual": float(residual), **_scheme_findings(scheme)})
 
 
 def _cmd_ionize_rate(args) -> _Run:
@@ -378,9 +386,9 @@ def _cmd_ionize_rate(args) -> _Run:
     flux = photon_flux(beam)
     rate = ionization_rate(args.p7p, sigma, flux)
     coeff = rate_coefficient(args.p7p, sigma, args.wavelength_nm)
-    # The library gives 0.0 where either product underflows, so that it stays
-    # linear down to p_excited = 5e-324; with every factor positive, the
-    # command refuses that 0.
+    # The library gives 0.0 where the true value of either product underflows,
+    # so that it stays linear down to p_excited = 5e-324; with every factor
+    # positive, the command refuses that 0.
     if args.p7p and sigma.value_m2:
         inputs = dict(p_excited=args.p7p, sigma_m2=sigma.value_m2)
         if flux:
@@ -470,6 +478,7 @@ def _cmd_scan(args) -> _Run:
         curve_to_text(curve),
         inputs=(args.scheme,),
         rng_note=noise_rng_description() if drawn else None,
+        diag=_scheme_findings(scheme),
     )
 
 

@@ -348,7 +348,7 @@ def scaled_std(values: np.ndarray) -> float:
     underflows this returns the same bits; a finite spread of values near
     the floating-point limit gives a finite std instead of inf.
     """
-    scale = np.ldexp(1.0, int(np.frexp(np.abs(values).max())[1]) - 1)
+    scale = math.ldexp(1.0, math.frexp(np.abs(values).max())[1] - 1)
     return float(scale * (values / scale).std(ddof=1))
 
 

@@ -23,14 +23,17 @@ and two coefficient-table parametrizations (model tags "burgess" and
 numbers follow the binding-energy convention n* = sqrt(R / (limit - E)), so
 the ionization threshold from a level is R / n*^2 regardless of the core
 charge seen by the escaping electron.
+
+Everything here computes on Python floats and math, the quantum-defect fit
+of a Rydberg series included, so this module never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from ._numpy import np
 from .constants import (
     CONSTANTS,
     MEGABARN_M2,
@@ -168,14 +171,34 @@ def photon_flux(beam: GaussianBeam) -> float:
         power_w=beam.power_w, waist_m=beam.waist_m, wavelength_nm=beam.wavelength_nm)
 
 
+def _product(factors: tuple[float, ...], divisor: float = 1.0) -> float:
+    """The product of factors over divisor, multiplied left to right.
+
+    Where that product underflows part-way (it is 0 or subnormal, and every
+    factor is positive), it is recomputed from the factors' frexp mantissas
+    and summed exponents, so it underflows only where its true value does.
+    A normal product keeps its bits.
+    """
+    plain = math.prod(factors) / divisor
+    if plain >= sys.float_info.min or not all(f > 0.0 for f in factors):
+        return plain
+    mantissa, exponent = 1.0, 0
+    for factor in factors:
+        m, e = math.frexp(factor)
+        mantissa *= m
+        exponent += e
+    m, e = math.frexp(divisor)
+    return math.ldexp(mantissa / m, exponent - e)
+
+
 def ionization_rate(p_excited: float, sigma: CrossSection, flux_m2s: float) -> float:
-    """One-photon ionization rate R = p * sigma * F in 1/s; a product that
-    underflows is 0.0, as linearity in each factor asks."""
+    """One-photon ionization rate R = p * sigma * F in 1/s; a product whose
+    true value underflows is 0.0, as linearity in each factor asks."""
     check("excited-state population", p_excited, "[0, 1]")
     check("photon flux", flux_m2s, "[0, inf)")
     return representable(
         "ionization rate p_excited * sigma * flux",
-        p_excited * sigma.value_m2 * flux_m2s,
+        _product((p_excited, sigma.value_m2, flux_m2s)),
         p_excited=p_excited, sigma_m2=sigma.value_m2, flux_m2s=flux_m2s)
 
 
@@ -186,12 +209,12 @@ def rate_coefficient(
 
     Multiply by power in W and divide by waist^2 in m^2 to recover the
     ionization rate for a peak-intensity Gaussian beam geometry. A product
-    that underflows is 0.0, as in ionization_rate.
+    whose true value underflows is 0.0, as in ionization_rate.
     """
     check("excited-state population", p_excited, "[0, 1]")
     return representable(
         "rate-per-power coefficient",
-        p_excited * sigma.value_m2 * 2.0 / (math.pi * photon_energy_j(wavelength_nm)),
+        _product((p_excited, sigma.value_m2, 2.0), math.pi * photon_energy_j(wavelength_nm)),
         p_excited=p_excited, sigma_m2=sigma.value_m2, wavelength_nm=wavelength_nm)
 
 
@@ -217,63 +240,62 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     is evaluated at DEFECT_GRID_POINTS values of mu whose distances to n_min
     run geometrically from n_min (mu = 0) down to 1e-9, so the grid also
     resolves the steep approach to the bound; Newton steps then polish the
-    best grid point.
+    best grid point. Python floats overflow to inf under * and /, so an
+    extreme series gives inf or NaN sums, which the grid gate and the
+    Newton acceptance reject.
     """
-    # Overflow on extreme series only produces inf or NaN sums of squares,
-    # which the grid gate and the Newton acceptance below reject.
-    with np.errstate(all="ignore"):
-        if len(series.members) < 2:
-            raise SolverError("quantum-defect fit needs at least two series members")
-        ns = np.array([n for n, _ in series.members], dtype=float)
-        energies = np.array([e for _, e in series.members])
-        z2r = series.core_charge**2 * RYDBERG_YB174_CM1
-        limit = series.ionization_limit_cm1
-        n_min = ns.min()
-        upper = n_min - 1e-9
+    if len(series.members) < 2:
+        raise SolverError("quantum-defect fit needs at least two series members")
+    ns = [float(n) for n, _ in series.members]
+    energies = [e for _, e in series.members]
+    z2r = series.core_charge**2 * RYDBERG_YB174_CM1
+    limit = series.ionization_limit_cm1
+    n_min = min(ns)
+    upper = n_min - 1e-9
 
-        def misfit(mu):
-            """Predicted minus observed energies, one column per value of mu."""
-            return limit - z2r / (ns[:, None] - mu) ** 2 - energies[:, None]
+    def misfit(mu: float) -> list[float]:
+        """Predicted minus observed energy of each member; n = mu predicts -inf."""
+        return [limit - (z2r / ((n - mu) * (n - mu)) if n != mu else math.inf) - e
+                for n, e in zip(ns, energies)]
 
-        def sum_sq(mu: float) -> float:
-            return float((misfit(mu) ** 2).sum())
+    def sum_sq(mu: float) -> float:  # in member order: sum() compensates from 3.12 on
+        total = 0.0
+        for r in misfit(mu):
+            total += r * r
+        return total
 
-        grid = n_min - np.geomspace(n_min, 1e-9, DEFECT_GRID_POINTS)
-        grid_sum_sq = (misfit(grid) ** 2).sum(axis=0)
-        best = int(np.argmin(grid_sum_sq))
-        representable("smallest sum of squared residuals of the quantum-defect fit",
-                      grid_sum_sq[best], error=SolverError,
-                      limit_cm1=limit, core_charge=series.core_charge)
-        mu = float(grid[best])
+    # n_min minus distances spaced evenly in log10, as np.geomspace spaces them
+    log_start, log_stop = math.log10(n_min), math.log10(1e-9)
+    step = (log_stop - log_start) / (DEFECT_GRID_POINTS - 1)
+    grid = [0.0, *(n_min - math.pow(10.0, i * step + log_start)
+                   for i in range(1, DEFECT_GRID_POINTS - 1)), upper]
+    grid_sum_sq = [sum_sq(mu) for mu in grid]
+    best = min(range(DEFECT_GRID_POINTS), key=grid_sum_sq.__getitem__)
+    representable("smallest sum of squared residuals of the quantum-defect fit",
+                  grid_sum_sq[best], error=SolverError,
+                  limit_cm1=limit, core_charge=series.core_charge)
+    mu = grid[best]
 
-        def grad_hess(mu_val: float) -> tuple[float, float]:
-            d = ns[:, None] - mu_val
-            dpred = -2.0 * z2r / d**3
-            d2pred = -6.0 * z2r / d**4
-            r = misfit(mu_val)
-            g = float((2.0 * r * dpred).sum())
-            h = float((2.0 * (dpred**2 + r * d2pred)).sum())
-            return g, h
-
-        for _ in range(6):
-            g, h = grad_hess(mu)
-            if not h > 0:
-                break
-            step = g / h
-            candidate = min(max(mu - step, 0.0), upper)
-            if not sum_sq(candidate) <= sum_sq(mu):
-                break
-            moved = abs(candidate - mu)
-            mu = candidate
-            if moved < 1e-15:
-                break
-        if upper - mu < 1e-6 and sum_sq(mu) > 1e-12:
-            raise SolverError(
-                f"quantum defect ran into the n_min bound (mu = {mu:.6g}); "
-                "the series is not represented by a single defect"
-            )
-        residual = float(np.abs(misfit(mu)).max())
-        return mu, residual
+    for _ in range(6):
+        g = h = 0.0  # gradient and curvature of the sum of squares
+        for n, r in zip(ns, misfit(mu)):
+            d2 = (n - mu) * (n - mu)
+            dpred = -2.0 * z2r / (d2 * (n - mu))
+            g += 2.0 * r * dpred
+            h += 2.0 * (dpred * dpred + r * (-6.0 * z2r / (d2 * d2)))
+        if not h > 0:
+            break
+        candidate = min(max(mu - g / h, 0.0), upper)
+        if not sum_sq(candidate) <= sum_sq(mu):
+            break
+        moved = abs(candidate - mu)
+        mu = candidate
+        if moved < 1e-15:
+            break
+    if upper - mu < 1e-6 and sum_sq(mu) > 1e-12:
+        raise SolverError(f"quantum defect ran into the n_min bound (mu = {mu:.6g}); "
+                          "the series is not represented by a single defect")
+    return mu, max(abs(r) for r in misfit(mu))
 
 
 def load_series_file(

@@ -403,10 +403,13 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
 
 def lifetime_from_linewidth(fwhm_hz: float, saturation: float) -> float:
     """Upper-level lifetime from a measured FWHM after power-broadening
-    deconvolution: tau = sqrt(1 + S) / (2 pi fwhm)."""
+    deconvolution: tau = sqrt(1 + S) / (2 pi fwhm). A lifetime that
+    overflows (a large S over a tiny fwhm) or underflows to 0 is refused."""
     check("fwhm", fwhm_hz, "(0, inf)", "Hz", SolverError)
     check("saturation", saturation, "[0, inf)", error=SolverError)
-    return float(np.sqrt(1.0 + saturation) / (2.0 * math.pi * fwhm_hz))
+    return representable("lifetime sqrt(1 + S) / (2 pi fwhm)",
+                         math.sqrt(1.0 + saturation) / (2.0 * math.pi * fwhm_hz),
+                         "(0, inf)", SolverError, fwhm_hz=fwhm_hz, saturation=saturation)
 
 
 def curve_to_text(curve: ScanCurve) -> str:

@@ -45,7 +45,7 @@ from ybion.mc import (
 )
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
 from ybion.rates import STEADY_RESIDUAL_TOL, build_rate_matrix, steady_state
-from ybion.scheme import bundled_scheme_path, load_scheme_file
+from ybion.scheme import bundled_scheme_path, load_scheme_file, validate_scheme
 from ybion.spectro import (
     MIN_FIT_POINTS,
     ScanCurve,
@@ -259,6 +259,20 @@ def test_ionize_rate_reference_numbers(capsys):
     coeff = float(vals["rate_per_power_coefficient"])
     assert coeff == pytest.approx(4.1e-6, rel=2e-2)
     assert float(vals["photon_flux"]) == pytest.approx(7.86545697637769e23, rel=1e-12)
+
+
+def test_ionize_rate_prints_products_that_underflow_only_part_way(capsys):
+    # p7p * sigma (1e-325 m^2) lies below the float range, but the rate and
+    # the coefficient do not, so the run prints them instead of refusing 0
+    argv = ["ionize-rate", "--p7p", "1e-300", "--sigma-mb", "1e-3", "--power-w", "1e-4",
+            "--waist-m", "1e-4", "--wavelength-nm", "245.426"]
+    assert main(argv) == 0
+    vals = value_map(capsys.readouterr().out)
+    # abs=0: approx's default absolute tolerance of 1e-12 would accept 0.0
+    assert float(vals["ionization_rate"]) == pytest.approx(
+        1e-300 * (1e-25 * float(vals["photon_flux"])), rel=1e-14, abs=0)
+    assert float(vals["rate_per_power_coefficient"]) == pytest.approx(
+        7.865456976377693e-308, rel=1e-14, abs=0)
 
 
 def test_ionize_rate_units_column(capsys):
@@ -557,10 +571,15 @@ def test_runs_that_hash_no_input_never_load_openssl(tmp_path):
 # Python floats alone never execute it; numpy._core is loaded by executing
 # numpy's __init__.
 def test_light_runs_never_execute_numpy(tmp_path):
+    (tmp_path / "series.tsv").write_text("3 60000.0\n4 70000.0\n5 75000.0\n",
+                                         encoding="utf-8")
     runs = [["--version"], IONIZE,
             ["crystal", "--nu1", "474e3", "--eta", "1.0",
              "--invert-from-mode", "669702.236241193", "com",
-             "--invert-from-ratio", "1.7512911255801311"]]
+             "--invert-from-ratio", "1.7512911255801311"],
+            ["xsec", "--model", "burgess", "--limit", "98207.0"],
+            ["xsec", "--model", "hydrogenic", "--limit", "80000.0", "--ell", "1",
+             "--core-charge", "1", "--series", "series.tsv"]]
     assert packages(loaded_modules(runs, tmp_path), "numpy._core") == []
 
 
@@ -1222,6 +1241,21 @@ def test_fit_scan_near_the_float_limit_prints_finite_numbers(edge, peak, tmp_pat
     assert code == 0 and value_map(out)["offset"] == repr(edge)
 
 
+def test_fit_scan_refuses_a_lifetime_beyond_the_float_range(tmp_path):
+    # sqrt(1 + 1e300) / (2 pi 1e-299 Hz) is about 1.6e448 s; it used to print inf
+    nu = np.linspace(-60.0, 60.0, 241) * 1e-300
+    path = tmp_path / "curve.tsv"
+    path.write_text(curve_to_text(ScanCurve(nu, lorentzian(nu, 0.0, 1e-299, 1.0, 0.0))),
+                    encoding="utf-8")
+    code, out, err = run_without_warnings(["fit-scan", "--data", str(path),
+                                           "--saturation", "1e300"])
+    assert_exits_cleanly(code, out, err)
+    assert code == 2
+    assert err.startswith("error: lifetime sqrt(1 + S) / (2 pi fwhm) lies outside the "
+                          "floating-point range for fwhm_hz = ")
+    assert err.endswith(", saturation = 1e+300\n")
+
+
 MAGNITUDES = st.integers(-300, 300).map(lambda e: 10.0 ** e)
 
 
@@ -1584,8 +1618,9 @@ def test_rerun_primary_output_is_byte_identical(name, curve_file, tmp_path):
 # release before param.* lines were derived from the parsed flags; the lines
 # added since are verify-roundtrip's diag.inference_failures, the noisy
 # scan's rng line, steady-state's diag.steady_residual, simulate's
-# diag.blocks and diag.failed_trials, and fit-scan's diag.fit_center_se_hz,
-# diag.fit_fwhm_se_hz and diag.lifetime_se_s.
+# diag.blocks and diag.failed_trials, fit-scan's diag.fit_center_se_hz,
+# diag.fit_fwhm_se_hz and diag.lifetime_se_s, and the diag.scheme.finding_N
+# lines of steady-state and scan.
 # {placeholders} stand for what depends on the installation or on tmp_path.
 FROZEN_MANIFESTS = {
     "steady-state": """\
@@ -1594,6 +1629,15 @@ param.drive_overrides: NA
 param.saturate_all: 100.0
 param.scheme: {data}/yb174_plus.scheme
 input.yb174_plus.scheme.sha256: 85b08c9d40bdd6c0a67f7eaca9d9c197b0e412a36e4cf7b1a077f844ed668432
+diag.scheme.finding_1: level 7p12: branching sum 0.997000, residual 0.003000 unmodeled decay
+diag.scheme.finding_2: drive 6p12<->6s12: declared 369.524 nm, energy gap implies \
+369.5242965920252 nm (0.803 ppm off)
+diag.scheme.finding_3: drive 7p12<->5d32: declared 245.426 nm, energy gap implies \
+245.42599571780724 nm (0.017 ppm off)
+diag.scheme.finding_4: drive fd32<->5d52: declared 976.31 nm, energy gap implies \
+976.3069821570132 nm (3.091 ppm off)
+diag.scheme.finding_5: drive fd52<->f72: declared 638.33 nm, energy gap implies \
+638.3327769199295 nm (4.350 ppm off)
 diag.steady_residual: 1.8772162769020557e-17
 """,
     "ionize-rate": """\
@@ -1636,6 +1680,10 @@ input.linewidth_reference.scheme.sha256: 3016a053f6f3bbf243dd610c8e6823ebaaaf374
 rng: numpy default_rng (PCG64), numpy {numpy}, default_rng(seed) drawing one \
 normal(0, noise_sigma) per grid point in grid order, each added to its \
 point's signal, then clamped at 0
+diag.scheme.finding_1: drive 6p12<->6s12: declared 370.3704 nm, energy gap implies \
+370.3703703703704 nm (0.080 ppm off)
+diag.scheme.finding_2: drive 7p12<->5d32: declared 245.426 nm, energy gap implies \
+245.4259957178072 nm (0.017 ppm off)
 """,
     "fit-scan": """\
 subcommand: fit-scan
@@ -1716,6 +1764,62 @@ def test_every_flag_dest_is_one_manifest_param(name, curve_file, tmp_path):
     assert keys == dests
     parsed = vars(build_parser().parse_args(argv))
     assert sorted(parsed.keys() - {"handler", "subcommand", "out"}) == dests
+
+
+# A two-level scheme whose branching ratios sum to 1 and whose drive declares
+# the wavelength its energy gap implies, 1e7 / 20000.0 nm; scan monitors the
+# 6p12 -> 6s12 decay.
+CLEAN_SCHEME = """\
+[LEVELS]
+6s12 "ground" 0.5 0.0 -
+6p12 "excited" 0.5 20000.0 8e-9
+
+[DECAYS]
+6p12 6s12 1.0
+
+[DRIVES]
+6p12 6s12 500.0 - - 1.0 0.0 0
+"""
+
+SCHEME_RUNS = [["steady-state", "--scheme", "{scheme}"],
+               ["scan", "--scheme", "{scheme}", "--upper", "6p12", "--lower", "6s12",
+                "--grid", "-1e6", "1e6", "3"]]
+
+
+def scheme_finding_lines(argv, scheme_text, tmp_path) -> list[str]:
+    scheme = tmp_path / "edited.scheme"
+    scheme.write_text(scheme_text, encoding="utf-8")
+    out = tmp_path / "run.tsv"
+    assert main([a.format(scheme=scheme) for a in argv] + ["--out", str(out)]) == 0
+    return [line for line in manifest_lines(out) if line.startswith("diag.scheme.")]
+
+
+@pytest.mark.parametrize("argv", SCHEME_RUNS, ids=["steady-state", "scan"])
+def test_a_scheme_without_findings_writes_no_finding_line(argv, tmp_path):
+    assert scheme_finding_lines(argv, CLEAN_SCHEME, tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", SCHEME_RUNS, ids=["steady-state", "scan"])
+def test_a_branching_ratio_writes_and_changes_its_finding_line(argv, tmp_path):
+    lines = [scheme_finding_lines(argv, CLEAN_SCHEME.replace("6s12 1.0", f"6s12 {ratio}"),
+                                  tmp_path) for ratio in ("0.9", "0.75")]
+    assert lines == [
+        ["diag.scheme.finding_1: level 6p12: branching sum 0.900000, "
+         "residual 0.100000 unmodeled decay"],
+        ["diag.scheme.finding_1: level 6p12: branching sum 0.750000, "
+         "residual 0.250000 unmodeled decay"],
+    ]
+
+
+def test_finding_keys_sort_in_finding_order(tmp_path):
+    # ten branching findings: the keys are zero-padded, so finding_10 sorts last
+    levels = "".join(f'e{i} "x" 0.5 {1000.0 * i} 8e-9\n' for i in range(1, 11))
+    decays = "".join(f"e{i} 6s12 0.5\n" for i in range(1, 11))
+    text = (CLEAN_SCHEME.replace("[DECAYS]\n", "[DECAYS]\n" + decays)
+            .replace("[LEVELS]\n", "[LEVELS]\n" + levels))
+    lines = scheme_finding_lines(SCHEME_RUNS[0], text, tmp_path)
+    assert [line.split(": ", 2)[:2] for line in lines] == [
+        [f"diag.scheme.finding_{i:02d}", f"level e{i}"] for i in range(1, 11)]
 
 
 def test_scan_rng_line_regenerates_first_noisy_point(tmp_path):
@@ -1849,7 +1953,9 @@ def test_steady_state_residual_is_recomputed_from_the_printed_populations(argv, 
     p = np.array([printed[label] for label in matrix.labels])
     residual = np.abs(matrix.matrix @ p).max() / np.abs(matrix.matrix).max()
     diag = [line for line in manifest_lines(out) if line.startswith("diag.")]
-    assert diag == [f"diag.steady_residual: {float(residual)!r}"]
+    findings = [f"diag.scheme.finding_{i}: {text}"
+                for i, text in enumerate(validate_scheme(scheme), start=1)]
+    assert diag == [*findings, f"diag.steady_residual: {float(residual)!r}"]
     assert residual <= STEADY_RESIDUAL_TOL
 
 

@@ -218,6 +218,28 @@ def test_rate_and_coefficient_agree(power, waist):
     assert via_coeff == pytest.approx(via_flux, rel=1e-12)
 
 
+def test_rate_and_coefficient_survive_a_partial_underflow():
+    # p * sigma (1e-325 m^2) lies below the float range, the products do not
+    sigma = CrossSection.from_megabarn(1e-3)
+    assert 1e-300 * sigma.value_m2 == 0.0
+    # abs=0: approx's default absolute tolerance of 1e-12 would accept 0.0
+    assert ionization_rate(1e-300, sigma, 1e22) == pytest.approx(1e-303, rel=1e-15, abs=0)
+    per_p = rate_coefficient(1.0, sigma, 245.426)
+    assert rate_coefficient(1e-300, sigma, 245.426) == pytest.approx(
+        1e-300 * per_p, rel=1e-15, abs=0)
+    # a product whose true value leaves the float range is still 0.0
+    assert ionization_rate(5e-324, sigma, 1e22) == 0.0
+    assert rate_coefficient(5e-324, sigma, 245.426) == 0.0
+
+
+def test_normal_rates_keep_the_bits_of_the_plain_product():
+    sigma = CrossSection.from_megabarn(5.5)
+    flux = photon_flux(BEAM)
+    assert ionization_rate(P7P, sigma, flux) == P7P * sigma.value_m2 * flux
+    assert rate_coefficient(P7P, sigma, 245.426) == (
+        P7P * sigma.value_m2 * 2.0 / (math.pi * photon_energy_j(245.426)))
+
+
 def test_rate_preconditions():
     sigma = CrossSection.from_megabarn(5.5)
     with pytest.raises(SchemeError):
@@ -322,6 +344,65 @@ def test_bundled_series_defect_is_the_least_squares_minimum():
 
     assert mu == pytest.approx(3.506720580952538, rel=1e-12)
     assert sum_sq(mu) < min(sum_sq(mu - 1e-8), sum_sq(mu + 1e-8))
+
+
+def test_bundled_series_fit_bits_are_pinned():
+    series = load_series_file(bundled_series_path(), SERIES_LIMIT_CM1, ell=1,
+                              core_charge=2)
+    assert fit_quantum_defect(series) == (3.506720580952538, 1469.7658471196191)
+
+
+@st.composite
+def noisy_series(draw):
+    """A series of 2 to 8 members of one defect in [0, 3.5) and core charge 1
+    or 2, each binding energy scaled by up to 5 % of noise."""
+    mu = draw(st.floats(0.0, 3.5, exclude_max=True))
+    core_charge = draw(st.sampled_from([1, 2]))
+    first = draw(st.integers(int(mu) + 2, int(mu) + 6))
+    ns = range(first, first + draw(st.integers(2, 8)))
+    noise = draw(st.lists(st.floats(-0.05, 0.05), min_size=len(ns), max_size=len(ns)))
+    z2r = core_charge**2 * RYDBERG_YB174_CM1
+    members = tuple((n, 80000.0 - z2r / (n - mu) ** 2 * (1.0 + eps))
+                    for n, eps in zip(ns, noise))
+    return RydbergSeries(members=members, ionization_limit_cm1=80000.0, ell=1,
+                         core_charge=core_charge)
+
+
+@given(series=noisy_series())
+@settings(max_examples=60, deadline=None)
+def test_noisy_series_defect_is_a_least_squares_minimum(series):
+    mu, residual = fit_quantum_defect(series)
+    ns = np.array([n for n, _ in series.members], dtype=float)
+    energies = np.array([e for _, e in series.members])
+    z2r = series.core_charge**2 * RYDBERG_YB174_CM1
+
+    def sum_sq(m):
+        """Sum of squared misfits, one column per value of m."""
+        m = np.atleast_1d(m)
+        pred = 80000.0 - z2r / (ns[:, None] - m) ** 2
+        return ((pred - energies[:, None]) ** 2).sum(axis=0)
+
+    n_min = ns[0]
+    assert 0.0 <= mu < n_min
+    assert residual == pytest.approx(np.abs(80000.0 - z2r / (ns - mu) ** 2 - energies).max(),
+                                     rel=1e-12)
+    # a local minimum: no neighbour 1e-5 away inside [0, n_min) lies lower
+    neighbours = [m for m in (mu - 1e-5, mu + 1e-5) if 0.0 <= m < n_min]
+    assert sum_sq(mu)[0] <= sum_sq(np.array(neighbours)).min(initial=np.inf)
+    # and no point of an independent dense grid over [0, n_min) lies lower,
+    # up to the rounding of the sums themselves
+    dense = np.linspace(0.0, n_min, 100_000, endpoint=False)
+    assert sum_sq(mu)[0] <= sum_sq(dense).min() * (1.0 + 1e-12)
+
+
+def test_fit_of_a_series_whose_grid_reaches_n_min():
+    # above about 1.7e7, n_min - 1e-9 rounds to n_min: the grid's last point
+    # gives n - mu = 0, which must predict -inf rather than divide by zero
+    series = RydbergSeries(members=((20000000, 1.0), (20000001, 2.0)),
+                           ionization_limit_cm1=3.0, ell=1, core_charge=2)
+    mu, residual = fit_quantum_defect(series)
+    assert mu == pytest.approx(19999459.793223467, rel=1e-12)
+    assert residual == pytest.approx(0.4986026717900125, rel=1e-9)
 
 
 def test_fit_rejects_defect_pushed_into_the_n_min_bound():

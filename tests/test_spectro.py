@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -579,6 +580,15 @@ def test_lifetime_preconditions():
     for bad in (math.nan, math.inf):
         with pytest.raises(SolverError, match="saturation"):
             lifetime_from_linewidth(1e6, bad)
+
+
+@pytest.mark.parametrize("fwhm_hz,saturation", [(1e-299, 1e300), (1e308, 0.0)])
+def test_lifetime_outside_the_float_range_is_refused(fwhm_hz, saturation):
+    # sqrt(1 + S) / (2 pi fwhm) overflows to inf, or its divisor does and it is 0
+    with pytest.raises(SolverError, match=re.escape(
+            "lifetime sqrt(1 + S) / (2 pi fwhm) lies outside the floating-point range "
+            f"for fwhm_hz = {fwhm_hz}, saturation = {saturation}")):
+        lifetime_from_linewidth(fwhm_hz, saturation)
 
 
 @pytest.mark.parametrize("saturation", [0.005, 0.02, 0.05])
