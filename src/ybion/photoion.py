@@ -30,7 +30,9 @@ of a Rydberg series included, so this module never loads numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -154,6 +156,7 @@ class RydbergSeries:
         for n, energy in self.members:
             if n <= self.ell:
                 raise SchemeError(f"series member n={n} must exceed ell={self.ell}")
+            check(f"series member n={n} energy", energy, "finite")
             if last_n is not None and n <= last_n:
                 raise SchemeError("series members must have strictly increasing n")
             if energy >= self.ionization_limit_cm1:
@@ -174,13 +177,17 @@ def photon_flux(beam: GaussianBeam) -> float:
 def _product(factors: tuple[float, ...], divisor: float = 1.0) -> float:
     """The product of factors over divisor, multiplied left to right.
 
-    Where that product underflows part-way (it is 0 or subnormal, and every
-    factor is positive), it is recomputed from the factors' frexp mantissas
-    and summed exponents, so it underflows only where its true value does.
-    A normal product keeps its bits.
+    Where that product underflows part-way (a partial product or the result
+    is 0 or subnormal, and every factor is positive), it is recomputed from
+    the factors' frexp mantissas and summed exponents, so it neither
+    underflows where its true value does not nor loses the digits a
+    subnormal partial product drops. A product whose partial products all
+    stay normal keeps its bits.
     """
-    plain = math.prod(factors) / divisor
-    if plain >= sys.float_info.min or not all(f > 0.0 for f in factors):
+    partials = list(itertools.accumulate(factors, operator.mul))
+    plain = partials[-1] / divisor
+    if (min(*partials, plain) >= sys.float_info.min
+            or not all(f > 0.0 for f in factors)):
         return plain
     mantissa, exponent = 1.0, 0
     for factor in factors:

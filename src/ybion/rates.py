@@ -45,11 +45,12 @@ rates are Python floats in lists: on ten levels or fewer, one numpy call
 per pivot costs more than its arithmetic. In the scan's trailing block a
 rate that depends on the point is a numpy array over the scan points, and
 the kernel does the same operations, in the same order, on it. The
-steady-state and scan bits are pinned by sha256 in the tests, so the
-kernel adds in numpy's order: a 1-D sum runs left to right from 0.0 below
-8 terms and, from 8 terms on, as numpy's pairwise add.reduce (_sum); an
-axis-0 sum of a 2-D array runs row by row. build_rate_matrix also
-accumulates on Python floats and converts to an array once.
+steady-state and scan bits are pinned by sha256 in the tests, so numpy's
+own reductions give them: a sum of 8 terms or more is numpy's add.reduce,
+and a shorter one runs left to right from 0.0, as add.reduce does (_sum).
+build_rate_matrix accumulates on Python floats, converts to an array once
+and closes its columns with one numpy sum, and the scan's leading levels
+are back-substituted on a numpy basis array.
 
 Time evolution is subtraction-free too: evolve exponentiates the matrix
 shifted by its largest out-rate, which is nonnegative, by a Taylor sum and
@@ -317,44 +318,24 @@ def build_rate_matrix(
         labels.append(SINK_LABEL)
         m[sink_index][index[IONIZED_FROM]] += ionization_rate
 
-    # Each diagonal entry closes its column. A column sum runs from 0.0 in
-    # row order, the order numpy sums a 2-D array along axis 0 in.
-    for j, column in enumerate(zip(*m)):
-        total = 0.0
-        for rate in column:
-            total += rate
-        m[j][j] = -total
+    # Each diagonal entry closes its column.
+    m = np.array(m)
+    m.flat[::size + 1] = -m.sum(axis=0)
     return RateMatrix(matrix=m, labels=tuple(labels), sink_index=sink_index)
 
 
 def _sum(values: list) -> float:
-    """values summed in the order of numpy's add.reduce on a 1-D float64
-    array, so that a kernel on Python floats keeps numpy's bits: from 0.0,
-    left to right below 8 terms; from 8 on, in _blocked_sum's order."""
+    """values summed as numpy's add.reduce sums a 1-D float64 array: by
+    add.reduce itself from 8 terms on, and below 8 terms, where a numpy
+    call costs more than its arithmetic, left to right from 0.0, which is
+    numpy's order there. Only this loop sums arrays over scan points: the
+    scan's trailing block has at most three levels."""
     if len(values) < 8:
         total = 0.0
         for v in values:
             total += v
         return total
-    return 0.0 + _blocked_sum(values)
-
-
-def _blocked_sum(values: list) -> float:
-    """numpy's pairwise_sum for 8 terms or more: eight interleaved partial
-    sums joined as a tree, then the rest left to right; above 128 terms,
-    the two halves (the first a multiple of 8) summed apart and added."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _blocked_sum(values[:half]) + _blocked_sum(values[half:])
-    r = values[:8]
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        r = [a + b for a, b in zip(r, values[i:i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[stop:]:
-        total += v
-    return total
+    return float(np.add.reduce(np.array(values)))
 
 
 def _eliminate(cols: list, count: int) -> tuple[list, list]:
@@ -400,20 +381,10 @@ def _eliminate(cols: list, count: int) -> tuple[list, list]:
 def _back_substitute(reduced: list, p: list) -> None:
     """Fill p[:len(reduced)] from the levels after them, last level first,
     in place: eliminated level k holds the populations of the later levels
-    weighted by reduced[k]. An entry of p is a float or an array over scan
-    points, summed as numpy sums a 1-D array (_sum), or a list of one value
-    per trailing level, summed as numpy sums a 2-D array along axis 0: from
-    0.0, row by row."""
-    rows_of_p = isinstance(p[-1], list)
+    weighted by reduced[k], summed by _sum. An entry of p is a float or an
+    array over scan points."""
     for k in range(len(reduced) - 1, -1, -1):
-        later = p[k + 1:]
-        if rows_of_p:
-            total = [0.0] * len(p[-1])
-            for r, q in zip(reduced[k], later):
-                total = [s + r * x for s, x in zip(total, q)]
-            p[k] = total
-        else:
-            p[k] = _sum([r * q for r, q in zip(reduced[k], later)])
+        p[k] = _sum([r * q for r, q in zip(reduced[k], p[k + 1:])])
 
 
 def _kept_last(m: RateMatrix, cols: list, links=()) -> int:
@@ -509,10 +480,12 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
         _back_substitute(reduced_trailing, p_trailing)
         # stacked before the product, so the per-point arrays are freed first
         p_trailing = np.array(p_trailing)
-        basis = [[0.0] * t for _ in range(lead)]
-        basis += [[float(r == c) for c in range(t)] for r in range(t)]
-        _back_substitute(reduced, basis)
-        p = np.array(basis)[np.argsort(order)] @ p_trailing
+        # row k: level k as a combination of the trailing populations
+        basis = np.zeros((n, t))
+        basis[lead:] = np.eye(t)
+        for k in range(lead - 1, -1, -1):
+            basis[k] = (np.array(reduced[k])[:, None] * basis[k + 1:]).sum(axis=0)
+        p = basis[np.argsort(order)] @ p_trailing
         p /= p.sum(axis=0)
     finite = np.isfinite(p).all(axis=0)
     if not finite.all():

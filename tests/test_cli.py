@@ -275,6 +275,18 @@ def test_ionize_rate_prints_products_that_underflow_only_part_way(capsys):
         7.865456976377693e-308, rel=1e-14, abs=0)
 
 
+def test_ionize_rate_keeps_its_digits_past_a_subnormal_partial_product(capsys):
+    # p7p * sigma (2e-312 m^2) is subnormal, the rate and the coefficient
+    # are not; each prints within 3 ulps of its exact value
+    argv = ["ionize-rate", "--p7p", "1e-290", "--sigma-mb", "2", "--power-w", "1e-4",
+            "--waist-m", "1e-5", "--wavelength-nm", "245.426"]
+    assert main(argv) == 0
+    vals = value_map(capsys.readouterr().out)
+    for name, exact in (("ionization_rate", 1.5730913952755383e-288),
+                        ("rate_per_power_coefficient", 1.5730913952755382e-294)):
+        assert abs(float(vals[name]) - exact) <= 3 * math.ulp(exact)
+
+
 def test_ionize_rate_units_column(capsys):
     assert main(IONIZE) == 0
     header, rows = rows_of(capsys.readouterr().out)
@@ -1917,7 +1929,7 @@ def test_fit_scan_standard_errors_follow_the_noise(curve_file, tmp_path):
     for table, diag in ((clean_table, clean), (noisy_table, rough)):
         # tau = sqrt(1 + S) / (2 pi fwhm) carries fwhm's relative error
         assert float(diag["lifetime_se_s"]) / float(table["lifetime"]) == pytest.approx(
-            float(diag["fit_fwhm_se_hz"]) / float(table["fwhm"]), rel=1e-12)
+            float(diag["fit_fwhm_se_hz"]) / float(table["fwhm"]), rel=1e-12, abs=0)
 
 
 def test_fit_scan_standard_errors_of_a_negative_variance_read_nan(tmp_path):

@@ -1,6 +1,8 @@
 """Beam flux, ionization rate, and quantum-defect cross-section tests."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,10 +203,14 @@ def test_rate_linearity(p, sigma_mb, scale):
     sigma = CrossSection.from_megabarn(sigma_mb)
     flux = 1e22
     base = ionization_rate(p, sigma, flux)
-    assert ionization_rate(p, sigma, scale * flux) == pytest.approx(
-        scale * base, rel=1e-12)
-    assert ionization_rate(p, CrossSection.from_megabarn(scale * sigma_mb), flux) == (
-        pytest.approx(scale * base, rel=1e-12))
+    for scaled in (ionization_rate(p, sigma, scale * flux),
+                   ionization_rate(p, CrossSection.from_megabarn(scale * sigma_mb), flux)):
+        # abs=0 where both sides are normal: approx's default absolute
+        # tolerance of 1e-12 would accept any two small rates. Subnormal
+        # rates hold too few digits for rel=1e-12;
+        # test_rate_and_coefficient_survive_a_partial_underflow covers them.
+        if min(scaled, scale * base) >= sys.float_info.min:
+            assert scaled == pytest.approx(scale * base, rel=1e-12, abs=0)
 
 
 @given(power=positive_powers, waist=waists)
@@ -230,6 +236,19 @@ def test_rate_and_coefficient_survive_a_partial_underflow():
     # a product whose true value leaves the float range is still 0.0
     assert ionization_rate(5e-324, sigma, 1e22) == 0.0
     assert rate_coefficient(5e-324, sigma, 245.426) == 0.0
+
+
+def test_rate_and_coefficient_keep_their_digits_past_a_subnormal_partial_product():
+    # p * sigma (2e-312 m^2) is subnormal and keeps only about 9 digits,
+    # while the rate and the coefficient themselves are normal
+    sigma = CrossSection.from_megabarn(2.0)
+    assert 1e-290 * sigma.value_m2 < sys.float_info.min
+    divisor = math.pi * photon_energy_j(245.426)
+    for value, factors, over in (
+            (ionization_rate(1e-290, sigma, 1e22), (1e-290, sigma.value_m2, 1e22), 1.0),
+            (rate_coefficient(1e-290, sigma, 245.426), (1e-290, sigma.value_m2, 2.0), divisor)):
+        exact = math.prod(map(Fraction, factors)) / Fraction(over)
+        assert abs(Fraction(value) - exact) <= 3 * Fraction(math.ulp(float(exact)))
 
 
 def test_normal_rates_keep_the_bits_of_the_plain_product():
@@ -486,6 +505,13 @@ def test_series_invariants():
     with pytest.raises(SchemeError, match="core charge"):
         RydbergSeries(members=((3, 100.0),), ionization_limit_cm1=1000.0,
                       ell=1, core_charge=0)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_series_refuses_a_non_finite_member_energy(energy):
+    with pytest.raises(SchemeError) as err:
+        RydbergSeries(members=((6, energy), (7, 0.0)), ionization_limit_cm1=1.0, ell=1)
+    assert str(err.value) == f"series member n=6 energy must be finite, got {energy}"
 
 
 def test_series_file_round_trip(tmp_path):
