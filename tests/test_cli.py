@@ -579,6 +579,10 @@ def test_runs_that_hash_no_input_never_load_openssl(tmp_path):
     assert "_hashlib" not in loaded_modules(runs, tmp_path)
 
 
+# The numpy row kernel of the simulate table, imported by the first export.
+ROW_KERNEL = "ybion._reprtext"
+
+
 # numpy is executed on first use (ybion._numpy), so runs that compute on
 # Python floats alone never execute it; numpy._core is loaded by executing
 # numpy's __init__.
@@ -592,13 +596,22 @@ def test_light_runs_never_execute_numpy(tmp_path):
             ["xsec", "--model", "burgess", "--limit", "98207.0"],
             ["xsec", "--model", "hydrogenic", "--limit", "80000.0", "--ell", "1",
              "--core-charge", "1", "--series", "series.tsv"]]
-    assert packages(loaded_modules(runs, tmp_path), "numpy._core") == []
+    modules = loaded_modules(runs, tmp_path)
+    assert packages(modules, "numpy._core") == []
+    assert ROW_KERNEL not in modules
 
 
 def test_steady_state_executes_numpy(tmp_path):
     # the check above cannot pass vacuously: a run that computes on arrays
     # does execute numpy, and under the same module name
-    assert "numpy._core" in loaded_modules([["steady-state"]], tmp_path)
+    modules = loaded_modules([["steady-state"]], tmp_path)
+    assert "numpy._core" in modules
+    assert ROW_KERNEL not in modules
+
+
+def test_simulate_loads_the_row_kernel(tmp_path):
+    runs = [["simulate", "--rate", "4.1", "--trials", "10", "--seed", "1", "--out", "runs.tsv"]]
+    assert ROW_KERNEL in loaded_modules(runs, tmp_path)
 
 
 def test_only_the_lazy_numpy_module_imports_numpy():

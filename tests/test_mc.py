@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ def test_mapping_preconditions():
         exposure_to_wall(-1.0, 0.0, 50.0, 0.5)
     with pytest.raises(SolverError, match="wall time"):
         wall_to_exposure(-1.0, 0.0, 50.0, 0.5)
+
+
+@pytest.mark.parametrize("phase,shown", [
+    (0.02, "0.02"),
+    (-1e-3, "-0.001"),
+    (math.nan, "nan"),
+])
+@pytest.mark.parametrize("mapping", [exposure_to_wall, wall_to_exposure])
+def test_phase_refusal_names_the_phase_and_the_period(mapping, phase, shown):
+    # the first phase outside [0, T) is named, here behind a valid one
+    message = f"phase must lie in [0, 0.02) s, got {shown} s"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        mapping(1.0, np.array([0.01, phase, 0.05]), 50.0, 0.5)
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        mapping(1.0, phase, 50.0, 0.5)
 
 
 @given(exposure=exposures, phase_frac=phase_fracs, duty=duties)
@@ -514,6 +530,101 @@ def test_runs_export_format():
 def test_runs_export_bytes_are_pinned(overrides, trials, digest):
     text = runs_to_text(simulate_ionization_times(config(**overrides), trials))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def repr_rows(event_time_s, attempt_windows):
+    """The export rows as repr and an f-string write them, the reference
+    the numpy row kernel must match byte for byte."""
+    times = ("NA" if math.isnan(t) else repr(t) for t in event_time_s.tolist())
+    return "".join(f"{i}\t{t}\t{k}\n"
+                   for i, (t, k) in enumerate(zip(times, attempt_windows.tolist())))
+
+
+def kernel_doubles(rng):
+    """Over 10**6 doubles for the row kernel, by kind."""
+    def floats(bits):
+        return bits.view(np.float64)
+
+    def kernel_binades(n):
+        # random bit patterns whose binade lies in or next to [1e-4, 1e16)
+        exponent = rng.integers(1009, 1078, n, dtype=np.uint64) << np.uint64(52)
+        mantissa = rng.integers(0, 2**53, n, dtype=np.uint64)  # top bit: sign
+        return floats(exponent | (mantissa & np.uint64(2**52 - 1))
+                      | ((mantissa >> np.uint64(52)) << np.uint64(63)))
+
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    edges = np.array([1e-4, 1e16, 5e-324, -0.0, 0.0, math.nan])
+    near = np.concatenate([powers, edges[:2]])
+    ties = rng.integers(10**15, 2**50, 10_000)  # 16 integer digits, ulp 1/8
+    return {
+        "random bit patterns, every binade": floats(
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64)),
+        "random bit patterns, kernel binades": kernel_binades(370_000),
+        "event-like exponentials": (rng.standard_exponential(200_000)
+                                    * 10.0 ** rng.uniform(-3, 3, 200_000)),
+        "integers up to 2**53": (rng.integers(0, 2**53, 250_000)
+                                 >> rng.integers(0, 53, 250_000)).astype(float),
+        "short decimals": (rng.integers(0, 10**6, 150_000)
+                           / 10.0 ** rng.integers(0, 10, 150_000)),
+        "powers of two and the range edges, one ulp either side": np.concatenate(
+            [near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), edges]),
+        "exact digit ties": np.concatenate([ties + 0.25, ties + 0.75]),
+    }
+
+
+def test_row_kernel_text_equals_repr_on_a_million_doubles():
+    values = np.concatenate(list(kernel_doubles(np.random.default_rng(29)).values()))
+    n = len(values)
+    assert n >= 10**6
+    runs = SequenceRuns(seed=1, event_time_s=values,
+                        attempt_windows=np.zeros(n, dtype=np.int64),
+                        initial_phase_s=np.zeros(n), failed=np.zeros(n, dtype=bool))
+    # header "trial\tevent_time_s\tattempt_windows\n", then "i\tT\tk\n" per row
+    times = runs_to_text(runs).split("\t")[3::2]
+    expected = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        expected[i] = "NA"
+    if times != expected:
+        mismatches = [i for i, (got, want) in enumerate(zip(times, expected))
+                      if got != want]
+        pytest.fail(f"{len(mismatches)} mismatches, first: "
+                    f"{[(values[i], times[i], expected[i]) for i in mismatches[:5]]}")
+
+
+def test_row_kernel_rows_equal_the_fstring_rows():
+    # whole rows across three blocks: trial indices, NA and fallback rows,
+    # and window counts up to 2**53 (and the int64 extremes)
+    rng = np.random.default_rng(30)
+    n = 2 * BLOCK_TRIALS + 77
+    times = rng.standard_exponential(n) * 10.0 ** rng.uniform(-6, 17, n)
+    times[rng.random(n) < 0.3] = np.nan
+    times[:6] = [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 0.0, -0.0]
+    windows = rng.integers(0, 2**53 + 1, n) >> rng.integers(0, 54, n)
+    windows[:8] = [0, 2**53, 2**53 - 1, 10**13, 10**13 - 1, -1, -2**63, 2**63 - 1]
+    # compared line by line: a failing == on the whole text would have
+    # pytest diff two 8270-line strings
+    got = runs_to_text(make_runs(times.tolist(), windows)).splitlines()
+    want = ["trial\tevent_time_s\tattempt_windows"] + repr_rows(times, windows).splitlines()
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+
+def test_row_kernel_calls_repr_only_for_fallback_rows(monkeypatch):
+    from ybion import _reprtext
+
+    printed = []
+
+    def counting_repr(value):
+        printed.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(_reprtext, "repr", counting_repr, raising=False)
+    runs = simulate_ionization_times(config(rng_seed=1), 100_000)
+    runs_to_text(runs)
+    times = events(runs)
+    outside = times[(times < 1e-4) | (times >= 1e16)]
+    assert len(outside) > 0
+    assert sorted(printed) == sorted(outside.tolist())
 
 
 def test_rng_is_documented():
