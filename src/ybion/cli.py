@@ -52,6 +52,7 @@ from .crystal import (
     displacement_ratio,
     infer_charge,
     infer_eta,
+    normal_mode_frequencies,
 )
 from .errors import SchemeError, YbionError, check, representable
 # runs_to_text is not called here: simulate writes runs_text_blocks one
@@ -561,15 +562,18 @@ def _cmd_verify_roundtrip(args) -> _Run:
     )
     trap = TrapAxis(nu1_hz=args.nu1_hz, eta=args.eta)
     charges = ChargePair(q2=args.q2)
+    # noise-free observables that no float holds refuse the run, not a seed
+    displacement_ratio(args.eta, args.q2)
+    normal_mode_frequencies(trap)
     q2_list: list[float] = []
     eta_list: list[float] = []
     hits = 0
     for i in range(args.seeds):
-        record = synthesize_verification(trap, charges, noise, seed=args.seed_base + i)
         try:
+            record = synthesize_verification(trap, charges, noise, seed=args.seed_base + i)
             inference = infer_from_verification(record)
         except YbionError:
-            # a seed whose noisy record cannot be inverted is a miss
+            # a seed whose noisy record cannot be formed or inverted is a miss
             continue
         q2_list.append(inference.q2)
         eta_list.append(inference.eta_mean)

@@ -30,27 +30,24 @@ found from the nonzero pattern and supplies the level kept to the end of
 the reduction, which keeps every pivot positive even when the ground level
 is transient. Several closed classes raise SolverError naming the groups.
 
-steady_state eliminates every level but the one kept last, in index order,
-on the n x n matrix: a plain GTH solve. steady_state_scan is the one scan
-entry point. A scan changes only the two rates of the scanned pair, so it
-puts the pair and the level kept last at the end of the elimination order
-and eliminates every other level once, on the n x n matrix itself, with no
-points axis. What is left is the stochastic complement on those (at most
-three) trailing levels (Meyer, SIAM Review 31, 1989), identical at every
-detuning; the scanned rate is added to it and only that block is solved
-per point, before the eliminated levels are back-substituted.
-
-Both solves run through one kernel, _eliminate and _back_substitute, whose
-rates are Python floats in lists: on ten levels or fewer, one numpy call
-per pivot costs more than its arithmetic. In the scan's trailing block a
-rate that depends on the point is a numpy array over the scan points, and
-the kernel does the same operations, in the same order, on it. The
-steady-state and scan bits are pinned by sha256 in the tests, so numpy's
-own reductions give them: a sum of 8 terms or more is numpy's add.reduce,
-and a shorter one runs left to right from 0.0, as add.reduce does (_sum).
-build_rate_matrix accumulates on Python floats, converts to an array once
-and closes its columns with one numpy sum, and the scan's leading levels
-are back-substituted on a numpy basis array.
+steady_state and steady_state_scan share one driver, _gth. A scan changes
+only the two rates of the scanned pair, so the pair and the level kept
+last end the elimination order and every other level is eliminated once,
+in index order, on the n x n matrix itself, with no points axis. What is
+left is the stochastic complement on those (at most three) trailing
+levels (Meyer, SIAM Review 31, 1989), identical at every detuning; the
+scanned rate is added to it and only that block is solved per point. A
+steady state is the same solve with no pair, a plain GTH solve whose
+trailing block is the level kept last alone. The kernel, _eliminate and
+_back_substitute, works on Python floats in lists: on ten levels or
+fewer, one numpy call per pivot costs more than its arithmetic. A rate
+of the trailing block that depends on the point is a numpy array over
+the points, and the kernel does the same operations, in the same order,
+on it. The steady-state and scan bits are pinned by sha256 in the tests,
+so numpy's own reductions give them: a sum of 8 terms or more is numpy's
+add.reduce, and a shorter one runs left to right from 0.0, as add.reduce
+does (_sum). build_rate_matrix accumulates on Python floats, converts to
+an array once and closes its columns with one numpy sum.
 
 Time evolution is subtraction-free too: evolve exponentiates the matrix
 shifted by its largest out-rate, which is nonnegative, by a Taylor sum and
@@ -381,8 +378,8 @@ def _eliminate(cols: list, count: int) -> tuple[list, list]:
 def _back_substitute(reduced: list, p: list) -> None:
     """Fill p[:len(reduced)] from the levels after them, last level first,
     in place: eliminated level k holds the populations of the later levels
-    weighted by reduced[k], summed by _sum. An entry of p is a float or an
-    array over scan points."""
+    weighted by reduced[k], summed by _sum. p is a list of floats or an
+    array whose rows run over scan points."""
     for k in range(len(reduced) - 1, -1, -1):
         p[k] = _sum([r * q for r, q in zip(reduced[k], p[k + 1:])])
 
@@ -437,56 +434,66 @@ def _kept_last(m: RateMatrix, cols: list, links=()) -> int:
     return classes[0].bit_length() - 1
 
 
-def _permuted(cols: list, order: list) -> list:
-    """The columns of the matrix with its levels taken in the given order."""
-    return [[col[i] for i in order] for col in (cols[j] for j in order)]
+def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
+    """Stationary populations of m with the rate w (1/s) added both ways
+    between the two levels of pair, shape (n, points) for the points of w.
+
+    The level kept last, L, comes from _kept_last, with the pair's links
+    where w is nonzero, so every pivot stays positive even when the ground
+    level is transient. The t <= 3 trailing levels, the pair and then L,
+    end the elimination order. w is added to the pair's two rates in their
+    stochastic complement, and the same kernel eliminates that block for
+    every point at once; with no pair it is L alone. Back-substitution
+    gives the trailing populations per point and, once per trailing level,
+    each leading level as a fixed combination of the trailing ones, so one
+    (n, t) @ (t, points) product yields every population. An overflow or
+    0 * inf ends as a non-finite population, which the callers refuse.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1)
+    n = m.n
+    cols = m.matrix.T.tolist()
+    last = _kept_last(m, cols, (pair, pair[::-1]) if pair and (w != 0).any() else ())
+    trailing = [i for i in pair if i != last] + [last]
+    order = [i for i in range(n) if i not in trailing] + trailing
+    t = len(trailing)
+    lead = n - t
+    if order != list(range(n)):  # most steady states keep index order
+        cols = [[col[i] for i in order] for col in (cols[j] for j in order)]
+    reduced, rest = _eliminate(cols, lead)
+    with np.errstate(all="ignore"):
+        for i, j in zip(pair, pair[::-1]):
+            rest[trailing.index(j)][trailing.index(i)] += w
+        reduced_trailing, _ = _eliminate(rest, t - 1)
+        # row k: trailing level k at each point, relative to L at 1
+        p_trailing = np.empty((t, len(w)))  # np.ones costs a Python-level call
+        p_trailing.fill(1.0)
+        _back_substitute(reduced_trailing, p_trailing)
+        # column c: each level, in elimination order, for trailing level c at 1
+        columns = [[0.0] * lead + [float(k == c) for k in range(t)] for c in range(t)]
+        for column in columns:
+            _back_substitute(reduced, column)
+        # row i: level i as a combination of the trailing populations
+        position = sorted(range(n), key=order.__getitem__)
+        basis = np.array([column[k] for k in position for column in columns])
+        p = basis.reshape(n, t) @ p_trailing
+        # numpy sums one point's levels pairwise, in _sum's order, and the
+        # levels of several points row after row; the sha256 pins hold both
+        p /= p.sum(axis=0)
+    return p
 
 
 def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     """Stationary populations of m with the rate w (1/s) added both ways
     between upper and lower, shape (points, n) for the points of w.
 
-    One GTH solve serves every point. The level kept last, L, comes from
-    _kept_last on the combined nonzero pattern, so every pivot stays
-    positive even when the ground level is transient. The pair and L end
-    the elimination order, and the leading levels are eliminated once, on
-    the n x n matrix. w is added to the two pair rates of their stochastic
-    complement on the t <= 3 trailing levels, which makes those two rates
-    arrays over the points, and the same kernel eliminates that block for
-    every point at once. Back-substitution gives the trailing populations
-    per point and, once, each leading level as a fixed combination of the
-    trailing ones, so one (n, t) @ (t, points) product yields every
-    population. Row i equals steady_state of m with w[i] added to its two
-    entries, to a few rounding errors; levels outside the closed class come
-    out exactly zero. Needs a sink-free matrix. A point whose populations
-    overflow to NaN or inf is refused with steady_state's wording.
+    One GTH solve serves every point: only the block of the pair and the
+    level kept last is solved per point (_gth). Row i equals steady_state
+    of m with w[i] added to its two entries, to a few rounding errors;
+    levels outside the closed class come out exactly zero. Needs a
+    sink-free matrix. A point whose populations overflow to NaN or inf is
+    refused with steady_state's wording.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    pair = (m.index(upper), m.index(lower))
-    n = m.n
-    cols = m.matrix.T.tolist()
-    last = _kept_last(m, cols, (pair, pair[::-1]) if (w != 0).any() else ())
-    trailing = [i for i in pair if i != last] + [last]
-    order = [i for i in range(n) if i not in trailing] + trailing
-    t = len(trailing)
-    lead = n - t
-    reduced, rest = _eliminate(_permuted(cols, order), lead)
-    # an overflow or 0 * inf ends as a non-finite population, refused below
-    with np.errstate(all="ignore"):
-        for i, j in zip(pair, pair[::-1]):
-            rest[trailing.index(j)][trailing.index(i)] += w
-        reduced_trailing, _ = _eliminate(rest, t - 1)
-        p_trailing = [0.0] * (t - 1) + [np.ones(len(w))]
-        _back_substitute(reduced_trailing, p_trailing)
-        # stacked before the product, so the per-point arrays are freed first
-        p_trailing = np.array(p_trailing)
-        # row k: level k as a combination of the trailing populations
-        basis = np.zeros((n, t))
-        basis[lead:] = np.eye(t)
-        for k in range(lead - 1, -1, -1):
-            basis[k] = (np.array(reduced[k])[:, None] * basis[k + 1:]).sum(axis=0)
-        p = basis[np.argsort(order)] @ p_trailing
-        p /= p.sum(axis=0)
+    p = _gth(m, (m.index(upper), m.index(lower)), w)
     finite = np.isfinite(p).all(axis=0)
     if not finite.all():
         PopulationVector(p[:, ~finite][:, 0], m.labels)  # refuses as steady_state does
@@ -506,19 +513,7 @@ def steady_state(m: RateMatrix) -> PopulationVector:
     needs a unique closed class of levels (levels outside it end up empty);
     otherwise the error names the separate level groups.
     """
-    n = m.n
-    cols = m.matrix.T.tolist()
-    last = _kept_last(m, cols)
-    order = [i for i in range(n) if i != last] + [last]
-    reduced, _ = _eliminate(_permuted(cols, order), n - 1)
-    p = [0.0] * (n - 1) + [1.0]
-    _back_substitute(reduced, p)
-    populations = [0.0] * n
-    for position, level in enumerate(order):
-        populations[level] = p[position]
-    total = _sum(populations)
-    return PopulationVector(populations=[x / total for x in populations],
-                            labels=m.labels)
+    return PopulationVector(populations=_gth(m)[:, 0], labels=m.labels)
 
 
 @functools.cache

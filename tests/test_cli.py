@@ -702,6 +702,10 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
          "--seeds", "3"],
         "error: mode frequency nu_bre lies outside the floating-point range for "
         "nu1_hz = 1e+308, eta = 2.135", id="verify-roundtrip-nu1-1e308"),
+    pytest.param(
+        ["verify-roundtrip", "--eta", "2", "--q2", "1e308", "--seeds", "3"],
+        "error: displacement ratio lies outside the floating-point range for "
+        "eta = 2.0, q2 = 1e+308", id="verify-roundtrip-q2-1e308"),
     # finite peak intensity, but the photon flux overflows
     pytest.param(
         [a.replace("1e-4", "1e300").replace("1e-5", "1e-3") for a in IONIZE],
@@ -1601,6 +1605,22 @@ def test_verify_roundtrip_without_inferences_prints_na(tmp_path):
     out = tmp_path / "vr.tsv"
     assert main(["verify-roundtrip", "--eta", "10", "--q2", "2.0", "--seeds", "1",
                  "--out", str(out)]) == 0
+    vals = value_map(out.read_text())
+    assert vals["success_fraction"] == "0.0"
+    for name in ("q2_mean", "q2_std", "q2_bias", "eta_mean"):
+        assert vals[name] == "NA"
+    assert "diag.inference_failures: 1" in manifest_lines(out)
+
+
+def test_verify_roundtrip_counts_an_unformable_record_as_a_miss(tmp_path):
+    # seed 755 draws a ratio noise below -1/0.3, so the measured displacement
+    # ratio is negative and VerificationRecord refuses the record
+    trap, charges = TrapAxis(nu1_hz=474e3, eta=2.0), ChargePair(q2=2.0)
+    with pytest.raises(YbionError, match="displacement_ratio_measured"):
+        synthesize_verification(trap, charges, VerificationNoise(0.3, 0.01), seed=755)
+    out = tmp_path / "vr.tsv"
+    assert main(["verify-roundtrip", "--eta", "2", "--q2", "2", "--noise", "0.3", "0.01",
+                 "--seeds", "1", "--seed-base", "755", "--out", str(out)]) == 0
     vals = value_map(out.read_text())
     assert vals["success_fraction"] == "0.0"
     for name in ("q2_mean", "q2_std", "q2_bias", "eta_mean"):

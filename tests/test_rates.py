@@ -216,6 +216,15 @@ def test_steady_state_rejects_sink(yb_scheme):
         steady_state(ms)
 
 
+def test_scan_refuses_a_sink_as_steady_state_does(yb_scheme):
+    ms = build_rate_matrix(yb_scheme, include_ionization=True, ionization_rate=1.0)
+    with pytest.raises(SolverError) as steady:
+        steady_state(ms)
+    with pytest.raises(SolverError) as scan:
+        rates.steady_state_scan(ms, "7p12", "5d32", [1.0, 0.0])
+    assert str(scan.value) == str(steady.value)
+
+
 def test_disconnected_groups_named():
     scheme = LevelScheme(
         levels=(
@@ -451,6 +460,36 @@ def test_evolve_and_steady_state_bits_are_pinned(yb_scheme, saturation):
         digest.update(evolve(m, p0, float(t)).populations.tobytes())
     steady = steady_state(build_rate_matrix(sat)).populations.tobytes()
     assert (digest.hexdigest(), hashlib.sha256(steady).hexdigest()) == PINNED[saturation]
+
+
+def drawn_rate_matrix(seed, n):
+    """A random n-level rate matrix: about 70 % of the rates nonzero, each a
+    uniform mantissa times 2^-40 to 2^40. ldexp is exact, so the rates have
+    the same bits on every platform."""
+    rng = np.random.default_rng(seed)
+    a = np.ldexp(rng.random((n, n)), rng.integers(-40, 41, (n, n)))
+    a[rng.random((n, n)) < 0.3] = 0.0
+    a.flat[::n + 1] = 0.0
+    a.flat[::n + 1] = -a.sum(axis=0)
+    return RateMatrix(matrix=a, labels=tuple(f"l{i}" for i in range(n)))
+
+
+# sha256 of the float64 bytes of steady_state on drawn_rate_matrix(n, n).
+# Here the first n - 8 back-substituted levels sum 8 terms or more, by
+# numpy's add.reduce, so these pin the order of _sum's numpy branch, which
+# the bundled schemes' nine levels reach with their first level alone;
+# summing the back-substitution left to right changes every digest.
+DRAWN_PINNED = {
+    11: "6c14c65145596ae3147e585f5b1acf4262e80a9b5527c49f16b0256ca16816eb",
+    13: "6b2adf3ad1c23d9e70193ac47660fa6463b70ac6627fb2c4a1e124d23fbd2bd8",
+    15: "0cd23296706899831766f29ea6489bb88c9f17116e6ec4c51f0b9f4c171abb17",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DRAWN_PINNED))
+def test_steady_state_bits_are_pinned_on_drawn_matrices(n):
+    steady = steady_state(drawn_rate_matrix(n, n)).populations
+    assert hashlib.sha256(steady.tobytes()).hexdigest() == DRAWN_PINNED[n]
 
 
 def log_uniform(lowest, highest):
