@@ -48,8 +48,8 @@ from .crystal import (
     ETA_BRACKET,
     ChargePair,
     TrapAxis,
-    crystal_state,
     displacement_ratio,
+    equilibrium_positions,
     infer_charge,
     infer_eta,
     normal_mode_frequencies,
@@ -440,14 +440,16 @@ def _cmd_crystal(args) -> _Run:
         rows.append(["eta_inferred", eta_inferred, "dimensionless"])
         eta_for_ratio = eta_inferred
     trap = TrapAxis(nu1_hz=args.nu1_hz, eta=args.eta)
-    charges = ChargePair(q2=args.q2)
-    state = crystal_state(trap, charges)
+    x1, x2 = equilibrium_positions(trap, ChargePair(q2=args.q2))
+    nu_com, nu_bre = normal_mode_frequencies(trap)
+    representable("mode frequency nu_com", nu_com, "(0, inf)",
+                  nu1_hz=args.nu1_hz, eta=args.eta)
     rows += [
-        ["x1", state.x1_m, "m"],
-        ["x2", state.x2_m, "m"],
+        ["x1", x1, "m"],
+        ["x2", x2, "m"],
         ["displacement_ratio", displacement_ratio(args.eta, args.q2), "dimensionless"],
-        ["nu_com", state.nu_com_hz, "Hz"],
-        ["nu_bre", state.nu_bre_hz, "Hz"],
+        ["nu_com", nu_com, "Hz"],
+        ["nu_bre", nu_bre, "Hz"],
     ]
     if args.invert_from_ratio is not None:
         q2_inferred = infer_charge(args.invert_from_ratio, eta_for_ratio)

@@ -34,18 +34,16 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS, YB174_MASS_KG
-from .errors import SchemeError, SolverError, check, representable
+from .errors import SolverError, check, representable
 
 __all__ = [
     "TrapAxis",
     "ChargePair",
-    "CrystalState",
     "equilibrium_positions",
     "displacement_ratio",
     "normal_mode_frequencies",
     "infer_eta",
     "infer_charge",
-    "crystal_state",
 ]
 
 ETA_BRACKET = (1.0, 10.0)
@@ -80,22 +78,6 @@ class ChargePair:
 
     def __post_init__(self):
         check("q2", self.q2, "(0, inf)")
-
-
-@dataclass(frozen=True)
-class CrystalState:
-    """Equilibrium positions (m) and axial mode frequencies (Hz)."""
-
-    x1_m: float
-    x2_m: float
-    nu_com_hz: float
-    nu_bre_hz: float
-
-    def __post_init__(self):
-        if not self.x1_m > 0 > self.x2_m:
-            raise SchemeError("expected X1 > 0 > X2 for the two-ion equilibrium")
-        if not self.nu_bre_hz > self.nu_com_hz > 0:
-            raise SchemeError("mode frequencies must satisfy nu_bre > nu_com > 0")
 
 
 def _inv_square(value: float) -> float:
@@ -168,8 +150,8 @@ _ENDPOINTS = {
 def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
     """(nu_com, nu_bre) in Hz for the two axial modes.
 
-    A frequency that overflows is refused; nu_com underflows to 0 for eta
-    below about 1e-154, which CrystalState refuses.
+    A frequency that overflows is refused; nu_com, about sqrt(3) eta nu1
+    at small eta, may underflow to 0 and is returned as it is.
     """
     u_minus, u_plus = _mode_eigenvalues(trap.eta)
     # Python floats: an overflowing product is inf, without a numpy warning.
@@ -244,10 +226,3 @@ def infer_charge(ratio: float, eta: float) -> float:
     scale = 1.0 + _inv_square(eta)
     q2 = ratio * ratio * ratio * scale * scale / 4.0
     return representable("inferred q2", q2, "(0, inf)", ratio=ratio, eta=eta)
-
-
-def crystal_state(trap: TrapAxis, charges: ChargePair) -> CrystalState:
-    """Bundle positions and mode frequencies for one (trap, charges) point."""
-    x1, x2 = equilibrium_positions(trap, charges)
-    nu_com, nu_bre = normal_mode_frequencies(trap)
-    return CrystalState(x1_m=x1, x2_m=x2, nu_com_hz=nu_com, nu_bre_hz=nu_bre)

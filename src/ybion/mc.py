@@ -8,7 +8,9 @@ scheme's internal rates (>= 1e6 1/s) dwarf a 50 Hz chop, so the excited
 population is quasi-static over a window. Each trial draws an exposure
 time ~ Exp(R) and maps it through the window structure to a wall-clock
 event time; the mapping and its inverse are exposed (exposure_to_wall,
-wall_to_exposure) so distribution tests can undo the gating.
+wall_to_exposure) so distribution tests can undo the gating. Both walk the
+windows of a SequenceConfig, the one owner of what a valid chop rate and
+duty are.
 
 Each trial starts at a uniformly random phase of the chop cycle. A
 phase-locked start would make the wall-clock mean depend on the lock
@@ -247,17 +249,16 @@ def _scalar_or_array(value: np.ndarray, kind: type):
     return kind(value) if value.ndim == 0 else value
 
 
-def exposure_to_wall(exposure_s, phase_s, chop_rate_hz: float, duty: float):
+def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
     """Map accumulated ON-time to wall-clock time from a given start phase.
 
     Returns (wall_time_s, on_windows_touched). phase_s is the position in
-    the chop cycle at wall time zero, in [0, T). The ON window occupies
+    config's chop cycle at wall time zero, in [0, T). The ON window occupies
     the first duty*T of each cycle. exposure_s and phase_s may be scalars
     (giving a float and an int) or arrays that broadcast together (giving
     a float array and an int64 array).
     """
-    period = 1.0 / chop_rate_hz
-    t_on = duty * period
+    period, t_on = config.period_s, config.on_time_s
     exposure, phase = np.broadcast_arrays(
         np.asarray(exposure_s, dtype=float), np.asarray(phase_s, dtype=float)
     )
@@ -285,13 +286,12 @@ def exposure_to_wall(exposure_s, phase_s, chop_rate_hz: float, duty: float):
     )
 
 
-def wall_to_exposure(wall_s, phase_s, chop_rate_hz: float, duty: float):
+def wall_to_exposure(wall_s, phase_s, config: SequenceConfig):
     """Accumulated ON-time between wall time 0 and wall_s (inverse map).
 
     Scalars give a float; arrays broadcast together and give an array.
     """
-    period = 1.0 / chop_rate_hz
-    t_on = duty * period
+    period, t_on = config.period_s, config.on_time_s
     wall = np.asarray(wall_s, dtype=float)
     phase = np.asarray(phase_s, dtype=float)
     _check_phase(phase, period)
@@ -316,7 +316,6 @@ def simulate_ionization_times(config: SequenceConfig, trials: int) -> SequenceRu
     """
     if trials < 1:
         raise SchemeError("need at least one trial")
-    chop, duty = config.chop_rate_hz, config.ionization_duty
     runs = SequenceRuns(
         config.rng_seed,
         event_time_s=np.empty(trials),
@@ -337,11 +336,9 @@ def simulate_ionization_times(config: SequenceConfig, trials: int) -> SequenceRu
             exposure = draws / config.rate_per_s
         # A trial without an event spends its whole exposure budget, so
         # mapping the budget counts the windows it entered before the horizon.
-        budget = wall_to_exposure(config.max_time_s, phase, chop, duty)
+        budget = wall_to_exposure(config.max_time_s, phase, config)
         event = exposure <= budget
-        wall, windows = exposure_to_wall(
-            np.where(event, exposure, budget), phase, chop, duty
-        )
+        wall, windows = exposure_to_wall(np.where(event, exposure, budget), phase, config)
         if config.failure_prob > 0.0:
             abort_window = rng.geometric(config.failure_prob, BLOCK_TRIALS)[:n]
             failed = abort_window <= windows

@@ -234,7 +234,9 @@ def effective_quantum_number(energy_cm1: float, ionization_limit_cm1: float) -> 
     """
     gap = check("ionization limit minus level energy",
                 ionization_limit_cm1 - energy_cm1, "(0, inf)", "cm^-1", SolverError)
-    return math.sqrt(RYDBERG_YB174_CM1 / gap)
+    return representable("effective quantum number", math.sqrt(RYDBERG_YB174_CM1 / gap),
+                         "(0, inf)", SolverError, energy_cm1=energy_cm1,
+                         ionization_limit_cm1=ionization_limit_cm1)
 
 
 def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
@@ -372,7 +374,8 @@ def cross_section(
     refused.
     """
     check("effective quantum number", n_star, "(0, inf)", error=SolverError)
-    threshold_ev = RYDBERG_EV / n_star**2
+    threshold_ev = representable("ionization threshold", lambda: RYDBERG_EV / n_star**2,
+                                 "(0, inf)", SolverError, n_star=n_star)
     if photon_energy_ev < threshold_ev:
         raise SolverError(
             f"photon energy {photon_energy_ev} eV below ionization "

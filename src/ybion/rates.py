@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from ._numpy import np
@@ -198,7 +199,9 @@ class PopulationVector:
 
 def natural_fwhm_hz(lifetime_s: float) -> float:
     """Natural linewidth (FWHM, Hz) of a level with the given lifetime."""
-    return 1.0 / (2.0 * math.pi * lifetime_s)
+    check("lifetime", lifetime_s, "(0, inf)", "s")
+    return representable("natural linewidth", 1.0 / (2.0 * math.pi * lifetime_s),
+                         "(0, inf)", lifetime_s=lifetime_s)
 
 
 def saturation_from_power(
@@ -243,8 +246,10 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
         )
     peak = representable(f"{name} peak rate S / (2 lifetime)", s / (2.0 * lifetime),
                          saturation=s, lifetime_s=lifetime)
-    width = representable(f"{name} natural linewidth", natural_fwhm_hz(lifetime),
-                          "(0, inf)", lifetime_s=lifetime)
+    try:
+        width = natural_fwhm_hz(lifetime)
+    except SchemeError as refusal:
+        raise SchemeError(f"{name} {refusal}") from None
     # Where (2 detuning / width)^2 overflows, W is 0. A Python float raises
     # OverflowError there and numpy warns, so each is caught its own way;
     # the float path also skips numpy's per-call cost in build_rate_matrix.
@@ -276,7 +281,8 @@ def build_rate_matrix(
 
     With include_ionization=True, a one-way drain at ionization_rate (1/s)
     is added from IONIZED_FROM into an absorbing sink row appended after
-    the levels.
+    the levels. A level whose out-rates sum past the floating-point range
+    is refused, naming the level and its lifetime.
     """
     order = sorted(scheme.levels, key=lambda lv: -lv.energy_cm1)
     labels = [lv.label for lv in order]
@@ -315,8 +321,16 @@ def build_rate_matrix(
         labels.append(SINK_LABEL)
         m[sink_index][index[IONIZED_FROM]] += ionization_rate
 
-    # Each diagonal entry closes its column.
+    # Each diagonal entry closes its column. Nonnegative rates below
+    # DBL_MAX / size cannot sum past the float range, so only a larger one
+    # pays for the test of each column's sum.
     m = np.array(m)
+    if m.max() >= sys.float_info.max / size:
+        with np.errstate(over="ignore"):
+            out_rates = m.sum(axis=0).tolist()
+        for lv, out_rate in zip(order, out_rates):
+            representable(f"level {lv.label} out-rate", out_rate,
+                          lifetime_s=lv.lifetime_s)
     m.flat[::size + 1] = -m.sum(axis=0)
     return RateMatrix(matrix=m, labels=tuple(labels), sink_index=sink_index)
 
@@ -490,9 +504,12 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     level kept last is solved per point (_gth). Row i equals steady_state
     of m with w[i] added to its two entries, to a few rounding errors;
     levels outside the closed class come out exactly zero. Needs a
-    sink-free matrix. A point whose populations overflow to NaN or inf is
-    refused with steady_state's wording.
+    sink-free matrix. upper and lower must be two levels: a rate from a
+    level to itself moves no population. A point whose populations
+    overflow to NaN or inf is refused with steady_state's wording.
     """
+    if upper == lower:
+        raise SchemeError(f"scanned pair {upper}<->{lower}: levels must differ")
     p = _gth(m, (m.index(upper), m.index(lower)), w)
     finite = np.isfinite(p).all(axis=0)
     if not finite.all():

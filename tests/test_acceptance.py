@@ -240,7 +240,7 @@ def test_criterion_10_chopped_sequence_timing():
     hit = ~np.isnan(runs.event_time_s)
     times = runs.event_time_s[hit]
     se = float(times.std(ddof=1)) / math.sqrt(len(times))
-    exposures = wall_to_exposure(times, runs.initial_phase_s[hit], 50.0, 0.5)
+    exposures = wall_to_exposure(times, runs.initial_phase_s[hit], config)
     ks = kstest(exposures, "expon", args=(0.0, 1.0 / 4.1))
     ok = (
         len(times) == 100_000

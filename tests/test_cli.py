@@ -892,6 +892,11 @@ def test_fit_scan_and_xsec_never_import_scipy(tmp_path):
         ["crystal", "--nu1", "474e3", "--eta", "1e154"],
         "error: mode frequency nu_com lies outside the floating-point range for "
         "nu1_hz = 474000.0, eta = 1e+154", id="crystal-eta-1e154"),
+    # nu_com underflows to 0 while both positions stay representable
+    pytest.param(
+        ["crystal", "--nu1", "1e-300", "--eta", "1e-77"],
+        "error: mode frequency nu_com lies outside the floating-point range for "
+        "nu1_hz = 1e-300, eta = 1e-77", id="crystal-nu-com-underflows"),
     # photoion results whose factors are all positive but that underflow to 0
     pytest.param(
         ["xsec", "--model", "burgess", "--limit", "98207.0", "--wavelength-nm", "1e-300"],
@@ -1191,15 +1196,27 @@ def test_data_files_that_are_not_utf8_exit_two(data_files, name):
     assert err == f"error: {copy}: not UTF-8 text at byte 0\n"
 
 
+def write_edited(data_files, name, edits):
+    """Write the copy of data_files[name] with cell `column` of the first
+    line holding marker set to value, for each (marker, column, value) of
+    edits; returns the edited line numbers."""
+    source, copy, _ = data_files[name]
+    text = Path(source).read_text(encoding="utf-8")
+    lines = []
+    for marker, column, value in edits:
+        n = next(n for n, line in enumerate(text.splitlines(), start=1) if marker in line)
+        text = with_field(text, n, column, value)
+        lines.append(n)
+    Path(copy).write_text(text, encoding="utf-8")
+    return lines
+
+
 def edited_run(data_files, name, marker, column, value, command=0):
     """Run a command of data_files[name] on the file with cell `column` of
     the line holding marker set to value; returns (line number, code, out,
     err)."""
-    source, copy, commands = data_files[name]
-    text = Path(source).read_text(encoding="utf-8")
-    n = next(n for n, line in enumerate(text.splitlines(), start=1) if marker in line)
-    Path(copy).write_text(with_field(text, n, column, value), encoding="utf-8")
-    return (n, *run_without_warnings(commands[command]))
+    (n,) = write_edited(data_files, name, [(marker, column, value)])
+    return (n, *run_without_warnings(data_files[name][2][command]))
 
 
 @pytest.mark.parametrize("name,marker,column,value,rule", [
@@ -1254,6 +1271,53 @@ def test_drive_rates_outside_the_float_range_exit_two(data_files, marker, column
                        "outside the floating-point range for saturation = 1e+308, "
                        "lifetime_s = 1.35e-08\n",
     }[marker]
+
+
+# The level the lifetime of each [LEVELS] line belongs to, and the marker of
+# each [DRIVES] line; column 4 is a lifetime and column 5 a saturation.
+LIFETIMES = {'"reference ground"': "6s12", '"reference shelf"': "5d32",
+             '"reference relay"': "6p12", '"reference probed"': "7p12"}
+DRIVES = ["370.3704", "245.426"]
+# Out-rates that sum past the float range: 6p12 at 6e-309 s driven at
+# saturation 1 has three out-rates of about 8.3e307, and 5d32 at 1e-309 s
+# one decay rate beyond it.
+OUT_RATE_OVERFLOWS = [('"reference relay"', "6e-309", "370.3704", "1"),
+                      ('"reference shelf"', "1e-309", "370.3704", "1e4")]
+
+
+@pytest.mark.parametrize("command", [0, 1], ids=["steady-state", "scan"])
+@pytest.mark.parametrize("level,lifetime,drive,saturation", OUT_RATE_OVERFLOWS,
+                         ids=["6p12-sum", "5d32-decay"])
+def test_out_rates_past_the_float_range_exit_two_naming_the_level(
+        data_files, level, lifetime, drive, saturation, command):
+    # the axis-0 sum used to warn of an overflow before an unnamed refusal
+    write_edited(data_files, "scheme", [(level, 4, lifetime), (drive, 5, saturation)])
+    assert run_without_warnings(data_files["scheme"][2][command]) == (
+        2, "", f"error: level {LIFETIMES[level]} out-rate lies outside the "
+               f"floating-point range for lifetime_s = {lifetime}\n")
+
+
+@given(level=st.sampled_from(sorted(LIFETIMES)),
+       lifetime=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       drive=st.sampled_from(DRIVES),
+       saturation=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       command=st.sampled_from([0, 1]))
+@example(level='"reference relay"', lifetime=6e-309, drive="370.3704", saturation=1.0,
+         command=0)
+@example(level='"reference relay"', lifetime=6e-309, drive="370.3704", saturation=1.0,
+         command=1)
+@example(level='"reference shelf"', lifetime=1e-309, drive="370.3704", saturation=1e4,
+         command=0)
+@example(level='"reference shelf"', lifetime=1e-309, drive="370.3704", saturation=1e4,
+         command=1)
+@settings(max_examples=200, deadline=None)
+def test_scheme_lifetime_and_saturation_extremes_exit_cleanly(
+        data_files, level, lifetime, drive, saturation, command):
+    write_edited(data_files, "scheme",
+                 [(level, 4, repr(lifetime)), (drive, 5, repr(saturation))])
+    code, out, err = run_without_warnings(data_files["scheme"][2][command])
+    assert_exits_cleanly(code, out, err)
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("edge,peak", [(1.5e308, 1.7e308), (1e308, 1e308)])

@@ -13,9 +13,7 @@ from scipy.optimize import minimize
 from ybion.constants import YB174_MASS_KG
 from ybion.crystal import (
     ChargePair,
-    CrystalState,
     TrapAxis,
-    crystal_state,
     displacement_ratio,
     equilibrium_positions,
     infer_charge,
@@ -282,15 +280,7 @@ def test_infer_eta_rejects_non_finite(bad):
         infer_eta(NU1_HZ, bad, "com")
 
 
-# -- bundled state and type invariants ----------------------------------------------
-
-
-def test_crystal_state_bundles_consistently():
-    trap = TrapAxis(nu1_hz=NU1_HZ, eta=2.13)
-    charges = ChargePair(q2=2.0)
-    state = crystal_state(trap, charges)
-    assert (state.x1_m, state.x2_m) == equilibrium_positions(trap, charges)
-    assert (state.nu_com_hz, state.nu_bre_hz) == normal_mode_frequencies(trap)
+# -- type invariants ----------------------------------------------------------------
 
 
 def test_type_invariants():
@@ -300,10 +290,6 @@ def test_type_invariants():
         TrapAxis(nu1_hz=NU1_HZ, eta=-2.0)
     with pytest.raises(SchemeError):
         ChargePair(q2=0.0)
-    with pytest.raises(SchemeError):
-        CrystalState(x1_m=-1e-6, x2_m=-2e-6, nu_com_hz=1e5, nu_bre_hz=2e5)
-    with pytest.raises(SchemeError):
-        CrystalState(x1_m=1e-6, x2_m=-2e-6, nu_com_hz=2e5, nu_bre_hz=1e5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -10,8 +10,9 @@ import pytest
 
 import ybion
 from ybion.errors import SchemeError, SolverError, check, check_array, representable
-from ybion.mc import exposure_to_wall, wall_to_exposure
-from ybion.rates import build_rate_matrix, evolve, initial_population
+from ybion.mc import SequenceConfig, exposure_to_wall, wall_to_exposure
+from ybion.photoion import cross_section, effective_quantum_number
+from ybion.rates import build_rate_matrix, evolve, initial_population, natural_fwhm_hz
 from ybion.scheme import Level, load_bundled_scheme
 from ybion.spectro import lifetime_from_linewidth
 
@@ -71,12 +72,16 @@ def test_check_array_words_the_first_entry_outside_as_check_does(
     assert str(caught.value) == f"exposure {WORDINGS[interval]}, got {value!r} s"
 
 
+CHOPPED = SequenceConfig(rate_per_s=1.0, max_time_s=10.0, rng_seed=0,
+                         chop_rate_hz=50.0, ionization_duty=0.5)
+
+
 @pytest.mark.parametrize("call,message", [
-    (lambda: exposure_to_wall(np.array([1.0, math.nan]), 0.0, 50.0, 0.5),
+    (lambda: exposure_to_wall(np.array([1.0, math.nan]), 0.0, CHOPPED),
      "exposure must be >= 0 and finite, got nan s"),
-    (lambda: exposure_to_wall(-1.0, 0.0, 50.0, 0.5),
+    (lambda: exposure_to_wall(-1.0, 0.0, CHOPPED),
      "exposure must be >= 0 and finite, got -1.0 s"),
-    (lambda: wall_to_exposure(np.array([0.5, math.inf]), 0.0, 50.0, 0.5),
+    (lambda: wall_to_exposure(np.array([0.5, math.inf]), 0.0, CHOPPED),
      "wall time must be >= 0 and finite, got inf s"),
 ], ids=["exposure-nan", "exposure-negative", "wall-inf"])
 def test_chop_mappings_refuse_through_check_array(call, message):
@@ -107,6 +112,32 @@ def evolve_linewidth_reference(t_s):
 def test_non_finite_inputs_of_one_sided_checks_are_refused(call, error, message):
     with pytest.raises(error) as caught:
         call()
+    assert str(caught.value) == message
+
+
+# Python floats raise OverflowError or ZeroDivisionError, or give inf or a
+# negative width, where these used to return; each is refused by name.
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: cross_section(1e155, 1, 5.0), SolverError,
+     "ionization threshold lies outside the floating-point range for n_star = 1e+155"),
+    (lambda: cross_section(1e-300, 1, 5.0), SolverError,
+     "ionization threshold lies outside the floating-point range for n_star = 1e-300"),
+    (lambda: effective_quantum_number(0.0, TINY), SolverError,
+     "effective quantum number lies outside the floating-point range for "
+     "energy_cm1 = 0.0, ionization_limit_cm1 = 5e-324"),
+    (lambda: natural_fwhm_hz(0.0), SchemeError,
+     "lifetime must be positive and finite, got 0.0 s"),
+    (lambda: natural_fwhm_hz(-1.0), SchemeError,
+     "lifetime must be positive and finite, got -1.0 s"),
+    (lambda: natural_fwhm_hz(TINY), SchemeError,
+     "natural linewidth lies outside the floating-point range for lifetime_s = 5e-324"),
+], ids=["xsec-n-star-squared-overflows", "xsec-n-star-squared-underflows",
+        "n-star-overflows", "fwhm-zero-lifetime", "fwhm-negative-lifetime",
+        "fwhm-overflows"])
+def test_public_numeric_functions_refuse_naming_their_inputs(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
     assert str(caught.value) == message
 
 

@@ -86,46 +86,46 @@ def events(runs):
 
 
 def test_duty_one_mapping_is_identity():
-    wall, windows = exposure_to_wall(3.7, 0.005, 50.0, 1.0)
+    wall, windows = exposure_to_wall(3.7, 0.005, config(ionization_duty=1.0))
     assert wall == 3.7
-    assert wall_to_exposure(3.7, 0.005, 50.0, 1.0) == 3.7
+    assert wall_to_exposure(3.7, 0.005, config(ionization_duty=1.0)) == 3.7
     assert windows >= 1
 
 
 def test_mapping_spans_off_windows():
     # 50 Hz, duty 0.5: 10 ms ON then 10 ms OFF. 25 ms of exposure from
     # phase 0 needs two full ON windows plus 5 ms of the third cycle.
-    wall, windows = exposure_to_wall(0.025, 0.0, 50.0, 0.5)
+    wall, windows = exposure_to_wall(0.025, 0.0, config())
     assert wall == pytest.approx(0.045, abs=1e-12)
     assert windows == 3
 
 
 def test_mapping_phase_starts_in_off_part():
     # starting at phase 15 ms (OFF), the first ON time arrives at wall 5 ms
-    wall, windows = exposure_to_wall(0.002, 0.015, 50.0, 0.5)
+    wall, windows = exposure_to_wall(0.002, 0.015, config())
     assert wall == pytest.approx(0.007, abs=1e-12)
     assert windows == 1
 
 
 def test_mapping_window_boundary_exact_fill():
     # exposure exactly one ON window: event at the window's closing edge
-    wall, windows = exposure_to_wall(0.01, 0.0, 50.0, 0.5)
+    wall, windows = exposure_to_wall(0.01, 0.0, config())
     assert wall == pytest.approx(0.01, abs=1e-15)
     assert windows == 1
 
 
 def test_zero_exposure_is_zero_wall():
-    assert exposure_to_wall(0.0, 0.013, 50.0, 0.5) == (0.0, 0)
-    assert wall_to_exposure(0.0, 0.013, 50.0, 0.5) == 0.0
+    assert exposure_to_wall(0.0, 0.013, config()) == (0.0, 0)
+    assert wall_to_exposure(0.0, 0.013, config()) == 0.0
 
 
 def test_mapping_preconditions():
     with pytest.raises(SolverError, match="phase"):
-        exposure_to_wall(1.0, 0.03, 50.0, 0.5)
+        exposure_to_wall(1.0, 0.03, config())
     with pytest.raises(SolverError, match="exposure"):
-        exposure_to_wall(-1.0, 0.0, 50.0, 0.5)
+        exposure_to_wall(-1.0, 0.0, config())
     with pytest.raises(SolverError, match="wall time"):
-        wall_to_exposure(-1.0, 0.0, 50.0, 0.5)
+        wall_to_exposure(-1.0, 0.0, config())
 
 
 @pytest.mark.parametrize("phase,shown", [
@@ -138,18 +138,18 @@ def test_phase_refusal_names_the_phase_and_the_period(mapping, phase, shown):
     # the first phase outside [0, T) is named, here behind a valid one
     message = f"phase must lie in [0, 0.02) s, got {shown} s"
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
-        mapping(1.0, np.array([0.01, phase, 0.05]), 50.0, 0.5)
+        mapping(1.0, np.array([0.01, phase, 0.05]), config())
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
-        mapping(1.0, phase, 50.0, 0.5)
+        mapping(1.0, phase, config())
 
 
 @given(exposure=exposures, phase_frac=phase_fracs, duty=duties)
 @settings(max_examples=200)
 def test_wall_inverts_exposure(exposure, phase_frac, duty):
-    chop = 50.0
-    phase = phase_frac * (1.0 / chop)
-    wall, _ = exposure_to_wall(exposure, phase, chop, duty)
-    back = wall_to_exposure(wall, phase, chop, duty)
+    chopped = config(ionization_duty=duty)
+    phase = phase_frac * chopped.period_s
+    wall, _ = exposure_to_wall(exposure, phase, chopped)
+    back = wall_to_exposure(wall, phase, chopped)
     assert back == pytest.approx(exposure, abs=1e-12, rel=1e-12)
 
 
@@ -157,11 +157,11 @@ def test_wall_inverts_exposure(exposure, phase_frac, duty):
        pair=st.tuples(exposures, exposures))
 @settings(max_examples=120)
 def test_wall_monotone_in_exposure(phase_frac, duty, pair):
-    chop = 50.0
-    phase = phase_frac * (1.0 / chop)
+    chopped = config(ionization_duty=duty)
+    phase = phase_frac * chopped.period_s
     lo, hi = sorted(pair)
-    wall_lo, _ = exposure_to_wall(lo, phase, chop, duty)
-    wall_hi, _ = exposure_to_wall(hi, phase, chop, duty)
+    wall_lo, _ = exposure_to_wall(lo, phase, chopped)
+    wall_hi, _ = exposure_to_wall(hi, phase, chopped)
     assert wall_hi >= wall_lo
 
 
@@ -219,10 +219,11 @@ def test_reference_run_frozen_mean():
 def test_exposure_coordinates_are_exponential():
     # undo the gating per trial, then KS-test against Exp(rate) at the 1%
     # critical value
-    runs = simulate_ionization_times(config(rng_seed=42), 10_000)
+    chopped = config(rng_seed=42)
+    runs = simulate_ionization_times(chopped, 10_000)
     hit = ~np.isnan(runs.event_time_s)
     exposures = wall_to_exposure(
-        runs.event_time_s[hit], runs.initial_phase_s[hit], 50.0, 0.5)
+        runs.event_time_s[hit], runs.initial_phase_s[hit], chopped)
     assert len(exposures) == 10_000
     result = kstest(exposures, "expon", args=(0.0, 1.0 / RATE))
     assert result.statistic < 1.628 / math.sqrt(len(exposures))
@@ -475,6 +476,18 @@ def test_config_invariants():
         config(failure_prob=1.5)
     full_duty = config(ionization_duty=1.0)
     assert full_duty.on_time_s == full_duty.period_s
+
+
+# The chop-window mappings take their period and ON time from a
+# SequenceConfig, so these are the only refusals of a bad chop rate or duty.
+@pytest.mark.parametrize("field,value,message", [
+    ("chop_rate_hz", 0.0, "chop rate must be positive and finite, got 0.0"),
+    ("ionization_duty", 0.0, "ionization duty must lie in (0, 1], got 0.0"),
+    ("ionization_duty", 2.0, "ionization duty must lie in (0, 1], got 2.0"),
+])
+def test_config_owns_the_chop_rate_and_duty_ranges(field, value, message):
+    with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
+        config(**{field: value})
 
 
 @pytest.mark.parametrize("field", [

@@ -322,6 +322,15 @@ def test_scan_refuses_a_zero_pivot_at_one_point():
         "reach the level kept last")
 
 
+def test_scan_refuses_a_self_pair_naming_the_level(yb_scheme):
+    # a rate from a level to itself moves no population; this used to end
+    # at a zero pivot, whose refusal named neither the pair nor the cause
+    m = build_rate_matrix(yb_scheme)
+    with pytest.raises(SchemeError) as err:
+        rates.steady_state_scan(m, "7p12", "7p12", [1.0, 2.0])
+    assert str(err.value) == "scanned pair 7p12<->7p12: levels must differ"
+
+
 def test_scan_refuses_overflowing_populations_as_steady_state_does():
     # the back-substitution products overflow, so every population is NaN
     a = np.array([[-1e-300, 1e300, 1e200], [1e-300, -1e300, 1e-200],
