@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, YB174_MASS_KG
+from .constants import ELEMENTARY_CHARGE_C, VACUUM_PERMITTIVITY_F_M, YB174_MASS_KG
 from .errors import SolverError, check, representable
 
 __all__ = [
@@ -86,17 +86,9 @@ def _inv_square(value: float) -> float:
     return inv * inv
 
 
-def _coulomb_q(charges: ChargePair) -> float:
-    e = CONSTANTS.elementary_charge
-    return (
-        charges.q2 * e**2
-        / (4.0 * math.pi * CONSTANTS.vacuum_permittivity)
-    )
-
-
 def equilibrium_positions(trap: TrapAxis, charges: ChargePair) -> tuple[float, float]:
     """Equilibrium positions (X1, X2) in meters, X1 > 0 > X2."""
-    q = _coulomb_q(charges)
+    q = charges.q2 * ELEMENTARY_CHARGE_C**2 / (4.0 * math.pi * VACUUM_PERMITTIVITY_F_M)
     inv_eta2 = _inv_square(trap.eta)
     scale = 1.0 + inv_eta2
     stiffness = scale * scale * YB174_MASS_KG * trap.omega1 * trap.omega1

@@ -249,6 +249,16 @@ def _scalar_or_array(value: np.ndarray, kind: type):
     return kind(value) if value.ndim == 0 else value
 
 
+def _first_flagged(flags: np.ndarray, config: SequenceConfig, **inputs) -> dict:
+    """The inputs at the first True entry of flags (in C order), as floats,
+    followed by config's chop rate and duty."""
+    first = np.flatnonzero(flags)[0]
+    named = {name: float(np.broadcast_to(v, flags.shape).flat[first])
+             for name, v in inputs.items()}
+    return dict(named, chop_rate_hz=config.chop_rate_hz,
+                ionization_duty=config.ionization_duty)
+
+
 def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
     """Map accumulated ON-time to wall-clock time from a given start phase.
 
@@ -256,7 +266,8 @@ def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
     config's chop cycle at wall time zero, in [0, T). The ON window occupies
     the first duty*T of each cycle. exposure_s and phase_s may be scalars
     (giving a float and an int) or arrays that broadcast together (giving
-    a float array and an int64 array).
+    a float array and an int64 array). An exposure spanning 2**63 or more
+    windows, or a wall time past the float range, raises SolverError.
     """
     period, t_on = config.period_s, config.on_time_s
     exposure, phase = np.broadcast_arrays(
@@ -266,20 +277,34 @@ def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
     check_array("exposure", exposure, "[0, inf)", "s", SolverError)
     first_avail = np.maximum(t_on - phase, 0.0)
     remaining = exposure - first_avail
-    full = np.floor_divide(remaining, t_on)
-    rem = remaining - full * t_on
-    # Exposure that exactly fills a window ends at that window's closing
-    # edge, not at the opening of the next.
-    exact = rem == 0.0
-    full -= exact
-    rem += exact * t_on
-    wall = (full + 1.0) * period + rem - phase
+    # Out-of-range results are refused below, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.floor_divide(remaining, t_on)
+        rem = remaining - full * t_on
+        # Exposure that exactly fills a window ends at that window's closing
+        # edge, not at the opening of the next.
+        exact = rem == 0.0
+        full -= exact
+        rem += exact * t_on
+        wall = (full + 1.0) * period + rem - phase
     windows = (first_avail > 0.0) + full + 1.0
     # Exposure used up in the window open at the start touches that window
     # only, or none when it is zero.
     in_first = exposure <= first_avail
     wall = np.where(in_first, exposure, wall)
     windows = np.where(in_first, exposure > 0.0, windows)
+    # max() propagates NaN, and a full reduction is cheaper than a mask.
+    if not windows.max(initial=0.0) < 2.0**63:
+        named = _first_flagged(~(windows < 2.0**63), config,
+                               exposure_s=exposure, phase_s=phase)
+        raise SolverError(
+            "exposure spans 2**63 or more ON windows for "
+            + ", ".join(f"{name} = {v}" for name, v in named.items()))
+    # With fewer windows than that, a wall time out of range is +inf.
+    if not wall.max(initial=0.0) < math.inf:
+        named = _first_flagged(~(wall < math.inf), config, wall=wall,
+                               exposure_s=exposure, phase_s=phase)
+        representable("wall time", named.pop("wall"), error=SolverError, **named)
     return (
         _scalar_or_array(wall, float),
         _scalar_or_array(windows.astype(np.int64), int),
@@ -289,7 +314,8 @@ def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
 def wall_to_exposure(wall_s, phase_s, config: SequenceConfig):
     """Accumulated ON-time between wall time 0 and wall_s (inverse map).
 
-    Scalars give a float; arrays broadcast together and give an array.
+    Scalars give a float; arrays broadcast together and give an array. A
+    non-finite ON time raises SolverError.
     """
     period, t_on = config.period_s, config.on_time_s
     wall = np.asarray(wall_s, dtype=float)
@@ -301,7 +327,14 @@ def wall_to_exposure(wall_s, phase_s, config: SequenceConfig):
         cycles = np.floor(c / period)
         return cycles * t_on + np.minimum(c - cycles * period, t_on)
 
-    exposure = on_time_up_to(phase + wall) - on_time_up_to(phase)
+    # A wall time of more than about DBL_MAX periods overflows the cycle
+    # count, and the non-finite ON time it gives is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        exposure = on_time_up_to(phase + wall) - on_time_up_to(phase)
+    if not np.isfinite(exposure).all():
+        named = _first_flagged(~np.isfinite(exposure), config, exposure=exposure,
+                               wall_s=wall, phase_s=phase)
+        representable("ON time", named.pop("exposure"), error=SolverError, **named)
     return _scalar_or_array(exposure, float)
 
 

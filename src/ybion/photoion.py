@@ -37,7 +37,8 @@ import sys
 from dataclasses import dataclass
 
 from .constants import (
-    CONSTANTS,
+    BOHR_RADIUS_M,
+    FINE_STRUCTURE,
     MEGABARN_M2,
     RYDBERG_EV,
     RYDBERG_YB174_CM1,
@@ -65,9 +66,9 @@ DEFECT_GRID_POINTS = 2048
 # Kramers threshold cross section of hydrogen 1s: 64/(3 sqrt(3)) alpha pi a0^2.
 SIGMA_KRAMERS_M2 = (
     64.0 / (3.0 * math.sqrt(3.0))
-    * CONSTANTS.fine_structure
+    * FINE_STRUCTURE
     * math.pi
-    * CONSTANTS.bohr_radius**2
+    * BOHR_RADIUS_M**2
 )
 
 

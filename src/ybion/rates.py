@@ -70,7 +70,7 @@ import sys
 from dataclasses import dataclass, field
 
 from ._numpy import np
-from .constants import CONSTANTS
+from .constants import PLANCK_CONSTANT_J_S, SPEED_OF_LIGHT_M_S
 from .errors import SchemeError, SolverError, check, representable
 from .scheme import LevelScheme
 
@@ -218,7 +218,7 @@ def saturation_from_power(
     def saturation() -> float:
         peak = 2.0 * power_w / (math.pi * waist_m**2)
         i_sat = (
-            math.pi * CONSTANTS.planck_constant * CONSTANTS.speed_of_light
+            math.pi * PLANCK_CONSTANT_J_S * SPEED_OF_LIGHT_M_S
             / (3.0 * lam**3 * lifetime_s)
         )
         return peak / i_sat

@@ -251,7 +251,10 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
 
     wavelengths: list[tuple[LaserDrive, float]] = []
     for dr, gap in _checked_pairs(scheme.drives, by_label, "drive"):
-        implied = vacuum_wavelength_nm(gap)
+        try:
+            implied = vacuum_wavelength_nm(gap)
+        except SchemeError as refusal:
+            raise SchemeError(f"{dr.name}: {refusal}") from None
         mismatch = abs(implied - dr.wavelength_nm) / dr.wavelength_nm
         if mismatch > WAVELENGTH_TOLERANCE:
             raise SchemeError(

@@ -522,6 +522,16 @@ def test_refusals_of_extreme_numbers_name_them_in_one_short_line(argv, named, tm
     assert named in err and len(err) < 200, err
 
 
+# A gap below about 5.6e-302 cm^-1 implies a wavelength past the float range.
+@pytest.mark.parametrize("gap", ["5e-324", "5.5e-302"])
+def test_a_gap_too_small_for_a_wavelength_exits_two_naming_the_drive(gap, tmp_path):
+    scheme = tmp_path / "gap.scheme"
+    scheme.write_text(gap_scheme(gap), encoding="utf-8")
+    assert run_without_warnings(["steady-state", "--scheme", str(scheme)]) == (
+        2, "", "error: drive e<->g: vacuum wavelength lies outside the floating-point "
+        f"range for delta_energy_cm1 = {gap}\n")
+
+
 # The README example of every subcommand that needs no scipy.
 NUMPY_ONLY = [
     ["--version"],

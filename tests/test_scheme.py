@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybion.constants import CONSTANTS, photon_energy_j, vacuum_wavelength_nm
+from ybion.constants import PLANCK_CONSTANT_J_S, photon_energy_j, vacuum_wavelength_nm
 from ybion.errors import SchemeError
 from ybion.scheme import (
     DecayChannel,
@@ -42,7 +42,7 @@ def yb_scheme():
 def test_constants_hc_consistency():
     # 500 nm photon energy, CODATA hc
     assert photon_energy_j(500.0) == pytest.approx(3.973e-19, rel=1e-4)
-    assert CONSTANTS.planck_constant == 6.62607015e-34
+    assert PLANCK_CONSTANT_J_S == 6.62607015e-34
 
 
 def test_bundled_scheme_levels_and_branchings(yb_scheme):
