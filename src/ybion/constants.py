@@ -55,7 +55,8 @@ RYDBERG_EV = (
 
 
 def photon_energy_j(wavelength_nm: float) -> float:
-    """Photon energy h*c/lambda in joules for a vacuum wavelength in nm."""
+    """Photon energy h*c/lambda in joules, positive, for a vacuum
+    wavelength in nm."""
     # 0.0 in m for a subnormal wavelength in nm
     wavelength_m = check("wavelength", wavelength_nm, "(0, inf)", "nm") * 1e-9
     return representable(
@@ -65,6 +66,7 @@ def photon_energy_j(wavelength_nm: float) -> float:
 
 
 def photon_energy_ev(wavelength_nm: float) -> float:
+    """photon_energy_j in eV, positive."""
     # finite in J, but not always in eV
     return representable(
         "photon energy in eV",
@@ -73,7 +75,8 @@ def photon_energy_ev(wavelength_nm: float) -> float:
 
 
 def vacuum_wavelength_nm(delta_energy_cm1: float) -> float:
-    """Vacuum wavelength in nm of a transition with energy gap in cm^-1."""
+    """Vacuum wavelength in nm, positive, of a transition with energy gap
+    in cm^-1."""
     return representable(
         "vacuum wavelength",
         1e7 / check("energy gap", delta_energy_cm1, "(0, inf)", "cm^-1"),

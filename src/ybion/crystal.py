@@ -101,7 +101,8 @@ def equilibrium_positions(trap: TrapAxis, charges: ChargePair) -> tuple[float, f
 
 
 def displacement_ratio(eta: float, q2: float) -> float:
-    """X1(eta, q2) normalized to the equal-charge equal-frequency crystal.
+    """X1(eta, q2) normalized to the equal-charge equal-frequency crystal,
+    positive.
 
     Closed form (4 q2 / (1 + eta^-2)^2)^(1/3); the cube root makes this a
     weak function of q2, which is why inverting it amplifies measurement
@@ -140,10 +141,12 @@ _ENDPOINTS = {
 
 
 def normal_mode_frequencies(trap: TrapAxis) -> tuple[float, float]:
-    """(nu_com, nu_bre) in Hz for the two axial modes.
+    """(nu_com, nu_bre) in Hz for the two axial modes, nu_com <= nu_bre.
 
     A frequency that overflows is refused; nu_com, about sqrt(3) eta nu1
-    at small eta, may underflow to 0 and is returned as it is.
+    at small eta, may underflow to 0 and is returned as it is. nu_com <
+    nu_bre wherever nu_bre is a normal float; two subnormals may round to
+    the same float, as TrapAxis(5e-324, 0.5) gives (5e-324, 5e-324).
     """
     u_minus, u_plus = _mode_eigenvalues(trap.eta)
     # Python floats: an overflowing product is inf, without a numpy warning.
@@ -206,7 +209,8 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
 
 
 def infer_charge(ratio: float, eta: float) -> float:
-    """q2 in units of e from the measured displacement ratio at known eta.
+    """q2 in units of e, positive, from the measured displacement ratio at
+    known eta.
 
     Exact inverse of displacement_ratio: q2 = ratio^3 (1 + eta^-2)^2 / 4.
     The cube propagates a relative error in the ratio threefold into q2.

@@ -227,7 +227,7 @@ def rate_coefficient(
 
 
 def effective_quantum_number(energy_cm1: float, ionization_limit_cm1: float) -> float:
-    """n* = sqrt(R / (limit - E)) for a bound level.
+    """n* = sqrt(R / (limit - E)), positive, for a bound level.
 
     R is the Rydberg constant mass-corrected for 174Yb. The returned
     value encodes the binding energy alone; the threshold photon energy for
@@ -373,6 +373,13 @@ def cross_section(
     and scale their COEFFICIENT_TABLES threshold value in Mb by falloff^3.
     Every factor is positive, so a cross section that underflows to 0 is
     refused.
+
+    Known offset, kept so that the outputs stay as pinned: the threshold
+    uses the infinite-mass RYDBERG_EV, while effective_quantum_number
+    derives n* from the 174Yb-mass RYDBERG_YB174_CM1. So the threshold is
+    (1 + m_e / M) times the binding energy, 1 + 3.15e-6 for 7p12 of
+    yb174_plus, and through the cubic falloff sigma is about 9.5e-6
+    relative off a mass-consistent threshold.
     """
     check("effective quantum number", n_star, "(0, inf)", error=SolverError)
     threshold_ev = representable("ionization threshold", lambda: RYDBERG_EV / n_star**2,

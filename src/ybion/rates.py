@@ -25,10 +25,13 @@ Steady states come from the Grassmann-Taksar-Heyman (GTH) state reduction
 the off-diagonal rates, never subtracts, and so returns nonnegative
 populations accurate entry by entry even at saturation parameters of 1e8.
 A unique steady state exists exactly when the level graph has one closed
-class (a set of mutually reachable levels with no way out); that class is
-found from the nonzero pattern and supplies the level kept to the end of
-the reduction, which keeps every pivot positive even when the ground level
-is transient. Several closed classes raise SolverError naming the groups.
+class (a set of mutually reachable levels with no way out). The last,
+ground level is kept to the end of the reduction first; its pivots are
+positive when every level reaches it (O'Cinneide, Numer. Math. 65, 1993).
+After a failed pivot, the closed class is found from the nonzero pattern
+and its highest-index member is kept last instead, which also serves a
+transient ground level. Several closed classes raise SolverError naming
+the groups.
 
 steady_state and steady_state_scan share one driver, _gth. A scan changes
 only the two rates of the scanned pair, so the pair and the level kept
@@ -71,7 +74,7 @@ from dataclasses import dataclass, field
 
 from ._numpy import np
 from .constants import PLANCK_CONSTANT_J_S, SPEED_OF_LIGHT_M_S
-from .errors import SchemeError, SolverError, check, representable
+from .errors import SchemeError, SolverError, check, check_array, representable
 from .scheme import LevelScheme
 
 __all__ = [
@@ -198,7 +201,8 @@ class PopulationVector:
 
 
 def natural_fwhm_hz(lifetime_s: float) -> float:
-    """Natural linewidth (FWHM, Hz) of a level with the given lifetime."""
+    """Natural linewidth (FWHM, Hz), positive, of a level with the given
+    lifetime."""
     check("lifetime", lifetime_s, "(0, inf)", "s")
     return representable("natural linewidth", 1.0 / (2.0 * math.pi * lifetime_s),
                          "(0, inf)", lifetime_s=lifetime_s)
@@ -398,75 +402,71 @@ def _back_substitute(reduced: list, p: list) -> None:
         p[k] = _sum([r * q for r, q in zip(reduced[k], p[k + 1:])])
 
 
-def _kept_last(m: RateMatrix, cols: list, links=()) -> int:
-    """The level GTH keeps to the end of the reduction: the highest-index
+def _kept_last(m: RateMatrix, links) -> int:
+    """The level to keep last after a failed pivot: the highest-index
     member of the unique closed class of the level graph, in which
-    population flows j -> i where cols[j][i] != 0 and for each (i, j) of
-    links. Raises SolverError for a matrix with a sink, or for several
-    closed classes, naming the level groups."""
-    if m.sink_index is not None:
-        raise SolverError(
-            "steady_state needs a sink-free matrix; build it without "
-            "include_ionization"
-        )
-    n = len(cols)
-    # reach[j] has bit i set when level j can reach level i
-    reach = []
-    for j, col in enumerate(cols):
-        bits = 1 << j
-        for i, rate in enumerate(col):
-            if rate != 0.0:
-                bits |= 1 << i
-        reach.append(bits)
+    population flows j -> i where m.matrix[i, j] != 0 and for each (i, j)
+    of links. Raises SolverError for several closed classes, naming the
+    level groups."""
+    # reach[j]: the levels j can reach
+    reach = [{j} | {i for i, rate in enumerate(col) if rate != 0.0}
+             for j, col in enumerate(m.matrix.T.tolist())]
     for i, j in links:
-        reach[j] |= 1 << i
+        reach[j].add(i)
     # transitive closure (Warshall): after round k, paths through 0..k count
-    for k in range(n):
-        through = reach[k]
-        for j in range(n):
-            if reach[j] >> k & 1:
-                reach[j] |= through
+    for k in range(m.n):
+        for r in reach:
+            if k in r:
+                r |= reach[k]
     # A closed class is the reach of each of its members, which all reach
     # back; it is listed once, at its first member.
-    classes = [
-        r for j, r in enumerate(reach)
-        if r & -r == 1 << j and all(reach[i] >> j & 1 for i in range(n) if r >> i & 1)
-    ]
+    classes = [r for j, r in enumerate(reach)
+               if min(r) == j and all(j in reach[i] for i in r)]
     if len(classes) > 1:
-        recurrent = 0
-        for c in classes:
-            recurrent |= c
-        named = "; ".join(
-            "{" + ", ".join(m.labels[j] for j in range(n)
-                            if not reach[j] & recurrent & ~c) + "}"
-            for c in classes
-        )
-        raise SolverError(
-            f"null space dimension {len(classes)}: no population flows "
-            f"between level groups {named}"
-        )
-    return classes[0].bit_length() - 1
+        recurrent = set().union(*classes)
+        named = "; ".join("{" + ", ".join(label for label, r in zip(m.labels, reach)
+                                          if r & recurrent <= c) + "}" for c in classes)
+        raise SolverError(f"null space dimension {len(classes)}: no population flows "
+                          f"between level groups {named}")
+    return max(classes[0])
 
 
 def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
     """Stationary populations of m with the rate w (1/s) added both ways
     between the two levels of pair, shape (n, points) for the points of w.
 
-    The level kept last, L, comes from _kept_last, with the pair's links
-    where w is nonzero, so every pivot stays positive even when the ground
-    level is transient. The t <= 3 trailing levels, the pair and then L,
-    end the elimination order. w is added to the pair's two rates in their
-    stochastic complement, and the same kernel eliminates that block for
-    every point at once; with no pair it is L alone. Back-substitution
-    gives the trailing populations per point and, once per trailing level,
-    each leading level as a fixed combination of the trailing ones, so one
-    (n, t) @ (t, points) product yields every population. An overflow or
-    0 * inf ends as a non-finite population, which the callers refuse.
+    The last level, n - 1, is kept last first: when all its pivots pass,
+    every level reaches it, so it is the highest-index member of the
+    unique closed class. After a failed pivot, _kept_last finds that
+    member, with the pair's links where w is nonzero, and the solve runs
+    once more; a second failure re-raises the pivot refusal.
     """
+    if m.sink_index is not None:
+        raise SolverError("steady_state needs a sink-free matrix; build it "
+                          "without include_ionization")
     w = np.asarray(w, dtype=float).reshape(-1)
+    try:
+        return _solve(m, pair, w, m.n - 1)
+    except SolverError:
+        pass
+    links = (pair, pair[::-1]) if pair and (w != 0).any() else ()
+    return _solve(m, pair, w, _kept_last(m, links))
+
+
+def _solve(m: RateMatrix, pair: tuple, w: np.ndarray, last: int) -> np.ndarray:
+    """_gth's solve with level `last` kept to the end of the reduction.
+
+    The t <= 3 trailing levels, the pair and then `last`, end the
+    elimination order. w is added to the pair's two rates in their
+    stochastic complement, and the same kernel eliminates that block for
+    every point at once. Back-substitution gives the trailing populations
+    per point and, once per trailing level, each leading level as a fixed
+    combination of the trailing ones, so one (n, t) @ (t, points) product
+    yields every population. An overflow or 0 * inf ends as a non-finite
+    population, which the callers refuse.
+    """
     n = m.n
     cols = m.matrix.T.tolist()
-    last = _kept_last(m, cols, (pair, pair[::-1]) if pair and (w != 0).any() else ())
     trailing = [i for i in pair if i != last] + [last]
     order = [i for i in range(n) if i not in trailing] + trailing
     t = len(trailing)
@@ -478,7 +478,7 @@ def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
         for i, j in zip(pair, pair[::-1]):
             rest[trailing.index(j)][trailing.index(i)] += w
         reduced_trailing, _ = _eliminate(rest, t - 1)
-        # row k: trailing level k at each point, relative to L at 1
+        # row k: trailing level k at each point, relative to `last` at 1
         p_trailing = np.empty((t, len(w)))  # np.ones costs a Python-level call
         p_trailing.fill(1.0)
         _back_substitute(reduced_trailing, p_trailing)
@@ -505,11 +505,14 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     of m with w[i] added to its two entries, to a few rounding errors;
     levels outside the closed class come out exactly zero. Needs a
     sink-free matrix. upper and lower must be two levels: a rate from a
-    level to itself moves no population. A point whose populations
-    overflow to NaN or inf is refused with steady_state's wording.
+    level to itself moves no population. A w below 0, NaN or infinite is
+    refused, naming its value. A point whose populations overflow to NaN
+    or inf is refused with steady_state's wording.
     """
     if upper == lower:
         raise SchemeError(f"scanned pair {upper}<->{lower}: levels must differ")
+    w = check_array("scanned rate", np.asarray(w, dtype=float), "[0, inf)", "1/s",
+                    SolverError)
     p = _gth(m, (m.index(upper), m.index(lower)), w)
     finite = np.isfinite(p).all(axis=0)
     if not finite.all():
@@ -523,9 +526,10 @@ def steady_state(m: RateMatrix) -> PopulationVector:
     Requires a sink-free matrix (built without include_ionization); a drain
     would make the only stationary state the fully ionized one. The solve
     is the subtraction-free GTH state reduction on the n x n matrix alone:
-    every level but the one kept last is eliminated in index order and
-    back-substituted. Populations are nonnegative and entrywise accurate
-    even when stimulated rates dwarf the slow spontaneous channels by many
+    every level but the last, the ground level, is eliminated in index
+    order and back-substituted; after a failed pivot, _gth keeps another
+    level last. Populations are nonnegative and entrywise accurate even
+    when stimulated rates dwarf the slow spontaneous channels by many
     orders of magnitude; there is no residual gate. A unique steady state
     needs a unique closed class of levels (levels outside it end up empty);
     otherwise the error names the separate level groups.

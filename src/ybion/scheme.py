@@ -200,10 +200,7 @@ class LevelScheme:
         """Copy with one drive's fields replaced; setting saturation clears
         power_w and waist_m, and setting either of those clears saturation."""
         target = self.drive(upper, lower)
-        cleared = {"power_w": None, "waist_m": None} if "saturation" in changes else {}
-        if "power_w" in changes or "waist_m" in changes:
-            cleared["saturation"] = None
-        new = dataclasses.replace(target, **{**cleared, **changes})
+        new = _edited_drive(target, changes)
         drives = tuple(new if d is target else d for d in self.drives)
         return dataclasses.replace(self, drives=drives)
 
@@ -215,14 +212,21 @@ class LevelScheme:
         return dataclasses.replace(self, levels=levels)
 
     def with_all_drives_saturated(self, saturation: float) -> "LevelScheme":
-        """Copy with every drive forced to the given saturation parameter."""
-        drives = tuple(
-            dataclasses.replace(
-                d, saturation=saturation, power_w=None, waist_m=None
-            )
-            for d in self.drives
-        )
+        """Copy with every drive forced to the given saturation parameter,
+        by with_drive's rule."""
+        changes = {"saturation": saturation}
+        drives = tuple(_edited_drive(d, changes) for d in self.drives)
         return dataclasses.replace(self, drives=drives)
+
+
+def _edited_drive(drive: LaserDrive, changes: dict) -> LaserDrive:
+    """drive with the fields of changes replaced, by LevelScheme.with_drive's
+    rule: setting saturation clears power_w and waist_m, and setting either
+    of those clears saturation."""
+    cleared = {"power_w": None, "waist_m": None} if "saturation" in changes else {}
+    if "power_w" in changes or "waist_m" in changes:
+        cleared["saturation"] = None
+    return dataclasses.replace(drive, **{**cleared, **changes})
 
 
 def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:

@@ -98,10 +98,7 @@ class ScanCurve:
             raise SchemeError("detuning and fluorescence lengths differ")
         if len(d) == 0:
             raise SchemeError("scan curve is empty")
-        if not (np.isfinite(d).all() and np.isfinite(y).all()):
-            raise SchemeError("detunings and fluorescence must be finite")
-        if not (d[1:] > d[:-1]).all():
-            raise SchemeError("detunings must be strictly increasing")
+        _check_grid(d, y)
         if (y < 0).any():
             raise SchemeError("fluorescence must be >= 0")
         for name, column in (("detunings_hz", d), ("fluorescence", y)):
@@ -110,6 +107,15 @@ class ScanCurve:
 
     def __len__(self) -> int:
         return len(self.detunings_hz)
+
+
+def _check_grid(detunings: np.ndarray, *columns: np.ndarray) -> None:
+    """ScanCurve's rule for its grid: the detunings and the columns beside
+    them are finite, and the detunings strictly increase."""
+    if not all(np.isfinite(c).all() for c in (detunings, *columns)):
+        raise SchemeError("detunings and fluorescence must be finite")
+    if not (detunings[1:] > detunings[:-1]).all():
+        raise SchemeError("detunings must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,9 @@ def simulate_scan(
     drawn as noise_rng_description() states. Preconditions: the scanned
     drive exists, no other drive shares its lower level (a repump on the
     same level would distort the line, so it must be switched off first),
-    and the monitor transition is a decay channel of the scheme.
+    and the monitor transition is a decay channel of the scheme. A grid
+    that ScanCurve would refuse is refused, in its words, before any
+    matrix is built.
     """
     detunings = np.array(detunings_hz, dtype=float)
     if detunings.size == 0:
@@ -191,6 +199,8 @@ def simulate_scan(
     if mon_lifetime is None:
         raise SchemeError(f"monitor level {mon_upper} has no lifetime")
     einstein_a = mon_branch / mon_lifetime
+    if detunings.ndim == 1:  # ScanCurve words any other shape itself
+        _check_grid(detunings)  # a grid ScanCurve refuses builds no matrix
 
     # Build the matrix once with the scanned drive switched off (W = 0 adds
     # nothing, so every entry matches a per-detuning build).

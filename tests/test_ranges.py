@@ -2,8 +2,8 @@
 
 Each argument is drawn from ±0, subnormals, the smallest normal float,
 everyday values, 1e300, the largest float, ±inf and NaN. A call must either
-return a result whose every number is finite or raise a YbionError, and
-must emit no warning.
+return a result whose every number is finite and that meets its documented
+contract, or raise a YbionError, and must emit no warning.
 """
 
 import dataclasses
@@ -98,6 +98,23 @@ CALLS = st.sampled_from(sorted(FUNCTIONS)).flatmap(lambda name: st.tuples(
     st.just(name), st.tuples(*[WHOLE_RANGE] * arity(FUNCTIONS[name]))))
 
 
+# name -> the contract its docstring states for a finite result, beyond
+# finiteness; each name of POSITIVE documents a positive result.
+CONTRACTS = {
+    "equilibrium_positions": lambda x: x[0] > 0.0 > x[1],
+    # both frequencies may be subnormal, and then equal: (5e-324, 5e-324)
+    "normal_mode_frequencies": lambda nu: (
+        nu[0] < nu[1] if nu[1] >= DBL_MIN else nu[0] <= nu[1]),
+    **{f"infer_eta[{mode}]": (lambda eta: 1.0 <= eta <= 10.0) for mode in ("com", "bre")},
+}
+POSITIVE = {
+    "photon_energy_j", "photon_energy_ev", "vacuum_wavelength_nm", "natural_fwhm_hz",
+    "effective_quantum_number", "displacement_ratio", "infer_charge",
+    "lifetime_from_linewidth",
+    *(f"cross_section[{model}]" for model in ("hydrogenic", "burgess", "peach")),
+}
+
+
 def numbers(result):
     """Every number in a result: floats, ints, tuples and dataclasses."""
     if isinstance(result, tuple):
@@ -108,7 +125,7 @@ def numbers(result):
 
 
 # Each example once returned a non-finite result, warned, or raised an error
-# other than YbionError.
+# other than YbionError, except the last: the subnormal tie its contract allows.
 @settings(max_examples=1500, deadline=None)
 @example(call=("exposure_to_wall", (1e20, 0.0, 50.0, 0.5)))
 @example(call=("exposure_to_wall", (1e307, 0.0, 50.0, 0.5)))
@@ -116,6 +133,7 @@ def numbers(result):
 @example(call=("vacuum_wavelength_nm", (0.0,)))
 @example(call=("vacuum_wavelength_nm", (math.nan,)))
 @example(call=("vacuum_wavelength_nm", (5e-324,)))
+@example(call=("normal_mode_frequencies", (5e-324, 0.5)))
 @given(call=CALLS)
 def test_public_numeric_functions_return_finite_or_refuse(call):
     name, args = call
@@ -127,6 +145,9 @@ def test_public_numeric_functions_return_finite_or_refuse(call):
             assert str(refusal) and "\n" not in str(refusal)
             return
     assert all(math.isfinite(x) for x in numbers(result)), (name, args, result)
+    assert CONTRACTS.get(name, lambda _: True)(result), (name, args, result)
+    if name in POSITIVE:
+        assert numbers(result)[0] > 0.0, (name, args, result)
 
 
 FIFTY_HZ = "chop_rate_hz = 50.0, ionization_duty = 0.5"

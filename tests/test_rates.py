@@ -38,6 +38,7 @@ from ybion.scheme import (
     LevelScheme,
     load_bundled_scheme,
 )
+from ybion.spectro import simulate_scan
 
 
 def two_level(lifetime_s=1e-7, saturation=1.0, detuning_hz=0.0) -> LevelScheme:
@@ -320,6 +321,32 @@ def test_scan_refuses_a_zero_pivot_at_one_point():
     assert str(err.value) == (
         "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
         "reach the level kept last")
+
+
+def test_bundled_solves_never_search_the_level_graph(monkeypatch):
+    # every level of the bundled schemes reaches the ground level, kept last,
+    # so the pivots pass and the level-graph search is never needed
+    def searched(*args):
+        raise AssertionError("the level graph was searched")
+
+    monkeypatch.setattr(rates, "_kept_last", searched)
+    for name in ("yb174_plus", "linewidth_reference"):
+        scheme = load_bundled_scheme(name)
+        for edited in (scheme, scheme.with_all_drives_saturated(1e-2),
+                       scheme.with_all_drives_saturated(1e4)):
+            steady_state(build_rate_matrix(edited))
+        simulate_scan(scheme, "7p12", "5d32", np.linspace(-3e8, 3e8, 241))
+
+
+@pytest.mark.parametrize("w, shown", [
+    ([-1e3], "-1000.0"), ([math.nan], "nan"), ([math.inf], "inf"), ([1.0, -0.5], "-0.5"),
+], ids=["negative", "nan", "inf", "second-point"])
+def test_scan_refuses_a_rate_outside_its_range_by_value(yb_scheme, w, shown):
+    # each used to end at a zero or NaN pivot, whose refusal named no input
+    dark = build_rate_matrix(yb_scheme.with_drive("7p12", "5d32", saturation=0.0))
+    with pytest.raises(SolverError) as err:
+        rates.steady_state_scan(dark, "7p12", "5d32", w)
+    assert str(err.value) == f"scanned rate must be >= 0 and finite, got {shown} 1/s"
 
 
 def test_scan_refuses_a_self_pair_naming_the_level(yb_scheme):

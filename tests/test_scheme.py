@@ -235,6 +235,21 @@ def test_round_trip_preserves_awkward_floats():
     assert again == s
 
 
+@pytest.mark.parametrize("name", ["yb174_plus", "linewidth_reference", "powered"])
+@pytest.mark.parametrize("saturation", [0.0, 1e-2, 1e4])
+def test_saturating_every_drive_applies_the_with_drive_rule(name, saturation):
+    if name == "powered":
+        scheme = load_bundled_scheme("yb174_plus").with_drive(
+            "6p12", "6s12", power_w=1e-3, waist_m=1e-5)
+        assert scheme.drive("6p12", "6s12").saturation is None
+    else:
+        scheme = load_bundled_scheme(name)
+    expected = scheme
+    for d in scheme.drives:
+        expected = expected.with_drive(d.upper, d.lower, saturation=saturation)
+    assert scheme.with_all_drives_saturated(saturation) == expected
+
+
 def test_round_trip_writes_numpy_scalars_as_plain_floats():
     s = load_scheme(MINIMAL).with_all_drives_saturated(np.float64(2.0))
     s = s.with_level("e", energy_cm1=np.float64(20000.0),

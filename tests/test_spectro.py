@@ -179,6 +179,28 @@ def transient_ground_schemes():
     return [(three, ("e", "g"), ("e", "x")), (six, ("u", "s"), ("p", "y"))]
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, math.nan], "detunings and fluorescence must be finite"),
+    ([math.inf], "detunings and fluorescence must be finite"),
+    ([-math.inf, 0.0], "detunings and fluorescence must be finite"),
+    ([1.0, 0.0], "detunings must be strictly increasing"),
+    ([0.0, 0.0], "detunings must be strictly increasing"),
+], ids=["nan", "inf", "minus-inf", "decreasing", "repeated"])
+def test_scan_refuses_a_grid_scan_curve_refuses_before_any_matrix(
+        yb_scheme, monkeypatch, grid, message):
+    # a NaN detuning used to end at a NaN pivot, whose refusal named no input
+    def built(*args, **kwargs):
+        raise AssertionError("a rate matrix was built")
+
+    monkeypatch.setattr(spectro, "build_rate_matrix", built)
+    with pytest.raises(SchemeError) as caught:
+        simulate_scan(yb_scheme, *PROBE, grid)
+    assert str(caught.value) == message
+    with pytest.raises(SchemeError) as caught:
+        ScanCurve(grid, [1.0] * len(grid))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("scheme,pair,monitor", transient_ground_schemes())
 def test_scan_with_transient_ground_fails_exactly_where_steady_state_does(
         scheme, pair, monitor):
