@@ -2181,3 +2181,148 @@ def test_string_numeric_flag_help_states_units():
     overrides = flag_help("steady-state", "--drive-overrides")
     for fragment in ("(w)", "(m)", "(hz)"):
         assert fragment in overrides
+
+
+
+# -- parser contract ---------------------------------------------------------------
+
+# Every flag of every subcommand, by its first option string, with what
+# parsing depends on. The attributes an entry does not list keep argparse's
+# defaults: the dest spelled after the flag, no type, default None, optional,
+# one value, no metavar, no choices, no fields, the store action. A type
+# other than float and int is named by its ybion.cli attribute. Help texts
+# and the order of the flags are --help layout only, and are left out; so is
+# the -h flag, which argparse adds to every subcommand.
+SUPPRESS = argparse.SUPPRESS
+PARSER_CONTRACT = {
+    "steady-state": {
+        "--scheme": dict(default="yb174_plus"),
+        "--drive-overrides": dict(action="_AppendAction", nargs=4,
+                                  metavar=("UPPER", "LOWER", "FIELD", "VALUE")),
+        "--saturate-all": dict(type="float"),
+        "--out": dict(),
+    },
+    "ionize-rate": {
+        "--p7p": dict(type="float", required=True),
+        "--sigma-mb": dict(type="float", required=True),
+        "--power-w": dict(type="float", required=True),
+        "--waist-m": dict(type="float", required=True),
+        "--wavelength-nm": dict(type="float", required=True),
+        "--out": dict(),
+    },
+    "xsec": {
+        "--model": dict(required=True, choices=("hydrogenic", "burgess", "peach")),
+        "--series": dict(),
+        "--limit": dict(dest="limit_cm1", type="float", required=True),
+        "--ell": dict(type="int", default=1),
+        "--core-charge": dict(type="int", default=2),
+        "--wavelength-nm": dict(type="float", default=245.426),
+        "--out": dict(),
+    },
+    "crystal": {
+        "--nu1": dict(dest="nu1_hz", type="float", required=True),
+        "--eta": dict(type="float", default=1.0),
+        "--q2": dict(type="float", default=1.0),
+        "--invert-from-mode": dict(action="_ModeAction", nargs=2,
+                                   metavar=("FREQ_HZ", "MODE")),
+        "--invert-from-ratio": dict(type="float"),
+        "--out": dict(),
+    },
+    "scan": {
+        "--scheme": dict(default="yb174_plus"),
+        "--upper": dict(default="7p12"),
+        "--lower": dict(default="5d32"),
+        "--grid": dict(action="_GridAction", default=SUPPRESS, required=True,
+                       nargs=3, metavar=("START_HZ", "STOP_HZ", "POINTS"),
+                       fields=("grid_start_hz", "grid_stop_hz", "grid_points")),
+        "--noise-sigma": dict(type="float"),
+        "--seed": dict(type="_nonnegative_int"),
+        "--out": dict(),
+    },
+    "fit-scan": {
+        "--data": dict(required=True),
+        "--saturation": dict(type="float", default=0.0),
+        "--out": dict(),
+    },
+    "simulate": {
+        "--rate": dict(dest="rate_per_s", type="float", required=True),
+        "--duty": dict(type="float", default=0.5),
+        "--chop-hz": dict(type="float", default=50.0),
+        "--trials": dict(type="_trial_count", required=True),
+        "--seed": dict(type="_nonnegative_int", required=True),
+        "--max-time-s": dict(type="float", default=10.0),
+        "--failure-prob": dict(type="float", default=0.0),
+        "--out": dict(),
+    },
+    "verify-roundtrip": {
+        "--eta": dict(type="float", required=True),
+        "--q2": dict(type="float", required=True),
+        "--nu1": dict(dest="nu1_hz", type="float", default=474e3),
+        "--noise": dict(action="_NoiseAction", type="float", default=SUPPRESS,
+                        nargs=2, metavar=("RATIO_REL", "FREQ_REL"),
+                        fields=("noise_ratio_rel", "noise_freq_rel")),
+        "--seeds": dict(type="_seed_count", default=1000),
+        "--seed-base": dict(type="_nonnegative_int", default=0),
+        "--tolerance": dict(type="float", default=0.14),
+        "--out": dict(),
+    },
+}
+# Each subparser's set_defaults: its handler, and for verify-roundtrip the
+# two --noise fields.
+PARSER_DEFAULTS = {
+    "steady-state": dict(handler="_cmd_steady_state"),
+    "ionize-rate": dict(handler="_cmd_ionize_rate"),
+    "xsec": dict(handler="_cmd_xsec"),
+    "crystal": dict(handler="_cmd_crystal"),
+    "scan": dict(handler="_cmd_scan"),
+    "fit-scan": dict(handler="_cmd_fit_scan"),
+    "simulate": dict(handler="_cmd_simulate"),
+    "verify-roundtrip": dict(handler="_cmd_verify_roundtrip",
+                             noise_ratio_rel=0.02, noise_freq_rel=0.005),
+}
+
+
+def parsing_attributes(action) -> dict:
+    import ybion.cli as cli
+
+    convert = action.type
+    if convert not in (None, float, int):
+        convert = next(name for name, value in vars(cli).items() if value is convert)
+    return dict(
+        option_strings=tuple(action.option_strings),
+        action=type(action).__name__,
+        dest=action.dest,
+        type=getattr(convert, "__name__", convert),
+        default=action.default,
+        required=action.required,
+        nargs=action.nargs,
+        metavar=action.metavar,
+        choices=None if action.choices is None else tuple(action.choices),
+        fields=getattr(action, "fields", None),
+    )
+
+
+def test_parser_contract_is_pinned_flag_by_flag():
+    subs = subparsers()
+    assert list(subs) == list(PARSER_CONTRACT)
+    for name, sub in subs.items():
+        help_flag, *flags = sub._actions
+        assert parsing_attributes(help_flag) == dict(
+            option_strings=("-h", "--help"), action="_HelpAction", dest="help",
+            type=None, default=SUPPRESS, required=False, nargs=0, metavar=None,
+            choices=None, fields=None,
+        ), name
+        found = {action.option_strings[0]: parsing_attributes(action)
+                 for action in flags}
+        expected = {
+            flag: {**dict(option_strings=(flag,), action="_StoreAction",
+                          dest=flag[2:].replace("-", "_"), type=None,
+                          default=None, required=False, nargs=None,
+                          metavar=None, choices=None, fields=None),
+                   **pinned}
+            for flag, pinned in PARSER_CONTRACT[name].items()
+        }
+        assert found == expected, name
+        defaults = {key: getattr(value, "__name__", value)
+                    for key, value in sub._defaults.items()}
+        assert defaults == PARSER_DEFAULTS[name], name
