@@ -242,6 +242,10 @@ def _table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quantities(rows: list[list]) -> str:
+    return _table(["quantity", "value", "unit"], rows)
+
+
 def _sha256(path: str | Path) -> str:
     # Imported here so that only runs that hash an input load OpenSSL;
     # simulate and verify-roundtrip load it anyway, through numpy.random's
@@ -293,24 +297,25 @@ def _emit(primary: str | Iterable[str], manifest: str, out: str | None) -> None:
         sys.stderr.write(manifest)
 
 
-def _resolve_scheme(arg: str) -> Path:
-    candidate = Path(arg)
-    if candidate.is_file():
-        return candidate
-    tried = [str(candidate)]
+def _load_scheme(args):
+    """Load --scheme, resolved in the order the module docstring gives, and
+    rebind args.scheme to the path found, so that the manifest records it."""
+    arg = args.scheme
+    candidates = [Path(arg)]
     env_dir = os.environ.get(SCHEME_ENV_VAR)
     if env_dir:
-        env_candidate = Path(env_dir) / arg
-        if env_candidate.is_file():
-            return env_candidate
-        tried.append(str(env_candidate))
-    stem = arg[:-7] if arg.endswith(".scheme") else arg
-    try:
-        return bundled_scheme_path(stem)
-    except SchemeError:
-        tried.append(f"bundled scheme {stem!r}")
-        raise SchemeError(f"cannot resolve scheme {arg!r}; tried: "
-                          + ", ".join(tried)) from None
+        candidates.append(Path(env_dir) / arg)
+    path = next((c for c in candidates if c.is_file()), None)
+    if path is None:
+        stem = arg[:-7] if arg.endswith(".scheme") else arg
+        try:
+            path = bundled_scheme_path(stem)
+        except SchemeError:
+            tried = [*map(str, candidates), f"bundled scheme {stem!r}"]
+            raise SchemeError(f"cannot resolve scheme {arg!r}; tried: "
+                              + ", ".join(tried)) from None
+    args.scheme = path
+    return load_scheme_file(path)
 
 
 _DRIVE_FIELDS = ("saturation", "power_w", "waist_m", "detuning_hz")
@@ -362,10 +367,8 @@ def _scheme_findings(scheme) -> dict:
 
 
 def _cmd_steady_state(args) -> _Run:
-    args.scheme = _resolve_scheme(args.scheme)
-    scheme = load_scheme_file(args.scheme)
     scheme = _apply_drive_overrides(
-        scheme, args.drive_overrides, args.saturate_all
+        _load_scheme(args), args.drive_overrides, args.saturate_all
     )
     matrix = build_rate_matrix(scheme)
     pops = steady_state(matrix)
@@ -403,7 +406,7 @@ def _cmd_ionize_rate(args) -> _Run:
         ["ionization_rate", rate, "s^-1"],
         ["rate_per_power_coefficient", coeff, "m^2 J^-1"],
     ]
-    return _Run(_table(["quantity", "value", "unit"], rows))
+    return _Run(_quantities(rows))
 
 
 def _cmd_xsec(args) -> _Run:
@@ -428,7 +431,7 @@ def _cmd_xsec(args) -> _Run:
         ["sigma", sigma.megabarn, "Mb"],
         ["model", sigma.model, "-"],
     ]
-    return _Run(_table(["quantity", "value", "unit"], rows), inputs=(args.series,))
+    return _Run(_quantities(rows), inputs=(args.series,))
 
 
 def _cmd_crystal(args) -> _Run:
@@ -455,12 +458,11 @@ def _cmd_crystal(args) -> _Run:
         q2_inferred = infer_charge(args.invert_from_ratio, eta_for_ratio)
         rows.append(["q2_inferred", q2_inferred, "units of e"])
         rows.append(["eta_used_for_inversion", eta_for_ratio, "dimensionless"])
-    return _Run(_table(["quantity", "value", "unit"], rows))
+    return _Run(_quantities(rows))
 
 
 def _cmd_scan(args) -> _Run:
-    args.scheme = _resolve_scheme(args.scheme)
-    scheme = load_scheme_file(args.scheme)
+    scheme = _load_scheme(args)
     # the last point's offset may overflow; linspace then pins that point to stop
     with np.errstate(over="ignore"):
         detunings = np.linspace(args.grid_start_hz, args.grid_stop_hz, args.grid_points)
@@ -510,7 +512,7 @@ def _cmd_fit_scan(args) -> _Run:
         ["message", fit.message or "-", "-"],
     ]
     return _Run(
-        _table(["quantity", "value", "unit"], rows),
+        _quantities(rows),
         inputs=(args.data,),
         diag={"fit_iterations": fit.iterations, "fit_cost": fit.cost,
               "fit_center_se_hz": center_se, "fit_fwhm_se_hz": fwhm_se,
@@ -604,7 +606,7 @@ def _cmd_verify_roundtrip(args) -> _Run:
         ["eta_mean", eta_mean, "dimensionless"],
     ]
     return _Run(
-        _table(["quantity", "value", "unit"], rows),
+        _quantities(rows),
         rng_note=verification_rng_description(),
         diag={"inference_failures": args.seeds - len(q2_list)},
     )
@@ -636,17 +638,41 @@ def build_parser() -> _Parser:
         )
         p.set_defaults(handler=handler)
 
+    def add_floats(p, flags, defaults):
+        """Float flags given as (option, dest, help) triples: required, or
+        defaulting to defaults[dest] when defaults names the dest. The
+        required ones come first."""
+        for option, dest, text in sorted(flags, key=lambda flag: flag[1] in defaults):
+            given = dest in defaults
+            p.add_argument(option, dest=dest, type=float, required=not given,
+                           default=defaults.get(dest),
+                           help=text + (". Default %(default)s." if given else "."))
+
+    def add_scheme(p):
+        p.add_argument(
+            "--scheme",
+            default="yb174_plus",
+            help="scheme file path or bundled name (energies in cm^-1, "
+            "lifetimes in s inside the file). Default: %(default)s.",
+        )
+
+    # the two-ion verification crystal: bright ion at nu1 beside a
+    # companion of secular-frequency ratio eta and charge q2
+    trap = (
+        ("--nu1", "nu1_hz", "single-ion secular frequency of the bright ion in Hz"),
+        ("--eta", "eta", "secular-frequency ratio nu2/nu1 (dimensionless)"),
+        ("--q2", "q2", "companion ion charge in units of e"),
+    )
+    wavelength = (
+        ("--wavelength-nm", "wavelength_nm", "ionizing photon vacuum wavelength in nm"),
+    )
+
     p = sub.add_parser(
         "steady-state",
         help="level populations of a scheme at fixed drives",
         description="Solve the closed rate model for its steady state.",
     )
-    p.add_argument(
-        "--scheme",
-        default="yb174_plus",
-        help="scheme file path or bundled name (energies in cm^-1, "
-        "lifetimes in s inside the file). Default: yb174_plus.",
-    )
+    add_scheme(p)
     p.add_argument(
         "--drive-overrides",
         nargs=4,
@@ -691,12 +717,7 @@ def build_parser() -> _Parser:
         required=True,
         help="Gaussian beam waist (1/e^2 intensity radius) in m.",
     )
-    p.add_argument(
-        "--wavelength-nm",
-        type=float,
-        required=True,
-        help="ionizing beam vacuum wavelength in nm.",
-    )
+    add_floats(p, wavelength, {})
     add_out(p, _cmd_ionize_rate)
 
     p = sub.add_parser(
@@ -729,21 +750,16 @@ def build_parser() -> _Parser:
         type=int,
         default=1,
         help="orbital angular momentum quantum number of the series "
-        "(dimensionless). Default 1 (p series).",
+        "(dimensionless). Default %(default)s (p series).",
     )
     p.add_argument(
         "--core-charge",
         type=int,
         default=2,
         help="net core charge seen by the escaping electron (units of e); "
-        "2 for ionizing a singly charged ion. Default 2.",
+        "2 for ionizing a singly charged ion. Default %(default)s.",
     )
-    p.add_argument(
-        "--wavelength-nm",
-        type=float,
-        default=245.426,
-        help="ionizing photon vacuum wavelength in nm. Default 245.426.",
-    )
+    add_floats(p, wavelength, {"wavelength_nm": 245.426})
     add_out(p, _cmd_xsec)
 
     p = sub.add_parser(
@@ -753,25 +769,7 @@ def build_parser() -> _Parser:
         "optional inversion of a measured mode frequency or displacement "
         "ratio.",
     )
-    p.add_argument(
-        "--nu1",
-        dest="nu1_hz",
-        type=float,
-        required=True,
-        help="single-ion secular frequency of the bright ion in Hz.",
-    )
-    p.add_argument(
-        "--eta",
-        type=float,
-        default=1.0,
-        help="secular-frequency ratio nu2/nu1 (dimensionless). Default 1.",
-    )
-    p.add_argument(
-        "--q2",
-        type=float,
-        default=1.0,
-        help="companion ion charge in units of e. Default 1.",
-    )
+    add_floats(p, trap, {"eta": 1.0, "q2": 1.0})
     p.add_argument(
         "--invert-from-mode",
         nargs=2,
@@ -795,20 +793,16 @@ def build_parser() -> _Parser:
         description="Steady-state fluorescence versus detuning of the "
         "scanned drive; optionally adds Gaussian noise.",
     )
-    p.add_argument(
-        "--scheme",
-        default="yb174_plus",
-        help="scheme file path or bundled name. Default: yb174_plus.",
-    )
+    add_scheme(p)
     p.add_argument(
         "--upper",
         default="7p12",
-        help="upper level label of the scanned drive. Default 7p12.",
+        help="upper level label of the scanned drive. Default %(default)s.",
     )
     p.add_argument(
         "--lower",
         default="5d32",
-        help="lower level label of the scanned drive. Default 5d32.",
+        help="lower level label of the scanned drive. Default %(default)s.",
     )
     p.add_argument(
         "--grid",
@@ -849,7 +843,7 @@ def build_parser() -> _Parser:
         type=float,
         default=0.0,
         help="saturation parameter S (dimensionless) assumed for the "
-        "power-broadening correction sqrt(1+S). Default 0.",
+        "power-broadening correction sqrt(1+S). Default %(default)s.",
     )
     add_out(p, _cmd_fit_scan)
 
@@ -871,13 +865,13 @@ def build_parser() -> _Parser:
         type=float,
         default=0.5,
         help="ON fraction of each chop cycle (dimensionless, 0 < duty <= 1)."
-        " Default 0.5.",
+        " Default %(default)s.",
     )
     p.add_argument(
         "--chop-hz",
         type=float,
         default=50.0,
-        help="chop rate in Hz. Default 50.",
+        help="chop rate in Hz. Default %(default)s.",
     )
     p.add_argument(
         "--trials",
@@ -895,13 +889,13 @@ def build_parser() -> _Parser:
         "--max-time-s",
         type=float,
         default=10.0,
-        help="per-trial time budget in s. Default 10.",
+        help="per-trial time budget in s. Default %(default)s.",
     )
     p.add_argument(
         "--failure-prob",
         type=float,
         default=0.0,
-        help="per-window abort probability (dimensionless). Default 0.",
+        help="per-window abort probability (dimensionless). Default %(default)s.",
     )
     add_out(p, _cmd_simulate)
 
@@ -912,25 +906,7 @@ def build_parser() -> _Parser:
         "at a known (eta, q2) and report how often the inferred charge "
         "lands within the tolerance.",
     )
-    p.add_argument(
-        "--eta",
-        type=float,
-        required=True,
-        help="true secular-frequency ratio (dimensionless).",
-    )
-    p.add_argument(
-        "--q2",
-        type=float,
-        required=True,
-        help="true companion charge in units of e.",
-    )
-    p.add_argument(
-        "--nu1",
-        dest="nu1_hz",
-        type=float,
-        default=474e3,
-        help="bright-ion secular frequency in Hz. Default 474000.",
-    )
+    add_floats(p, trap, {"nu1_hz": 474e3})
     p.add_argument(
         "--noise",
         nargs=2,
@@ -948,21 +924,21 @@ def build_parser() -> _Parser:
         type=_seed_count,
         default=1000,
         help=f"number of independent synthetic records (count, 1 to {MAX_SEEDS})."
-        " Default 1000.",
+        " Default %(default)s.",
     )
     p.add_argument(
         "--seed-base",
         type=_nonnegative_int,
         default=0,
         help="first RNG seed (integer >= 0); record i uses seed_base + i. "
-        "Default 0.",
+        "Default %(default)s.",
     )
     p.add_argument(
         "--tolerance",
         type=float,
         default=0.14,
         help="success band |q2_inferred - q2_true| in units of e. "
-        "Default 0.14.",
+        "Default %(default)s.",
     )
     add_out(p, _cmd_verify_roundtrip)
 

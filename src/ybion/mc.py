@@ -31,17 +31,10 @@ the columns directly; runs_text_blocks formats the table a block at a
 time, so the text of a long run never has to exist whole, and
 runs_to_text joins those blocks.
 
-The rows are byte-identical to repr and an f-string per row but come
-from one numpy kernel per block (ybion._reprtext, imported by the first
-export): it computes each event time's shortest round-trip digits, the
-digits repr prints, with Schubfach and writes them positionally as repr
-writes values in [1e-4, 1e16). Rows outside that range (zeros,
-subnormals, infinities, exponent notation) and exact ties between two
-shortest candidates go through repr itself; NaN rows print NA and skip
-the kernel. The README run's 25 blocks cost 0.25 us per row and a lone
-4096-row block 0.32-0.38 us, against 0.78-0.86 us for repr and an
-f-string (one process pinned to one CPU of a 2-CPU Xeon host,
-BENCH_29.json).
+The rows are byte-identical to repr and an f-string per row, a NaN event
+time prints NA, and the table is formatted a block at a time, by one
+numpy kernel per block: ybion._reprtext, imported by the first export,
+whose docstring gives the mechanism.
 
 The dark-state failure channel seen at high ionizing power is not
 modeled; failure_prob is a constant per-window abort knob (default 0)

@@ -9,8 +9,11 @@ With this ordering a decay-only matrix is strictly lower triangular off the
 diagonal, since spontaneous emission only moves population downward in
 energy.
 
-Spontaneous decay enters as A = branching_ratio / lifetime(upper). A resonant
-drive with saturation parameter S adds a stimulated rate
+Spontaneous decay enters as A = (branching_ratio / total) / lifetime(upper),
+total being the sum of the upper level's listed branching ratios, so the
+listed channels carry its whole 1/lifetime; a total below 1 (0.997 for 7p12
+of yb174_plus) scales them up rather than leaving an unmodeled loss. A
+resonant drive with saturation parameter S adds a stimulated rate
 
     W = (S / (2 * lifetime(upper))) / (1 + (2 * detuning / width)**2)
 
@@ -285,9 +288,13 @@ def build_rate_matrix(
 
     With include_ionization=True, a one-way drain at ionization_rate (1/s)
     is added from IONIZED_FROM into an absorbing sink row appended after
-    the levels. A level whose out-rates sum past the floating-point range
+    the levels; without it, a nonzero ionization_rate is refused rather
+    than dropped. A level whose out-rates sum past the floating-point range
     is refused, naming the level and its lifetime.
     """
+    if not include_ionization and ionization_rate != 0:
+        raise SchemeError(f"ionization rate {ionization_rate!r} 1/s needs "
+                          "include_ionization=True, which adds its sink")
     order = sorted(scheme.levels, key=lambda lv: -lv.energy_cm1)
     labels = [lv.label for lv in order]
     index = {lab: i for i, lab in enumerate(labels)}

@@ -170,13 +170,17 @@ def simulate_scan(
     level kept last is solved per point. The result equals a per-detuning
     steady_state of the rebuilt scheme to a few rounding errors. The
     monitored signal is p(monitor_upper) * A(monitor_upper ->
-    monitor_lower) in photons/s per ion. With noise_sigma > 0 the noise is
-    drawn as noise_rng_description() states. Preconditions: the scanned
-    drive exists, no other drive shares its lower level (a repump on the
-    same level would distort the line, so it must be switched off first),
-    and the monitor transition is a decay channel of the scheme. A grid
-    that ScanCurve would refuse is refused, in its words, before any
-    matrix is built.
+    monitor_lower) in photons/s per ion, with A the listed branching ratio
+    over the lifetime, unscaled. The matrix divides each ratio by its
+    level's sum first; the two agree for the default monitor on both
+    bundled schemes, whose 6p12 ratios sum to exactly 1.0 (0.995 + 0.005,
+    0.5 + 0.5). With noise_sigma > 0 the noise is drawn as
+    noise_rng_description() states. Preconditions: the scanned drive
+    exists, no other drive shares its lower level (a repump on the same
+    level would distort the line, so it must be switched off first), and
+    the monitor transition is a decay channel of the scheme. A grid that
+    ScanCurve would refuse is refused, in its words, before any matrix is
+    built.
     """
     detunings = np.array(detunings_hz, dtype=float)
     if detunings.size == 0:

@@ -441,6 +441,29 @@ def test_fit_scan_with_a_varying_sigma_column_exits_two(capsys, tmp_path):
     assert (out, err) == ("", "error: sigma column must hold one value, got 0.2 and 0.1\n")
 
 
+# The two fit gates on eight-point curves over detunings 0, 1, ..., 7 Hz: a
+# solution with a nonpositive width or amplitude is not converged and has no
+# standard errors; a converged fit whose normal matrix is singular has NaN
+# ones.
+@pytest.mark.parametrize("signal,converged,message,se", [
+    ([0.5, 0.1, 1.0, 0.6, 0.0, 0.8, 1.0, 0.6], "0",
+     "optimizer converged to a nonpositive width or amplitude", "NA"),
+    ([0.7, 0.5, 0.6, 0.0, 0.2, 1.0, 0.1, 0.1], "1",
+     "converged: relative cost change <= 1e-12", "nan"),
+], ids=["nonpositive", "singular"])
+def test_fit_scan_reports_each_fit_gate(signal, converged, message, se, tmp_path):
+    data = tmp_path / "gate.tsv"
+    data.write_text("".join(f"{d}.0\t{y}\n" for d, y in enumerate(signal)),
+                    encoding="utf-8")
+    out = tmp_path / "fit.tsv"
+    assert main(["fit-scan", "--data", str(data), "--out", str(out)]) == 0
+    vals = value_map(out.read_text(encoding="utf-8"))
+    assert (vals["converged"], vals["message"]) == (converged, message)
+    lines = manifest_lines(out)
+    for key in ("fit_center_se_hz", "fit_fwhm_se_hz", "lifetime_se_s"):
+        assert f"diag.{key}: {se}" in lines
+
+
 @pytest.mark.parametrize("values", [("abc", "com"), ("nan", "bre"), ("821e3", "xyz")])
 def test_crystal_invert_from_mode_rejects_bad_values(values, capsys):
     assert main(["crystal", "--nu1", "474e3", "--invert-from-mode", *values]) == 1

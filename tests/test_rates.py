@@ -146,6 +146,21 @@ def test_ionization_drain_needs_the_7p12_level():
         build_rate_matrix(two_level(), include_ionization=True, ionization_rate=1.0)
 
 
+@pytest.mark.parametrize("rate", [5.0, -1.0, math.inf, math.nan, 5e-324])
+def test_a_drain_without_its_sink_is_refused_by_value(yb_scheme, rate):
+    with pytest.raises(SchemeError) as info:
+        build_rate_matrix(yb_scheme, ionization_rate=rate)
+    assert str(info.value) == (f"ionization rate {rate!r} 1/s needs "
+                               "include_ionization=True, which adds its sink")
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.0])
+def test_a_zero_drain_without_the_sink_builds_the_closed_matrix(yb_scheme, rate):
+    m = build_rate_matrix(yb_scheme, ionization_rate=rate)
+    assert m.sink_index is None
+    np.testing.assert_array_equal(m.matrix, build_rate_matrix(yb_scheme).matrix)
+
+
 def test_rate_matrix_rejects_negative_offdiagonal():
     bad = np.array([[-1.0, -2.0], [1.0, 2.0]])
     with pytest.raises(SolverError):
@@ -453,7 +468,7 @@ def mp_evolve(m, p0, t_s, dps=50):
 
 
 # The dynamics benchmark's extremes of saturation, each with a drain out of
-# 7p12; without the sink the same scheme is solved sink-free.
+# 7p12; without the sink the same scheme is solved sink-free, with no drain.
 @pytest.mark.parametrize("t_s", [0.1, 1.0, 10.0], ids=["0.1s", "1s", "10s"])
 @pytest.mark.parametrize("sink", [True, False], ids=["sink", "no-sink"])
 @pytest.mark.parametrize("saturation,drain", [(1e4, 50.0), (1e-2, 1e3)],
@@ -461,7 +476,8 @@ def mp_evolve(m, p0, t_s, dps=50):
 def test_evolve_matches_a_50_digit_exponential(yb_scheme, saturation, drain, sink,
                                                t_s):
     m = build_rate_matrix(yb_scheme.with_all_drives_saturated(saturation),
-                          include_ionization=sink, ionization_rate=drain)
+                          include_ionization=sink,
+                          ionization_rate=drain if sink else 0.0)
     p0 = initial_population(m, "6s12")
     exact = mp_evolve(m, p0, t_s)
     p = evolve(m, p0, t_s).populations

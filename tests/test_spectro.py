@@ -563,6 +563,41 @@ def test_fit_stops_unconverged_at_the_iteration_cap(monkeypatch):
     assert math.isnan(fit.cost)
 
 
+# Eight-point curves on detunings 0, 1, ..., 7 Hz that reach the two gates
+# no other test reaches deterministically.
+NONPOSITIVE_SOLUTION = [0.5, 0.1, 1.0, 0.6, 0.0, 0.8, 1.0, 0.6]
+SINGULAR_SOLUTION = [0.7, 0.5, 0.6, 0.0, 0.2, 1.0, 0.1, 0.1]
+
+
+def test_fit_refuses_a_solution_with_nonpositive_width_or_amplitude():
+    fit = fit_lorentzian(ScanCurve(np.arange(8.0), NONPOSITIVE_SOLUTION))
+    assert not fit.converged
+    assert fit.message == "optimizer converged to a nonpositive width or amplitude"
+    assert fit.iterations >= 1
+    assert math.isnan(fit.cost)
+    assert fit.covariance == tuple(tuple(0.0 for _ in range(4)) for _ in range(4))
+
+
+def test_fit_with_a_singular_normal_matrix_reports_a_nan_covariance(monkeypatch):
+    raised = []
+    inv = np.linalg.inv
+
+    def recording_inv(a):
+        try:
+            return inv(a)
+        except np.linalg.LinAlgError:
+            raised.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    fit = fit_lorentzian(ScanCurve(np.arange(8.0), SINGULAR_SOLUTION))
+    assert len(raised) == 1
+    assert fit.converged
+    assert fit.message == "converged: relative cost change <= 1e-12"
+    assert fit.fwhm_hz == pytest.approx(1.03e-6, rel=0.01)
+    assert all(math.isnan(v) for row in fit.covariance for v in row)
+
+
 def test_converged_fit_type_invariants():
     with pytest.raises(SolverError):
         LorentzianFit(center_hz=0.0, fwhm_hz=-1.0, amplitude=1.0, offset=0.0,
