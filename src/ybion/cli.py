@@ -639,14 +639,16 @@ def build_parser() -> _Parser:
         p.set_defaults(handler=handler)
 
     def add_floats(p, flags, defaults):
-        """Float flags given as (option, dest, help) triples: required, or
-        defaulting to defaults[dest] when defaults names the dest. The
-        required ones come first."""
+        """Float flags given as (option, dest, help) triples, the only way
+        a one-value float flag is declared. A flag is required unless
+        defaults names its dest; a default of None leaves it optional and
+        unset, and its help then states no default. The required ones come
+        first."""
         for option, dest, text in sorted(flags, key=lambda flag: flag[1] in defaults):
-            given = dest in defaults
-            p.add_argument(option, dest=dest, type=float, required=not given,
-                           default=defaults.get(dest),
-                           help=text + (". Default %(default)s." if given else "."))
+            default = defaults.get(dest)
+            stated = "." if default is None else ". Default %(default)s."
+            p.add_argument(option, dest=dest, type=float, required=dest not in defaults,
+                           default=default, help=text + stated)
 
     def add_scheme(p):
         p.add_argument(
@@ -682,12 +684,9 @@ def build_parser() -> _Parser:
         "(dimensionless; clears power/waist), power_w (W), waist_m (m) or "
         "detuning_hz (Hz). Repeatable.",
     )
-    p.add_argument(
-        "--saturate-all",
-        type=float,
-        help="force every drive to this saturation parameter "
-        "(dimensionless) before applying per-drive overrides.",
-    )
+    add_floats(p, [("--saturate-all", "saturate_all", "force every drive to this "
+                    "saturation parameter (dimensionless) before applying "
+                    "per-drive overrides")], {"saturate_all": None})
     add_out(p, _cmd_steady_state)
 
     p = sub.add_parser(
@@ -696,28 +695,14 @@ def build_parser() -> _Parser:
         description="Evaluate the ionization rate of a driven level for a "
         "peak-intensity Gaussian beam.",
     )
-    p.add_argument(
-        "--p7p",
-        type=float,
-        required=True,
-        help="excited-level population (dimensionless probability, 0..1).",
-    )
-    p.add_argument(
-        "--sigma-mb",
-        type=float,
-        required=True,
-        help="photoionization cross section in Mb (1 Mb = 1e-22 m^2).",
-    )
-    p.add_argument(
-        "--power-w", type=float, required=True, help="beam power in W."
-    )
-    p.add_argument(
-        "--waist-m",
-        type=float,
-        required=True,
-        help="Gaussian beam waist (1/e^2 intensity radius) in m.",
-    )
-    add_floats(p, wavelength, {})
+    add_floats(p, (
+        ("--p7p", "p7p", "excited-level population (dimensionless probability, 0..1)"),
+        ("--sigma-mb", "sigma_mb",
+         "photoionization cross section in Mb (1 Mb = 1e-22 m^2)"),
+        ("--power-w", "power_w", "beam power in W"),
+        ("--waist-m", "waist_m", "Gaussian beam waist (1/e^2 intensity radius) in m"),
+        *wavelength,
+    ), {})
     add_out(p, _cmd_ionize_rate)
 
     p = sub.add_parser(
@@ -738,13 +723,8 @@ def build_parser() -> _Parser:
         help="series file path: rows of 'n energy_cm1' (energies in cm^-1)."
         " Default: the bundled Yb II np series.",
     )
-    p.add_argument(
-        "--limit",
-        dest="limit_cm1",
-        type=float,
-        required=True,
-        help="ionization limit of the series in cm^-1.",
-    )
+    add_floats(p, [("--limit", "limit_cm1", "ionization limit of the series in cm^-1")],
+               {})
     p.add_argument(
         "--ell",
         type=int,
@@ -778,13 +758,11 @@ def build_parser() -> _Parser:
         help="infer eta from a measured mode frequency in Hz; MODE is "
         "'com' or 'bre'.",
     )
-    p.add_argument(
-        "--invert-from-ratio",
-        type=float,
-        help="infer q2 (units of e) from a measured displacement ratio "
-        "(dimensionless), using the inferred eta when --invert-from-mode "
-        "is also given, else --eta.",
-    )
+    add_floats(p, [("--invert-from-ratio", "invert_from_ratio",
+                    "infer q2 (units of e) from a measured displacement ratio "
+                    "(dimensionless), using the inferred eta when "
+                    "--invert-from-mode is also given, else --eta")],
+               {"invert_from_ratio": None})
     add_out(p, _cmd_crystal)
 
     p = sub.add_parser(
@@ -813,12 +791,8 @@ def build_parser() -> _Parser:
         help="detuning grid in Hz: start < stop, and the point count "
         f"(2 to {MAX_SCAN_POINTS}).",
     )
-    p.add_argument(
-        "--noise-sigma",
-        type=float,
-        help="per-point Gaussian noise sigma in signal units "
-        "(photons/s per ion).",
-    )
+    add_floats(p, [("--noise-sigma", "noise_sigma", "per-point Gaussian noise sigma "
+                    "in signal units (photons/s per ion)")], {"noise_sigma": None})
     p.add_argument(
         "--seed",
         type=_nonnegative_int,
@@ -838,13 +812,9 @@ def build_parser() -> _Parser:
         required=True,
         help="scan curve file (tab-separated detuning_hz/signal columns).",
     )
-    p.add_argument(
-        "--saturation",
-        type=float,
-        default=0.0,
-        help="saturation parameter S (dimensionless) assumed for the "
-        "power-broadening correction sqrt(1+S). Default %(default)s.",
-    )
+    add_floats(p, [("--saturation", "saturation", "saturation parameter S "
+                    "(dimensionless) assumed for the power-broadening "
+                    "correction sqrt(1+S)")], {"saturation": 0.0})
     add_out(p, _cmd_fit_scan)
 
     p = sub.add_parser(
@@ -853,26 +823,12 @@ def build_parser() -> _Parser:
         description="Per-trial ionization wall-clock times for a Poisson "
         "process gated by the chop windows.",
     )
-    p.add_argument(
-        "--rate",
-        dest="rate_per_s",
-        type=float,
-        required=True,
-        help="ionization rate during ON windows in s^-1.",
-    )
-    p.add_argument(
-        "--duty",
-        type=float,
-        default=0.5,
-        help="ON fraction of each chop cycle (dimensionless, 0 < duty <= 1)."
-        " Default %(default)s.",
-    )
-    p.add_argument(
-        "--chop-hz",
-        type=float,
-        default=50.0,
-        help="chop rate in Hz. Default %(default)s.",
-    )
+    add_floats(p, (
+        ("--rate", "rate_per_s", "ionization rate during ON windows in s^-1"),
+        ("--duty", "duty",
+         "ON fraction of each chop cycle (dimensionless, 0 < duty <= 1)"),
+        ("--chop-hz", "chop_hz", "chop rate in Hz"),
+    ), {"duty": 0.5, "chop_hz": 50.0})
     p.add_argument(
         "--trials",
         type=_trial_count,
@@ -885,18 +841,11 @@ def build_parser() -> _Parser:
         required=True,
         help="base RNG seed (integer >= 0).",
     )
-    p.add_argument(
-        "--max-time-s",
-        type=float,
-        default=10.0,
-        help="per-trial time budget in s. Default %(default)s.",
-    )
-    p.add_argument(
-        "--failure-prob",
-        type=float,
-        default=0.0,
-        help="per-window abort probability (dimensionless). Default %(default)s.",
-    )
+    add_floats(p, (
+        ("--max-time-s", "max_time_s", "per-trial time budget in s"),
+        ("--failure-prob", "failure_prob",
+         "per-window abort probability (dimensionless)"),
+    ), {"max_time_s": 10.0, "failure_prob": 0.0})
     add_out(p, _cmd_simulate)
 
     p = sub.add_parser(
@@ -933,13 +882,9 @@ def build_parser() -> _Parser:
         help="first RNG seed (integer >= 0); record i uses seed_base + i. "
         "Default %(default)s.",
     )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.14,
-        help="success band |q2_inferred - q2_true| in units of e. "
-        "Default %(default)s.",
-    )
+    add_floats(p, [("--tolerance", "tolerance",
+                    "success band |q2_inferred - q2_true| in units of e")],
+               {"tolerance": 0.14})
     add_out(p, _cmd_verify_roundtrip)
 
     return parser

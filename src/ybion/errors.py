@@ -15,6 +15,9 @@ representable(what, value, interval, error, **inputs) tests a computed
 result against the same intervals and refuses it with "WHAT lies outside
 the floating-point range for NAME = VALUE, NAME = VALUE", naming the inputs
 it was computed from.
+
+_seed_error(seed) is the one refusal of an rng seed that is not an integer
+>= 0: "rng seed must be an integer >= 0, got SEED".
 """
 
 import math
@@ -64,6 +67,11 @@ def check_array(what: str, values, interval: str, unit: str = "", error=SchemeEr
     if outside.any():
         check(what, float(values[outside].flat[0]), interval, unit, error)
     return values
+
+
+def _seed_error(seed) -> SchemeError:
+    """The refusal of seed, an rng seed that is not an integer >= 0."""
+    return SchemeError(f"rng seed must be an integer >= 0, got {seed}")
 
 
 def representable(what: str, value, interval: str = "[0, inf)", error=SchemeError,

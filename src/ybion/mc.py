@@ -47,6 +47,7 @@ enters before its event or the horizon, and then records K windows.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
@@ -59,7 +60,14 @@ from .crystal import (
     infer_eta,
     normal_mode_frequencies,
 )
-from .errors import SchemeError, SolverError, check, check_array, representable
+from .errors import (
+    SchemeError,
+    SolverError,
+    _seed_error,
+    check,
+    check_array,
+    representable,
+)
 
 __all__ = [
     "SequenceConfig",
@@ -92,6 +100,8 @@ class SequenceConfig:
     beam is never chopped (the duty = 1 limit is part of the contract, so
     the range is 0 < duty <= 1). failure_prob is the per-window abort
     probability standing in for unmodeled loss channels; default 0.
+    rng_seed must be an integer >= 0 (an int or a numpy integer); any
+    other value is refused here, naming it.
     """
 
     rate_per_s: float
@@ -107,7 +117,12 @@ class SequenceConfig:
         check("chop rate", self.chop_rate_hz, "(0, inf)")
         check("max time", self.max_time_s, "(0, inf)")
         check("failure probability", self.failure_prob, "[0, 1]")
-        check("rng seed", self.rng_seed, "[0, inf)")
+        try:
+            seeded = operator.index(self.rng_seed) >= 0
+        except TypeError:
+            seeded = False
+        if not seeded:
+            raise _seed_error(self.rng_seed)
         # Window counts are int64 and the chop phase must stay resolvable,
         # so the horizon may span at most 2**53 chop cycles of nonzero ON time.
         check("chop period", self.period_s, "(0, inf)", "s")
@@ -431,11 +446,16 @@ def synthesize_verification(
 
     Four standard normals from default_rng(seed) are applied in a fixed
     order (ratio, nu1, nu_com, nu_bre), so records are reproducible for a
-    given seed. Zero noise returns exact values.
+    given seed, an integer >= 0; a seed numpy refuses is refused with a
+    SchemeError naming it. Zero noise returns exact values.
     """
     ratio_true = displacement_ratio(trap.eta, charges.q2)
     nu_com_true, nu_bre_true = normal_mode_frequencies(trap)
-    d_ratio, d_nu1, d_com, d_bre = np.random.default_rng(seed).standard_normal(4).tolist()
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise _seed_error(seed) from None
+    d_ratio, d_nu1, d_com, d_bre = rng.standard_normal(4).tolist()
     return VerificationRecord(
         float(ratio_true * (1.0 + noise.ratio_rel * d_ratio)),
         float(trap.nu1_hz * (1.0 + noise.freq_rel * d_nu1)),

@@ -22,6 +22,9 @@ the natural FWHM of the upper level in Hz, 1 / (2 pi lifetime). For an
 isolated two-level pair this reproduces the standard saturation behavior:
 upper population S/(2(S+1)) on resonance and a fitted linewidth growing as
 sqrt(1 + S). The detuning is the laser offset from line center in Hz.
+drive_rate squares 2 * detuning / width as one product, x * x, for a float
+detuning and for an array alike, so a scan point and a steady state at the
+same detuning use the same W to the bit.
 
 Steady states come from the Grassmann-Taksar-Heyman (GTH) state reduction
 (Grassmann, Taksar & Heyman, Operations Research 33, 1985), which reads only
@@ -257,19 +260,17 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
         width = natural_fwhm_hz(lifetime)
     except SchemeError as refusal:
         raise SchemeError(f"{name} {refusal}") from None
-    # Where (2 detuning / width)^2 overflows, W is 0. A Python float raises
-    # OverflowError there and numpy warns, so each is caught its own way;
-    # the float path also skips numpy's per-call cost in build_rate_matrix.
-    # Finite squares keep their bits: numpy scalars square with C's pow, as
-    # Python floats do, and arrays multiply.
+    # One product, x * x, squares a float and an array alike, so a scan
+    # point and a steady state at the same detuning share W to the bit.
+    # Where it overflows, to inf, W is 0: a float product does so without
+    # raising, and the array's warning is silenced. The float path skips
+    # numpy's per-call cost in build_rate_matrix.
     if type(detuning_hz) is float:
-        try:
-            return peak / (1.0 + (2.0 * detuning_hz / width) ** 2)
-        except OverflowError:
-            return 0.0
+        x = 2.0 * detuning_hz / width
+        return peak / (1.0 + x * x)
     with np.errstate(over="ignore"):
         x = 2.0 * np.asarray(detuning_hz, dtype=float) / width
-        return peak / (1.0 + x**2)
+        return peak / (1.0 + x * x)
 
 
 def build_rate_matrix(

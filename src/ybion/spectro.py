@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import SchemeError, SolverError, check, representable
+from .errors import SchemeError, SolverError, _seed_error, check, representable
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
 # here although scans solve through steady_state_scan.
 from .rates import (  # noqa: F401
@@ -175,12 +175,13 @@ def simulate_scan(
     level's sum first; the two agree for the default monitor on both
     bundled schemes, whose 6p12 ratios sum to exactly 1.0 (0.995 + 0.005,
     0.5 + 0.5). With noise_sigma > 0 the noise is drawn as
-    noise_rng_description() states. Preconditions: the scanned drive
-    exists, no other drive shares its lower level (a repump on the same
-    level would distort the line, so it must be switched off first), and
-    the monitor transition is a decay channel of the scheme. A grid that
-    ScanCurve would refuse is refused, in its words, before any matrix is
-    built.
+    noise_rng_description() states, from seed, an integer >= 0 or None for
+    OS entropy; a seed numpy refuses is refused with a SchemeError naming
+    it. Preconditions: the scanned drive exists, no other drive shares its
+    lower level (a repump on the same level would distort the line, so it
+    must be switched off first), and the monitor transition is a decay
+    channel of the scheme. A grid that ScanCurve would refuse is refused,
+    in its words, before any matrix is built.
     """
     detunings = np.array(detunings_hz, dtype=float)
     if detunings.size == 0:
@@ -217,7 +218,10 @@ def simulate_scan(
 
     # ScanCurve refuses a sigma that is not finite, so only finite ones draw
     if noise_sigma is not None and 0 < noise_sigma < math.inf:
-        rng = np.random.default_rng(seed)
+        try:
+            rng = np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            raise _seed_error(seed) from None
         signal += rng.normal(0.0, noise_sigma, size=signal.shape)
         np.clip(signal, 0.0, None, out=signal)
         representable("noisy signal", signal.max(), noise_sigma=noise_sigma)
@@ -305,7 +309,11 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     Needs at least eight points. Returns converged=False (never raises)
     for degenerate data: flat signal, nonpositive initial amplitude, a
     zero initial width, the iteration cap, a solution with nonpositive
-    width or amplitude, or a width larger than the scanned span.
+    width or amplitude, or a width larger than the scanned span. No gate
+    refuses a width below the grid's point spacing: the eight-point curve
+    (0.7, 0.5, 0.6, 0.0, 0.2, 1.0, 0.1, 0.1) on detunings 0..7 Hz converges
+    to fwhm about 1.03e-6 Hz, where the normal matrix is singular and the
+    covariance all NaN.
     The covariance is the Gauss-Newton (J^T J)^-1 from the analytic J at
     the solution, scaled by the residual variance 2 cost / (points - 4).
     """

@@ -499,6 +499,36 @@ def test_config_rejects_non_finite(field, value):
         config(**{field: value})
 
 
+# None of these is an integer >= 0.
+BAD_SEEDS = [1.5, -0.0, 1e300, -1, np.int64(-2)]
+
+
+def seed_refusal(seed):
+    return f"^rng seed must be an integer >= 0, got {re.escape(str(seed))}$"
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_config_refuses_a_seed_that_is_no_integer_at_least_zero(seed):
+    with pytest.raises(SchemeError, match=seed_refusal(seed)):
+        config(rng_seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_verification_refuses_a_seed_that_is_no_integer_at_least_zero(seed):
+    trap = TrapAxis(nu1_hz=474e3, eta=2.135)
+    with pytest.raises(SchemeError, match=seed_refusal(seed)):
+        synthesize_verification(trap, ChargePair(q2=2.0), REPORTED_NOISE, seed=seed)
+
+
+def test_config_and_verification_take_numpy_integer_seeds():
+    assert_same_runs(simulate_ionization_times(config(rng_seed=np.int64(7)), 50),
+                     simulate_ionization_times(config(rng_seed=7), 50))
+    trap = TrapAxis(nu1_hz=474e3, eta=2.135)
+    charges = ChargePair(q2=2.0)
+    assert (synthesize_verification(trap, charges, REPORTED_NOISE, seed=np.uint64(9))
+            == synthesize_verification(trap, charges, REPORTED_NOISE, seed=9))
+
+
 def test_config_rejects_unresolvable_horizons():
     with pytest.raises(SchemeError, match="rng seed"):
         config(rng_seed=-1)

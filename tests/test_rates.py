@@ -61,11 +61,6 @@ def two_level(lifetime_s=1e-7, saturation=1.0, detuning_hz=0.0) -> LevelScheme:
     )
 
 
-@pytest.fixture(scope="module")
-def yb_scheme():
-    return load_bundled_scheme("yb174_plus")
-
-
 # -- closed-form two-level checks -------------------------------------------
 
 
@@ -94,6 +89,21 @@ def test_two_level_detuning_lorentzian():
     p0 = steady_state(build_rate_matrix(two_level(lifetime, s, 0.0)))
     p1 = steady_state(build_rate_matrix(two_level(lifetime, s, width / 2)))
     assert p1["e"] / p0["e"] == pytest.approx(0.5, rel=2e-2)
+
+
+@pytest.mark.parametrize("detuning_hz", [
+    -11326905.156984247, 12713140.585600419, -5899053.491079579,
+    1e150, -1e150, 1.7e308, -1.7e308,
+])
+def test_drive_rate_of_a_float_equals_its_array_entry_bit_for_bit(yb_scheme,
+                                                                  detuning_hz):
+    # At the first three, C's pow and a product round the square apart; the
+    # last two overflow the square, where W is 0 on both paths.
+    drive = yb_scheme.drive("7p12", "5d32")
+    w = rates.drive_rate(yb_scheme, drive, detuning_hz)
+    entry = rates.drive_rate(yb_scheme, drive, np.array([detuning_hz]))[0]
+    assert type(w) is float
+    assert w.hex() == float(entry).hex()
 
 
 def test_monotone_in_saturation():

@@ -34,11 +34,6 @@ e g 500.0 - - 1.0 0.0 0
 """
 
 
-@pytest.fixture(scope="module")
-def yb_scheme():
-    return load_bundled_scheme("yb174_plus")
-
-
 def test_constants_hc_consistency():
     # 500 nm photon energy, CODATA hc
     assert photon_energy_j(500.0) == pytest.approx(3.973e-19, rel=1e-4)

@@ -42,11 +42,6 @@ def reference_scheme():
     return load_bundled_scheme("linewidth_reference")
 
 
-@pytest.fixture(scope="module")
-def yb_scheme():
-    return load_bundled_scheme("yb174_plus")
-
-
 def synthetic_curve(center=1.5e6, fwhm=12e6, amplitude=1.0, offset=0.1,
                     n=200, span=72e6, noise_sigma=None, seed=None):
     grid = np.linspace(-span / 2.0, span / 2.0, n)
@@ -117,6 +112,15 @@ def test_scan_noise_is_seeded_and_clamped(reference_scheme):
     assert not np.array_equal(a.fluorescence, c.fluorescence)
     assert a.fluorescence.min() >= 0.0
     assert a.noise_sigma == 0.05
+
+
+@pytest.mark.parametrize("seed", [1.5, -0.0, 1e300, -1])
+def test_noisy_scan_refuses_a_seed_that_is_no_integer_at_least_zero(reference_scheme,
+                                                                   seed):
+    grid = np.linspace(-30e6, 30e6, 31)
+    refusal = f"rng seed must be an integer >= 0, got {seed}"
+    with pytest.raises(SchemeError, match=f"^{re.escape(refusal)}$"):
+        simulate_scan(reference_scheme, *PROBE, grid, noise_sigma=0.05, seed=seed)
 
 
 def per_point_signal(scheme, pair, detuning_hz, monitor=("6p12", "6s12")):
