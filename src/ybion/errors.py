@@ -16,11 +16,12 @@ result against the same intervals and refuses it with "WHAT lies outside
 the floating-point range for NAME = VALUE, NAME = VALUE", naming the inputs
 it was computed from.
 
-_seed_error(seed) is the one refusal of an rng seed that is not an integer
->= 0: "rng seed must be an integer >= 0, got SEED".
+_seed(seed) passes an integer >= 0 as an int and refuses any other rng seed,
+None too, with "rng seed must be an integer >= 0, got SEED".
 """
 
 import math
+import operator
 
 
 class YbionError(Exception):
@@ -69,9 +70,15 @@ def check_array(what: str, values, interval: str, unit: str = "", error=SchemeEr
     return values
 
 
-def _seed_error(seed) -> SchemeError:
-    """The refusal of seed, an rng seed that is not an integer >= 0."""
-    return SchemeError(f"rng seed must be an integer >= 0, got {seed}")
+def _seed(seed) -> int:
+    """seed as an int if it is an integer >= 0, else SchemeError naming it."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise SchemeError(f"rng seed must be an integer >= 0, got {seed}")
+    return value
 
 
 def representable(what: str, value, interval: str = "[0, inf)", error=SchemeError,

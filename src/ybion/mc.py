@@ -47,7 +47,6 @@ enters before its event or the horizon, and then records K windows.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
@@ -63,7 +62,7 @@ from .crystal import (
 from .errors import (
     SchemeError,
     SolverError,
-    _seed_error,
+    _seed,
     check,
     check_array,
     representable,
@@ -117,12 +116,7 @@ class SequenceConfig:
         check("chop rate", self.chop_rate_hz, "(0, inf)")
         check("max time", self.max_time_s, "(0, inf)")
         check("failure probability", self.failure_prob, "[0, 1]")
-        try:
-            seeded = operator.index(self.rng_seed) >= 0
-        except TypeError:
-            seeded = False
-        if not seeded:
-            raise _seed_error(self.rng_seed)
+        _seed(self.rng_seed)
         # Window counts are int64 and the chop phase must stay resolvable,
         # so the horizon may span at most 2**53 chop cycles of nonzero ON time.
         check("chop period", self.period_s, "(0, inf)", "s")
@@ -446,15 +440,12 @@ def synthesize_verification(
 
     Four standard normals from default_rng(seed) are applied in a fixed
     order (ratio, nu1, nu_com, nu_bre), so records are reproducible for a
-    given seed, an integer >= 0; a seed numpy refuses is refused with a
-    SchemeError naming it. Zero noise returns exact values.
+    given seed, an integer >= 0; any other, None or a sequence too, is
+    refused with a SchemeError naming it. Zero noise returns exact values.
     """
     ratio_true = displacement_ratio(trap.eta, charges.q2)
     nu_com_true, nu_bre_true = normal_mode_frequencies(trap)
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise _seed_error(seed) from None
+    rng = np.random.default_rng(_seed(seed))
     d_ratio, d_nu1, d_com, d_bre = rng.standard_normal(4).tolist()
     return VerificationRecord(
         float(ratio_true * (1.0 + noise.ratio_rel * d_ratio)),

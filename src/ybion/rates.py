@@ -56,7 +56,9 @@ on it. The steady-state and scan bits are pinned by sha256 in the tests,
 so numpy's own reductions give them: a sum of 8 terms or more is numpy's
 add.reduce, and a shorter one runs left to right from 0.0, as add.reduce
 does (_sum). build_rate_matrix accumulates on Python floats, converts to
-an array once and closes its columns with one numpy sum.
+an array once and closes its columns with one numpy sum. It and evolve skip
+the copies and re-checks of RateMatrix and PopulationVector (_trusted): all
+their rates and terms are >= 0, and they formed or tested each sum just now.
 
 Time evolution is subtraction-free too: evolve exponentiates the matrix
 shifted by its largest out-rate, which is nonnegative, by a Taylor sum and
@@ -81,7 +83,7 @@ from dataclasses import dataclass, field
 from ._numpy import np
 from .constants import PLANCK_CONSTANT_J_S, SPEED_OF_LIGHT_M_S
 from .errors import SchemeError, SolverError, check, check_array, representable
-from .scheme import LevelScheme
+from .scheme import LevelScheme, _trusted
 
 __all__ = [
     "RateMatrix",
@@ -123,8 +125,9 @@ class RateMatrix:
     caller's own. shift is lam, the largest out-rate (the largest column
     sum of the off-diagonal rates), and shifted is the nonnegative B = M +
     lam I: the off-diagonal rates with lam minus each level's out-rate on
-    the diagonal. evolve reads shift and shifted, which are computed once,
-    here.
+    the diagonal; _close computes them once, for evolve. build_rate_matrix
+    (_trusted) skips __post_init__'s copy, re-sum and checks: its rates are
+    finite and >= 0 by construction, and _close gets the sums it closed.
     """
 
     matrix: np.ndarray
@@ -156,12 +159,15 @@ class RateMatrix:
                                      and out_rates[sink] == 0.0):
             raise SolverError(f"sink_index must index a level with no out-rate (a sink "
                               f"absorbs), one of 0 to {n - 1}, got {sink}")
+        self._close(m, shifted, out_rates)
+
+    def _close(self, m: np.ndarray, shifted: np.ndarray, out_rates) -> "RateMatrix":
+        """Set m, shift and shifted (m's copy) from out_rates, m's off-diagonal sums."""
         shift = float(out_rates.max())
-        shifted.flat[::n + 1] = shift - out_rates
-        for name, value in (("matrix", m), ("shifted", shifted)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "shift", shift)
+        shifted.flat[::len(out_rates) + 1] = shift - out_rates
+        m.flags.writeable = shifted.flags.writeable = False
+        vars(self).update(matrix=m, shift=shift, shifted=shifted)
+        return self
 
     @property
     def n(self) -> int:
@@ -176,7 +182,9 @@ class RateMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PopulationVector:
-    """Level populations in the ordering of an accompanying RateMatrix."""
+    """Level populations in the ordering of an accompanying RateMatrix, in
+    [0, 1] and summing to 1. evolve (_trusted) skips the copy and checks: its
+    terms are >= 0, divided by their total, which it found within 1e-6 of 1."""
 
     populations: np.ndarray
     labels: tuple[str, ...]
@@ -343,8 +351,10 @@ def build_rate_matrix(
         for lv, out_rate in zip(order, out_rates):
             representable(f"level {lv.label} out-rate", out_rate,
                           lifetime_s=lv.lifetime_s)
-    m.flat[::size + 1] = -m.sum(axis=0)
-    return RateMatrix(matrix=m, labels=tuple(labels), sink_index=sink_index)
+    out_rates = m.sum(axis=0)
+    m.flat[::size + 1] = -out_rates
+    matrix = _trusted(RateMatrix, labels=tuple(labels), sink_index=sink_index)
+    return matrix._close(m, m.copy(), out_rates)
 
 
 def _sum(values: list) -> float:
@@ -633,12 +643,14 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
         return PopulationVector(p0.populations, m.labels)
 
     p = _propagate(m, p0.populations, t_s)
-    total = p.sum()
+    total = np.add.reduce(p)  # what p.sum() calls
     if not abs(total - 1.0) <= 1e-6:
         raise SolverError(
             f"propagator lost conservation: populations sum to {float(total)}"
         )
-    return PopulationVector(populations=p / total, labels=m.labels)
+    p /= total
+    p.setflags(write=False)
+    return _trusted(PopulationVector, populations=p, labels=m.labels)
 
 
 def initial_population(m: RateMatrix, label: str) -> PopulationVector:

@@ -65,6 +65,7 @@ WAVELENGTH_TOLERANCE = 1e-3
 BRANCHING_SUM_SLACK = 1e-9
 
 DATA_DIR = Path(__file__).with_name("data")  # bundled schemes and tables
+_STRENGTH = frozenset({"saturation", "power_w", "waist_m", "detuning_hz", "chopped"})
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,9 @@ class LevelScheme:
 
     Lookup helpers raise SchemeError for unknown labels so that a typo in
     user input surfaces with the offending name rather than a KeyError.
+    with_all_drives_saturated and with_drive on _STRENGTH fields (_trusted)
+    skip _check_consistency, which reads only self's labels, pairs and
+    wavelengths, checked when self was built.
     """
 
     levels: tuple[Level, ...]
@@ -196,12 +200,14 @@ class LevelScheme:
 
     # -- immutable editing -----------------------------------------------
 
-    def with_drive(self, upper: str, lower: str, **changes) -> "LevelScheme":
-        """Copy with one drive's fields replaced; setting saturation clears
-        power_w and waist_m, and setting either of those clears saturation."""
+    def with_drive(self, upper: str, lower: str, /, **changes) -> "LevelScheme":
+        """Copy with one drive's fields replaced, its pair too; setting saturation
+        clears power_w and waist_m, and setting either clears saturation."""
         target = self.drive(upper, lower)
         new = _edited_drive(target, changes)
         drives = tuple(new if d is target else d for d in self.drives)
+        if changes.keys() <= _STRENGTH:
+            return _trusted(type(self), **{**vars(self), "drives": drives})
         return dataclasses.replace(self, drives=drives)
 
     def with_level(self, label: str, **changes) -> "LevelScheme":
@@ -216,7 +222,14 @@ class LevelScheme:
         by with_drive's rule."""
         changes = {"saturation": saturation}
         drives = tuple(_edited_drive(d, changes) for d in self.drives)
-        return dataclasses.replace(self, drives=drives)
+        return _trusted(type(self), **{**vars(self), "drives": drives})
+
+
+def _trusted(cls, **fields):
+    """A cls instance holding fields already checked, its __post_init__ not run."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _edited_drive(drive: LaserDrive, changes: dict) -> LaserDrive:
@@ -226,7 +239,7 @@ def _edited_drive(drive: LaserDrive, changes: dict) -> LaserDrive:
     cleared = {"power_w": None, "waist_m": None} if "saturation" in changes else {}
     if "power_w" in changes or "waist_m" in changes:
         cleared["saturation"] = None
-    return dataclasses.replace(drive, **{**cleared, **changes})
+    return type(drive)(**{**vars(drive), **cleared, **changes})
 
 
 def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:

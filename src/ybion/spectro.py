@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import SchemeError, SolverError, _seed_error, check, representable
+from .errors import SchemeError, SolverError, _seed, check, representable
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
 # here although scans solve through steady_state_scan.
 from .rates import (  # noqa: F401
@@ -176,7 +176,7 @@ def simulate_scan(
     bundled schemes, whose 6p12 ratios sum to exactly 1.0 (0.995 + 0.005,
     0.5 + 0.5). With noise_sigma > 0 the noise is drawn as
     noise_rng_description() states, from seed, an integer >= 0 or None for
-    OS entropy; a seed numpy refuses is refused with a SchemeError naming
+    OS entropy; any other seed, a sequence too, raises a SchemeError naming
     it. Preconditions: the scanned drive exists, no other drive shares its
     lower level (a repump on the same level would distort the line, so it
     must be switched off first), and the monitor transition is a decay
@@ -218,10 +218,7 @@ def simulate_scan(
 
     # ScanCurve refuses a sigma that is not finite, so only finite ones draw
     if noise_sigma is not None and 0 < noise_sigma < math.inf:
-        try:
-            rng = np.random.default_rng(seed)
-        except (TypeError, ValueError):
-            raise _seed_error(seed) from None
+        rng = np.random.default_rng(seed if seed is None else _seed(seed))
         signal += rng.normal(0.0, noise_sigma, size=signal.shape)
         np.clip(signal, 0.0, None, out=signal)
         representable("noisy signal", signal.max(), noise_sigma=noise_sigma)

@@ -520,6 +520,15 @@ def test_verification_refuses_a_seed_that_is_no_integer_at_least_zero(seed):
         synthesize_verification(trap, ChargePair(q2=2.0), REPORTED_NOISE, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [None, [3, 4], (5,), np.array([3, 4])])
+def test_verification_refuses_entropy_and_sequence_seeds(seed):
+    trap = TrapAxis(nu1_hz=474e3, eta=2.135)
+    with pytest.raises(SchemeError, match=seed_refusal(seed)):
+        synthesize_verification(trap, ChargePair(q2=2.0), REPORTED_NOISE, seed=seed)
+    with pytest.raises(SchemeError, match=seed_refusal(seed)):
+        config(rng_seed=seed)
+
+
 def test_config_and_verification_take_numpy_integer_seeds():
     assert_same_runs(simulate_ionization_times(config(rng_seed=np.int64(7)), 50),
                      simulate_ionization_times(config(rng_seed=7), 50))

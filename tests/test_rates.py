@@ -657,6 +657,53 @@ def test_steady_states_match_oracles_on_drawn_schemes(scheme, drive, w):
         assert agree(row, expected.populations, GTH_RTOL)
 
 
+# -- results built without re-checks ---------------------------------------------
+
+
+def replaced_drives(scheme, edit):
+    """scheme with edit(drive) applied to every drive, through
+    dataclasses.replace, which runs every check of LaserDrive and
+    LevelScheme."""
+    return dataclasses.replace(
+        scheme, drives=tuple(dataclasses.replace(d, **edit(d)) for d in scheme.drives))
+
+
+@pytest.mark.parametrize("name", ["linewidth_reference", "yb174_plus"])
+@pytest.mark.parametrize("saturation", [1e-2, 1.0, 1e4])
+@pytest.mark.parametrize("detuning_hz", [0.0, 3e6])
+def test_unchecked_results_equal_the_checked_construction(name, saturation, detuning_hz):
+    base = load_bundled_scheme(name)
+    scheme = base.with_all_drives_saturated(saturation)
+    strength = {"saturation": saturation, "power_w": None, "waist_m": None}
+    assert scheme == replaced_drives(base, lambda d: strength)
+    first = scheme.drives[0]
+    edited = scheme.with_drive(first.upper, first.lower, detuning_hz=detuning_hz)
+    assert edited == replaced_drives(
+        scheme, lambda d: {"detuning_hz": detuning_hz} if d is first else {})
+    assert type(scheme) is type(edited) is LevelScheme
+    ground = min(base.levels, key=lambda lv: lv.energy_cm1).label
+    for sink in (False, True):
+        m = build_rate_matrix(edited, include_ionization=sink,
+                              ionization_rate=1e3 if sink else 0.0)
+        checked = RateMatrix(m.matrix, m.labels, m.sink_index)
+        for array in ("matrix", "shifted"):
+            fast, full = getattr(m, array), getattr(checked, array)
+            assert fast.tobytes() == full.tobytes() and fast.shape == full.shape
+            assert not fast.flags.writeable
+        assert (m.shift, m.labels, m.sink_index) == (
+            checked.shift, checked.labels, checked.sink_index)
+        p0 = initial_population(m, ground)
+        for t_s in (1e-6, 1e-3, 10.0):
+            result = evolve(m, p0, t_s)
+            p = _propagate(m, p0.populations, t_s)
+            expected = PopulationVector(p / p.sum(), m.labels)
+            assert result.populations.tobytes() == expected.populations.tobytes()
+            assert result.labels == m.labels
+            assert not result.populations.flags.writeable
+            assert (evolve(checked, p0, t_s).populations.tobytes()
+                    == result.populations.tobytes())
+
+
 # -- scipy stays out of the runtime -----------------------------------------------
 
 

@@ -403,6 +403,18 @@ def test_with_drive_refuses_an_incomplete_or_double_strength(changes, message):
     assert str(caught.value) == f"drive e<->g: {message}"
 
 
+@pytest.mark.parametrize("changes,message", [
+    (dict(wavelength_nm=250.0), "drive 7p12<->5d32: declared wavelength 250.0 nm "
+     "differs from energy gap (245.426 nm) by 1.83e-02 (limit 0.001)"),
+    (dict(upper="6p12", lower="6s12"), "duplicate drive 6p12<->6s12"),
+])
+def test_with_drive_outside_the_strength_fields_runs_every_scheme_check(yb_scheme, changes,
+                                                                       message):
+    with pytest.raises(SchemeError) as caught:
+        yb_scheme.with_drive("7p12", "5d32", **changes)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("kind,prefix,make", [
     ("decays", "decay {}->{}", lambda u, l: DecayChannel(u, l, 1.0)),
     ("drives", "drive {}<->{}", lambda u, l: LaserDrive(u, l, 1e7, saturation=1.0)),

@@ -123,6 +123,21 @@ def test_noisy_scan_refuses_a_seed_that_is_no_integer_at_least_zero(reference_sc
         simulate_scan(reference_scheme, *PROBE, grid, noise_sigma=0.05, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [[3, 4], (5,)])
+def test_noisy_scan_refuses_a_sequence_seed(reference_scheme, seed):
+    grid = np.linspace(-30e6, 30e6, 31)
+    refusal = f"rng seed must be an integer >= 0, got {seed}"
+    with pytest.raises(SchemeError, match=f"^{re.escape(refusal)}$"):
+        simulate_scan(reference_scheme, *PROBE, grid, noise_sigma=0.05, seed=seed)
+
+
+def test_noisy_scan_without_a_seed_draws_from_os_entropy(reference_scheme):
+    grid = np.linspace(-30e6, 30e6, 31)
+    a, b = (simulate_scan(reference_scheme, *PROBE, grid, noise_sigma=0.05).fluorescence
+            for _ in range(2))
+    assert not np.array_equal(a, b)
+
+
 def per_point_signal(scheme, pair, detuning_hz, monitor=("6p12", "6s12")):
     """Monitored fluorescence of one detuning from a full steady_state."""
     branch = next(c for c in scheme.decays_from(monitor[0]) if c.lower == monitor[1])
