@@ -13,10 +13,10 @@ output as Ryu, U. Adams, PLDI 2018), one numpy operation over all rows at
 a time: the value c * 2**q (c the 53-bit significand) is scaled by 10**-k
 through a 126-bit approximation g of 10**-k, built exactly from Python
 ints when this module is first imported, with the 64 x 64 -> 128-bit
-products formed from 32-bit limbs in uint64. Rows outside [1e-4, 1e16)
-(zeros, subnormals, infinities, exponent notation) and the rare rows whose
-value lies exactly halfway between two shortest candidates are printed by
-repr itself. NaN rows are "NA" and never enter the kernel.
+products formed from 32-bit limbs in uint64, and exact ties broken as
+repr breaks them. Rows outside [1e-4, 1e16) (zeros, subnormals,
+infinities, exponent notation) are printed by repr itself. NaN rows are
+"NA" and never enter the kernel.
 
 Layout. Each row is a fixed number of little-endian uint64 words holding
 its characters in order, with NUL bytes in every unused position; one
@@ -110,9 +110,9 @@ def _rop(g, cp):
 
 
 def _shortest(bits):
-    """Shortest round-trip significand d (10**15 <= d < 10**17), exponent
-    k (the value is d * 10**k) and the exact-tie mask, for the float64
-    bit patterns of normal values in [1e-4, 1e16)."""
+    """Shortest round-trip significand d (10**15 <= d < 10**17) and exponent
+    k (the value is d * 10**k) for the float64 bit patterns of normal
+    values in [1e-4, 1e16)."""
     fraction = bits & _M52
     even_power = (fraction - _1) >> _63  # 1 when c = 2**52
     i = ((((bits >> _52) & _M11) - _E_LO) * _2 + even_power).view(np.intp)
@@ -128,7 +128,7 @@ def _shortest(bits):
     # the interval ends): s = floor(v) and s + 1, and one digit shorter,
     # s rounded down to a multiple of 10 and that plus 10. A shorter one
     # wins when exactly one lies in the interval; otherwise s or s + 1,
-    # whichever lies in it, the nearer to v when both do.
+    # whichever lies in it, the nearer to v when both do (the even one at a tie).
     s = vb >> _2
     s4 = s << _2
     sp40 = s // _10 * _40
@@ -137,10 +137,9 @@ def _shortest(bits):
     u_in = vbl <= s4
     w_in = s4 + _4 <= vbr
     ten = up_in ^ wp_in  # exactly one multiple of 10 lies in the interval
-    d = s + (~u_in | (w_in & (vb > s4 + _2)))
+    d = s + (~u_in | (w_in & (vb + (s & _1) > s4 + _2)))
     np.copyto(d, (sp40 >> _2) + wp_in * _10, where=ten)
-    tie = ~ten & u_in & w_in & (vb == s4 + _2)
-    return d, _K[i], tie
+    return d, _K[i]
 
 
 def _time_words(x):
@@ -150,7 +149,7 @@ def _time_words(x):
     if fallback.any():
         x = np.where(fallback, 1.0, x)
     bits = x.view(np.uint64)
-    d, k, tie = _shortest(bits)
+    d, k = _shortest(bits)
     short = (d - _E16) >> _63  # 1 below 10**16
     d *= short * _9 + _1  # now exactly 17 digits
     # Bytes of the field: 0 sign, 1-4 zeros, 5-21 the digits; "." goes
@@ -180,7 +179,7 @@ def _time_words(x):
     keep[0] &= _ALL << first_kept
     text &= keep
     text[0] |= (bits >> _63) * _MINUS
-    return text, np.flatnonzero(fallback | tie)
+    return text, np.flatnonzero(fallback)
 
 
 def _int_words(u, width, head, tail):

@@ -73,7 +73,7 @@ from .mc import (
     verification_rng_description,
 )
 from .photoion import (
-    COEFFICIENT_TABLES,
+    _COMPUTED_MODELS,
     CrossSection,
     GaussianBeam,
     bundled_series_path,
@@ -714,7 +714,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--model",
-        choices=["hydrogenic", *COEFFICIENT_TABLES],
+        choices=_COMPUTED_MODELS,
         required=True,
         help="cross-section model (dimensionless tag; result is in Mb).",
     )

@@ -250,9 +250,10 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     is evaluated at DEFECT_GRID_POINTS values of mu whose distances to n_min
     run geometrically from n_min (mu = 0) down to 1e-9, so the grid also
     resolves the steep approach to the bound; Newton steps then polish the
-    best grid point. Python floats overflow to inf under * and /, so an
-    extreme series gives inf or NaN sums, which the grid gate and the
-    Newton acceptance reject.
+    best grid point. The grid is evaluated member by member, each member's
+    residuals at every defect at once. Python floats overflow to inf under
+    * and /, so an extreme series gives inf or NaN sums, which the grid
+    gate and the Newton acceptance reject.
     """
     if len(series.members) < 2:
         raise SolverError("quantum-defect fit needs at least two series members")
@@ -263,23 +264,24 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     n_min = min(ns)
     upper = n_min - 1e-9
 
-    def misfit(mu: float) -> list[float]:
-        """Predicted minus observed energy of each member; n = mu predicts -inf."""
-        return [limit - (z2r / ((n - mu) * (n - mu)) if n != mu else math.inf) - e
-                for n, e in zip(ns, energies)]
+    def misfit(mus: list[float]) -> list[list[float]]:
+        """Predicted minus observed energy, a row per member over the defects
+        mus; n = mu predicts -inf."""
+        return [[limit - (z2r / ((n - mu) * (n - mu)) if n != mu else math.inf) - e
+                 for mu in mus] for n, e in zip(ns, energies)]
 
-    def sum_sq(mu: float) -> float:  # in member order: sum() compensates from 3.12 on
-        total = 0.0
-        for r in misfit(mu):
-            total += r * r
-        return total
+    def sum_sq(mus: list) -> list:  # in member order: sum() compensates from 3.12 on
+        totals = [0.0] * len(mus)
+        for row in misfit(mus):
+            totals = [t + r * r for t, r in zip(totals, row)]
+        return totals
 
     # n_min minus distances spaced evenly in log10, as np.geomspace spaces them
     log_start, log_stop = math.log10(n_min), math.log10(1e-9)
     step = (log_stop - log_start) / (DEFECT_GRID_POINTS - 1)
     grid = [0.0, *(n_min - math.pow(10.0, i * step + log_start)
                    for i in range(1, DEFECT_GRID_POINTS - 1)), upper]
-    grid_sum_sq = [sum_sq(mu) for mu in grid]
+    grid_sum_sq = sum_sq(grid)
     best = min(range(DEFECT_GRID_POINTS), key=grid_sum_sq.__getitem__)
     representable("smallest sum of squared residuals of the quantum-defect fit",
                   grid_sum_sq[best], error=SolverError,
@@ -288,7 +290,7 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
 
     for _ in range(6):
         g = h = 0.0  # gradient and curvature of the sum of squares
-        for n, r in zip(ns, misfit(mu)):
+        for n, (r,) in zip(ns, misfit([mu])):
             d2 = (n - mu) * (n - mu)
             dpred = -2.0 * z2r / (d2 * (n - mu))
             g += 2.0 * r * dpred
@@ -296,16 +298,16 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
         if not h > 0:
             break
         candidate = min(max(mu - g / h, 0.0), upper)
-        if not sum_sq(candidate) <= sum_sq(mu):
+        if not sum_sq([candidate])[0] <= sum_sq([mu])[0]:
             break
         moved = abs(candidate - mu)
         mu = candidate
         if moved < 1e-15:
             break
-    if upper - mu < 1e-6 and sum_sq(mu) > 1e-12:
+    if upper - mu < 1e-6 and sum_sq([mu])[0] > 1e-12:
         raise SolverError(f"quantum defect ran into the n_min bound (mu = {mu:.6g}); "
                           "the series is not represented by a single defect")
-    return mu, max(abs(r) for r in misfit(mu))
+    return mu, max(abs(r) for (r,) in misfit([mu]))
 
 
 def load_series_file(
@@ -352,7 +354,8 @@ COEFFICIENT_TABLES = {
     "peach": (11.859932, "bound-free quantum-defect cross-section tables of "
               "Peach, Mem. R. Astron. Soc. 71, 13 (1967)"),
 }
-CROSS_SECTION_MODELS = ("hydrogenic", *COEFFICIENT_TABLES, "user")
+_COMPUTED_MODELS = ("hydrogenic", *COEFFICIENT_TABLES)  # the ones cross_section evaluates
+CROSS_SECTION_MODELS = (*_COMPUTED_MODELS, "user")
 
 
 def cross_section(
@@ -401,10 +404,8 @@ def cross_section(
             )
         at_threshold_m2 = COEFFICIENT_TABLES[model][0] * MEGABARN_M2
     else:
-        raise SolverError(
-            f"unknown cross-section model {model!r}; expected one of "
-            f"{CROSS_SECTION_MODELS[:-1]}"
-        )
+        raise SolverError(f"unknown cross-section model {model!r}; "
+                          f"expected one of {_COMPUTED_MODELS}")
     value = representable("cross section", at_threshold_m2 * falloff**3, "(0, inf)",
                           SolverError, n_star=n_star, photon_energy_ev=photon_energy_ev)
     return CrossSection(value_m2=value, model=model)

@@ -56,9 +56,11 @@ on it. The steady-state and scan bits are pinned by sha256 in the tests,
 so numpy's own reductions give them: a sum of 8 terms or more is numpy's
 add.reduce, and a shorter one runs left to right from 0.0, as add.reduce
 does (_sum). build_rate_matrix accumulates on Python floats, converts to
-an array once and closes its columns with one numpy sum. It and evolve skip
-the copies and re-checks of RateMatrix and PopulationVector (_trusted): all
-their rates and terms are >= 0, and they formed or tested each sum just now.
+an array once and closes its columns with one numpy sum. It, evolve and
+initial_population skip the copies and re-checks of RateMatrix and
+PopulationVector (_trusted): all their rates and terms are >= 0, and each
+sum was formed or tested just now, or is the unit vector's single 1.
+evolve over t_s = 0 returns p0 itself, read-only and labelled as m.
 
 Time evolution is subtraction-free too: evolve exponentiates the matrix
 shifted by its largest out-rate, which is nonnegative, by a Taylor sum and
@@ -183,8 +185,8 @@ class RateMatrix:
 @dataclass(frozen=True, eq=False)
 class PopulationVector:
     """Level populations in the ordering of an accompanying RateMatrix, in
-    [0, 1] and summing to 1. evolve (_trusted) skips the copy and checks: its
-    terms are >= 0, divided by their total, which it found within 1e-6 of 1."""
+    [0, 1] and summing to 1. evolve and initial_population (_trusted) skip
+    the copy and checks, which their terms, >= 0 and normalized, pass."""
 
     populations: np.ndarray
     labels: tuple[str, ...]
@@ -208,10 +210,7 @@ class PopulationVector:
         object.__setattr__(self, "populations", p)
 
     def __getitem__(self, label: str) -> float:
-        try:
-            return float(self.populations[self.labels.index(label)])
-        except ValueError:
-            raise SchemeError(f"unknown level label: {label}") from None
+        return float(self.populations[RateMatrix.index(self, label)])
 
 
 def natural_fwhm_hz(lifetime_s: float) -> float:
@@ -640,7 +639,7 @@ def evolve(m: RateMatrix, p0: PopulationVector, t_s: float) -> PopulationVector:
     if p0.labels != m.labels:
         raise SolverError("population vector labels do not match matrix")
     if t_s == 0.0:
-        return PopulationVector(p0.populations, m.labels)
+        return p0
 
     p = _propagate(m, p0.populations, t_s)
     total = np.add.reduce(p)  # what p.sum() calls
@@ -657,5 +656,6 @@ def initial_population(m: RateMatrix, label: str) -> PopulationVector:
     """Unit population vector with everything in one level of the matrix."""
     p = np.zeros(m.n)
     p[m.index(label)] = 1.0
-    return PopulationVector(populations=p, labels=m.labels)
+    p.setflags(write=False)
+    return _trusted(PopulationVector, populations=p, labels=m.labels)
 

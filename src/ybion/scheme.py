@@ -219,9 +219,12 @@ class LevelScheme:
 
     def with_all_drives_saturated(self, saturation: float) -> "LevelScheme":
         """Copy with every drive forced to the given saturation parameter,
-        by with_drive's rule."""
-        changes = {"saturation": saturation}
-        drives = tuple(_edited_drive(d, changes) for d in self.drives)
+        by with_drive's rule. It checks saturation once, refusing it in the
+        first drive's name; every other drive field is self's, checked."""
+        if self.drives:
+            check(f"{self.drives[0].name}: saturation", saturation, "[0, inf)")
+        changes = {"power_w": None, "waist_m": None, "saturation": saturation}
+        drives = tuple(_trusted(type(d), **{**vars(d), **changes}) for d in self.drives)
         return _trusted(type(self), **{**vars(self), "drives": drives})
 
 

@@ -679,6 +679,29 @@ def test_row_kernel_calls_repr_only_for_fallback_rows(monkeypatch):
     assert sorted(printed) == sorted(outside.tolist())
 
 
+def test_row_kernel_prints_exact_digit_ties_itself(monkeypatch):
+    # 16 integer digits and ulp 1/8: x.25 and x.75 lie exactly halfway
+    # between two 17-digit decimals that both round back, and repr takes
+    # the one with the even last digit
+    from ybion import _reprtext
+
+    printed = []
+
+    def counting_repr(value):
+        printed.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(_reprtext, "repr", counting_repr, raising=False)
+    ties = np.random.default_rng(31).integers(10**15, 2**50, 2_000)
+    times = np.concatenate([ties + 0.25, ties + 0.75, -(ties + 0.25)])
+    windows = np.arange(len(times))
+    got = _reprtext.rows(0, times, windows).splitlines()
+    want = repr_rows(times, windows).splitlines()
+    assert printed == []
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+
 def test_rng_is_documented():
     description = rng_description()
     assert "PCG64" in description

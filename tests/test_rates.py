@@ -704,6 +704,26 @@ def test_unchecked_results_equal_the_checked_construction(name, saturation, detu
                     == result.populations.tobytes())
 
 
+def test_evolve_over_no_time_returns_the_start_itself(yb_scheme):
+    m = build_rate_matrix(yb_scheme, include_ionization=True, ionization_rate=1e3)
+    p0 = evolve(m, initial_population(m, "6s12"), 1e-3)
+    assert evolve(m, p0, 0.0) is p0
+
+
+@pytest.mark.parametrize("sink", [False, True])
+def test_initial_population_is_the_checked_unit_vector(yb_scheme, sink):
+    m = build_rate_matrix(yb_scheme, include_ionization=sink)
+    for i, label in enumerate(m.labels):
+        p = initial_population(m, label)
+        unit = np.zeros(m.n)
+        unit[i] = 1.0
+        checked = PopulationVector(unit, m.labels)
+        assert p.populations.tobytes() == checked.populations.tobytes()
+        assert p.populations.shape == (m.n,) and p.labels == m.labels
+        assert not p.populations.flags.writeable
+        assert p[label] == 1.0
+
+
 # -- scipy stays out of the runtime -----------------------------------------------
 
 

@@ -376,6 +376,19 @@ def test_with_all_drives_saturated(yb_scheme):
         assert d.power_w is None and d.waist_m is None
 
 
+@pytest.mark.parametrize("saturation", [-1.0, math.nan, math.inf])
+def test_saturating_every_drive_checks_the_saturation_once(yb_scheme, saturation):
+    first = yb_scheme.drives[0].name
+    with pytest.raises(SchemeError) as refusal:
+        yb_scheme.with_all_drives_saturated(saturation)
+    assert str(refusal.value) == (
+        f"{first}: saturation must be >= 0 and finite, got {saturation}")
+    # a scheme without drives has no saturation to check
+    no_drives = load_scheme(MINIMAL.partition("[DRIVES]")[0])
+    assert no_drives.drives == ()
+    assert no_drives.with_all_drives_saturated(saturation) == no_drives
+
+
 def test_with_drive_keeps_one_strength():
     s = load_scheme(MINIMAL)
     powered = s.with_drive("e", "g", power_w=1e-3, waist_m=1e-5)
