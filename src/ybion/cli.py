@@ -148,7 +148,7 @@ MAX_TRIALS = 10**7
 # point on the 9-level scheme, so about 17 MB at this cap.
 MAX_SCAN_POINTS = 10**5
 
-# A seed costs about 36 us and 100 bytes, so about 36 s and 100 MB at this cap.
+# A seed costs about 24 us and 110 bytes, so about 24 s and 110 MB at this cap.
 MAX_SEEDS = 10**6
 
 _nonnegative_int = _int_in_range(0, math.inf)
@@ -638,16 +638,17 @@ def build_parser() -> _Parser:
         )
         p.set_defaults(handler=handler)
 
-    def add_floats(p, flags, defaults):
-        """Float flags given as (option, dest, help) triples, the only way
-        a one-value float flag is declared. A flag is required unless
-        defaults names its dest; a default of None leaves it optional and
-        unset, and its help then states no default. The required ones come
-        first."""
+    def add_flags(p, flags, defaults, kind=float):
+        """One-value flags given as (option, dest, help) triples, converted
+        by kind: float, an int converter, or None for text. The one way a
+        flag is declared whose help is a sentence that ends by stating the
+        default, if there is one. A flag is required unless defaults names
+        its dest; a default of None leaves it optional and unset, and its
+        help then states no default. The required ones come first."""
         for option, dest, text in sorted(flags, key=lambda flag: flag[1] in defaults):
             default = defaults.get(dest)
             stated = "." if default is None else ". Default %(default)s."
-            p.add_argument(option, dest=dest, type=float, required=dest not in defaults,
+            p.add_argument(option, dest=dest, type=kind, required=dest not in defaults,
                            default=default, help=text + stated)
 
     def add_scheme(p):
@@ -684,9 +685,9 @@ def build_parser() -> _Parser:
         "(dimensionless; clears power/waist), power_w (W), waist_m (m) or "
         "detuning_hz (Hz). Repeatable.",
     )
-    add_floats(p, [("--saturate-all", "saturate_all", "force every drive to this "
-                    "saturation parameter (dimensionless) before applying "
-                    "per-drive overrides")], {"saturate_all": None})
+    add_flags(p, [("--saturate-all", "saturate_all", "force every drive to this "
+                   "saturation parameter (dimensionless) before applying "
+                   "per-drive overrides")], {"saturate_all": None})
     add_out(p, _cmd_steady_state)
 
     p = sub.add_parser(
@@ -695,7 +696,7 @@ def build_parser() -> _Parser:
         description="Evaluate the ionization rate of a driven level for a "
         "peak-intensity Gaussian beam.",
     )
-    add_floats(p, (
+    add_flags(p, (
         ("--p7p", "p7p", "excited-level population (dimensionless probability, 0..1)"),
         ("--sigma-mb", "sigma_mb",
          "photoionization cross section in Mb (1 Mb = 1e-22 m^2)"),
@@ -723,8 +724,8 @@ def build_parser() -> _Parser:
         help="series file path: rows of 'n energy_cm1' (energies in cm^-1)."
         " Default: the bundled Yb II np series.",
     )
-    add_floats(p, [("--limit", "limit_cm1", "ionization limit of the series in cm^-1")],
-               {})
+    add_flags(p, [("--limit", "limit_cm1", "ionization limit of the series in cm^-1")],
+              {})
     p.add_argument(
         "--ell",
         type=int,
@@ -732,14 +733,10 @@ def build_parser() -> _Parser:
         help="orbital angular momentum quantum number of the series "
         "(dimensionless). Default %(default)s (p series).",
     )
-    p.add_argument(
-        "--core-charge",
-        type=int,
-        default=2,
-        help="net core charge seen by the escaping electron (units of e); "
-        "2 for ionizing a singly charged ion. Default %(default)s.",
-    )
-    add_floats(p, wavelength, {"wavelength_nm": 245.426})
+    add_flags(p, [("--core-charge", "core_charge", "net core charge seen by the "
+                   "escaping electron (units of e); 2 for ionizing a singly "
+                   "charged ion")], {"core_charge": 2}, int)
+    add_flags(p, wavelength, {"wavelength_nm": 245.426})
     add_out(p, _cmd_xsec)
 
     p = sub.add_parser(
@@ -749,7 +746,7 @@ def build_parser() -> _Parser:
         "optional inversion of a measured mode frequency or displacement "
         "ratio.",
     )
-    add_floats(p, trap, {"eta": 1.0, "q2": 1.0})
+    add_flags(p, trap, {"eta": 1.0, "q2": 1.0})
     p.add_argument(
         "--invert-from-mode",
         nargs=2,
@@ -758,11 +755,11 @@ def build_parser() -> _Parser:
         help="infer eta from a measured mode frequency in Hz; MODE is "
         "'com' or 'bre'.",
     )
-    add_floats(p, [("--invert-from-ratio", "invert_from_ratio",
-                    "infer q2 (units of e) from a measured displacement ratio "
-                    "(dimensionless), using the inferred eta when "
-                    "--invert-from-mode is also given, else --eta")],
-               {"invert_from_ratio": None})
+    add_flags(p, [("--invert-from-ratio", "invert_from_ratio",
+                   "infer q2 (units of e) from a measured displacement ratio "
+                   "(dimensionless), using the inferred eta when "
+                   "--invert-from-mode is also given, else --eta")],
+              {"invert_from_ratio": None})
     add_out(p, _cmd_crystal)
 
     p = sub.add_parser(
@@ -772,16 +769,10 @@ def build_parser() -> _Parser:
         "scanned drive; optionally adds Gaussian noise.",
     )
     add_scheme(p)
-    p.add_argument(
-        "--upper",
-        default="7p12",
-        help="upper level label of the scanned drive. Default %(default)s.",
-    )
-    p.add_argument(
-        "--lower",
-        default="5d32",
-        help="lower level label of the scanned drive. Default %(default)s.",
-    )
+    add_flags(p, (
+        ("--upper", "upper", "upper level label of the scanned drive"),
+        ("--lower", "lower", "lower level label of the scanned drive"),
+    ), {"upper": "7p12", "lower": "5d32"}, None)
     p.add_argument(
         "--grid",
         nargs=3,
@@ -791,8 +782,8 @@ def build_parser() -> _Parser:
         help="detuning grid in Hz: start < stop, and the point count "
         f"(2 to {MAX_SCAN_POINTS}).",
     )
-    add_floats(p, [("--noise-sigma", "noise_sigma", "per-point Gaussian noise sigma "
-                    "in signal units (photons/s per ion)")], {"noise_sigma": None})
+    add_flags(p, [("--noise-sigma", "noise_sigma", "per-point Gaussian noise sigma "
+                   "in signal units (photons/s per ion)")], {"noise_sigma": None})
     p.add_argument(
         "--seed",
         type=_nonnegative_int,
@@ -807,14 +798,11 @@ def build_parser() -> _Parser:
         description="Fit offset + amplitude/(1 + (2(nu-center)/fwhm)^2) to "
         "a stored scan and convert the width to an upper-level lifetime.",
     )
-    p.add_argument(
-        "--data",
-        required=True,
-        help="scan curve file (tab-separated detuning_hz/signal columns).",
-    )
-    add_floats(p, [("--saturation", "saturation", "saturation parameter S "
-                    "(dimensionless) assumed for the power-broadening "
-                    "correction sqrt(1+S)")], {"saturation": 0.0})
+    add_flags(p, [("--data", "data", "scan curve file (tab-separated "
+                   "detuning_hz/signal columns)")], {}, None)
+    add_flags(p, [("--saturation", "saturation", "saturation parameter S "
+                   "(dimensionless) assumed for the power-broadening "
+                   "correction sqrt(1+S)")], {"saturation": 0.0})
     add_out(p, _cmd_fit_scan)
 
     p = sub.add_parser(
@@ -823,25 +811,18 @@ def build_parser() -> _Parser:
         description="Per-trial ionization wall-clock times for a Poisson "
         "process gated by the chop windows.",
     )
-    add_floats(p, (
+    add_flags(p, (
         ("--rate", "rate_per_s", "ionization rate during ON windows in s^-1"),
         ("--duty", "duty",
          "ON fraction of each chop cycle (dimensionless, 0 < duty <= 1)"),
         ("--chop-hz", "chop_hz", "chop rate in Hz"),
     ), {"duty": 0.5, "chop_hz": 50.0})
-    p.add_argument(
-        "--trials",
-        type=_trial_count,
-        required=True,
-        help=f"number of independent trials (count, 1 to {MAX_TRIALS}).",
-    )
-    p.add_argument(
-        "--seed",
-        type=_nonnegative_int,
-        required=True,
-        help="base RNG seed (integer >= 0).",
-    )
-    add_floats(p, (
+    add_flags(p, [("--trials", "trials",
+                   f"number of independent trials (count, 1 to {MAX_TRIALS})")],
+              {}, _trial_count)
+    add_flags(p, [("--seed", "seed", "base RNG seed (integer >= 0)")], {},
+              _nonnegative_int)
+    add_flags(p, (
         ("--max-time-s", "max_time_s", "per-trial time budget in s"),
         ("--failure-prob", "failure_prob",
          "per-window abort probability (dimensionless)"),
@@ -855,7 +836,7 @@ def build_parser() -> _Parser:
         "at a known (eta, q2) and report how often the inferred charge "
         "lands within the tolerance.",
     )
-    add_floats(p, trap, {"nu1_hz": 474e3})
+    add_flags(p, trap, {"nu1_hz": 474e3})
     p.add_argument(
         "--noise",
         nargs=2,
@@ -868,23 +849,13 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(noise_ratio_rel=REPORTED_NOISE.ratio_rel,
                    noise_freq_rel=REPORTED_NOISE.freq_rel)
-    p.add_argument(
-        "--seeds",
-        type=_seed_count,
-        default=1000,
-        help=f"number of independent synthetic records (count, 1 to {MAX_SEEDS})."
-        " Default %(default)s.",
-    )
-    p.add_argument(
-        "--seed-base",
-        type=_nonnegative_int,
-        default=0,
-        help="first RNG seed (integer >= 0); record i uses seed_base + i. "
-        "Default %(default)s.",
-    )
-    add_floats(p, [("--tolerance", "tolerance",
-                    "success band |q2_inferred - q2_true| in units of e")],
-               {"tolerance": 0.14})
+    add_flags(p, [("--seeds", "seeds", "number of independent synthetic records "
+                   f"(count, 1 to {MAX_SEEDS})")], {"seeds": 1000}, _seed_count)
+    add_flags(p, [("--seed-base", "seed_base", "first RNG seed (integer >= 0); "
+                   "record i uses seed_base + i")], {"seed_base": 0}, _nonnegative_int)
+    add_flags(p, [("--tolerance", "tolerance",
+                   "success band |q2_inferred - q2_true| in units of e")],
+              {"tolerance": 0.14})
     add_out(p, _cmd_verify_roundtrip)
 
     return parser

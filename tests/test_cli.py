@@ -2349,3 +2349,32 @@ def test_parser_contract_is_pinned_flag_by_flag():
         defaults = {key: getattr(value, "__name__", value)
                     for key, value in sub._defaults.items()}
         assert defaults == PARSER_DEFAULTS[name], name
+
+
+# -- help pages --------------------------------------------------------------------
+
+# sha256 of every --help page at COLUMNS=80: the top-level page, keyed "",
+# and one per subcommand. They pin what the parser contract leaves out, the
+# help texts and the order of the flags. argparse's layout changes between
+# CPython versions; these pages are those of CPython 3.11.7, and another
+# interpreter may need them recording anew.
+HELP_PAGES = {
+    "": "9cd5f3fa1223a6e8a56d75ccca60f3324ff73ae2fb1cfd27e37035c7ee9fd3a3",
+    "steady-state": "c3e393d6fb295108c505720d30b9e345c655c089c2c7d9db81627adaf9f14bcf",
+    "ionize-rate": "26ee1be1d61645e6a3695522041966845ec6bee5b66c789e8a6ee5a6389f9faa",
+    "xsec": "ab376d9625f6610058acf8bb9f65598860bd5da5452d704c49d4b0358be8c732",
+    "crystal": "d7837a6eef5895f86fd984fbe9fd1ac6120f75adffdbc99a11556b094609f8fc",
+    "scan": "f697d7b60ce6871361c09cb60d384f581b4c998f39911d0cba225de9a1dae484",
+    "fit-scan": "dd24fe3a73bd8292b23d92d4c327f9b9b1df906d68f65712e01c645cd6976d6f",
+    "simulate": "081c45f08f92261193310f87cbfacb93e929927f55164c818ad70fa5fd15dfca",
+    "verify-roundtrip": "9c98a88119526baa971a264645475a9b479368d49f19b0647d2f22bcd419c13c",
+}
+
+
+@pytest.mark.parametrize("name", HELP_PAGES)
+def test_help_page_is_pinned(name, monkeypatch, capsys):
+    assert list(HELP_PAGES) == ["", *SUBCOMMANDS]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([name, "--help"] if name else ["--help"]) == 0
+    page = capsys.readouterr().out
+    assert hashlib.sha256(page.encode()).hexdigest() == HELP_PAGES[name], page
