@@ -14,7 +14,9 @@ duty are.
 
 Each trial starts at a uniformly random phase of the chop cycle. A
 phase-locked start would make the wall-clock mean depend on the lock
-point; averaging over the phase gives the stationary mean 1/(R*duty).
+point; averaging over it gives, for duty d and no horizon, the mean (2 - d)/R
++ (1 - d)^2 T (1 + q) / (2 (1 - q)), q = exp(-R d T), not 1/(R*d), its
+fast-chop (R d T -> 0) limit.
 
 Reproducibility: trials are drawn in fixed blocks of BLOCK_TRIALS = 4096.
 Block b (trials b*4096 .. b*4096 + 4095) has its own numpy default_rng

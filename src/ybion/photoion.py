@@ -61,8 +61,6 @@ __all__ = [
     "bundled_series_path",
 ]
 
-DEFECT_GRID_POINTS = 2048
-
 # Kramers threshold cross section of hydrogen 1s: 64/(3 sqrt(3)) alpha pi a0^2.
 SIGMA_KRAMERS_M2 = (
     64.0 / (3.0 * math.sqrt(3.0))
@@ -246,14 +244,20 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     Fits E_n = limit - Z^2 R / (n - mu)^2 over the members with a single
     defect mu and returns (mu, max absolute residual in cm^-1). Needs at
     least two members. mu is constrained to [0, n_min); a fit pushing
-    against the upper bound is rejected as unphysical. The sum of squares
-    is evaluated at DEFECT_GRID_POINTS values of mu whose distances to n_min
-    run geometrically from n_min (mu = 0) down to 1e-9, so the grid also
-    resolves the steep approach to the bound; Newton steps then polish the
-    best grid point. The grid is evaluated member by member, each member's
-    residuals at every defect at once. Python floats overflow to inf under
-    * and /, so an extreme series gives inf or NaN sums, which the grid
-    gate and the Newton acceptance reject.
+    against the upper bound is rejected as unphysical.
+
+    Member i alone fixes mu_i = n_i - Z sqrt(R / (limit - E_i)). Residuals
+    fall as mu grows, so the sum of squares S falls below every mu_i and
+    rises above them all: they bracket its minimum, unique there for up to 9
+    members (S' has the sign of Z^2 R sum x_i^5 / sum c_i x_i^3 - 1, with
+    x_i = 1/(n_i - mu) and c_i = limit - E_i, whose slope goes as sum_ij
+    c_j x_j^3 x_i^5 (5 x_i - 3 x_j) > 0 as each i = j term outweighs up to 8
+    negative ones) and, in random series, up to 60. From mid-bracket, ends
+    clipped into [0, n_min - 1e-9], each step narrows the bracket by the
+    sign of S' and takes the Newton step if it lands inside and lowers S.
+    A step that does not ends the loop within 1e-15 or 1e-9 relative of mu
+    and bisects farther out, as do h <= 0 and a step outside, until no float
+    lies between the ends. Overflow gives an inf S, which the gate refuses.
     """
     if len(series.members) < 2:
         raise SolverError("quantum-defect fit needs at least two series members")
@@ -261,53 +265,46 @@ def fit_quantum_defect(series: RydbergSeries) -> tuple[float, float]:
     energies = [e for _, e in series.members]
     z2r = series.core_charge**2 * RYDBERG_YB174_CM1
     limit = series.ionization_limit_cm1
-    n_min = min(ns)
-    upper = n_min - 1e-9
+    upper = min(ns) - 1e-9
 
-    def misfit(mus: list[float]) -> list[list[float]]:
-        """Predicted minus observed energy, a row per member over the defects
-        mus; n = mu predicts -inf."""
-        return [[limit - (z2r / ((n - mu) * (n - mu)) if n != mu else math.inf) - e
-                 for mu in mus] for n, e in zip(ns, energies)]
+    def misfit(mu: float) -> list[float]:
+        """Predicted minus observed energy per member; n = mu predicts -inf."""
+        return [limit - (z2r / ((n - mu) * (n - mu)) if n != mu else math.inf) - e
+                for n, e in zip(ns, energies)]
 
-    def sum_sq(mus: list) -> list:  # in member order: sum() compensates from 3.12 on
-        totals = [0.0] * len(mus)
-        for row in misfit(mus):
-            totals = [t + r * r for t, r in zip(totals, row)]
-        return totals
+    def sum_sq(mu: float) -> float:  # in member order: sum() compensates from 3.12 on
+        total = 0.0
+        for r in misfit(mu):
+            total += r * r
+        return total
 
-    # n_min minus distances spaced evenly in log10, as np.geomspace spaces them
-    log_start, log_stop = math.log10(n_min), math.log10(1e-9)
-    step = (log_stop - log_start) / (DEFECT_GRID_POINTS - 1)
-    grid = [0.0, *(n_min - math.pow(10.0, i * step + log_start)
-                   for i in range(1, DEFECT_GRID_POINTS - 1)), upper]
-    grid_sum_sq = sum_sq(grid)
-    best = min(range(DEFECT_GRID_POINTS), key=grid_sum_sq.__getitem__)
-    representable("smallest sum of squared residuals of the quantum-defect fit",
-                  grid_sum_sq[best], error=SolverError,
-                  limit_cm1=limit, core_charge=series.core_charge)
-    mu = grid[best]
-
-    for _ in range(6):
+    defects = [n - math.sqrt(z2r / (limit - e)) for n, e in zip(ns, energies)]
+    lo, hi = (min(max(d, 0.0), upper) for d in (min(defects), max(defects)))
+    mu = lo + (hi - lo) / 2
+    s = sum_sq(mu)
+    while s < math.inf:  # an overflowing S takes no step; the gate refuses it
         g = h = 0.0  # gradient and curvature of the sum of squares
-        for n, (r,) in zip(ns, misfit([mu])):
+        for n, r in zip(ns, misfit(mu)):
             d2 = (n - mu) * (n - mu)
             dpred = -2.0 * z2r / (d2 * (n - mu))
             g += 2.0 * r * dpred
             h += 2.0 * (dpred * dpred + r * (-6.0 * z2r / (d2 * d2)))
-        if not h > 0:
+        lo, hi = (lo, mu) if g > 0 else (mu, hi)
+        if h > 0 and lo <= (candidate := min(max(mu - g / h, 0.0), upper)) <= hi:
+            if (trial := sum_sq(candidate)) < s:
+                mu, s = candidate, trial
+                continue
+            if abs(candidate - mu) <= max(1e-15, 1e-9 * mu):
+                break
+        if not lo < (middle := lo + (hi - lo) / 2) < hi:
             break
-        candidate = min(max(mu - g / h, 0.0), upper)
-        if not sum_sq([candidate])[0] <= sum_sq([mu])[0]:
-            break
-        moved = abs(candidate - mu)
-        mu = candidate
-        if moved < 1e-15:
-            break
-    if upper - mu < 1e-6 and sum_sq([mu])[0] > 1e-12:
+        mu, s = middle, sum_sq(middle)
+    representable("smallest sum of squared residuals of the quantum-defect fit",
+                  s, error=SolverError, limit_cm1=limit, core_charge=series.core_charge)
+    if upper - mu < 1e-6 and s > 1e-12:
         raise SolverError(f"quantum defect ran into the n_min bound (mu = {mu:.6g}); "
                           "the series is not represented by a single defect")
-    return mu, max(abs(r) for (r,) in misfit([mu]))
+    return mu, max(abs(r) for r in misfit(mu))
 
 
 def load_series_file(

@@ -196,16 +196,24 @@ def test_zero_rate_never_ionizes():
     assert summary.ci95_s is None
 
 
-@pytest.mark.parametrize("duty,max_time", [(0.25, 30.0), (0.5, 30.0), (1.0, 30.0)])
-def test_mean_event_time_matches_gated_rate(duty, max_time):
-    # stationary mean of the gated Poisson process is 1/(R*duty)
+@pytest.mark.parametrize("rate,duty,chop,max_time", [
+    (RATE, 0.25, 50.0, 30.0), (RATE, 0.5, 50.0, 30.0), (RATE, 1.0, 50.0, 30.0),
+    (20.0, 0.1, 5.0, 30.0), (1.0, 0.3, 0.5, 200.0)])
+def test_mean_event_time_matches_gated_rate(rate, duty, chop, max_time):
+    # exact mean of the gated Poisson process from a uniform start phase;
+    # it tends to 1/(R*duty) only when R*duty*T is small, unlike the last two rows
+    period = 1.0 / chop
+    q = math.exp(-rate * duty * period)
+    expected = ((2.0 - duty) / rate
+                + (1.0 - duty) ** 2 * period * (1.0 + q) / (2.0 * (1.0 - q)))
     runs = simulate_ionization_times(
-        config(ionization_duty=duty, max_time_s=max_time), 100_000)
+        config(rate_per_s=rate, ionization_duty=duty, chop_rate_hz=chop,
+               max_time_s=max_time), 100_000)
     summary = summarize_times(runs)
     times = events(runs)
     se = times.std(ddof=1) / math.sqrt(len(times))
     assert summary.success_fraction == 1.0
-    assert abs(summary.mean_s - 1.0 / (RATE * duty)) <= 2.0 * se
+    assert abs(summary.mean_s - expected) <= 2.0 * se
 
 
 def test_reference_run_frozen_mean():

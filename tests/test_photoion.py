@@ -419,14 +419,73 @@ def test_noisy_series_defect_is_a_least_squares_minimum(series):
     assert sum_sq(mu)[0] <= sum_sq(dense).min() * (1.0 + 1e-12)
 
 
+def wild_series(rng, kind):
+    """A seeded series of core charge 1 or 2 on n drawn from 2..80, not
+    consecutive: "spread" has 2 to 25 members with binding energies spread
+    log-uniformly over 1e-1 to 1e6 cm^-1, "off" has 2 to 25 members of one
+    defect with each binding energy off by -50 % to +200 %, and "long" has
+    10 to 60 members, either way."""
+    size = rng.integers(10, 61) if kind == "long" else rng.integers(2, 26)
+    ns = np.sort(rng.choice(np.arange(2, 81), size=size, replace=False))
+    core_charge = int(rng.integers(1, 3))
+    z2r = core_charge**2 * RYDBERG_YB174_CM1
+    if kind == "spread" or (kind == "long" and rng.random() < 0.5):
+        binding = 10.0 ** rng.uniform(-1.0, 6.0, size=size)
+    else:
+        mu = rng.uniform(0.0, ns[0] - 0.5)
+        binding = z2r / (ns - mu) ** 2 * (1.0 + rng.uniform(-0.5, 2.0, size=size))
+    members = tuple((int(n), 80000.0 - float(b)) for n, b in zip(ns, binding))
+    return RydbergSeries(members=members, ionization_limit_cm1=80000.0, ell=1,
+                         core_charge=core_charge)
+
+
+@pytest.mark.parametrize("kind", ["spread", "off", "long"])
+def test_wild_series_defect_is_the_least_squares_minimum(kind):
+    # Far from one defect, Newton steps from the bracket's middle can raise
+    # the sum of squares well before the minimum; the fit must still reach it.
+    # "long" series lie beyond the 9 members the uniqueness argument covers.
+    rng = np.random.default_rng(20261020)
+    for _ in range(100):
+        series = wild_series(rng, kind)
+        mu, _ = fit_quantum_defect(series)
+        ns = np.array([n for n, _ in series.members], dtype=float)
+        energies = np.array([e for _, e in series.members])
+        z2r = series.core_charge**2 * RYDBERG_YB174_CM1
+
+        def sum_sq(m):
+            """Sum of squared misfits, one column per value of m."""
+            m = np.atleast_1d(m)
+            pred = 80000.0 - z2r / (ns[:, None] - m) ** 2
+            return ((pred - energies[:, None]) ** 2).sum(axis=0)
+
+        n_min = ns[0]
+        defects = np.clip(ns - np.sqrt(z2r / (80000.0 - energies)), 0.0, n_min - 1e-9)
+        assert defects.min() <= mu <= defects.max()
+        dense = np.concatenate([np.linspace(0.0, n_min, 20_000, endpoint=False),
+                                n_min - np.geomspace(n_min, 1e-9, 1000)[1:]])
+        assert sum_sq(mu)[0] <= sum_sq(dense).min() * (1.0 + 1e-9)
+
+
 def test_fit_of_a_series_whose_grid_reaches_n_min():
-    # above about 1.7e7, n_min - 1e-9 rounds to n_min: the grid's last point
-    # gives n - mu = 0, which must predict -inf rather than divide by zero
+    # above about 1.7e7, n_min - 1e-9 rounds to n_min, so the bracket's upper
+    # end can give n - mu = 0; here it stays clear, and the fit converges
     series = RydbergSeries(members=((20000000, 1.0), (20000001, 2.0)),
                            ionization_limit_cm1=3.0, ell=1, core_charge=2)
     mu, residual = fit_quantum_defect(series)
     assert mu == pytest.approx(19999459.793223467, rel=1e-12)
     assert residual == pytest.approx(0.4986026717900125, rel=1e-9)
+
+
+def test_fit_refuses_a_bracket_collapsed_onto_n_min():
+    # Both members' own defects round to n_min = 2e7 or lie above it, so the
+    # bracket is [n_min, n_min], where n - mu = 0 must predict -inf rather
+    # than divide by zero, and the fit is refused.
+    series = RydbergSeries(
+        members=((20000000, 3.0 - 4.0 * RYDBERG_YB174_CM1 / 1e-20),
+                 (20000001, 3.0 - 16.0 * RYDBERG_YB174_CM1)),
+        ionization_limit_cm1=3.0, ell=1, core_charge=2)
+    with pytest.raises(SolverError):
+        fit_quantum_defect(series)
 
 
 def test_fit_rejects_defect_pushed_into_the_n_min_bound():
