@@ -249,10 +249,6 @@ def _check_phase(phase: np.ndarray, period: float) -> None:
                           f"got {float(phase[outside].flat[0])} s")
 
 
-def _scalar_or_array(value: np.ndarray, kind: type):
-    return kind(value) if value.ndim == 0 else value
-
-
 def _first_flagged(flags: np.ndarray, config: SequenceConfig, **inputs) -> dict:
     """The inputs at the first True entry of flags (in C order), as floats,
     followed by config's chop rate and duty."""
@@ -268,9 +264,9 @@ def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
 
     Returns (wall_time_s, on_windows_touched). phase_s is the position in
     config's chop cycle at wall time zero, in [0, T). The ON window occupies
-    the first duty*T of each cycle. exposure_s and phase_s may be scalars
-    (giving a float and an int) or arrays that broadcast together (giving
-    a float array and an int64 array). An exposure spanning 2**63 or more
+    the first duty*T of each cycle. exposure_s and phase_s broadcast
+    together and give a float64 and an int64 array of their shape; scalars
+    give 0-d arrays. An exposure spanning 2**63 or more
     windows, or a wall time past the float range, raises SolverError.
     """
     period, t_on = config.period_s, config.on_time_s
@@ -309,17 +305,14 @@ def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
         named = _first_flagged(~(wall < math.inf), config, wall=wall,
                                exposure_s=exposure, phase_s=phase)
         representable("wall time", named.pop("wall"), error=SolverError, **named)
-    return (
-        _scalar_or_array(wall, float),
-        _scalar_or_array(windows.astype(np.int64), int),
-    )
+    return wall, windows.astype(np.int64)
 
 
 def wall_to_exposure(wall_s, phase_s, config: SequenceConfig):
     """Accumulated ON-time between wall time 0 and wall_s (inverse map).
 
-    Scalars give a float; arrays broadcast together and give an array. A
-    non-finite ON time raises SolverError.
+    Arrays broadcast together and give a float64 array; scalars give a 0-d
+    array. A non-finite ON time raises SolverError.
     """
     period, t_on = config.period_s, config.on_time_s
     wall = np.asarray(wall_s, dtype=float)
@@ -334,12 +327,12 @@ def wall_to_exposure(wall_s, phase_s, config: SequenceConfig):
     # A wall time of more than about DBL_MAX periods overflows the cycle
     # count, and the non-finite ON time it gives is refused.
     with np.errstate(over="ignore", invalid="ignore"):
-        exposure = on_time_up_to(phase + wall) - on_time_up_to(phase)
+        exposure = np.asarray(on_time_up_to(phase + wall) - on_time_up_to(phase))
     if not np.isfinite(exposure).all():
         named = _first_flagged(~np.isfinite(exposure), config, exposure=exposure,
                                wall_s=wall, phase_s=phase)
         representable("ON time", named.pop("exposure"), error=SolverError, **named)
-    return _scalar_or_array(exposure, float)
+    return exposure
 
 
 def simulate_ionization_times(config: SequenceConfig, trials: int) -> SequenceRuns:

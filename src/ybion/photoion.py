@@ -30,10 +30,7 @@ of a Rydberg series included, so this module never loads numpy.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-import sys
 from dataclasses import dataclass
 
 from .constants import (
@@ -174,20 +171,14 @@ def photon_flux(beam: GaussianBeam) -> float:
 
 
 def _product(factors: tuple[float, ...], divisor: float = 1.0) -> float:
-    """The product of factors over divisor, multiplied left to right.
+    """The product of factors over divisor: their frexp mantissas, each in
+    [0.5, 1), multiplied, then scaled once by ldexp by their exponents' sum.
 
-    Where that product underflows part-way (a partial product or the result
-    is 0 or subnormal, and every factor is positive), it is recomputed from
-    the factors' frexp mantissas and summed exponents, so it neither
-    underflows where its true value does not nor loses the digits a
-    subnormal partial product drops. A product whose partial products all
-    stay normal keeps its bits.
-    """
-    partials = list(itertools.accumulate(factors, operator.mul))
-    plain = partials[-1] / divisor
-    if (min(*partials, plain) >= sys.float_info.min
-            or not all(f > 0.0 for f in factors)):
-        return plain
+    No mantissa product under- or overflows, and scaling by a power of two
+    is exact, so where the plain left-to-right product stays normal part
+    by part this keeps its bits; where that would under- or overflow part
+    way, this keeps the digits or the finite value it loses. A result past
+    the float range raises OverflowError."""
     mantissa, exponent = 1.0, 0
     for factor in factors:
         m, e = math.frexp(factor)
@@ -204,7 +195,7 @@ def ionization_rate(p_excited: float, sigma: CrossSection, flux_m2s: float) -> f
     check("photon flux", flux_m2s, "[0, inf)")
     return representable(
         "ionization rate p_excited * sigma * flux",
-        _product((p_excited, sigma.value_m2, flux_m2s)),
+        lambda: _product((p_excited, sigma.value_m2, flux_m2s)),
         p_excited=p_excited, sigma_m2=sigma.value_m2, flux_m2s=flux_m2s)
 
 
@@ -220,7 +211,8 @@ def rate_coefficient(
     check("excited-state population", p_excited, "[0, 1]")
     return representable(
         "rate-per-power coefficient",
-        _product((p_excited, sigma.value_m2, 2.0), math.pi * photon_energy_j(wavelength_nm)),
+        lambda: _product((p_excited, sigma.value_m2, 2.0),
+                         math.pi * photon_energy_j(wavelength_nm)),
         p_excited=p_excited, sigma_m2=sigma.value_m2, wavelength_nm=wavelength_nm)
 
 

@@ -119,6 +119,21 @@ def test_zero_exposure_is_zero_wall():
     assert wall_to_exposure(0.0, 0.013, config()) == 0.0
 
 
+def test_scalar_mappings_give_0d_arrays_of_the_array_call():
+    chopped = config()
+    exposure, phase = np.array([0.025, 0.0]), np.array([0.015, 0.0])
+    wall, windows = exposure_to_wall(exposure, phase, chopped)
+    back = wall_to_exposure(wall, phase, chopped)
+    one_wall, one_windows = exposure_to_wall(0.025, 0.015, chopped)
+    one_back = wall_to_exposure(float(wall[0]), 0.015, chopped)
+    for scalar, entries, dtype in ((one_wall, wall, np.float64),
+                                   (one_windows, windows, np.int64),
+                                   (one_back, back, np.float64)):
+        assert isinstance(scalar, np.ndarray)
+        assert scalar.shape == () and scalar.dtype == dtype
+        assert scalar == entries[0]
+
+
 def test_mapping_preconditions():
     with pytest.raises(SolverError, match="phase"):
         exposure_to_wall(1.0, 0.03, config())

@@ -1,6 +1,9 @@
 """Beam flux, ionization rate, and quantum-defect cross-section tests."""
 
+import itertools
 import math
+import operator
+import random
 import sys
 from fractions import Fraction
 
@@ -23,6 +26,7 @@ from ybion.photoion import (
     CrossSection,
     GaussianBeam,
     RydbergSeries,
+    _product,
     bundled_series_path,
     cross_section,
     effective_quantum_number,
@@ -256,12 +260,59 @@ def test_rate_and_coefficient_keep_their_digits_past_a_subnormal_partial_product
         assert abs(Fraction(value) - exact) <= 3 * Fraction(math.ulp(float(exact)))
 
 
+def test_coefficient_survives_an_overflowing_partial_product():
+    # p * sigma * 2 (3e308 m^2) lies past the float range, the coefficient,
+    # over pi E_photon of about 6e1 J at 1e-17 nm, does not
+    sigma = CrossSection(value_m2=1.5e308, model="user")
+    divisor = math.pi * photon_energy_j(1e-17)
+    exact = Fraction(1.5e308) * 2 / Fraction(divisor)
+    value = rate_coefficient(1.0, sigma, 1e-17)
+    assert abs(Fraction(value) - exact) <= 3 * Fraction(math.ulp(float(exact)))
+
+
 def test_normal_rates_keep_the_bits_of_the_plain_product():
     sigma = CrossSection.from_megabarn(5.5)
     flux = photon_flux(BEAM)
     assert ionization_rate(P7P, sigma, flux) == P7P * sigma.value_m2 * flux
     assert rate_coefficient(P7P, sigma, 245.426) == (
         P7P * sigma.value_m2 * 2.0 / (math.pi * photon_energy_j(245.426)))
+
+
+def test_product_keeps_the_plain_bits_and_the_digits_a_subnormal_drops():
+    # Seeded factor sets from 0 and subnormals to near DBL_MAX, with and
+    # without a divisor. Where every partial product of the plain left-to-
+    # right product and its quotient are normal, _product keeps its bits;
+    # elsewhere it lies within 3 ulp of the exact product, and raises
+    # OverflowError where that leaves the float range.
+    rng = random.Random(20261020)
+    normal = (sys.float_info.min, sys.float_info.max)
+
+    def draw(span):
+        if rng.random() < 0.05:
+            return 0.0
+        return math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-span, min(span, 1024)))
+
+    checked = {"plain": 0, "exact": 0, "overflow": 0}
+    for i in range(100_000):
+        span = (200, 700, 1073)[i % 3]
+        factors = (draw(span), draw(span), draw(span))
+        divisor = (draw(span) or 1.0) if i % 2 else 1.0
+        partials = list(itertools.accumulate(factors, operator.mul))
+        plain = partials[-1] / divisor
+        if all(normal[0] <= x <= normal[1] for x in (*partials, plain)):
+            assert _product(factors, divisor).hex() == plain.hex()
+            checked["plain"] += 1
+            continue
+        exact = math.prod(map(Fraction, factors)) / Fraction(divisor)
+        if exact > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                _product(factors, divisor)
+            checked["overflow"] += 1
+        else:
+            value = _product(factors, divisor)
+            assert abs(Fraction(value) - exact) <= 3 * Fraction(math.ulp(float(exact)))
+            checked["exact"] += 1
+    assert min(checked.values()) > 5_000  # every branch is exercised
 
 
 def test_rate_preconditions():

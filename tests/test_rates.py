@@ -269,11 +269,11 @@ def test_disconnected_groups_named():
     assert "e1" in msg and "e2" in msg and "x" in msg
 
 
-def test_transient_ground_empties_into_metastable_level():
+def transient_ground_scheme() -> LevelScheme:
     # g <-> e is driven and e decays only into x, which has no lifetime, so
     # the ground level is transient and everything ends in x. Keeping the
     # ground level to the end of the reduction would hit a zero pivot.
-    scheme = LevelScheme(
+    return LevelScheme(
         levels=(
             Level("g", "c", 0.5, 0.0, None),
             Level("x", "c", 1.5, 10000.0, None),
@@ -282,7 +282,10 @@ def test_transient_ground_empties_into_metastable_level():
         decays=(DecayChannel("e", "x", 1.0),),
         drives=(LaserDrive("e", "g", wavelength_nm=500.0, saturation=1.0),),
     )
-    p = steady_state(build_rate_matrix(scheme))
+
+
+def test_transient_ground_empties_into_metastable_level():
+    p = steady_state(build_rate_matrix(transient_ground_scheme()))
     assert p["x"] == 1.0
     assert p["g"] == 0.0 and p["e"] == 0.0
 
@@ -321,31 +324,92 @@ def test_kernel_sum_keeps_numpy_reduce_order(length):
             assert np.float64(rates._sum(values.tolist())).tobytes() == expected.tobytes()
 
 
-def test_underflowing_pivot_keeps_its_refusal():
+def underflowing_pivot_matrix() -> RateMatrix:
     # b leaves only for a; once a is eliminated, the path b -> a -> c is
     # 1e-200 * (1e-200 / 1e200), which underflows, so b's pivot is zero
+    # with c kept last, although every level reaches every other
     a = np.zeros((3, 3))
     a[1, 0], a[2, 0], a[0, 1], a[0, 2] = 1e200, 1e-200, 1e-200, 1.0
     a.flat[::4] = -a.sum(axis=0)
-    with pytest.raises(SolverError) as err:
-        steady_state(RateMatrix(matrix=a, labels=("a", "b", "c")))
-    assert str(err.value) == (
-        "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
-        "reach the level kept last")
+    return RateMatrix(matrix=a, labels=("a", "b", "c"))
 
 
-def test_scan_refuses_a_zero_pivot_at_one_point():
-    # a leaves only through the scanned rate, so its pivot is w: positive at
-    # the first point and zero at the second, which alone must refuse the scan
+def zero_pivot_scan_matrix() -> RateMatrix:
+    # a leaves only through the scanned rate a <-> b, so its pivot is w,
+    # zero at a point with w = 0, where a alone is the closed class
     a = np.zeros((3, 3))
     a[0, 2], a[1, 2], a[2, 1] = 1.0, 1.0, 1.0
     a.flat[::4] = -a.sum(axis=0)
-    m = RateMatrix(matrix=a, labels=("a", "b", "c"))
+    return RateMatrix(matrix=a, labels=("a", "b", "c"))
+
+
+def test_underflowing_pivot_is_solved_with_that_level_kept_last():
+    # The one closed class holds all three levels, and the steady state is
+    # about (1e-400, 1, 1e-600): evolve's long-time limit in doubles.
+    m = underflowing_pivot_matrix()
+    p = steady_state(m).populations
+    assert p.tolist() == [0.0, 1.0, 0.0]
+    uniform = PopulationVector(np.full(3, 1.0 / 3.0), m.labels)
+    assert evolve(m, uniform, 1e3).populations.tolist() == pytest.approx(p.tolist())
+
+
+def test_scan_solves_a_point_whose_pivot_is_zero():
+    # each row is the steady state of that point's matrix: w = 1 joins a
+    # to the class, and at w = 0 a, which nothing leaves, holds everything
+    m = zero_pivot_scan_matrix()
+    w = [1.0, 0.0]
+    rows = rates.steady_state_scan(m, "a", "b", w)
+    for row, rate in zip(rows, w):
+        point = np.array(m.matrix)
+        point[[1, 0], [0, 1]] += rate
+        point[[0, 1], [0, 1]] -= rate
+        alone = steady_state(RateMatrix(matrix=point, labels=m.labels)).populations
+        np.testing.assert_allclose(row, alone, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rows, [[0.5, 1 / 3, 1 / 6], [1.0, 0.0, 0.0]],
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.fixture
+def kept_last(monkeypatch):
+    """The level that each rates._solve call keeps last, in call order."""
+    levels = []
+    solve = rates._solve
+
+    def recorded(m, pair, w, last):
+        levels.append(last)
+        return solve(m, pair, w, last)
+
+    monkeypatch.setattr(rates, "_solve", recorded)
+    return levels
+
+
+def test_a_failed_solve_is_never_repeated(kept_last):
+    # _gth retries with another level kept last, never with the one whose
+    # solve just failed, which would fail again
+    calls = [lambda: steady_state(underflowing_pivot_matrix()),
+             lambda: rates.steady_state_scan(zero_pivot_scan_matrix(), "a", "b", [1.0, 0.0]),
+             lambda: steady_state(build_rate_matrix(transient_ground_scheme()))]
+    for call in calls:
+        kept_last.clear()
+        call()
+        assert len(kept_last) == 2
+        assert kept_last[0] != kept_last[1]
+
+
+def test_a_nan_pivot_keeps_its_refusal_after_one_solve(kept_last):
+    # Once a is eliminated, b's pivot is 1e-158; the rates from c and d into
+    # b overflow when divided by it, and 0 * inf makes c's pivot NaN. All
+    # four levels form the one closed class, so the level to keep last is
+    # d, kept last already, and the refusal stands without a second solve.
+    a = np.array([[0.0, 1e8, 1e238, 1e132], [1e214, 0.0, 0.0, 1e229],
+                  [1e48, 0.0, 0.0, 0.0], [0.0, 0.0, 1e200, 0.0]])
+    a.flat[::5] = -a.sum(axis=0)
     with pytest.raises(SolverError) as err:
-        rates.steady_state_scan(m, "a", "b", [1.0, 0.0])
+        steady_state(RateMatrix(matrix=a, labels=("a", "b", "c", "d")))
     assert str(err.value) == (
         "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
         "reach the level kept last")
+    assert kept_last == [3]
 
 
 def test_bundled_solves_never_search_the_level_graph(monkeypatch):
