@@ -264,10 +264,10 @@ def exposure_to_wall(exposure_s, phase_s, config: SequenceConfig):
 
     Returns (wall_time_s, on_windows_touched). phase_s is the position in
     config's chop cycle at wall time zero, in [0, T). The ON window occupies
-    the first duty*T of each cycle. exposure_s and phase_s broadcast
-    together and give a float64 and an int64 array of their shape; scalars
-    give 0-d arrays. An exposure spanning 2**63 or more
-    windows, or a wall time past the float range, raises SolverError.
+    the first duty*T of each cycle. exposure_s and phase_s broadcast together
+    and give a float64 and an int64 array, 0-d for scalars. An exposure
+    spanning 2**63 or more windows, or a wall time past the float range,
+    raises SolverError.
     """
     period, t_on = config.period_s, config.on_time_s
     exposure, phase = np.broadcast_arrays(

@@ -36,9 +36,9 @@ ground level is kept to the end of the reduction first; its pivots are
 positive when every level reaches it (O'Cinneide, Numer. Math. 65, 1993).
 After a failed pivot, the closed class is found from the nonzero pattern
 and its highest-index member is kept last instead, which also serves a
-transient ground level; where that is the last level, the level whose
-pivot failed is, so no solve is repeated. Several closed classes raise
-SolverError naming the groups.
+transient ground level, or in a scan the member without the pair where
+a point has w = 0; n - 1 again means an underflowed or NaN pivot, which
+is refused. Several closed classes raise SolverError naming the groups.
 
 steady_state and steady_state_scan share one driver, _gth. A scan changes
 only the two rates of the scanned pair, so the pair and the level kept
@@ -371,11 +371,11 @@ def _sum(values: list) -> float:
     return float(np.add.reduce(np.array(values)))
 
 
-def _eliminate(cols: list, levels: list) -> tuple[list, list]:
-    """Fold the first len(levels) levels into the levels after them, in
-    index order, on the columns of an n x n rate matrix: cols[j][i] is the
-    rate j -> i, and the diagonal is never read. A rate is a Python float
-    or, in a scan's trailing block, a numpy array with one entry per scan
+def _eliminate(cols: list, count: int) -> tuple[list, list]:
+    """Fold the first `count` levels into the levels after them, in index
+    order, on the columns of an n x n rate matrix: cols[j][i] is the rate
+    j -> i, and the diagonal is never read. A rate is a Python float or,
+    in a scan's trailing block, a numpy array with one entry per scan
     point, which goes through the same operations entry by entry.
 
     Level k's pivot is its out-rate to the levels after it. Its row of
@@ -384,25 +384,23 @@ def _eliminate(cols: list, levels: list) -> tuple[list, list]:
     updates add products of nonnegative numbers, so no subtraction occurs
     (O'Cinneide, Numer. Math. 65, 1993). A pivot is positive when every
     level can reach the last one; an array pivot must be positive at every
-    point; any other raises SolverError with level, the failing entry of
-    levels, or None if the pivot is NaN anywhere. Returns (reduced, rest):
-    reduced[k] is level k's divided row over the levels after it, and rest
-    the columns of the block of levels left. A column whose rate into k is
-    zero is only shortened when the pivot is a finite float: adding the
-    finite products times zero would change at most the sign of a zero
-    rate, which no later sum keeps.
+    point. Returns (reduced, rest): reduced[k] is level k's divided row
+    over the levels after it, and rest the columns of the block of levels
+    left. A column whose rate into k is zero is only shortened when the
+    pivot is a finite float: adding the finite products times zero would
+    change at most the sign of a zero rate, which no later sum keeps.
     """
     reduced = []
-    for level in levels:
+    for _ in range(count):
         first, *cols = cols
         below = first[1:]
         pivot = _sum(below)
         scalar = isinstance(pivot, float)
         if not (pivot > 0.0 if scalar else (pivot > 0.0).all()):
-            refusal = SolverError("steady-state pivot is zero or NaN: a NaN rate, or a "
-                                  "level that cannot reach the level kept last")
-            refusal.level = None if np.isnan(pivot).any() else level
-            raise refusal
+            raise SolverError(
+                "steady-state pivot is zero or NaN: a NaN rate, or a level "
+                "that cannot reach the level kept last"
+            )
         row = [col[0] / pivot for col in cols]
         reduced.append(row)
         finite = scalar and pivot < math.inf
@@ -422,13 +420,11 @@ def _back_substitute(reduced: list, p: list) -> None:
         p[k] = _sum([r * q for r, q in zip(reduced[k], p[k + 1:])])
 
 
-def _kept_last(m: RateMatrix, links, failed: int | None) -> int | None:
+def _kept_last(m: RateMatrix, links) -> int:
     """The level to keep last after a failed pivot: the highest-index
     member of the unique closed class of the level graph, in which
     population flows j -> i where m.matrix[i, j] != 0 and for each (i, j)
-    of links. Where that member is n - 1, which the failed solve kept last,
-    it returns failed instead: the level whose pivot failed, or None for a
-    NaN pivot. Raises SolverError for several closed classes, naming the
+    of links. Raises SolverError for several closed classes, naming the
     level groups."""
     # reach[j]: the levels j can reach
     reach = [{j} | {i for i, rate in enumerate(col) if rate != 0.0}
@@ -450,8 +446,7 @@ def _kept_last(m: RateMatrix, links, failed: int | None) -> int | None:
                                           if r & recurrent <= c) + "}" for c in classes)
         raise SolverError(f"null space dimension {len(classes)}: no population flows "
                           f"between level groups {named}")
-    last = max(classes[0])
-    return failed if last == m.n - 1 else last
+    return max(classes[0])
 
 
 def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
@@ -461,9 +456,12 @@ def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
     The last level, n - 1, is kept last first: when all its pivots pass,
     every level reaches it, so it is the highest-index member of the
     unique closed class. After a failed pivot, _kept_last finds that
-    member, with the pair's links where w is nonzero, and the solve runs
-    once more, never repeating the failed one; a NaN pivot where the
-    member is n - 1, or a second failure, raises the pivot refusal.
+    member, with the pair's links where w is nonzero, and without them if
+    a point has w = 0 (every level then reaches it with them too), and the
+    solve runs once more. The pivot refusal stands for n - 1 again (the
+    pivot underflowed or was NaN), for several closed classes without the
+    links, for a second failure, and for a retry that ends non-finite
+    where the links alone gave another member.
     """
     if m.sink_index is not None:
         raise SolverError("steady_state needs a sink-free matrix; build it "
@@ -471,12 +469,21 @@ def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
     w = np.asarray(w, dtype=float).reshape(-1)
     try:
         return _solve(m, pair, w, m.n - 1)
-    except SolverError as refusal:
-        links = (pair, pair[::-1]) if pair and (w != 0).any() else ()
-        last = _kept_last(m, links, refusal.level)
-        if last is None:
-            raise
-    return _solve(m, pair, w, last)
+    except SolverError as err:
+        refusal = err
+    links = (pair, pair[::-1]) if pair and (w != 0).any() else ()
+    last = linked = _kept_last(m, links)
+    if links and (w == 0).any():
+        try:
+            last = _kept_last(m, ())
+        except SolverError:
+            last = None
+    if last in (None, m.n - 1):
+        raise refusal
+    p = _solve(m, pair, w, last)
+    if last != linked and not np.isfinite(p).all():
+        raise refusal
+    return p
 
 
 def _solve(m: RateMatrix, pair: tuple, w: np.ndarray, last: int) -> np.ndarray:
@@ -499,11 +506,11 @@ def _solve(m: RateMatrix, pair: tuple, w: np.ndarray, last: int) -> np.ndarray:
     lead = n - t
     if order != list(range(n)):  # most steady states keep index order
         cols = [[col[i] for i in order] for col in (cols[j] for j in order)]
-    reduced, rest = _eliminate(cols, order[:lead])
+    reduced, rest = _eliminate(cols, lead)
     with np.errstate(all="ignore"):
         for i, j in zip(pair, pair[::-1]):
             rest[trailing.index(j)][trailing.index(i)] += w
-        reduced_trailing, _ = _eliminate(rest, trailing[:-1])
+        reduced_trailing, _ = _eliminate(rest, t - 1)
         # row k: trailing level k at each point, relative to `last` at 1
         p_trailing = np.empty((t, len(w)))  # np.ones costs a Python-level call
         p_trailing.fill(1.0)
@@ -529,14 +536,13 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     One GTH solve serves every point: only the block of the pair and the
     level kept last is solved per point (_gth). Row i equals steady_state
     of m with w[i] added to its two entries, to a few rounding errors;
-    levels outside the closed class come out exactly zero, except that a
-    point whose closed class lacks the one level kept last at every point
-    (a w = 0 that leaves a level no way out, say) refuses the scan, though
-    it solves alone. Needs a sink-free matrix. upper and lower must be two
-    levels: a rate from a level to itself moves no population. A w below
-    0, NaN or infinite is refused, naming its value. A point whose
-    populations overflow to NaN or inf is refused with steady_state's
-    wording.
+    levels outside the closed class come out exactly zero. A pivot that
+    underflows, or is NaN, in the scan's elimination order but not in
+    steady_state's refuses the scan, though every point solves alone. Needs a
+    sink-free matrix. upper and lower must be two levels: a rate from a
+    level to itself moves no population. A w below 0, NaN or infinite is
+    refused, naming its value. A point whose populations overflow to NaN
+    or inf is refused with steady_state's wording.
     """
     if upper == lower:
         raise SchemeError(f"scanned pair {upper}<->{lower}: levels must differ")

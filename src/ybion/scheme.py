@@ -65,7 +65,6 @@ WAVELENGTH_TOLERANCE = 1e-3
 BRANCHING_SUM_SLACK = 1e-9
 
 DATA_DIR = Path(__file__).with_name("data")  # bundled schemes and tables
-_STRENGTH = frozenset({"saturation", "power_w", "waist_m", "detuning_hz", "chopped"})
 
 
 @dataclass(frozen=True)
@@ -157,9 +156,8 @@ class LevelScheme:
 
     Lookup helpers raise SchemeError for unknown labels so that a typo in
     user input surfaces with the offending name rather than a KeyError.
-    with_all_drives_saturated and with_drive on _STRENGTH fields (_trusted)
-    skip _check_consistency, which reads only self's labels, pairs and
-    wavelengths, checked when self was built.
+    with_all_drives_saturated skips _check_consistency (_trusted): the labels,
+    pairs and wavelengths it reads are self's, checked when self was built.
     """
 
     levels: tuple[Level, ...]
@@ -206,9 +204,6 @@ class LevelScheme:
         target = self.drive(upper, lower)
         new = type(target)(**_edited_fields(target, changes))
         drives = tuple(new if d is target else d for d in self.drives)
-        # without this shortcut lineshape's work_per_s read x0.93, lower in 5 of 6 pairs
-        if changes.keys() <= _STRENGTH:
-            return _trusted(type(self), **{**vars(self), "drives": drives})
         return dataclasses.replace(self, drives=drives)
 
     def with_level(self, label: str, **changes) -> "LevelScheme":

@@ -324,14 +324,19 @@ def test_kernel_sum_keeps_numpy_reduce_order(length):
             assert np.float64(rates._sum(values.tolist())).tobytes() == expected.tobytes()
 
 
-def underflowing_pivot_matrix() -> RateMatrix:
+PIVOT_REFUSAL = ("steady-state pivot is zero or NaN: a NaN rate, or a level that "
+                 "cannot reach the level kept last")
+
+
+def test_underflowing_pivot_keeps_its_refusal():
     # b leaves only for a; once a is eliminated, the path b -> a -> c is
     # 1e-200 * (1e-200 / 1e200), which underflows, so b's pivot is zero
-    # with c kept last, although every level reaches every other
     a = np.zeros((3, 3))
     a[1, 0], a[2, 0], a[0, 1], a[0, 2] = 1e200, 1e-200, 1e-200, 1.0
     a.flat[::4] = -a.sum(axis=0)
-    return RateMatrix(matrix=a, labels=("a", "b", "c"))
+    with pytest.raises(SolverError) as err:
+        steady_state(RateMatrix(matrix=a, labels=("a", "b", "c")))
+    assert str(err.value) == PIVOT_REFUSAL
 
 
 def zero_pivot_scan_matrix() -> RateMatrix:
@@ -341,16 +346,6 @@ def zero_pivot_scan_matrix() -> RateMatrix:
     a[0, 2], a[1, 2], a[2, 1] = 1.0, 1.0, 1.0
     a.flat[::4] = -a.sum(axis=0)
     return RateMatrix(matrix=a, labels=("a", "b", "c"))
-
-
-def test_underflowing_pivot_is_solved_with_that_level_kept_last():
-    # The one closed class holds all three levels, and the steady state is
-    # about (1e-400, 1, 1e-600): evolve's long-time limit in doubles.
-    m = underflowing_pivot_matrix()
-    p = steady_state(m).populations
-    assert p.tolist() == [0.0, 1.0, 0.0]
-    uniform = PopulationVector(np.full(3, 1.0 / 3.0), m.labels)
-    assert evolve(m, uniform, 1e3).populations.tolist() == pytest.approx(p.tolist())
 
 
 def test_scan_solves_a_point_whose_pivot_is_zero():
@@ -386,14 +381,45 @@ def kept_last(monkeypatch):
 def test_a_failed_solve_is_never_repeated(kept_last):
     # _gth retries with another level kept last, never with the one whose
     # solve just failed, which would fail again
-    calls = [lambda: steady_state(underflowing_pivot_matrix()),
-             lambda: rates.steady_state_scan(zero_pivot_scan_matrix(), "a", "b", [1.0, 0.0]),
+    calls = [lambda: rates.steady_state_scan(zero_pivot_scan_matrix(), "a", "b", [1.0, 0.0]),
              lambda: steady_state(build_rate_matrix(transient_ground_scheme()))]
     for call in calls:
         kept_last.clear()
         call()
         assert len(kept_last) == 2
         assert kept_last[0] != kept_last[1]
+
+
+def test_a_scan_pivot_that_underflowed_keeps_its_refusal(kept_last):
+    # With c kept last, m is eliminated first: a's rate into m over m's
+    # pivot, 1e-122 / 1e265, underflows, so a's pivot is zero at w = 0,
+    # though a reaches c through m. Keeping a last would pass every pivot
+    # and give a everything, where the point's steady state is about
+    # (1e-78, 0, 1), so the refusal stands after one solve.
+    a = np.zeros((3, 3))
+    a[1, 0], a[2, 1], a[0, 1], a[0, 2] = 1e-122, 1e265, 1e37, 1e-200
+    a.flat[::4] = -a.sum(axis=0)
+    m = RateMatrix(matrix=a, labels=("a", "m", "c"))
+    with pytest.raises(SolverError) as err:
+        rates.steady_state_scan(m, "a", "c", [0.0, 1.0])
+    assert str(err.value) == PIVOT_REFUSAL
+    assert kept_last == [2]
+    assert steady_state(m).populations.tolist() == pytest.approx([1e-78, 0.0, 1.0],
+                                                                 rel=1e-12, abs=0.0)
+
+
+def test_a_retry_that_overflows_keeps_the_pivot_refusal(kept_last):
+    # a leaves only through the scanned rate, so its pivot is zero at w = 0
+    # with c kept last. Kept last instead, a is solved, but c -> b at 1e200
+    # against b's 2e-200 way out overflows, so the first refusal stands.
+    a = np.zeros((3, 3))
+    a[0, 1], a[1, 2], a[2, 1] = 1e-200, 1e200, 1e-200
+    a.flat[::4] = -a.sum(axis=0)
+    m = RateMatrix(matrix=a, labels=("a", "b", "c"))
+    with pytest.raises(SolverError) as err:
+        rates.steady_state_scan(m, "a", "c", [0.0, 1.0])
+    assert str(err.value) == PIVOT_REFUSAL
+    assert kept_last == [2, 0]
 
 
 def test_a_nan_pivot_keeps_its_refusal_after_one_solve(kept_last):
@@ -406,9 +432,7 @@ def test_a_nan_pivot_keeps_its_refusal_after_one_solve(kept_last):
     a.flat[::5] = -a.sum(axis=0)
     with pytest.raises(SolverError) as err:
         steady_state(RateMatrix(matrix=a, labels=("a", "b", "c", "d")))
-    assert str(err.value) == (
-        "steady-state pivot is zero or NaN: a NaN rate, or a level that cannot "
-        "reach the level kept last")
+    assert str(err.value) == PIVOT_REFUSAL
     assert kept_last == [3]
 
 
