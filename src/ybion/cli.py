@@ -344,10 +344,6 @@ def _apply_drive_overrides(scheme, overrides, saturate_all):
                     f"drive {upper}->{lower} field {field}: expected a number, "
                     f"got {text!r}"
                 ) from None
-        if ("power_w" in fields) != ("waist_m" in fields):
-            raise SchemeError(
-                "power_w and waist_m must be overridden together"
-            )
         scheme = scheme.with_drive(upper, lower, **changes)
     return scheme
 

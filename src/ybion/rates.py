@@ -57,10 +57,10 @@ on it. The steady-state and scan bits are pinned by sha256 in the tests,
 so numpy's own reductions give them: a sum of 8 terms or more is numpy's
 add.reduce, and a shorter one runs left to right from 0.0, as add.reduce
 does (_sum). build_rate_matrix accumulates on Python floats, converts to
-an array once and closes its columns with one numpy sum. It, evolve and
-initial_population skip the copies and re-checks of RateMatrix and
+an array once and closes its columns with one numpy sum. It and evolve,
+alone of the package, skip the copies and re-checks of RateMatrix and
 PopulationVector (_trusted): all their rates and terms are >= 0, and each
-sum was formed or tested just now, or is the unit vector's single 1.
+sum was formed or tested just now.
 evolve over t_s = 0 returns p0 itself, read-only and labelled as m.
 
 Time evolution is subtraction-free too: evolve exponentiates the matrix
@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 from ._numpy import np
 from .constants import PLANCK_CONSTANT_J_S, SPEED_OF_LIGHT_M_S
 from .errors import SchemeError, SolverError, check, check_array, representable
-from .scheme import LevelScheme, _trusted
+from .scheme import LevelScheme
 
 __all__ = [
     "RateMatrix",
@@ -186,8 +186,8 @@ class RateMatrix:
 @dataclass(frozen=True, eq=False)
 class PopulationVector:
     """Level populations in the ordering of an accompanying RateMatrix, in
-    [0, 1] and summing to 1. evolve and initial_population (_trusted) skip
-    the copy and checks, which their terms, >= 0 and normalized, pass."""
+    [0, 1] and summing to 1. evolve (_trusted) alone skips the copy and
+    checks, which its terms, >= 0 and normalized, pass."""
 
     populations: np.ndarray
     labels: tuple[str, ...]
@@ -212,6 +212,13 @@ class PopulationVector:
 
     def __getitem__(self, label: str) -> float:
         return float(self.populations[RateMatrix.index(self, label)])
+
+
+def _trusted(cls, **fields):
+    """A cls instance holding fields already checked, its __post_init__ not run."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def natural_fwhm_hz(lifetime_s: float) -> float:
@@ -674,6 +681,5 @@ def initial_population(m: RateMatrix, label: str) -> PopulationVector:
     """Unit population vector with everything in one level of the matrix."""
     p = np.zeros(m.n)
     p[m.index(label)] = 1.0
-    p.setflags(write=False)
-    return _trusted(PopulationVector, populations=p, labels=m.labels)
+    return PopulationVector(p, m.labels)
 

@@ -156,8 +156,8 @@ class LevelScheme:
 
     Lookup helpers raise SchemeError for unknown labels so that a typo in
     user input surfaces with the offending name rather than a KeyError.
-    with_all_drives_saturated skips _check_consistency (_trusted): the labels,
-    pairs and wavelengths it reads are self's, checked when self was built.
+    Each edit builds its copy through the constructors, every check run;
+    only rates.build_rate_matrix and rates.evolve skip a constructor's checks.
     """
 
     levels: tuple[Level, ...]
@@ -215,20 +215,11 @@ class LevelScheme:
 
     def with_all_drives_saturated(self, saturation: float) -> "LevelScheme":
         """Copy with every drive forced to the given saturation parameter,
-        by with_drive's rule. It checks saturation once, refusing it in the
-        first drive's name; every other drive field is self's, checked."""
-        if self.drives:
-            check(f"{self.drives[0].name}: saturation", saturation, "[0, inf)")
-        drives = tuple(_trusted(type(d), **_edited_fields(d, {"saturation": saturation}))
+        built as with_drive builds one, so the first drive's LaserDrive
+        refuses a bad saturation in that drive's name."""
+        drives = tuple(type(d)(**_edited_fields(d, {"saturation": saturation}))
                        for d in self.drives)
-        return _trusted(type(self), **{**vars(self), "drives": drives})
-
-
-def _trusted(cls, **fields):
-    """A cls instance holding fields already checked, its __post_init__ not run."""
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
+        return dataclasses.replace(self, drives=drives)
 
 
 def _edited_fields(drive: LaserDrive, changes: dict) -> dict:

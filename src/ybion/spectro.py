@@ -148,9 +148,10 @@ class LorentzianFit:
 
 
 def lorentzian(nu, center, fwhm, amplitude, offset):
-    """The fit model itself, exposed for residual checks and plotting."""
-    x = 2.0 * (np.asarray(nu, dtype=float) - center) / fwhm
-    return offset + amplitude / (1.0 + x * x)
+    """The fit model itself, _model_and_jacobian's values, exposed for
+    residual checks and plotting."""
+    params = np.array([center, fwhm, amplitude, offset], dtype=float)
+    return _model_and_jacobian(np.asarray(nu, dtype=float), params)[0]
 
 
 def simulate_scan(
@@ -400,7 +401,7 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
             )
 
         # Gauss-Newton covariance: (J^T J)^-1 scaled by the residual variance.
-        dof = max(len(nu) - 4, 1)
+        dof = len(nu) - 4
         try:
             jtj_inv = np.linalg.inv(jac_t @ jac_t.T)
             jtj_inv = (jtj_inv + jtj_inv.T) / 2.0

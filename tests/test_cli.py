@@ -45,7 +45,7 @@ from ybion.mc import (
 )
 from ybion.photoion import bundled_series_path, fit_quantum_defect, load_series_file
 from ybion.rates import STEADY_RESIDUAL_TOL, build_rate_matrix, steady_state
-from ybion.scheme import bundled_scheme_path, load_scheme_file, validate_scheme
+from ybion.scheme import bundled_scheme_path, load_scheme_file, serialize, validate_scheme
 from ybion.spectro import (
     MIN_FIT_POINTS,
     ScanCurve,
@@ -213,7 +213,24 @@ def test_drive_override_power_requires_waist(capsys):
     assert main([
         "steady-state", "--drive-overrides", "6p12", "6s12", "power_w", "1e-4",
     ]) == 2
-    assert "overridden together" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: drive 6p12<->6s12: needs saturation or a complete power/waist pair\n")
+
+
+# A drive that already has power and waist keeps the one not overridden:
+# with_drive's rule decides, as for the library call.
+@pytest.mark.parametrize("field,value", [("power_w", 2e-3), ("waist_m", 2e-5)])
+def test_drive_override_of_one_beam_field_keeps_the_other(field, value, capsys, tmp_path):
+    scheme = load_scheme_file(bundled_scheme_path("yb174_plus")).with_drive(
+        "6p12", "6s12", power_w=1e-3, waist_m=1e-5)
+    path = tmp_path / "powered.scheme"
+    path.write_text(serialize(scheme))
+    assert main(["steady-state", "--scheme", str(path),
+                 "--drive-overrides", "6p12", "6s12", field, repr(value)]) == 0
+    pops = {k: float(v) for k, v in value_map(capsys.readouterr().out).items()}
+    expected = steady_state(build_rate_matrix(
+        scheme.with_drive("6p12", "6s12", **{field: value})))
+    assert pops == {label: expected[label] for label in expected.labels}
 
 
 # A saturation and a power/waist pair for one drive contradict each other

@@ -389,6 +389,13 @@ def test_saturating_every_drive_checks_the_saturation_once(yb_scheme, saturation
     assert no_drives.with_all_drives_saturated(saturation) == no_drives
 
 
+def test_saturating_every_drive_with_none_names_the_first_drive(yb_scheme):
+    with pytest.raises(SchemeError) as refusal:
+        yb_scheme.with_all_drives_saturated(None)
+    assert str(refusal.value) == (
+        "drive 6p12<->6s12: needs saturation or a complete power/waist pair")
+
+
 def test_with_drive_keeps_one_strength():
     s = load_scheme(MINIMAL)
     powered = s.with_drive("e", "g", power_w=1e-3, waist_m=1e-5)

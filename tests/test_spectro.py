@@ -494,6 +494,18 @@ def test_fit_refuses_the_power_broadened_line_wider_than_the_scan():
     assert widths and all(w == pytest.approx(4.95e9, rel=1e-2) for w in widths)
 
 
+def test_lorentzian_is_the_fit_model_to_the_bit():
+    rng = np.random.default_rng(4343)
+    for _ in range(200):
+        center = rng.normal(0.0, 1e7)
+        fwhm, amplitude = 10.0 ** rng.uniform([5.0, -3.0], [9.0, 3.0])
+        offset = amplitude * rng.uniform(0.0, 5.0)
+        nu = np.sort(rng.uniform(-1e8, 1e8, 500))
+        params = np.array([center, fwhm, amplitude, offset])
+        model, _ = spectro._model_and_jacobian(nu, params)
+        assert lorentzian(nu, center, fwhm, amplitude, offset).tobytes() == model.tobytes()
+
+
 def test_analytic_jacobian_matches_central_difference():
     rng = np.random.default_rng(7)
     nu = np.linspace(-60e6, 60e6, 97)
