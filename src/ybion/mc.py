@@ -53,6 +53,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 from ._numpy import np
+from ._rng import standard_normals
 from .crystal import (
     ChargePair,
     TrapAxis,
@@ -437,11 +438,12 @@ def synthesize_verification(
     order (ratio, nu1, nu_com, nu_bre), so records are reproducible for a
     given seed, an integer >= 0; any other, None or a sequence too, is
     refused with a SchemeError naming it. Zero noise returns exact values.
+    The normals are default_rng(seed)'s bits, drawn by ybion._rng on one
+    reused PCG64 set to that generator's state.
     """
     ratio_true = displacement_ratio(trap.eta, charges.q2)
     nu_com_true, nu_bre_true = normal_mode_frequencies(trap)
-    rng = np.random.default_rng(_seed(seed))
-    d_ratio, d_nu1, d_com, d_bre = rng.standard_normal(4).tolist()
+    d_ratio, d_nu1, d_com, d_bre = standard_normals(_seed(seed), 4).tolist()
     return VerificationRecord(
         float(ratio_true * (1.0 + noise.ratio_rel * d_ratio)),
         float(trap.nu1_hz * (1.0 + noise.freq_rel * d_nu1)),

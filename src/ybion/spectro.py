@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
+from ._rng import standard_normals
 from .errors import SchemeError, SolverError, _seed, check, representable
 # bench/tracing.py wraps spectro.steady_state, so the name stays importable
 # here although scans solve through steady_state_scan.
@@ -178,11 +179,13 @@ def simulate_scan(
     0.5 + 0.5). With noise_sigma > 0 the noise is drawn as
     noise_rng_description() states, from seed, an integer >= 0 or None for
     OS entropy; any other seed, a sequence too, raises a SchemeError naming
-    it. Preconditions: the scanned drive exists, no other drive shares its
-    lower level (a repump on the same level would distort the line, so it
-    must be switched off first), and the monitor transition is a decay
-    channel of the scheme. A grid that ScanCurve would refuse is refused,
-    in its words, before any matrix is built.
+    it. The normals are default_rng(seed)'s bits, drawn by ybion._rng on
+    one reused PCG64 set to that generator's state. Preconditions: the
+    scanned drive exists, no other drive shares its lower level (a repump
+    on the same level would distort the line, so it must be switched off
+    first), and the monitor transition is a decay channel of the scheme.
+    A grid that ScanCurve would refuse is refused, in its words, before
+    any matrix is built.
     """
     detunings = np.array(detunings_hz, dtype=float)
     if detunings.size == 0:
@@ -219,8 +222,10 @@ def simulate_scan(
 
     # ScanCurve refuses a sigma that is not finite, so only finite ones draw
     if noise_sigma is not None and 0 < noise_sigma < math.inf:
-        rng = np.random.default_rng(seed if seed is None else _seed(seed))
-        signal += rng.normal(0.0, noise_sigma, size=signal.shape)
+        seed = seed if seed is None else _seed(seed)
+        # an overflowing draw is inf, which representable refuses below
+        with np.errstate(over="ignore"):
+            signal += noise_sigma * standard_normals(seed, signal.shape)
         np.clip(signal, 0.0, None, out=signal)
         representable("noisy signal", signal.max(), noise_sigma=noise_sigma)
 
