@@ -146,6 +146,8 @@ class RateMatrix:
         n = m.shape[0]
         if n != len(self.labels):
             raise SolverError("rate matrix size does not match label count")
+        if not n:
+            raise SolverError("rate matrix is empty: it has no levels")
         # max propagates NaN, so one reduction finds every non-finite rate
         scale = float(np.abs(m).max())
         if not math.isfinite(scale):
@@ -196,6 +198,8 @@ class PopulationVector:
         p = np.array(self.populations, dtype=float)
         if p.ndim != 1 or p.size != len(self.labels):
             raise SolverError("population vector size does not match labels")
+        if not p.size:
+            raise SolverError("population vector is empty: it has no levels")
         # Python floats: on ten entries each builtin beats a numpy call. The
         # tests are negated so that NaN fails them; a NaN entry that min and
         # max step over still makes the sum NaN.
@@ -462,13 +466,13 @@ def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
 
     The last level, n - 1, is kept last first: when all its pivots pass,
     every level reaches it, so it is the highest-index member of the
-    unique closed class. After a failed pivot, _kept_last finds that
-    member, with the pair's links where w is nonzero, and without them if
-    a point has w = 0 (every level then reaches it with them too), and the
-    solve runs once more. The pivot refusal stands for n - 1 again (the
-    pivot underflowed or was NaN), for several closed classes without the
-    links, for a second failure, and for a retry that ends non-finite
-    where the links alone gave another member.
+    unique closed class. After a failed pivot, one rule: _kept_last finds
+    that member of the sparsest point's graph, the pair's links counted
+    only when every point has w != 0 (every level reaching it without
+    them reaches it with them too), and the solve runs once more with it
+    kept last. Several closed classes there are refused by name, as
+    steady_state refuses that point; n - 1 again means the pivot
+    underflowed or was NaN, and its refusal stands.
     """
     if m.sink_index is not None:
         raise SolverError("steady_state needs a sink-free matrix; build it "
@@ -478,19 +482,11 @@ def _gth(m: RateMatrix, pair: tuple = (), w=0.0) -> np.ndarray:
         return _solve(m, pair, w, m.n - 1)
     except SolverError as err:
         refusal = err
-    links = (pair, pair[::-1]) if pair and (w != 0).any() else ()
-    last = linked = _kept_last(m, links)
-    if links and (w == 0).any():
-        try:
-            last = _kept_last(m, ())
-        except SolverError:
-            last = None
-    if last in (None, m.n - 1):
+    links = (pair, pair[::-1]) if pair and w.size and w.all() else ()
+    last = _kept_last(m, links)
+    if last == m.n - 1:
         raise refusal
-    p = _solve(m, pair, w, last)
-    if last != linked and not np.isfinite(p).all():
-        raise refusal
-    return p
+    return _solve(m, pair, w, last)
 
 
 def _solve(m: RateMatrix, pair: tuple, w: np.ndarray, last: int) -> np.ndarray:
@@ -545,11 +541,13 @@ def steady_state_scan(m: RateMatrix, upper: str, lower: str, w) -> np.ndarray:
     of m with w[i] added to its two entries, to a few rounding errors;
     levels outside the closed class come out exactly zero. A pivot that
     underflows, or is NaN, in the scan's elimination order but not in
-    steady_state's refuses the scan, though every point solves alone. Needs a
-    sink-free matrix. upper and lower must be two levels: a rate from a
-    level to itself moves no population. A w below 0, NaN or infinite is
-    refused, naming its value. A point whose populations overflow to NaN
-    or inf is refused with steady_state's wording.
+    steady_state's refuses the scan, though every point solves alone. A
+    scan with a w = 0 point is refused as steady_state refuses that point,
+    several closed classes named. Needs a sink-free matrix. upper and lower
+    must be two levels: a rate from a level to itself moves no population.
+    A w below 0, NaN or infinite is refused, naming its value. A point
+    whose populations overflow to NaN or inf is refused with
+    steady_state's wording.
     """
     if upper == lower:
         raise SchemeError(f"scanned pair {upper}<->{lower}: levels must differ")

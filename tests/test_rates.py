@@ -188,6 +188,8 @@ def test_rate_matrix_rejects_unbalanced_columns():
                  id="not-square"),
     pytest.param(np.zeros((2, 2)), ("a",),
                  "rate matrix size does not match label count", id="label-count"),
+    pytest.param(np.zeros((0, 0)), (), "rate matrix is empty: it has no levels",
+                 id="empty"),
 ])
 def test_rate_matrix_refuses_a_bad_shape(matrix, labels, message):
     with pytest.raises(SolverError) as err:
@@ -408,18 +410,22 @@ def test_a_scan_pivot_that_underflowed_keeps_its_refusal(kept_last):
                                                                  rel=1e-12, abs=0.0)
 
 
-def test_a_retry_that_overflows_keeps_the_pivot_refusal(kept_last):
+def test_a_retry_that_overflows_is_refused_as_steady_state_refuses_its_point(kept_last):
     # a leaves only through the scanned rate, so its pivot is zero at w = 0
     # with c kept last. Kept last instead, a is solved, but c -> b at 1e200
-    # against b's 2e-200 way out overflows, so the first refusal stands.
+    # against b's 2e-200 way out overflows to NaN, which the scan refuses
+    # as steady_state refuses the w = 0 point, the matrix itself.
     a = np.zeros((3, 3))
     a[0, 1], a[1, 2], a[2, 1] = 1e-200, 1e200, 1e-200
     a.flat[::4] = -a.sum(axis=0)
     m = RateMatrix(matrix=a, labels=("a", "b", "c"))
     with pytest.raises(SolverError) as err:
         rates.steady_state_scan(m, "a", "c", [0.0, 1.0])
-    assert str(err.value) == PIVOT_REFUSAL
+    assert str(err.value) == "population outside [0, 1]: min nan, max nan"
     assert kept_last == [2, 0]
+    with pytest.raises(SolverError) as alone:
+        steady_state(m)
+    assert str(alone.value) == str(err.value)
 
 
 def test_a_nan_pivot_keeps_its_refusal_after_one_solve(kept_last):
@@ -449,6 +455,60 @@ def test_bundled_solves_never_search_the_level_graph(monkeypatch):
                        scheme.with_all_drives_saturated(1e4)):
             steady_state(build_rate_matrix(edited))
         simulate_scan(scheme, "7p12", "5d32", np.linspace(-3e8, 3e8, 241))
+
+
+def random_scan(rng):
+    """A rate matrix of 2 to 6 levels, its rates present with one drawn
+    probability at 10^U(-6, 6) 1/s, a random pair and 4 scanned rates,
+    one of them 0."""
+    n = int(rng.integers(2, 7))
+    present = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+    a = np.where(present, 10.0 ** rng.uniform(-6.0, 6.0, (n, n)), 0.0)
+    a.flat[::n + 1] = 0.0
+    a.flat[::n + 1] = -a.sum(axis=0)
+    pair = tuple(int(k) for k in rng.choice(n, 2, replace=False))
+    w = 10.0 ** rng.uniform(-6.0, 6.0, 4)
+    w[rng.integers(4)] = 0.0
+    return RateMatrix(matrix=a, labels=tuple("abcdef"[:n])), pair, w
+
+
+def test_a_scan_is_refused_as_steady_state_refuses_its_w0_point(monkeypatch):
+    # One retry rule: each row is its point's steady state where every
+    # point solves alone, and where the w = 0 point has several closed
+    # classes, the scan carries that point's refusal. The level graph is
+    # searched at most once per scan.
+    searches = []
+    search = rates._kept_last
+
+    def counted(m, links):
+        searches.append(links)
+        return search(m, links)
+
+    monkeypatch.setattr(rates, "_kept_last", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        m, (i, j), w = random_scan(rng)
+        alone = []
+        for rate in w:
+            point = np.array(m.matrix)
+            point[[j, i], [i, j]] += rate
+            point[[i, j], [i, j]] -= rate
+            try:
+                alone.append(steady_state(RateMatrix(matrix=point, labels=m.labels)))
+            except SolverError as err:
+                alone.append(str(err))
+        searches.clear()
+        if all(isinstance(p, PopulationVector) for p in alone):
+            rows = rates.steady_state_scan(m, m.labels[i], m.labels[j], w)
+            for row, p in zip(rows, alone):
+                np.testing.assert_allclose(row, p.populations, rtol=1e-13, atol=0.0)
+        else:
+            refusal = alone[int(np.flatnonzero(w == 0.0)[0])]
+            assert refusal.startswith("null space dimension ")
+            with pytest.raises(SolverError) as err:
+                rates.steady_state_scan(m, m.labels[i], m.labels[j], w)
+            assert str(err.value) == refusal
+        assert len(searches) <= 1
 
 
 @pytest.mark.parametrize("w, shown", [
@@ -971,6 +1031,12 @@ def test_population_vector_refusals_keep_their_wording(values, message):
     with pytest.raises(SolverError) as caught:
         PopulationVector(populations=np.array(values), labels=("a", "b"))
     assert str(caught.value) == message
+
+
+def test_an_empty_population_vector_is_refused_by_name():
+    with pytest.raises(SolverError) as caught:
+        PopulationVector(populations=np.zeros(0), labels=())
+    assert str(caught.value) == "population vector is empty: it has no levels"
 
 
 @pytest.mark.parametrize("values", [
