@@ -149,7 +149,7 @@ MAX_TRIALS = 10**7
 # point on the 9-level scheme, so about 17 MB at this cap.
 MAX_SCAN_POINTS = 10**5
 
-# A seed costs about 16 us and 110 bytes, so about 16 s and 110 MB at this cap.
+# A seed costs about 15 us and 110 bytes, so about 15 s and 110 MB at this cap.
 MAX_SEEDS = 10**6
 
 _nonnegative_int = _int_in_range(0, math.inf)

@@ -114,7 +114,9 @@ def displacement_ratio(eta: float, q2: float) -> float:
         check("q2", q2, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     ratio = (4.0 * q2 / (scale * scale)) ** (1.0 / 3.0)
-    return representable("displacement ratio", ratio, "(0, inf)", eta=eta, q2=q2)
+    if not 0.0 < ratio < math.inf:
+        representable("displacement ratio", ratio, "(0, inf)", eta=eta, q2=q2)
+    return ratio
 
 
 def _mode_eigenvalues(eta: float) -> tuple[float, float]:
@@ -176,7 +178,8 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
     endpoint eigenvalue returns that endpoint, so endpoint inputs that
     land a rounding error off still give exactly 1 or 10.
     """
-    if mode not in _ENDPOINTS:
+    endpoints = _ENDPOINTS.get(mode)
+    if endpoints is None:
         raise SolverError(f"mode must be 'com' or 'bre', got {mode!r}")
     # as in displacement_ratio
     nu_measured_hz, nu1_hz = float(nu_measured_hz), float(nu1_hz)
@@ -185,7 +188,7 @@ def infer_eta(nu_measured_hz: float, nu1_hz: float, mode: str) -> float:
         check("nu1_hz", nu1_hz, "(0, inf)", error=SolverError)
     ratio = nu_measured_hz / nu1_hz
     u = ratio * ratio
-    (lo, u_lo, tol_lo), (hi, u_hi, tol_hi) = _ENDPOINTS[mode]
+    (lo, u_lo, tol_lo), (hi, u_hi, tol_hi) = endpoints
     if abs(u - u_lo) <= tol_lo:
         return lo
     if abs(u - u_hi) <= tol_hi:
@@ -221,4 +224,6 @@ def infer_charge(ratio: float, eta: float) -> float:
         check("eta", eta, "(0, inf)")
     scale = 1.0 + _inv_square(eta)
     q2 = ratio * ratio * ratio * scale * scale / 4.0
-    return representable("inferred q2", q2, "(0, inf)", ratio=ratio, eta=eta)
+    if not 0.0 < q2 < math.inf:
+        representable("inferred q2", q2, "(0, inf)", ratio=ratio, eta=eta)
+    return q2

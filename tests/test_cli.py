@@ -1742,6 +1742,19 @@ def test_verify_roundtrip_counts_an_unformable_record_as_a_miss(tmp_path):
     assert "diag.inference_failures: 1" in manifest_lines(out)
 
 
+@pytest.mark.parametrize("extra,digest", [
+    ([], "62d6a8323fcb07c1deab5f110fbea1e2fa912e612ca463452d6f020b4318709a"),
+    # seeds 4294967000-4294967999 cross from one 32-bit word to two
+    (["--seed-base", "4294967000"],
+     "1eac2ba4d61be71b112b789cf5890fa479f4a1064693412a43241e31fdffffeb"),
+], ids=["readme", "seeds-cross-2**32"])
+def test_verify_roundtrip_table_bytes_are_pinned(extra, digest):
+    code, stdout, _ = run_cli(
+        ["verify-roundtrip", "--eta", "2.135", "--q2", "2.0", "--seeds", "1000"] + extra)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 # -- reruns and manifests ----------------------------------------------------------
 
 RERUN = {

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from ybion import crystal
 from ybion.constants import YB174_MASS_KG
 from ybion.crystal import (
     ChargePair,
@@ -386,3 +387,36 @@ def test_crystal_inverses_treat_numpy_scalars_as_python_floats(f, args, kind):
         scalars = [kind(a) if isinstance(a, float) else a for a in args]
     floats = [float(a) if isinstance(a, kind) else a for a in scalars]
     assert outcome(f, *scalars) == outcome(f, *floats)
+
+
+# In-range calls and the values they returned before the range checks
+# became one chained comparison each, far ends of the float range included.
+IN_RANGE_CALLS = [
+    (displacement_ratio, (2.135, 2.0), 1.7522783129848052),
+    (displacement_ratio, (1.0, 1e-300), 1.0000000000000128e-100),
+    (displacement_ratio, (10.0, 1e300), 1.5769057904532952e+100),
+    (infer_charge, (1.74, 2.135), 1.9582515665015305),
+    (infer_charge, (1e-100, 1.0), 1e-300),
+    (infer_charge, (1e100, 10.0), 2.55025e+299),
+    (normal_mode_frequencies, (TrapAxis(474e3, 2.135),),
+     (670251.8016477291, 1239587.5338458878)),
+    (normal_mode_frequencies, (TrapAxis(1e-300, 0.5),),
+     (6.904398561884064e-301, 1.2543096926144406e-300)),
+    (normal_mode_frequencies, (TrapAxis(1e300, 1e-3),),
+     (1.732049075518936e+297, 1.0000010000005e+300)),
+    (infer_eta, (669.7e3, NU1_HZ, "com"), 2.129979699390726),
+    (infer_eta, (1.5e6, NU1_HZ, "bre"), 2.794180006053377),
+    (infer_eta, (NU1_HZ, NU1_HZ, "com"), 1.0),
+]
+
+
+@pytest.mark.parametrize("f,args,expected", IN_RANGE_CALLS)
+def test_in_range_results_never_call_the_refusal_helpers(f, args, expected, monkeypatch):
+    # check and representable only word refusals, so an in-range call
+    # returns without touching either
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a refusal helper ran on an in-range call")
+
+    monkeypatch.setattr(crystal, "check", refuse)
+    monkeypatch.setattr(crystal, "representable", refuse)
+    assert f(*args) == expected

@@ -18,7 +18,10 @@ from ybion._rng import standard_normals
 from ybion.cli import main
 from ybion.errors import SolverError
 
+# 2**128 and up have five or more 32-bit words, which SeedSequence mixes
+# into its 4-word pool in a loop of their own.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 + 7, 10**30,
+              2**128, 2**160 + 7, 10**60,
               np.uint64(2**64 - 1), np.int64(2**63 - 1), np.uint32(2**32 - 1),
               np.int8(7)]
 LARGEST_SCAN = 481  # points of the largest scan on the bench lineshape ladder
