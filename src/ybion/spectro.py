@@ -149,10 +149,14 @@ class LorentzianFit:
 
 
 def lorentzian(nu, center, fwhm, amplitude, offset):
-    """The fit model itself, _model_and_jacobian's values, exposed for
-    residual checks and plotting."""
+    """The fit model itself, offset + amplitude / (1 + x^2) with
+    x = 2 (nu - center) / fwhm, computed by the one kernel _model that
+    fit_lorentzian evaluates at every trial step, so its values are the
+    fit's to the bit. For residual checks and plotting."""
+    nu = np.asarray(nu, dtype=float)
     params = np.array([center, fwhm, amplitude, offset], dtype=float)
-    return _model_and_jacobian(np.asarray(nu, dtype=float), params)[0]
+    rows = [np.empty(nu.shape) for _ in range(3)]
+    return _model(nu, params, rows, np.empty(nu.shape))[()]
 
 
 def simulate_scan(
@@ -278,17 +282,31 @@ def _initial_guess(nu: np.ndarray, y: np.ndarray) -> tuple[float, float, float, 
     return center, abs(fwhm), amplitude, offset
 
 
-def _model_and_jacobian(nu: np.ndarray, params: np.ndarray):
-    """Model values and the transposed analytic Jacobian (4, points) of the
-    Lorentzian at params = (center, fwhm, amplitude, offset). With
-    x = 2 (nu - c) / w and q = 1 / (1 + x^2): d/dc = 4 a x q^2 / w,
-    d/dw = 2 a x^2 q^2 / w, d/da = q and d/do = 1. On NumPy scalars, under
-    the caller's errstate, a zero width gives inf or NaN and never raises."""
-    c, w, a, o = params
-    x = (2.0 / w) * (nu - c)
-    q = 1.0 / (1.0 + x * x)
-    g = (2.0 * a / w) * (q * q)
-    return o + a * q, np.array([2.0 * x * g, x * x * g, q, np.ones_like(q)])
+def _model(nu: np.ndarray, params: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """The Lorentzian at params = (center, fwhm, amplitude, offset), written
+    into out, which is returned. rows[0], rows[1] and rows[2] receive
+    x = 2 (nu - c) / w, x^2 and q = 1 / (1 + x^2), from which _jacobian
+    builds the Jacobian without evaluating the model again. The width
+    divides as a NumPy scalar, so under the caller's errstate a zero width
+    gives inf or NaN and never raises."""
+    c, _, a, o = params.tolist()
+    x, xx, q = rows[0], rows[1], rows[2]
+    np.multiply(2.0 / params[1], np.subtract(nu, c, out=x), out=x)
+    np.multiply(x, x, out=xx)
+    np.divide(1.0, np.add(1.0, xx, out=q), out=q)
+    return np.add(o, np.multiply(a, q, out=out), out=out)
+
+
+def _jacobian(params: np.ndarray, rows, g: np.ndarray) -> None:
+    """Turns the rows _model wrote at params into the transposed analytic
+    Jacobian (4, points), in place: with g = 2 a q^2 / w, rows[0] becomes
+    d/dc = 2 x g = 4 a x q^2 / w and rows[1] d/dw = x^2 g = 2 a x^2 q^2 / w,
+    rows[2] stays d/da = q, and rows[3] must already hold d/do = 1. g is
+    scratch space of one row; the width divides as in _model."""
+    x, xx, q = rows[0], rows[1], rows[2]
+    np.multiply(2.0 * params[2] / params[1], np.multiply(q, q, out=g), out=g)
+    np.multiply(np.multiply(2.0, x, out=x), g, out=x)
+    np.multiply(xx, g, out=xx)
 
 
 def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
@@ -308,6 +326,15 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
     step is at most 1e-12 (1e-12 + |z|) in scaled units; message names the
     rule that fired. After MAX_FIT_ITERATIONS trial steps it stops with
     converged=False.
+
+    The work per step: a trial evaluates only the model, through _model,
+    the one kernel lorentzian() also calls, which leaves x, x^2 and q in
+    its buffers; only an accepted step builds its analytic Jacobian from
+    them (_jacobian), and only then are J^T J, J^T r and the scaled
+    parameter norm recomputed. A fit thus evaluates the model once at the
+    start and once per trial step, and the Jacobian once at the start and
+    once per accepted step. Its arrays are allocated once per fit; in the
+    loop only np.linalg.solve allocates, for its result.
 
     Needs at least eight points. Returns converged=False (never raises)
     for degenerate data: flat signal, nonpositive initial amplitude, a
@@ -349,38 +376,63 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
         if fwhm0 <= 0:
             return failed("degenerate initialization: zero width estimate")
 
+        # Every array the loop writes is allocated here, once per fit. jac
+        # holds the current point's (4, points) Jacobian; a trial writes x,
+        # x^2 and q into the rows of trial_jac, and only an accepted trial
+        # turns them into its Jacobian, after which the two buffers swap, as
+        # do the parameter and residual vectors.
+        n = len(nu)
         scale = np.array([max(abs(center0), fwhm0), fwhm0, amp0, max(amp0, abs(off0))])
-        params = np.array([center0, fwhm0, amp0, off0])
-        model, jac_t = _model_and_jacobian(nu, params)
-        resid = model - y
+        column_scale = scale[:, None]
+        params, trial = np.array([center0, fwhm0, amp0, off0]), np.empty(4)
+        jac, trial_jac, js = np.empty((4, n)), np.empty((4, n)), np.empty((4, n))
+        jac[3] = trial_jac[3] = 1.0
+        rows, trial_rows = tuple(jac), tuple(trial_jac)
+        resid, trial_resid, g = np.empty(n), np.empty(n), np.empty(n)
+        jtj, damped, damping_matrix = np.empty((4, 4)), np.empty((4, 4)), np.zeros((4, 4))
+        rhs, scaled_params = np.empty(4), np.empty(4)
+        damping_diagonal = damping_matrix.reshape(16)[::5]
+
+        np.subtract(_model(nu, params, rows, resid), y, out=resid)
+        _jacobian(params, rows, g)
         cost = 0.5 * float(resid @ resid)
         damping = 1e-3
         diag = np.zeros(4)
+        moved = True
         for iterations in range(1, MAX_FIT_ITERATIONS + 1):
-            js = jac_t * scale[:, None]
-            jtj = js @ js.T
-            diag = np.maximum(diag, jtj.diagonal())
+            if moved:  # J, r and params change only with an accepted step
+                np.multiply(jac, column_scale, out=js)
+                np.matmul(js, js.T, out=jtj)
+                np.maximum(diag, jtj.diagonal(), out=diag)
+                np.negative(np.matmul(js, resid, out=rhs), out=rhs)
+                np.divide(params, scale, out=scaled_params)
+                params_norm = math.sqrt(scaled_params @ scaled_params)
+                moved = False
+            np.multiply(damping, diag, out=damping_diagonal)
             try:
-                step = np.linalg.solve(jtj + np.diag(damping * diag), -(js @ resid))
+                step = np.linalg.solve(np.add(jtj, damping_matrix, out=damped), rhs)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            trial = params + step * scale
-            trial_model, trial_jac_t = _model_and_jacobian(nu, trial)
-            trial_resid = trial_model - y
+            np.add(params, np.multiply(step, scale, out=trial), out=trial)
+            np.subtract(_model(nu, trial, trial_rows, trial_resid), y, out=trial_resid)
             trial_cost = 0.5 * float(trial_resid @ trial_resid)
-            small_step = math.sqrt(step @ step) <= XTOL * (
-                XTOL + math.sqrt((params / scale) @ (params / scale)))
             if trial_cost <= cost:
                 small_change = cost - trial_cost <= FTOL * cost
-                params, jac_t, resid, cost = trial, trial_jac_t, trial_resid, trial_cost
+                _jacobian(trial, trial_rows, g)
+                params, trial = trial, params
+                jac, trial_jac = trial_jac, jac
+                rows, trial_rows = trial_rows, rows
+                resid, trial_resid = trial_resid, resid
+                cost = trial_cost
+                moved = True
                 damping /= 10.0
                 if small_change:
                     message = f"converged: relative cost change <= {FTOL:g}"
                     break
             else:
                 damping *= 10.0
-            if small_step:
+            if math.sqrt(step @ step) <= XTOL * (XTOL + params_norm):
                 message = f"converged: scaled step <= {XTOL:g}"
                 break
         else:
@@ -406,9 +458,9 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
             )
 
         # Gauss-Newton covariance: (J^T J)^-1 scaled by the residual variance.
-        dof = len(nu) - 4
+        dof = n - 4
         try:
-            jtj_inv = np.linalg.inv(jac_t @ jac_t.T)
+            jtj_inv = np.linalg.inv(jac @ jac.T)
             jtj_inv = (jtj_inv + jtj_inv.T) / 2.0
             cov = jtj_inv * (2.0 * cost / dof)
         except np.linalg.LinAlgError:
@@ -418,7 +470,7 @@ def fit_lorentzian(curve: ScanCurve) -> LorentzianFit:
             fwhm_hz=float(w),
             amplitude=float(a),
             offset=float(o),
-            covariance=tuple(tuple(float(v) for v in row) for row in cov),
+            covariance=tuple(map(tuple, cov.tolist())),
             converged=True,
             message=message,
             iterations=iterations,

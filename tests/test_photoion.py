@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ybion.constants import (
@@ -444,6 +444,10 @@ def noisy_series(draw):
 
 
 @given(series=noisy_series())
+@example(series=RydbergSeries(  # noise-free, and the dense grid below holds mu = 1.1
+    members=tuple((n, 80000.0 - RYDBERG_YB174_CM1 / (n - 1.1) ** 2 * (1.0 + 0.0))
+                  for n in range(4, 8)),
+    ionization_limit_cm1=80000.0, ell=1, core_charge=1))
 @settings(max_examples=60, deadline=None)
 def test_noisy_series_defect_is_a_least_squares_minimum(series):
     mu, residual = fit_quantum_defect(series)
@@ -465,9 +469,32 @@ def test_noisy_series_defect_is_a_least_squares_minimum(series):
     neighbours = [m for m in (mu - 1e-5, mu + 1e-5) if 0.0 <= m < n_min]
     assert sum_sq(mu)[0] <= sum_sq(np.array(neighbours)).min(initial=np.inf)
     # and no point of an independent dense grid over [0, n_min) lies lower,
-    # up to the rounding of the sums themselves
+    # up to the rounding of the sums themselves. At m, the binding
+    # z2r / (n - m)^2 rounds three times (n - m, whose error the square
+    # doubles, the square, the quotient), within 4 u (u = 2^-53) of itself,
+    # which is under 4 ulps of the binding 80000 - E_i; the prediction
+    # 80000 - binding rounds within half an ulp of an energy next to E_i,
+    # under one ulp of E_i; and near the minimum its difference with E_i is
+    # exact (Sterbenz). So each computed misfit r_i is off its exact value
+    # by at most d_i = 4 ulp(80000 - E_i) + ulp(E_i), and a computed sum of
+    # squares by at most sum((2 |r_i| + 3 d_i) d_i); the factor 1 + 1e-12
+    # covers the rounding of the sum itself. The fit stops where its Newton
+    # step sees only such misfit roundings, which leaves its exact sum at
+    # most sum(d_i^2) above the least one. A noise-free series whose defect
+    # lies on the grid sums to exactly 0 there (the example mu = 1.1), so
+    # then these roundings are all that separate the two.
+    d = 4.0 * np.spacing(80000.0 - energies) + np.spacing(energies)
+
+    def rounding(m):
+        """Bound on the rounding of the computed sum of squares at m."""
+        r = 80000.0 - z2r / (ns - m) ** 2 - energies
+        return float(((2.0 * np.abs(r) + 3.0 * d) * d).sum())
+
     dense = np.linspace(0.0, n_min, 100_000, endpoint=False)
-    assert sum_sq(mu)[0] <= sum_sq(dense).min() * (1.0 + 1e-12)
+    dense_sums = sum_sq(dense)
+    best = dense[dense_sums.argmin()]
+    slack = rounding(mu) + rounding(best) + float((d * d).sum())
+    assert sum_sq(mu)[0] <= dense_sums.min() * (1.0 + 1e-12) + slack
 
 
 def wild_series(rng, kind):

@@ -494,6 +494,18 @@ def test_fit_refuses_the_power_broadened_line_wider_than_the_scan():
     assert widths and all(w == pytest.approx(4.95e9, rel=1e-2) for w in widths)
 
 
+def fit_kernel(nu, params):
+    """The model and the transposed Jacobian (4, points) at params, from the
+    kernels fit_lorentzian calls, on buffers laid out as the fit lays out
+    its own: one (4, points) array whose last row holds the ones."""
+    jac = np.empty((4, len(nu)))
+    jac[3] = 1.0
+    rows = tuple(jac)
+    model = spectro._model(nu, params, rows, np.empty(len(nu)))
+    spectro._jacobian(params, rows, np.empty(len(nu)))
+    return model, jac
+
+
 def test_lorentzian_is_the_fit_model_to_the_bit():
     rng = np.random.default_rng(4343)
     for _ in range(200):
@@ -502,7 +514,7 @@ def test_lorentzian_is_the_fit_model_to_the_bit():
         offset = amplitude * rng.uniform(0.0, 5.0)
         nu = np.sort(rng.uniform(-1e8, 1e8, 500))
         params = np.array([center, fwhm, amplitude, offset])
-        model, _ = spectro._model_and_jacobian(nu, params)
+        model, _ = fit_kernel(nu, params)
         assert lorentzian(nu, center, fwhm, amplitude, offset).tobytes() == model.tobytes()
 
 
@@ -512,7 +524,7 @@ def test_analytic_jacobian_matches_central_difference():
     for _ in range(20):
         params = np.array([rng.uniform(-20e6, 20e6), rng.uniform(2e6, 80e6),
                            10 ** rng.uniform(-3, 6), rng.uniform(0.0, 5.0)])
-        _, jac_t = spectro._model_and_jacobian(nu, params)
+        _, jac_t = fit_kernel(nu, params)
         for k in range(4):
             h = 1e-5 * params[k] if params[k] else 1e-5
             up, down = params.copy(), params.copy()
@@ -602,6 +614,37 @@ def test_fit_stops_unconverged_at_the_iteration_cap(monkeypatch):
 # no other test reaches deterministically.
 NONPOSITIVE_SOLUTION = [0.5, 0.1, 1.0, 0.6, 0.0, 0.8, 1.0, 0.6]
 SINGULAR_SOLUTION = [0.7, 0.5, 0.6, 0.0, 0.2, 1.0, 0.1, 0.1]
+
+
+def test_fit_evaluates_the_model_per_trial_and_the_jacobian_per_accepted_step(monkeypatch):
+    # One model evaluation at the start and one per trial step; one Jacobian
+    # at the start and one per accepted step. Acceptance is re-derived here
+    # from the evaluated costs: a trial is accepted when its cost does not
+    # exceed the last accepted one.
+    y = np.array(SINGULAR_SOLUTION)
+    costs, jacobians = [], []
+    model, jacobian = spectro._model, spectro._jacobian
+
+    def counting_model(nu, params, rows, out):
+        values = model(nu, params, rows, out)
+        costs.append(0.5 * float((values - y) @ (values - y)))
+        return values
+
+    def counting_jacobian(params, rows, g):
+        jacobians.append(params.copy())
+        jacobian(params, rows, g)
+
+    monkeypatch.setattr(spectro, "_model", counting_model)
+    monkeypatch.setattr(spectro, "_jacobian", counting_jacobian)
+    fit = fit_lorentzian(ScanCurve(np.arange(8.0), SINGULAR_SOLUTION))
+    accepted, cost = 0, costs[0]
+    for trial_cost in costs[1:]:
+        if trial_cost <= cost:
+            accepted, cost = accepted + 1, trial_cost
+    assert fit.converged and fit.cost == cost
+    assert len(costs) == 1 + fit.iterations
+    assert len(jacobians) == 1 + accepted
+    assert 1 <= accepted < fit.iterations  # at least one trial was rejected
 
 
 def test_fit_refuses_a_solution_with_nonpositive_width_or_amplitude():
