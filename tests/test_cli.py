@@ -491,6 +491,40 @@ def test_crystal_invert_from_mode_rejects_bad_values(values, capsys):
     assert "Traceback" not in err
 
 
+GRID_REFUSAL = ("argument --grid: expected finite START_HZ < STOP_HZ with a finite "
+                f"span and an integer POINTS from 2 to {MAX_SCAN_POINTS}, got ")
+VERIFY = ["verify-roundtrip", "--eta", "2.135", "--q2", "2.0"]
+
+
+# The refusals of the three multi-value flags that the tests above do not
+# pin to the word: a value count argparse refuses before any check, a value
+# --noise's float type refuses, and the --grid values its check refuses.
+@pytest.mark.parametrize("argv, error", [
+    (["scan", "--grid", "-1e6", "1e6"], "argument --grid: expected 3 arguments"),
+    (["scan", "--grid"], "argument --grid: expected 3 arguments"),
+    ([*VERIFY, "--noise", "0.02"], "argument --noise: expected 2 arguments"),
+    (["crystal", "--nu1", "474e3", "--invert-from-mode", "821e3"],
+     "argument --invert-from-mode: expected 2 arguments"),
+    ([*VERIFY, "--noise", "abc", "0.005"],
+     "argument --noise: invalid float value: 'abc'"),
+    ([*VERIFY, "--noise", "0.02", "1e"], "argument --noise: invalid float value: '1e'"),
+    (["scan", "--grid", "-1e6", "1e6", "2.5"], GRID_REFUSAL + "-1e6 1e6 2.5"),
+    (["scan", "--grid", "-1e6", "1e6", "1e400"], GRID_REFUSAL + "-1e6 1e6 1e400"),
+    (["scan", "--grid", "-1e6", "1e6", "9" * 30], GRID_REFUSAL + "-1e6 1e6 " + "9" * 30),
+    (["scan", "--grid", "nan", "1e6", "5"], GRID_REFUSAL + "nan 1e6 5"),
+    (["scan", "--grid", "0", "nan", "5"], GRID_REFUSAL + "0 nan 5"),
+    (["scan", "--grid", "inf", "1e6", "5"], GRID_REFUSAL + "inf 1e6 5"),
+    (["scan", "--grid", "0", "inf", "5"], GRID_REFUSAL + "0 inf 5"),
+])
+def test_multi_value_flag_refusals_are_usage_errors(argv, error, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: ybion {argv[0]} [-h] ")
+    assert err.endswith(f"\nybion {argv[0]}: error: {error}\n")
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["fit-scan", "--data", "{missing}"],
     ["xsec", "--model", "peach", "--limit", "98207.0", "--series", "{missing}"],
