@@ -157,67 +157,48 @@ _trial_count = _int_in_range(1, MAX_TRIALS)
 _seed_count = _int_in_range(1, MAX_SEEDS)
 
 
-class _FieldsAction(argparse.Action):
-    """A multi-value flag stored as one namespace entry, and so one manifest
-    key, per value: the names in `fields`. The flag's own dest stays unset;
-    defaults go to the subparser's set_defaults."""
+class _ValuesAction(argparse.Action):
+    """A multi-value flag checked and stored by one reader: read(values)
+    returns the value to store, or None or a ValueError to refuse, and a
+    refusal exits 1 with the flag's one error, "expected EXPECTED, got
+    VALUES". Without fields the value goes to the flag's dest; with them it
+    is spread over those namespace entries, one manifest key per value, the
+    dest stays unset and their defaults go to the subparser's set_defaults."""
 
-    fields: tuple[str, ...] = ()
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, default=argparse.SUPPRESS, **kwargs)
+    def __init__(self, option_strings, dest, read=tuple, expected=None,
+                 fields=None, **kwargs):
+        if fields:
+            kwargs["default"] = argparse.SUPPRESS
+        super().__init__(option_strings, dest, **kwargs)
+        self.read, self.expected, self.fields = read, expected, fields
 
     def __call__(self, parser, namespace, values, option_string=None):
-        for field, value in zip(self.fields, values):
-            setattr(namespace, field, value)
+        try:
+            value = self.read(values)
+        except ValueError:
+            value = None
+        if value is None:
+            raise argparse.ArgumentError(
+                self, f"expected {self.expected}, got {' '.join(values)}")
+        pairs = zip(self.fields, value) if self.fields else [(self.dest, value)]
+        for field, item in pairs:
+            setattr(namespace, field, item)
 
 
-class _NoiseAction(_FieldsAction):
-    fields = ("noise_ratio_rel", "noise_freq_rel")
-
-
-class _GridAction(_FieldsAction):
+def _read_grid(values):
     """--grid START_HZ STOP_HZ POINTS: finite START_HZ < STOP_HZ with a
     finite span, and an integer POINTS from 2 to MAX_SCAN_POINTS."""
-
-    fields = ("grid_start_hz", "grid_stop_hz", "grid_points")
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        start, stop, points = values
-        try:
-            grid = (_finite_float(start), _finite_float(stop), int(points))
-        except ValueError:
-            grid = None
-        if grid is None or not (
-            grid[0] < grid[1]
-            and grid[1] - grid[0] < math.inf
-            and 2 <= grid[2] <= MAX_SCAN_POINTS
-        ):
-            raise argparse.ArgumentError(
-                self,
-                "expected finite START_HZ < STOP_HZ with a finite span and an "
-                f"integer POINTS from 2 to {MAX_SCAN_POINTS}, "
-                f"got {start} {stop} {points}",
-            )
-        super().__call__(parser, namespace, grid, option_string)
+    start, stop = map(_finite_float, values[:2])
+    points = int(values[2])
+    if start < stop and stop - start < math.inf and 2 <= points <= MAX_SCAN_POINTS:
+        return start, stop, points
+    return None
 
 
-class _ModeAction(argparse.Action):
+def _read_mode(values):
     """--invert-from-mode FREQ_HZ MODE as a finite float and com or bre."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        freq, mode = values
-        try:
-            freq_hz = _finite_float(freq)
-        except ValueError:
-            freq_hz = None
-        if freq_hz is None or mode not in ("com", "bre"):
-            raise argparse.ArgumentError(
-                self,
-                "expected a finite FREQ_HZ and MODE com or bre, "
-                f"got {freq} {mode}",
-            )
-        setattr(namespace, self.dest, (freq_hz, mode))
+    freq_hz = _finite_float(values[0])
+    return (freq_hz, values[1]) if values[1] in ("com", "bre") else None
 
 
 def _fmt(value) -> str:
@@ -718,11 +699,9 @@ def build_parser() -> _Parser:
         required=True,
         help="cross-section model (dimensionless tag; result is in Mb).",
     )
-    p.add_argument(
-        "--series",
-        help="series file path: rows of 'n energy_cm1' (energies in cm^-1)."
-        " Default: the bundled Yb II np series.",
-    )
+    add_flags(p, [("--series", "series", "series file path: rows of 'n energy_cm1' "
+                   "(energies in cm^-1). Default: the bundled Yb II np series")],
+              {"series": None}, None)
     add_flags(p, [("--limit", "limit_cm1", "ionization limit of the series in cm^-1")],
               {})
     p.add_argument(
@@ -749,7 +728,9 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--invert-from-mode",
         nargs=2,
-        action=_ModeAction,
+        action=_ValuesAction,
+        read=_read_mode,
+        expected="a finite FREQ_HZ and MODE com or bre",
         metavar=("FREQ_HZ", "MODE"),
         help="infer eta from a measured mode frequency in Hz; MODE is "
         "'com' or 'bre'.",
@@ -775,7 +756,11 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--grid",
         nargs=3,
-        action=_GridAction,
+        action=_ValuesAction,
+        read=_read_grid,
+        expected="finite START_HZ < STOP_HZ with a finite span and an integer "
+        f"POINTS from 2 to {MAX_SCAN_POINTS}",
+        fields=("grid_start_hz", "grid_stop_hz", "grid_points"),
         required=True,
         metavar=("START_HZ", "STOP_HZ", "POINTS"),
         help="detuning grid in Hz: start < stop, and the point count "
@@ -783,12 +768,9 @@ def build_parser() -> _Parser:
     )
     add_flags(p, [("--noise-sigma", "noise_sigma", "per-point Gaussian noise sigma "
                    "in signal units (photons/s per ion)")], {"noise_sigma": None})
-    p.add_argument(
-        "--seed",
-        type=_nonnegative_int,
-        help="RNG seed (integer >= 0) for the noise draws. Default: one "
-        "drawn from OS entropy and written to the manifest.",
-    )
+    add_flags(p, [("--seed", "seed", "RNG seed (integer >= 0) for the noise draws. "
+                   "Default: one drawn from OS entropy and written to the manifest")],
+              {"seed": None}, _nonnegative_int)
     add_out(p, _cmd_scan)
 
     p = sub.add_parser(
@@ -840,7 +822,8 @@ def build_parser() -> _Parser:
         "--noise",
         nargs=2,
         type=float,
-        action=_NoiseAction,
+        action=_ValuesAction,
+        fields=("noise_ratio_rel", "noise_freq_rel"),
         metavar=("RATIO_REL", "FREQ_REL"),
         help="relative Gaussian sigmas (dimensionless): displacement "
         f"ratio, frequencies. Default {REPORTED_NOISE.ratio_rel} "

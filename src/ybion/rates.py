@@ -12,7 +12,10 @@ energy.
 Spontaneous decay enters as A = (branching_ratio / total) / lifetime(upper),
 total being the sum of the upper level's listed branching ratios, so the
 listed channels carry its whole 1/lifetime; a total below 1 (0.997 for 7p12
-of yb174_plus) scales them up rather than leaving an unmodeled loss. A
+of yb174_plus) scales them up rather than leaving an unmodeled loss. The
+total is added left to right from 0.0 in decay order, the total that
+validate_scheme reports and the scheme's > 1 refusal bounds, not by the
+builtin sum(), which compensates float sums from CPython 3.12 on. A
 resonant drive with saturation parameter S adds a stimulated rate
 
     W = (S / (2 * lifetime(upper))) / (1 + (2 * detuning / width)**2)
@@ -305,6 +308,8 @@ def build_rate_matrix(
     down. Branching-ratio sums below 1 leave an unmodeled residual; the
     listed channels are scaled so the level's full 1/lifetime leaves
     through them, and the total decay rate of a level equals 1/lifetime.
+    Each total is added left to right in decay order, the total that
+    validate_scheme reports.
 
     With include_ionization=True, a one-way drain at ionization_rate (1/s)
     is added from IONIZED_FROM into an absorbing sink row appended after
@@ -322,9 +327,10 @@ def build_rate_matrix(
     size = n + 1 if include_ionization else n
     m = [[0.0] * size for _ in range(size)]
 
-    decays = {}
+    decays, totals = {}, {}
     for ch in scheme.decays:
         decays.setdefault(ch.upper, []).append(ch)
+        totals[ch.upper] = totals.get(ch.upper, 0.0) + ch.branching_ratio
     for lv in order:
         channels = decays.get(lv.label)
         if not channels:
@@ -333,7 +339,7 @@ def build_rate_matrix(
             raise SchemeError(
                 f"level {lv.label} has decay channels but no lifetime"
             )
-        total = sum(c.branching_ratio for c in channels)
+        total = totals[lv.label]
         for ch in channels:
             rate = ch.branching_ratio / total / lv.lifetime_s
             m[index[ch.lower]][index[ch.upper]] += rate

@@ -1966,7 +1966,7 @@ def test_every_flag_dest_is_one_manifest_param(name, curve_file, tmp_path):
     keys = sorted(line.split(": ", 1)[0].removeprefix("param.")
                   for line in manifest_lines(out) if line.startswith("param."))
     flags = [a for a in subparsers()[name]._actions if a.dest not in ("help", "out")]
-    dests = sorted(dest for a in flags for dest in getattr(a, "fields", (a.dest,)))
+    dests = sorted(dest for a in flags for dest in getattr(a, "fields", None) or (a.dest,))
     assert keys == dests
     parsed = vars(build_parser().parse_args(argv))
     assert sorted(parsed.keys() - {"handler", "subcommand", "out"}) == dests
@@ -2276,8 +2276,9 @@ def test_string_numeric_flag_help_states_units():
 # Every flag of every subcommand, by its first option string, with what
 # parsing depends on. The attributes an entry does not list keep argparse's
 # defaults: the dest spelled after the flag, no type, default None, optional,
-# one value, no metavar, no choices, no fields, the store action. A type
-# other than float and int is named by its ybion.cli attribute. Help texts
+# one value, no metavar, no choices, no fields, the store action and so no
+# reader. A type or reader other than a builtin is named by its ybion.cli
+# attribute; a reader is what a _ValuesAction checks its values with. Help texts
 # and the order of the flags are --help layout only, and are left out; so is
 # the -h flag, which argparse adds to every subcommand.
 SUPPRESS = argparse.SUPPRESS
@@ -2310,7 +2311,7 @@ PARSER_CONTRACT = {
         "--nu1": dict(dest="nu1_hz", type="float", required=True),
         "--eta": dict(type="float", default=1.0),
         "--q2": dict(type="float", default=1.0),
-        "--invert-from-mode": dict(action="_ModeAction", nargs=2,
+        "--invert-from-mode": dict(action="_ValuesAction", read="_read_mode", nargs=2,
                                    metavar=("FREQ_HZ", "MODE")),
         "--invert-from-ratio": dict(type="float"),
         "--out": dict(),
@@ -2319,8 +2320,8 @@ PARSER_CONTRACT = {
         "--scheme": dict(default="yb174_plus"),
         "--upper": dict(default="7p12"),
         "--lower": dict(default="5d32"),
-        "--grid": dict(action="_GridAction", default=SUPPRESS, required=True,
-                       nargs=3, metavar=("START_HZ", "STOP_HZ", "POINTS"),
+        "--grid": dict(action="_ValuesAction", read="_read_grid", default=SUPPRESS,
+                       required=True, nargs=3, metavar=("START_HZ", "STOP_HZ", "POINTS"),
                        fields=("grid_start_hz", "grid_stop_hz", "grid_points")),
         "--noise-sigma": dict(type="float"),
         "--seed": dict(type="_nonnegative_int"),
@@ -2345,8 +2346,8 @@ PARSER_CONTRACT = {
         "--eta": dict(type="float", required=True),
         "--q2": dict(type="float", required=True),
         "--nu1": dict(dest="nu1_hz", type="float", default=474e3),
-        "--noise": dict(action="_NoiseAction", type="float", default=SUPPRESS,
-                        nargs=2, metavar=("RATIO_REL", "FREQ_REL"),
+        "--noise": dict(action="_ValuesAction", read="tuple", type="float",
+                        default=SUPPRESS, nargs=2, metavar=("RATIO_REL", "FREQ_REL"),
                         fields=("noise_ratio_rel", "noise_freq_rel")),
         "--seeds": dict(type="_seed_count", default=1000),
         "--seed-base": dict(type="_nonnegative_int", default=0),
@@ -2372,14 +2373,17 @@ PARSER_DEFAULTS = {
 def parsing_attributes(action) -> dict:
     import ybion.cli as cli
 
-    convert = action.type
-    if convert not in (None, float, int):
-        convert = next(name for name, value in vars(cli).items() if value is convert)
+    def named(convert):
+        if convert in (None, float, int, tuple):
+            return getattr(convert, "__name__", convert)
+        return next(name for name, value in vars(cli).items() if value is convert)
+
     return dict(
         option_strings=tuple(action.option_strings),
         action=type(action).__name__,
+        read=named(getattr(action, "read", None)),
         dest=action.dest,
-        type=getattr(convert, "__name__", convert),
+        type=named(action.type),
         default=action.default,
         required=action.required,
         nargs=action.nargs,
@@ -2395,14 +2399,14 @@ def test_parser_contract_is_pinned_flag_by_flag():
     for name, sub in subs.items():
         help_flag, *flags = sub._actions
         assert parsing_attributes(help_flag) == dict(
-            option_strings=("-h", "--help"), action="_HelpAction", dest="help",
-            type=None, default=SUPPRESS, required=False, nargs=0, metavar=None,
-            choices=None, fields=None,
+            option_strings=("-h", "--help"), action="_HelpAction", read=None,
+            dest="help", type=None, default=SUPPRESS, required=False, nargs=0,
+            metavar=None, choices=None, fields=None,
         ), name
         found = {action.option_strings[0]: parsing_attributes(action)
                  for action in flags}
         expected = {
-            flag: {**dict(option_strings=(flag,), action="_StoreAction",
+            flag: {**dict(option_strings=(flag,), action="_StoreAction", read=None,
                           dest=flag[2:].replace("-", "_"), type=None,
                           default=None, required=False, nargs=None,
                           metavar=None, choices=None, fields=None),

@@ -37,6 +37,7 @@ from ybion.scheme import (
     Level,
     LevelScheme,
     load_bundled_scheme,
+    validate_scheme,
 )
 from ybion.spectro import simulate_scan
 
@@ -131,6 +132,34 @@ def test_decay_only_matrix_is_lower_triangular(yb_scheme):
     np.fill_diagonal(a, 0.0)
     assert np.count_nonzero(np.triu(a, 1)) == 0
     assert np.count_nonzero(np.tril(a, -1)) > 0
+
+
+def test_decay_rates_divide_by_the_branching_total_validate_scheme_reports(
+        monkeypatch):
+    # 0.3 + 0.3 + 0.3 + 0.1 is 0.9999999999999999 added left to right and 1.0
+    # compensated, as the builtin sum() adds floats from CPython 3.12 on;
+    # fsum stands in for that sum on any interpreter.
+    monkeypatch.setattr(rates, "sum", math.fsum, raising=False)
+    ratios = {"g": 0.3, "a": 0.3, "b": 0.3, "c": 0.1}
+    lifetime_s = 1e-8
+    scheme = LevelScheme(
+        levels=(Level("g", "ground", 0.5, 0.0, None),
+                *(Level(label, label, 0.5, energy, None)
+                  for label, energy in (("a", 1000.0), ("b", 2000.0), ("c", 3000.0))),
+                Level("e", "excited", 0.5, 20000.0, lifetime_s)),
+        decays=tuple(DecayChannel("e", lower, b) for lower, b in ratios.items()),
+    )
+    total = 0.0
+    for b in ratios.values():
+        total += b
+    assert total != math.fsum(ratios.values())
+    assert validate_scheme(scheme) == (
+        f"level e: branching sum {total:.6f}, residual {1.0 - total:.6f} "
+        "unmodeled decay",)
+    m = build_rate_matrix(scheme)
+    e = m.labels.index("e")
+    for lower, b in ratios.items():
+        assert m.matrix[m.labels.index(lower), e] == b / total / lifetime_s
 
 
 def test_bundled_matrix_shape_and_sink(yb_scheme):
