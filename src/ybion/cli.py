@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from collections.abc import Iterable
 from datetime import datetime, timezone
@@ -103,14 +102,15 @@ SCHEME_ENV_VAR = "YBION_SCHEME_PATH"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors exiting 1 instead of argparse's 2, and
-    with scientific-notation negatives (-80e6) accepted as values."""
+    """argparse with usage errors exiting 1 instead of argparse's 2, and an
+    argument a value, never an option, exactly when float() reads it."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-\d+$|^-\d*\.?\d+([eE][-+]?\d+)?$"
-        )
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -466,6 +466,8 @@ def _cmd_scan(args) -> _Run:
 
 
 def _cmd_fit_scan(args) -> _Run:
+    # checked here too, so that a fit that does not converge cannot skip it
+    check("saturation", args.saturation, "[0, inf)")
     curve = load_curve(args.data)
     fit = fit_lorentzian(curve)
     tau = center_se = fwhm_se = tau_se = None

@@ -481,6 +481,22 @@ def test_fit_scan_reports_each_fit_gate(signal, converged, message, se, tmp_path
         assert f"diag.{key}: {se}" in lines
 
 
+# A flat curve fails the fit ("degenerate initialization"), so the check of
+# lifetime_from_linewidth, which runs only on a converged fit, never sees it.
+@pytest.mark.parametrize("saturation, shown", [
+    ("nan", "nan"), ("inf", "inf"), ("1e400", "inf"), ("-1", "-1.0"),
+])
+def test_fit_scan_refuses_a_bad_saturation_whatever_the_fit_does(saturation, shown,
+                                                                 tmp_path, capsys):
+    flat = tmp_path / "flat.tsv"
+    flat.write_text("".join(f"{d}.0\t1.0\n" for d in range(10)), encoding="utf-8")
+    assert main(["fit-scan", "--data", str(flat)]) == 0
+    assert value_map(capsys.readouterr().out)["message"].startswith("degenerate")
+    assert main(["fit-scan", "--data", str(flat), "--saturation", saturation]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: saturation must be >= 0 and finite, got {shown}\n")
+
+
 @pytest.mark.parametrize("values", [("abc", "com"), ("nan", "bre"), ("821e3", "xyz")])
 def test_crystal_invert_from_mode_rejects_bad_values(values, capsys):
     assert main(["crystal", "--nu1", "474e3", "--invert-from-mode", *values]) == 1
@@ -523,6 +539,36 @@ def test_multi_value_flag_refusals_are_usage_errors(argv, error, capsys):
     assert err.startswith(f"usage: ybion {argv[0]} [-h] ")
     assert err.endswith(f"\nybion {argv[0]}: error: {error}\n")
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+# An argument is a value, never an option, exactly when float() reads it. Each
+# spelling below reaches its flag's own reader or check, as inf, nan, 1_000 and
+# 5. do; anything else starting with - is an option. line is the last stderr
+# line of a refusal, or a manifest line of a run.
+OVERRIDE = ["steady-state", "--drive-overrides", "7p12", "5d32", "detuning_hz"]
+NU1_REFUSAL = "error: nu1_hz must be positive and finite, got "
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["scan", "--grid", "-inf", "1e6", "5"], 1,
+     "ybion scan: error: " + GRID_REFUSAL + "-inf 1e6 5"),
+    (["crystal", "--nu1", "474e3", "--invert-from-mode", "-nan", "com"], 1,
+     "ybion crystal: error: argument --invert-from-mode: expected a finite FREQ_HZ "
+     "and MODE com or bre, got -nan com"),
+    ([*OVERRIDE, "-inf"], 2, "error: drive 7p12<->5d32: detuning_hz must be finite, "
+     "got -inf"),
+    (["crystal", "--nu1", "-1_000"], 2, NU1_REFUSAL + "-1000.0"),
+    (["crystal", "--nu1", "-5."], 2, NU1_REFUSAL + "-5.0"),
+    (["crystal", "--nu1", "-Infinity"], 2, NU1_REFUSAL + "-inf"),
+    (["scan", "--grid", "-1_000", "1e6", "5"], 0, "param.grid_start_hz: -1000.0"),
+    ([*OVERRIDE, "-1_000"], 0, "param.drive_overrides: 7p12,5d32,detuning_hz,-1_000"),
+    (["crystal", "--nu1", "-x"], 1,
+     "ybion crystal: error: argument --nu1: expected one argument"),
+])
+def test_an_argument_is_a_value_exactly_when_float_reads_it(argv, code, line, capsys):
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert line in lines if code == 0 else lines[-1] == line
 
 
 @pytest.mark.parametrize("argv", [
@@ -1056,7 +1102,8 @@ def test_overflowing_intermediates_exit_zero_without_warning(argv, key, capsys,
 NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(min_value=-10, max_value=10),
-    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", "x"]),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", "x", "-nan",
+                     "-Infinity", "-1_000", "-5."]),
 ).map(str)
 # The limits of the float range, so that several flags of one example can sit
 # at them together.
