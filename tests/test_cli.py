@@ -609,6 +609,55 @@ def test_domain_refusals_exit_two_with_one_line(argv, message, tmp_path, capsys)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# A cooling pair that scan's default monitor, 6p12 -> 6s12, can read, plus
+# the levels, decays and drives of one lifetime fault.
+LIFETIME_SCHEME = """\
+[LEVELS]
+6s12 "ground" 0.5 0.0 -
+g "dark" 0.5 5000.0 -
+6p12 "cooling" 0.5 20000.0 1e-8
+{levels}
+[DECAYS]
+6p12 6s12 1.0
+{decays}
+[DRIVES]
+6p12 6s12 {cooling_nm} - - 1.0 0.0 0
+{drives}"""
+DECAY_FAULT = dict(levels='e "e" 0.5 25000.0 -', decays="e 6s12 1.0")
+DRIVE_FAULT = dict(levels='e "e" 0.5 25000.0 -', drives="e g 500.0 - - 1.0 0.0 0")
+WAVELENGTH_REFUSAL = ("drive 6p12<->6s12: declared wavelength 503.0 nm differs from "
+                      "energy gap (500 nm) by 5.96e-03 (limit 0.001)")
+
+
+# Each lifetime fault is refused in the same words by steady-state and scan;
+# among several, the highest level is named, and a wavelength refusal wins.
+@pytest.mark.parametrize("fault, message", [
+    pytest.param(DECAY_FAULT, "level e has decay channels but no lifetime",
+                 id="decay-without-lifetime"),
+    pytest.param(DRIVE_FAULT, "drive e<->g: upper level has no lifetime",
+                 id="drive-without-lifetime"),
+    pytest.param(dict(levels='e "e" 0.5 25000.0 -\nf "f" 0.5 30000.0 -',
+                      decays="e 6s12 1.0\nf 6s12 1.0"),
+                 "level f has decay channels but no lifetime", id="highest-named"),
+    pytest.param(dict(DECAY_FAULT, cooling_nm="503.0"), WAVELENGTH_REFUSAL,
+                 id="decay-fault-and-wavelength"),
+    pytest.param(dict(DRIVE_FAULT, cooling_nm="503.0"), WAVELENGTH_REFUSAL,
+                 id="drive-fault-and-wavelength"),
+])
+@pytest.mark.parametrize("argv", [
+    ["steady-state"],
+    ["scan", "--upper", "6p12", "--lower", "6s12", "--grid", "-1e6", "1e6", "5"],
+], ids=["steady-state", "scan"])
+def test_lifetime_refusals_of_a_scheme_file_are_one_line(argv, fault, message, tmp_path,
+                                                        capsys):
+    scheme = tmp_path / "fault.scheme"
+    scheme.write_text(LIFETIME_SCHEME.format(
+        **{"levels": "", "decays": "", "drives": "", "cooling_nm": "500.0", **fault}))
+    assert main([*argv, "--scheme", str(scheme)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def gap_scheme(energy_cm1: str) -> str:
     """A two-level scheme whose 500 nm drive spans a gap of energy_cm1."""
     return NO_LIFETIME_SCHEME.replace("20000.0", energy_cm1).replace("e g 1.0", "")
