@@ -10,13 +10,12 @@ diagonal, since spontaneous emission only moves population downward in
 energy.
 
 Spontaneous decay enters as A = (branching_ratio / total) / lifetime(upper),
-total being the sum of the upper level's listed branching ratios, so the
+total being the upper level's entry of scheme.branching_sums, so the
 listed channels carry its whole 1/lifetime; a total below 1 (0.997 for 7p12
 of yb174_plus) scales them up rather than leaving an unmodeled loss. The
-total is added left to right from 0.0 in decay order, the total that
-validate_scheme reports and the scheme's > 1 refusal bounds, not by the
-builtin sum(), which compensates float sums from CPython 3.12 on. A
-resonant drive with saturation parameter S adds a stimulated rate
+scheme forms each total once, when it is built, and has refused any level
+that decays or is driven without a lifetime. A resonant drive with
+saturation parameter S adds a stimulated rate
 
     W = (S / (2 * lifetime(upper))) / (1 + (2 * detuning / width)**2)
 
@@ -265,12 +264,11 @@ def drive_rate(scheme: LevelScheme, drive, detuning_hz):
     W = (S / (2 tau)) / (1 + (2 detuning / width)^2) with tau the upper
     level lifetime and width its natural FWHM; detuning_hz may be an array.
     A detuning so far off resonance that (2 detuning / width)^2 exceeds the
-    floating-point range gives W = 0.
+    floating-point range gives W = 0. drive is one of scheme.drives, whose
+    upper levels the scheme has checked to have a lifetime.
     """
     name = drive.name
     lifetime = scheme.lifetime(drive.upper)
-    if lifetime is None:
-        raise SchemeError(f"{name}: upper level has no lifetime")
     s = drive.saturation
     if s is None:
         s = saturation_from_power(
@@ -308,8 +306,7 @@ def build_rate_matrix(
     down. Branching-ratio sums below 1 leave an unmodeled residual; the
     listed channels are scaled so the level's full 1/lifetime leaves
     through them, and the total decay rate of a level equals 1/lifetime.
-    Each total is added left to right in decay order, the total that
-    validate_scheme reports.
+    Each total is the scheme's own, scheme.branching_sums.
 
     With include_ionization=True, a one-way drain at ionization_rate (1/s)
     is added from IONIZED_FROM into an absorbing sink row appended after
@@ -327,22 +324,10 @@ def build_rate_matrix(
     size = n + 1 if include_ionization else n
     m = [[0.0] * size for _ in range(size)]
 
-    decays, totals = {}, {}
+    sums = scheme.branching_sums
     for ch in scheme.decays:
-        decays.setdefault(ch.upper, []).append(ch)
-        totals[ch.upper] = totals.get(ch.upper, 0.0) + ch.branching_ratio
-    for lv in order:
-        channels = decays.get(lv.label)
-        if not channels:
-            continue
-        if lv.lifetime_s is None:
-            raise SchemeError(
-                f"level {lv.label} has decay channels but no lifetime"
-            )
-        total = totals[lv.label]
-        for ch in channels:
-            rate = ch.branching_ratio / total / lv.lifetime_s
-            m[index[ch.lower]][index[ch.upper]] += rate
+        up = index[ch.upper]
+        m[index[ch.lower]][up] += ch.branching_ratio / sums[ch.upper] / order[up].lifetime_s
 
     for drive in scheme.drives:
         w = drive_rate(scheme, drive, drive.detuning_hz)

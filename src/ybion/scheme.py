@@ -28,7 +28,8 @@ power/waist pair, never both; LevelScheme.with_drive owns that rule. Declared
 drive wavelengths must agree with the level energy gap to 0.1 percent.
 A [SCHEME] key, a level label, a decay channel and a drive pair may each
 appear once; decays and drives share one pair check, and a record's name
-("decay U->L", "drive U<->L") prefixes every refusal about it.
+("decay U->L", "drive U<->L") prefixes every refusal about it. Last, a level
+that decays or is driven needs a lifetime, so every solver can use a scheme.
 Scheme, series and scan-curve files are read by walk_lines, which alone
 prefixes "line N: " to the refusal of a line; no parser takes a line.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .constants import vacuum_wavelength_nm
@@ -158,15 +159,19 @@ class LevelScheme:
     user input surfaces with the offending name rather than a KeyError.
     Each edit builds its copy through the constructors, every check run;
     only rates.build_rate_matrix and rates.evolve skip a constructor's checks.
+    A level that decays or is driven needs a lifetime; the highest decaying
+    level without one is named. branching_sums maps each decaying level, in
+    level order, to its ratios added left to right in decay order.
     """
 
     levels: tuple[Level, ...]
     decays: tuple[DecayChannel, ...] = ()
     drives: tuple[LaserDrive, ...] = ()
     ionization_limit_cm1: float | None = None
+    branching_sums: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_consistency(self)
+        object.__setattr__(self, "branching_sums", _check_consistency(self)[0])
 
     # -- lookups ---------------------------------------------------------
 
@@ -270,7 +275,15 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
                 f"({implied:.6g} nm) by {mismatch:.2e} (limit {WAVELENGTH_TOLERANCE})"
             )
         wavelengths.append((dr, implied))
-    return {label: sums[label] for label in by_label if label in sums}, wavelengths
+    sums = {label: sums[label] for label in by_label if label in sums}
+    missing = [lv for lv in map(by_label.get, sums) if lv.lifetime_s is None]
+    if missing:  # named as the first in descending energy, ties in level order
+        top = max(missing, key=lambda lv: lv.energy_cm1)
+        raise SchemeError(f"level {top.label} has decay channels but no lifetime")
+    for dr in scheme.drives:
+        if by_label[dr.upper].lifetime_s is None:
+            raise SchemeError(f"{dr.name}: upper level has no lifetime")
+    return sums, wavelengths
 
 
 def _checked_pairs(records, by_label: dict, noun: str):

@@ -208,10 +208,7 @@ def simulate_scan(
             mon_branch = ch.branching_ratio
     if mon_branch is None:
         raise SchemeError(f"no decay channel {mon_upper} -> {mon_lower} to monitor")
-    mon_lifetime = scheme.lifetime(mon_upper)
-    if mon_lifetime is None:
-        raise SchemeError(f"monitor level {mon_upper} has no lifetime")
-    einstein_a = mon_branch / mon_lifetime
+    einstein_a = mon_branch / scheme.lifetime(mon_upper)
     if detunings.ndim == 1:  # ScanCurve words any other shape itself
         _check_grid(detunings)  # a grid ScanCurve refuses builds no matrix
 

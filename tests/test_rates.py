@@ -247,13 +247,13 @@ def test_rate_matrix_rejects_non_finite_rates(bad):
 
 def test_drive_without_lifetime_rejected():
     scheme = two_level()
-    scheme = dataclasses.replace(
-        scheme,
-        levels=(scheme.levels[0], dataclasses.replace(scheme.levels[1], lifetime_s=None)),
-        decays=(),
-    )
     with pytest.raises(SchemeError, match="lifetime"):
-        build_rate_matrix(scheme)
+        dataclasses.replace(
+            scheme,
+            levels=(scheme.levels[0],
+                    dataclasses.replace(scheme.levels[1], lifetime_s=None)),
+            decays=(),
+        )
 
 
 # -- steady state -------------------------------------------------------------

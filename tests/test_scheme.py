@@ -262,7 +262,7 @@ def test_round_trip_keeps_spaces_hashes_and_quotes_in_strings():
     g, e = "g #1 ground", "e 2"
     s = LevelScheme(
         levels=(Level(g, "[Xe] \"6s\" 'x' # y", 0.5, 0.0),
-                Level("#e", "", 0.5, 20000.0, 8e-9), Level(e, "-", 0.5, 30000.0)),
+                Level("#e", "", 0.5, 20000.0, 8e-9), Level(e, "-", 0.5, 30000.0, 1e-8)),
         decays=(DecayChannel("#e", g, 1.0),),
         drives=(LaserDrive("#e", g, 500.0, saturation=1.0, chopped=True),
                 LaserDrive(e, g, vacuum_wavelength_nm(30000.0), power_w=1e-3,
@@ -318,6 +318,44 @@ def test_validate_three_channel_residual(yb_scheme):
     assert "0.008" in line and "unmodeled decay" in line
 
 
+@pytest.mark.parametrize("build", [
+    lambda s: LevelScheme(levels=(s.levels[0], Level("e", "excited", 0.5, 20000.0)),
+                          decays=s.decays, drives=s.drives),
+    lambda s: load_scheme(MINIMAL.replace("20000.0 8e-9", "20000.0 -")),
+    lambda s: s.with_level("e", lifetime_s=None),
+], ids=["constructor", "load_scheme", "with_level"])
+def test_a_decaying_level_without_a_lifetime_is_refused_when_built(build):
+    with pytest.raises(SchemeError) as caught:
+        build(load_scheme(MINIMAL))
+    assert str(caught.value) == "level e has decay channels but no lifetime"
+
+
+def test_a_driven_level_without_a_lifetime_is_refused_when_built():
+    undecaying = load_scheme(MINIMAL.partition("[DECAYS]")[0]
+                             + "[DRIVES]" + MINIMAL.partition("[DRIVES]")[2])
+    with pytest.raises(SchemeError) as caught:
+        undecaying.with_level("e", lifetime_s=None)
+    assert str(caught.value) == "drive e<->g: upper level has no lifetime"
+
+
+def test_branching_sums_are_the_totals_validate_reports(yb_scheme):
+    sums = yb_scheme.branching_sums
+    assert list(sums) == [lv for lv in yb_scheme.labels if yb_scheme.decays_from(lv)]
+    assert sums["7p12"] == ((0.691 + 0.177) + 0.124) + 0.005
+    assert f"level 7p12: branching sum {sums['7p12']:.6f}" in validate_scheme(yb_scheme)[0]
+    assert "0.997000" in validate_scheme(yb_scheme)[0]
+
+
+def test_an_edit_recomputes_the_branching_sums(yb_scheme):
+    import dataclasses
+
+    trimmed = dataclasses.replace(yb_scheme, decays=tuple(
+        d for d in yb_scheme.decays if (d.upper, d.lower) != ("7p12", "5d52")))
+    assert trimmed.branching_sums["7p12"] == (0.691 + 0.177) + 0.124
+    assert trimmed.branching_sums["6p12"] == yb_scheme.branching_sums["6p12"] == 1.0
+    assert trimmed == dataclasses.replace(trimmed)
+
+
 def test_validate_exact_wavelength_is_clean():
     assert validate_scheme(load_scheme(MINIMAL)) == ()
 
@@ -331,7 +369,7 @@ def test_validate_reports_wavelength_mismatch_ppm():
 def test_wavelength_finding_across_a_tiny_gap_is_one_short_line():
     # a 1e-300 cm^-1 gap implies a wavelength of about 1e307 nm
     s = LevelScheme(
-        levels=(Level("g", "", 0.5, 0.0), Level("e", "", 0.5, 1e-300)),
+        levels=(Level("g", "", 0.5, 0.0), Level("e", "", 0.5, 1e-300, 8e-9)),
         drives=(LaserDrive("e", "g", 1.0000000000001e307, saturation=1.0),),
     )
     (finding,) = validate_scheme(s)
