@@ -478,10 +478,12 @@ def validate_scheme(scheme: LevelScheme) -> tuple[str, ...]:
     """Soft findings about a loadable scheme, one line each.
 
     Hard inconsistencies already raise at load time; the findings are the
-    quantitative imperfections worth a human look: branching residuals
-    and declared-versus-implied drive wavelength mismatches. The tuple is
-    empty exactly when every sum is 1 and every declared wavelength matches
-    the energy gap bit for bit.
+    imperfections worth a human look: branching residuals, declared-versus-
+    implied drive wavelength mismatches, and each pair of drives, in drive
+    order, that share a level, where the rate model ignores the coherence
+    between the two drives and is not exact. The tuple is empty exactly when
+    every sum is 1, every declared wavelength matches the energy gap bit for
+    bit and no two drives share a level.
     """
     sums, wavelengths = _check_consistency(scheme)
     entries = [
@@ -496,5 +498,11 @@ def validate_scheme(scheme: LevelScheme) -> tuple[str, ...]:
                 f"{dr.name}: declared {dr.wavelength_nm} nm, "
                 f"energy gap implies {implied} nm ({ppm:.3f} ppm off)"
             )
+    for i, first in enumerate(scheme.drives):
+        for second in scheme.drives[i + 1:]:
+            # two drives cannot share both levels: a pair appears once
+            for shared in {first.upper, first.lower} & {second.upper, second.lower}:
+                entries.append(f"{first.name} and {second.name} share level {shared}: "
+                               "the rate model is not exact there")
     return tuple(entries)
 

@@ -2124,6 +2124,15 @@ def test_finding_keys_sort_in_finding_order(tmp_path):
         [f"diag.scheme.finding_{i:02d}", f"level e{i}"] for i in range(1, 11)]
 
 
+def test_drives_that_share_a_level_write_a_finding_line(tmp_path):
+    # yb174_plus plus a 7s12 <- 6p12 drive at the 367.0731 nm of its energy gap
+    yb = load_scheme_file(bundled_scheme_path("yb174_plus"))
+    extra = "7s12 6p12 367.0731 - - 0.01 0.0 0\n"
+    lines = scheme_finding_lines(SCHEME_RUNS[0], serialize(yb) + extra, tmp_path)
+    assert lines[-1] == ("diag.scheme.finding_7: drive 6p12<->6s12 and drive "
+                         "7s12<->6p12 share level 6p12: the rate model is not exact there")
+
+
 def test_scan_rng_line_regenerates_first_noisy_point(tmp_path):
     argv = ["scan", "--scheme", "linewidth_reference", "--grid", "-30e6", "30e6", "21"]
     clean, noisy = tmp_path / "clean.tsv", tmp_path / "noisy.tsv"

@@ -356,6 +356,33 @@ def test_an_edit_recomputes_the_branching_sums(yb_scheme):
     assert trimmed == dataclasses.replace(trimmed)
 
 
+SHARED_7S12_DRIVE = LaserDrive("7s12", "6p12", 367.0731, saturation=1e-2)
+
+
+def test_drives_that_share_a_level_are_a_finding(yb_scheme):
+    # 7s12 <- 6p12 shares 6p12 with the cooling drive: two-photon coherence
+    # there puts the rate model off a Lindblad solution by up to x94
+    import dataclasses
+
+    assert not any("share level" in e for e in validate_scheme(yb_scheme))
+    ladder = dataclasses.replace(yb_scheme, drives=yb_scheme.drives + (SHARED_7S12_DRIVE,))
+    assert validate_scheme(ladder)[-1] == (
+        "drive 6p12<->6s12 and drive 7s12<->6p12 share level 6p12: "
+        "the rate model is not exact there")
+
+
+def test_each_pair_of_drives_sharing_a_level_is_one_finding_in_drive_order():
+    levels = (Level("g", "", 0.5, 0.0), Level("e", "", 0.5, 10000.0, 1e-8),
+              Level("f", "", 0.5, 20000.0, 1e-8))
+    drives = (LaserDrive("e", "g", 1000.0, saturation=1.0),
+              LaserDrive("f", "e", 1000.0, saturation=1.0),
+              LaserDrive("f", "g", 500.0, saturation=1.0))
+    assert validate_scheme(LevelScheme(levels=levels, drives=drives)) == tuple(
+        f"drive {a} and drive {b} share level {x}: the rate model is not exact there"
+        for a, b, x in (("e<->g", "f<->e", "e"), ("e<->g", "f<->g", "g"),
+                        ("f<->e", "f<->g", "f")))
+
+
 def test_validate_exact_wavelength_is_clean():
     assert validate_scheme(load_scheme(MINIMAL)) == ()
 
