@@ -29,7 +29,8 @@ drive wavelengths must agree with the level energy gap to 0.1 percent.
 A [SCHEME] key, a level label, a decay channel and a drive pair may each
 appear once; decays and drives share one pair check, and a record's name
 ("decay U->L", "drive U<->L") prefixes every refusal about it. Last, a level
-that decays or is driven needs a lifetime, so every solver can use a scheme.
+that decays or is driven needs a lifetime, and every level lies below the
+ionization limit, if one is given, so every solver can use a scheme.
 Scheme, series and scan-curve files are read by walk_lines, which alone
 prefixes "line N: " to the refusal of a line; no parser takes a line.
 """
@@ -160,8 +161,10 @@ class LevelScheme:
     Each edit builds its copy through the constructors, every check run;
     only rates.build_rate_matrix and rates.evolve skip a constructor's checks.
     A level that decays or is driven needs a lifetime; the highest decaying
-    level without one is named. branching_sums maps each decaying level, in
-    level order, to its ratios added left to right in decay order.
+    level without one is named. An ionization limit, which any n* taken
+    from the scheme reads, must lie above every level. branching_sums maps
+    each decaying level, in level order, to its ratios added left to right
+    in decay order.
     """
 
     levels: tuple[Level, ...]
@@ -283,6 +286,11 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
     for dr in scheme.drives:
         if by_label[dr.upper].lifetime_s is None:
             raise SchemeError(f"{dr.name}: upper level has no lifetime")
+    limit = scheme.ionization_limit_cm1
+    if limit is not None:
+        top = max(scheme.levels, key=lambda lv: lv.energy_cm1)
+        if top.energy_cm1 >= limit:
+            raise SchemeError(f"level {top.label} lies at or above the ionization limit")
     return sums, wavelengths
 
 

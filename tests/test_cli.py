@@ -658,6 +658,14 @@ def test_lifetime_refusals_of_a_scheme_file_are_one_line(argv, fault, message, t
     assert (out, err) == ("", f"error: {message}\n")
 
 
+def test_an_ionization_limit_below_a_level_exits_two(tmp_path, capsys):
+    scheme = tmp_path / "limit.scheme"
+    scheme.write_text("[SCHEME]\nionization_limit_cm1 -5\n" + CLEAN_SCHEME)
+    assert main(["steady-state", "--scheme", str(scheme)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: level 6p12 lies at or above the ionization limit\n")
+
+
 def gap_scheme(energy_cm1: str) -> str:
     """A two-level scheme whose 500 nm drive spans a gap of energy_cm1."""
     return NO_LIFETIME_SCHEME.replace("20000.0", energy_cm1).replace("e g 1.0", "")

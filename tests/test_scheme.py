@@ -124,6 +124,15 @@ def test_branching_sum_above_one_rejected():
     assert str(caught.value) == "level e: branching ratios sum to 1.4 > 1"
 
 
+@pytest.mark.parametrize("limit", ["-5", "0.0", "20000.0"])
+def test_an_ionization_limit_at_or_below_a_level_is_refused(limit):
+    with pytest.raises(SchemeError) as caught:
+        load_scheme(f"[SCHEME]\nionization_limit_cm1 {limit}\n" + MINIMAL)
+    assert str(caught.value) == "level e lies at or above the ionization limit"
+    assert load_scheme("[SCHEME]\nionization_limit_cm1 20000.000000001\n"
+                       + MINIMAL).ionization_limit_cm1 == 20000.000000001
+
+
 def test_parse_error_carries_line_number():
     bad = MINIMAL.replace("e g 1.0", "e g not-a-number")
     with pytest.raises(SchemeError, match=r"line \d+"):
