@@ -31,6 +31,9 @@ appear once; decays and drives share one pair check, and a record's name
 ("decay U->L", "drive U<->L") prefixes every refusal about it. Last, a level
 that decays or is driven needs a lifetime, and every level lies below the
 ionization limit, if one is given, so every solver can use a scheme.
+validate_scheme reports what loads but deserves a look: branching residuals,
+wavelength mismatches, and drives that share a level, where the rate model
+is not exact.
 Scheme, series and scan-curve files are read by walk_lines, which alone
 prefixes "line N: " to the refusal of a line; no parser takes a line.
 """

@@ -187,7 +187,8 @@ def simulate_scan(
     one reused PCG64 set to that generator's state. Preconditions: the
     scanned drive exists, no other drive shares its lower level (a repump
     on the same level would distort the line, so it must be switched off
-    first), and the monitor transition is a decay channel of the scheme.
+    first), and the monitor transition is a decay channel of the scheme,
+    whose upper level therefore has a lifetime.
     A grid that ScanCurve would refuse is refused, in its words, before
     any matrix is built.
     """
