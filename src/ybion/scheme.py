@@ -254,8 +254,8 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
         if lv.label in by_label:
             raise SchemeError(f"duplicate level label: {lv.label}")
         by_label[lv.label] = lv
-    ground = min(lv.energy_cm1 for lv in scheme.levels)
-    if ground != 0.0:
+    energies = [lv.energy_cm1 for lv in scheme.levels]
+    if min(energies) != 0.0:
         raise SchemeError("lowest level must sit at energy exactly 0")
 
     sums: dict[str, float] = {}
@@ -290,10 +290,9 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
         if by_label[dr.upper].lifetime_s is None:
             raise SchemeError(f"{dr.name}: upper level has no lifetime")
     limit = scheme.ionization_limit_cm1
-    if limit is not None:
+    if limit is not None and max(energies) >= limit:
         top = max(scheme.levels, key=lambda lv: lv.energy_cm1)
-        if top.energy_cm1 >= limit:
-            raise SchemeError(f"level {top.label} lies at or above the ionization limit")
+        raise SchemeError(f"level {top.label} lies at or above the ionization limit")
     return sums, wavelengths
 
 
