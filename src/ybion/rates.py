@@ -10,7 +10,7 @@ diagonal, since spontaneous emission only moves population downward in
 energy.
 
 Spontaneous decay enters as A = (branching_ratio / total) / lifetime(upper),
-total being the upper level's entry of scheme.branching_sums, so the
+total being the upper level's sum in scheme.branching_sums, so the
 listed channels carry its whole 1/lifetime; a total below 1 (0.997 for 7p12
 of yb174_plus) scales them up rather than leaving an unmodeled loss. The
 scheme forms each total once, when it is built, and has refused any level
@@ -324,7 +324,7 @@ def build_rate_matrix(
     size = n + 1 if include_ionization else n
     m = [[0.0] * size for _ in range(size)]
 
-    sums = scheme.branching_sums
+    sums = dict(scheme.branching_sums)
     for ch in scheme.decays:
         up = index[ch.upper]
         m[index[ch.lower]][up] += ch.branching_ratio / sums[ch.upper] / order[up].lifetime_s

@@ -165,19 +165,21 @@ class LevelScheme:
     only rates.build_rate_matrix and rates.evolve skip a constructor's checks.
     A level that decays or is driven needs a lifetime; the highest decaying
     level without one is named. An ionization limit, which any n* taken
-    from the scheme reads, must lie above every level. branching_sums maps
-    each decaying level, in level order, to its ratios added left to right
-    in decay order.
+    from the scheme reads, must lie above every level. branching_sums holds
+    (label, sum) for each decaying level, in level order, the sum its ratios
+    added left to right in decay order; a tuple, so a scheme stays immutable.
     """
 
     levels: tuple[Level, ...]
     decays: tuple[DecayChannel, ...] = ()
     drives: tuple[LaserDrive, ...] = ()
     ionization_limit_cm1: float | None = None
-    branching_sums: dict[str, float] = field(init=False, repr=False, compare=False)
+    branching_sums: tuple[tuple[str, float], ...] = field(init=False, repr=False,
+                                                          compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "branching_sums", _check_consistency(self)[0])
+        sums = tuple(_check_consistency(self)[0].items())
+        object.__setattr__(self, "branching_sums", sums)
 
     # -- lookups ---------------------------------------------------------
 

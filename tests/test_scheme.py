@@ -348,11 +348,11 @@ def test_a_driven_level_without_a_lifetime_is_refused_when_built():
 
 
 def test_branching_sums_are_the_totals_validate_reports(yb_scheme):
-    sums = yb_scheme.branching_sums
+    sums = dict(yb_scheme.branching_sums)
     assert list(sums) == [lv for lv in yb_scheme.labels if yb_scheme.decays_from(lv)]
     assert sums["7p12"] == ((0.691 + 0.177) + 0.124) + 0.005
-    assert f"level 7p12: branching sum {sums['7p12']:.6f}" in validate_scheme(yb_scheme)[0]
-    assert "0.997000" in validate_scheme(yb_scheme)[0]
+    assert f"{sums['7p12']:.6f}" == "0.997000"
+    assert validate_scheme(yb_scheme)[0].startswith("level 7p12: branching sum 0.997000,")
 
 
 def test_an_edit_recomputes_the_branching_sums(yb_scheme):
@@ -360,12 +360,10 @@ def test_an_edit_recomputes_the_branching_sums(yb_scheme):
 
     trimmed = dataclasses.replace(yb_scheme, decays=tuple(
         d for d in yb_scheme.decays if (d.upper, d.lower) != ("7p12", "5d52")))
-    assert trimmed.branching_sums["7p12"] == (0.691 + 0.177) + 0.124
-    assert trimmed.branching_sums["6p12"] == yb_scheme.branching_sums["6p12"] == 1.0
+    sums = dict(trimmed.branching_sums)
+    assert sums["7p12"] == (0.691 + 0.177) + 0.124
+    assert sums["6p12"] == dict(yb_scheme.branching_sums)["6p12"] == 1.0
     assert trimmed == dataclasses.replace(trimmed)
-
-
-SHARED_7S12_DRIVE = LaserDrive("7s12", "6p12", 367.0731, saturation=1e-2)
 
 
 def test_drives_that_share_a_level_are_a_finding(yb_scheme):
@@ -374,7 +372,8 @@ def test_drives_that_share_a_level_are_a_finding(yb_scheme):
     import dataclasses
 
     assert not any("share level" in e for e in validate_scheme(yb_scheme))
-    ladder = dataclasses.replace(yb_scheme, drives=yb_scheme.drives + (SHARED_7S12_DRIVE,))
+    shared = LaserDrive("7s12", "6p12", 367.0731, saturation=1e-2)
+    ladder = dataclasses.replace(yb_scheme, drives=yb_scheme.drives + (shared,))
     assert validate_scheme(ladder)[-1] == (
         "drive 6p12<->6s12 and drive 7s12<->6p12 share level 6p12: "
         "the rate model is not exact there")
