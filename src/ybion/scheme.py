@@ -165,9 +165,10 @@ class LevelScheme:
     only rates.build_rate_matrix and rates.evolve skip a constructor's checks.
     A level that decays or is driven needs a lifetime; the highest decaying
     level without one is named. An ionization limit, which any n* taken
-    from the scheme reads, must lie above every level. branching_sums holds
-    (label, sum) for each decaying level, in level order, the sum its ratios
-    added left to right in decay order; a tuple, so a scheme stays immutable.
+    from the scheme reads, must be finite and lie above every level.
+    branching_sums holds (label, sum) for each decaying level, in level
+    order, the sum its ratios added left to right in decay order; a tuple,
+    so a scheme stays immutable.
     """
 
     levels: tuple[Level, ...]
@@ -292,9 +293,11 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
         if by_label[dr.upper].lifetime_s is None:
             raise SchemeError(f"{dr.name}: upper level has no lifetime")
     limit = scheme.ionization_limit_cm1
-    if limit is not None and max(energies) >= limit:
-        top = max(scheme.levels, key=lambda lv: lv.energy_cm1)
-        raise SchemeError(f"level {top.label} lies at or above the ionization limit")
+    if limit is not None:
+        check("ionization_limit_cm1", limit, "finite")  # as a series' limit
+        if max(energies) >= limit:
+            top = max(scheme.levels, key=lambda lv: lv.energy_cm1)
+            raise SchemeError(f"level {top.label} lies at or above the ionization limit")
     return sums, wavelengths
 
 

@@ -133,6 +133,14 @@ def test_an_ionization_limit_at_or_below_a_level_is_refused(limit):
                        + MINIMAL).ionization_limit_cm1 == 20000.000000001
 
 
+@pytest.mark.parametrize("limit", [math.nan, math.inf])
+def test_a_non_finite_ionization_limit_is_refused_as_series_refuse_it(limit):
+    # a scheme file cannot hold one; a library caller can
+    with pytest.raises(SchemeError) as caught:
+        LevelScheme(levels=load_scheme(MINIMAL).levels, ionization_limit_cm1=limit)
+    assert str(caught.value) == f"ionization_limit_cm1 must be finite, got {limit}"
+
+
 def test_parse_error_carries_line_number():
     bad = MINIMAL.replace("e g 1.0", "e g not-a-number")
     with pytest.raises(SchemeError, match=r"line \d+"):
