@@ -261,7 +261,7 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
     if min(energies) != 0.0:
         raise SchemeError("lowest level must sit at energy exactly 0")
 
-    sums: dict[str, float] = {}
+    sums: dict[str, float] = {}  # left to right: sum() compensates from CPython 3.12 on
     for d, _ in _checked_pairs(scheme.decays, by_label, "decay channel"):
         sums[d.upper] = sums.get(d.upper, 0.0) + d.branching_ratio
     for label, total in sums.items():
