@@ -351,9 +351,10 @@ def _cmd_steady_state(args) -> _Run:
     matrix = build_rate_matrix(scheme)
     pops = steady_state(matrix)
     rows = [[label, pops[label]] for label in matrix.labels]
-    # max|M p| / max|M|: how far the printed populations are from stationary
+    # max|M p| / max|M|: how far the printed populations are from stationary;
+    # M p is exactly 0 where M has no rate, so the scale is guarded as RateMatrix's
     m = matrix.matrix
-    residual = np.abs(m @ pops.populations).max() / np.abs(m).max()
+    residual = np.abs(m @ pops.populations).max() / (np.abs(m).max() or 1.0)
     return _Run(_table(["label", "population"], rows), inputs=(args.scheme,),
                 diag={"steady_residual": float(residual), **_scheme_findings(scheme)})
 

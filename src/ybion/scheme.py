@@ -31,9 +31,8 @@ appear once; decays and drives share one pair check, and a record's name
 ("decay U->L", "drive U<->L") prefixes every refusal about it. Last, a level
 that decays or is driven needs a lifetime, and every level lies below the
 ionization limit, if one is given, so every solver can use a scheme.
-validate_scheme reports what loads but deserves a look: branching residuals,
-wavelength mismatches, and drives that share a level, where the rate model
-is not exact.
+Construction is a scheme's one check; validate_scheme only reads findings
+off the stored branching sums, the energy gaps and the drive pairs.
 Scheme, series and scan-curve files are read by walk_lines, which alone
 prefixes "line N: " to the refusal of a line; no parser takes a line.
 """
@@ -179,7 +178,7 @@ class LevelScheme:
                                                           compare=False)
 
     def __post_init__(self):
-        sums = tuple(_check_consistency(self)[0].items())
+        sums = tuple(_check_consistency(self).items())
         object.__setattr__(self, "branching_sums", sums)
 
     # -- lookups ---------------------------------------------------------
@@ -246,10 +245,8 @@ def _edited_fields(drive: LaserDrive, changes: dict) -> dict:
     return {**vars(drive), **cleared, **changes}
 
 
-def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
-    """Refuse a scheme that no solver can use; else return the branching
-    sum of each decaying level, in level order, and (drive, wavelength in
-    nm implied by its energy gap) for each drive."""
+def _check_consistency(scheme: LevelScheme) -> dict[str, float]:
+    """Refuse a scheme that no solver can use; else return its branching sums."""
     if not scheme.levels:
         raise SchemeError("scheme has no levels")
     by_label: dict[str, Level] = {}
@@ -270,12 +267,7 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
                 f"level {label}: branching ratios sum to {float(total)} > 1"
             )
 
-    wavelengths: list[tuple[LaserDrive, float]] = []
-    for dr, gap in _checked_pairs(scheme.drives, by_label, "drive"):
-        try:
-            implied = vacuum_wavelength_nm(gap)
-        except SchemeError as refusal:
-            raise SchemeError(f"{dr.name}: {refusal}") from None
+    for dr, implied in _implied_wavelengths(scheme.drives, by_label):
         mismatch = abs(implied - dr.wavelength_nm) / dr.wavelength_nm
         if mismatch > WAVELENGTH_TOLERANCE:
             raise SchemeError(
@@ -283,7 +275,6 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
                 f"{dr.wavelength_nm} nm differs from energy gap "
                 f"({implied:.6g} nm) by {mismatch:.2e} (limit {WAVELENGTH_TOLERANCE})"
             )
-        wavelengths.append((dr, implied))
     sums = {label: sums[label] for label in by_label if label in sums}
     missing = [lv for lv in map(by_label.get, sums) if lv.lifetime_s is None]
     if missing:  # named as the first in descending energy, ties in level order
@@ -298,7 +289,17 @@ def _check_consistency(scheme: LevelScheme) -> tuple[dict, list]:
         if max(energies) >= limit:
             top = max(scheme.levels, key=lambda lv: lv.energy_cm1)
             raise SchemeError(f"level {top.label} lies at or above the ionization limit")
-    return sums, wavelengths
+    return sums
+
+
+def _implied_wavelengths(drives, by_label: dict):
+    """Yield (drive, its energy gap's wavelength in nm); a refusal names the drive."""
+    for dr, gap in _checked_pairs(drives, by_label, "drive"):
+        try:
+            implied = vacuum_wavelength_nm(gap)
+        except SchemeError as refusal:
+            raise SchemeError(f"{dr.name}: {refusal}") from None
+        yield dr, implied
 
 
 def _checked_pairs(records, by_label: dict, noun: str):
@@ -490,23 +491,21 @@ def serialize(scheme: LevelScheme) -> str:
 
 
 def validate_scheme(scheme: LevelScheme) -> tuple[str, ...]:
-    """Soft findings about a loadable scheme, one line each.
-
-    Hard inconsistencies already raise at load time; the findings are the
-    imperfections worth a human look: branching residuals, declared-versus-
-    implied drive wavelength mismatches, and each pair of drives, in drive
-    order, that share a level, where the rate model ignores the coherence
-    between the two drives and is not exact. The tuple is empty exactly when
-    every sum is 1, every declared wavelength matches the energy gap bit for
-    bit and no two drives share a level.
-    """
-    sums, wavelengths = _check_consistency(scheme)
+    """Soft findings about a scheme, one line each: branching residuals of
+    scheme.branching_sums, declared-versus-implied drive wavelength mismatches
+    over the energy gaps, and each pair of drives, in drive order, that share
+    a level, where the rate model ignores the coherence between the two
+    drives and is not exact. Construction refused the hard inconsistencies,
+    so this checks nothing. The tuple is empty exactly when every sum is 1,
+    every declared wavelength matches the energy gap bit for bit and no two
+    drives share a level."""
     entries = [
         f"level {label}: branching sum {total:.6f}, "
         f"residual {1.0 - total:.6f} unmodeled decay"
-        for label, total in sums.items() if total != 1.0
+        for label, total in scheme.branching_sums if total != 1.0
     ]
-    for dr, implied in wavelengths:
+    by_label = {lv.label: lv for lv in scheme.levels}
+    for dr, implied in _implied_wavelengths(scheme.drives, by_label):
         if implied != dr.wavelength_nm:
             ppm = abs(implied - dr.wavelength_nm) / dr.wavelength_nm * 1e6
             entries.append(

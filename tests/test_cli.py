@@ -16,11 +16,12 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from test_mc import run_cli
 
@@ -1264,10 +1265,121 @@ def assert_exits_cleanly(code, out, err):
                "3", "--noise-sigma", "1e308", "--seed", "3"])
 @example(argv=["scan", "--scheme", "linewidth_reference", "--grid",
                "-1.7976931348623157e+308", "0.0", "4"])
+@example(argv=["simulate", "--rate", "474e3", "--trials", "10", "--seed", "1"])
+@example(argv=["simulate", "--rate", "1e-300", "--trials", "3", "--seed", "0"])
+@example(argv=IONIZE)
+# a subnormal rate, which ldexp rounds
+@example(argv=["ionize-rate", "--p7p", "1e-20", "--sigma-mb", "5.5",
+               "--power-w", "1e-300", "--waist-m", "1e-5", "--wavelength-nm", "245.426"])
 @settings(max_examples=300, deadline=None)
 def test_every_subcommand_exits_cleanly(argv, curve_file):
     argv = [arg.replace("{curve}", str(curve_file)) for arg in argv]
-    assert_exits_cleanly(*run_without_warnings(argv))
+    code, out, err = run_without_warnings(argv)
+    assert_exits_cleanly(code, out, err)
+    if code == 0 and argv[0] in TABLE_CHECKS:
+        TABLE_CHECKS[argv[0]](argv, out, err)
+
+
+def flag_value(argv, flag):
+    """The float of a flag's value as the command line reads it."""
+    return float(argv[argv.index(flag) + 1])
+
+
+def check_simulate_summary(argv, out, err):
+    # the summary table follows the manifest on stderr
+    stats = dict(line.split("\t") for line in err.partition("statistic\tvalue\n")[2]
+                 .splitlines())
+    n_runs, n_events = int(stats["n_runs"]), int(stats["n_events"])
+    fraction = float(stats["success_fraction"])
+    assert fraction == n_events / n_runs
+    assert 0.0 <= fraction <= 1.0
+    bounds = [stats[k] for k in ("ci95_low_s", "mean_s", "ci95_high_s")]
+    if "NA" not in bounds:
+        low, mean, high = map(float, bounds)
+        assert low <= mean <= high
+
+
+# _product rounds the product of the three mantissas twice, each time by at
+# most 2**-53 relative; scaling by the exponents is exact unless the result
+# is subnormal, where it rounds by at most half the smallest subnormal.
+PRODUCT_REL_BOUND = (1 + Fraction(1, 2**53)) ** 2 - 1
+PRODUCT_ABS_BOUND = Fraction(1, 2**1075)
+
+
+def check_ionize_rate_product(argv, out, err):
+    table = {row[0]: row[1] for row in (line.split("\t") for line in out.splitlines())}
+    sigma_m2 = flag_value(argv, "--sigma-mb") * 1e-22  # as CrossSection.from_megabarn
+    exact = (Fraction(flag_value(argv, "--p7p")) * Fraction(sigma_m2)
+             * Fraction(float(table["photon_flux"])))
+    rate = Fraction(float(table["ionization_rate"]))
+    assert abs(rate - exact) <= PRODUCT_REL_BOUND * exact + PRODUCT_ABS_BOUND
+
+
+# exit-0 tables whose values must agree with one another
+TABLE_CHECKS = {"simulate": check_simulate_summary,
+                "ionize-rate": check_ionize_rate_product}
+
+
+# -- every scheme shape ------------------------------------------------------------
+
+# A lifetime absent, tiny or huge.
+SHAPE_LIFETIMES = st.sampled_from([None, 5e-324, 1e-300, 8e-9, 1.0, 1e300,
+                                   sys.float_info.max])
+SHAPE_ENERGIES = st.one_of(st.floats(min_value=5e-324, max_value=1e5),
+                           st.sampled_from([1e-300, 1e-10, 1e300, sys.float_info.max]))
+# scan monitors 6p12 -> 6s12, so the levels carry the bundled labels
+SHAPE_LABELS = ("6s12", "6p12", "5d32", "7p12")
+
+
+@st.composite
+def scheme_shapes(draw):
+    """(scheme text, scan's drive flags) of a small scheme: 1 to 4 levels,
+    the first at energy 0, each decay and drive between two of them present
+    or absent, a level's decays splitting its ratio evenly. The flags name
+    the first drive, if there is one, else scan's default drive."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    energies = [0.0, *draw(st.lists(SHAPE_ENERGIES, min_size=n - 1, max_size=n - 1))]
+    labels = SHAPE_LABELS[:n]
+    levels = []
+    for label, energy in zip(labels, energies):
+        lifetime = draw(SHAPE_LIFETIMES)
+        lifetime = "-" if lifetime is None else repr(lifetime)
+        levels.append(f"{label} x 0.5 {energy!r} {lifetime}")
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(n)
+             if energies[i] > energies[j]]
+    decays, drives = [], []
+    for label in labels:
+        chosen = [pair for pair in pairs if pair[0] == label and draw(st.booleans())]
+        share = draw(st.sampled_from([1.0, 0.5])) / max(len(chosen), 1)
+        decays += [f"{upper} {lower} {share!r}" for upper, lower in chosen]
+    for upper, lower in pairs:
+        if draw(st.booleans()):
+            gap = energies[labels.index(upper)] - energies[labels.index(lower)]
+            saturation = draw(st.sampled_from([0.0, 1e-2, 1.0, 1e4, 1e300]))
+            detuning = draw(st.sampled_from([0.0, 1e6]))
+            strength = f"- - {saturation!r} {detuning!r} 0"
+            drives.append((upper, lower, f"{1e7 / gap!r} {strength}"))
+    text = "\n".join(["[LEVELS]", *levels, "[DECAYS]", *decays, "[DRIVES]",
+                      *(" ".join(drive) for drive in drives), ""])
+    return text, ["--upper", drives[0][0], "--lower", drives[0][1]] if drives else []
+
+
+@seed(174)
+@given(shape=scheme_shapes())
+@example(shape=("[LEVELS]\ng x 0.5 0.0 -\n", []))
+@settings(max_examples=150, deadline=None)
+def test_every_scheme_shape_exits_cleanly(shape, tmp_path_factory):
+    text, scan = shape
+    path = tmp_path_factory.getbasetemp() / "shape.scheme"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_without_warnings(["steady-state", "--scheme", str(path)])
+    assert_exits_cleanly(code, out, err)
+    if code == 0:
+        (residual,) = [line.partition(": ")[2] for line in err.splitlines()
+                       if line.startswith("diag.steady_residual: ")]
+        assert math.isfinite(float(residual))
+    assert_exits_cleanly(*run_without_warnings(
+        ["scan", "--scheme", str(path), *scan, "--grid", "-1e6", "1e6", "5"]))
 
 
 # -- every numeric field of the data files ------------------------------------------
@@ -2276,6 +2388,16 @@ def test_steady_state_residual_is_recomputed_from_the_printed_populations(argv, 
                 for i, text in enumerate(validate_scheme(scheme), start=1)]
     assert diag == [*findings, f"diag.steady_residual: {float(residual)!r}"]
     assert residual <= STEADY_RESIDUAL_TOL
+
+
+def test_a_one_level_scheme_is_stationary_with_residual_zero(tmp_path):
+    # M is the 1x1 zero matrix, so M p is exactly 0 and so is the residual
+    scheme = tmp_path / "one.scheme"
+    scheme.write_text("[LEVELS]\ng x 0.5 0.0 -\n", encoding="utf-8")
+    code, out, err = run_without_warnings(["steady-state", "--scheme", str(scheme)])
+    assert code == 0
+    assert out == "label\tpopulation\ng\t1.0\n"
+    assert "diag.steady_residual: 0.0" in err.splitlines()
 
 
 def test_manifest_digests_input_files(tmp_path):

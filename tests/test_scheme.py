@@ -399,6 +399,40 @@ def test_each_pair_of_drives_sharing_a_level_is_one_finding_in_drive_order():
                         ("f<->e", "f<->g", "f")))
 
 
+BUNDLED_FINDINGS = {
+    "yb174_plus": (
+        "level 7p12: branching sum 0.997000, residual 0.003000 unmodeled decay",
+        "drive 6p12<->6s12: declared 369.524 nm, energy gap implies "
+        "369.5242965920252 nm (0.803 ppm off)",
+        "drive 7p12<->5d32: declared 245.426 nm, energy gap implies "
+        "245.42599571780724 nm (0.017 ppm off)",
+        "drive fd32<->5d52: declared 976.31 nm, energy gap implies "
+        "976.3069821570132 nm (3.091 ppm off)",
+        "drive fd52<->f72: declared 638.33 nm, energy gap implies "
+        "638.3327769199295 nm (4.350 ppm off)",
+    ),
+    "linewidth_reference": (
+        "drive 6p12<->6s12: declared 370.3704 nm, energy gap implies "
+        "370.3703703703704 nm (0.080 ppm off)",
+        "drive 7p12<->5d32: declared 245.426 nm, energy gap implies "
+        "245.4259957178072 nm (0.017 ppm off)",
+    ),
+}
+
+
+def test_findings_read_what_construction_found(monkeypatch):
+    # construction is the one check: validate_scheme reads the stored sums
+    # and the energy gaps, so it needs no checker
+    schemes = {name: load_bundled_scheme(name) for name in BUNDLED_FINDINGS}
+
+    def refuse(scheme):
+        raise AssertionError("validate_scheme ran the scheme check")
+
+    monkeypatch.setattr("ybion.scheme._check_consistency", refuse)
+    for name, scheme in schemes.items():
+        assert validate_scheme(scheme) == BUNDLED_FINDINGS[name], name
+
+
 def test_validate_exact_wavelength_is_clean():
     assert validate_scheme(load_scheme(MINIMAL)) == ()
 

@@ -23,24 +23,29 @@ SUM_SITES = {
 }
 
 
-def sum_calls(sources: dict[str, str]) -> Counter:
-    """Calls of sum by bare name, not numpy's .sum methods, counted by the
-    qualified name of the enclosing def over {module: source}."""
-    calls = Counter()
+def sites(sources: dict[str, str], matches) -> Counter:
+    """Nodes for which matches(node) holds, not counting defs, counted by
+    the qualified name of the enclosing def over {module: source}."""
+    found = Counter()
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                  and child.func.id == "sum"):
-                calls[scope] += 1
+            elif matches(child):
+                found[scope] += 1
             walk(child, inner)
 
     for module, source in sources.items():
         walk(ast.parse(source), module)
-    return calls
+    return found
+
+
+def sum_calls(sources: dict[str, str]) -> Counter:
+    """Calls of sum by bare name, not numpy's .sum methods."""
+    return sites(sources, lambda node: isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "sum")
 
 
 def test_builtin_sum_is_called_only_at_the_pinned_sites():
